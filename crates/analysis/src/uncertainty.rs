@@ -81,6 +81,15 @@ pub struct McSummary {
 /// `model` receives one sampled value per input, in order. Deterministic for
 /// a fixed `seed`.
 ///
+/// The percentiles are nearest-rank order statistics: `pXX` is the output
+/// of rank `round((trials - 1) · XX/100)` in ascending [`f64::total_cmp`]
+/// order, so `-0.0` ranks below `+0.0`. They are found by selection in
+/// O(`trials`) rather than by a full sort: `p50` partitions the outputs, and
+/// `p05` and `p95` are then selected within the lower and upper partitions.
+/// Each equals, bit for bit, the entry of that rank in the sorted outputs.
+/// `mean` and `std` (the `n - 1` sample deviation, 0 for one trial) are
+/// summed in draw order.
+///
 /// # Panics
 ///
 /// Panics when `trials == 0` or `inputs` is empty.
@@ -101,17 +110,32 @@ pub fn propagate(
         }
         outputs.push(model(&draws));
     }
-    outputs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(core::cmp::Ordering::Equal));
-    let mean = outputs.iter().sum::<f64>() / outputs.len() as f64;
-    let var =
-        outputs.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (outputs.len().max(2) - 1) as f64;
-    let pct = |p: f64| outputs[((outputs.len() - 1) as f64 * p).round() as usize];
+    let n = outputs.len();
+    let mean = outputs.iter().sum::<f64>() / n as f64;
+    let var = outputs.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n.max(2) - 1) as f64;
+
+    let rank = |p: f64| ((n - 1) as f64 * p).round() as usize;
+    let (i05, i50, i95) = (rank(0.05), rank(0.50), rank(0.95));
+    let (lower, &mut p50, upper) = outputs.select_nth_unstable_by(i50, f64::total_cmp);
+    // Ranks coincide for small `n`; the partitions are then empty.
+    let p05 = if i05 < i50 {
+        *lower.select_nth_unstable_by(i05, f64::total_cmp).1
+    } else {
+        p50
+    };
+    let p95 = if i95 > i50 {
+        *upper
+            .select_nth_unstable_by(i95 - i50 - 1, f64::total_cmp)
+            .1
+    } else {
+        p50
+    };
     McSummary {
         mean,
         std: var.sqrt(),
-        p05: pct(0.05),
-        p50: pct(0.50),
-        p95: pct(0.95),
+        p05,
+        p50,
+        p95,
     }
 }
 

@@ -126,6 +126,15 @@ fn protocol_errors_leave_the_daemon_and_cache_untouched() {
             r#"{"op":"run","experiments":["fig10"],"set":{"grid.renewable_fraction":2}}"#,
             "invalid-scenario",
         ),
+        // Accepted, these would abort the daemon or overflow ext-mc.
+        (
+            r#"{"op":"run","experiments":["ext-mc"],"set":{"mc.samples":4294967295}}"#,
+            "invalid-scenario",
+        ),
+        (
+            r#"{"op":"run","experiments":["ext-mc"],"set":{"grid.intensity":1e308}}"#,
+            "invalid-scenario",
+        ),
         (
             r#"{"op":"run","experiments":["fig10"],"sweep":["grid.intensity=800..10/100"]}"#,
             "invalid-sweep",

@@ -754,8 +754,10 @@ fn validate_parts(
     validate_sites(grid, fleet)?;
     let checks: [(&str, bool); 18] = [
         (
-            "grid.intensity must be finite and positive",
-            grid.intensity_g_per_kwh.is_finite() && grid.intensity_g_per_kwh > 0.0,
+            // The cap is over 10x the dirtiest Table II source. Without it,
+            // values near f64::MAX overflow ext-mc's triangular sampling.
+            "grid.intensity must lie in (0, 10000] g/kWh",
+            grid.intensity_g_per_kwh > 0.0 && grid.intensity_g_per_kwh <= 10_000.0,
         ),
         (
             "grid.renewable_fraction must lie in [0, 1]",
@@ -820,7 +822,10 @@ fn validate_parts(
             "fleet.horizon_years must lie in 1..=200",
             (1..=200).contains(&fleet.horizon_years),
         ),
-        ("mc.samples must be at least 1", mc.samples >= 1),
+        (
+            "mc.samples must lie in 1..=1000000",
+            (1..=mc::MonteCarloMatrix::MAX_SAMPLES).contains(&(mc.samples as usize)),
+        ),
     ];
     for (message, ok) in checks {
         if !ok {
@@ -2354,6 +2359,36 @@ mod tests {
         s = Scenario::paper_defaults();
         s.grid.intensity_g_per_kwh = f64::NAN;
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn grid_intensity_and_mc_samples_are_bounded() {
+        let check = |key: &str, value: &str| {
+            let mut s = Scenario::paper_defaults();
+            s.set(key, value).unwrap();
+            s.validate()
+        };
+        check("grid.intensity", "10000").unwrap();
+        check("mc.samples", "1").unwrap();
+        let max = mc::MonteCarloMatrix::MAX_SAMPLES;
+        check("mc.samples", &max.to_string()).unwrap();
+        for (key, value) in [
+            ("grid.intensity", "10000.001"),
+            ("grid.intensity", "inf"),
+            ("mc.samples", "0"),
+            ("mc.samples", &(max + 1).to_string()),
+        ] {
+            assert!(
+                matches!(check(key, value), Err(ScenarioError::Invalid(m)) if m.starts_with(key)),
+                "{key}={value}"
+            );
+        }
+        // The documented rule names the same cap the check enforces.
+        let rule = deps::FIELDS
+            .iter()
+            .find(|f| f.path == "mc.samples")
+            .unwrap();
+        assert_eq!(rule.validation, format!("in 1..={max}"));
     }
 
     #[test]

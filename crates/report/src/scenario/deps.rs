@@ -121,7 +121,7 @@ pub const FIELDS: [FieldInfo; 25] = [
         aliases: &["grid.intensity_g_per_kwh"],
         ty: "f64",
         doc: "Operational grid carbon intensity in g CO2e/kWh",
-        validation: "finite and > 0",
+        validation: "in (0, 10000]",
         semantic: true,
     },
     FieldInfo {
@@ -312,7 +312,7 @@ pub const FIELDS: [FieldInfo; 25] = [
         aliases: &[],
         ty: "u32",
         doc: "Monte-Carlo trials per propagated headline",
-        validation: ">= 1",
+        validation: "in 1..=1000000",
         semantic: true,
     },
 ];

@@ -9,8 +9,9 @@
 use cc_report::{ScenarioPath, SweepSpec};
 use proptest::prelude::*;
 
-/// Numeric paths whose validation rule is `finite and > 0`, so any
-/// positive integer literal is an accepted sweep value.
+/// Numeric paths whose validation rule accepts every positive integer
+/// below 10000 (the strategies' bound), so any such literal is an accepted
+/// sweep value.
 const POSITIVE_PATHS: [&str; 4] = [
     "grid.intensity",
     "device.lifetime",

@@ -129,6 +129,10 @@ fn fleet_validation_rejects_unphysical_facilities_at_the_context_boundary() {
         ("fleet.growth", "-1"),
         ("fleet.renewable_ramp", "\"\""),
         ("fleet.initial_servers", "0"),
+        // ext-mc would ask for a 34 GB output buffer and abort.
+        ("mc.samples", "4294967295"),
+        // ext-mc's triangular sampling would overflow to infinities.
+        ("grid.intensity", "1e308"),
     ] {
         let mut s = Scenario::paper_defaults();
         s.set(key, value).unwrap();
