@@ -136,7 +136,16 @@ fn protocol_errors_leave_the_daemon_and_cache_untouched() {
             "invalid-scenario",
         ),
         (
+            r#"{"op":"run","experiments":["ext-die"],"set":{"fab.node_nm":"inf"}}"#,
+            "invalid-scenario",
+        ),
+        (
             r#"{"op":"run","experiments":["fig10"],"sweep":["grid.intensity=800..10/100"]}"#,
+            "invalid-sweep",
+        ),
+        // Only Dist?-eligible fields accept a distribution.
+        (
+            r#"{"op":"run","experiments":["fig10"],"dists":["name ~ uniform(1,2)"],"samples":5}"#,
             "invalid-sweep",
         ),
     ] {

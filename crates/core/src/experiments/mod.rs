@@ -501,7 +501,10 @@ mod tests {
             for entry in entries() {
                 let (ctx, tracker) = RunContext::tracking(scenario.clone()).unwrap();
                 entry.build().run(&ctx);
-                let mut declared: Vec<&str> = cc_report::scenario::deps::expand(entry.deps());
+                let mut declared: Vec<&str> = cc_report::scenario::deps::expand(entry.deps())
+                    .iter()
+                    .map(|field| field.path)
+                    .collect();
                 declared.sort_unstable();
                 assert_eq!(
                     tracker.reads(),

@@ -13,17 +13,25 @@
 //! Scenarios round-trip through a small TOML subset (tables, `key = value`
 //! pairs with number/string/bool values, `#` comments) so they can live in
 //! version-controlled files, and every field is addressable by a dotted path
-//! (`grid.intensity`) for one-off command-line overrides.
+//! (`grid.intensity`) for one-off command-line overrides. Every field is
+//! one row of the table in `scenario/fields.rs`, which defines the section
+//! structs, [`Scenario`] and [`ScenarioOverlay`]; this module holds the
+//! hand-written parts that hang off rows.
 
 pub mod deps;
+mod fields;
 pub mod mc;
 pub mod sweep;
 pub mod trace;
 
-use crate::json::JsonValue;
+pub use fields::{
+    DeviceParams, FabParams, FleetParams, GridParams, McParams, Scenario, ScenarioOverlay,
+};
+
 use cc_data::energy_sources::EnergySource;
 use cc_units::{CarbonIntensity, TimeSpan};
-use deps::ReadTracker;
+use deps::{FieldSource, ReadTracker, ScenarioView};
+use fields::{FieldType, SectionsMut};
 use std::sync::{Arc, OnceLock};
 
 /// Carbon intensity assumed for renewable power purchases when blending
@@ -41,29 +49,6 @@ pub const KNOWN_SKUS: [&str; 3] = ["web", "storage", "ai-training"];
 /// Tolerance when checking that `fleet.mix` weights sum to 1.
 pub const MIX_WEIGHT_TOLERANCE: f64 = 1e-6;
 
-/// Operational-energy parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GridParams {
-    /// Grid carbon intensity in g CO₂e/kWh (paper baseline: the 380 g/kWh
-    /// average US grid, Table III).
-    pub intensity_g_per_kwh: f64,
-    /// Optional energy-source label (`"wind"`, `"coal"`, …). Setting it via
-    /// [`Scenario::set`] or the builder resolves it to an intensity from the
-    /// Table II dataset ([`Scenario::resolve_energy_source`]); the models
-    /// only read `intensity_g_per_kwh`.
-    pub source: Option<String>,
-    /// Fraction of operational energy covered by renewable purchases,
-    /// blended at [`RENEWABLE_PPA_G_PER_KWH`].
-    pub renewable_fraction: f64,
-    /// Named grid regions with time-resolved intensity traces, used by the
-    /// multi-site scheduler (`ext-scheduler`). Configured per region via
-    /// `grid.region.<name>.trace = "<spec>"` — see [`trace::parse_trace_spec`]
-    /// for the spec grammar — or wholesale via `grid.regions`
-    /// (`"name:h0,…,h23;…"`). Regions named after a
-    /// [`trace::BUILTIN_REGIONS`] entry need no configuration.
-    pub regions: Vec<RegionParams>,
-}
-
 /// One named grid region: a time-resolved carbon-intensity trace.
 ///
 /// The hours are stored **resolved** — whatever spec form the user wrote
@@ -79,83 +64,6 @@ pub struct RegionParams {
     pub hours: Vec<f64>,
 }
 
-/// Device parameters for the amortization analyses.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeviceParams {
-    /// Assumed device lifetime in years (paper: 3-year smartphone lifetime).
-    pub lifetime_years: f64,
-    /// Share of a device's production carbon attributed to its SoC (paper:
-    /// one half, via Fig 5's integrated-circuit share).
-    pub soc_budget_share: f64,
-}
-
-/// Fab parameters for the manufacturing-side experiments.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FabParams {
-    /// Featured process node in nanometres (paper: the projected 3 nm fab).
-    pub node_nm: f64,
-    /// Multiplier on the baseline defect density (1.0 = the models'
-    /// 0.1 /cm²); >1 models a worse-yielding fab.
-    pub yield_factor: f64,
-    /// Share of fab electricity from renewables (paper: TSMC's 20% target).
-    pub renewable_share: f64,
-}
-
-/// Datacenter-fleet parameters: everything `cc_dcsim::Facility` needs to
-/// simulate a warehouse-scale facility over a planning horizon. The paper
-/// defaults pin the Prineville-like facility behind Fig 2 (left), so the
-/// default scenario replays the disclosed trajectory while any other fleet
-/// answers a capacity-planning question ("at what growth does construction
-/// carbon overtake operations?").
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetParams {
-    /// Demand multiplier applied to fleet-sizing experiments (scales the
-    /// initial server count of the facility model).
-    pub scale: f64,
-    /// Server SKU of a pure (single-SKU) fleet — one of [`KNOWN_SKUS`]. The
-    /// paper's facility deploys web servers; a non-empty [`Self::mix`]
-    /// overrides this with a weighted composition.
-    pub sku: String,
-    /// Weighted fleet composition as `(sku, weight)` pairs (weights sum
-    /// to 1). Empty means a pure fleet of [`Self::sku`]. Settable as
-    /// `fleet.mix = "web:0.7,ai-training:0.3"` or per-SKU via
-    /// `fleet.mix[ai-training] = 0.3` (which renormalizes the rest).
-    pub mix: Vec<(String, f64)>,
-    /// Multi-site fleet composition as weighted `(site, region)` placements
-    /// (weights sum to 1). Empty means one site named `main` in the
-    /// `default` region. Settable as
-    /// `fleet.sites = "main@default:0.7,pnw@hydro:0.3"` or per-site via
-    /// `fleet.sites[pnw].weight = 0.3` / `fleet.sites[pnw].region = "hydro"`
-    /// (weight assignment renormalizes the other sites; a site first named
-    /// that way starts in the region of the same name).
-    pub sites: Vec<SiteParams>,
-    /// Fraction of fleet IT energy that is deferrable batch work the
-    /// carbon-aware scheduler may move across hours and sites
-    /// (`ext-scheduler`).
-    pub deferrable: f64,
-    /// Servers in service in the facility's first simulated year.
-    pub initial_servers: u64,
-    /// Annual server-fleet growth factor (1.0 = flat fleet).
-    pub growth: f64,
-    /// Power usage effectiveness of the facility (>= 1).
-    pub pue: f64,
-    /// Renewable (PPA) coverage fraction per simulated year; the last value
-    /// holds for every later year. This is the facility's renewable-ramp
-    /// slope knob.
-    pub renewable_ramp: Vec<f64>,
-    /// Total construction embodied carbon in kt CO₂e (amortized by the
-    /// facility model over [`Self::building_amortization_years`]).
-    pub construction_kt: f64,
-    /// Building-amortization window in years over which construction carbon
-    /// is spread (paper: a 20-year building life).
-    pub building_amortization_years: f64,
-    /// Calendar year the facility enters service (paper: Prineville's
-    /// 2013 expansion). Shifts the year axis of fleet experiments.
-    pub start_year: u16,
-    /// Simulated planning horizon in years.
-    pub horizon_years: u32,
-}
-
 /// One site of a multi-site fleet: a share of the fleet placed in a grid
 /// region.
 #[derive(Debug, Clone, PartialEq)]
@@ -168,7 +76,6 @@ pub struct SiteParams {
     /// Share of the fleet hosted at this site (weights sum to 1).
     pub weight: f64,
 }
-
 impl FleetParams {
     /// The effective fleet composition: [`Self::mix`] when non-empty,
     /// otherwise a pure fleet of [`Self::sku`] at weight 1.
@@ -308,17 +215,13 @@ impl FleetParams {
     }
 }
 
-/// Monte-Carlo parameters for `ext-mc`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct McParams {
-    /// Base RNG seed; an experiment deriving several streams offsets it.
-    pub seed: u64,
-    /// Trials per propagated headline.
-    pub samples: u32,
+impl Default for Scenario {
+    fn default() -> Self {
+        Self::paper_defaults()
+    }
 }
 
-/// A complete experiment scenario: every model parameter the paper fixed,
-/// made explicit.
+/// Building, setting, parsing and validating a scenario:
 ///
 /// ```
 /// use cc_report::Scenario;
@@ -331,71 +234,7 @@ pub struct McParams {
 /// let toml = wind.to_toml();
 /// assert_eq!(Scenario::from_toml(&toml).unwrap(), wind);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Scenario {
-    /// Human-readable scenario name (appears in artifacts).
-    pub name: String,
-    /// Operational-energy parameters.
-    pub grid: GridParams,
-    /// Device parameters.
-    pub device: DeviceParams,
-    /// Fab parameters.
-    pub fab: FabParams,
-    /// Fleet parameters.
-    pub fleet: FleetParams,
-    /// Monte-Carlo parameters.
-    pub mc: McParams,
-}
-
-impl Default for Scenario {
-    fn default() -> Self {
-        Self::paper_defaults()
-    }
-}
-
 impl Scenario {
-    /// The exact parameter values the paper's evaluation used.
-    #[must_use]
-    pub fn paper_defaults() -> Self {
-        Self {
-            name: "paper".to_string(),
-            grid: GridParams {
-                intensity_g_per_kwh: 380.0,
-                source: None,
-                renewable_fraction: 0.0,
-                regions: Vec::new(),
-            },
-            device: DeviceParams {
-                lifetime_years: 3.0,
-                soc_budget_share: 0.5,
-            },
-            fab: FabParams {
-                node_nm: 3.0,
-                yield_factor: 1.0,
-                renewable_share: 0.2,
-            },
-            fleet: FleetParams {
-                scale: 1.0,
-                sku: "web".to_string(),
-                mix: Vec::new(),
-                sites: Vec::new(),
-                deferrable: 0.2,
-                initial_servers: 60_000,
-                growth: 1.28,
-                pue: 1.10,
-                renewable_ramp: vec![0.05, 0.10, 0.20, 0.35, 0.60, 0.85, 1.0],
-                construction_kt: 150.0,
-                building_amortization_years: 20.0,
-                start_year: 2013,
-                horizon_years: 7,
-            },
-            mc: McParams {
-                seed: 10,
-                samples: 20_000,
-            },
-        }
-    }
-
     /// Starts a builder seeded with the paper defaults.
     #[must_use]
     pub fn builder() -> ScenarioBuilder {
@@ -413,21 +252,7 @@ impl Scenario {
     /// [`ScenarioError::UnknownKey`] for an unrecognized path and
     /// [`ScenarioError::InvalidValue`] when `value` does not parse.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
-        if key == "name" {
-            self.name = unquote(value);
-            return Ok(());
-        }
-        // Dispatch on the section prefix so each arm borrows only its own
-        // section — the same per-section setters back [`ScenarioOverlay::set`],
-        // which clones just the touched section into its delta.
-        match key.split_once('.').map(|(section, _)| section) {
-            Some("grid") => set_grid_field(&mut self.grid, key, value),
-            Some("device") => set_device_field(&mut self.device, key, value),
-            Some("fab") => set_fab_field(&mut self.fab, key, value),
-            Some("fleet") => set_fleet_field(&mut self.fleet, key, value),
-            Some("mc") => set_mc_field(&mut self.mc, key, value),
-            _ => Err(ScenarioError::UnknownKey(key.to_string())),
-        }
+        fields::set(self, key, value)
     }
 
     /// Parses a scenario from the TOML subset written by [`Self::to_toml`]:
@@ -496,217 +321,12 @@ impl Scenario {
                 .iter()
                 .zip(&values)
                 .rev()
-                .find(|(k, _)| *k == "grid.intensity" || *k == "grid.intensity_g_per_kwh")
+                .find(|(k, _)| deps::resolve(k).is_some_and(|f| f.path == "grid.intensity"))
             {
                 scenario.set(last_pinned.0, last_pinned.1)?;
             }
         }
         Ok((scenario, keys))
-    }
-
-    /// Serializes the scenario to canonical TOML (parseable by
-    /// [`Self::from_toml`]).
-    #[must_use]
-    pub fn to_toml(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("name = {}\n\n", quote(&self.name)));
-        out.push_str("[grid]\n");
-        out.push_str(&format!(
-            "intensity_g_per_kwh = {:?}\n",
-            self.grid.intensity_g_per_kwh
-        ));
-        if let Some(source) = &self.grid.source {
-            out.push_str(&format!("source = {}\n", quote(source)));
-        }
-        out.push_str(&format!(
-            "renewable_fraction = {:?}\n",
-            self.grid.renewable_fraction
-        ));
-        if !self.grid.regions.is_empty() {
-            out.push_str(&format!(
-                "regions = {}\n",
-                quote(&format_regions(&self.grid.regions))
-            ));
-        }
-        out.push_str("\n[device]\n");
-        out.push_str(&format!(
-            "lifetime_years = {:?}\n",
-            self.device.lifetime_years
-        ));
-        out.push_str(&format!(
-            "soc_budget_share = {:?}\n",
-            self.device.soc_budget_share
-        ));
-        out.push_str("\n[fab]\n");
-        out.push_str(&format!("node_nm = {:?}\n", self.fab.node_nm));
-        out.push_str(&format!("yield_factor = {:?}\n", self.fab.yield_factor));
-        out.push_str(&format!(
-            "renewable_share = {:?}\n",
-            self.fab.renewable_share
-        ));
-        out.push_str("\n[fleet]\n");
-        out.push_str(&format!("scale = {:?}\n", self.fleet.scale));
-        out.push_str(&format!("sku = {}\n", quote(&self.fleet.sku)));
-        if !self.fleet.mix.is_empty() {
-            out.push_str(&format!("mix = {}\n", quote(&format_mix(&self.fleet.mix))));
-        }
-        if !self.fleet.sites.is_empty() {
-            out.push_str(&format!(
-                "sites = {}\n",
-                quote(&format_sites(&self.fleet.sites))
-            ));
-        }
-        out.push_str(&format!("deferrable = {:?}\n", self.fleet.deferrable));
-        out.push_str(&format!(
-            "initial_servers = {}\n",
-            self.fleet.initial_servers
-        ));
-        out.push_str(&format!("growth = {:?}\n", self.fleet.growth));
-        out.push_str(&format!("pue = {:?}\n", self.fleet.pue));
-        out.push_str(&format!(
-            "renewable_ramp = {}\n",
-            quote(&format_ramp(&self.fleet.renewable_ramp))
-        ));
-        out.push_str(&format!(
-            "construction_kt = {:?}\n",
-            self.fleet.construction_kt
-        ));
-        out.push_str(&format!(
-            "building_amortization_years = {:?}\n",
-            self.fleet.building_amortization_years
-        ));
-        out.push_str(&format!("start_year = {}\n", self.fleet.start_year));
-        out.push_str(&format!("horizon_years = {}\n", self.fleet.horizon_years));
-        out.push_str("\n[mc]\n");
-        out.push_str(&format!("seed = {}\n", self.mc.seed));
-        out.push_str(&format!("samples = {}\n", self.mc.samples));
-        out
-    }
-
-    /// The scenario as a JSON object (for `--json` artifacts).
-    #[must_use]
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("name", JsonValue::from(self.name.as_str())),
-            (
-                "grid",
-                JsonValue::object([
-                    (
-                        "intensity_g_per_kwh",
-                        JsonValue::from(self.grid.intensity_g_per_kwh),
-                    ),
-                    (
-                        "source",
-                        self.grid
-                            .source
-                            .as_deref()
-                            .map_or(JsonValue::Null, JsonValue::from),
-                    ),
-                    (
-                        "renewable_fraction",
-                        JsonValue::from(self.grid.renewable_fraction),
-                    ),
-                    (
-                        "regions",
-                        JsonValue::array(self.grid.regions.iter().map(|r| {
-                            JsonValue::object([
-                                ("name", JsonValue::from(r.name.as_str())),
-                                (
-                                    "hours",
-                                    JsonValue::array(r.hours.iter().map(|&h| JsonValue::from(h))),
-                                ),
-                            ])
-                        })),
-                    ),
-                ]),
-            ),
-            (
-                "device",
-                JsonValue::object([
-                    (
-                        "lifetime_years",
-                        JsonValue::from(self.device.lifetime_years),
-                    ),
-                    (
-                        "soc_budget_share",
-                        JsonValue::from(self.device.soc_budget_share),
-                    ),
-                ]),
-            ),
-            (
-                "fab",
-                JsonValue::object([
-                    ("node_nm", JsonValue::from(self.fab.node_nm)),
-                    ("yield_factor", JsonValue::from(self.fab.yield_factor)),
-                    ("renewable_share", JsonValue::from(self.fab.renewable_share)),
-                ]),
-            ),
-            (
-                "fleet",
-                JsonValue::object([
-                    ("scale", JsonValue::from(self.fleet.scale)),
-                    ("sku", JsonValue::from(self.fleet.sku.as_str())),
-                    (
-                        "mix",
-                        JsonValue::object(
-                            self.fleet
-                                .mix
-                                .iter()
-                                .map(|(name, w)| (name.clone(), JsonValue::from(*w))),
-                        ),
-                    ),
-                    (
-                        "sites",
-                        JsonValue::array(self.fleet.sites.iter().map(|s| {
-                            JsonValue::object([
-                                ("name", JsonValue::from(s.name.as_str())),
-                                ("region", JsonValue::from(s.region.as_str())),
-                                ("weight", JsonValue::from(s.weight)),
-                            ])
-                        })),
-                    ),
-                    ("deferrable", JsonValue::from(self.fleet.deferrable)),
-                    (
-                        "initial_servers",
-                        JsonValue::Integer(self.fleet.initial_servers),
-                    ),
-                    ("growth", JsonValue::from(self.fleet.growth)),
-                    ("pue", JsonValue::from(self.fleet.pue)),
-                    (
-                        "renewable_ramp",
-                        JsonValue::array(
-                            self.fleet
-                                .renewable_ramp
-                                .iter()
-                                .map(|&v| JsonValue::from(v)),
-                        ),
-                    ),
-                    (
-                        "construction_kt",
-                        JsonValue::from(self.fleet.construction_kt),
-                    ),
-                    (
-                        "building_amortization_years",
-                        JsonValue::from(self.fleet.building_amortization_years),
-                    ),
-                    (
-                        "start_year",
-                        JsonValue::Integer(u64::from(self.fleet.start_year)),
-                    ),
-                    (
-                        "horizon_years",
-                        JsonValue::Integer(u64::from(self.fleet.horizon_years)),
-                    ),
-                ]),
-            ),
-            (
-                "mc",
-                JsonValue::object([
-                    ("seed", JsonValue::Integer(self.mc.seed)),
-                    ("samples", JsonValue::Integer(u64::from(self.mc.samples))),
-                ]),
-            ),
-        ])
     }
 
     /// Overwrites `grid.intensity_g_per_kwh` with the Table II intensity of
@@ -731,130 +351,62 @@ impl Scenario {
     /// [`ScenarioError::UnknownSource`] for a `grid.source` label naming no
     /// Table II energy source.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        validate_parts(&self.grid, &self.device, &self.fab, &self.fleet, &self.mc)
+        fields::validate(self.view())
+    }
+
+    /// The canonical string form of the field at `path` (canonical paths
+    /// only — aliases are accepted by [`Scenario::set`], not here). This is
+    /// the value text dependency fingerprints hash and the generated
+    /// reference documents as the paper default.
+    #[must_use]
+    pub fn field_value(&self, path: &str) -> Option<String> {
+        let field = deps::FIELDS.iter().find(|f| f.path == path)?;
+        let mut out = String::new();
+        field
+            .write_value(self.view(), &mut out)
+            .expect("writing to a String cannot fail");
+        Some(out)
     }
 }
 
-/// [`Scenario::validate`] over bare sections, so copy-on-write overlays
-/// validate their resolved views without materializing a scenario.
-fn validate_parts(
-    grid: &GridParams,
-    device: &DeviceParams,
-    fab: &FabParams,
-    fleet: &FleetParams,
-    mc: &McParams,
-) -> Result<(), ScenarioError> {
-    if let Some(source) = &grid.source {
-        if lookup_energy_source(source).is_none() {
-            return Err(ScenarioError::UnknownSource(source.clone()));
+/// The `grid.source` rule: the label must name a Table II energy source.
+fn validate_source(view: ScenarioView<'_>) -> Result<(), ScenarioError> {
+    match &view.grid.source {
+        Some(source) if lookup_energy_source(source).is_none() => {
+            Err(ScenarioError::UnknownSource(source.clone()))
         }
+        _ => Ok(()),
     }
-    validate_fleet_composition(fleet)?;
-    validate_grid_regions(grid)?;
-    validate_sites(grid, fleet)?;
-    let checks: [(&str, bool); 18] = [
-        (
-            // The cap is over 10x the dirtiest Table II source. Without it,
-            // values near f64::MAX overflow ext-mc's triangular sampling.
-            "grid.intensity must lie in (0, 10000] g/kWh",
-            grid.intensity_g_per_kwh > 0.0 && grid.intensity_g_per_kwh <= 10_000.0,
-        ),
-        (
-            "grid.renewable_fraction must lie in [0, 1]",
-            (0.0..=1.0).contains(&grid.renewable_fraction),
-        ),
-        (
-            "device.lifetime_years must be finite and positive",
-            device.lifetime_years.is_finite() && device.lifetime_years > 0.0,
-        ),
-        (
-            "device.soc_budget_share must lie in (0, 1]",
-            device.soc_budget_share > 0.0 && device.soc_budget_share <= 1.0,
-        ),
-        ("fab.node_nm must be positive", fab.node_nm > 0.0),
-        (
-            "fab.yield_factor must be finite and positive",
-            fab.yield_factor.is_finite() && fab.yield_factor > 0.0,
-        ),
-        (
-            "fab.renewable_share must lie in [0, 1]",
-            (0.0..=1.0).contains(&fab.renewable_share),
-        ),
-        (
-            "fleet.scale must be finite and positive",
-            fleet.scale.is_finite() && fleet.scale > 0.0,
-        ),
-        (
-            "fleet.initial_servers must be at least 1",
-            fleet.initial_servers >= 1,
-        ),
-        (
-            "fleet.growth must be finite and positive",
-            fleet.growth.is_finite() && fleet.growth > 0.0,
-        ),
-        (
-            "fleet.pue must be finite and at least 1.0",
-            fleet.pue.is_finite() && fleet.pue >= 1.0,
-        ),
-        (
-            "fleet.renewable_ramp must be non-empty with every value in [0, 1]",
-            !fleet.renewable_ramp.is_empty()
-                && fleet.renewable_ramp.iter().all(|v| (0.0..=1.0).contains(v)),
-        ),
-        (
-            "fleet.deferrable must lie in [0, 1]",
-            fleet.deferrable.is_finite() && (0.0..=1.0).contains(&fleet.deferrable),
-        ),
-        (
-            "fleet.construction_kt must be finite and non-negative",
-            fleet.construction_kt.is_finite() && fleet.construction_kt >= 0.0,
-        ),
-        (
-            "fleet.building_amortization_years must be finite and positive",
-            fleet.building_amortization_years.is_finite()
-                && fleet.building_amortization_years > 0.0,
-        ),
-        (
-            "fleet.start_year must lie in 1900..=2100",
-            (1900..=2100).contains(&fleet.start_year),
-        ),
-        (
-            "fleet.horizon_years must lie in 1..=200",
-            (1..=200).contains(&fleet.horizon_years),
-        ),
-        (
-            "mc.samples must lie in 1..=1000000",
-            (1..=mc::MonteCarloMatrix::MAX_SAMPLES).contains(&(mc.samples as usize)),
-        ),
-    ];
-    for (message, ok) in checks {
-        if !ok {
-            return Err(ScenarioError::Invalid(message.to_string()));
-        }
-    }
-    Ok(())
 }
 
-/// Checks `fleet.sku` and `fleet.mix` describe a deployable fleet:
-/// known SKU names only, no duplicates, finite non-negative weights
-/// summing to 1 within [`MIX_WEIGHT_TOLERANCE`].
-fn validate_fleet_composition(fleet: &FleetParams) -> Result<(), ScenarioError> {
-    let known = |name: &str| KNOWN_SKUS.contains(&name);
-    let unknown = |field: &str, name: &str| {
-        ScenarioError::Invalid(format!(
-            "{field} names unknown server SKU `{name}` (known: {})",
-            KNOWN_SKUS.join(", ")
-        ))
-    };
-    if !known(&fleet.sku) {
-        return Err(unknown("fleet.sku", &fleet.sku));
+/// The error for a fleet field naming a SKU outside [`KNOWN_SKUS`].
+fn unknown_sku(field: &str, name: &str) -> ScenarioError {
+    ScenarioError::Invalid(format!(
+        "{field} names unknown server SKU `{name}` (known: {})",
+        KNOWN_SKUS.join(", ")
+    ))
+}
+
+/// The `fleet.sku` rule: one of [`KNOWN_SKUS`].
+fn validate_sku(view: ScenarioView<'_>) -> Result<(), ScenarioError> {
+    let sku = &view.fleet.sku;
+    if KNOWN_SKUS.contains(&sku.as_str()) {
+        Ok(())
+    } else {
+        Err(unknown_sku("fleet.sku", sku))
     }
+}
+
+/// The `fleet.mix` rule: known SKU names only, no duplicates, finite
+/// non-negative weights summing to 1 within [`MIX_WEIGHT_TOLERANCE`].
+fn validate_mix(view: ScenarioView<'_>) -> Result<(), ScenarioError> {
+    let mix = &view.fleet.mix;
     let mut sum = 0.0;
-    for (i, (name, weight)) in fleet.mix.iter().enumerate() {
-        if !known(name) {
-            return Err(unknown("fleet.mix", name));
+    for (i, (name, weight)) in mix.iter().enumerate() {
+        if !KNOWN_SKUS.contains(&name.as_str()) {
+            return Err(unknown_sku("fleet.mix", name));
         }
-        if fleet.mix[..i].iter().any(|(prior, _)| prior == name) {
+        if mix[..i].iter().any(|(prior, _)| prior == name) {
             return Err(ScenarioError::Invalid(format!(
                 "fleet.mix lists SKU `{name}` more than once"
             )));
@@ -866,7 +418,7 @@ fn validate_fleet_composition(fleet: &FleetParams) -> Result<(), ScenarioError> 
         }
         sum += weight;
     }
-    if !fleet.mix.is_empty() && (sum - 1.0).abs() > MIX_WEIGHT_TOLERANCE {
+    if !mix.is_empty() && (sum - 1.0).abs() > MIX_WEIGHT_TOLERANCE {
         return Err(ScenarioError::Invalid(format!(
             "fleet.mix weights must sum to 1, got {sum}"
         )));
@@ -874,16 +426,17 @@ fn validate_fleet_composition(fleet: &FleetParams) -> Result<(), ScenarioError> 
     Ok(())
 }
 
-/// Checks every configured grid region carries a physical 24-hour trace:
-/// unique non-empty names, exactly 24 finite non-negative hourly values.
-fn validate_grid_regions(grid: &GridParams) -> Result<(), ScenarioError> {
-    for (i, region) in grid.regions.iter().enumerate() {
+/// The `grid.regions` rule: every configured region carries a physical
+/// 24-hour trace under a unique non-empty name.
+fn validate_grid_regions(view: ScenarioView<'_>) -> Result<(), ScenarioError> {
+    let regions = &view.grid.regions;
+    for (i, region) in regions.iter().enumerate() {
         if region.name.is_empty() {
             return Err(ScenarioError::Invalid(
                 "grid.regions lists a region with an empty name".to_string(),
             ));
         }
-        if grid.regions[..i].iter().any(|r| r.name == region.name) {
+        if regions[..i].iter().any(|r| r.name == region.name) {
             return Err(ScenarioError::Invalid(format!(
                 "grid.regions lists region `{}` more than once",
                 region.name
@@ -906,19 +459,20 @@ fn validate_grid_regions(grid: &GridParams) -> Result<(), ScenarioError> {
     Ok(())
 }
 
-/// Checks `fleet.sites` describes a placeable multi-site fleet: unique
-/// non-empty site names, finite non-negative weights summing to 1 within
-/// [`MIX_WEIGHT_TOLERANCE`], and every referenced region either configured
-/// in `grid.regions` or a [`trace::BUILTIN_REGIONS`] name.
-fn validate_sites(grid: &GridParams, fleet: &FleetParams) -> Result<(), ScenarioError> {
+/// The `fleet.sites` rule: unique non-empty site names, finite
+/// non-negative weights summing to 1 within [`MIX_WEIGHT_TOLERANCE`], and
+/// every referenced region either configured in `grid.regions` or a
+/// [`trace::BUILTIN_REGIONS`] name.
+fn validate_sites(view: ScenarioView<'_>) -> Result<(), ScenarioError> {
+    let sites = &view.fleet.sites;
     let mut sum = 0.0;
-    for (i, site) in fleet.sites.iter().enumerate() {
+    for (i, site) in sites.iter().enumerate() {
         if site.name.is_empty() {
             return Err(ScenarioError::Invalid(
                 "fleet.sites lists a site with an empty name".to_string(),
             ));
         }
-        if fleet.sites[..i].iter().any(|s| s.name == site.name) {
+        if sites[..i].iter().any(|s| s.name == site.name) {
             return Err(ScenarioError::Invalid(format!(
                 "fleet.sites lists site `{}` more than once",
                 site.name
@@ -930,7 +484,7 @@ fn validate_sites(grid: &GridParams, fleet: &FleetParams) -> Result<(), Scenario
                 site.name, site.weight
             )));
         }
-        let configured = grid.regions.iter().any(|r| r.name == site.region);
+        let configured = view.grid.regions.iter().any(|r| r.name == site.region);
         if !configured && trace::builtin_region_trace(&site.region).is_none() {
             return Err(ScenarioError::Invalid(format!(
                 "fleet.sites[{}] names region `{}` with no grid.region.{}.trace \
@@ -943,7 +497,7 @@ fn validate_sites(grid: &GridParams, fleet: &FleetParams) -> Result<(), Scenario
         }
         sum += site.weight;
     }
-    if !fleet.sites.is_empty() && (sum - 1.0).abs() > MIX_WEIGHT_TOLERANCE {
+    if !sites.is_empty() && (sum - 1.0).abs() > MIX_WEIGHT_TOLERANCE {
         return Err(ScenarioError::Invalid(format!(
             "fleet.sites weights must sum to 1, got {sum}"
         )));
@@ -951,27 +505,64 @@ fn validate_sites(grid: &GridParams, fleet: &FleetParams) -> Result<(), Scenario
     Ok(())
 }
 
+/// Sets one element of a list field through its bracket path:
+/// `grid.region.<name>.trace`, `fleet.mix[<sku>]` and
+/// `fleet.sites[<site>]` / `.weight` / `.region`. These paths are not
+/// table rows, so they accept no distribution binding.
+fn set_bracket(target: &mut dyn SectionsMut, key: &str, value: &str) -> Result<(), ScenarioError> {
+    let unknown = || ScenarioError::UnknownKey(key.to_string());
+    fn named(name: &str) -> Option<&str> {
+        Some(name.trim()).filter(|n| !n.is_empty())
+    }
+    if let Some(name) = key
+        .strip_prefix("grid.region.")
+        .and_then(|rest| rest.strip_suffix(".trace"))
+    {
+        let name = named(name).ok_or_else(unknown)?;
+        let hours = trace::parse_trace_spec(key, value)?;
+        let regions = &mut target.grid().regions;
+        match regions.iter_mut().find(|r| r.name == name) {
+            Some(region) => region.hours = hours,
+            None => regions.push(RegionParams {
+                name: name.to_string(),
+                hours,
+            }),
+        }
+        Ok(())
+    } else if let Some(sku) = key
+        .strip_prefix("fleet.mix[")
+        .and_then(|rest| rest.strip_suffix(']'))
+    {
+        let sku = named(sku).ok_or_else(unknown)?;
+        target.fleet().set_mix_weight(sku, f64::parse(key, value)?)
+    } else if let Some((site, field)) = key
+        .strip_prefix("fleet.sites[")
+        .and_then(|rest| rest.split_once(']'))
+    {
+        let site = named(site).ok_or_else(unknown)?;
+        match field {
+            "" | ".weight" => target
+                .fleet()
+                .set_site_weight(site, f64::parse(key, value)?),
+            ".region" => {
+                target.fleet().set_site_region(site, unquote(value).trim());
+                Ok(())
+            }
+            _ => Err(unknown()),
+        }
+    } else {
+        Err(unknown())
+    }
+}
+
 /// Fluent construction of a [`Scenario`], starting from the paper defaults.
+/// Every field with a builder column in the field table has a typed setter.
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
     scenario: Scenario,
 }
 
 impl ScenarioBuilder {
-    /// Sets the scenario name.
-    #[must_use]
-    pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.scenario.name = name.into();
-        self
-    }
-
-    /// Sets the operational grid intensity (g CO₂e/kWh).
-    #[must_use]
-    pub fn grid_intensity(mut self, g_per_kwh: f64) -> Self {
-        self.scenario.grid.intensity_g_per_kwh = g_per_kwh;
-        self
-    }
-
     /// Labels the operational energy source. A recognized Table II name also
     /// resolves to its intensity (a later [`Self::grid_intensity`] call still
     /// wins); an unrecognized name is kept and rejected by
@@ -980,13 +571,6 @@ impl ScenarioBuilder {
     pub fn energy_source(mut self, source: impl Into<String>) -> Self {
         self.scenario.grid.source = Some(source.into());
         let _ = self.scenario.resolve_energy_source();
-        self
-    }
-
-    /// Sets the renewable-purchase fraction of operational energy.
-    #[must_use]
-    pub fn renewable_fraction(mut self, fraction: f64) -> Self {
-        self.scenario.grid.renewable_fraction = fraction;
         self
     }
 
@@ -1000,152 +584,6 @@ impl ScenarioBuilder {
             Some(r) => r.hours = hours,
             None => regions.push(RegionParams { name, hours }),
         }
-        self
-    }
-
-    /// Sets the device lifetime in years.
-    #[must_use]
-    pub fn lifetime_years(mut self, years: f64) -> Self {
-        self.scenario.device.lifetime_years = years;
-        self
-    }
-
-    /// Sets the SoC share of device production carbon.
-    #[must_use]
-    pub fn soc_budget_share(mut self, share: f64) -> Self {
-        self.scenario.device.soc_budget_share = share;
-        self
-    }
-
-    /// Sets the featured fab process node (nm).
-    #[must_use]
-    pub fn fab_node_nm(mut self, nm: f64) -> Self {
-        self.scenario.fab.node_nm = nm;
-        self
-    }
-
-    /// Sets the defect-density multiplier.
-    #[must_use]
-    pub fn fab_yield_factor(mut self, factor: f64) -> Self {
-        self.scenario.fab.yield_factor = factor;
-        self
-    }
-
-    /// Sets the renewable share of fab electricity.
-    #[must_use]
-    pub fn fab_renewable_share(mut self, share: f64) -> Self {
-        self.scenario.fab.renewable_share = share;
-        self
-    }
-
-    /// Sets the fleet demand multiplier.
-    #[must_use]
-    pub fn fleet_scale(mut self, scale: f64) -> Self {
-        self.scenario.fleet.scale = scale;
-        self
-    }
-
-    /// Sets the server SKU of a pure fleet (one of
-    /// [`KNOWN_SKUS`]; unknown names are rejected by
-    /// [`Scenario::validate`]).
-    #[must_use]
-    pub fn fleet_sku(mut self, sku: impl Into<String>) -> Self {
-        self.scenario.fleet.sku = sku.into();
-        self
-    }
-
-    /// Sets the weighted fleet composition as `(sku, weight)` pairs
-    /// (weights must sum to 1; an empty mix means a pure
-    /// [`Self::fleet_sku`] fleet).
-    #[must_use]
-    pub fn fleet_mix(mut self, mix: Vec<(String, f64)>) -> Self {
-        self.scenario.fleet.mix = mix;
-        self
-    }
-
-    /// Sets the multi-site fleet composition (weights must sum to 1; an
-    /// empty list means the single `main@default` site).
-    #[must_use]
-    pub fn fleet_sites(mut self, sites: Vec<SiteParams>) -> Self {
-        self.scenario.fleet.sites = sites;
-        self
-    }
-
-    /// Sets the deferrable share of fleet IT energy.
-    #[must_use]
-    pub fn fleet_deferrable(mut self, share: f64) -> Self {
-        self.scenario.fleet.deferrable = share;
-        self
-    }
-
-    /// Sets the facility's first-year server count.
-    #[must_use]
-    pub fn fleet_initial_servers(mut self, servers: u64) -> Self {
-        self.scenario.fleet.initial_servers = servers;
-        self
-    }
-
-    /// Sets the annual server-fleet growth factor.
-    #[must_use]
-    pub fn fleet_growth(mut self, factor: f64) -> Self {
-        self.scenario.fleet.growth = factor;
-        self
-    }
-
-    /// Sets the facility power usage effectiveness.
-    #[must_use]
-    pub fn fleet_pue(mut self, pue: f64) -> Self {
-        self.scenario.fleet.pue = pue;
-        self
-    }
-
-    /// Sets the renewable coverage ramp (fraction per simulated year; the
-    /// last value holds thereafter).
-    #[must_use]
-    pub fn fleet_renewable_ramp(mut self, ramp: Vec<f64>) -> Self {
-        self.scenario.fleet.renewable_ramp = ramp;
-        self
-    }
-
-    /// Sets the facility construction embodied carbon in kt CO₂e.
-    #[must_use]
-    pub fn fleet_construction_kt(mut self, kt: f64) -> Self {
-        self.scenario.fleet.construction_kt = kt;
-        self
-    }
-
-    /// Sets the building-amortization window in years.
-    #[must_use]
-    pub fn fleet_building_amortization_years(mut self, years: f64) -> Self {
-        self.scenario.fleet.building_amortization_years = years;
-        self
-    }
-
-    /// Sets the facility's first simulated calendar year.
-    #[must_use]
-    pub fn fleet_start_year(mut self, year: u16) -> Self {
-        self.scenario.fleet.start_year = year;
-        self
-    }
-
-    /// Sets the simulated planning horizon in years.
-    #[must_use]
-    pub fn fleet_horizon_years(mut self, years: u32) -> Self {
-        self.scenario.fleet.horizon_years = years;
-        self
-    }
-
-    /// Sets the Monte-Carlo base seed.
-    #[must_use]
-    pub fn mc_seed(mut self, seed: u64) -> Self {
-        self.scenario.mc.seed = seed;
-        self
-    }
-
-    /// Sets the Monte-Carlo trial count.
-    #[must_use]
-    pub fn mc_samples(mut self, samples: u32) -> Self {
-        self.scenario.mc.samples = samples;
         self
     }
 
@@ -1207,31 +645,9 @@ impl core::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-/// Parses `value` as an `f64`, naming `key` on failure.
-fn f64_of(key: &str, value: &str) -> Result<f64, ScenarioError> {
-    value
-        .trim()
-        .parse()
-        .map_err(|_| ScenarioError::InvalidValue {
-            key: key.to_string(),
-            value: value.to_string(),
-        })
-}
-
-/// Parses `value` as a `u64`, naming `key` on failure.
-fn u64_of(key: &str, value: &str) -> Result<u64, ScenarioError> {
-    value
-        .trim()
-        .parse()
-        .map_err(|_| ScenarioError::InvalidValue {
-            key: key.to_string(),
-            value: value.to_string(),
-        })
-}
-
-/// [`Scenario::resolve_energy_source`] over a bare grid section, so
-/// copy-on-write overlays resolve a `grid.source` assignment without a full
-/// scenario in hand.
+/// [`Scenario::resolve_energy_source`] over a bare grid section — the
+/// `grid.source` row's set hook, so copy-on-write overlays resolve a
+/// `grid.source` assignment without a full scenario in hand.
 fn resolve_energy_source_in(grid: &mut GridParams) -> Result<(), ScenarioError> {
     let Some(source) = &grid.source else {
         return Ok(());
@@ -1240,294 +656,6 @@ fn resolve_energy_source_in(grid: &mut GridParams) -> Result<(), ScenarioError> 
         lookup_energy_source(source).ok_or_else(|| ScenarioError::UnknownSource(source.clone()))?;
     grid.intensity_g_per_kwh = matched.carbon_intensity().as_g_per_kwh();
     Ok(())
-}
-
-/// The `grid.*` arm of [`Scenario::set`], over the bare section.
-fn set_grid_field(grid: &mut GridParams, key: &str, value: &str) -> Result<(), ScenarioError> {
-    match key {
-        "grid.intensity" | "grid.intensity_g_per_kwh" => {
-            grid.intensity_g_per_kwh = f64_of(key, value)?;
-        }
-        "grid.source" => {
-            let v = unquote(value);
-            grid.source = if v.is_empty() { None } else { Some(v) };
-            // Resolving here (not in the CLI) means library users setting
-            // `grid.source = "wind"` get the Table II intensity too. A
-            // later `set("grid.intensity", …)` still wins: overrides
-            // apply strictly in call order.
-            resolve_energy_source_in(grid)?;
-        }
-        "grid.renewable_fraction" => grid.renewable_fraction = f64_of(key, value)?,
-        "grid.regions" => grid.regions = parse_regions(key, value)?,
-        _ if key.starts_with("grid.region.") && key.ends_with(".trace") => {
-            let name = key["grid.region.".len()..key.len() - ".trace".len()].trim();
-            if name.is_empty() {
-                return Err(ScenarioError::UnknownKey(key.to_string()));
-            }
-            let hours = trace::parse_trace_spec(key, value)?;
-            match grid.regions.iter_mut().find(|r| r.name == name) {
-                Some(region) => region.hours = hours,
-                None => grid.regions.push(RegionParams {
-                    name: name.to_string(),
-                    hours,
-                }),
-            }
-        }
-        _ => return Err(ScenarioError::UnknownKey(key.to_string())),
-    }
-    Ok(())
-}
-
-/// The `device.*` arm of [`Scenario::set`], over the bare section.
-fn set_device_field(
-    device: &mut DeviceParams,
-    key: &str,
-    value: &str,
-) -> Result<(), ScenarioError> {
-    match key {
-        "device.lifetime" | "device.lifetime_years" => {
-            device.lifetime_years = f64_of(key, value)?;
-        }
-        "device.soc_budget_share" => device.soc_budget_share = f64_of(key, value)?,
-        _ => return Err(ScenarioError::UnknownKey(key.to_string())),
-    }
-    Ok(())
-}
-
-/// The `fab.*` arm of [`Scenario::set`], over the bare section.
-fn set_fab_field(fab: &mut FabParams, key: &str, value: &str) -> Result<(), ScenarioError> {
-    match key {
-        "fab.node" | "fab.node_nm" => fab.node_nm = f64_of(key, value)?,
-        "fab.yield_factor" => fab.yield_factor = f64_of(key, value)?,
-        "fab.renewable_share" => fab.renewable_share = f64_of(key, value)?,
-        _ => return Err(ScenarioError::UnknownKey(key.to_string())),
-    }
-    Ok(())
-}
-
-/// The `fleet.*` arm of [`Scenario::set`], over the bare section.
-fn set_fleet_field(fleet: &mut FleetParams, key: &str, value: &str) -> Result<(), ScenarioError> {
-    match key {
-        "fleet.scale" => fleet.scale = f64_of(key, value)?,
-        "fleet.sku" => fleet.sku = unquote(value),
-        "fleet.mix" => fleet.mix = parse_mix(key, value)?,
-        _ if key.starts_with("fleet.mix[") && key.ends_with(']') => {
-            let sku = key["fleet.mix[".len()..key.len() - 1].trim();
-            if sku.is_empty() {
-                return Err(ScenarioError::UnknownKey(key.to_string()));
-            }
-            fleet.set_mix_weight(sku, f64_of(key, value)?)?;
-        }
-        "fleet.sites" => fleet.sites = parse_sites(key, value)?,
-        _ if key.starts_with("fleet.sites[") => {
-            let rest = &key["fleet.sites[".len()..];
-            let (name, field) = rest
-                .split_once(']')
-                .ok_or_else(|| ScenarioError::UnknownKey(key.to_string()))?;
-            let name = name.trim();
-            if name.is_empty() {
-                return Err(ScenarioError::UnknownKey(key.to_string()));
-            }
-            match field {
-                "" | ".weight" => fleet.set_site_weight(name, f64_of(key, value)?)?,
-                ".region" => fleet.set_site_region(name, unquote(value).trim()),
-                _ => return Err(ScenarioError::UnknownKey(key.to_string())),
-            }
-        }
-        "fleet.deferrable" => fleet.deferrable = f64_of(key, value)?,
-        "fleet.initial_servers" => fleet.initial_servers = u64_of(key, value)?,
-        "fleet.growth" => fleet.growth = f64_of(key, value)?,
-        "fleet.pue" => fleet.pue = f64_of(key, value)?,
-        "fleet.renewable_ramp" | "fleet.ramp" => {
-            fleet.renewable_ramp = parse_ramp(key, value)?;
-        }
-        "fleet.construction_kt" | "fleet.construction" => {
-            fleet.construction_kt = f64_of(key, value)?;
-        }
-        "fleet.building_amortization_years" | "fleet.building_amortization" => {
-            fleet.building_amortization_years = f64_of(key, value)?;
-        }
-        "fleet.start_year" => {
-            fleet.start_year =
-                u16::try_from(u64_of(key, value)?).map_err(|_| ScenarioError::InvalidValue {
-                    key: key.to_string(),
-                    value: value.to_string(),
-                })?;
-        }
-        "fleet.horizon_years" | "fleet.horizon" => {
-            fleet.horizon_years =
-                u32::try_from(u64_of(key, value)?).map_err(|_| ScenarioError::InvalidValue {
-                    key: key.to_string(),
-                    value: value.to_string(),
-                })?;
-        }
-        _ => return Err(ScenarioError::UnknownKey(key.to_string())),
-    }
-    Ok(())
-}
-
-/// The `mc.*` arm of [`Scenario::set`], over the bare section.
-fn set_mc_field(mc: &mut McParams, key: &str, value: &str) -> Result<(), ScenarioError> {
-    match key {
-        "mc.seed" => mc.seed = u64_of(key, value)?,
-        "mc.samples" => {
-            mc.samples =
-                u32::try_from(u64_of(key, value)?).map_err(|_| ScenarioError::InvalidValue {
-                    key: key.to_string(),
-                    value: value.to_string(),
-                })?;
-        }
-        _ => return Err(ScenarioError::UnknownKey(key.to_string())),
-    }
-    Ok(())
-}
-
-/// Parses a renewable-ramp value: comma-separated coverage fractions,
-/// optionally TOML-quoted (`"0.05,0.1,1.0"`). Range checking happens in
-/// [`Scenario::validate`]; this only requires every element to be a number.
-fn parse_ramp(key: &str, value: &str) -> Result<Vec<f64>, ScenarioError> {
-    let invalid = || ScenarioError::InvalidValue {
-        key: key.to_string(),
-        value: value.to_string(),
-    };
-    let text = unquote(value);
-    let text = text.trim();
-    if text.is_empty() {
-        return Ok(Vec::new());
-    }
-    text.split(',')
-        .map(|part| part.trim().parse::<f64>().map_err(|_| invalid()))
-        .collect()
-}
-
-/// Parses a fleet-mix value: comma-separated `sku:weight` pairs, optionally
-/// TOML-quoted (`"web:0.7,ai-training:0.3"`). An empty string is the empty
-/// mix (a pure `fleet.sku` fleet). SKU-name and weight-sum checking happens
-/// in [`Scenario::validate`]; this only requires the `name:number` shape.
-fn parse_mix(key: &str, value: &str) -> Result<Vec<(String, f64)>, ScenarioError> {
-    let invalid = || ScenarioError::InvalidValue {
-        key: key.to_string(),
-        value: value.to_string(),
-    };
-    let text = unquote(value);
-    let text = text.trim();
-    if text.is_empty() {
-        return Ok(Vec::new());
-    }
-    text.split(',')
-        .map(|part| {
-            let (name, weight) = part.split_once(':').ok_or_else(invalid)?;
-            let name = name.trim();
-            if name.is_empty() {
-                return Err(invalid());
-            }
-            let weight: f64 = weight.trim().parse().map_err(|_| invalid())?;
-            Ok((name.to_string(), weight))
-        })
-        .collect()
-}
-
-/// Canonical text form of a fleet mix, parseable by [`parse_mix`].
-fn format_mix(mix: &[(String, f64)]) -> String {
-    mix.iter()
-        .map(|(name, w)| format!("{name}:{w:?}"))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// Parses a `grid.regions` value: semicolon-separated `name:trace-spec`
-/// entries, optionally TOML-quoted. Each spec goes through
-/// [`trace::parse_trace_spec`], so the canonical resolved form
-/// (`name:h0,…,h23;…`) and the generator shorthands both parse. An empty
-/// string is the empty region list.
-fn parse_regions(key: &str, value: &str) -> Result<Vec<RegionParams>, ScenarioError> {
-    let invalid = || ScenarioError::InvalidValue {
-        key: key.to_string(),
-        value: value.to_string(),
-    };
-    let text = unquote(value);
-    let text = text.trim();
-    if text.is_empty() {
-        return Ok(Vec::new());
-    }
-    text.split(';')
-        .map(|part| {
-            let (name, spec) = part.split_once(':').ok_or_else(invalid)?;
-            let name = name.trim();
-            if name.is_empty() {
-                return Err(invalid());
-            }
-            Ok(RegionParams {
-                name: name.to_string(),
-                hours: trace::parse_trace_spec(key, spec)?,
-            })
-        })
-        .collect()
-}
-
-/// Canonical text form of the grid regions, parseable by [`parse_regions`].
-fn format_regions(regions: &[RegionParams]) -> String {
-    regions
-        .iter()
-        .map(|r| {
-            let hours = r
-                .hours
-                .iter()
-                .map(|h| format!("{h:?}"))
-                .collect::<Vec<_>>()
-                .join(",");
-            format!("{}:{hours}", r.name)
-        })
-        .collect::<Vec<_>>()
-        .join(";")
-}
-
-/// Parses a `fleet.sites` value: comma-separated `name@region:weight`
-/// triples, optionally TOML-quoted. An empty string is the empty site list
-/// (the single `main@default` site). Region existence and weight-sum
-/// checking happens in [`Scenario::validate`].
-fn parse_sites(key: &str, value: &str) -> Result<Vec<SiteParams>, ScenarioError> {
-    let invalid = || ScenarioError::InvalidValue {
-        key: key.to_string(),
-        value: value.to_string(),
-    };
-    let text = unquote(value);
-    let text = text.trim();
-    if text.is_empty() {
-        return Ok(Vec::new());
-    }
-    text.split(',')
-        .map(|part| {
-            let (name, rest) = part.split_once('@').ok_or_else(invalid)?;
-            let (region, weight) = rest.rsplit_once(':').ok_or_else(invalid)?;
-            let (name, region) = (name.trim(), region.trim());
-            if name.is_empty() || region.is_empty() {
-                return Err(invalid());
-            }
-            Ok(SiteParams {
-                name: name.to_string(),
-                region: region.to_string(),
-                weight: weight.trim().parse().map_err(|_| invalid())?,
-            })
-        })
-        .collect()
-}
-
-/// Canonical text form of the fleet sites, parseable by [`parse_sites`].
-fn format_sites(sites: &[SiteParams]) -> String {
-    sites
-        .iter()
-        .map(|s| format!("{}@{}:{:?}", s.name, s.region, s.weight))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// Canonical text form of a renewable ramp, parseable by [`parse_ramp`].
-fn format_ramp(ramp: &[f64]) -> String {
-    ramp.iter()
-        .map(|v| format!("{v:?}"))
-        .collect::<Vec<_>>()
-        .join(",")
 }
 
 /// Finds the Table II energy source matching `name`, case-insensitively.
@@ -1610,108 +738,19 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-/// A copy-on-write view over a shared base [`Scenario`]: untouched sections
-/// resolve to the base's, a touched section is cloned once into the
-/// overlay's delta and edited there. Sweep expansion builds one overlay per
-/// point, so a 10k-point matrix allocates 10k small deltas (typically one
-/// section each) instead of 10k full scenario clones.
-///
-/// Resolution order is always **delta → base**, per section: a section is
-/// either wholly owned by the delta (because some field in it was set) or
-/// wholly the base's — there is no field-level merging, which keeps reads
-/// branch-cheap and the semantics identical to "clone the scenario, then
-/// `set`".
-#[derive(Debug, Clone)]
-pub struct ScenarioOverlay {
-    base: Arc<Scenario>,
-    name: Option<String>,
-    grid: Option<GridParams>,
-    device: Option<DeviceParams>,
-    fab: Option<FabParams>,
-    fleet: Option<FleetParams>,
-    mc: Option<McParams>,
-}
-
 impl PartialEq for ScenarioOverlay {
     /// Overlays compare by *resolved* values, not delta shape: a pristine
     /// overlay equals one whose delta restates the base verbatim.
     fn eq(&self, other: &Self) -> bool {
-        self.name() == other.name()
-            && self.grid() == other.grid()
-            && self.device() == other.device()
-            && self.fab() == other.fab()
-            && self.fleet() == other.fleet()
-            && self.mc() == other.mc()
+        self.view() == other.view()
     }
 }
 
 impl ScenarioOverlay {
-    /// A pristine overlay: every read resolves to `base`.
-    #[must_use]
-    pub fn new(base: Arc<Scenario>) -> Self {
-        Self {
-            base,
-            name: None,
-            grid: None,
-            device: None,
-            fab: None,
-            fleet: None,
-            mc: None,
-        }
-    }
-
     /// The shared base scenario the overlay resolves against.
     #[must_use]
     pub fn base(&self) -> &Arc<Scenario> {
         &self.base
-    }
-
-    /// Whether the overlay carries no delta at all, so every read — and a
-    /// [`Self::materialize`] — is exactly the base.
-    #[must_use]
-    pub fn is_pristine(&self) -> bool {
-        self.name.is_none()
-            && self.grid.is_none()
-            && self.device.is_none()
-            && self.fab.is_none()
-            && self.fleet.is_none()
-            && self.mc.is_none()
-    }
-
-    /// The resolved scenario name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        self.name.as_deref().unwrap_or(&self.base.name)
-    }
-
-    /// The resolved operational-energy parameters.
-    #[must_use]
-    pub fn grid(&self) -> &GridParams {
-        self.grid.as_ref().unwrap_or(&self.base.grid)
-    }
-
-    /// The resolved device parameters.
-    #[must_use]
-    pub fn device(&self) -> &DeviceParams {
-        self.device.as_ref().unwrap_or(&self.base.device)
-    }
-
-    /// The resolved fab parameters.
-    #[must_use]
-    pub fn fab(&self) -> &FabParams {
-        self.fab.as_ref().unwrap_or(&self.base.fab)
-    }
-
-    /// The resolved fleet parameters.
-    #[must_use]
-    pub fn fleet(&self) -> &FleetParams {
-        self.fleet.as_ref().unwrap_or(&self.base.fleet)
-    }
-
-    /// The resolved Monte-Carlo parameters.
-    #[must_use]
-    pub fn mc(&self) -> &McParams {
-        self.mc.as_ref().unwrap_or(&self.base.mc)
     }
 
     /// Renames the point (labeling only — the name is never fingerprinted).
@@ -1728,52 +767,7 @@ impl ScenarioOverlay {
     /// an unrecognized path, [`ScenarioError::InvalidValue`] when `value`
     /// does not parse.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
-        if key == "name" {
-            self.name = Some(unquote(value));
-            return Ok(());
-        }
-        let base = &self.base;
-        match key.split_once('.').map(|(section, _)| section) {
-            Some("grid") => set_grid_field(
-                self.grid.get_or_insert_with(|| base.grid.clone()),
-                key,
-                value,
-            ),
-            Some("device") => set_device_field(
-                self.device.get_or_insert_with(|| base.device.clone()),
-                key,
-                value,
-            ),
-            Some("fab") => {
-                set_fab_field(self.fab.get_or_insert_with(|| base.fab.clone()), key, value)
-            }
-            Some("fleet") => set_fleet_field(
-                self.fleet.get_or_insert_with(|| base.fleet.clone()),
-                key,
-                value,
-            ),
-            Some("mc") => set_mc_field(self.mc.get_or_insert_with(|| base.mc.clone()), key, value),
-            _ => Err(ScenarioError::UnknownKey(key.to_string())),
-        }
-    }
-
-    /// Clones the resolved view out into an owned [`Scenario`].
-    #[must_use]
-    pub fn materialize(&self) -> Scenario {
-        Scenario {
-            name: self.name.clone().unwrap_or_else(|| self.base.name.clone()),
-            grid: self.grid.clone().unwrap_or_else(|| self.base.grid.clone()),
-            device: self
-                .device
-                .clone()
-                .unwrap_or_else(|| self.base.device.clone()),
-            fab: self.fab.clone().unwrap_or_else(|| self.base.fab.clone()),
-            fleet: self
-                .fleet
-                .clone()
-                .unwrap_or_else(|| self.base.fleet.clone()),
-            mc: self.mc.clone().unwrap_or_else(|| self.base.mc.clone()),
-        }
+        fields::set(self, key, value)
     }
 
     /// [`Scenario::validate`] over the resolved sections.
@@ -1782,34 +776,7 @@ impl ScenarioOverlay {
     ///
     /// The same [`Scenario::validate`] errors for unphysical parameters.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        validate_parts(
-            self.grid(),
-            self.device(),
-            self.fab(),
-            self.fleet(),
-            self.mc(),
-        )
-    }
-}
-
-impl deps::FieldSource for ScenarioOverlay {
-    fn name(&self) -> &str {
-        ScenarioOverlay::name(self)
-    }
-    fn grid(&self) -> &GridParams {
-        ScenarioOverlay::grid(self)
-    }
-    fn device(&self) -> &DeviceParams {
-        ScenarioOverlay::device(self)
-    }
-    fn fab(&self) -> &FabParams {
-        ScenarioOverlay::fab(self)
-    }
-    fn fleet(&self) -> &FleetParams {
-        ScenarioOverlay::fleet(self)
-    }
-    fn mc(&self) -> &McParams {
-        ScenarioOverlay::mc(self)
+        fields::validate(self.view())
     }
 }
 
@@ -1961,13 +928,7 @@ impl RunContext {
     #[must_use]
     pub fn is_paper(&self) -> bool {
         self.record_all();
-        let paper = Scenario::paper_defaults();
-        self.overlay.name() == paper.name
-            && *self.overlay.grid() == paper.grid
-            && *self.overlay.device() == paper.device
-            && *self.overlay.fab() == paper.fab
-            && *self.overlay.fleet() == paper.fleet
-            && *self.overlay.mc() == paper.mc
+        self.overlay.view() == Scenario::paper_defaults().view()
     }
 
     /// Whether the operational-grid parameters (intensity and renewable
@@ -2005,7 +966,7 @@ impl RunContext {
     /// registry so a new fleet field cannot leave this list behind.
     fn record_fleet(&self) {
         for field in deps::expand(&[deps::ScenarioPath::of("fleet.*")]) {
-            self.record(field);
+            self.record(field.path);
         }
     }
 
@@ -2388,7 +1349,7 @@ mod tests {
             .iter()
             .find(|f| f.path == "mc.samples")
             .unwrap();
-        assert_eq!(rule.validation, format!("in 1..={max}"));
+        assert_eq!(rule.validation, format!("mc.samples must lie in 1..={max}"));
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! * a **[`ScenarioPath`]** names one declared dependency — either a single
 //!   canonical field (`fab.node_nm`) or a whole section (`fleet.*`);
 //! * **[`FIELDS`]** is the canonical registry of every settable dotted path
-//!   (type, aliases, paper default via [`Scenario::field_value`], validation
-//!   rule) — the single source of truth behind the generated
+//!   (type, aliases, paper default via
+//!   [`Scenario::field_value`](crate::Scenario::field_value), validation
+//!   rule), generated from the one-row-per-field table in
+//!   `scenario/fields.rs` — the single source of truth behind the generated
 //!   `docs/scenario-reference.md`;
 //! * **[`dependency_fingerprint`]** hashes only the declared fields of a
 //!   scenario, so a sweep runner can dedupe (experiment × point) jobs across
@@ -21,11 +23,11 @@
 //!
 //! The honesty contract: an experiment's output must be a pure function of
 //! the fields its declared paths match. Tracked accessors enforce it — raw
-//! [`Scenario`] access (`RunContext::scenario`, `RunContext::is_paper`)
-//! counts as reading *every* field, so experiments that want a small
-//! dependency set must go through the typed accessors.
+//! [`Scenario`](crate::Scenario) access (`RunContext::scenario`,
+//! `RunContext::is_paper`) counts as reading *every* field, so experiments
+//! that want a small dependency set must go through the typed accessors.
 
-use super::{DeviceParams, FabParams, FleetParams, GridParams, McParams, Scenario};
+pub use super::fields::{resolve, FieldInfo, ScenarioView, FIELDS};
 use core::fmt::{self, Write as _};
 use std::collections::BTreeSet;
 use std::sync::Mutex;
@@ -69,411 +71,26 @@ impl core::fmt::Display for ScenarioPath {
     }
 }
 
-/// Metadata for one settable scenario field: the canonical dotted path, its
-/// accepted aliases, type, one-line description and validation rule.
-///
-/// `semantic` distinguishes fields the *models* can read (part of dependency
-/// fingerprints) from labeling/convenience fields: `name` only tags
-/// artifacts, and `grid.source` is resolved into `grid.intensity` at set
-/// time, so neither can change an experiment's numbers on its own.
-#[derive(Debug, Clone, Copy)]
-pub struct FieldInfo {
-    /// Canonical dotted path (`grid.intensity`).
-    pub path: &'static str,
-    /// Accepted alias paths (`grid.intensity_g_per_kwh`).
-    pub aliases: &'static [&'static str],
-    /// Human-readable type (`f64`, `u32`, `string`, `list of f64`).
-    pub ty: &'static str,
-    /// One-line description.
-    pub doc: &'static str,
-    /// Human-readable validation rule enforced by [`Scenario::validate`].
-    pub validation: &'static str,
-    /// Whether the field participates in dependency fingerprints.
-    pub semantic: bool,
-}
-
-impl FieldInfo {
-    /// Whether the field can be bound to a distribution
-    /// (`path ~ triangular(…)`) in a Monte-Carlo run: only semantic
-    /// real-valued fields qualify — integer, string and list fields have no
-    /// meaningful continuous sample space, and non-semantic fields cannot
-    /// change any experiment's numbers.
-    #[must_use]
-    pub fn distribution_eligible(&self) -> bool {
-        self.semantic && self.ty == "f64"
-    }
-}
-
-/// Every settable scenario field, in canonical (TOML) order. The single
-/// source of truth for `--set` documentation, dependency expansion and the
-/// generated scenario reference.
-pub const FIELDS: [FieldInfo; 25] = [
-    FieldInfo {
-        path: "name",
-        aliases: &[],
-        ty: "string",
-        doc: "Human-readable scenario name; appears in artifact metadata only",
-        validation: "any string",
-        semantic: false,
-    },
-    FieldInfo {
-        path: "grid.intensity",
-        aliases: &["grid.intensity_g_per_kwh"],
-        ty: "f64",
-        doc: "Operational grid carbon intensity in g CO2e/kWh",
-        validation: "in (0, 10000]",
-        semantic: true,
-    },
-    FieldInfo {
-        path: "grid.source",
-        aliases: &[],
-        ty: "string",
-        doc: "Energy-source label; setting it resolves grid.intensity to the Table II value",
-        validation: "must name a Table II energy source (case-insensitive)",
-        semantic: false,
-    },
-    FieldInfo {
-        path: "grid.renewable_fraction",
-        aliases: &[],
-        ty: "f64",
-        doc: "Fraction of operational energy covered by renewable purchases",
-        validation: "in [0, 1]",
-        semantic: true,
-    },
-    FieldInfo {
-        path: "grid.regions",
-        aliases: &[],
-        ty: "trace map",
-        doc: "Named grid regions with 24-hour intensity traces; per-region specs \
-              (`solar(night,noon)`, `flat(v)`, inline list, `*.csv`) are settable via \
-              `grid.region.<name>.trace` and resolve at set time (see docs/GRID-TRACES.md)",
-        validation: "unique non-empty names; 24 finite non-negative hourly values each",
-        semantic: true,
-    },
-    FieldInfo {
-        path: "device.lifetime",
-        aliases: &["device.lifetime_years"],
-        ty: "f64",
-        doc: "Assumed device lifetime in years",
-        validation: "finite and > 0",
-        semantic: true,
-    },
-    FieldInfo {
-        path: "device.soc_budget_share",
-        aliases: &[],
-        ty: "f64",
-        doc: "Share of a device's production carbon attributed to its SoC",
-        validation: "in (0, 1]",
-        semantic: true,
-    },
-    FieldInfo {
-        path: "fab.node_nm",
-        aliases: &["fab.node"],
-        ty: "f64",
-        doc: "Featured process node in nanometres",
-        validation: "> 0",
-        semantic: true,
-    },
-    FieldInfo {
-        path: "fab.yield_factor",
-        aliases: &[],
-        ty: "f64",
-        doc: "Multiplier on the baseline defect density (1.0 = 0.1 /cm2)",
-        validation: "finite and > 0",
-        semantic: true,
-    },
-    FieldInfo {
-        path: "fab.renewable_share",
-        aliases: &[],
-        ty: "f64",
-        doc: "Share of fab electricity from renewables",
-        validation: "in [0, 1]",
-        semantic: true,
-    },
-    FieldInfo {
-        path: "fleet.scale",
-        aliases: &[],
-        ty: "f64",
-        doc: "Demand multiplier applied to fleet-sizing experiments",
-        validation: "finite and > 0",
-        semantic: true,
-    },
-    FieldInfo {
-        path: "fleet.sku",
-        aliases: &[],
-        ty: "string",
-        doc: "Server SKU of a pure (single-SKU) fleet; a non-empty fleet.mix overrides it",
-        validation: "one of: web, storage, ai-training",
-        semantic: true,
-    },
-    FieldInfo {
-        path: "fleet.mix",
-        aliases: &[],
-        ty: "weighted list",
-        doc: "Weighted fleet composition (`web:0.7,ai-training:0.3`); one SKU's weight is \
-              sweepable via `fleet.mix[<sku>]`, which renormalizes the rest",
-        validation: "known SKUs, no duplicates, weights >= 0 summing to 1; empty = pure fleet.sku",
-        semantic: true,
-    },
-    FieldInfo {
-        path: "fleet.sites",
-        aliases: &[],
-        ty: "weighted list",
-        doc: "Multi-site fleet composition (`main@default:0.7,pnw@hydro:0.3`); one site's \
-              share is sweepable via `fleet.sites[<site>].weight` (renormalizing the rest) \
-              and its region settable via `fleet.sites[<site>].region`",
-        validation: "unique names, weights >= 0 summing to 1, regions configured or builtin; \
-                     empty = one `main` site in the `default` region",
-        semantic: true,
-    },
-    FieldInfo {
-        path: "fleet.deferrable",
-        aliases: &[],
-        ty: "f64",
-        doc: "Fraction of fleet IT energy that is deferrable batch work the carbon-aware \
-              scheduler may move across hours and sites",
-        validation: "in [0, 1]",
-        semantic: true,
-    },
-    FieldInfo {
-        path: "fleet.initial_servers",
-        aliases: &[],
-        ty: "u64",
-        doc: "Servers in service in the facility's first simulated year",
-        validation: ">= 1",
-        semantic: true,
-    },
-    FieldInfo {
-        path: "fleet.growth",
-        aliases: &[],
-        ty: "f64",
-        doc: "Annual server-fleet growth factor (1.0 = flat fleet)",
-        validation: "finite and > 0",
-        semantic: true,
-    },
-    FieldInfo {
-        path: "fleet.pue",
-        aliases: &[],
-        ty: "f64",
-        doc: "Power usage effectiveness of the facility",
-        validation: "finite and >= 1.0",
-        semantic: true,
-    },
-    FieldInfo {
-        path: "fleet.renewable_ramp",
-        aliases: &["fleet.ramp"],
-        ty: "list of f64",
-        doc: "Renewable (PPA) coverage fraction per simulated year; last value holds",
-        validation: "non-empty, every value in [0, 1]",
-        semantic: true,
-    },
-    FieldInfo {
-        path: "fleet.construction_kt",
-        aliases: &["fleet.construction"],
-        ty: "f64",
-        doc: "Total construction embodied carbon in kt CO2e",
-        validation: "finite and >= 0",
-        semantic: true,
-    },
-    FieldInfo {
-        path: "fleet.building_amortization_years",
-        aliases: &["fleet.building_amortization"],
-        ty: "f64",
-        doc: "Building-amortization window in years over which construction carbon is spread",
-        validation: "finite and > 0",
-        semantic: true,
-    },
-    FieldInfo {
-        path: "fleet.start_year",
-        aliases: &[],
-        ty: "u16",
-        doc: "Calendar year the facility enters service (shifts the year axis)",
-        validation: "in 1900..=2100",
-        semantic: true,
-    },
-    FieldInfo {
-        path: "fleet.horizon_years",
-        aliases: &["fleet.horizon"],
-        ty: "u32",
-        doc: "Simulated planning horizon in years",
-        validation: "in 1..=200",
-        semantic: true,
-    },
-    FieldInfo {
-        path: "mc.seed",
-        aliases: &[],
-        ty: "u64",
-        doc: "Base RNG seed for the Monte-Carlo experiment",
-        validation: "any",
-        semantic: true,
-    },
-    FieldInfo {
-        path: "mc.samples",
-        aliases: &[],
-        ty: "u32",
-        doc: "Monte-Carlo trials per propagated headline",
-        validation: "in 1..=1000000",
-        semantic: true,
-    },
-];
-
-/// The canonical semantic fields covered by `deps`, in [`FIELDS`] order.
-/// Wildcards expand to every semantic field of their section; non-semantic
-/// fields (`name`, `grid.source`) never appear.
+/// The canonical semantic field rows covered by `deps`, in [`FIELDS`]
+/// order. Wildcards expand to every semantic field of their section;
+/// non-semantic fields (`name`, `grid.source`) never appear.
 #[must_use]
-pub fn expand(deps: &[ScenarioPath]) -> Vec<&'static str> {
+pub fn expand(deps: &[ScenarioPath]) -> Vec<&'static FieldInfo> {
     FIELDS
         .iter()
         .filter(|f| f.semantic && deps.iter().any(|d| d.matches(f.path)))
-        .map(|f| f.path)
         .collect()
 }
 
 /// Read access to the scenario sections, without requiring an owned
-/// [`Scenario`]. Implemented by `Scenario` itself and by
+/// [`Scenario`](crate::Scenario). Implemented by `Scenario` itself and by
 /// [`ScenarioOverlay`](crate::ScenarioOverlay), whose sections resolve
 /// delta-first against a shared base. Fingerprinting and dedup are generic
 /// over this trait, so the sweep machinery can hash copy-on-write points
 /// without materializing full scenarios.
 pub trait FieldSource {
-    /// The scenario name (labeling only — never fingerprinted).
-    fn name(&self) -> &str;
-    /// Operational-energy parameters.
-    fn grid(&self) -> &GridParams;
-    /// Device parameters.
-    fn device(&self) -> &DeviceParams;
-    /// Fab parameters.
-    fn fab(&self) -> &FabParams;
-    /// Fleet parameters.
-    fn fleet(&self) -> &FleetParams;
-    /// Monte-Carlo parameters.
-    fn mc(&self) -> &McParams;
-}
-
-impl FieldSource for Scenario {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn grid(&self) -> &GridParams {
-        &self.grid
-    }
-    fn device(&self) -> &DeviceParams {
-        &self.device
-    }
-    fn fab(&self) -> &FabParams {
-        &self.fab
-    }
-    fn fleet(&self) -> &FleetParams {
-        &self.fleet
-    }
-    fn mc(&self) -> &McParams {
-        &self.mc
-    }
-}
-
-/// Writes the canonical string form of the field at `path` into `out` —
-/// the exact text [`Scenario::field_value`] returns, but streamed, so
-/// fingerprinting allocates no intermediate `String` per field. Returns
-/// `None` when `path` names no canonical field.
-fn write_field_value<S: FieldSource>(
-    source: &S,
-    path: &str,
-    out: &mut impl fmt::Write,
-) -> Option<()> {
-    let result = match path {
-        "name" => out.write_str(source.name()),
-        "grid.intensity" => write!(out, "{:?}", source.grid().intensity_g_per_kwh),
-        "grid.source" => out.write_str(source.grid().source.as_deref().unwrap_or_default()),
-        "grid.renewable_fraction" => write!(out, "{:?}", source.grid().renewable_fraction),
-        "grid.regions" => write_regions(&source.grid().regions, out),
-        "device.lifetime" => write!(out, "{:?}", source.device().lifetime_years),
-        "device.soc_budget_share" => write!(out, "{:?}", source.device().soc_budget_share),
-        "fab.node_nm" => write!(out, "{:?}", source.fab().node_nm),
-        "fab.yield_factor" => write!(out, "{:?}", source.fab().yield_factor),
-        "fab.renewable_share" => write!(out, "{:?}", source.fab().renewable_share),
-        "fleet.scale" => write!(out, "{:?}", source.fleet().scale),
-        "fleet.sku" => out.write_str(&source.fleet().sku),
-        "fleet.mix" => write_mix(&source.fleet().mix, out),
-        "fleet.sites" => write_sites(&source.fleet().sites, out),
-        "fleet.deferrable" => write!(out, "{:?}", source.fleet().deferrable),
-        "fleet.initial_servers" => write!(out, "{}", source.fleet().initial_servers),
-        "fleet.growth" => write!(out, "{:?}", source.fleet().growth),
-        "fleet.pue" => write!(out, "{:?}", source.fleet().pue),
-        "fleet.renewable_ramp" => write_ramp(&source.fleet().renewable_ramp, out),
-        "fleet.construction_kt" => write!(out, "{:?}", source.fleet().construction_kt),
-        "fleet.building_amortization_years" => {
-            write!(out, "{:?}", source.fleet().building_amortization_years)
-        }
-        "fleet.start_year" => write!(out, "{}", source.fleet().start_year),
-        "fleet.horizon_years" => write!(out, "{}", source.fleet().horizon_years),
-        "mc.seed" => write!(out, "{}", source.mc().seed),
-        "mc.samples" => write!(out, "{}", source.mc().samples),
-        _ => return None,
-    };
-    result.expect("field-value sinks are infallible");
-    Some(())
-}
-
-/// Streams the canonical `sku:weight,…` mix text (same bytes as
-/// `format_mix`).
-fn write_mix(mix: &[(String, f64)], out: &mut impl fmt::Write) -> fmt::Result {
-    for (i, (name, w)) in mix.iter().enumerate() {
-        if i > 0 {
-            out.write_char(',')?;
-        }
-        write!(out, "{name}:{w:?}")?;
-    }
-    Ok(())
-}
-
-/// Streams the canonical comma-joined ramp text (same bytes as
-/// `format_ramp`).
-fn write_ramp(ramp: &[f64], out: &mut impl fmt::Write) -> fmt::Result {
-    for (i, v) in ramp.iter().enumerate() {
-        if i > 0 {
-            out.write_char(',')?;
-        }
-        write!(out, "{v:?}")?;
-    }
-    Ok(())
-}
-
-/// Streams the canonical `name:h0,…,h23;…` region text (same bytes as
-/// `format_regions`).
-fn write_regions(regions: &[super::RegionParams], out: &mut impl fmt::Write) -> fmt::Result {
-    for (i, region) in regions.iter().enumerate() {
-        if i > 0 {
-            out.write_char(';')?;
-        }
-        write!(out, "{}:", region.name)?;
-        write_ramp(&region.hours, out)?;
-    }
-    Ok(())
-}
-
-/// Streams the canonical `name@region:weight,…` site text (same bytes as
-/// `format_sites`).
-fn write_sites(sites: &[super::SiteParams], out: &mut impl fmt::Write) -> fmt::Result {
-    for (i, site) in sites.iter().enumerate() {
-        if i > 0 {
-            out.write_char(',')?;
-        }
-        write!(out, "{}@{}:{:?}", site.name, site.region, site.weight)?;
-    }
-    Ok(())
-}
-
-impl Scenario {
-    /// The canonical string form of the field at `path` (canonical paths
-    /// only — aliases are accepted by [`Scenario::set`], not here). This is
-    /// the value text dependency fingerprints hash and the generated
-    /// reference documents as the paper default.
-    #[must_use]
-    pub fn field_value(&self, path: &str) -> Option<String> {
-        let mut out = String::new();
-        write_field_value(self, path, &mut out)?;
-        Some(out)
-    }
+    /// Borrows every section, resolved.
+    fn view(&self) -> ScenarioView<'_>;
 }
 
 /// FNV-1a accumulator behind `fmt::Write`: fingerprinting streams field
@@ -516,15 +133,19 @@ impl fmt::Write for FnvWriter {
     }
 }
 
-/// Hashes the pre-expanded canonical `fields` of `source`.
-fn fingerprint_fields<S: FieldSource>(source: &S, fields: &[&'static str]) -> u64 {
+/// Hashes the pre-expanded `fields` of `source`: each row's canonical path
+/// and value text, written straight into the hash by the row itself.
+fn fingerprint_fields<S: FieldSource>(source: &S, fields: &[&FieldInfo]) -> u64 {
+    let view = source.view();
     let mut writer = FnvWriter::new();
     for field in fields {
         writer
-            .write_str(field)
+            .write_str(field.path)
             .expect("the FNV writer is infallible");
         writer.separator();
-        write_field_value(source, field, &mut writer).expect("expand yields canonical fields");
+        field
+            .write_value(view, &mut writer)
+            .expect("the FNV writer is infallible");
         writer.separator();
     }
     writer.hash
@@ -602,6 +223,11 @@ impl ReadTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scenario;
+
+    fn paths(deps: &[ScenarioPath]) -> Vec<&'static str> {
+        expand(deps).iter().map(|f| f.path).collect()
+    }
 
     #[test]
     fn wildcards_match_sections_and_leaves_match_exactly() {
@@ -619,15 +245,15 @@ mod tests {
     #[test]
     fn expansion_covers_sections_and_skips_labels() {
         assert_eq!(
-            expand(&[ScenarioPath::of("grid.*")]),
+            paths(&[ScenarioPath::of("grid.*")]),
             ["grid.intensity", "grid.renewable_fraction", "grid.regions"],
             "grid.source is a label, not a semantic field"
         );
         assert_eq!(expand(&[ScenarioPath::of("fleet.*")]).len(), 13);
-        assert_eq!(expand(&[]), Vec::<&str>::new());
+        assert_eq!(paths(&[]), Vec::<&str>::new());
         // Expansion follows FIELDS order regardless of declaration order.
         assert_eq!(
-            expand(&[ScenarioPath::of("mc.*"), ScenarioPath::of("device.*")]),
+            paths(&[ScenarioPath::of("mc.*"), ScenarioPath::of("device.*")]),
             [
                 "device.lifetime",
                 "device.soc_budget_share",

@@ -16,8 +16,9 @@
 //! 10⁴ scenarios whether they are generated by one thread or sixteen, in
 //! any order.
 
+use super::deps::{resolve, FieldInfo};
 use super::sweep::{display_value, format_value, ScenarioPoint, SweepError};
-use super::{Scenario, ScenarioOverlay};
+use super::{Scenario, ScenarioError, ScenarioOverlay};
 use crate::experiment::ScalarThreshold;
 use crate::json::JsonValue;
 use crate::table::Table;
@@ -97,14 +98,16 @@ impl MonteCarloMatrix {
 
     /// Builds a matrix, probing each binding's central value (mode,
     /// midpoint or mean) against the base scenario so an unknown path, a
-    /// non-numeric field or a centrally-invalid distribution is rejected
-    /// before any sampling.
+    /// field that accepts no distribution or a centrally-invalid
+    /// distribution is rejected before any sampling.
     ///
     /// # Errors
     ///
     /// [`SweepError`] when there are no bindings, a path is bound twice,
-    /// `samples` is 0 or exceeds [`Self::MAX_SAMPLES`], or a central value
-    /// fails to apply to (or validate against) the base scenario.
+    /// `samples` is 0 or exceeds [`Self::MAX_SAMPLES`], a path does not
+    /// resolve to a [`FieldInfo::distribution_eligible`] field, or a
+    /// central value fails to apply to (or validate against) the base
+    /// scenario.
     pub fn new(
         base: Scenario,
         bindings: Vec<DistBinding>,
@@ -130,9 +133,23 @@ impl MonteCarloMatrix {
                 return Err(SweepError::DuplicatePath(binding.path.clone()));
             }
             let mut probe = ScenarioOverlay::new(Arc::clone(&base));
-            probe
-                .set(&binding.path, &format_value(binding.spec.central()))
-                .map_err(SweepError::Scenario)?;
+            let applied = probe.set(&binding.path, &format_value(binding.spec.central()));
+            if let Err(unknown @ ScenarioError::UnknownKey(_)) = applied {
+                return Err(SweepError::Scenario(unknown));
+            }
+            // Bracket paths set fine but are not rows, so they are not
+            // eligible either.
+            if !resolve(&binding.path).is_some_and(FieldInfo::distribution_eligible) {
+                return Err(SweepError::Malformed {
+                    spec: binding.display(),
+                    message: format!(
+                        "`{}` accepts no distribution: only `f64`-typed semantic fields \
+                         accept a binding (the Dist? column of the scenario reference)",
+                        binding.path
+                    ),
+                });
+            }
+            applied.map_err(SweepError::Scenario)?;
             probe.validate().map_err(SweepError::Scenario)?;
         }
         Ok(Self {
@@ -402,6 +419,27 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("unknown scenario key"));
+        // Only rows marked Dist? accept a binding: labels, integers and
+        // bracket paths are refused up front, naming the rule.
+        for path in [
+            "name",
+            "grid.source",
+            "mc.seed",
+            "fleet.initial_servers",
+            "grid.region.x.trace",
+            "fleet.mix[ai-training]",
+            "fleet.sites[pnw].weight",
+        ] {
+            let bound = binding(&format!("{path} ~ uniform(0.1,0.3)"));
+            let err = MonteCarloMatrix::new(base(), vec![bound], 20, 7).unwrap_err();
+            assert!(
+                err.to_string().contains("accepts no distribution"),
+                "{path}: {err}"
+            );
+        }
+        // Aliases resolve to their (eligible) row.
+        let alias = vec![binding("fab.node ~ uniform(5,7)")];
+        assert!(MonteCarloMatrix::new(base(), alias, 10, 7).is_ok());
         // Centrally-invalid distribution fails before sampling.
         let err =
             MonteCarloMatrix::new(base(), vec![binding("fleet.pue ~ uniform(0.1,0.2)")], 10, 7);

@@ -4,8 +4,10 @@
 //! its new `Display` is documented canonical: for any spec that parsed,
 //! `parse ∘ to_string` must be the identity. [`ScenarioPath`] matching
 //! decides which scenario fields participate in dedup fingerprints, so its
-//! wildcard semantics get the same treatment.
+//! wildcard semantics get the same treatment, probed against every row of
+//! the real field table.
 
+use cc_report::scenario::deps::FIELDS;
 use cc_report::{ScenarioPath, SweepSpec};
 use proptest::prelude::*;
 
@@ -29,18 +31,6 @@ const PATTERNS: [&str; 8] = [
     "grid.intensity",
     "fab.node_nm",
     "fleet.growth",
-];
-
-/// Canonical fields the patterns are probed against.
-const FIELDS: [&str; 8] = [
-    "grid.intensity",
-    "grid.renewable_fraction",
-    "device.lifetime",
-    "fab.node_nm",
-    "fab.yield_factor",
-    "fleet.growth",
-    "mc.seed",
-    "mc.samples",
 ];
 
 proptest! {
@@ -95,7 +85,7 @@ proptest! {
         field_index in 0..FIELDS.len(),
     ) {
         let pattern = PATTERNS[pattern_index];
-        let field = FIELDS[field_index];
+        let field = FIELDS[field_index].path;
         let path = ScenarioPath::of(pattern);
         prop_assert_eq!(path.as_str(), pattern);
         prop_assert_eq!(path.to_string(), pattern);

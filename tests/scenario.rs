@@ -133,6 +133,8 @@ fn fleet_validation_rejects_unphysical_facilities_at_the_context_boundary() {
         ("mc.samples", "4294967295"),
         // ext-mc's triangular sampling would overflow to infinities.
         ("grid.intensity", "1e308"),
+        // ext-die would report an infinite node next to a finite one.
+        ("fab.node_nm", "inf"),
     ] {
         let mut s = Scenario::paper_defaults();
         s.set(key, value).unwrap();
