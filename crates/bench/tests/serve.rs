@@ -139,6 +139,19 @@ fn protocol_errors_leave_the_daemon_and_cache_untouched() {
             r#"{"op":"run","experiments":["ext-die"],"set":{"fab.node_nm":"inf"}}"#,
             "invalid-scenario",
         ),
+        // Accepted, these would panic a model or print `inf` cells.
+        (
+            r#"{"op":"run","experiments":["ext-sched"],"set":{"fleet.scale":1e300}}"#,
+            "invalid-scenario",
+        ),
+        (
+            r#"{"op":"run","experiments":["ext-facility"],"set":{"fleet.pue":1e300}}"#,
+            "invalid-scenario",
+        ),
+        (
+            r#"{"op":"run","experiments":["ext-facility"],"set":{"fleet.construction_kt":1e300}}"#,
+            "invalid-scenario",
+        ),
         (
             r#"{"op":"run","experiments":["fig10"],"sweep":["grid.intensity=800..10/100"]}"#,
             "invalid-sweep",

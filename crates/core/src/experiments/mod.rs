@@ -11,6 +11,12 @@
 //! experiment actually reads by the read-tracking test in this module, so a
 //! sweep runner may safely reuse output across grid points whose declared
 //! fields agree.
+//!
+//! An entry's output is assembled from one or more [`Part`]s, each with its
+//! own dependency list and cache key. Almost every entry is one part keyed
+//! by the entry itself; an experiment whose panels read disjoint fields
+//! (`ext-mc`) splits into parts so a cache recomputes only the panels whose
+//! fields moved.
 
 pub mod ext_die;
 pub mod ext_dvfs;
@@ -70,7 +76,7 @@ pub use table2::Table2EnergySources;
 pub use table3::Table3Grids;
 pub use table4::Table4MacPro;
 
-use cc_report::{Experiment, ScenarioPath};
+use cc_report::{Experiment, ExperimentOutput, RunContext, ScenarioPath};
 
 /// Topic tags for registry filtering (`repro --tag mobile`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -138,16 +144,40 @@ impl core::fmt::Display for Tag {
     }
 }
 
+/// One independently cached piece of an entry's output: its cache key, the
+/// scenario fields it reads, and the function computing it. Running an
+/// entry's parts in order and joining them with [`ExperimentOutput::append`]
+/// gives exactly the output of running the whole experiment.
+#[derive(Debug)]
+pub struct Part {
+    /// Cache key, unique across the registry. A one-part entry's part is
+    /// keyed by the entry key, so its cache entries are the entry's own.
+    pub key: &'static str,
+    /// The scenario fields this part reads, verified like [`Entry::deps`].
+    pub deps: &'static [ScenarioPath],
+    /// Computes the part's output.
+    pub run: fn(&RunContext) -> ExperimentOutput,
+}
+
+impl Part {
+    /// Fingerprint of `source` restricted to this part's declared fields.
+    #[must_use]
+    pub fn fingerprint<S: cc_report::FieldSource>(&self, source: &S) -> u64 {
+        cc_report::dependency_fingerprint(source, self.deps)
+    }
+}
+
 /// A registry entry: the experiment's stable key, its topic tags, its
-/// declared scenario-dependency set, and a constructor. Entries are
-/// `'static`, cheap to scan, and each worker thread of a parallel run builds
-/// its own experiment instance from the constructor.
+/// declared scenario-dependency set, its parts, and a constructor. Entries
+/// are `'static`, cheap to scan, and each worker thread of a parallel run
+/// builds its own experiment instance from the constructor.
 pub struct Entry {
     /// Stable command-line key (`fig10`, `table2`, `ext-sched`).
     pub key: &'static str,
     /// Topic tags for filtering.
     pub tags: &'static [Tag],
     deps: &'static [ScenarioPath],
+    parts: &'static [Part],
     ctor: fn() -> Box<dyn Experiment>,
 }
 
@@ -176,6 +206,14 @@ impl Entry {
     pub fn fingerprint<S: cc_report::FieldSource>(&self, source: &S) -> u64 {
         cc_report::dependency_fingerprint(source, self.deps)
     }
+
+    /// The parts the engine caches separately, in assembly order. The union
+    /// of their dependency lists is [`Self::deps`].
+    #[must_use]
+    pub fn parts(&self) -> &'static [Part] {
+        self.parts
+    }
+
     /// Instantiates the experiment.
     #[must_use]
     pub fn build(&self) -> Box<dyn Experiment> {
@@ -220,10 +258,23 @@ impl core::fmt::Debug for Entry {
 
 macro_rules! entry {
     ($key:literal, $ty:ty, [$($tag:ident),+ $(,)?], deps: [$($dep:literal),* $(,)?]) => {
+        entry!($key, $ty, [$($tag),+], deps: [$($dep),*], parts: [
+            ($key, |ctx| <$ty>::default().run(ctx), [$($dep),*]),
+        ])
+    };
+    (
+        $key:literal, $ty:ty, [$($tag:ident),+ $(,)?], deps: [$($dep:literal),* $(,)?],
+        parts: [$(($part:literal, $run:expr, [$($part_dep:literal),* $(,)?])),+ $(,)?]
+    ) => {
         Entry {
             key: $key,
             tags: &[$(Tag::$tag),+],
             deps: &[$(ScenarioPath::of($dep)),*],
+            parts: &[$(Part {
+                key: $part,
+                deps: &[$(ScenarioPath::of($part_dep)),*],
+                run: $run,
+            }),+],
             ctor: || Box::new(<$ty>::default()),
         }
     };
@@ -232,8 +283,9 @@ macro_rules! entry {
 // Dependency declarations are load-bearing: the sweep cache reuses an
 // experiment's output across grid points whose declared fields agree, so an
 // under-declaration would serve stale results. The
-// `declared_deps_match_actual_reads` test runs every experiment under a
-// read-tracking context and fails on any disagreement, in either direction.
+// `declared_deps_match_actual_reads` test runs every experiment and every
+// part under a read-tracking context and fails on any disagreement, in
+// either direction.
 static ENTRIES: [Entry; 27] = [
     entry!("fig01", Fig01IctProjections, [Figure, Energy], deps: []),
     entry!(
@@ -308,7 +360,16 @@ static ENTRIES: [Entry; 27] = [
         "ext-mc",
         ExtMonteCarlo,
         [Extension],
-        deps: ["device.soc_budget_share", "grid.intensity", "grid.renewable_fraction", "mc.*"]
+        deps: ["device.soc_budget_share", "grid.intensity", "grid.renewable_fraction", "mc.*"],
+        parts: [
+            (
+                "ext-mc.fig10",
+                ext_mc::fig10_breakeven,
+                ["device.soc_budget_share", "grid.intensity", "grid.renewable_fraction", "mc.*"]
+            ),
+            ("ext-mc.fig11", ext_mc::fig11_capex_opex, ["mc.*"]),
+            ("ext-mc.fig14", ext_mc::fig14_wafer_reduction, ["mc.*"]),
+        ]
     ),
     entry!(
         "ext-facility",
@@ -489,32 +550,86 @@ mod tests {
         s
     }
 
+    /// The canonical field paths a dependency list covers, sorted.
+    fn declared(deps: &[ScenarioPath]) -> Vec<&'static str> {
+        let mut paths: Vec<&str> = cc_report::scenario::deps::expand(deps)
+            .iter()
+            .map(|field| field.path)
+            .collect();
+        paths.sort_unstable();
+        paths
+    }
+
     #[test]
     fn declared_deps_match_actual_reads() {
         // The cache-soundness contract: each entry's declared dependency set
         // must equal the fields its experiment actually reads — a missing
         // declaration would let the sweep cache serve stale output, and an
-        // excess one would spuriously re-run the experiment. Checked under
-        // the paper defaults *and* a fully perturbed scenario so that
+        // excess one would spuriously re-run the experiment. The same holds
+        // for every part, which the engine caches under its own deps, and
+        // the parts' deps together must be the entry's. Checked under the
+        // paper defaults *and* a fully perturbed scenario so that
         // paper-vs-scenario branches cannot hide a read.
         for scenario in [Scenario::paper_defaults(), perturbed_scenario()] {
             for entry in entries() {
                 let (ctx, tracker) = RunContext::tracking(scenario.clone()).unwrap();
                 entry.build().run(&ctx);
-                let mut declared: Vec<&str> = cc_report::scenario::deps::expand(entry.deps())
-                    .iter()
-                    .map(|field| field.path)
-                    .collect();
-                declared.sort_unstable();
                 assert_eq!(
                     tracker.reads(),
-                    declared,
+                    declared(entry.deps()),
                     "`{}` (scenario `{}`): declared deps disagree with actual reads",
                     entry.key,
                     scenario.name
                 );
+                let mut union = Vec::new();
+                for part in entry.parts() {
+                    let (ctx, tracker) = RunContext::tracking(scenario.clone()).unwrap();
+                    (part.run)(&ctx);
+                    assert_eq!(
+                        tracker.reads(),
+                        declared(part.deps),
+                        "part `{}` (scenario `{}`): declared deps disagree with actual reads",
+                        part.key,
+                        scenario.name
+                    );
+                    union.extend(declared(part.deps));
+                }
+                union.sort_unstable();
+                union.dedup();
+                assert_eq!(
+                    union,
+                    declared(entry.deps()),
+                    "`{}`: its parts' deps do not add up to the entry's",
+                    entry.key
+                );
             }
         }
+    }
+
+    #[test]
+    fn part_keys_are_unique_and_single_parts_keep_the_entry_key() {
+        let mut keys: Vec<&str> = entries()
+            .iter()
+            .flat_map(|e| e.parts().iter().map(|p| p.key))
+            .collect();
+        let n = keys.len();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(n, keys.len(), "part keys must not collide in the cache");
+        for entry in entries() {
+            match entry.parts() {
+                [] => panic!("`{}` has no parts", entry.key),
+                [part] => {
+                    assert_eq!(part.key, entry.key);
+                    assert_eq!(part.deps, entry.deps());
+                }
+                // A multi-part entry's parts must not reuse the entry key:
+                // a disk cache written before the split holds the whole
+                // output under it.
+                parts => assert!(parts.iter().all(|p| p.key != entry.key)),
+            }
+        }
+        assert_eq!(find_entry("ext-mc").unwrap().parts().len(), 3);
     }
 
     #[test]

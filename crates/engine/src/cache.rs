@@ -1,8 +1,8 @@
 //! The sharded, content-addressed fingerprint→artifact cache.
 //!
-//! Every experiment's output is a pure function of its declared scenario
-//! fields (`Entry::deps()`, verified by the read-tracking CI test), so a
-//! `(experiment key, dependency_fingerprint)` pair addresses the output
+//! Every experiment part's output is a pure function of its declared
+//! scenario fields (`Part::deps`, verified by the read-tracking CI test), so
+//! a `(part key, dependency_fingerprint)` pair addresses the output
 //! *content* — not the request that produced it. The cache exploits that
 //! purity in three ways:
 //!
@@ -29,11 +29,11 @@ use std::sync::{Arc, Condvar, Mutex};
 /// a cheap mask of the key hash.
 pub const SHARDS: usize = 16;
 
-/// Cache key: the experiment's stable registry key plus the dependency
-/// fingerprint of the scenario restricted to the experiment's declared
-/// fields. The fingerprint alone is not enough — two experiments declaring
-/// the same dependency set fingerprint identically but produce different
-/// output.
+/// Cache key: a part's stable key (the experiment's registry key for a
+/// one-part entry) plus the dependency fingerprint of the scenario
+/// restricted to the part's declared fields. The fingerprint alone is not
+/// enough — two parts declaring the same dependency set fingerprint
+/// identically but produce different output.
 pub type CacheKey = (&'static str, u64);
 
 /// How a [`ShardedCache::get_or_compute`] call was satisfied.

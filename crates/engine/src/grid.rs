@@ -14,16 +14,15 @@
 //! its stdout stays byte-identical.
 
 use crate::artifact::Format;
-use crate::cache::Outcome;
-use crate::{Engine, EngineError};
+use crate::{counts, Engine, EngineError, Tally};
 use cc_core::experiments::Entry;
 use cc_report::{
     dedup_groups, Comparison, Experiment, ExperimentOutput, RunContext, Scalar, ScenarioMatrix,
     ScenarioOverlay, ScenarioPoint,
 };
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Knobs for one grid run.
 #[derive(Clone, Copy, Debug)]
@@ -113,18 +112,19 @@ pub struct GridResult {
     /// footer's "N runs"). Deliberately independent of cache outcomes so a
     /// warm and a cold cache print identical footers.
     pub run_counts: Vec<usize>,
-    /// Per-entry groups whose artifact this process computed fresh (an
+    /// Per-entry groups in which this process computed any part fresh (an
     /// in-memory miss the disk cache could not answer). The disk footer's
     /// "N recomputes".
     pub disk_runs: Vec<usize>,
-    /// Per-entry groups answered by the persistent on-disk cache. Always
-    /// zero when the engine has no disk cache attached.
+    /// Per-entry groups in which every part that missed the resident cache
+    /// was answered by the persistent on-disk cache. Always zero when the
+    /// engine has no disk cache attached.
     pub disk_hits: Vec<usize>,
-    /// Cache lookups this grid answered from resident artifacts.
+    /// Part lookups this grid answered from resident artifacts.
     pub hits: u64,
-    /// Cache lookups this grid computed fresh.
+    /// Part lookups this grid computed (or disk-loaded) fresh.
     pub misses: u64,
-    /// Cache lookups this grid deduplicated against another in-flight
+    /// Part lookups this grid deduplicated against another in-flight
     /// computation.
     pub inflight_dedups: u64,
 }
@@ -189,9 +189,7 @@ impl Engine {
         let scalars: Vec<Mutex<Vec<Scalar>>> = (0..total).map(|_| Mutex::new(Vec::new())).collect();
         let sequencer = Mutex::new(Sequencer::new());
         let next_group = AtomicUsize::new(0);
-        let (hits, misses, dedups) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
-        let disk_runs: Vec<AtomicUsize> = (0..entries.len()).map(|_| AtomicUsize::new(0)).collect();
-        let disk_hits: Vec<AtomicUsize> = (0..entries.len()).map(|_| AtomicUsize::new(0)).collect();
+        let tally = Tally::new(entries.len());
 
         // Shared by the sequential path and every worker: obtain one group's
         // output (cache or fresh run), then render every member point's
@@ -200,35 +198,15 @@ impl Engine {
         let process = |group: &WorkGroup| {
             let entry = entries[group.entry_idx];
             let experiment = entry.build();
-            let representative = &contexts[group.point_idxs[0]];
-            let output: Arc<ExperimentOutput> = if config.no_cache {
-                Arc::new(experiment.run(representative))
-            } else {
-                let fingerprint = entry.fingerprint(&points[group.point_idxs[0]].overlay);
-                let (output, outcome) =
-                    self.cache().get_or_compute((entry.key, fingerprint), || {
-                        // In-memory miss: consult the persistent cache before
-                        // running models, and write back anything computed.
-                        if let Some(disk) = self.disk() {
-                            if let Some(stored) = disk.load(entry.key, fingerprint) {
-                                disk_hits[group.entry_idx].fetch_add(1, Ordering::Relaxed);
-                                return stored;
-                            }
-                        }
-                        let fresh = experiment.run(representative);
-                        if let Some(disk) = self.disk() {
-                            disk.store(entry.key, fingerprint, &fresh);
-                        }
-                        disk_runs[group.entry_idx].fetch_add(1, Ordering::Relaxed);
-                        fresh
-                    });
-                match outcome {
-                    Outcome::Hit => hits.fetch_add(1, Ordering::Relaxed),
-                    Outcome::Miss => misses.fetch_add(1, Ordering::Relaxed),
-                    Outcome::InflightDedup => dedups.fetch_add(1, Ordering::Relaxed),
-                };
-                output
-            };
+            let representative = group.point_idxs[0];
+            let output = self.obtain(
+                group.entry_idx,
+                entry,
+                &points[representative].overlay,
+                &contexts[representative],
+                config.no_cache,
+                &tally,
+            );
             for &point_idx in &group.point_idxs {
                 let job_index = group.entry_idx * npoints + point_idx;
                 let job = GridJob {
@@ -276,11 +254,11 @@ impl Engine {
                 .map(|slot| slot.into_inner().expect("no panics under lock"))
                 .collect(),
             run_counts,
-            disk_runs: disk_runs.into_iter().map(AtomicUsize::into_inner).collect(),
-            disk_hits: disk_hits.into_iter().map(AtomicUsize::into_inner).collect(),
-            hits: hits.into_inner(),
-            misses: misses.into_inner(),
-            inflight_dedups: dedups.into_inner(),
+            disk_runs: counts(tally.disk_runs),
+            disk_hits: counts(tally.disk_hits),
+            hits: tally.hits.into_inner(),
+            misses: tally.misses.into_inner(),
+            inflight_dedups: tally.dedups.into_inner(),
         }
     }
 }

@@ -21,14 +21,13 @@
 //! fingerprints — often one — and the runner answers thousands of samples
 //! from a single model run.
 
-use crate::cache::Outcome;
-use crate::{Engine, EngineError};
+use crate::{counts, Engine, EngineError, Tally};
 use cc_analysis::stats::StreamingStats;
 use cc_core::experiments::Entry;
-use cc_report::{ExperimentOutput, McComparison, MonteCarloMatrix, RunContext, ScalarThreshold};
+use cc_report::{McComparison, MonteCarloMatrix, RunContext, ScalarThreshold};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Knobs for one Monte-Carlo run.
 #[derive(Clone, Copy, Debug)]
@@ -69,20 +68,22 @@ pub struct McResult {
     /// summary scalar plus every scalar carrying a decision threshold, in
     /// entry order.
     pub comparisons: Vec<McComparison>,
-    /// Per-entry model computations (in-memory cache misses; with
-    /// `no_cache`, one per sample). Deterministic for a given engine state:
-    /// each distinct fingerprint is computed exactly once.
+    /// Per-entry samples in which any part of the experiment missed the
+    /// in-memory cache (with `no_cache`, every sample). Deterministic for a
+    /// given engine state: each distinct part fingerprint is computed
+    /// exactly once.
     pub run_counts: Vec<usize>,
-    /// Per-entry fingerprints this process computed fresh (misses the disk
-    /// cache could not answer).
+    /// Per-entry samples in which this process computed any part fresh
+    /// (misses the disk cache could not answer).
     pub disk_runs: Vec<usize>,
-    /// Per-entry fingerprints answered by the persistent on-disk cache.
+    /// Per-entry samples in which every part that missed the in-memory
+    /// cache was answered by the persistent on-disk cache.
     pub disk_hits: Vec<usize>,
-    /// Cache lookups answered from resident artifacts.
+    /// Part lookups answered from resident artifacts.
     pub hits: u64,
-    /// Cache lookups that computed (or disk-loaded) a fresh artifact.
+    /// Part lookups that computed (or disk-loaded) a fresh artifact.
     pub misses: u64,
-    /// Cache lookups deduplicated against another in-flight computation.
+    /// Part lookups deduplicated against another in-flight computation.
     pub inflight_dedups: u64,
 }
 
@@ -136,47 +137,10 @@ impl Engine {
         config: &McConfig,
     ) -> Result<McResult, McError> {
         let samples = matrix.len();
-        let run_counts: Vec<AtomicUsize> =
-            (0..entries.len()).map(|_| AtomicUsize::new(0)).collect();
-        let disk_runs: Vec<AtomicUsize> = (0..entries.len()).map(|_| AtomicUsize::new(0)).collect();
-        let disk_hits: Vec<AtomicUsize> = (0..entries.len()).map(|_| AtomicUsize::new(0)).collect();
-        let (hits, misses, dedups) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
-
-        // One sample × one experiment: the output, from the cache when
-        // possible — the exact read-through pipeline the grid runner uses,
-        // so disk caches and resident daemons warm Monte-Carlo runs too.
-        let obtain = |entry_idx: usize,
-                      entry: &'static Entry,
-                      overlay: &cc_report::ScenarioOverlay,
-                      context: &RunContext|
-         -> Arc<ExperimentOutput> {
-            if config.no_cache {
-                run_counts[entry_idx].fetch_add(1, Ordering::Relaxed);
-                return Arc::new(entry.build().run(context));
-            }
-            let fingerprint = entry.fingerprint(overlay);
-            let (output, outcome) = self.cache().get_or_compute((entry.key, fingerprint), || {
-                run_counts[entry_idx].fetch_add(1, Ordering::Relaxed);
-                if let Some(disk) = self.disk() {
-                    if let Some(stored) = disk.load(entry.key, fingerprint) {
-                        disk_hits[entry_idx].fetch_add(1, Ordering::Relaxed);
-                        return stored;
-                    }
-                }
-                let fresh = entry.build().run(context);
-                if let Some(disk) = self.disk() {
-                    disk.store(entry.key, fingerprint, &fresh);
-                }
-                disk_runs[entry_idx].fetch_add(1, Ordering::Relaxed);
-                fresh
-            });
-            match outcome {
-                Outcome::Hit => hits.fetch_add(1, Ordering::Relaxed),
-                Outcome::Miss => misses.fetch_add(1, Ordering::Relaxed),
-                Outcome::InflightDedup => dedups.fetch_add(1, Ordering::Relaxed),
-            };
-            output
-        };
+        // Every output comes through the engine's read-through pipeline
+        // (`Engine::obtain`), so disk caches and resident daemons warm
+        // Monte-Carlo runs too.
+        let tally = Tally::new(entries.len());
 
         // Probe with sample 0: fix each experiment's tracked metrics and
         // collect the first sample's values while we're at it.
@@ -191,7 +155,14 @@ impl Engine {
         let mut metric_specs: Vec<Vec<MetricSpec>> = Vec::with_capacity(entries.len());
         let mut first_values = Vec::new();
         for (entry_idx, entry) in entries.iter().enumerate() {
-            let output = obtain(entry_idx, entry, &probe.overlay, &probe_context);
+            let output = self.obtain(
+                entry_idx,
+                entry,
+                &probe.overlay,
+                &probe_context,
+                config.no_cache,
+                &tally,
+            );
             if output.scalars.is_empty() {
                 return Err(McError::Engine(EngineError::MissingSummaryScalar {
                     key: entry.key,
@@ -238,7 +209,14 @@ impl Engine {
                 .map_err(|e| sample_error(index, &e))?;
             let mut values = Vec::new();
             for (entry_idx, entry) in entries.iter().enumerate() {
-                let output = obtain(entry_idx, entry, &point.overlay, &context);
+                let output = self.obtain(
+                    entry_idx,
+                    entry,
+                    &point.overlay,
+                    &context,
+                    config.no_cache,
+                    &tally,
+                );
                 for spec in &metric_specs[entry_idx] {
                     let scalar = output
                         .scalars
@@ -320,15 +298,12 @@ impl Engine {
         }
         Ok(McResult {
             comparisons,
-            run_counts: run_counts
-                .into_iter()
-                .map(AtomicUsize::into_inner)
-                .collect(),
-            disk_runs: disk_runs.into_iter().map(AtomicUsize::into_inner).collect(),
-            disk_hits: disk_hits.into_iter().map(AtomicUsize::into_inner).collect(),
-            hits: hits.into_inner(),
-            misses: misses.into_inner(),
-            inflight_dedups: dedups.into_inner(),
+            run_counts: counts(tally.runs),
+            disk_runs: counts(tally.disk_runs),
+            disk_hits: counts(tally.disk_hits),
+            hits: tally.hits.into_inner(),
+            misses: tally.misses.into_inner(),
+            inflight_dedups: tally.dedups.into_inner(),
         })
     }
 }
@@ -407,6 +382,31 @@ mod tests {
         assert_eq!(result.hits + result.inflight_dedups, 49);
         // Constant metric: a zero-width band is the honest answer.
         assert_eq!(result.comparisons[0].stats.ci90_half_width(), 0.0);
+    }
+
+    #[test]
+    fn grid_independent_parts_run_once_per_mc_run() {
+        // ext-mc's Fig 11 and Fig 14 parts read only `mc.*`: sample 0
+        // computes all three parts, every later sample recomputes only the
+        // Fig 10 part and hits the other two. The entry still counts as run
+        // at every sample, so the footer reads `50 runs, 0 reuses`.
+        let entries = entry("ext-mc");
+        let mc = matrix(&["grid.intensity ~ uniform(50,700)"], 50, 7);
+        let result = Engine::new()
+            .run_mc(
+                &entries,
+                &mc,
+                &McConfig {
+                    jobs: 1,
+                    no_cache: false,
+                },
+            )
+            .expect("mc run");
+        assert_eq!(result.misses, 52);
+        assert_eq!(result.hits, 98);
+        assert_eq!(result.inflight_dedups, 0);
+        assert_eq!(result.run_counts, vec![50]);
+        assert_eq!(result.disk_runs, vec![50]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The in-memory [`crate::cache::ShardedCache`] only lives as long as its
 //! process; this module gives fingerprints a life across restarts. Every
 //! artifact is written to `<cache-dir>/<code fingerprint>/` as one small
-//! text file keyed the same way as the resident cache — `(experiment key,
+//! text file keyed the same way as the resident cache — `(part key,
 //! dependency fingerprint)` — so a re-run of a full-suite sweep after a
 //! one-field scenario change recomputes only the dedup groups whose
 //! declared dependencies actually moved, even in a fresh process.
@@ -90,7 +90,7 @@ impl DiskCache {
         &self.dir
     }
 
-    /// The entry file for one `(experiment key, dependency fingerprint)`.
+    /// The entry file for one `(part key, dependency fingerprint)`.
     fn entry_path(&self, key: &str, fingerprint: u64) -> PathBuf {
         self.dir.join(format!("{key}-{fingerprint:016x}.json"))
     }

@@ -238,6 +238,26 @@ impl ExperimentOutput {
         self
     }
 
+    /// Appends `part` in order: the rows of a table whose title is already
+    /// present extend that table, and every other table, series, scalar and
+    /// note follows this output's own. Assembling an experiment's parts this
+    /// way reproduces the output of running it whole.
+    pub fn append(&mut self, part: &Self) {
+        for (title, table) in &part.tables {
+            match self.tables.iter_mut().find(|(t, _)| t == title) {
+                Some((_, existing)) => {
+                    for row in table.rows() {
+                        existing.row(row.iter().cloned());
+                    }
+                }
+                None => self.tables.push((title.clone(), table.clone())),
+            }
+        }
+        self.series.extend_from_slice(&part.series);
+        self.scalars.extend_from_slice(&part.scalars);
+        self.notes.extend_from_slice(&part.notes);
+    }
+
     /// Finds an attached series by name.
     #[must_use]
     pub fn find_series(&self, name: &str) -> Option<&Series> {
@@ -589,6 +609,33 @@ mod tests {
         assert_eq!(round_tripped, out);
         // And the re-rendered JSON is byte-identical (floats via `{:?}`).
         assert_eq!(round_tripped.render_json(), out.render_json());
+    }
+
+    #[test]
+    fn append_extends_same_titled_tables_and_keeps_part_order() {
+        let mut whole = ExperimentOutput::new();
+        let mut t = Table::new(["claim", "median"]);
+        t.row(["a", "1"]).row(["b", "2"]);
+        whole.table("Headlines", t).scalar("a", "x", 1.0).note("n");
+
+        let mut first = ExperimentOutput::new();
+        let mut t = Table::new(["claim", "median"]);
+        t.row(["a", "1"]);
+        first.table("Headlines", t).scalar("a", "x", 1.0);
+        let mut second = ExperimentOutput::new();
+        let mut t = Table::new(["claim", "median"]);
+        t.row(["b", "2"]);
+        second.table("Headlines", t).note("n");
+
+        first.append(&second);
+        assert_eq!(first, whole);
+        assert_eq!(first.render_json(), whole.render_json());
+        // A new title becomes a new table after the existing ones.
+        let mut other = ExperimentOutput::new();
+        other.table("Other", Table::new(["k"]));
+        first.append(&other);
+        assert_eq!(first.tables.len(), 2);
+        assert_eq!(first.tables[1].0, "Other");
     }
 
     #[test]

@@ -779,7 +779,7 @@ scenario_fields! {
     fleet: FleetParams {
         scale: f64 = 1.0 => "fleet.scale" []
             semantic "Demand multiplier applied to fleet-sizing experiments",
-            Rule::Check("fleet.scale must be finite and positive", finite_positive),
+            Rule::Check("fleet.scale must lie in (0, 1000000]", |v| *v > 0.0 && *v <= 1e6),
             builder fleet_scale(f64);
         sku: String = "web".to_string() => "fleet.sku" []
             semantic "Server SKU of a pure (single-SKU) fleet; a non-empty fleet.mix overrides it",
@@ -818,7 +818,7 @@ scenario_fields! {
             builder fleet_growth(f64);
         pue: f64 = 1.10 => "fleet.pue" []
             semantic "Power usage effectiveness of the facility",
-            Rule::Check("fleet.pue must be finite and at least 1.0", |v| v.is_finite() && *v >= 1.0),
+            Rule::Check("fleet.pue must lie in [1, 10]", |v| (1.0..=10.0).contains(v)),
             builder fleet_pue(f64);
         renewable_ramp: Vec<f64> = vec![0.05, 0.10, 0.20, 0.35, 0.60, 0.85, 1.0]
             => "fleet.renewable_ramp" ["fleet.ramp"]
@@ -831,8 +831,8 @@ scenario_fields! {
         construction_kt: f64 = 150.0 => "fleet.construction_kt" ["fleet.construction"]
             semantic "Total construction embodied carbon in kt CO2e",
             Rule::Check(
-                "fleet.construction_kt must be finite and non-negative",
-                |v| v.is_finite() && *v >= 0.0,
+                "fleet.construction_kt must lie in [0, 1000000] kt CO2e",
+                |v| (0.0..=1e6).contains(v),
             ),
             builder fleet_construction_kt(f64);
         building_amortization_years: f64 = 20.0

@@ -96,9 +96,9 @@ const REGISTRY: [(&str, &[&str]); 27] = [
     ("ext-scheduler", &["fleet.*", "grid.regions"]),
 ];
 
-/// One out-of-range value per validated scalar or composite field other
+/// Out-of-range values (one or more) per validated scalar or composite field other
 /// than `fab.node_nm`.
-const BAD: [(&str, &str); 18] = [
+const BAD: [(&str, &str); 21] = [
     ("grid.intensity", "0"),
     ("grid.renewable_fraction", "1.5"),
     ("device.lifetime", "0"),
@@ -106,6 +106,7 @@ const BAD: [(&str, &str); 18] = [
     ("fab.yield_factor", "inf"),
     ("fab.renewable_share", "-0.1"),
     ("fleet.scale", "nan"),
+    ("fleet.scale", "1e300"),
     ("fleet.sku", "mainframe"),
     ("fleet.mix", "web:0.5,ai-training:0.4"),
     ("fleet.sites", "a@mars:1"),
@@ -113,8 +114,10 @@ const BAD: [(&str, &str); 18] = [
     ("fleet.initial_servers", "0"),
     ("fleet.growth", "0"),
     ("fleet.pue", "0.9"),
+    ("fleet.pue", "1e300"),
     ("fleet.renewable_ramp", "0.5,1.5"),
     ("fleet.construction_kt", "-1"),
+    ("fleet.construction_kt", "1e300"),
     ("fleet.building_amortization_years", "0"),
     ("fleet.start_year", "1492"),
 ];
@@ -248,23 +251,26 @@ const MOVED_FINGERPRINTS: [(&str, u64); 27] = [
 ];
 
 /// The single-field validation messages, byte for byte.
-const BAD_MESSAGES: [(&str, &str, &str); 18] = [
+const BAD_MESSAGES: [(&str, &str, &str); 21] = [
     ("grid.intensity", "0", "invalid scenario: grid.intensity must lie in (0, 10000] g/kWh"),
     ("grid.renewable_fraction", "1.5", "invalid scenario: grid.renewable_fraction must lie in [0, 1]"),
     ("device.lifetime", "0", "invalid scenario: device.lifetime_years must be finite and positive"),
     ("device.soc_budget_share", "0", "invalid scenario: device.soc_budget_share must lie in (0, 1]"),
     ("fab.yield_factor", "inf", "invalid scenario: fab.yield_factor must be finite and positive"),
     ("fab.renewable_share", "-0.1", "invalid scenario: fab.renewable_share must lie in [0, 1]"),
-    ("fleet.scale", "nan", "invalid scenario: fleet.scale must be finite and positive"),
+    ("fleet.scale", "nan", "invalid scenario: fleet.scale must lie in (0, 1000000]"),
+    ("fleet.scale", "1e300", "invalid scenario: fleet.scale must lie in (0, 1000000]"),
     ("fleet.sku", "mainframe", "invalid scenario: fleet.sku names unknown server SKU `mainframe` (known: web, storage, ai-training)"),
     ("fleet.mix", "web:0.5,ai-training:0.4", "invalid scenario: fleet.mix weights must sum to 1, got 0.9"),
     ("fleet.sites", "a@mars:1", "invalid scenario: fleet.sites[a] names region `mars` with no grid.region.mars.trace entry (builtin regions: default, solar, hydro, wind, nuclear, coal, gas)"),
     ("fleet.deferrable", "2", "invalid scenario: fleet.deferrable must lie in [0, 1]"),
     ("fleet.initial_servers", "0", "invalid scenario: fleet.initial_servers must be at least 1"),
     ("fleet.growth", "0", "invalid scenario: fleet.growth must be finite and positive"),
-    ("fleet.pue", "0.9", "invalid scenario: fleet.pue must be finite and at least 1.0"),
+    ("fleet.pue", "0.9", "invalid scenario: fleet.pue must lie in [1, 10]"),
+    ("fleet.pue", "1e300", "invalid scenario: fleet.pue must lie in [1, 10]"),
     ("fleet.renewable_ramp", "0.5,1.5", "invalid scenario: fleet.renewable_ramp must be non-empty with every value in [0, 1]"),
-    ("fleet.construction_kt", "-1", "invalid scenario: fleet.construction_kt must be finite and non-negative"),
+    ("fleet.construction_kt", "-1", "invalid scenario: fleet.construction_kt must lie in [0, 1000000] kt CO2e"),
+    ("fleet.construction_kt", "1e300", "invalid scenario: fleet.construction_kt must lie in [0, 1000000] kt CO2e"),
     ("fleet.building_amortization_years", "0", "invalid scenario: fleet.building_amortization_years must be finite and positive"),
     ("fleet.start_year", "1492", "invalid scenario: fleet.start_year must lie in 1900..=2100"),
 ];

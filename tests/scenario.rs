@@ -135,6 +135,11 @@ fn fleet_validation_rejects_unphysical_facilities_at_the_context_boundary() {
         ("grid.intensity", "1e308"),
         // ext-die would report an infinite node next to a finite one.
         ("fab.node_nm", "inf"),
+        // The facility and scheduler models would panic (scale, pue) or
+        // print `inf` and `NaN%` cells (construction).
+        ("fleet.scale", "1e300"),
+        ("fleet.pue", "1e300"),
+        ("fleet.construction_kt", "1e300"),
     ] {
         let mut s = Scenario::paper_defaults();
         s.set(key, value).unwrap();
