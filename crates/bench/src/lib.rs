@@ -1,11 +1,14 @@
 //! # cc-bench
 //!
-//! The benchmark harness (a small self-contained timing framework — the
-//! workspace builds offline, so no Criterion) and the workspace's two
-//! binaries: `repro`, which regenerates any experiment's rows from the
-//! command line, and `gen-docs`, which emits the generated
+//! The workspace's two binaries: `repro`, which regenerates any
+//! experiment's rows from the command line (and runs the `serve` daemon
+//! and its `client`), and `gen-docs`, which emits the generated
 //! `docs/scenario-reference.md` from the field and experiment registries
 //! ([`docgen`]).
+//!
+//! Performance is measured end to end on the `repro` binary by
+//! `perfbench/run.py` (workloads and metrics in `BENCHMARK.json`);
+//! `tools/perf_gate.py` compares two trees with paired perfbench runs.
 //!
 //! ```text
 //! repro                        # run everything, paper scenario
@@ -24,8 +27,5 @@
 #![warn(missing_docs)]
 
 pub mod docgen;
-pub mod harness;
 
 pub use cc_core::experiments;
-
-pub use harness::Bencher;

@@ -820,37 +820,6 @@ fn experiment_flag_selects_like_a_positional_key() {
 }
 
 #[test]
-fn bench_ci_writes_a_machine_readable_report() {
-    let dir = std::env::temp_dir().join(format!("cc-bench-ci-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("BENCH_ci.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_bench-ci"))
-        .arg(&path)
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "bench-ci failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let json = std::fs::read_to_string(&path).unwrap();
-    assert!(json.starts_with('['), "{json}");
-    for field in [
-        "\"name\":",
-        "\"mean_ns\":",
-        "\"min_ns\":",
-        "\"iterations\":",
-    ] {
-        assert!(json.contains(field), "missing {field} in {json}");
-    }
-    // The facility and sweep hot paths are both covered.
-    assert!(json.contains("ci/facility/paper-run"));
-    assert!(json.contains("ci/facility/mixed-fleet-run"));
-    assert!(json.contains("ci/sweep/fingerprint-dedup-full-suite"));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn bad_inputs_exit_nonzero_with_diagnostics() {
     let unknown_key = repro().arg("fig99").output().unwrap();
     assert_eq!(unknown_key.status.code(), Some(2));

@@ -380,6 +380,58 @@ fn daemon_survives_an_abruptly_dropped_connection() {
 }
 
 #[test]
+fn oversized_request_line_is_rejected_and_its_connection_closed() {
+    use cc_engine::server::MAX_FRAME_BYTES;
+    let daemon = Daemon::start();
+    {
+        let (mut reader, mut stream) = daemon.connect();
+        // A daemon without the cap would wait forever for the newline.
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .expect("set read timeout");
+        // A line of exactly the cap, newline included, is still read.
+        let stats = r#"{"op":"stats"}"#;
+        let padded = stats.to_string() + &" ".repeat(MAX_FRAME_BYTES - 1 - stats.len());
+        let responses = Daemon::request(&mut reader, &mut stream, &padded);
+        assert_eq!(
+            responses[0].get("type").and_then(JsonValue::as_str),
+            Some("stats")
+        );
+        // One byte more, with no newline in sight: one anonymous
+        // malformed-request error, then EOF.
+        stream
+            .write_all(&vec![b' '; MAX_FRAME_BYTES + 1])
+            .expect("oversized write");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read error line");
+        let error = JsonValue::parse(line.trim_end()).expect("error line is JSON");
+        assert_eq!(error.get("type").and_then(JsonValue::as_str), Some("error"));
+        assert_eq!(
+            error.get("error").and_then(JsonValue::as_str),
+            Some("malformed-request")
+        );
+        assert!(error.get("id").is_none(), "{line}");
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).expect("read EOF"), 0, "{line}");
+    }
+    // The daemon still serves other connections.
+    let (mut reader, mut stream) = daemon.connect();
+    let responses = Daemon::request(
+        &mut reader,
+        &mut stream,
+        r#"{"op":"run","experiments":["fig05"]}"#,
+    );
+    assert_eq!(
+        responses
+            .last()
+            .and_then(|r| r.get("type"))
+            .and_then(JsonValue::as_str),
+        Some("done")
+    );
+    daemon.shutdown();
+}
+
+#[test]
 fn daemon_and_one_shot_cli_share_the_disk_cache_format() {
     // An artifact computed inside the daemon must be replayable by the
     // one-shot CLI from the same `--cache-dir` (and vice versa): both sides

@@ -285,7 +285,7 @@ impl Default for Engine {
 }
 
 /// Snapshot of the engine's monotonic counters, exposed to the `stats`
-/// protocol request and the bench harness.
+/// protocol request and to perfbench's traced replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
     /// Requests served (CLI invocations or protocol `run` requests).

@@ -41,7 +41,7 @@ use crate::protocol::{
 use crate::Engine;
 use cc_report::JsonValue;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -50,6 +50,12 @@ use std::sync::{Arc, Condvar, Mutex};
 /// connection. Beyond it the daemon answers `overloaded` instead of
 /// buffering more work.
 pub const DEFAULT_QUEUE_DEPTH: usize = 64;
+
+/// The longest request line the daemon reads, newline included: 1 MiB.
+/// A longer line gets one anonymous `malformed-request` error and the
+/// connection is closed, so a client that never sends a newline cannot
+/// grow the reader's buffer without bound.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// Worker threads per connection are capped independently of `max_jobs`
 /// (which bounds *within*-request parallelism): the pool exists for
@@ -465,8 +471,19 @@ fn read_loop(
         if !reader.buffer().contains(&b'\n') {
             writer.flush();
         }
-        match reader.read_line(&mut buffer) {
+        // Read at most one byte past the cap, counting what a timed-out
+        // read already left in the buffer, so no line grows it unbounded.
+        let room = (MAX_FRAME_BYTES + 1 - buffer.len()) as u64;
+        match (&mut reader).take(room).read_line(&mut buffer) {
             Ok(0) => break,
+            Ok(_) if buffer.len() > MAX_FRAME_BYTES => {
+                let error = ProtocolError::new(
+                    "malformed-request",
+                    format!("request line exceeds {MAX_FRAME_BYTES} bytes"),
+                );
+                writer.send(&Route::default().error(&error));
+                break;
+            }
             Ok(_) => {}
             Err(e)
                 if matches!(

@@ -15,7 +15,7 @@ const PATHS: [&str; 5] = [
     "device.lifetime",
     "fab.node_nm",
     "fleet.scale",
-    "fleet.growth",
+    "fleet.building_amortization_years",
 ];
 
 /// One generated `set` payload: distinct in-order paths with positive

@@ -397,6 +397,37 @@ fn validate_sku(view: ScenarioView<'_>) -> Result<(), ScenarioError> {
     }
 }
 
+/// The largest fleet a facility projection may reach: about ten times
+/// every server in the world.
+const MAX_PROJECTED_SERVERS: f64 = 1e9;
+
+/// The `fleet.growth` rule's text; its two clauses are also the messages
+/// a failing value is rejected with.
+pub(super) const GROWTH_RULE: &str = "fleet.growth must be finite and positive; \
+     fleet.initial_servers * max(1, fleet.growth)^(fleet.horizon_years - 1) \
+     must be finite and at most 1e9 servers";
+
+/// The `fleet.growth` rule: a finite, positive factor whose projected
+/// peak fleet stays finite and within [`MAX_PROJECTED_SERVERS`]. A bound
+/// on growth alone would not do: a modest factor over a long horizon from
+/// a large start still saturates the facility's server count.
+fn validate_growth(view: ScenarioView<'_>) -> Result<(), ScenarioError> {
+    let (positive, projection) = GROWTH_RULE.split_once("; ").expect("two clauses");
+    let fleet = view.fleet;
+    if !(fleet.growth.is_finite() && fleet.growth > 0.0) {
+        return Err(ScenarioError::Invalid(positive.to_string()));
+    }
+    let years = f64::from(fleet.horizon_years.saturating_sub(1));
+    let peak = fleet.initial_servers as f64 * fleet.growth.max(1.0).powf(years);
+    if peak.is_finite() && peak <= MAX_PROJECTED_SERVERS {
+        Ok(())
+    } else {
+        Err(ScenarioError::Invalid(format!(
+            "{projection}, got {peak:.3e}"
+        )))
+    }
+}
+
 /// The `fleet.mix` rule: known SKU names only, no duplicates, finite
 /// non-negative weights summing to 1 within [`MIX_WEIGHT_TOLERANCE`].
 fn validate_mix(view: ScenarioView<'_>) -> Result<(), ScenarioError> {

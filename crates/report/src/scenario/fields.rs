@@ -15,9 +15,9 @@
 //! the composite validators of the list fields.
 
 use super::{
-    quote, resolve_energy_source_in, trace, unquote, validate_grid_regions, validate_mix,
-    validate_sites, validate_sku, validate_source, RegionParams, ScenarioBuilder, ScenarioError,
-    SiteParams,
+    quote, resolve_energy_source_in, trace, unquote, validate_grid_regions, validate_growth,
+    validate_mix, validate_sites, validate_sku, validate_source, RegionParams, ScenarioBuilder,
+    ScenarioError, SiteParams, GROWTH_RULE,
 };
 use crate::json::JsonValue;
 use core::fmt;
@@ -814,7 +814,7 @@ scenario_fields! {
             builder fleet_initial_servers(u64);
         growth: f64 = 1.28 => "fleet.growth" []
             semantic "Annual server-fleet growth factor (1.0 = flat fleet)",
-            Rule::Check("fleet.growth must be finite and positive", finite_positive),
+            Rule::With(GROWTH_RULE, validate_growth),
             builder fleet_growth(f64);
         pue: f64 = 1.10 => "fleet.pue" []
             semantic "Power usage effectiveness of the facility",

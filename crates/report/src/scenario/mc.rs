@@ -486,12 +486,14 @@ mod tests {
     fn adjacent_points_do_not_share_draw_streams() {
         // With two bound fields, a naive `seed + index` stream would make
         // point i's second draw equal point i+1's first. The mixed stream
-        // seed must prevent that.
+        // seed must prevent that. Both fields share one range (the largest
+        // growth the default fleet's projection bound admits), so a leaked
+        // stream would show as equal values.
         let mc = MonteCarloMatrix::new(
             Scenario::paper_defaults(),
             vec![
-                binding("fab.node_nm ~ uniform(5,10)"),
-                binding("fleet.growth ~ uniform(5,10)"),
+                binding("fab.node_nm ~ uniform(1,5)"),
+                binding("fleet.growth ~ uniform(1,5)"),
             ],
             100,
             0,

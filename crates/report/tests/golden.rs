@@ -98,7 +98,7 @@ const REGISTRY: [(&str, &[&str]); 27] = [
 
 /// Out-of-range values (one or more) per validated scalar or composite field other
 /// than `fab.node_nm`.
-const BAD: [(&str, &str); 21] = [
+const BAD: [(&str, &str); 23] = [
     ("grid.intensity", "0"),
     ("grid.renewable_fraction", "1.5"),
     ("device.lifetime", "0"),
@@ -113,6 +113,8 @@ const BAD: [(&str, &str); 21] = [
     ("fleet.deferrable", "2"),
     ("fleet.initial_servers", "0"),
     ("fleet.growth", "0"),
+    ("fleet.growth", "1e10"),
+    ("fleet.growth", "1000"),
     ("fleet.pue", "0.9"),
     ("fleet.pue", "1e300"),
     ("fleet.renewable_ramp", "0.5,1.5"),
@@ -251,7 +253,7 @@ const MOVED_FINGERPRINTS: [(&str, u64); 27] = [
 ];
 
 /// The single-field validation messages, byte for byte.
-const BAD_MESSAGES: [(&str, &str, &str); 21] = [
+const BAD_MESSAGES: [(&str, &str, &str); 23] = [
     ("grid.intensity", "0", "invalid scenario: grid.intensity must lie in (0, 10000] g/kWh"),
     ("grid.renewable_fraction", "1.5", "invalid scenario: grid.renewable_fraction must lie in [0, 1]"),
     ("device.lifetime", "0", "invalid scenario: device.lifetime_years must be finite and positive"),
@@ -266,6 +268,8 @@ const BAD_MESSAGES: [(&str, &str, &str); 21] = [
     ("fleet.deferrable", "2", "invalid scenario: fleet.deferrable must lie in [0, 1]"),
     ("fleet.initial_servers", "0", "invalid scenario: fleet.initial_servers must be at least 1"),
     ("fleet.growth", "0", "invalid scenario: fleet.growth must be finite and positive"),
+    ("fleet.growth", "1e10", "invalid scenario: fleet.initial_servers * max(1, fleet.growth)^(fleet.horizon_years - 1) must be finite and at most 1e9 servers, got 6.000e64"),
+    ("fleet.growth", "1000", "invalid scenario: fleet.initial_servers * max(1, fleet.growth)^(fleet.horizon_years - 1) must be finite and at most 1e9 servers, got 6.000e22"),
     ("fleet.pue", "0.9", "invalid scenario: fleet.pue must lie in [1, 10]"),
     ("fleet.pue", "1e300", "invalid scenario: fleet.pue must lie in [1, 10]"),
     ("fleet.renewable_ramp", "0.5,1.5", "invalid scenario: fleet.renewable_ramp must be non-empty with every value in [0, 1]"),

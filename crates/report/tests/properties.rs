@@ -18,7 +18,7 @@ const POSITIVE_PATHS: [&str; 4] = [
     "grid.intensity",
     "device.lifetime",
     "fleet.scale",
-    "fleet.growth",
+    "fleet.building_amortization_years",
 ];
 
 /// Declared-dependency patterns: every section wildcard plus exact leaves.

@@ -123,31 +123,49 @@ fn fleet_composition_validation_guards_the_context_boundary() {
 
 #[test]
 fn fleet_validation_rejects_unphysical_facilities_at_the_context_boundary() {
-    for (key, value) in [
-        ("fleet.pue", "0.9"),
-        ("fleet.growth", "0"),
-        ("fleet.growth", "-1"),
-        ("fleet.renewable_ramp", "\"\""),
-        ("fleet.initial_servers", "0"),
+    let cases: &[&[(&str, &str)]] = &[
+        &[("fleet.pue", "0.9")],
+        &[("fleet.growth", "0")],
+        &[("fleet.growth", "-1")],
+        &[("fleet.renewable_ramp", "\"\"")],
+        &[("fleet.initial_servers", "0")],
         // ext-mc would ask for a 34 GB output buffer and abort.
-        ("mc.samples", "4294967295"),
+        &[("mc.samples", "4294967295")],
         // ext-mc's triangular sampling would overflow to infinities.
-        ("grid.intensity", "1e308"),
+        &[("grid.intensity", "1e308")],
         // ext-die would report an infinite node next to a finite one.
-        ("fab.node_nm", "inf"),
+        &[("fab.node_nm", "inf")],
         // The facility and scheduler models would panic (scale, pue) or
         // print `inf` and `NaN%` cells (construction).
-        ("fleet.scale", "1e300"),
-        ("fleet.pue", "1e300"),
-        ("fleet.construction_kt", "1e300"),
-    ] {
+        &[("fleet.scale", "1e300")],
+        &[("fleet.pue", "1e300")],
+        &[("fleet.construction_kt", "1e300")],
+        // ext-facility would saturate its server count at u64::MAX and
+        // print `inf`/`NaN` cells: the projected peak fleet is bounded,
+        // which no bound on growth alone can do for the last case.
+        &[("fleet.growth", "1e10")],
+        &[("fleet.growth", "1000")],
+        &[
+            ("fleet.growth", "10"),
+            ("fleet.horizon_years", "100"),
+            ("fleet.initial_servers", "1000000"),
+        ],
+    ];
+    for sets in cases {
         let mut s = Scenario::paper_defaults();
-        s.set(key, value).unwrap();
+        for (key, value) in *sets {
+            s.set(key, value).unwrap();
+        }
         assert!(
             RunContext::try_new(s).is_err(),
-            "{key}={value} must be rejected before any model runs"
+            "{sets:?} must be rejected before any model runs"
         );
     }
+    // The largest projection in use stays accepted: the top of
+    // perfbench's growth sweep, 60000 * 2.05^6 ≈ 4.4M servers.
+    let mut s = Scenario::paper_defaults();
+    s.set("fleet.growth", "2.05").unwrap();
+    assert!(RunContext::try_new(s).is_ok());
 }
 
 #[test]
