@@ -8,6 +8,11 @@ fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
 }
 
+/// The number of registry experiments a full-suite run covers.
+fn experiment_count() -> usize {
+    cc_core::experiments::entries().len()
+}
+
 fn stdout_of(output: std::process::Output) -> String {
     assert!(
         output.status.success(),
@@ -35,10 +40,10 @@ fn streams_of(output: std::process::Output) -> Streams {
 }
 
 #[test]
-fn list_prints_all_27_keys() {
+fn list_prints_every_registry_key() {
     let out = stdout_of(repro().arg("--list").output().unwrap());
     let keys: Vec<&str> = out.lines().collect();
-    assert_eq!(keys.len(), 27);
+    assert_eq!(keys.len(), experiment_count());
     assert!(keys.contains(&"fig10"));
     assert!(keys.contains(&"table4"));
     assert!(keys.contains(&"ext-mc"));
@@ -53,7 +58,8 @@ fn list_respects_tag_filters() {
             .output()
             .unwrap(),
     );
-    assert_eq!(out.lines().count(), 8);
+    let extensions = cc_core::experiments::with_tags(&[cc_core::experiments::Tag::Extension]);
+    assert_eq!(out.lines().count(), extensions.len());
     assert!(out.lines().all(|k| k.starts_with("ext-")));
 
     let out = stdout_of(
@@ -146,13 +152,17 @@ fn parallel_run_writes_one_artifact_per_experiment() {
             .output()
             .unwrap(),
     );
-    assert_eq!(out.lines().count(), 27, "one `wrote …` line per experiment");
+    assert_eq!(
+        out.lines().count(),
+        experiment_count(),
+        "one `wrote …` line per experiment"
+    );
     let mut files: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
     files.sort();
-    assert_eq!(files.len(), 27);
+    assert_eq!(files.len(), experiment_count());
     assert!(files.contains(&"fig10.json".to_string()));
     assert!(files.contains(&"ext-mc.json".to_string()));
     assert!(files.contains(&"ext-facility.json".to_string()));
@@ -390,9 +400,12 @@ fn full_suite_sweep_has_no_scalar_gaps() {
     assert!(comparison.contains(r#""comparisons":["#));
     assert!(!comparison.contains("(no summary scalar)"));
     assert!(!comparison.contains(r#""value":null"#));
-    // All 27 experiments appear; ext-facility contributes a second
+    // Every experiment appears; ext-facility contributes a second
     // comparison for its thresholded cumulative break-even scalar.
-    assert_eq!(comparison.matches(r#""experiment":"#).count(), 28);
+    assert_eq!(
+        comparison.matches(r#""experiment":"#).count(),
+        experiment_count() + 1
+    );
 }
 
 #[test]
@@ -535,8 +548,7 @@ fn growth_sweep_runs_scenario_independent_experiments_once() {
     assert!(footer.contains("cache: fig02: 5 runs, 0 reuses"));
     // Partially dependent experiments ignore the growth axis entirely.
     assert!(footer.contains("cache: fig10: 1 run, 4 reuses"));
-    assert!(footer.contains("cache: ext-sched: 1 run, 4 reuses"));
-    assert!(footer.contains("cache: total: 43 runs, 92 reuses"));
+    assert!(footer.contains("cache: total: 42 runs, 88 reuses"));
     assert!(
         !cached.stdout.contains("cache:"),
         "the footer must stay off JSON-mode stdout"
@@ -589,9 +601,9 @@ fn warm_cache_dir_rerun_recomputes_nothing_and_matches_no_cache() {
         streams_of(repro().args(&args).output().unwrap())
     };
 
-    // Cold: every dedup group is computed fresh and stored. 23 entries are
+    // Cold: every dedup group is computed fresh and stored. 22 entries are
     // independent of fleet.growth (1 group each) and 4 depend on it
-    // (2 groups each over the two points): 23 + 8 = 31 recomputes.
+    // (2 groups each over the two points): 22 + 8 = 30 recomputes.
     let cold_dir = dir.join("cold");
     let cache = ["--cache-dir", cache_dir.to_str().unwrap()];
     let cold = sweep(&cold_dir, &cache);
@@ -606,7 +618,7 @@ fn warm_cache_dir_rerun_recomputes_nothing_and_matches_no_cache() {
         .contains("disk: ext-facility: 2 recomputes, 0 disk hits"));
     assert!(cold
         .stderr
-        .contains("disk: total: 31 recomputes, 0 disk hits"));
+        .contains("disk: total: 30 recomputes, 0 disk hits"));
     assert!(
         !cold.stdout.contains("disk:"),
         "the disk footer must stay off JSON-mode stdout"
@@ -626,7 +638,7 @@ fn warm_cache_dir_rerun_recomputes_nothing_and_matches_no_cache() {
         .contains("disk: ext-facility: 0 recomputes, 2 disk hits"));
     assert!(warm
         .stderr
-        .contains("disk: total: 0 recomputes, 31 disk hits"));
+        .contains("disk: total: 0 recomputes, 30 disk hits"));
 
     // Without --cache-dir there is no disk footer (in-memory footer stays).
     let plain_dir = dir.join("plain");
@@ -642,7 +654,11 @@ fn warm_cache_dir_rerun_recomputes_nothing_and_matches_no_cache() {
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
     names.sort();
-    assert_eq!(names.len(), 55, "27 experiments x 2 points + comparison");
+    assert_eq!(
+        names.len(),
+        experiment_count() * 2 + 1,
+        "every experiment x 2 points + comparison"
+    );
     for name in &names {
         assert_eq!(
             std::fs::read(warm_dir.join(name)).unwrap(),
@@ -701,7 +717,11 @@ fn concurrent_processes_share_one_cache_dir_safely() {
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
     names.sort();
-    assert_eq!(names.len(), 82, "27 experiments x 3 points + comparison");
+    assert_eq!(
+        names.len(),
+        experiment_count() * 3 + 1,
+        "every experiment x 3 points + comparison"
+    );
     for name in &names {
         let reference = std::fs::read(uncached_dir.join(name)).unwrap();
         assert_eq!(
@@ -780,11 +800,16 @@ fn explain_prints_the_dependency_plan_without_running() {
             .output()
             .unwrap(),
     );
-    assert!(out.starts_with("dependency plan — 27 experiments x 5 points = 135 jobs"));
+    let n = experiment_count();
+    let header = format!(
+        "dependency plan — {n} experiments x 5 points = {} jobs",
+        n * 5
+    );
+    assert!(out.starts_with(&header), "{out}");
     assert!(out.contains("fig05"));
     assert!(out.contains("(scenario-independent)"));
     assert!(out.contains("deps: fleet.*, grid.intensity"));
-    assert!(out.contains("total: 43 runs, 92 reuses"));
+    assert!(out.contains("total: 42 runs, 88 reuses"));
 
     // Without a sweep it documents the dependency sets over a single point.
     let single = stdout_of(repro().args(["--explain", "ext-die"]).output().unwrap());

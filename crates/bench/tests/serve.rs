@@ -141,7 +141,7 @@ fn protocol_errors_leave_the_daemon_and_cache_untouched() {
         ),
         // Accepted, these would panic a model or print `inf` cells.
         (
-            r#"{"op":"run","experiments":["ext-sched"],"set":{"fleet.scale":1e300}}"#,
+            r#"{"op":"run","experiments":["ext-hetero"],"set":{"fleet.scale":1e300}}"#,
             "invalid-scenario",
         ),
         (

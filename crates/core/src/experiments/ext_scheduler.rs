@@ -1,13 +1,14 @@
 //! Extension: carbon-aware fleet placement across multi-region grids.
 //!
-//! The Section VI research direction scaled up: instead of one facility on
-//! one solar-shaped day ([`super::ext_sched`]), the scenario describes a
-//! *fleet of sites* (`fleet.sites`), each drawing power from a grid region
-//! with its own time-resolved intensity trace (`grid.region.<name>.trace`,
-//! see `docs/GRID-TRACES.md`). A share of the fleet's IT energy
-//! (`fleet.deferrable`) is batch work — AI training, analytics — the
-//! scheduler may defer across hours and migrate across sites chasing clean
-//! energy, subject to per-site hourly capacity and a migration-overhead tax.
+//! The Section VI research direction, from one facility to a fleet: the
+//! scenario describes a *fleet of sites* (`fleet.sites`; one solar site,
+//! `main@solar:1`, is the single-facility, solar-shaped-day case), each
+//! drawing power from a grid region with its own time-resolved intensity
+//! trace (`grid.region.<name>.trace`, see `docs/GRID-TRACES.md`). A share
+//! of the fleet's IT energy (`fleet.deferrable`) is batch work — AI
+//! training, analytics — the scheduler may defer across hours and migrate
+//! across sites chasing clean energy, subject to per-site hourly capacity
+//! and a migration-overhead tax.
 //! The headline scalar, **avoided-carbon**, is the daily carbon the
 //! carbon-aware placement saves over the static baseline that pins every
 //! site's batch share at home, spread uniformly over the day.

@@ -27,7 +27,7 @@ impl Experiment for Fig15ResearchDirections {
         t.row([
             "Runtime systems",
             "Carbon-aware load balancing / scheduling workloads",
-            "cc-dcsim::scheduler (ext-sched)",
+            "cc-dcsim::scheduler (ext-scheduler)",
         ]);
         t.row([
             "Systems",

@@ -24,7 +24,6 @@ pub mod ext_fab;
 pub mod ext_facility;
 pub mod ext_hetero;
 pub mod ext_mc;
-pub mod ext_sched;
 pub mod ext_scheduler;
 pub mod fig01;
 pub mod fig02;
@@ -53,7 +52,6 @@ pub use ext_fab::ExtFabDecarbonization;
 pub use ext_facility::ExtFacility;
 pub use ext_hetero::ExtHeterogeneity;
 pub use ext_mc::ExtMonteCarlo;
-pub use ext_sched::ExtCarbonAwareScheduling;
 pub use ext_scheduler::ExtScheduler;
 pub use fig01::Fig01IctProjections;
 pub use fig02::Fig02EnergyVsCarbon;
@@ -172,7 +170,7 @@ impl Part {
 /// are `'static`, cheap to scan, and each worker thread of a parallel run
 /// builds its own experiment instance from the constructor.
 pub struct Entry {
-    /// Stable command-line key (`fig10`, `table2`, `ext-sched`).
+    /// Stable command-line key (`fig10`, `table2`, `ext-mc`).
     pub key: &'static str,
     /// Topic tags for filtering.
     pub tags: &'static [Tag],
@@ -286,7 +284,7 @@ macro_rules! entry {
 // `declared_deps_match_actual_reads` test runs every experiment and every
 // part under a read-tracking context and fails on any disagreement, in
 // either direction.
-static ENTRIES: [Entry; 27] = [
+static ENTRIES: [Entry; 26] = [
     entry!("fig01", Fig01IctProjections, [Figure, Energy], deps: []),
     entry!(
         "fig02",
@@ -326,12 +324,6 @@ static ENTRIES: [Entry; 27] = [
     entry!("table2", Table2EnergySources, [Table, Energy], deps: []),
     entry!("table3", Table3Grids, [Table, Energy], deps: []),
     entry!("table4", Table4MacPro, [Table, Device], deps: []),
-    entry!(
-        "ext-sched",
-        ExtCarbonAwareScheduling,
-        [Extension, Datacenter],
-        deps: ["fleet.scale"]
-    ),
     entry!(
         "ext-die",
         ExtDieCarbon,
@@ -414,7 +406,7 @@ pub fn all() -> Vec<Box<dyn Experiment>> {
 }
 
 /// Finds and instantiates an experiment by its command-line key (`fig10`,
-/// `table2`, `ext-sched`).
+/// `table2`, `ext-mc`).
 #[must_use]
 pub fn find(key: &str) -> Option<Box<dyn Experiment>> {
     find_entry(key).map(Entry::build)
@@ -428,8 +420,8 @@ mod tests {
     #[test]
     fn registry_is_complete() {
         let experiments = all();
-        assert_eq!(experiments.len(), 27);
-        // 15 figures, 4 tables, 8 extensions.
+        assert_eq!(experiments.len(), 26);
+        // 15 figures, 4 tables, 7 extensions.
         let figs = experiments
             .iter()
             .filter(|e| matches!(e.id(), cc_report::ExperimentId::Figure(_)))
@@ -455,13 +447,6 @@ mod tests {
         for entry in entries() {
             let built = entry.build();
             assert_eq!(entry.key, built.id().key(), "stale key for {}", entry.key);
-            // Keys registered here must also parse at the report layer.
-            assert_eq!(
-                cc_report::ExperimentId::parse(entry.key),
-                Some(built.id()),
-                "{} does not round-trip through ExperimentId::parse",
-                entry.key
-            );
             assert!(!entry.title().is_empty());
             assert!(!entry.description().is_empty());
         }
@@ -484,8 +469,8 @@ mod tests {
     fn tag_filtering_selects_subsets() {
         assert_eq!(with_tags(&[Tag::Figure]).len(), 15);
         assert_eq!(with_tags(&[Tag::Table]).len(), 4);
-        assert_eq!(with_tags(&[Tag::Extension]).len(), 8);
-        assert_eq!(with_tags(&[]).len(), 27);
+        assert_eq!(with_tags(&[Tag::Extension]).len(), 7);
+        assert_eq!(with_tags(&[]).len(), 26);
         let mobile_figures = with_tags(&[Tag::Figure, Tag::Mobile]);
         assert!(mobile_figures.iter().any(|e| e.key == "fig10"));
         assert!(mobile_figures.iter().all(|e| e.has_tag(Tag::Figure)));

@@ -18,8 +18,7 @@
 //! * [`server`] — per-SKU power/embodied-carbon descriptions and the SKU
 //!   catalog.
 //! * [`scheduler`] — carbon-aware placement of deferrable load across hours
-//!   and sites against per-region intensity traces (`ext-sched`,
-//!   `ext-scheduler`).
+//!   and sites against per-region intensity traces (`ext-scheduler`).
 //! * [`heterogeneity`] — general-purpose vs accelerator provisioning
 //!   (`ext-hetero`).
 
@@ -35,7 +34,5 @@ pub mod server;
 
 pub use facility::{Facility, FacilityYear, SkuYear};
 pub use fleet::FleetMix;
-pub use scheduler::{
-    CarbonAwareScheduler, DayProfile, FleetSchedule, MultiSiteScheduler, SitePlan,
-};
+pub use scheduler::{FleetSchedule, MultiSiteScheduler, SitePlan};
 pub use server::ServerConfig;

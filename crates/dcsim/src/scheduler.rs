@@ -14,13 +14,10 @@
 //! work leaves its home site — follow-the-sun scheduling with an explicit
 //! migration cost. The baseline ([`MultiSiteScheduler::static_placement`])
 //! runs every site's deferrable load at home, spread uniformly over the day;
-//! the difference is the fleet's *avoided carbon*.
-//!
-//! The original single-site, single-day API ([`DayProfile`],
-//! [`CarbonAwareScheduler`]) is kept and now runs through the multi-site
-//! engine as the one-site special case.
+//! the difference is the fleet's *avoided carbon*. A one-site fleet is the
+//! single-facility case: time shifting alone, with nothing to migrate.
 
-use cc_units::{CarbonIntensity, CarbonMass, Energy, IntensityTrace};
+use cc_units::{CarbonMass, Energy, IntensityTrace};
 
 /// Default migration overhead: moving one unit of deferrable energy to
 /// another site costs 2% extra energy at the destination (checkpoint
@@ -277,174 +274,55 @@ impl MultiSiteScheduler {
     }
 }
 
-/// A 24-hour profile of grid carbon intensity and hourly load for a single
-/// site — the one-site special case of the fleet problem.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DayProfile {
-    /// Grid intensity per hour (g CO₂e/kWh).
-    pub intensity: [f64; 24],
-    /// Latency-critical energy per hour.
-    pub base_load: [Energy; 24],
-    /// Total deferrable (batch) energy for the day.
-    pub batch_energy: Energy,
-    /// Maximum total energy the facility can draw in any hour.
-    pub hourly_capacity: Energy,
-}
-
-impl DayProfile {
-    /// A solar-heavy grid: clean mid-day (solar online), dirty at night
-    /// (gas peakers). Intensities interpolate between 380 (night) and
-    /// 120 g/kWh (noon) via [`IntensityTrace::solar_day`].
-    #[must_use]
-    pub fn solar_grid(base_mwh_per_hour: f64, batch_mwh: f64, capacity_mwh_per_hour: f64) -> Self {
-        Self {
-            intensity: *IntensityTrace::solar_day(380.0, 120.0).hours(),
-            base_load: [Energy::from_mwh(base_mwh_per_hour); 24],
-            batch_energy: Energy::from_mwh(batch_mwh),
-            hourly_capacity: Energy::from_mwh(capacity_mwh_per_hour),
-        }
-    }
-
-    /// Intensity of one hour as a typed quantity.
-    #[must_use]
-    pub fn intensity_at(&self, hour: usize) -> CarbonIntensity {
-        CarbonIntensity::from_g_per_kwh(self.intensity[hour])
-    }
-
-    /// Carbon from the base load alone.
-    #[must_use]
-    pub fn base_carbon(&self) -> CarbonMass {
-        (0..24)
-            .map(|h| self.base_load[h] * self.intensity_at(h))
-            .sum()
-    }
-
-    /// The profile as a one-site fleet plan.
-    #[must_use]
-    pub fn to_site_plan(&self) -> SitePlan {
-        SitePlan {
-            name: "site".to_string(),
-            trace: IntensityTrace::from_raw(self.intensity),
-            base_load: self.base_load,
-            hourly_capacity: self.hourly_capacity,
-            deferrable: self.batch_energy,
-        }
-    }
-}
-
-/// How batch energy was placed across the day at a single site.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Schedule {
-    /// Batch energy placed per hour.
-    pub batch_per_hour: [Energy; 24],
-    /// Total carbon (base + batch).
-    pub total_carbon: CarbonMass,
-}
-
-impl Schedule {
-    /// Carbon attributable to the batch placement alone.
-    #[must_use]
-    pub fn batch_carbon(&self, profile: &DayProfile) -> CarbonMass {
-        (0..24)
-            .map(|h| self.batch_per_hour[h] * profile.intensity_at(h))
-            .sum()
-    }
-
-    fn from_fleet(fleet: &FleetSchedule) -> Self {
-        Self {
-            batch_per_hour: fleet.placement[0],
-            total_carbon: fleet.total_carbon,
-        }
-    }
-}
-
-/// The single-site carbon-aware scheduler and its naive baseline, routed
-/// through [`MultiSiteScheduler`] as the one-site special case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CarbonAwareScheduler;
-
-impl CarbonAwareScheduler {
-    /// Baseline: spread batch energy uniformly across the day (what a
-    /// throughput scheduler with no carbon signal does).
-    ///
-    /// # Panics
-    ///
-    /// Panics if even the uniform split violates hourly capacity.
-    #[must_use]
-    pub fn uniform(profile: &DayProfile) -> Schedule {
-        let fleet = MultiSiteScheduler::default().static_placement(&[profile.to_site_plan()]);
-        Schedule::from_fleet(&fleet)
-    }
-
-    /// Carbon-aware: greedily fill the cleanest hours first, up to capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the day lacks capacity for the batch energy.
-    #[must_use]
-    pub fn carbon_aware(profile: &DayProfile) -> Schedule {
-        let fleet = MultiSiteScheduler::default().carbon_aware(&[profile.to_site_plan()]);
-        Schedule::from_fleet(&fleet)
-    }
-
-    /// Carbon saved by carbon-aware placement vs the uniform baseline.
-    #[must_use]
-    pub fn savings(profile: &DayProfile) -> CarbonMass {
-        Self::uniform(profile).total_carbon - Self::carbon_aware(profile).total_carbon
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn profile() -> DayProfile {
-        DayProfile::solar_grid(5.0, 60.0, 15.0)
+    /// One facility on a solar-shaped day: clean mid-day, dirty at night.
+    fn solar_site(base_mwh: f64, batch_mwh: f64, capacity_mwh: f64) -> SitePlan {
+        let trace = IntensityTrace::solar_day(380.0, 120.0);
+        SitePlan::flat("solar", trace, base_mwh, batch_mwh, capacity_mwh)
     }
 
-    #[test]
-    fn solar_profile_shape() {
-        let p = profile();
-        assert_eq!(p.intensity[0], 380.0);
-        assert!(p.intensity[13] < 130.0);
-        assert!(p.intensity[13] < p.intensity[9]);
+    fn site() -> SitePlan {
+        solar_site(5.0, 60.0, 15.0)
     }
 
     #[test]
     fn both_schedules_place_all_batch_energy() {
-        let p = profile();
-        for schedule in [
-            CarbonAwareScheduler::uniform(&p),
-            CarbonAwareScheduler::carbon_aware(&p),
-        ] {
-            let placed: Energy = schedule.batch_per_hour.iter().copied().sum();
-            assert!((placed / p.batch_energy - 1.0).abs() < 1e-9);
+        let sites = [site()];
+        let sched = MultiSiteScheduler::default();
+        for schedule in [sched.static_placement(&sites), sched.carbon_aware(&sites)] {
+            assert!((schedule.placed_at(0) / sites[0].deferrable - 1.0).abs() < 1e-9);
         }
     }
 
     #[test]
     fn carbon_aware_respects_capacity() {
-        let p = profile();
-        let s = CarbonAwareScheduler::carbon_aware(&p);
+        let s = site();
+        let aware = MultiSiteScheduler::default().carbon_aware(std::slice::from_ref(&s));
         for h in 0..24 {
             assert!(
-                p.base_load[h] + s.batch_per_hour[h]
-                    <= p.hourly_capacity + Energy::from_joules(1.0)
+                s.base_load[h] + aware.placement[0][h]
+                    <= s.hourly_capacity + Energy::from_joules(1.0)
             );
         }
     }
 
     #[test]
     fn carbon_aware_beats_uniform_meaningfully() {
-        let p = profile();
-        let uniform = CarbonAwareScheduler::uniform(&p);
-        let aware = CarbonAwareScheduler::carbon_aware(&p);
+        let sites = [site()];
+        let sched = MultiSiteScheduler::default();
+        let uniform = sched.static_placement(&sites);
+        let aware = sched.carbon_aware(&sites);
         assert!(aware.total_carbon < uniform.total_carbon);
         // Batch-attributable carbon drops by >30% on a solar-shaped grid.
-        let cut = 1.0 - aware.batch_carbon(&p) / uniform.batch_carbon(&p);
+        let cut = 1.0
+            - aware.deferrable_carbon(&sites, sched.migration_overhead)
+                / uniform.deferrable_carbon(&sites, sched.migration_overhead);
         assert!(cut > 0.30, "cut {cut}");
         assert!(
-            (CarbonAwareScheduler::savings(&p) / (uniform.total_carbon - aware.total_carbon) - 1.0)
+            (sched.avoided_carbon(&sites) / (uniform.total_carbon - aware.total_carbon) - 1.0)
                 .abs()
                 < 1e-9
         );
@@ -452,20 +330,20 @@ mod tests {
 
     #[test]
     fn base_load_carbon_is_unaffected() {
-        let p = profile();
+        let sites = [site()];
+        let sched = MultiSiteScheduler::default();
         // Base carbon is the same term in both schedules by construction.
-        let uniform = CarbonAwareScheduler::uniform(&p);
-        let aware = CarbonAwareScheduler::carbon_aware(&p);
-        let base = p.base_carbon();
-        assert!((uniform.total_carbon - uniform.batch_carbon(&p)) / base - 1.0 < 1e-9);
-        assert!((aware.total_carbon - aware.batch_carbon(&p)) / base - 1.0 < 1e-9);
+        let base = sites[0].base_carbon();
+        for schedule in [sched.static_placement(&sites), sched.carbon_aware(&sites)] {
+            let batch = schedule.deferrable_carbon(&sites, sched.migration_overhead);
+            assert!(((schedule.total_carbon - batch) / base - 1.0).abs() < 1e-9);
+        }
     }
 
     #[test]
     #[should_panic(expected = "insufficient daily capacity")]
     fn over_subscribed_day_panics() {
-        let p = DayProfile::solar_grid(14.0, 100.0, 15.0);
-        let _ = CarbonAwareScheduler::carbon_aware(&p);
+        let _ = MultiSiteScheduler::default().carbon_aware(&[solar_site(14.0, 100.0, 15.0)]);
     }
 
     fn two_sites() -> Vec<SitePlan> {
@@ -523,16 +401,6 @@ mod tests {
         }
         // Local-only carbon-aware still beats static (time shifting alone).
         assert!(sched.avoided_carbon(&sites) > CarbonMass::ZERO);
-    }
-
-    #[test]
-    fn single_site_fleet_matches_the_legacy_scheduler() {
-        let p = profile();
-        let fleet = MultiSiteScheduler::default().carbon_aware(&[p.to_site_plan()]);
-        let legacy = CarbonAwareScheduler::carbon_aware(&p);
-        assert_eq!(fleet.placement[0], legacy.batch_per_hour);
-        assert_eq!(fleet.total_carbon, legacy.total_carbon);
-        assert_eq!(fleet.migrated_energy, Energy::ZERO);
     }
 
     #[test]

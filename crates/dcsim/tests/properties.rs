@@ -1,8 +1,6 @@
 //! Property-based tests for the data-center simulator.
 
-use cc_dcsim::{
-    CarbonAwareScheduler, DayProfile, Facility, MultiSiteScheduler, ServerConfig, SitePlan,
-};
+use cc_dcsim::{Facility, MultiSiteScheduler, ServerConfig, SitePlan};
 use cc_units::{CarbonMass, Energy, IntensityTrace};
 use proptest::prelude::*;
 
@@ -83,21 +81,6 @@ proptest! {
         prop_assert!((c_ratio - pue).abs() < 1e-9);
         // Capex is untouched by PUE.
         prop_assert_eq!(scaled.capex_carbon, base.capex_carbon);
-    }
-
-    /// The carbon-aware schedule always places exactly the requested batch
-    /// energy and never exceeds capacity.
-    #[test]
-    fn schedule_conserves_energy(batch in 0.5..150.0f64, base in 0.1..4.0f64) {
-        let capacity = base + batch / 20.0 + 1.0;
-        let profile = DayProfile::solar_grid(base, batch, capacity);
-        let schedule = CarbonAwareScheduler::carbon_aware(&profile);
-        let placed: cc_units::Energy = schedule.batch_per_hour.iter().copied().sum();
-        prop_assert!((placed / profile.batch_energy - 1.0).abs() < 1e-9);
-        for h in 0..24 {
-            let used = profile.base_load[h] + schedule.batch_per_hour[h];
-            prop_assert!(used <= profile.hourly_capacity + cc_units::Energy::from_joules(1.0));
-        }
     }
 
     /// Fleet placement conserves deferrable energy and never exceeds any

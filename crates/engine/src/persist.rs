@@ -11,9 +11,10 @@
 //! Layout and safety properties:
 //!
 //! * **code fingerprinting** — entries live under a directory named by a
-//!   hash of the on-disk format version and the crate version, so artifacts
-//!   produced by older model code are never replayed into newer binaries
-//!   (they simply sit in a sibling directory nobody reads);
+//!   hash of the on-disk format version, the crate version and the bytes
+//!   of every workspace `crates/*/src` file (hashed by the engine's
+//!   `build.rs`), so artifacts produced by different model code are never
+//!   replayed (they simply sit in a sibling directory nobody reads);
 //! * **versioned headers** — each entry opens with a header line repeating
 //!   the format version, code fingerprint, experiment key and dependency
 //!   fingerprint; a header that does not match what the reader expects is
@@ -43,14 +44,15 @@ fn fnv(hash: u64, bytes: &[u8]) -> u64 {
 }
 
 /// The fingerprint of the *code* that produced an artifact: the cache
-/// format version plus the workspace crate version. Entries are stored
-/// under a directory named by this hash, so changing the models (a version
-/// bump) or the entry format orphans stale artifacts instead of serving
-/// them.
+/// format version, the workspace crate version and the hash of every
+/// workspace source file. Entries are stored under a directory named by
+/// this hash, so any source edit or entry-format change orphans stale
+/// artifacts instead of serving them.
 #[must_use]
 pub fn code_fingerprint() -> u64 {
     let hash = fnv(0xcbf2_9ce4_8422_2325, &CACHE_FORMAT_VERSION.to_le_bytes());
-    fnv(fnv(hash, &[0]), env!("CARGO_PKG_VERSION").as_bytes())
+    let hash = fnv(fnv(hash, &[0]), env!("CARGO_PKG_VERSION").as_bytes());
+    fnv(fnv(hash, &[0]), env!("CC_SOURCE_HASH").as_bytes())
 }
 
 /// A persistent artifact cache rooted at one directory. Cheap to open (one

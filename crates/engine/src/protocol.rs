@@ -91,8 +91,9 @@ pub const ERROR_CATEGORIES: [&str; 8] = [
 ];
 
 /// A structured protocol error: a stable machine-readable category plus a
-/// human-readable message. Rendered as
-/// `{"type":"error","error":CATEGORY,"message":MESSAGE}`.
+/// human-readable message. The daemon renders it as
+/// `{"type":"error","error":CATEGORY,"message":MESSAGE}`, tagged with the
+/// request's id when it carried one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtocolError {
     /// Stable category, one of [`ERROR_CATEGORIES`]: `malformed-request`,
@@ -110,17 +111,6 @@ impl ProtocolError {
             category,
             message: message.into(),
         }
-    }
-
-    /// The error as a response line (without trailing newline).
-    #[must_use]
-    pub fn to_response(&self) -> String {
-        JsonValue::object([
-            ("type", JsonValue::from("error")),
-            ("error", JsonValue::from(self.category)),
-            ("message", JsonValue::from(self.message.as_str())),
-        ])
-        .render()
     }
 }
 
@@ -314,12 +304,6 @@ fn string_list(request: &JsonValue, field: &str) -> Result<Vec<String>, Protocol
             })
         })
         .collect()
-}
-
-/// Parses one request line into a [`Request`], discarding any id — the
-/// v1 entry point, kept for callers that handle requests serially.
-pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
-    parse_frame(line).map(|f| f.request).map_err(|e| e.error)
 }
 
 /// Parses one request line into a [`Frame`]. A rejected line still
@@ -610,11 +594,16 @@ impl RunRequest {
 mod tests {
     use super::*;
 
+    /// The request a line parses to, with any id dropped.
+    fn request(line: &str) -> Result<Request, ProtocolError> {
+        parse_frame(line).map(|f| f.request).map_err(|e| e.error)
+    }
+
     #[test]
     fn parses_the_three_operations() {
-        assert_eq!(parse_request(r#"{"op":"stats"}"#), Ok(Request::Stats));
-        assert_eq!(parse_request(r#"{"op":"shutdown"}"#), Ok(Request::Shutdown));
-        let run = parse_request(
+        assert_eq!(request(r#"{"op":"stats"}"#), Ok(Request::Stats));
+        assert_eq!(request(r#"{"op":"shutdown"}"#), Ok(Request::Shutdown));
+        let run = request(
             r#"{"op":"run","experiments":["fig10"],"tags":["mobile"],
                 "set":{"grid.intensity":50,"device.lifetime":"3"},
                 "sweep":["grid.intensity=100,300"],"jobs":4,"no_cache":true}"#,
@@ -646,15 +635,9 @@ mod tests {
             r#"{"op":"dance"}"#,
             r#"{"op":"run","jobs":0}"#,
         ] {
-            let err = parse_request(line).expect_err("must be rejected");
+            let err = request(line).expect_err("must be rejected");
             assert_eq!(err.category, "malformed-request", "line: {line}");
         }
-        let rendered = parse_request("{oops").unwrap_err().to_response();
-        let parsed = JsonValue::parse(&rendered).expect("error responses are valid JSON");
-        assert_eq!(
-            parsed.get("type").and_then(JsonValue::as_str),
-            Some("error")
-        );
     }
 
     fn rejection(request: &RunRequest) -> ProtocolError {
@@ -725,7 +708,7 @@ mod tests {
 
     #[test]
     fn monte_carlo_requests_parse_and_resolve() {
-        let run = parse_request(
+        let run = request(
             r#"{"op":"run","experiments":["ext-facility"],
                 "dists":["fab.node_nm ~ triangular(5,7,10)"],"samples":100,"seed":7}"#,
         )
@@ -761,7 +744,7 @@ mod tests {
             r#"{"op":"run","seed":"lucky"}"#,
             r#"{"op":"run","dists":"not-a-list"}"#,
         ] {
-            let err = parse_request(line).expect_err("must be rejected");
+            let err = request(line).expect_err("must be rejected");
             assert_eq!(err.category, "malformed-request", "line: {line}");
         }
         let base = RunRequest {

@@ -7,20 +7,6 @@ use crate::scenario::RunContext;
 use crate::series::Series;
 use crate::table::Table;
 
-/// Extension experiments known to the workspace, registered here so that
-/// `ExperimentId::parse` can round-trip `ext-…` keys without allocating.
-/// (`ExperimentId` stays `Copy` by holding `&'static str` names.)
-pub const KNOWN_EXTENSIONS: [&str; 8] = [
-    "sched",
-    "die",
-    "dvfs",
-    "hetero",
-    "fab",
-    "mc",
-    "facility",
-    "scheduler",
-];
-
 /// Identifier of a paper artifact being reproduced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ExperimentId {
@@ -33,7 +19,7 @@ pub enum ExperimentId {
 }
 
 impl ExperimentId {
-    /// Canonical command-line key: `fig05`, `table2`, `ext-sched`.
+    /// Canonical command-line key: `fig05`, `table2`, `ext-mc`.
     #[must_use]
     pub fn key(&self) -> String {
         match self {
@@ -41,26 +27,6 @@ impl ExperimentId {
             Self::Table(n) => format!("table{n}"),
             Self::Extension(name) => format!("ext-{name}"),
         }
-    }
-
-    /// Parses a command-line key. Every key emitted by [`Self::key`] parses
-    /// back, including `ext-…` keys for the extensions listed in
-    /// [`KNOWN_EXTENSIONS`].
-    #[must_use]
-    pub fn parse(key: &str) -> Option<Self> {
-        if let Some(rest) = key.strip_prefix("fig") {
-            return rest.parse().ok().map(Self::Figure);
-        }
-        if let Some(rest) = key.strip_prefix("table") {
-            return rest.parse().ok().map(Self::Table);
-        }
-        if let Some(rest) = key.strip_prefix("ext-") {
-            return KNOWN_EXTENSIONS
-                .iter()
-                .find(|&&name| name == rest)
-                .map(|&name| Self::Extension(name));
-        }
-        None
     }
 }
 
@@ -482,22 +448,6 @@ pub trait Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn keys_round_trip() {
-        assert_eq!(ExperimentId::Figure(5).key(), "fig05");
-        assert_eq!(ExperimentId::parse("fig05"), Some(ExperimentId::Figure(5)));
-        assert_eq!(ExperimentId::Table(2).key(), "table2");
-        assert_eq!(ExperimentId::parse("table2"), Some(ExperimentId::Table(2)));
-        assert_eq!(ExperimentId::parse("nope"), None);
-        assert_eq!(ExperimentId::Extension("sched").key(), "ext-sched");
-        // Extensions round-trip through parse too.
-        for name in KNOWN_EXTENSIONS {
-            let id = ExperimentId::Extension(name);
-            assert_eq!(ExperimentId::parse(&id.key()), Some(id), "ext `{name}`");
-        }
-        assert_eq!(ExperimentId::parse("ext-unknown"), None);
-    }
 
     #[test]
     fn display_uses_roman_numerals_for_tables() {

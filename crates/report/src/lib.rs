@@ -25,9 +25,7 @@ pub mod scenario;
 pub mod series;
 pub mod table;
 
-pub use experiment::{
-    Experiment, ExperimentId, ExperimentOutput, Scalar, ScalarThreshold, KNOWN_EXTENSIONS,
-};
+pub use experiment::{Experiment, ExperimentId, ExperimentOutput, Scalar, ScalarThreshold};
 pub use json::{JsonParseError, JsonValue};
 pub use scenario::deps::{
     dedup_groups, dependency_fingerprint, FieldSource, ReadTracker, ScenarioPath,

@@ -44,8 +44,8 @@ const MOVES: [(&str, &str); 29] = [
     ("mc.samples", "1000"),
 ];
 
-/// The registry's 27 declared dependency sets, in registry order.
-const REGISTRY: [(&str, &[&str]); 27] = [
+/// The registry's 26 declared dependency sets, in registry order.
+const REGISTRY: [(&str, &[&str]); 26] = [
     ("fig01", &[]),
     ("fig02", &["fleet.*", "grid.intensity"]),
     ("fig03", &[]),
@@ -68,7 +68,6 @@ const REGISTRY: [(&str, &[&str]); 27] = [
     ("table2", &[]),
     ("table3", &[]),
     ("table4", &[]),
-    ("ext-sched", &["fleet.scale"]),
     ("ext-die", &["fab.node_nm", "fab.yield_factor"]),
     (
         "ext-dvfs",
@@ -160,7 +159,7 @@ const PAPER_FIELD_VALUES: [(&str, &str); 25] = [
     ("mc.samples", "20000"),
 ];
 
-const PAPER_FINGERPRINTS: [(&str, u64); 27] = [
+const PAPER_FINGERPRINTS: [(&str, u64); 26] = [
     ("fig01", 0xcbf29ce484222325),
     ("fig02", 0xfd57c35ef2bee699),
     ("fig03", 0xcbf29ce484222325),
@@ -180,7 +179,6 @@ const PAPER_FINGERPRINTS: [(&str, u64); 27] = [
     ("table2", 0xcbf29ce484222325),
     ("table3", 0xcbf29ce484222325),
     ("table4", 0xcbf29ce484222325),
-    ("ext-sched", 0xf37b8e634ad50dca),
     ("ext-die", 0xa1fb6d75b25823f4),
     ("ext-dvfs", 0x48c9da7d6b09f3e3),
     ("ext-hetero", 0x95447805bf821f1c),
@@ -222,7 +220,7 @@ const MOVED_FIELD_VALUES: [(&str, &str); 25] = [
     ("mc.samples", "1000"),
 ];
 
-const MOVED_FINGERPRINTS: [(&str, u64); 27] = [
+const MOVED_FINGERPRINTS: [(&str, u64); 26] = [
     ("fig01", 0xcbf29ce484222325),
     ("fig02", 0x20bb268079d8bc25),
     ("fig03", 0xcbf29ce484222325),
@@ -242,7 +240,6 @@ const MOVED_FINGERPRINTS: [(&str, u64); 27] = [
     ("table2", 0xcbf29ce484222325),
     ("table3", 0xcbf29ce484222325),
     ("table4", 0xcbf29ce484222325),
-    ("ext-sched", 0x4856247bfe8b83e0),
     ("ext-die", 0xd3e1add8586bb819),
     ("ext-dvfs", 0xe526c6ab0e5f007f),
     ("ext-hetero", 0xb954c63e2b1dda7d),

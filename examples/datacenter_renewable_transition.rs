@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --example datacenter_renewable_transition`.
 
-use chasing_carbon::dcsim::{CarbonAwareScheduler, DayProfile, Facility, ServerConfig};
+use chasing_carbon::dcsim::{Facility, FleetSchedule, MultiSiteScheduler, ServerConfig, SitePlan};
 use chasing_carbon::ghg::Scope2Method;
 use chasing_carbon::prelude::*;
 
@@ -39,11 +39,14 @@ fn main() {
     );
 
     // Carbon-aware scheduling: shift the nightly training jobs into the
-    // solar window (Section VI extension).
-    let profile = DayProfile::solar_grid(40.0, 300.0, 90.0);
-    let uniform = CarbonAwareScheduler::uniform(&profile);
-    let aware = CarbonAwareScheduler::carbon_aware(&profile);
-    let cut = 1.0 - aware.batch_carbon(&profile) / uniform.batch_carbon(&profile);
+    // solar window (Section VI extension) — a one-site fleet on a solar grid.
+    let trace = IntensityTrace::solar_day(380.0, 120.0);
+    let sites = [SitePlan::flat("solar", trace, 40.0, 300.0, 90.0)];
+    let scheduler = MultiSiteScheduler::default();
+    let uniform = scheduler.static_placement(&sites);
+    let aware = scheduler.carbon_aware(&sites);
+    let batch = |s: &FleetSchedule| s.deferrable_carbon(&sites, scheduler.migration_overhead);
+    let cut = 1.0 - batch(&aware) / batch(&uniform);
     println!(
         "\nCarbon-aware batch scheduling on a solar-shaped grid: {} -> {} per day \
          ({:.0}% cut in batch-attributable carbon)",

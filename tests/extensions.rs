@@ -106,7 +106,7 @@ fn custom_soc_through_full_pipeline() {
 #[test]
 fn extension_experiments_run_from_registry() {
     for key in [
-        "ext-sched",
+        "ext-scheduler",
         "ext-die",
         "ext-dvfs",
         "ext-hetero",

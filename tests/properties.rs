@@ -134,15 +134,4 @@ proptest! {
         let cov = p.coverage(demand);
         prop_assert!((0.0..=1.0).contains(&cov));
     }
-
-    /// The carbon-aware scheduler never does worse than the uniform baseline
-    /// whenever the uniform baseline is feasible.
-    #[test]
-    fn scheduler_never_worse(batch in 1.0..200.0f64, base in 0.1..5.0f64) {
-        let capacity = base + batch / 24.0 + 1.0;
-        let profile = chasing_carbon::dcsim::DayProfile::solar_grid(base, batch, capacity);
-        let uniform = chasing_carbon::dcsim::CarbonAwareScheduler::uniform(&profile);
-        let aware = chasing_carbon::dcsim::CarbonAwareScheduler::carbon_aware(&profile);
-        prop_assert!(aware.total_carbon <= uniform.total_carbon + CarbonMass::from_grams(1e-3));
-    }
 }

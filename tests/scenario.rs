@@ -38,20 +38,19 @@ fn overrides_and_files_agree() {
 
 #[test]
 fn context_scenario_reaches_the_models() {
-    // ext-sched scales its deferrable load with fleet.scale; the absolute
-    // batch energies in the table must scale accordingly.
-    let paper = chasing_carbon::core::experiments::find("ext-sched")
-        .unwrap()
-        .run(&RunContext::paper());
-    let scaled = chasing_carbon::core::experiments::find("ext-sched")
-        .unwrap()
-        .run(&RunContext::new(
-            Scenario::builder().fleet_scale(10.0).build(),
-        ));
-    let first = |out: &cc_report::ExperimentOutput| -> f64 {
-        out.find_series("batch-carbon-cut").unwrap().points[0].x
+    // ext-hetero scales its demand tiers with fleet.scale; the absolute
+    // demands in the table must scale accordingly.
+    let run = |scenario: Scenario| {
+        chasing_carbon::core::experiments::find("ext-hetero")
+            .unwrap()
+            .run(&RunContext::new(scenario))
     };
-    assert!((first(&scaled) / first(&paper) - 10.0).abs() < 1e-9);
+    let paper = run(Scenario::paper_defaults());
+    let scaled = run(Scenario::builder().fleet_scale(10.0).build());
+    let first_demand = |out: &cc_report::ExperimentOutput| -> f64 {
+        out.tables[0].1.rows()[0][1].parse().unwrap()
+    };
+    assert!((first_demand(&scaled) / first_demand(&paper) - 10.0).abs() < 1e-9);
 }
 
 #[test]
@@ -166,6 +165,41 @@ fn fleet_validation_rejects_unphysical_facilities_at_the_context_boundary() {
     let mut s = Scenario::paper_defaults();
     s.set("fleet.growth", "2.05").unwrap();
     assert!(RunContext::try_new(s).is_ok());
+}
+
+#[test]
+fn small_accepted_fleet_scales_run_the_whole_suite() {
+    // The smallest scales the validator accepts shrink every fleet model;
+    // each experiment must still run without a panic and report finite
+    // scalars and numeric table cells.
+    for scale in ["1e-6", "0.3"] {
+        let mut s = Scenario::paper_defaults();
+        s.set("fleet.scale", scale).unwrap();
+        let ctx = RunContext::try_new(s).expect("accepted scale");
+        for entry in chasing_carbon::core::experiments::entries() {
+            let out = entry.build().run(&ctx);
+            for scalar in &out.scalars {
+                assert!(
+                    scalar.value.is_finite(),
+                    "{} at fleet.scale={scale}: {} = {}",
+                    entry.key,
+                    scalar.name,
+                    scalar.value
+                );
+            }
+            for (title, table) in &out.tables {
+                for cell in table.rows().iter().flatten() {
+                    if let Ok(v) = cell.trim_end_matches(['%', 'x']).parse::<f64>() {
+                        assert!(
+                            v.is_finite(),
+                            "{} at fleet.scale={scale}: {title}: {cell}",
+                            entry.key
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]
