@@ -15,11 +15,19 @@
 //!                                              # cross-scenario comparison
 //! repro serve --addr 127.0.0.1:7878            # resident sweep-as-a-service
 //!                                              # daemon (NDJSON over TCP)
-//! repro client --addr 127.0.0.1:7878 \
-//!       --experiment fig10 \
+//! repro client --addr 127.0.0.1:7878 fig10 \
 //!       --sweep grid.intensity=100,300 \
 //!       --out out/                             # drive a daemon from the CLI
 //! ```
+//!
+//! One-shot `repro` and `repro client` share one flag parser, which fills
+//! the daemon's own [`RunRequest`]: one-shot resolves it in-process with
+//! [`RunRequest::resolve_from`] over the `--scenario` file (or the paper
+//! defaults), exactly as `repro serve` resolves a `run` line, and the
+//! client sends its [`RunRequest::to_json`] line. `--scenario`, `--list`,
+//! `--explain`, `--markdown`/`--csv`/`--json` and `--cache-dir` are
+//! one-shot only; `--addr`, `--hello`, `--stats` and `--shutdown` are
+//! client only.
 //!
 //! With `--sweep`, the runner expands the cartesian product of all sweep
 //! specs over the base scenario and schedules the full (scenario-point ×
@@ -44,12 +52,11 @@ use cc_engine::artifact::{
     artifact_file_name, render_artifact, render_comparisons, render_mc_comparisons,
 };
 use cc_engine::grid::{build_comparisons, disk_footer_lines, explain_lines, footer_lines};
+use cc_engine::protocol::RunRequest;
 use cc_engine::{DiskCache, Engine, Format, GridConfig, GridJob, McConfig, Server};
-use cc_report::{
-    DistBinding, JsonValue, MonteCarloMatrix, RunContext, Scenario, ScenarioMatrix, ScenarioPoint,
-    SweepSpec,
-};
+use cc_report::{JsonValue, Scenario};
 use std::io::{BufRead, Write as _};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn print_usage() {
@@ -58,15 +65,15 @@ fn print_usage() {
         "       repro serve --addr <host:port> [--jobs <n>] [--cache-capacity <n>] \
          [--cache-dir <dir>] [--queue-depth <n>] [--log <file>]"
     );
-    eprintln!("       repro client --addr <host:port> [selection options] [--out <dir>]");
-    eprintln!("       repro client --addr <host:port> --stats | --hello | --shutdown");
+    eprintln!("       repro client --addr <host:port> [options] [<experiment-key>...]");
+    eprintln!("       repro client --addr <host:port> --hello | --stats | --shutdown");
     eprintln!();
-    eprintln!("options:");
-    eprintln!("  --list               list selected experiment keys and exit");
+    eprintln!("options (all drive `repro client` too, except those marked one-shot):");
+    eprintln!("  --list               list selected experiment keys and exit (one-shot)");
     eprintln!("  --tag <tag>          filter experiments by tag (repeatable, AND-ed)");
     eprintln!("  --experiment <key>   select an experiment (repeatable; same as a");
     eprintln!("                       positional key)");
-    eprintln!("  --scenario <file>    load scenario parameters from a TOML file");
+    eprintln!("  --scenario <file>    load scenario parameters from a TOML file (one-shot)");
     eprintln!("  --set <key>=<value>  override one scenario field (repeatable),");
     eprintln!("                       e.g. --set grid.intensity=50 --set device.lifetime=5");
     eprintln!("                       a `~` binds a distribution instead (Monte-Carlo):");
@@ -84,7 +91,7 @@ fn print_usage() {
     eprintln!("                       statistics (mean, stddev, p05/p50/p95, 90% CI)");
     eprintln!("  --seed <n>           RNG seed for --samples (default 0); the same seed");
     eprintln!("                       is byte-reproducible at any --jobs value");
-    eprintln!("  --markdown | --csv | --json   output format (default: text)");
+    eprintln!("  --markdown | --csv | --json   output format (default: text; one-shot)");
     eprintln!("  --out <dir>          write one artifact file per experiment (and per");
     eprintln!("                       sweep point) into <dir>, streamed as they finish");
     eprintln!("  --jobs <n>           run the (point x experiment) grid on n worker");
@@ -95,9 +102,10 @@ fn print_usage() {
     eprintln!("  --cache-dir <dir>    persist computed artifacts under <dir>, keyed on");
     eprintln!("                       (code fingerprint x dependency fingerprint); a");
     eprintln!("                       later run recomputes only the work groups whose");
-    eprintln!("                       declared scenario fields changed");
+    eprintln!("                       declared scenario fields changed (one-shot)");
     eprintln!("  --explain            print each experiment's scenario dependencies and");
     eprintln!("                       the sweep's run/reuse plan, without running");
+    eprintln!("                       (one-shot)");
     eprintln!();
     eprintln!("serve mode: a resident daemon speaking newline-delimited JSON over TCP");
     eprintln!("  (protocol v2: request ids multiplex many in-flight requests per");
@@ -110,7 +118,11 @@ fn print_usage() {
     eprintln!("  printed as `listening on <addr>`). the operational log goes to stderr");
     eprintln!("  by default, or to `--log <file>` — never into the working directory.");
     eprintln!();
-    eprintln!("client mode: exit code 0 on success; a server rejection maps the error");
+    eprintln!("client mode: sends the run the options describe to the daemon at");
+    eprintln!("  `--addr` (`--hello`, `--stats` or `--shutdown` send that op instead)");
+    eprintln!("  and writes the streamed artifacts to `--out`, byte-identical to");
+    eprintln!("  one-shot `--json --out` files, or prints them. exit code 0 on");
+    eprintln!("  success; a server rejection maps the error");
     eprintln!("  category to a stable exit code (malformed-request=10,");
     eprintln!("  unknown-experiment=11, unknown-tag=12, unknown-field=13,");
     eprintln!("  invalid-value=14, invalid-scenario=15, invalid-sweep=16,");
@@ -140,21 +152,41 @@ fn fail(message: &str) -> ! {
     std::process::exit(2);
 }
 
-struct Options {
+/// Which front end a command line drives.
+enum Mode {
+    OneShot,
+    Client,
+}
+
+/// Flags only one-shot `repro` reads.
+const ONE_SHOT_ONLY: [&str; 7] = [
+    "--scenario",
+    "--list",
+    "--explain",
+    "--markdown",
+    "--csv",
+    "--json",
+    "--cache-dir",
+];
+
+/// Flags only `repro client` reads.
+const CLIENT_ONLY: [&str; 4] = ["--addr", "--stats", "--hello", "--shutdown"];
+
+/// One parsed command line: the [`RunRequest`] both front ends share, plus
+/// the flags of one mode.
+struct Cli {
+    request: RunRequest,
+    out_dir: Option<PathBuf>,
+    // One-shot only.
+    scenario_file: Option<String>,
     list: bool,
     explain: bool,
-    no_cache: bool,
-    tags: Vec<Tag>,
-    scenario: Scenario,
-    sweeps: Vec<SweepSpec>,
-    dists: Vec<DistBinding>,
-    samples: Option<usize>,
-    seed: u64,
     format: Format,
-    out_dir: Option<std::path::PathBuf>,
-    cache_dir: Option<std::path::PathBuf>,
-    jobs: usize,
-    keys: Vec<String>,
+    cache_dir: Option<PathBuf>,
+    // Client only: the daemon address, and a `hello`/`stats`/`shutdown`
+    // op sent instead of the run.
+    addr: Option<String>,
+    control: Option<&'static str>,
 }
 
 fn value_of(flag: &str, args: &mut dyn Iterator<Item = String>) -> String {
@@ -162,42 +194,50 @@ fn value_of(flag: &str, args: &mut dyn Iterator<Item = String>) -> String {
         .unwrap_or_else(|| fail(&format!("{flag} requires a value")))
 }
 
-fn parse_args(args: impl Iterator<Item = String>) -> Options {
-    let mut args = args.peekable();
-    let mut list = false;
-    let mut explain = false;
-    let mut no_cache = false;
-    let mut tags = Vec::new();
-    let mut scenario_file: Option<String> = None;
-    let mut sets: Vec<(String, String)> = Vec::new();
-    let mut sweeps = Vec::new();
-    let mut dists: Vec<DistBinding> = Vec::new();
-    let mut samples: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut format = Format::Text;
-    let mut out_dir = None;
-    let mut cache_dir = None;
-    let mut jobs = 1usize;
-    let mut keys = Vec::new();
+/// Parses a `--flag` value that must be a positive integer.
+fn positive(flag: &str, value: &str) -> usize {
+    value
+        .parse()
+        .ok()
+        .filter(|&n| n >= 1)
+        .unwrap_or_else(|| fail(&format!("{flag} expects a positive integer, got `{value}`")))
+}
 
+/// The one flag parser of both run front ends: every run flag fills
+/// `request`, and a flag of the other mode is rejected.
+fn parse_args(mode: Mode, mut args: impl Iterator<Item = String>) -> Cli {
+    let mut cli = Cli {
+        request: RunRequest::default(),
+        out_dir: None,
+        scenario_file: None,
+        list: false,
+        explain: false,
+        format: Format::Text,
+        cache_dir: None,
+        addr: None,
+        control: None,
+    };
+    let (foreign, owner, unknown) = match mode {
+        Mode::OneShot => (&CLIENT_ONLY[..], "`repro client`", "unknown option"),
+        Mode::Client => (
+            &ONE_SHOT_ONLY[..],
+            "one-shot `repro`",
+            "unknown client option",
+        ),
+    };
+    let mut controls = Vec::new();
     while let Some(arg) = args.next() {
+        if foreign.contains(&arg.as_str()) {
+            fail(&format!("`{arg}` only applies to {owner}"));
+        }
+        let request = &mut cli.request;
         match arg.as_str() {
             "--help" | "-h" => {
                 print_usage();
                 std::process::exit(0);
             }
-            "--list" => list = true,
-            "--explain" => explain = true,
-            "--no-cache" => no_cache = true,
-            "--tag" => {
-                let name = value_of("--tag", &mut args);
-                match Tag::parse(&name) {
-                    Some(tag) => tags.push(tag),
-                    None => fail(&format!("unknown tag `{name}`")),
-                }
-            }
-            "--experiment" => keys.push(value_of("--experiment", &mut args)),
-            "--scenario" => scenario_file = Some(value_of("--scenario", &mut args)),
+            "--experiment" => request.keys.push(value_of("--experiment", &mut args)),
+            "--tag" => request.tags.push(value_of("--tag", &mut args)),
             // A `~` in a --set/--sweep value binds a distribution instead of
             // a scalar or an enumerated sweep — the Monte-Carlo front door.
             // Checked before the `=` split: `fab.node_nm ~ triangular(5,7,10)`
@@ -205,184 +245,100 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
             "--set" => {
                 let pair = value_of("--set", &mut args);
                 if pair.contains('~') {
-                    match DistBinding::parse(&pair) {
-                        Ok(binding) => dists.push(binding),
-                        Err(e) => fail(&e.to_string()),
-                    }
+                    request.dists.push(pair);
                     continue;
                 }
                 let Some((key, value)) = pair.split_once('=') else {
                     fail(&format!("--set expects key=value, got `{pair}`"));
                 };
-                sets.push((key.trim().to_string(), value.trim().to_string()));
+                request
+                    .sets
+                    .push((key.trim().to_string(), value.trim().to_string()));
             }
             "--sweep" => {
                 let spec = value_of("--sweep", &mut args);
                 if spec.contains('~') {
-                    match DistBinding::parse(&spec) {
-                        Ok(binding) => dists.push(binding),
-                        Err(e) => fail(&e.to_string()),
-                    }
-                    continue;
-                }
-                match SweepSpec::parse(&spec) {
-                    Ok(spec) => sweeps.push(spec),
-                    Err(e) => fail(&e.to_string()),
+                    request.dists.push(spec);
+                } else {
+                    request.sweeps.push(spec);
                 }
             }
             "--samples" => {
-                let n = value_of("--samples", &mut args);
-                samples = Some(n.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                    fail(&format!("--samples expects a positive integer, got `{n}`"))
-                }));
+                request.samples = Some(positive("--samples", &value_of("--samples", &mut args)));
             }
             "--seed" => {
                 let n = value_of("--seed", &mut args);
-                seed = Some(n.parse().unwrap_or_else(|_| {
+                request.seed = Some(n.parse().unwrap_or_else(|_| {
                     fail(&format!("--seed expects a non-negative integer, got `{n}`"))
                 }));
             }
-            "--markdown" => format = Format::Markdown,
-            "--csv" => format = Format::Csv,
-            "--json" => format = Format::Json,
-            "--out" => out_dir = Some(std::path::PathBuf::from(value_of("--out", &mut args))),
+            "--jobs" => request.jobs = Some(positive("--jobs", &value_of("--jobs", &mut args))),
+            "--no-cache" => request.no_cache = true,
+            "--out" => cli.out_dir = Some(PathBuf::from(value_of("--out", &mut args))),
+            "--scenario" => cli.scenario_file = Some(value_of("--scenario", &mut args)),
+            "--list" => cli.list = true,
+            "--explain" => cli.explain = true,
+            "--markdown" => cli.format = Format::Markdown,
+            "--csv" => cli.format = Format::Csv,
+            "--json" => cli.format = Format::Json,
             "--cache-dir" => {
-                cache_dir = Some(std::path::PathBuf::from(value_of("--cache-dir", &mut args)));
+                cli.cache_dir = Some(PathBuf::from(value_of("--cache-dir", &mut args)))
             }
-            "--jobs" => {
-                let n = value_of("--jobs", &mut args);
-                jobs = n.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                    fail(&format!("--jobs expects a positive integer, got `{n}`"))
-                });
-            }
+            "--addr" => cli.addr = Some(value_of("--addr", &mut args)),
+            "--hello" | "--stats" | "--shutdown" => controls.push(arg),
             // `cargo repro -- fig10` forwards the `--` separator; accept it.
             "--" => {}
-            flag if flag.starts_with('-') => fail(&format!("unknown option `{flag}`")),
-            key => keys.push(key.to_string()),
+            flag if flag.starts_with('-') => fail(&format!("{unknown} `{flag}`")),
+            key => request.keys.push(key.to_string()),
         }
     }
-
-    // Assemble the base scenario: file (or paper defaults) first, then --set
-    // overrides strictly in command-line order. `Scenario::set` resolves
-    // `grid.source` to its Table II intensity itself, so a later
-    // `--set grid.intensity=…` still wins — overrides never clobber each
-    // other out of order.
-    let mut scenario = match &scenario_file {
-        None => Scenario::paper_defaults(),
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| fail(&format!("cannot read scenario `{path}`: {e}")));
-            Scenario::from_toml(&text).unwrap_or_else(|e| fail(&format!("scenario `{path}`: {e}")))
-        }
-    };
-    for (key, value) in &sets {
-        scenario
-            .set(key, value)
-            .unwrap_or_else(|e| fail(&e.to_string()));
-    }
-    scenario.validate().unwrap_or_else(|e| fail(&e.to_string()));
-
-    // Monte-Carlo flags travel together: distributions need a sample
-    // count, a sample count needs distributions, and a sampled axis has no
-    // enumerable grid to sweep or explain.
-    if !dists.is_empty() {
-        if samples.is_none() {
-            fail("distribution bindings (`path ~ dist(...)`) require --samples <n>");
-        }
-        if !sweeps.is_empty() {
-            fail("--sweep value sweeps cannot be combined with distribution sampling");
-        }
-        if explain {
-            fail("--explain does not apply to Monte-Carlo runs");
-        }
-    } else {
-        if samples.is_some() {
-            fail("--samples requires at least one `path ~ dist(...)` binding");
-        }
-        if seed.is_some() {
-            fail("--seed requires --samples");
-        }
-    }
-
-    Options {
-        list,
-        explain,
-        no_cache,
-        tags,
-        scenario,
-        sweeps,
-        dists,
-        samples,
-        seed: seed.unwrap_or(0),
-        format,
-        out_dir,
-        cache_dir,
-        jobs,
-        keys,
-    }
+    // One op per connection: `--hello` wins over `--stats` over
+    // `--shutdown`.
+    cli.control = ["hello", "stats", "shutdown"]
+        .into_iter()
+        .find(|op| controls.iter().any(|flag| flag[2..] == **op));
+    cli
 }
 
 /// Opens the persistent cache at `dir`, exiting with a diagnostic when the
 /// directory cannot be created.
-fn open_disk_cache(dir: &std::path::Path) -> DiskCache {
+fn open_disk_cache(dir: &Path) -> DiskCache {
     DiskCache::open(dir)
         .unwrap_or_else(|e| fail(&format!("cannot open cache dir `{}`: {e}", dir.display())))
 }
 
-fn select(options: &Options) -> Vec<&'static Entry> {
-    if options.keys.is_empty() {
-        return experiments::with_tags(&options.tags);
+/// Creates the `--out` directory, when one was given.
+fn create_out_dir(out_dir: Option<&Path>) {
+    if let Some(dir) = out_dir {
+        std::fs::create_dir_all(dir)
+            .unwrap_or_else(|e| fail(&format!("cannot create `{}`: {e}", dir.display())));
     }
-    let mut selected = Vec::new();
-    for key in &options.keys {
-        match experiments::find_entry(key) {
-            Some(entry) => {
-                // An explicitly named key that fails the tag filter is a
-                // contradiction in the request, not something to drop
-                // silently.
-                if let Some(&missing) = options.tags.iter().find(|&&t| !entry.has_tag(t)) {
-                    fail(&format!(
-                        "experiment `{key}` does not carry tag `{missing}`"
-                    ));
-                }
-                selected.push(entry);
-            }
-            None => fail(&format!("unknown experiment `{key}`")),
-        }
-    }
-    selected
+}
+
+/// Writes one output file, returning the `wrote <path>` line to report.
+fn write_file(path: &Path, contents: &str) -> String {
+    std::fs::write(path, contents)
+        .unwrap_or_else(|e| fail(&format!("cannot write `{}`: {e}", path.display())));
+    format!("wrote {}", path.display())
 }
 
 /// `repro serve`: bind the listener, print the chosen address (port 0 is
 /// resolved by the OS) and serve until a client sends `{"op":"shutdown"}`.
-fn serve_main(args: &[String]) {
-    let mut args = args.iter().cloned();
+fn serve_main(mut args: impl Iterator<Item = String>) {
     let mut addr: Option<String> = None;
     let mut jobs = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut capacity = cc_engine::DEFAULT_CACHE_CAPACITY;
-    let mut cache_dir: Option<std::path::PathBuf> = None;
+    let mut cache_dir: Option<PathBuf> = None;
     let mut queue_depth = cc_engine::server::DEFAULT_QUEUE_DEPTH;
-    let mut log_file: Option<std::path::PathBuf> = None;
+    let mut log_file: Option<PathBuf> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--addr" => addr = Some(value_of("--addr", &mut args)),
-            "--jobs" => {
-                let n = value_of("--jobs", &mut args);
-                jobs = n.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                    fail(&format!("--jobs expects a positive integer, got `{n}`"))
-                });
-            }
+            "--jobs" => jobs = positive("--jobs", &value_of("--jobs", &mut args)),
             "--cache-capacity" => {
-                let n = value_of("--cache-capacity", &mut args);
-                capacity = n.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                    fail(&format!(
-                        "--cache-capacity expects a positive integer, got `{n}`"
-                    ))
-                });
+                capacity = positive("--cache-capacity", &value_of("--cache-capacity", &mut args));
             }
-            "--cache-dir" => {
-                cache_dir = Some(std::path::PathBuf::from(value_of("--cache-dir", &mut args)));
-            }
+            "--cache-dir" => cache_dir = Some(PathBuf::from(value_of("--cache-dir", &mut args))),
             // Queue depth 0 is allowed: a drill server that rejects every
             // multiplexed request with `overloaded`.
             "--queue-depth" => {
@@ -393,7 +349,7 @@ fn serve_main(args: &[String]) {
                     ))
                 });
             }
-            "--log" => log_file = Some(std::path::PathBuf::from(value_of("--log", &mut args))),
+            "--log" => log_file = Some(PathBuf::from(value_of("--log", &mut args))),
             flag => fail(&format!("unknown serve option `{flag}`")),
         }
     }
@@ -443,142 +399,20 @@ fn category_exit_code(category: &str) -> i32 {
     }
 }
 
-/// `repro client`: build one protocol request from CLI-shaped flags, send
-/// it, and stream the responses — artifacts to `--out` files (byte-identical
-/// to one-shot `repro --json --out` artifacts) or raw to stdout. A server
-/// rejection exits with the category's [`category_exit_code`].
-fn client_main(args: &[String]) {
-    let mut args = args.iter().cloned();
-    let mut addr: Option<String> = None;
-    let mut keys: Vec<String> = Vec::new();
-    let mut tags: Vec<String> = Vec::new();
-    let mut sets: Vec<(String, String)> = Vec::new();
-    let mut sweeps: Vec<String> = Vec::new();
-    let mut dists: Vec<String> = Vec::new();
-    let mut samples: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut jobs: Option<usize> = None;
-    let mut no_cache = false;
-    let mut out_dir: Option<std::path::PathBuf> = None;
-    let mut stats = false;
-    let mut hello = false;
-    let mut shutdown = false;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--addr" => addr = Some(value_of("--addr", &mut args)),
-            "--hello" => hello = true,
-            "--experiment" => keys.push(value_of("--experiment", &mut args)),
-            "--tag" => tags.push(value_of("--tag", &mut args)),
-            // As in one-shot mode, a `~` in --set/--sweep binds a
-            // distribution; the text travels to the server verbatim, which
-            // parses it with the same DistBinding grammar.
-            "--set" => {
-                let pair = value_of("--set", &mut args);
-                if pair.contains('~') {
-                    dists.push(pair);
-                    continue;
-                }
-                let Some((key, value)) = pair.split_once('=') else {
-                    fail(&format!("--set expects key=value, got `{pair}`"));
-                };
-                sets.push((key.trim().to_string(), value.trim().to_string()));
-            }
-            "--sweep" => {
-                let spec = value_of("--sweep", &mut args);
-                if spec.contains('~') {
-                    dists.push(spec);
-                    continue;
-                }
-                sweeps.push(spec);
-            }
-            "--samples" => {
-                let n = value_of("--samples", &mut args);
-                samples = Some(n.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                    fail(&format!("--samples expects a positive integer, got `{n}`"))
-                }));
-            }
-            "--seed" => {
-                let n = value_of("--seed", &mut args);
-                seed = Some(n.parse().unwrap_or_else(|_| {
-                    fail(&format!("--seed expects a non-negative integer, got `{n}`"))
-                }));
-            }
-            "--jobs" => {
-                let n = value_of("--jobs", &mut args);
-                jobs = Some(n.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                    fail(&format!("--jobs expects a positive integer, got `{n}`"))
-                }));
-            }
-            "--no-cache" => no_cache = true,
-            "--out" => out_dir = Some(std::path::PathBuf::from(value_of("--out", &mut args))),
-            "--stats" => stats = true,
-            "--shutdown" => shutdown = true,
-            flag => fail(&format!("unknown client option `{flag}`")),
-        }
-    }
-    let addr = addr.unwrap_or_else(|| fail("client requires --addr <host:port>"));
-
-    let request = if hello {
-        JsonValue::object([("op", JsonValue::from("hello"))])
-    } else if stats {
-        JsonValue::object([("op", JsonValue::from("stats"))])
-    } else if shutdown {
-        JsonValue::object([("op", JsonValue::from("shutdown"))])
-    } else {
-        let mut fields = vec![("op", JsonValue::from("run"))];
-        if !keys.is_empty() {
-            fields.push((
-                "experiments",
-                JsonValue::array(keys.iter().map(|k| JsonValue::from(k.as_str()))),
-            ));
-        }
-        if !tags.is_empty() {
-            fields.push((
-                "tags",
-                JsonValue::array(tags.iter().map(|t| JsonValue::from(t.as_str()))),
-            ));
-        }
-        if !sets.is_empty() {
-            fields.push((
-                "set",
-                JsonValue::Object(
-                    sets.iter()
-                        .map(|(k, v)| (k.clone(), JsonValue::from(v.as_str())))
-                        .collect(),
-                ),
-            ));
-        }
-        if !sweeps.is_empty() {
-            fields.push((
-                "sweep",
-                JsonValue::array(sweeps.iter().map(|s| JsonValue::from(s.as_str()))),
-            ));
-        }
-        if !dists.is_empty() {
-            fields.push((
-                "dists",
-                JsonValue::array(dists.iter().map(|d| JsonValue::from(d.as_str()))),
-            ));
-        }
-        if let Some(samples) = samples {
-            fields.push(("samples", JsonValue::Integer(samples as u64)));
-        }
-        if let Some(seed) = seed {
-            fields.push(("seed", JsonValue::Integer(seed)));
-        }
-        if let Some(jobs) = jobs {
-            fields.push(("jobs", JsonValue::Integer(jobs as u64)));
-        }
-        if no_cache {
-            fields.push(("no_cache", JsonValue::Bool(true)));
-        }
-        JsonValue::object(fields)
+/// `repro client`: send the command line's [`RunRequest`] (or its
+/// `hello`/`stats`/`shutdown` op) and stream the responses — artifacts to
+/// `--out` files (byte-identical to one-shot `repro --json --out`
+/// artifacts) or raw to stdout. A server rejection exits with the
+/// category's [`category_exit_code`].
+fn client_main(cli: Cli) {
+    let addr = cli
+        .addr
+        .unwrap_or_else(|| fail("client requires --addr <host:port>"));
+    let request = match cli.control {
+        Some(op) => JsonValue::object([("op", JsonValue::from(op))]),
+        None => cli.request.to_json(),
     };
-
-    if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| fail(&format!("cannot create `{}`: {e}", dir.display())));
-    }
+    create_out_dir(cli.out_dir.as_deref());
 
     let stream = std::net::TcpStream::connect(&addr)
         .unwrap_or_else(|e| fail(&format!("cannot connect to `{addr}`: {e}")));
@@ -598,7 +432,7 @@ fn client_main(args: &[String]) {
                     .get("artifact")
                     .or_else(|| response.get("comparison"))
                     .unwrap_or_else(|| fail("response is missing its payload"));
-                match &out_dir {
+                match &cli.out_dir {
                     // Re-rendering the parsed payload reproduces the server's
                     // bytes exactly (the JSON renderer is round-trip stable),
                     // which in turn match one-shot `repro --json --out` files.
@@ -607,11 +441,7 @@ fn client_main(args: &[String]) {
                             .get("name")
                             .and_then(JsonValue::as_str)
                             .unwrap_or_else(|| fail("response is missing its artifact name"));
-                        let path = dir.join(name);
-                        std::fs::write(&path, payload.render()).unwrap_or_else(|e| {
-                            fail(&format!("cannot write `{}`: {e}", path.display()))
-                        });
-                        emit(format_args!("wrote {}", path.display()));
+                        emit(write_file(&dir.join(name), &payload.render()));
                     }
                     None => emit(payload.render()),
                 }
@@ -642,18 +472,73 @@ fn client_main(args: &[String]) {
     fail("server closed the connection before finishing the response");
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("serve") => return serve_main(&args[1..]),
-        Some("client") => return client_main(&args[1..]),
-        _ => {}
+/// Emits a whole-run report (`comparison`, `mc-comparison`) on stdout, or
+/// writes it to `--out` as `<stem>.<ext>`.
+fn emit_report(cli: &Cli, stem: &str, report: &str) {
+    match &cli.out_dir {
+        None => emit(report),
+        Some(dir) => {
+            let name = format!("{stem}.{}", cli.format.extension());
+            emit(write_file(&dir.join(name), report));
+        }
     }
-    let options = parse_args(args.into_iter());
-    let selected = select(&options);
+}
 
-    if options.list {
-        if options.format == Format::Json {
+/// The cache footer of a sweep or Monte-Carlo run: how the dependency
+/// dedup compressed its `cells` (points or samples) per experiment, plus —
+/// with `--cache-dir` — what this process really recomputed versus what the
+/// warm cache dir answered. Not part of any artifact (a cached and an
+/// uncached run write byte-identical files), kept off stdout in JSON mode
+/// so JSON consumers can parse stdout, and suppressed with `--no-cache`.
+fn emit_footer(
+    cli: &Cli,
+    entries: &[&'static Entry],
+    cells: usize,
+    run_counts: &[usize],
+    disk: (&[usize], &[usize]),
+) {
+    if cli.request.no_cache {
+        return;
+    }
+    let mut footer = footer_lines(entries, cells, run_counts);
+    if cli.cache_dir.is_some() {
+        footer.extend(disk_footer_lines(entries, disk.0, disk.1));
+    }
+    for line in footer {
+        if cli.format == Format::Json {
+            eprintln!("{line}");
+        } else {
+            emit(line);
+        }
+    }
+}
+
+/// One-shot `repro`: resolve the command line's [`RunRequest`] over the
+/// `--scenario` file (or the paper defaults) exactly as the daemon
+/// resolves a `run` line, then list, explain, sample or run it.
+fn one_shot_main(cli: Cli) {
+    let base = match &cli.scenario_file {
+        None => Scenario::paper_defaults(),
+        Some(path) => {
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| fail(&format!("cannot read scenario `{path}`: {e}")));
+            Scenario::from_toml(&text).unwrap_or_else(|e| fail(&format!("scenario `{path}`: {e}")))
+        }
+    };
+    let resolve = |base| {
+        cli.request
+            .resolve_from(base)
+            .unwrap_or_else(|e| fail(&e.message))
+    };
+
+    if cli.list {
+        // An empty selection lists nothing; any other request must resolve
+        // in full, so `--list` rejects whatever a run would reject.
+        let selected = match cli.request.select() {
+            Ok(entries) if entries.is_empty() => entries,
+            _ => resolve(base).entries,
+        };
+        if cli.format == Format::Json {
             let index = JsonValue::array(selected.iter().map(|e| {
                 JsonValue::object([
                     ("key", JsonValue::from(e.key)),
@@ -674,177 +559,103 @@ fn main() {
         return;
     }
 
-    if selected.is_empty() {
-        fail("no experiments match the given keys/tags");
-    }
-
-    // Monte-Carlo: distribution bindings sample the scenario instead of
-    // enumerating it. One streaming run, one banded comparison report.
-    if let Some(samples) = options.samples {
-        let mc = MonteCarloMatrix::new(
-            options.scenario.clone(),
-            options.dists.clone(),
-            samples,
-            options.seed,
-        )
-        .unwrap_or_else(|e| fail(&e.to_string()));
-        if let Some(dir) = &options.out_dir {
-            std::fs::create_dir_all(dir)
-                .unwrap_or_else(|e| fail(&format!("cannot create `{}`: {e}", dir.display())));
+    let run = resolve(base);
+    let jobs = cli.request.jobs.unwrap_or(1);
+    let no_cache = cli.request.no_cache;
+    if cli.explain {
+        if run.mc.is_some() {
+            fail("--explain does not apply to Monte-Carlo runs");
         }
-        let mut engine = Engine::new();
-        if let Some(dir) = &options.cache_dir {
-            engine = engine.with_disk(open_disk_cache(dir));
-        }
-        engine.count_request();
-        let config = McConfig {
-            jobs: options.jobs,
-            no_cache: options.no_cache,
-        };
-        let result = engine
-            .run_mc(&selected, &mc, &config)
-            .unwrap_or_else(|e| fail(&e.to_string()));
-        let report = render_mc_comparisons(&result.comparisons, &mc, options.format);
-        match &options.out_dir {
-            None => emit(&report),
-            Some(dir) => {
-                let path = dir.join(format!("mc-comparison.{}", options.format.extension()));
-                std::fs::write(&path, &report)
-                    .unwrap_or_else(|e| fail(&format!("cannot write `{}`: {e}", path.display())));
-                emit(format_args!("wrote {}", path.display()));
-            }
-        }
-        // Same footer conventions as a sweep: run/reuse counts off stdout
-        // in JSON mode, suppressed entirely with --no-cache.
-        if !options.no_cache {
-            let to_stderr = options.format == Format::Json;
-            let mut footer = footer_lines(&selected, samples, &result.run_counts);
-            if options.cache_dir.is_some() {
-                footer.extend(disk_footer_lines(
-                    &selected,
-                    &result.disk_runs,
-                    &result.disk_hits,
-                ));
-            }
-            for line in footer {
-                if to_stderr {
-                    eprintln!("{line}");
-                } else {
-                    emit(line);
-                }
-            }
-        }
-        return;
-    }
-
-    let matrix = ScenarioMatrix::new(options.scenario.clone(), options.sweeps.clone())
-        .unwrap_or_else(|e| fail(&e.to_string()));
-    let points: Vec<ScenarioPoint> = matrix.points().collect();
-    let contexts: Vec<RunContext> = points
-        .iter()
-        .map(|p| {
-            RunContext::try_from_overlay(p.overlay.clone()).unwrap_or_else(|e| fail(&e.to_string()))
-        })
-        .collect();
-
-    if options.explain {
-        for line in explain_lines(&selected, &points, options.no_cache) {
+        for line in explain_lines(&run.entries, &run.points, no_cache) {
             emit(line);
         }
         return;
     }
-
-    if let Some(dir) = &options.out_dir {
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| fail(&format!("cannot create `{}`: {e}", dir.display())));
-    }
+    create_out_dir(cli.out_dir.as_deref());
 
     // A throwaway engine: the CLI is one request against a cold in-memory
     // cache (possibly warmed lazily from `--cache-dir`). The run/reuse
     // accounting comes from the dependency plan (group counts), so the
     // footer is identical to what a resident engine would print.
     let mut engine = Engine::new();
-    if let Some(dir) = &options.cache_dir {
+    if let Some(dir) = &cli.cache_dir {
         engine = engine.with_disk(open_disk_cache(dir));
     }
     engine.count_request();
+
+    // Monte-Carlo: distribution bindings sample the scenario instead of
+    // enumerating it. One streaming run, one banded comparison report.
+    if let Some(mc) = &run.mc {
+        let config = McConfig { jobs, no_cache };
+        let result = engine
+            .run_mc(&run.entries, mc, &config)
+            .unwrap_or_else(|e| fail(&e.to_string()));
+        let report = render_mc_comparisons(&result.comparisons, mc, cli.format);
+        emit_report(&cli, "mc-comparison", &report);
+        let disk = (&result.disk_runs[..], &result.disk_hits[..]);
+        emit_footer(&cli, &run.entries, mc.len(), &result.run_counts, disk);
+        return;
+    }
+
     let config = GridConfig {
-        jobs: options.jobs,
-        no_cache: options.no_cache,
-        format: options.format,
+        jobs,
+        no_cache,
+        format: cli.format,
     };
     // Renders one artifact on the worker thread, streaming it to `--out`
     // the moment the job finishes (not after the whole grid drains); the
     // returned lines reach stdout in grid order via the engine's sequencer.
     let render = |job: &GridJob<'_>| {
+        let point = job.sweeping.then_some(job.point);
         let artifact = render_artifact(
             job.entry,
             job.experiment,
             job.output,
             job.context,
-            job.sweeping.then_some(job.point),
+            point,
             job.format,
         );
-        match &options.out_dir {
+        match &cli.out_dir {
             None => vec![artifact],
             Some(dir) => {
-                let name = artifact_file_name(
-                    job.entry.key,
-                    job.sweeping.then_some(job.point),
-                    job.format,
-                );
-                let path = dir.join(name);
-                std::fs::write(&path, &artifact)
-                    .unwrap_or_else(|e| fail(&format!("cannot write `{}`: {e}", path.display())));
-                vec![format!("wrote {}", path.display())]
+                let name = artifact_file_name(job.entry.key, point, job.format);
+                vec![write_file(&dir.join(name), &artifact)]
             }
         }
     };
-    let result = engine.run_grid(&selected, &points, &contexts, &config, render, |line| {
-        emit(line);
-    });
+    let result = engine.run_grid(
+        &run.entries,
+        &run.points,
+        &run.contexts,
+        &config,
+        render,
+        emit,
+    );
 
     // With an active sweep, diff every experiment's summary scalar across the
     // grid points into the comparison report.
-    if matrix.is_sweep() {
-        let comparisons = build_comparisons(&selected, &points, &result.scalars, &matrix)
-            .unwrap_or_else(|e| fail(&e.to_string()));
-        let report = render_comparisons(&comparisons, &matrix, options.format);
-        match &options.out_dir {
-            None => emit(&report),
-            Some(dir) => {
-                let path = dir.join(format!("comparison.{}", options.format.extension()));
-                std::fs::write(&path, &report)
-                    .unwrap_or_else(|e| fail(&format!("cannot write `{}`: {e}", path.display())));
-                emit(format_args!("wrote {}", path.display()));
-            }
-        }
+    if run.matrix.is_sweep() {
+        let comparisons =
+            build_comparisons(&run.entries, &run.points, &result.scalars, &run.matrix)
+                .unwrap_or_else(|e| fail(&e.to_string()));
+        let report = render_comparisons(&comparisons, &run.matrix, cli.format);
+        emit_report(&cli, "comparison", &report);
+        let disk = (&result.disk_runs[..], &result.disk_hits[..]);
+        emit_footer(
+            &cli,
+            &run.entries,
+            run.points.len(),
+            &result.run_counts,
+            disk,
+        );
+    }
+}
 
-        // Cache footer: how the dependency dedup compressed the grid. Not
-        // part of the comparison artifact itself — a cached and an uncached
-        // run must produce byte-identical comparison files — and kept off
-        // stdout in *every* JSON mode, so JSON consumers can parse stdout
-        // whether or not artifacts went to `--out`.
-        if !options.no_cache {
-            let to_stderr = options.format == Format::Json;
-            let mut footer = footer_lines(&selected, points.len(), &result.run_counts);
-            // With a persistent cache, also report what this process really
-            // recomputed versus what the warm cache dir answered — the
-            // incremental-evaluation footprint across restarts.
-            if options.cache_dir.is_some() {
-                footer.extend(disk_footer_lines(
-                    &selected,
-                    &result.disk_runs,
-                    &result.disk_hits,
-                ));
-            }
-            for line in footer {
-                if to_stderr {
-                    eprintln!("{line}");
-                } else {
-                    emit(line);
-                }
-            }
-        }
+fn main() {
+    let mut args = std::env::args().skip(1).peekable();
+    match args.peek().map(String::as_str) {
+        Some("serve") => serve_main(args.skip(1)),
+        Some("client") => client_main(parse_args(Mode::Client, args.skip(1))),
+        _ => one_shot_main(parse_args(Mode::OneShot, args)),
     }
 }

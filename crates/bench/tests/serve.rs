@@ -243,76 +243,82 @@ fn repeated_sweeps_hit_the_resident_cache() {
     daemon.shutdown();
 }
 
+/// The sorted file names under `dir`, asserting each matches the file of
+/// the same name under `reference` byte for byte.
+fn assert_same_tree(dir: &std::path::Path, reference: &std::path::Path) -> Vec<String> {
+    let names = |dir: &std::path::Path| {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    let served = names(dir);
+    assert_eq!(served, names(reference), "same file set");
+    for name in &served {
+        let bytes = std::fs::read(dir.join(name)).unwrap();
+        let one_shot = std::fs::read(reference.join(name)).unwrap();
+        assert_eq!(bytes, one_shot, "`{name}` must be byte-identical");
+    }
+    served
+}
+
 #[test]
 fn served_artifacts_byte_match_the_one_shot_cli() {
     let daemon = Daemon::start();
     let dir = std::env::temp_dir().join(format!("cc-serve-diff-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let served_dir = dir.join("served");
-    let cli_dir = dir.join("cli");
 
-    // Same sweep through the daemon (via `repro client --out`) and through
-    // the one-shot CLI.
-    let sweep = "grid.intensity=50,380,700";
-    let out = client(
-        &daemon.addr,
-        &[
-            "--experiment",
-            "fig10",
-            "--sweep",
-            sweep,
-            "--jobs",
-            "2",
-            "--out",
-            served_dir.to_str().unwrap(),
-        ],
-    );
-    assert!(
-        out.status.success(),
-        "client failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(
-        stdout.contains(r#""type":"done""#),
-        "client prints the done line: {stdout}"
-    );
+    // Each run through the daemon (via `repro client --out`) and through
+    // the one-shot CLI (`--json --out`). The second is spelled with a
+    // positional key, as the client shares the one-shot parser.
+    let sweep = [
+        "--experiment",
+        "fig10",
+        "--sweep",
+        "grid.intensity=50,380,700",
+    ];
+    let positional = ["fig05", "--tag", "figure", "--set", "grid.intensity=50"];
+    let mut trees = Vec::new();
+    for (i, run) in [&sweep[..], &positional[..]].into_iter().enumerate() {
+        let served_dir = dir.join(format!("served-{i}"));
+        let cli_dir = dir.join(format!("cli-{i}"));
+        let out = client(
+            &daemon.addr,
+            &[run, &["--jobs", "2", "--out", served_dir.to_str().unwrap()]].concat(),
+        );
+        assert!(
+            out.status.success(),
+            "client failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(
+            stdout.contains(r#""type":"done""#),
+            "client prints the done line: {stdout}"
+        );
 
-    let cli = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args([
-            "--experiment",
-            "fig10",
-            "--sweep",
-            sweep,
-            "--jobs",
-            "2",
-            "--json",
-            "--out",
-            cli_dir.to_str().unwrap(),
-        ])
-        .output()
-        .expect("run one-shot repro");
-    assert!(cli.status.success());
-
-    let mut names: Vec<String> = std::fs::read_dir(&served_dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .collect();
-    names.sort();
+        let cli = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(run)
+            .args(["--jobs", "2", "--json", "--out", cli_dir.to_str().unwrap()])
+            .output()
+            .expect("run one-shot repro");
+        assert!(cli.status.success());
+        trees.push(assert_same_tree(&served_dir, &cli_dir));
+    }
     assert_eq!(
-        names,
+        trees,
         [
-            "comparison.json",
-            "fig10@grid.intensity-380.json",
-            "fig10@grid.intensity-50.json",
-            "fig10@grid.intensity-700.json",
+            &[
+                "comparison.json",
+                "fig10@grid.intensity-380.json",
+                "fig10@grid.intensity-50.json",
+                "fig10@grid.intensity-700.json",
+            ][..],
+            &["fig05.json"][..],
         ]
     );
-    for name in &names {
-        let served = std::fs::read(served_dir.join(name)).unwrap();
-        let one_shot = std::fs::read(cli_dir.join(name)).unwrap();
-        assert_eq!(served, one_shot, "`{name}` must be byte-identical");
-    }
 
     std::fs::remove_dir_all(&dir).ok();
     daemon.shutdown();

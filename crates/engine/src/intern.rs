@@ -38,7 +38,8 @@ pub const DEFAULT_INTERN_CAPACITY: usize = 256;
 /// requests that carry the identical `set`/`dists` payload.
 #[derive(Debug)]
 pub struct InternedScenario {
-    /// The base scenario: paper defaults, overrides applied, validated.
+    /// The base scenario (paper defaults for the interner), overrides
+    /// applied, validated.
     pub scenario: Scenario,
     /// The parsed `dists` bindings, in request order.
     pub bindings: Vec<DistBinding>,
@@ -63,11 +64,14 @@ impl Clone for InternedScenario {
 }
 
 impl InternedScenario {
-    /// Builds (and fully validates) the scenario for one payload: applies
-    /// every `set` override in order, validates the result, then parses
-    /// every `dists` binding.
-    pub fn build(sets: &[(String, String)], dists: &[String]) -> Result<Self, ProtocolError> {
-        let mut scenario = Scenario::paper_defaults();
+    /// Builds (and fully validates) one payload over the base `scenario`:
+    /// applies every `set` override in order, so a later override wins,
+    /// validates the result, then parses every `dists` binding.
+    pub fn build(
+        mut scenario: Scenario,
+        sets: &[(String, String)],
+        dists: &[String],
+    ) -> Result<Self, ProtocolError> {
         for (key, value) in sets {
             scenario.set(key, value).map_err(|e| scenario_error(&e))?;
         }
@@ -171,7 +175,11 @@ impl ScenarioInterner {
         }
         // Validate outside the lock: concurrent distinct payloads must not
         // serialize on each other's validation.
-        let built = Arc::new(InternedScenario::build(sets, dists)?);
+        let built = Arc::new(InternedScenario::build(
+            Scenario::paper_defaults(),
+            sets,
+            dists,
+        )?);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut state = self.state.lock().expect("no panics under lock");
         if let Some(existing) = state.map.get(&key) {

@@ -53,8 +53,8 @@
 use crate::intern::{InternedScenario, ScenarioInterner};
 use cc_core::experiments::{self, Entry, Tag};
 use cc_report::{
-    JsonValue, MonteCarloMatrix, RunContext, ScenarioError, ScenarioMatrix, ScenarioPoint,
-    SweepSpec,
+    JsonValue, MonteCarloMatrix, RunContext, Scenario, ScenarioError, ScenarioMatrix,
+    ScenarioPoint, SweepSpec,
 };
 use std::sync::Arc;
 
@@ -205,28 +205,35 @@ impl FrameError {
     }
 }
 
-/// The payload of a `run` request, mirroring the CLI's selection flags.
+/// One run, as both front ends state it: the daemon parses it from a
+/// `run` payload, the CLI fills it from its flags. One-shot `repro`
+/// resolves it in-process via [`RunRequest::resolve_from`]; `repro
+/// client` sends its [`RunRequest::to_json`] line. Each field names its
+/// wire field and the CLI flag that fills it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunRequest {
-    /// Experiment keys (like repeated `--experiment`).
+    /// `experiments`: keys, positional or from repeated `--experiment`.
     pub keys: Vec<String>,
-    /// Tag names (like repeated `--tag`, AND-ed).
+    /// `tags`: tag names from repeated `--tag`, AND-ed.
     pub tags: Vec<String>,
-    /// Scenario overrides (like repeated `--set`), in request order.
+    /// `set`: scenario overrides from repeated `--set`, in order.
     pub sets: Vec<(String, String)>,
-    /// Sweep specs (like repeated `--sweep`), in request order.
+    /// `sweep`: sweep specs from repeated `--sweep`, in order.
     pub sweeps: Vec<String>,
-    /// Distribution bindings (`path ~ dist(args)`, like `--set` with a
-    /// `~`), in request order. Non-empty turns the run into a Monte-Carlo
-    /// sampling run.
+    /// `dists`: distribution bindings (`path ~ dist(args)`, a `--set` or
+    /// `--sweep` with a `~`), in order. Non-empty turns the run into a
+    /// Monte-Carlo sampling run.
     pub dists: Vec<String>,
-    /// Monte-Carlo sample count (like `--samples`; required with `dists`).
+    /// `samples`: Monte-Carlo sample count (`--samples`; required with
+    /// `dists`).
     pub samples: Option<usize>,
-    /// Monte-Carlo RNG seed (like `--seed`; defaults to 0).
+    /// `seed`: Monte-Carlo RNG seed (`--seed`; defaults to 0).
     pub seed: Option<u64>,
-    /// Worker threads for this request's grid (server-clamped).
+    /// `jobs`: worker threads for this request's grid (`--jobs`;
+    /// server-clamped).
     pub jobs: Option<usize>,
-    /// Bypass the resident cache, one model run per grid cell.
+    /// `no_cache`: one model run per grid cell, bypassing the cache
+    /// (`--no-cache`).
     pub no_cache: bool,
 }
 
@@ -400,7 +407,8 @@ fn parse_id(value: &JsonValue) -> Result<Option<RequestId>, ProtocolError> {
 }
 
 /// Parses the body of one `run` payload — either a whole `run` request
-/// or one element of a `batch`'s `runs` array.
+/// or one element of a `batch`'s `runs` array. [`RunRequest::to_json`]
+/// is its exact inverse.
 fn parse_run_body(value: &JsonValue) -> Result<RunRequest, ProtocolError> {
     let keys = string_list(value, "experiments")?;
     let tags = string_list(value, "tags")?;
@@ -467,23 +475,53 @@ fn parse_run_body(value: &JsonValue) -> Result<RunRequest, ProtocolError> {
 }
 
 impl RunRequest {
-    /// Validates the request against the experiment registry and the
-    /// canonical scenario `FIELDS`, expanding it into entries, a matrix,
-    /// points and run contexts. Nothing runs here — a failing request is
-    /// rejected before it can touch the engine or its cache.
-    pub fn resolve(&self) -> Result<ResolvedRun, ProtocolError> {
-        self.resolve_with(None)
+    /// The `run` request line for this payload — the exact inverse of
+    /// [`parse_run_body`]. Fields at their defaults are omitted; `set`
+    /// values travel as the strings the CLI read.
+    #[must_use]
+    pub fn to_json(&self) -> JsonValue {
+        let strings = |items: &[String]| {
+            JsonValue::array(items.iter().map(|item| JsonValue::from(item.as_str())))
+        };
+        let mut fields = vec![("op", JsonValue::from("run"))];
+        for (field, items) in [
+            ("experiments", &self.keys),
+            ("tags", &self.tags),
+            ("sweep", &self.sweeps),
+            ("dists", &self.dists),
+        ] {
+            if !items.is_empty() {
+                fields.push((field, strings(items)));
+            }
+        }
+        if !self.sets.is_empty() {
+            let set = self
+                .sets
+                .iter()
+                .map(|(k, v)| (k.as_str(), JsonValue::from(v.as_str())));
+            fields.push(("set", JsonValue::object(set)));
+        }
+        let counts = [
+            ("samples", self.samples.map(|n| n as u64)),
+            ("seed", self.seed),
+            ("jobs", self.jobs.map(|n| n as u64)),
+        ];
+        for (field, count) in counts {
+            if let Some(n) = count {
+                fields.push((field, JsonValue::Integer(n)));
+            }
+        }
+        if self.no_cache {
+            fields.push(("no_cache", JsonValue::Bool(true)));
+        }
+        JsonValue::object(fields)
     }
 
-    /// [`Self::resolve`] with an optional [`ScenarioInterner`]: when one
-    /// is supplied, a repeated `set`/`dists` payload reuses the interned
-    /// validated base scenario instead of re-validating it, so a daemon
-    /// replaying identical scenarios skips the per-request validation
-    /// cost entirely.
-    pub fn resolve_with(
-        &self,
-        interner: Option<&ScenarioInterner>,
-    ) -> Result<ResolvedRun, ProtocolError> {
+    /// The selected experiments — explicit keys in request order (each
+    /// must carry every requested tag), else every entry carrying all the
+    /// tags, in registry order. May be empty; [`Self::resolve_with`]
+    /// rejects an empty selection, a `--list` prints it.
+    pub fn select(&self) -> Result<Vec<&'static Entry>, ProtocolError> {
         let tags: Vec<Tag> = self
             .tags
             .iter()
@@ -493,50 +531,77 @@ impl RunRequest {
                 })
             })
             .collect::<Result<_, _>>()?;
+        if self.keys.is_empty() {
+            return Ok(experiments::with_tags(&tags));
+        }
+        self.keys
+            .iter()
+            .map(|key| {
+                let entry = experiments::find_entry(key).ok_or_else(|| {
+                    ProtocolError::new("unknown-experiment", format!("unknown experiment `{key}`"))
+                })?;
+                // An explicitly named key that fails the tag filter is a
+                // contradiction in the request, not something to drop.
+                if let Some(&missing) = tags.iter().find(|&&t| !entry.has_tag(t)) {
+                    return Err(ProtocolError::new(
+                        "unknown-experiment",
+                        format!("experiment `{key}` does not carry tag `{missing}`"),
+                    ));
+                }
+                Ok(entry)
+            })
+            .collect()
+    }
 
-        let entries: Vec<&'static Entry> = if self.keys.is_empty() {
-            experiments::with_tags(&tags)
-        } else {
-            self.keys
-                .iter()
-                .map(|key| {
-                    let entry = experiments::find_entry(key).ok_or_else(|| {
-                        ProtocolError::new(
-                            "unknown-experiment",
-                            format!("unknown experiment `{key}`"),
-                        )
-                    })?;
-                    if let Some(&missing) = tags.iter().find(|&&t| !entry.has_tag(t)) {
-                        return Err(ProtocolError::new(
-                            "unknown-experiment",
-                            format!("experiment `{key}` does not carry tag `{missing}`"),
-                        ));
-                    }
-                    Ok(entry)
-                })
-                .collect::<Result<_, _>>()?
-        };
+    /// Validates the request against the experiment registry and the
+    /// canonical scenario `FIELDS`, with `base` (paper defaults, or the
+    /// CLI's `--scenario` file) under the `set` overrides, expanding it
+    /// into entries, a matrix, points and run contexts. Nothing runs here
+    /// — a failing request is rejected before it can touch the engine or
+    /// its cache.
+    pub fn resolve_from(&self, base: Scenario) -> Result<ResolvedRun, ProtocolError> {
+        self.resolve_on(|| InternedScenario::build(base, &self.sets, &self.dists).map(Arc::new))
+    }
+
+    /// [`Self::resolve_from`] the paper defaults, with an optional
+    /// [`ScenarioInterner`]: when one is supplied, a repeated
+    /// `set`/`dists` payload reuses the interned validated base scenario
+    /// instead of re-validating it, so a daemon replaying identical
+    /// scenarios skips the per-request validation cost entirely.
+    pub fn resolve_with(
+        &self,
+        interner: Option<&ScenarioInterner>,
+    ) -> Result<ResolvedRun, ProtocolError> {
+        match interner {
+            Some(interner) => self.resolve_on(|| interner.resolve(&self.sets, &self.dists)),
+            None => self.resolve_from(Scenario::paper_defaults()),
+        }
+    }
+
+    /// The resolver proper, over a validated base payload `base` yields.
+    fn resolve_on(
+        &self,
+        base: impl FnOnce() -> Result<Arc<InternedScenario>, ProtocolError>,
+    ) -> Result<ResolvedRun, ProtocolError> {
+        let entries = self.select()?;
         if entries.is_empty() {
             return Err(ProtocolError::new(
                 "unknown-experiment",
                 "no experiments match the given keys/tags",
             ));
         }
-
-        // The validated base scenario plus parsed dist bindings — interned
-        // when an interner is supplied, so identical payloads validate once.
-        let base: Arc<InternedScenario> = match interner {
-            Some(interner) => interner.resolve(&self.sets, &self.dists)?,
-            None => Arc::new(InternedScenario::build(&self.sets, &self.dists)?),
-        };
+        let base = base()?;
 
         // Monte-Carlo sampling and enumerated sweeps are mutually
         // exclusive: a sampled axis has no fixed point labels for a grid.
+        // Each rule names the wire field and the CLI flag, so one message
+        // serves both front ends.
         let mc = if self.dists.is_empty() {
             if self.samples.is_some() || self.seed.is_some() {
                 return Err(ProtocolError::new(
                     "invalid-sweep",
-                    "`samples`/`seed` require at least one `dists` binding",
+                    "`samples` (--samples) and `seed` (--seed) require at least one \
+                     `dists` binding (--set 'path ~ dist(...)')",
                 ));
             }
             None
@@ -544,11 +609,16 @@ impl RunRequest {
             if !self.sweeps.is_empty() {
                 return Err(ProtocolError::new(
                     "invalid-sweep",
-                    "`dists` cannot be combined with `sweep`",
+                    "`dists` bindings (--set 'path ~ dist(...)') cannot be combined \
+                     with `sweep` value sweeps (--sweep)",
                 ));
             }
             let samples = self.samples.ok_or_else(|| {
-                ProtocolError::new("invalid-sweep", "`dists` requires a `samples` count")
+                ProtocolError::new(
+                    "invalid-sweep",
+                    "`dists` bindings (--set 'path ~ dist(...)') require a `samples` \
+                     count (--samples <n>)",
+                )
             })?;
             Some(
                 MonteCarloMatrix::new(
@@ -641,7 +711,10 @@ mod tests {
     }
 
     fn rejection(request: &RunRequest) -> ProtocolError {
-        request.resolve().err().expect("request must be rejected")
+        request
+            .resolve_with(None)
+            .err()
+            .expect("request must be rejected")
     }
 
     #[test]
@@ -699,7 +772,7 @@ mod tests {
             sweeps: vec!["grid.intensity=100,300,500".into()],
             ..RunRequest::default()
         };
-        let resolved = request.resolve().expect("valid request");
+        let resolved = request.resolve_with(None).expect("valid request");
         assert_eq!(resolved.entries.len(), 1);
         assert_eq!(resolved.points.len(), 3);
         assert_eq!(resolved.contexts.len(), 3);
@@ -719,7 +792,7 @@ mod tests {
         assert_eq!(run.dists, ["fab.node_nm ~ triangular(5,7,10)"]);
         assert_eq!(run.samples, Some(100));
         assert_eq!(run.seed, Some(7));
-        let resolved = run.resolve().expect("valid mc request resolves");
+        let resolved = run.resolve_with(None).expect("valid mc request resolves");
         let mc = resolved.mc.expect("mc matrix present");
         assert_eq!(mc.len(), 100);
         assert_eq!(mc.seed(), 7);
@@ -732,7 +805,9 @@ mod tests {
             samples: Some(10),
             ..RunRequest::default()
         };
-        let resolved = request.resolve().expect("seedless mc request resolves");
+        let resolved = request
+            .resolve_with(None)
+            .expect("seedless mc request resolves");
         assert_eq!(resolved.mc.expect("mc matrix").seed(), 0);
     }
 
@@ -836,6 +911,31 @@ mod tests {
             let unique: std::collections::BTreeSet<_> = list.iter().collect();
             assert_eq!(unique.len(), list.len());
         }
+    }
+
+    #[test]
+    fn run_requests_round_trip_through_their_json_line() {
+        let full = RunRequest {
+            keys: vec!["fig10".into(), "ext-facility".into()],
+            tags: vec!["figure".into()],
+            sets: vec![
+                ("grid.intensity".into(), "50".into()),
+                ("grid.source".into(), "coal".into()),
+            ],
+            sweeps: vec!["device.lifetime=2,3".into()],
+            dists: vec!["fleet.growth ~ uniform(1.2,1.4)".into()],
+            samples: Some(200),
+            seed: Some(u64::MAX),
+            jobs: Some(4),
+            no_cache: true,
+        };
+        for request in [full, RunRequest::default()] {
+            let line = request.to_json().render();
+            let frame = parse_frame(&line).expect("a to_json line parses");
+            assert_eq!(frame.request, Request::Run(request), "line: {line}");
+        }
+        // Defaults are omitted from the wire, not spelled out.
+        assert_eq!(RunRequest::default().to_json().render(), r#"{"op":"run"}"#);
     }
 
     #[test]
