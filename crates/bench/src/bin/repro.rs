@@ -48,12 +48,10 @@
 //! sharded fingerprint→artifact cache.
 
 use cc_core::experiments::{self, Entry, Tag};
-use cc_engine::artifact::{
-    artifact_file_name, render_artifact, render_comparisons, render_mc_comparisons,
-};
-use cc_engine::grid::{build_comparisons, disk_footer_lines, explain_lines, footer_lines};
+use cc_engine::artifact::{artifact_file_name, render_artifact};
+use cc_engine::grid::{disk_footer_lines, explain_lines, footer_lines};
 use cc_engine::protocol::RunRequest;
-use cc_engine::{DiskCache, Engine, Format, GridConfig, GridJob, McConfig, Server};
+use cc_engine::{DiskCache, Engine, Format, GridConfig, GridJob, RunCounts, Server};
 use cc_report::{JsonValue, Scenario};
 use std::io::{BufRead, Write as _};
 use std::path::{Path, PathBuf};
@@ -472,37 +470,23 @@ fn client_main(cli: Cli) {
     fail("server closed the connection before finishing the response");
 }
 
-/// Emits a whole-run report (`comparison`, `mc-comparison`) on stdout, or
-/// writes it to `--out` as `<stem>.<ext>`.
-fn emit_report(cli: &Cli, stem: &str, report: &str) {
-    match &cli.out_dir {
-        None => emit(report),
-        Some(dir) => {
-            let name = format!("{stem}.{}", cli.format.extension());
-            emit(write_file(&dir.join(name), report));
-        }
-    }
-}
-
 /// The cache footer of a sweep or Monte-Carlo run: how the dependency
 /// dedup compressed its `cells` (points or samples) per experiment, plus —
 /// with `--cache-dir` — what this process really recomputed versus what the
 /// warm cache dir answered. Not part of any artifact (a cached and an
 /// uncached run write byte-identical files), kept off stdout in JSON mode
 /// so JSON consumers can parse stdout, and suppressed with `--no-cache`.
-fn emit_footer(
-    cli: &Cli,
-    entries: &[&'static Entry],
-    cells: usize,
-    run_counts: &[usize],
-    disk: (&[usize], &[usize]),
-) {
+fn emit_footer(cli: &Cli, entries: &[&'static Entry], cells: usize, counts: &RunCounts) {
     if cli.request.no_cache {
         return;
     }
-    let mut footer = footer_lines(entries, cells, run_counts);
+    let mut footer = footer_lines(entries, cells, &counts.run_counts);
     if cli.cache_dir.is_some() {
-        footer.extend(disk_footer_lines(entries, disk.0, disk.1));
+        footer.extend(disk_footer_lines(
+            entries,
+            &counts.disk_runs,
+            &counts.disk_hits,
+        ));
     }
     for line in footer {
         if cli.format == Format::Json {
@@ -560,13 +544,11 @@ fn one_shot_main(cli: Cli) {
     }
 
     let run = resolve(base);
-    let jobs = cli.request.jobs.unwrap_or(1);
-    let no_cache = cli.request.no_cache;
     if cli.explain {
         if run.mc.is_some() {
             fail("--explain does not apply to Monte-Carlo runs");
         }
-        for line in explain_lines(&run.entries, &run.points, no_cache) {
+        for line in explain_lines(&run.entries, &run.points, cli.request.no_cache) {
             emit(line);
         }
         return;
@@ -581,30 +563,15 @@ fn one_shot_main(cli: Cli) {
     if let Some(dir) = &cli.cache_dir {
         engine = engine.with_disk(open_disk_cache(dir));
     }
-    engine.count_request();
-
-    // Monte-Carlo: distribution bindings sample the scenario instead of
-    // enumerating it. One streaming run, one banded comparison report.
-    if let Some(mc) = &run.mc {
-        let config = McConfig { jobs, no_cache };
-        let result = engine
-            .run_mc(&run.entries, mc, &config)
-            .unwrap_or_else(|e| fail(&e.to_string()));
-        let report = render_mc_comparisons(&result.comparisons, mc, cli.format);
-        emit_report(&cli, "mc-comparison", &report);
-        let disk = (&result.disk_runs[..], &result.disk_hits[..]);
-        emit_footer(&cli, &run.entries, mc.len(), &result.run_counts, disk);
-        return;
-    }
-
     let config = GridConfig {
-        jobs,
-        no_cache,
+        jobs: cli.request.jobs.unwrap_or(1),
+        no_cache: cli.request.no_cache,
         format: cli.format,
     };
     // Renders one artifact on the worker thread, streaming it to `--out`
     // the moment the job finishes (not after the whole grid drains); the
-    // returned lines reach stdout in grid order via the engine's sequencer.
+    // returned lines reach stdout in grid order via the engine's reorder
+    // buffer.
     let render = |job: &GridJob<'_>| {
         let point = job.sweeping.then_some(job.point);
         let artifact = render_artifact(
@@ -623,31 +590,19 @@ fn one_shot_main(cli: Cli) {
             }
         }
     };
-    let result = engine.run_grid(
-        &run.entries,
-        &run.points,
-        &run.contexts,
-        &config,
-        render,
-        emit,
-    );
+    let execution = engine
+        .execute(&run, &config, render, emit)
+        .unwrap_or_else(|e| fail(&e.to_string()));
 
-    // With an active sweep, diff every experiment's summary scalar across the
-    // grid points into the comparison report.
-    if run.matrix.is_sweep() {
-        let comparisons =
-            build_comparisons(&run.entries, &run.points, &result.scalars, &run.matrix)
-                .unwrap_or_else(|e| fail(&e.to_string()));
-        let report = render_comparisons(&comparisons, &run.matrix, cli.format);
-        emit_report(&cli, "comparison", &report);
-        let disk = (&result.disk_runs[..], &result.disk_hits[..]);
-        emit_footer(
-            &cli,
-            &run.entries,
-            run.points.len(),
-            &result.run_counts,
-            disk,
-        );
+    // A sweep's comparison or a Monte-Carlo run's banded digests, on
+    // stdout or into `--out`, then the cache footer.
+    if let Some(report) = &execution.report {
+        let text = report.render(cli.format);
+        match &cli.out_dir {
+            None => emit(text),
+            Some(dir) => emit(write_file(&dir.join(report.file_name(cli.format)), &text)),
+        }
+        emit_footer(&cli, &run.entries, report.cells(), &execution.counts);
     }
 }
 

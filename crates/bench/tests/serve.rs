@@ -270,9 +270,12 @@ fn served_artifacts_byte_match_the_one_shot_cli() {
     let dir = std::env::temp_dir().join(format!("cc-serve-diff-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
-    // Each run through the daemon (via `repro client --out`) and through
-    // the one-shot CLI (`--json --out`). The second is spelled with a
-    // positional key, as the client shares the one-shot parser.
+    // Each run shape — a sweep, a single point, a Monte-Carlo run —
+    // through the daemon (via `repro client --out`) and through the
+    // one-shot CLI (`--json --out`). The single point is spelled with a
+    // positional key, as the client shares the one-shot parser; the
+    // Monte-Carlo seed pins the sample stream, so its banded digests must
+    // agree byte for byte.
     let sweep = [
         "--experiment",
         "fig10",
@@ -280,8 +283,21 @@ fn served_artifacts_byte_match_the_one_shot_cli() {
         "grid.intensity=50,380,700",
     ];
     let positional = ["fig05", "--tag", "figure", "--set", "grid.intensity=50"];
+    let mc = [
+        "--experiment",
+        "ext-facility",
+        "--set",
+        "fleet.growth ~ uniform(1.2,1.4)",
+        "--samples",
+        "300",
+        "--seed",
+        "7",
+    ];
     let mut trees = Vec::new();
-    for (i, run) in [&sweep[..], &positional[..]].into_iter().enumerate() {
+    for (i, run) in [&sweep[..], &positional[..], &mc[..]]
+        .into_iter()
+        .enumerate()
+    {
         let served_dir = dir.join(format!("served-{i}"));
         let cli_dir = dir.join(format!("cli-{i}"));
         let out = client(
@@ -298,6 +314,12 @@ fn served_artifacts_byte_match_the_one_shot_cli() {
             stdout.contains(r#""type":"done""#),
             "client prints the done line: {stdout}"
         );
+        if run == mc {
+            assert!(
+                stdout.contains(r#""samples":300"#),
+                "the done line confirms the server ran a Monte-Carlo request: {stdout}"
+            );
+        }
 
         let cli = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(run)
@@ -317,6 +339,7 @@ fn served_artifacts_byte_match_the_one_shot_cli() {
                 "fig10@grid.intensity-700.json",
             ][..],
             &["fig05.json"][..],
+            &["mc-comparison.json"][..],
         ]
     );
 

@@ -308,6 +308,54 @@ pub fn render_mc_comparisons(
     }
 }
 
+/// A run's whole-run report, as [`crate::Engine::execute`] returns it,
+/// with the matrix it renders against.
+pub enum Report<'run> {
+    /// A sweep's cross-scenario comparisons.
+    Sweep(&'run ScenarioMatrix, Vec<Comparison>),
+    /// A Monte-Carlo run's banded digests.
+    Mc(&'run MonteCarloMatrix, Vec<McComparison>),
+}
+
+impl Report<'_> {
+    /// The report's file name: `comparison.<ext>` or `mc-comparison.<ext>`.
+    #[must_use]
+    pub fn file_name(&self, format: Format) -> String {
+        let stem = match self {
+            Self::Sweep(..) => "comparison",
+            Self::Mc(..) => "mc-comparison",
+        };
+        format!("{stem}.{}", format.extension())
+    }
+
+    /// The points or samples the report covers.
+    #[must_use]
+    pub fn cells(&self) -> usize {
+        match self {
+            Self::Sweep(matrix, _) => matrix.len(),
+            Self::Mc(matrix, _) => matrix.len(),
+        }
+    }
+
+    /// The report as a JSON value (the daemon's `comparison` payload).
+    #[must_use]
+    pub fn to_json(&self) -> JsonValue {
+        match self {
+            Self::Sweep(matrix, comparisons) => comparison_json(comparisons, matrix),
+            Self::Mc(matrix, comparisons) => mc_comparison_json(comparisons, matrix),
+        }
+    }
+
+    /// The report rendered in `format`.
+    #[must_use]
+    pub fn render(&self, format: Format) -> String {
+        match self {
+            Self::Sweep(matrix, comparisons) => render_comparisons(comparisons, matrix, format),
+            Self::Mc(matrix, comparisons) => render_mc_comparisons(comparisons, matrix, format),
+        }
+    }
+}
+
 /// Replaces filename-hostile characters in a sweep-point label.
 #[must_use]
 pub fn sanitize(label: &str) -> String {

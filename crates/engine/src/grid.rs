@@ -1,28 +1,28 @@
 //! The streaming (scenario-point × experiment) grid runner.
 //!
 //! The grid is first compressed into [`WorkGroup`]s — one per distinct
-//! `(experiment, dependency fingerprint)` — then scheduled on up to
-//! `jobs` worker threads pulling off a shared atomic cursor. Each group
-//! runs its models at most once (and, through the engine's shared cache,
-//! possibly zero times); every member point's artifact is rendered from
-//! the shared output with that point's own metadata and streamed to the
-//! caller's sink in grid order via a small reorder buffer.
+//! `(experiment, dependency fingerprint)` — then handed to the engine's
+//! ordered worker loop, the one [`crate::mc`] runs on too: up to `jobs`
+//! threads pull groups off a shared atomic cursor. Each group runs its
+//! models at most once (and, through the engine's shared cache, possibly
+//! zero times); every member point's artifact is rendered from the shared
+//! output with that point's own metadata, and the loop's reorder buffer
+//! delivers it to the caller's sink in grid order.
 //!
 //! The renderer runs *on the worker threads* (rendering large tables is
-//! real work worth parallelizing); the sink runs under the sequencer lock,
-//! strictly in job order — exactly the contract the historical CLI had, so
-//! its stdout stays byte-identical.
+//! real work worth parallelizing); the sink runs under the reorder
+//! buffer's lock, strictly in job order — exactly the contract the
+//! historical CLI had, so its stdout stays byte-identical.
 
 use crate::artifact::Format;
-use crate::{counts, Engine, EngineError, Tally};
+use crate::{tracked_metrics, Engine, EngineError, RunCounts, Tally};
 use cc_core::experiments::Entry;
 use cc_report::{
     dedup_groups, Comparison, Experiment, ExperimentOutput, RunContext, Scalar, ScenarioMatrix,
     ScenarioOverlay, ScenarioPoint,
 };
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::convert::Infallible;
+use std::ops::Deref;
 
 /// Knobs for one grid run.
 #[derive(Clone, Copy, Debug)]
@@ -103,56 +103,21 @@ pub struct GridJob<'a> {
     pub format: Format,
 }
 
-/// What one grid run produced, beyond the streamed artifacts.
+/// What one grid run produced, beyond the streamed artifacts. Derefs to
+/// its [`RunCounts`].
 pub struct GridResult {
     /// Per-job scalar lists, indexed `entry_idx * npoints + point_idx`; the
     /// first scalar is the experiment's summary.
     pub scalars: Vec<Vec<Scalar>>,
-    /// Per-entry model-run *plan* counts (one per work group — the cache
-    /// footer's "N runs"). Deliberately independent of cache outcomes so a
-    /// warm and a cold cache print identical footers.
-    pub run_counts: Vec<usize>,
-    /// Per-entry groups in which this process computed any part fresh (an
-    /// in-memory miss the disk cache could not answer). The disk footer's
-    /// "N recomputes".
-    pub disk_runs: Vec<usize>,
-    /// Per-entry groups in which every part that missed the resident cache
-    /// was answered by the persistent on-disk cache. Always zero when the
-    /// engine has no disk cache attached.
-    pub disk_hits: Vec<usize>,
-    /// Part lookups this grid answered from resident artifacts.
-    pub hits: u64,
-    /// Part lookups this grid computed (or disk-loaded) fresh.
-    pub misses: u64,
-    /// Part lookups this grid deduplicated against another in-flight
-    /// computation.
-    pub inflight_dedups: u64,
+    /// The run's counts; `run_counts` is the per-entry work-group plan.
+    pub counts: RunCounts,
 }
 
-/// Reorder buffer between out-of-order job completion and in-order output:
-/// workers hand in `(job index, lines)`, the sequencer forwards every line
-/// whose predecessors have all arrived, buffering only the gap.
-struct Sequencer {
-    next: usize,
-    pending: BTreeMap<usize, Vec<String>>,
-}
+impl Deref for GridResult {
+    type Target = RunCounts;
 
-impl Sequencer {
-    fn new() -> Self {
-        Self {
-            next: 0,
-            pending: BTreeMap::new(),
-        }
-    }
-
-    fn complete(&mut self, index: usize, lines: Vec<String>, sink: &(dyn Fn(String) + Sync)) {
-        self.pending.insert(index, lines);
-        while let Some(lines) = self.pending.remove(&self.next) {
-            for line in lines {
-                sink(line);
-            }
-            self.next += 1;
-        }
+    fn deref(&self) -> &RunCounts {
+        &self.counts
     }
 }
 
@@ -179,86 +144,69 @@ impl Engine {
         S: Fn(String) + Sync,
     {
         let npoints = points.len();
-        let total = entries.len() * npoints;
         let sweeping = npoints > 1;
         let groups = build_groups(entries, points, config.no_cache);
-        let mut run_counts = vec![0usize; entries.len()];
+        let mut plan = vec![0usize; entries.len()];
         for group in &groups {
-            run_counts[group.entry_idx] += 1;
+            plan[group.entry_idx] += 1;
         }
-        let scalars: Vec<Mutex<Vec<Scalar>>> = (0..total).map(|_| Mutex::new(Vec::new())).collect();
-        let sequencer = Mutex::new(Sequencer::new());
-        let next_group = AtomicUsize::new(0);
         let tally = Tally::new(entries.len());
+        let mut scalars = Vec::with_capacity(entries.len() * npoints);
 
-        // Shared by the sequential path and every worker: obtain one group's
-        // output (cache or fresh run), then render every member point's
-        // artifact (each with its own point/scenario metadata) and queue its
-        // lines for in-order delivery.
-        let process = |group: &WorkGroup| {
-            let entry = entries[group.entry_idx];
-            let experiment = entry.build();
-            let representative = group.point_idxs[0];
-            let output = self.obtain(
-                group.entry_idx,
-                entry,
-                &points[representative].overlay,
-                &contexts[representative],
-                config.no_cache,
-                &tally,
-            );
-            for &point_idx in &group.point_idxs {
-                let job_index = group.entry_idx * npoints + point_idx;
-                let job = GridJob {
+        // One group per work unit: obtain its output (cache or fresh run),
+        // then render every member point's artifact (each with its own
+        // point/scenario metadata) and emit its lines and scalars under
+        // the job's grid index.
+        let Ok(()) = crate::ordered(
+            0..groups.len(),
+            config.jobs,
+            |unit, emit: &dyn Fn(usize, (Vec<String>, Vec<Scalar>))| {
+                let group = &groups[unit];
+                let entry = entries[group.entry_idx];
+                let experiment = entry.build();
+                let representative = group.point_idxs[0];
+                let output = self.obtain(
+                    group.entry_idx,
                     entry,
-                    entry_idx: group.entry_idx,
-                    point_idx,
-                    point: &points[point_idx],
-                    context: &contexts[point_idx],
-                    experiment: experiment.as_ref(),
-                    output: &output,
-                    sweeping,
-                    format: config.format,
-                };
-                let lines = render(&job);
-                *scalars[job_index].lock().expect("no panics under lock") = output.scalars.clone();
-                sequencer
-                    .lock()
-                    .expect("no panics under lock")
-                    .complete(job_index, lines, &sink);
-            }
-        };
-
-        let workers = config.jobs.min(groups.len().max(1));
-        if workers <= 1 {
-            for group in &groups {
-                process(group);
-            }
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let group_index = next_group.fetch_add(1, Ordering::Relaxed);
-                        let Some(group) = groups.get(group_index) else {
-                            break;
-                        };
-                        process(group);
-                    });
+                    &points[representative].overlay,
+                    &contexts[representative],
+                    config.no_cache,
+                    &tally,
+                );
+                for &point_idx in &group.point_idxs {
+                    let job = GridJob {
+                        entry,
+                        entry_idx: group.entry_idx,
+                        point_idx,
+                        point: &points[point_idx],
+                        context: &contexts[point_idx],
+                        experiment: experiment.as_ref(),
+                        output: &output,
+                        sweeping,
+                        format: config.format,
+                    };
+                    let lines = render(&job);
+                    emit(
+                        group.entry_idx * npoints + point_idx,
+                        (lines, output.scalars.clone()),
+                    );
                 }
-            });
-        }
+                Ok::<(), Infallible>(())
+            },
+            |(lines, job_scalars)| {
+                for line in lines {
+                    sink(line);
+                }
+                scalars.push(job_scalars);
+            },
+        );
 
         GridResult {
-            scalars: scalars
-                .into_iter()
-                .map(|slot| slot.into_inner().expect("no panics under lock"))
-                .collect(),
-            run_counts,
-            disk_runs: counts(tally.disk_runs),
-            disk_hits: counts(tally.disk_hits),
-            hits: tally.hits.into_inner(),
-            misses: tally.misses.into_inner(),
-            inflight_dedups: tally.dedups.into_inner(),
+            scalars,
+            counts: RunCounts {
+                run_counts: plan,
+                ..tally.finish()
+            },
         }
     }
 }
@@ -418,12 +366,7 @@ pub fn build_comparisons(
             .iter()
             .find(|s| !s.is_empty())
             .ok_or(EngineError::MissingSummaryScalar { key: entry.key })?;
-        let metrics = reference
-            .iter()
-            .enumerate()
-            .filter(|(i, scalar)| *i == 0 || scalar.threshold.is_some())
-            .map(|(_, scalar)| scalar);
-        for metric in metrics {
+        for metric in tracked_metrics(reference) {
             let mut comparison = Comparison::new(entry.key, &metric.name, &metric.unit);
             if let Some(axis) = axis {
                 comparison = comparison.with_axis(axis);
@@ -462,6 +405,7 @@ mod tests {
     use super::*;
     use cc_core::experiments;
     use cc_report::ScenarioMatrix;
+    use std::sync::Mutex;
 
     fn grid(
         keys: &[&str],

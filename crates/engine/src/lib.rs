@@ -11,24 +11,29 @@
 //!   overlapping requests are answered from resident [`ExperimentOutput`]s,
 //!   and concurrent requests racing on the same fingerprint compute it
 //!   exactly once;
-//! * the streaming **(scenario-point × experiment) grid runner**
-//!   ([`Engine::run_grid`]): workers pull fingerprint-deduplicated work
-//!   groups off a shared queue, artifacts stream out the moment they
-//!   complete, and a reorder buffer keeps the output in grid order;
 //! * monotonic counters surfaced as an [`EngineStats`] snapshot.
 //!
-//! Two execution drivers sit on top of that state:
+//! Both front ends resolve a request into a [`protocol::ResolvedRun`] and
+//! hand it to one executor, [`Engine::execute`], which picks a driver and
+//! returns the run's [`Report`] plus its [`RunCounts`]; the callers only
+//! render:
 //!
 //! * [`Engine::run_grid`] walks an *enumerated* scenario matrix, streaming
-//!   one artifact per (experiment × point) job in grid order;
+//!   one artifact per (experiment × point) job in grid order; a sweep's
+//!   summary scalars become [`grid::build_comparisons`]'s comparisons;
 //! * [`Engine::run_mc`] pumps a *sampled* [`cc_report::MonteCarloMatrix`]
 //!   through the same fingerprint/cache pipeline, digesting each tracked
 //!   metric into streaming statistics (Welford mean/variance, P² quantile
 //!   markers) so a million-sample uncertainty run holds no per-sample
-//!   state. A reorder buffer feeds the order-sensitive accumulators
-//!   strictly in sample order, making the digests byte-reproducible for a
-//!   given seed across any `--jobs` value and across one-shot versus
-//!   served runs.
+//!   state.
+//!
+//! Both drivers run on one ordered worker loop: up to `jobs` scoped
+//! threads pull work units off an atomic cursor, and a reorder buffer
+//! hands their results on strictly in order — artifact lines to the
+//! caller's sink in grid order, sample values to the order-sensitive
+//! accumulators in sample order. That makes stdout and the Monte-Carlo
+//! digests byte-reproducible across any `--jobs` value and across
+//! one-shot versus served runs.
 //!
 //! The surrounding modules carry everything else the two front-ends share:
 //! [`artifact`] renders per-point artifacts, cross-scenario comparison
@@ -49,18 +54,22 @@ pub mod persist;
 pub mod protocol;
 pub mod server;
 
-pub use artifact::Format;
+pub use artifact::{Format, Report};
 pub use cache::{Outcome, ShardedCache};
 pub use grid::{GridConfig, GridJob, GridResult};
 pub use intern::{InternedScenario, ScenarioInterner};
-pub use mc::{McConfig, McError, McResult};
+pub use mc::{McConfig, McResult};
 pub use persist::DiskCache;
 pub use server::{ServeLog, Server};
 
 use cc_core::experiments::{Entry, Part};
 use cc_report::{ExperimentOutput, JsonValue, RunContext, Scalar, ScenarioOverlay};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use grid::build_comparisons;
+use protocol::ResolvedRun;
+use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Default total cache capacity (entries across all shards). Each entry is
 /// one `ExperimentOutput` — tables and series for one experiment at one
@@ -131,6 +140,63 @@ impl Engine {
         self.requests.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Executes one resolved run: the one executor behind one-shot `repro`
+    /// and every daemon `run`. Counts the request, then runs the
+    /// Monte-Carlo driver when the run binds distributions and the grid
+    /// driver otherwise, building a sweep's comparisons from the grid's
+    /// scalars. `config` carries the run's `jobs` and `no_cache`; `render`
+    /// and `sink` stream the grid's artifacts as in [`Self::run_grid`]
+    /// (a Monte-Carlo run streams none).
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Sample`] when a drawn value fails validation; the
+    /// missing-scalar errors when an experiment's scalar coverage breaks.
+    /// Artifacts already streamed stay streamed.
+    pub fn execute<'run, R, S>(
+        &self,
+        run: &'run ResolvedRun,
+        config: &GridConfig,
+        render: R,
+        sink: S,
+    ) -> Result<Execution<'run>, EngineError>
+    where
+        R: Fn(&GridJob<'_>) -> Vec<String> + Sync,
+        S: Fn(String) + Sync,
+    {
+        self.count_request();
+        if let Some(matrix) = &run.mc {
+            let config = McConfig {
+                jobs: config.jobs,
+                no_cache: config.no_cache,
+            };
+            let result = self.run_mc(&run.entries, matrix, &config)?;
+            return Ok(Execution {
+                report: Some(Report::Mc(matrix, result.comparisons)),
+                counts: result.counts,
+            });
+        }
+        let result = self.run_grid(
+            &run.entries,
+            &run.points,
+            &run.contexts,
+            config,
+            render,
+            sink,
+        );
+        let report = if run.matrix.is_sweep() {
+            let comparisons =
+                build_comparisons(&run.entries, &run.points, &result.scalars, &run.matrix)?;
+            Some(Report::Sweep(&run.matrix, comparisons))
+        } else {
+            None
+        };
+        Ok(Execution {
+            report,
+            counts: result.counts,
+        })
+    }
+
     /// A point-in-time snapshot of the engine's counters.
     #[must_use]
     pub fn stats(&self) -> EngineStats {
@@ -179,11 +245,151 @@ impl Tally {
             dedups: AtomicU64::new(0),
         }
     }
+
+    /// The final counts.
+    pub(crate) fn finish(self) -> RunCounts {
+        RunCounts {
+            run_counts: counts(self.runs),
+            disk_runs: counts(self.disk_runs),
+            disk_hits: counts(self.disk_hits),
+            hits: self.hits.into_inner(),
+            misses: self.misses.into_inner(),
+            inflight_dedups: self.dedups.into_inner(),
+        }
+    }
 }
 
 /// The final values of per-entry counters.
 pub(crate) fn counts(counters: Vec<AtomicUsize>) -> Vec<usize> {
     counters.into_iter().map(AtomicUsize::into_inner).collect()
+}
+
+/// What one grid or Monte-Carlo run's lookups added up to: the cache
+/// footers' per-entry counts (indexed like the run's entries) and the
+/// `done` line's part-lookup counts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunCounts {
+    /// Per-entry model runs. For a grid, one per work group — the plan,
+    /// deliberately independent of cache outcomes so a warm and a cold
+    /// cache print identical footers. For a Monte-Carlo run, the samples
+    /// in which some part missed the resident cache (with `no_cache`,
+    /// every sample).
+    pub run_counts: Vec<usize>,
+    /// Per-entry lookups in which this process computed some part fresh
+    /// (a miss the disk cache could not answer): the disk footer's "N
+    /// recomputes".
+    pub disk_runs: Vec<usize>,
+    /// Per-entry lookups in which every part that missed the resident
+    /// cache was answered by the on-disk cache. Always zero without one.
+    pub disk_hits: Vec<usize>,
+    /// Part lookups answered from resident artifacts.
+    pub hits: u64,
+    /// Part lookups that computed (or disk-loaded) a fresh artifact.
+    pub misses: u64,
+    /// Part lookups deduplicated against another in-flight computation.
+    pub inflight_dedups: u64,
+}
+
+/// What [`Engine::execute`] returns.
+pub struct Execution<'run> {
+    /// The whole-run report: a sweep's comparisons or a Monte-Carlo run's
+    /// digests. `None` for a single-point grid, whose artifacts are its
+    /// whole output.
+    pub report: Option<Report<'run>>,
+    /// The run's lookup and model-run counts.
+    pub counts: RunCounts,
+}
+
+/// The metrics a run tracks across points or samples: the summary scalar
+/// (the first) plus every other scalar carrying a decision threshold.
+pub(crate) fn tracked_metrics(scalars: &[Scalar]) -> impl Iterator<Item = &Scalar> {
+    scalars
+        .iter()
+        .enumerate()
+        .filter(|(i, scalar)| *i == 0 || scalar.threshold.is_some())
+        .map(|(_, scalar)| scalar)
+}
+
+/// The reorder buffer between out-of-order completion and in-order
+/// delivery: items are handed in by key, and every item whose
+/// predecessors have all arrived goes to `deliver`, buffering only the
+/// gap.
+struct ReorderBuffer<T, D> {
+    next: usize,
+    pending: BTreeMap<usize, T>,
+    deliver: D,
+}
+
+impl<T, D: FnMut(T)> ReorderBuffer<T, D> {
+    fn complete(&mut self, key: usize, item: T) {
+        self.pending.insert(key, item);
+        while let Some(item) = self.pending.remove(&self.next) {
+            (self.deliver)(item);
+            self.next += 1;
+        }
+    }
+}
+
+/// The ordered worker loop both drivers share. At most `jobs` scoped
+/// threads (the calling thread alone at one job) pull the work units in
+/// `units` off one atomic cursor and call `work(unit, emit)`; each call
+/// may `emit(key, item)` any number of items, and `deliver` receives them
+/// strictly in key order, counting up from `units.start`.
+///
+/// The first failing unit stops the cursor and the loop drains. Units are
+/// handed out in increasing order, so every unit below a failed one has
+/// run: the error returned is that of the lowest failing unit, however
+/// the threads interleave.
+fn ordered<T, E, W, D>(units: Range<usize>, jobs: usize, work: W, deliver: D) -> Result<(), E>
+where
+    T: Send,
+    E: Send,
+    W: Fn(usize, &dyn Fn(usize, T)) -> Result<(), E> + Sync,
+    D: FnMut(T) + Send,
+{
+    let buffer = Mutex::new(ReorderBuffer {
+        next: units.start,
+        pending: BTreeMap::new(),
+        deliver,
+    });
+    let emit = |key: usize, item: T| {
+        buffer
+            .lock()
+            .expect("no panics under lock")
+            .complete(key, item);
+    };
+    let cursor = AtomicUsize::new(units.start);
+    let stop = AtomicBool::new(false);
+    let failure: Mutex<Option<(usize, E)>> = Mutex::new(None);
+    let worker = || {
+        while !stop.load(Ordering::Relaxed) {
+            let unit = cursor.fetch_add(1, Ordering::Relaxed);
+            if unit >= units.end {
+                break;
+            }
+            if let Err(e) = work(unit, &emit) {
+                let mut slot = failure.lock().expect("no panics under lock");
+                if slot.as_ref().is_none_or(|(prior, _)| unit < *prior) {
+                    *slot = Some((unit, e));
+                }
+                stop.store(true, Ordering::Relaxed);
+            }
+        }
+    };
+    let workers = jobs.clamp(1, units.len().max(1));
+    if workers == 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(worker);
+            }
+        });
+    }
+    match failure.into_inner().expect("no panics under lock") {
+        Some((_, e)) => Err(e),
+        None => Ok(()),
+    }
 }
 
 /// Where a lookup's output came from. Ordered so that an entry's source is
@@ -335,15 +541,18 @@ pub enum EngineError {
         /// The experiment's registry key.
         key: &'static str,
     },
-    /// An experiment lacked a named scalar at one sweep point.
+    /// An experiment lacked a named scalar at one sweep point or sample.
     MissingScalarAtPoint {
         /// The experiment's registry key.
         key: &'static str,
         /// The missing scalar's name.
         metric: String,
-        /// The sweep point's display label.
+        /// The sweep point's or sample's display label.
         point: String,
     },
+    /// A Monte-Carlo sample failed to apply or validate — typically an
+    /// unbounded `normal` tail drawing outside the field's physical range.
+    Sample(String),
 }
 
 impl std::fmt::Display for EngineError {
@@ -358,18 +567,12 @@ impl std::fmt::Display for EngineError {
                 f,
                 "experiment `{key}` produced no `{metric}` scalar at point `{point}`"
             ),
+            Self::Sample(message) => f.write_str(message),
         }
     }
 }
 
 impl std::error::Error for EngineError {}
-
-/// Re-exported so front-ends can hold grid scalars without importing
-/// `cc_report` themselves.
-pub type ScalarGrid = Vec<Vec<Scalar>>;
-
-/// Convenience alias used across the grid runner and cache.
-pub type Output = ExperimentOutput;
 
 #[cfg(test)]
 mod tests {
@@ -410,6 +613,27 @@ mod tests {
             s.set(key, value).unwrap();
         }
         s
+    }
+
+    #[test]
+    fn ordered_delivers_in_key_order_and_fails_at_the_lowest_unit() {
+        for jobs in [1, 4] {
+            let mut delivered = Vec::new();
+            let result = ordered(
+                0..200,
+                jobs,
+                |unit, emit: &dyn Fn(usize, usize)| {
+                    if unit % 50 == 49 {
+                        return Err(unit);
+                    }
+                    emit(unit, unit);
+                    Ok(())
+                },
+                |item| delivered.push(item),
+            );
+            assert_eq!(result, Err(49), "jobs {jobs}");
+            assert_eq!(delivered, (0..49).collect::<Vec<_>>(), "jobs {jobs}");
+        }
     }
 
     #[test]

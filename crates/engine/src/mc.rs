@@ -10,10 +10,12 @@
 //! Determinism is the load-bearing property. `point(i)` is pure in
 //! `(seed, i)`, so the sampled scenarios are identical however the worker
 //! threads interleave — but the accumulators (Welford + P² quantiles) are
-//! *order-sensitive*, so workers hand their finished sample values to a
-//! reorder buffer that feeds the accumulators strictly in sample order.
-//! The result: byte-identical statistics for the same seed across any
-//! `--jobs` value, and across one-shot versus served runs.
+//! *order-sensitive*. The samples therefore run on the engine's ordered
+//! worker loop, the one the grid runner uses: threads pull sample indices
+//! off a shared cursor, and its reorder buffer feeds each sample's values
+//! to the accumulators strictly in sample order. The result:
+//! byte-identical statistics for the same seed across any `--jobs` value,
+//! and across one-shot versus served runs.
 //!
 //! The cache earns its keep here: samples only perturb the fields named by
 //! the distribution bindings, so experiments whose declared dependencies
@@ -21,13 +23,13 @@
 //! fingerprints — often one — and the runner answers thousands of samples
 //! from a single model run.
 
-use crate::{counts, Engine, EngineError, Tally};
+use crate::{tracked_metrics, Engine, EngineError, RunCounts, Tally};
 use cc_analysis::stats::StreamingStats;
 use cc_core::experiments::Entry;
-use cc_report::{McComparison, MonteCarloMatrix, RunContext, ScalarThreshold};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use cc_report::{
+    ExperimentOutput, McComparison, MonteCarloMatrix, RunContext, Scalar, ScenarioPoint,
+};
+use std::ops::Deref;
 
 /// Knobs for one Monte-Carlo run.
 #[derive(Clone, Copy, Debug)]
@@ -39,80 +41,24 @@ pub struct McConfig {
     pub no_cache: bool,
 }
 
-/// Errors surfaced by a Monte-Carlo run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum McError {
-    /// An experiment's scalar coverage broke (no summary scalar, or a
-    /// metric missing at one sampled point).
-    Engine(EngineError),
-    /// A sampled point failed to apply or validate — typically an
-    /// unbounded `normal` tail drawing outside the field's physical range.
-    Sample(String),
-}
-
-impl std::fmt::Display for McError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Engine(e) => e.fmt(f),
-            Self::Sample(message) => f.write_str(message),
-        }
-    }
-}
-
-impl std::error::Error for McError {}
-
-/// What one Monte-Carlo run produced.
+/// What one Monte-Carlo run produced. Derefs to its [`RunCounts`].
 #[derive(Debug)]
 pub struct McResult {
     /// One banded digest per (experiment, tracked metric): the experiment's
     /// summary scalar plus every scalar carrying a decision threshold, in
     /// entry order.
     pub comparisons: Vec<McComparison>,
-    /// Per-entry samples in which any part of the experiment missed the
-    /// in-memory cache (with `no_cache`, every sample). Deterministic for a
-    /// given engine state: each distinct part fingerprint is computed
-    /// exactly once.
-    pub run_counts: Vec<usize>,
-    /// Per-entry samples in which this process computed any part fresh
-    /// (misses the disk cache could not answer).
-    pub disk_runs: Vec<usize>,
-    /// Per-entry samples in which every part that missed the in-memory
-    /// cache was answered by the persistent on-disk cache.
-    pub disk_hits: Vec<usize>,
-    /// Part lookups answered from resident artifacts.
-    pub hits: u64,
-    /// Part lookups that computed (or disk-loaded) a fresh artifact.
-    pub misses: u64,
-    /// Part lookups deduplicated against another in-flight computation.
-    pub inflight_dedups: u64,
+    /// The run's counts; `run_counts` counts the samples in which some
+    /// part missed the resident cache, deterministic for a given engine
+    /// state (each distinct part fingerprint is computed exactly once).
+    pub counts: RunCounts,
 }
 
-/// One tracked metric: the summary scalar or a thresholded secondary.
-struct MetricSpec {
-    name: String,
-    unit: String,
-    threshold: Option<ScalarThreshold>,
-}
+impl Deref for McResult {
+    type Target = RunCounts;
 
-/// Reorder buffer between out-of-order sample completion and the
-/// order-sensitive accumulators: workers hand in `(sample index, values)`,
-/// and every value whose predecessors have all arrived is pushed into its
-/// accumulator, buffering only the gap.
-struct Collector {
-    next: usize,
-    pending: BTreeMap<usize, Vec<f64>>,
-    stats: Vec<StreamingStats>,
-}
-
-impl Collector {
-    fn complete(&mut self, index: usize, values: Vec<f64>) {
-        self.pending.insert(index, values);
-        while let Some(values) = self.pending.remove(&self.next) {
-            for (slot, value) in self.stats.iter_mut().zip(values) {
-                slot.push(value);
-            }
-            self.next += 1;
-        }
+    fn deref(&self) -> &RunCounts {
+        &self.counts
     }
 }
 
@@ -122,188 +68,109 @@ impl Engine {
     /// tracked metric into a [`McComparison`].
     ///
     /// Sample 0 doubles as the probe that fixes each experiment's tracked
-    /// metrics (its summary scalar plus any thresholded scalars — the same
-    /// rule as [`crate::grid::build_comparisons`]); the remaining samples
-    /// stream through the fingerprint cache and the reorder buffer.
+    /// metrics (the same rule as [`crate::grid::build_comparisons`]); the
+    /// remaining samples stream through the fingerprint cache and the
+    /// ordered worker loop.
     ///
     /// # Errors
     ///
-    /// [`McError::Sample`] when a drawn value fails scenario validation,
-    /// [`McError::Engine`] when an experiment's scalar coverage breaks.
+    /// [`EngineError::Sample`] when a drawn value fails scenario
+    /// validation (the lowest failing sample's), and the missing-scalar
+    /// errors when an experiment's scalar coverage breaks.
     pub fn run_mc(
         &self,
         entries: &[&'static Entry],
         matrix: &MonteCarloMatrix,
         config: &McConfig,
-    ) -> Result<McResult, McError> {
-        let samples = matrix.len();
+    ) -> Result<McResult, EngineError> {
         // Every output comes through the engine's read-through pipeline
         // (`Engine::obtain`), so disk caches and resident daemons warm
         // Monte-Carlo runs too.
         let tally = Tally::new(entries.len());
 
-        // Probe with sample 0: fix each experiment's tracked metrics and
-        // collect the first sample's values while we're at it.
-        let sample_error = |index: usize, e: &dyn std::fmt::Display| {
-            McError::Sample(format!("sample {index}: {e}"))
-        };
-        let probe = matrix
-            .point(0)
-            .map_err(|e| McError::Sample(e.to_string()))?;
-        let probe_context =
-            RunContext::try_from_overlay(probe.overlay.clone()).map_err(|e| sample_error(0, &e))?;
-        let mut metric_specs: Vec<Vec<MetricSpec>> = Vec::with_capacity(entries.len());
-        let mut first_values = Vec::new();
-        for (entry_idx, entry) in entries.iter().enumerate() {
-            let output = self.obtain(
-                entry_idx,
-                entry,
-                &probe.overlay,
-                &probe_context,
-                config.no_cache,
-                &tally,
-            );
-            if output.scalars.is_empty() {
-                return Err(McError::Engine(EngineError::MissingSummaryScalar {
-                    key: entry.key,
-                }));
-            }
-            let specs: Vec<MetricSpec> = output
-                .scalars
-                .iter()
-                .enumerate()
-                .filter(|(i, scalar)| *i == 0 || scalar.threshold.is_some())
-                .map(|(_, scalar)| MetricSpec {
-                    name: scalar.name.clone(),
-                    unit: scalar.unit.clone(),
-                    threshold: scalar.threshold.clone(),
-                })
-                .collect();
-            first_values.extend(
-                specs
-                    .iter()
-                    .map(|spec| output.scalars.iter().find(|s| s.name == spec.name))
-                    .map(|scalar| scalar.expect("spec names come from these scalars").value),
-            );
-            metric_specs.push(specs);
-        }
-
-        let collector = Mutex::new(Collector {
-            next: 0,
-            pending: BTreeMap::new(),
-            stats: vec![StreamingStats::new(); first_values.len()],
-        });
-        collector
-            .lock()
-            .expect("no panics under lock")
-            .complete(0, first_values);
-
-        // One sample end to end: draw the point, run (or fetch) every
-        // experiment, pull out the tracked metric values in flat
-        // (entry-major, metric-minor) order.
-        let process = |index: usize| -> Result<Vec<f64>, McError> {
+        // One sample end to end: draw the point, then run (or fetch) every
+        // experiment and hand its output to `each`, in entry order.
+        type Each<'a> =
+            dyn FnMut(usize, &ScenarioPoint, &ExperimentOutput) -> Result<(), EngineError> + 'a;
+        let sample = |index: usize, each: &mut Each<'_>| {
             let point = matrix
                 .point(index)
-                .map_err(|e| McError::Sample(e.to_string()))?;
+                .map_err(|e| EngineError::Sample(e.to_string()))?;
             let context = RunContext::try_from_overlay(point.overlay.clone())
-                .map_err(|e| sample_error(index, &e))?;
-            let mut values = Vec::new();
+                .map_err(|e| EngineError::Sample(format!("sample {index}: {e}")))?;
             for (entry_idx, entry) in entries.iter().enumerate() {
-                let output = self.obtain(
-                    entry_idx,
-                    entry,
-                    &point.overlay,
-                    &context,
-                    config.no_cache,
-                    &tally,
-                );
-                for spec in &metric_specs[entry_idx] {
-                    let scalar = output
-                        .scalars
-                        .iter()
-                        .find(|s| s.name == spec.name)
-                        .ok_or_else(|| {
-                            McError::Engine(EngineError::MissingScalarAtPoint {
-                                key: entry.key,
-                                metric: spec.name.clone(),
+                let overlay = &point.overlay;
+                let output =
+                    self.obtain(entry_idx, entry, overlay, &context, config.no_cache, &tally);
+                each(entry_idx, &point, &output)?;
+            }
+            Ok(())
+        };
+
+        // Probe with sample 0: fix each experiment's tracked metrics (their
+        // values are sample 0's).
+        let mut metrics: Vec<Vec<Scalar>> = Vec::with_capacity(entries.len());
+        sample(0, &mut |entry_idx, _, output| {
+            if output.scalars.is_empty() {
+                let key = entries[entry_idx].key;
+                return Err(EngineError::MissingSummaryScalar { key });
+            }
+            metrics.push(tracked_metrics(&output.scalars).cloned().collect());
+            Ok(())
+        })?;
+        let mut stats = vec![StreamingStats::new(); metrics.iter().map(Vec::len).sum()];
+        let mut accumulate = |values: Vec<f64>| {
+            for (slot, value) in stats.iter_mut().zip(values) {
+                slot.push(value);
+            }
+        };
+        accumulate(metrics.iter().flatten().map(|m| m.value).collect());
+
+        // Every later sample's tracked metric values, in flat (entry-major,
+        // metric-minor) order.
+        crate::ordered(
+            1..matrix.len(),
+            config.jobs,
+            |index, emit: &dyn Fn(usize, Vec<f64>)| {
+                let mut values = Vec::new();
+                sample(index, &mut |entry_idx, point, output| {
+                    for metric in &metrics[entry_idx] {
+                        let scalar = output
+                            .scalars
+                            .iter()
+                            .find(|s| s.name == metric.name)
+                            .ok_or_else(|| EngineError::MissingScalarAtPoint {
+                                key: entries[entry_idx].key,
+                                metric: metric.name.clone(),
                                 point: point.display_label().to_string(),
-                            })
-                        })?;
-                    values.push(scalar.value);
-                }
-            }
-            Ok(values)
-        };
-
-        // Workers pull sample indices off a shared cursor; the first error
-        // (lowest sample index wins, for a stable diagnostic) raises the
-        // stop flag and the run drains.
-        let next_sample = AtomicUsize::new(1);
-        let stop = AtomicBool::new(false);
-        let error: Mutex<Option<(usize, McError)>> = Mutex::new(None);
-        let work = || loop {
-            if stop.load(Ordering::Relaxed) {
-                break;
-            }
-            let index = next_sample.fetch_add(1, Ordering::Relaxed);
-            if index >= samples {
-                break;
-            }
-            match process(index) {
-                Ok(values) => collector
-                    .lock()
-                    .expect("no panics under lock")
-                    .complete(index, values),
-                Err(e) => {
-                    let mut slot = error.lock().expect("no panics under lock");
-                    if slot.as_ref().is_none_or(|(prior, _)| index < *prior) {
-                        *slot = Some((index, e));
+                            })?;
+                        values.push(scalar.value);
                     }
-                    stop.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
-        };
-        let workers = config.jobs.clamp(1, samples);
-        if workers <= 1 {
-            work();
-        } else {
-            let work = &work;
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(work);
-                }
-            });
-        }
-        if let Some((_, e)) = error.into_inner().expect("no panics under lock") {
-            return Err(e);
-        }
+                    Ok(())
+                })?;
+                emit(index, values);
+                Ok(())
+            },
+            accumulate,
+        )?;
 
-        let collector = collector.into_inner().expect("no panics under lock");
-        debug_assert_eq!(collector.next, samples, "every sample accumulated");
-        let mut stats = collector.stats.into_iter();
+        let mut stats = stats.into_iter();
         let mut comparisons = Vec::new();
-        for (entry_idx, entry) in entries.iter().enumerate() {
-            for spec in &metric_specs[entry_idx] {
+        for (entry, tracked) in entries.iter().zip(metrics) {
+            for metric in tracked {
                 let digest = stats.next().expect("one accumulator per metric");
-                let summary = digest.summary().expect("at least one sample");
                 comparisons.push(McComparison {
                     experiment: entry.key.to_string(),
-                    metric: spec.name.clone(),
-                    unit: spec.unit.clone(),
-                    threshold: spec.threshold.clone(),
-                    stats: summary,
+                    metric: metric.name,
+                    unit: metric.unit,
+                    threshold: metric.threshold,
+                    stats: digest.summary().expect("at least one sample"),
                 });
             }
         }
         Ok(McResult {
             comparisons,
-            run_counts: counts(tally.runs),
-            disk_runs: counts(tally.disk_runs),
-            disk_hits: counts(tally.disk_hits),
-            hits: tally.hits.into_inner(),
-            misses: tally.misses.into_inner(),
-            inflight_dedups: tally.dedups.into_inner(),
+            counts: tally.finish(),
         })
     }
 }
@@ -311,6 +178,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EngineError as McError;
     use cc_core::experiments;
     use cc_report::{DistBinding, Scenario};
 

@@ -237,7 +237,7 @@ pub struct RunRequest {
     pub no_cache: bool,
 }
 
-/// A fully validated `run` request, ready for the grid runner.
+/// A fully validated `run` request, ready for [`crate::Engine::execute`].
 pub struct ResolvedRun {
     /// Selected experiments, in registry order for tag selections and
     /// request order for explicit keys.
@@ -248,10 +248,11 @@ pub struct ResolvedRun {
     pub points: Vec<ScenarioPoint>,
     /// One validated run context per point.
     pub contexts: Vec<RunContext>,
-    /// When set, the request is a Monte-Carlo sampling run: the server
-    /// routes it through [`crate::Engine::run_mc`] instead of the grid
-    /// runner, and `matrix`/`points`/`contexts` hold only the base
-    /// scenario's single point.
+    /// When set, the request is a Monte-Carlo sampling run:
+    /// [`crate::Engine::execute`] routes it through
+    /// [`crate::Engine::run_mc`] instead of the grid runner, for one-shot
+    /// and served runs alike, and `matrix`/`points`/`contexts` hold only
+    /// the base scenario's single point.
     pub mc: Option<MonteCarloMatrix>,
     /// The validated payload this run resolved from — shared with every
     /// other in-flight request carrying the identical `set`/`dists`
@@ -476,8 +477,8 @@ fn parse_run_body(value: &JsonValue) -> Result<RunRequest, ProtocolError> {
 
 impl RunRequest {
     /// The `run` request line for this payload — the exact inverse of
-    /// [`parse_run_body`]. Fields at their defaults are omitted; `set`
-    /// values travel as the strings the CLI read.
+    /// [`parse_frame`]'s `run` parsing. Fields at their defaults are
+    /// omitted; `set` values travel as the strings the CLI read.
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
         let strings = |items: &[String]| {

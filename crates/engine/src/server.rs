@@ -30,15 +30,12 @@
 //! flag and drain. Work already admitted to a queue still completes and
 //! its responses are still delivered.
 
-use crate::artifact::{
-    artifact_file_name, artifact_json, comparison_json, mc_comparison_json, Format,
-};
-use crate::grid::{build_comparisons, GridConfig, GridJob};
-use crate::mc::McConfig;
+use crate::artifact::{artifact_file_name, artifact_json, Format};
+use crate::grid::{GridConfig, GridJob};
 use crate::protocol::{
-    parse_frame, ProtocolError, Request, RequestId, RunRequest, OPS, PROTOCOL_VERSION,
+    parse_frame, ProtocolError, Request, RequestId, ResolvedRun, RunRequest, OPS, PROTOCOL_VERSION,
 };
-use crate::Engine;
+use crate::{Engine, RunCounts};
 use cc_report::JsonValue;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -643,28 +640,26 @@ fn hello_line(connection: &Connection<'_>, route: &Route<'_>) -> String {
     )
 }
 
-/// What one executed run contributed to its terminal `done` line.
-struct RunOutcome {
-    experiments: u64,
-    points: u64,
-    samples: Option<(u64, u64)>,
-    runs: u64,
-    hits: u64,
-    misses: u64,
-    inflight_dedups: u64,
-}
-
-fn cache_summary(hits: u64, misses: u64, inflight_dedups: u64) -> JsonValue {
-    JsonValue::object([
-        ("hits", JsonValue::Integer(hits)),
-        ("misses", JsonValue::Integer(misses)),
-        ("inflight_dedups", JsonValue::Integer(inflight_dedups)),
-    ])
+/// The `runs` and `cache` fields of a `done` line, summed over the
+/// counts of its runs.
+fn counted(counts: &[RunCounts]) -> [(&'static str, JsonValue); 2] {
+    let sum = |field: fn(&RunCounts) -> u64| JsonValue::Integer(counts.iter().map(field).sum());
+    [
+        ("runs", sum(|c| c.run_counts.iter().sum::<usize>() as u64)),
+        (
+            "cache",
+            JsonValue::object([
+                ("hits", sum(|c| c.hits)),
+                ("misses", sum(|c| c.misses)),
+                ("inflight_dedups", sum(|c| c.inflight_dedups)),
+            ]),
+        ),
+    ]
 }
 
 /// Validates and executes one `run` request, streaming artifact lines in
-/// grid order, then the comparison (when sweeping) and the terminal `done`
-/// line — all tagged with the request's route.
+/// grid order, then the report (when sweeping or sampling) and the
+/// terminal `done` line — all tagged with the request's route.
 fn handle_run(connection: &Connection<'_>, request: &RunRequest, route: Route<'_>) {
     let resolved = match request.resolve_with(Some(connection.engine.interner())) {
         Ok(resolved) => resolved,
@@ -673,23 +668,20 @@ fn handle_run(connection: &Connection<'_>, request: &RunRequest, route: Route<'_
             return;
         }
     };
-    connection.engine.count_request();
-    match execute_resolved(connection, request, &resolved, route) {
+    match stream(connection, request, &resolved, route) {
         Err(error) => connection.writer.send(&route.error(&error)),
-        Ok(outcome) => {
-            let mut rest: Vec<(&str, JsonValue)> =
-                vec![("experiments", JsonValue::Integer(outcome.experiments))];
-            if let Some((samples, seed)) = outcome.samples {
-                rest.push(("samples", JsonValue::Integer(samples)));
-                rest.push(("seed", JsonValue::Integer(seed)));
+        Ok(counts) => {
+            let mut rest: Vec<(&str, JsonValue)> = vec![(
+                "experiments",
+                JsonValue::Integer(resolved.entries.len() as u64),
+            )];
+            if let Some(mc) = &resolved.mc {
+                rest.push(("samples", JsonValue::Integer(mc.len() as u64)));
+                rest.push(("seed", JsonValue::Integer(mc.seed())));
             } else {
-                rest.push(("points", JsonValue::Integer(outcome.points)));
+                rest.push(("points", JsonValue::Integer(resolved.points.len() as u64)));
             }
-            rest.push(("runs", JsonValue::Integer(outcome.runs)));
-            rest.push((
-                "cache",
-                cache_summary(outcome.hits, outcome.misses, outcome.inflight_dedups),
-            ));
+            rest.extend(counted(&[counts]));
             connection.writer.send(&route.line("done", rest));
         }
     }
@@ -699,53 +691,39 @@ fn handle_run(connection: &Connection<'_>, request: &RunRequest, route: Route<'_
 /// in order, tagging each sub-run's lines with its `run` index and
 /// terminating the whole batch with one aggregate `done`.
 fn handle_batch(connection: &Connection<'_>, runs: &[RunRequest], id: Option<&RequestId>) {
-    let base = Route { id, run: None };
+    let route = |index: usize| Route {
+        id,
+        run: Some(index as u64),
+    };
     let mut resolved = Vec::with_capacity(runs.len());
     for (index, run) in runs.iter().enumerate() {
         match run.resolve_with(Some(connection.engine.interner())) {
             Ok(r) => resolved.push(r),
             Err(error) => {
-                let route = Route {
-                    id,
-                    run: Some(index as u64),
-                };
-                connection.writer.send(&route.error(&error));
+                connection.writer.send(&route(index).error(&error));
                 return;
             }
         }
     }
-    let (mut experiments, mut runs_total) = (0, 0);
-    let (mut hits, mut misses, mut inflight_dedups) = (0, 0, 0);
+    let mut counts = Vec::with_capacity(runs.len());
     for (index, (run, res)) in runs.iter().zip(&resolved).enumerate() {
-        let route = Route {
-            id,
-            run: Some(index as u64),
-        };
-        connection.engine.count_request();
-        match execute_resolved(connection, run, res, route) {
-            Ok(outcome) => {
-                experiments += outcome.experiments;
-                runs_total += outcome.runs;
-                hits += outcome.hits;
-                misses += outcome.misses;
-                inflight_dedups += outcome.inflight_dedups;
-            }
+        match stream(connection, run, res, route(index)) {
+            Ok(run_counts) => counts.push(run_counts),
             Err(error) => {
-                connection.writer.send(&route.error(&error));
+                connection.writer.send(&route(index).error(&error));
                 return;
             }
         }
     }
-    let done = base.line(
-        "done",
-        vec![
-            ("batch", JsonValue::Integer(runs.len() as u64)),
-            ("experiments", JsonValue::Integer(experiments)),
-            ("runs", JsonValue::Integer(runs_total)),
-            ("cache", cache_summary(hits, misses, inflight_dedups)),
-        ],
-    );
-    connection.writer.send(&done);
+    let experiments = resolved.iter().map(|r| r.entries.len() as u64).sum();
+    let mut rest = vec![
+        ("batch", JsonValue::Integer(runs.len() as u64)),
+        ("experiments", JsonValue::Integer(experiments)),
+    ];
+    rest.extend(counted(&counts));
+    connection
+        .writer
+        .send(&Route { id, run: None }.line("done", rest));
 }
 
 /// The payload fields of one `artifact` response line: the experiment
@@ -773,52 +751,16 @@ fn artifact_fields(job: &GridJob<'_>) -> Vec<(&'static str, JsonValue)> {
     ]
 }
 
-/// Executes one already-resolved run, streaming its artifact and
-/// comparison lines. Returns the outcome for the caller's `done` line, or
-/// the error for the caller's terminal `error` line.
-fn execute_resolved(
+/// Runs one resolved run through [`Engine::execute`], rendering its
+/// artifacts and report as response lines on `route`. Returns the run's
+/// counts for the caller's `done` line, or the error for its terminal
+/// `error` line.
+fn stream(
     connection: &Connection<'_>,
     request: &RunRequest,
-    resolved: &crate::protocol::ResolvedRun,
+    resolved: &ResolvedRun,
     route: Route<'_>,
-) -> Result<RunOutcome, ProtocolError> {
-    let engine = connection.engine;
-    let writer = connection.writer;
-    if let Some(mc) = &resolved.mc {
-        // Monte-Carlo: no per-sample artifact lines (a million-sample run
-        // must not stream a million envelopes) — one comparison line with
-        // the banded digests, then done.
-        let config = McConfig {
-            jobs: request.jobs.unwrap_or(1).min(connection.max_jobs),
-            no_cache: request.no_cache,
-        };
-        let result = engine
-            .run_mc(&resolved.entries, mc, &config)
-            .map_err(|error| ProtocolError {
-                category: "invalid-scenario",
-                message: error.to_string(),
-            })?;
-        let envelope = route.line(
-            "comparison",
-            vec![
-                (
-                    "name",
-                    JsonValue::from(format!("mc-comparison.{}", Format::Json.extension())),
-                ),
-                ("comparison", mc_comparison_json(&result.comparisons, mc)),
-            ],
-        );
-        writer.send(&envelope);
-        return Ok(RunOutcome {
-            experiments: resolved.entries.len() as u64,
-            points: resolved.points.len() as u64,
-            samples: Some((mc.len() as u64, mc.seed())),
-            runs: result.run_counts.iter().sum::<usize>() as u64,
-            hits: result.hits,
-            misses: result.misses,
-            inflight_dedups: result.inflight_dedups,
-        });
-    }
+) -> Result<RunCounts, ProtocolError> {
     let config = GridConfig {
         jobs: request.jobs.unwrap_or(1).min(connection.max_jobs),
         no_cache: request.no_cache,
@@ -839,49 +781,24 @@ fn execute_resolved(
         }
         vec![route.line("artifact", artifact_fields(job))]
     };
-    let result = engine.run_grid(
-        &resolved.entries,
-        &resolved.points,
-        &resolved.contexts,
-        &config,
-        render,
-        |line| writer.send(&line),
-    );
-    if resolved.matrix.is_sweep() {
-        let comparisons = build_comparisons(
-            &resolved.entries,
-            &resolved.points,
-            &result.scalars,
-            &resolved.matrix,
-        )
-        .map_err(|error| ProtocolError {
-            category: "invalid-scenario",
-            message: error.to_string(),
-        })?;
-        let envelope = route.line(
+    let writer = connection.writer;
+    let execution = connection
+        .engine
+        .execute(resolved, &config, render, |line| writer.send(&line))
+        .map_err(|error| ProtocolError::new("invalid-scenario", error.to_string()))?;
+    // A Monte-Carlo report is the run's only output line: a
+    // million-sample run must not stream a million envelopes.
+    if let Some(report) = &execution.report {
+        let line = route.line(
             "comparison",
             vec![
-                (
-                    "name",
-                    JsonValue::from(format!("comparison.{}", Format::Json.extension())),
-                ),
-                (
-                    "comparison",
-                    comparison_json(&comparisons, &resolved.matrix),
-                ),
+                ("name", JsonValue::from(report.file_name(Format::Json))),
+                ("comparison", report.to_json()),
             ],
         );
-        writer.send(&envelope);
+        writer.send(&line);
     }
-    Ok(RunOutcome {
-        experiments: resolved.entries.len() as u64,
-        points: resolved.points.len() as u64,
-        samples: None,
-        runs: result.run_counts.iter().sum::<usize>() as u64,
-        hits: result.hits,
-        misses: result.misses,
-        inflight_dedups: result.inflight_dedups,
-    })
+    Ok(execution.counts)
 }
 
 #[cfg(test)]

@@ -762,7 +762,7 @@ scenario_fields! {
             builder fab_node_nm(f64);
         yield_factor: f64 = 1.0 => "fab.yield_factor" []
             semantic "Multiplier on the baseline defect density (1.0 = 0.1 /cm2)",
-            Rule::Check("fab.yield_factor must be finite and positive", finite_positive),
+            Rule::Check("fab.yield_factor must lie in (0, 100]", |v| *v > 0.0 && *v <= 100.0),
             builder fab_yield_factor(f64);
         renewable_share: f64 = 0.2 => "fab.renewable_share" []
             semantic "Share of fab electricity from renewables",

@@ -97,12 +97,13 @@ const REGISTRY: [(&str, &[&str]); 26] = [
 
 /// Out-of-range values (one or more) per validated scalar or composite field other
 /// than `fab.node_nm`.
-const BAD: [(&str, &str); 23] = [
+const BAD: [(&str, &str); 24] = [
     ("grid.intensity", "0"),
     ("grid.renewable_fraction", "1.5"),
     ("device.lifetime", "0"),
     ("device.soc_budget_share", "0"),
     ("fab.yield_factor", "inf"),
+    ("fab.yield_factor", "1e6"),
     ("fab.renewable_share", "-0.1"),
     ("fleet.scale", "nan"),
     ("fleet.scale", "1e300"),
@@ -250,12 +251,13 @@ const MOVED_FINGERPRINTS: [(&str, u64); 26] = [
 ];
 
 /// The single-field validation messages, byte for byte.
-const BAD_MESSAGES: [(&str, &str, &str); 23] = [
+const BAD_MESSAGES: [(&str, &str, &str); 24] = [
     ("grid.intensity", "0", "invalid scenario: grid.intensity must lie in (0, 10000] g/kWh"),
     ("grid.renewable_fraction", "1.5", "invalid scenario: grid.renewable_fraction must lie in [0, 1]"),
     ("device.lifetime", "0", "invalid scenario: device.lifetime_years must be finite and positive"),
     ("device.soc_budget_share", "0", "invalid scenario: device.soc_budget_share must lie in (0, 1]"),
-    ("fab.yield_factor", "inf", "invalid scenario: fab.yield_factor must be finite and positive"),
+    ("fab.yield_factor", "inf", "invalid scenario: fab.yield_factor must lie in (0, 100]"),
+    ("fab.yield_factor", "1e6", "invalid scenario: fab.yield_factor must lie in (0, 100]"),
     ("fab.renewable_share", "-0.1", "invalid scenario: fab.renewable_share must lie in [0, 1]"),
     ("fleet.scale", "nan", "invalid scenario: fleet.scale must lie in (0, 1000000]"),
     ("fleet.scale", "1e300", "invalid scenario: fleet.scale must lie in (0, 1000000]"),

@@ -134,6 +134,9 @@ fn fleet_validation_rejects_unphysical_facilities_at_the_context_boundary() {
         &[("grid.intensity", "1e308")],
         // ext-die would report an infinite node next to a finite one.
         &[("fab.node_nm", "inf")],
+        // ext-die's defect density, 0.1 * fab.yield_factor per cm2, would
+        // drive its yield to 0 and print `inf`/`NaN` cells.
+        &[("fab.yield_factor", "1e6")],
         // The facility and scheduler models would panic (scale, pue) or
         // print `inf` and `NaN%` cells (construction).
         &[("fleet.scale", "1e300")],
