@@ -506,7 +506,9 @@ fn one_shot_main(cli: Cli) {
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| fail(&format!("cannot read scenario `{path}`: {e}")));
-            Scenario::from_toml(&text).unwrap_or_else(|e| fail(&format!("scenario `{path}`: {e}")))
+            let dir = Path::new(path).parent().unwrap_or(Path::new(""));
+            Scenario::from_toml_in(&text, dir)
+                .unwrap_or_else(|e| fail(&format!("scenario `{path}`: {e}")))
         }
     };
     let resolve = |base| {

@@ -868,6 +868,52 @@ fn bad_inputs_exit_nonzero_with_diagnostics() {
 }
 
 #[test]
+fn scenario_trace_files_resolve_against_the_scenario_file() {
+    // follow-the-sun.toml names its trace relative to itself, so the run
+    // is the same from the repository root and from an unrelated directory.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let scenario = root.join("scenarios/follow-the-sun.toml");
+    let elsewhere = std::env::temp_dir().join(format!("cc-repro-cwd-{}", std::process::id()));
+    std::fs::create_dir_all(&elsewhere).unwrap();
+    let run = |cwd: &std::path::Path| {
+        stdout_of(
+            repro()
+                .current_dir(cwd)
+                .arg("--scenario")
+                .arg(&scenario)
+                .arg("ext-scheduler")
+                .output()
+                .unwrap(),
+        )
+    };
+    let from_root = run(&root);
+    assert!(from_root.contains("avoided-carbon"), "{from_root}");
+    assert_eq!(run(&elsewhere), from_root);
+    std::fs::remove_dir_all(&elsewhere).ok();
+}
+
+#[test]
+fn mc_draw_errors_name_the_sample_and_its_binding() {
+    // No sweep is given, so the message must not call the binding one.
+    for jobs in ["1", "2"] {
+        let out = repro()
+            .args(["--set", "fab.node_nm ~ normal(3,40)", "--samples", "200"])
+            .args(["--jobs", jobs])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with(
+                "repro: Monte-Carlo sample 1 of `fab.node_nm ~ normal(3,40)` drew \
+                 -20.7626882153: invalid scenario: fab.node_nm must be finite and positive\n"
+            ),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
 fn mc_runs_are_byte_identical_per_seed_across_job_counts() {
     let dir = std::env::temp_dir().join(format!("cc-repro-mc-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();

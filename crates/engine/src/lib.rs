@@ -31,9 +31,17 @@
 //! threads pull work units off an atomic cursor, and a reorder buffer
 //! hands their results on strictly in order — artifact lines to the
 //! caller's sink in grid order, sample values to the order-sensitive
-//! accumulators in sample order. That makes stdout and the Monte-Carlo
-//! digests byte-reproducible across any `--jobs` value and across
-//! one-shot versus served runs.
+//! accumulators in sample order. A grid's unit is one work group; a
+//! Monte-Carlo run's is a block of consecutive samples, so the cursor
+//! and the buffer's lock are paid once per block. That makes stdout and
+//! the Monte-Carlo digests byte-reproducible across any `--jobs` value
+//! and across one-shot versus served runs.
+//!
+//! Both drivers look every part up through one read-through path,
+//! `Engine::obtain`, which takes each part's dependency fingerprint from
+//! the caller: the grid hashes its representative point's overlay, and a
+//! Monte-Carlo run's plan hands over a fingerprint it took once per run
+//! for every part that reads no sampled field.
 //!
 //! The surrounding modules carry everything else the two front-ends share:
 //! [`artifact`] renders per-point artifacts, cross-scenario comparison
@@ -404,26 +412,41 @@ enum Source {
     Computed,
 }
 
+/// Where [`Engine::obtain`] takes each part's dependency fingerprint from.
+/// A scenario overlay hashes every part's own deps on each call; a
+/// Monte-Carlo run plan ([`mc`]) answers the parts that read no sampled
+/// field from fingerprints it took once per run.
+pub(crate) trait PartFingerprints {
+    /// The fingerprint of `part`, the entry's `index`-th part.
+    fn fingerprint(&self, index: usize, part: &'static Part) -> u64;
+}
+
+impl PartFingerprints for ScenarioOverlay {
+    fn fingerprint(&self, _index: usize, part: &'static Part) -> u64 {
+        part.fingerprint(self)
+    }
+}
+
 impl Engine {
     /// One entry's output at one scenario point: the read-through pipeline
-    /// every driver shares. Each of the entry's parts is fingerprinted on
-    /// its own deps and looked up in the resident cache; a miss consults
-    /// the disk cache (file `{part key}-{fp}.json`) before computing, and
-    /// writes back what it computed. The parts are then joined in order
-    /// with [`ExperimentOutput::append`]; a one-part entry's cached `Arc`
-    /// is returned as is.
+    /// every driver shares. Each of the entry's parts is looked up in the
+    /// resident cache under the fingerprint `fingerprints` gives it; a miss
+    /// consults the disk cache (file `{part key}-{fp}.json`) before
+    /// computing, and writes back what it computed. The parts are then
+    /// joined in order with [`ExperimentOutput::append`]; a one-part
+    /// entry's cached `Arc` is returned as is.
     ///
     /// Counting: `hits`, `misses` and `dedups` count part lookups. The
     /// per-entry counts count this call once: in `runs` when any part
     /// missed the resident cache, in `disk_runs` when any part was
     /// computed, and in `disk_hits` when every part that missed loaded
     /// from disk. With `no_cache` the whole experiment runs, counted in
-    /// `runs` only.
-    pub(crate) fn obtain(
+    /// `runs` only, and no fingerprint is taken.
+    pub(crate) fn obtain<F: PartFingerprints + ?Sized>(
         &self,
         entry_idx: usize,
         entry: &'static Entry,
-        overlay: &ScenarioOverlay,
+        fingerprints: &F,
         context: &RunContext,
         no_cache: bool,
         tally: &Tally,
@@ -432,13 +455,12 @@ impl Engine {
             tally.runs[entry_idx].fetch_add(1, Ordering::Relaxed);
             return Arc::new(entry.build().run(context));
         }
-        let (first, rest) = entry
-            .parts()
-            .split_first()
-            .expect("every entry has at least one part");
-        let (mut output, mut source) = self.lookup(first, overlay, context, tally);
-        for part in rest {
-            let (next, next_source) = self.lookup(part, overlay, context, tally);
+        let mut parts = entry.parts().iter().enumerate().map(|(index, part)| {
+            let fingerprint = fingerprints.fingerprint(index, part);
+            self.lookup(part, fingerprint, context, tally)
+        });
+        let (mut output, mut source) = parts.next().expect("every entry has at least one part");
+        for (next, next_source) in parts {
             Arc::make_mut(&mut output).append(&next);
             source = source.max(next_source);
         }
@@ -452,16 +474,15 @@ impl Engine {
         output
     }
 
-    /// One part through the resident cache, then the disk cache, then
-    /// its model.
+    /// One part under its `fingerprint` through the resident cache, then
+    /// the disk cache, then its model.
     fn lookup(
         &self,
         part: &'static Part,
-        overlay: &ScenarioOverlay,
+        fingerprint: u64,
         context: &RunContext,
         tally: &Tally,
     ) -> (Arc<ExperimentOutput>, Source) {
-        let fingerprint = part.fingerprint(overlay);
         let mut source = Source::Resident;
         let (output, outcome) = self.cache.get_or_compute((part.key, fingerprint), || {
             if let Some(stored) = self.disk().and_then(|d| d.load(part.key, fingerprint)) {

@@ -11,23 +11,37 @@
 //! `(seed, i)`, so the sampled scenarios are identical however the worker
 //! threads interleave — but the accumulators (Welford + P² quantiles) are
 //! *order-sensitive*. The samples therefore run on the engine's ordered
-//! worker loop, the one the grid runner uses: threads pull sample indices
-//! off a shared cursor, and its reorder buffer feeds each sample's values
-//! to the accumulators strictly in sample order. The result:
-//! byte-identical statistics for the same seed across any `--jobs` value,
-//! and across one-shot versus served runs.
+//! worker loop, the one the grid runner uses, in blocks of consecutive
+//! samples: threads claim a block off a shared cursor, run its samples in
+//! order and emit one flat value vector for it, and the loop's reorder
+//! buffer feeds the blocks to the accumulators strictly in order. The
+//! block length is a fixed rule of the sample count and `jobs`
+//! (`samples / (8·jobs)`, clamped to 1..=64), so the claim and the
+//! buffer's lock are paid once per block, not once per sample. The
+//! result: byte-identical statistics for the same seed across any
+//! `--jobs` value, and across one-shot versus served runs.
 //!
 //! The cache earns its keep here: samples only perturb the fields named by
 //! the distribution bindings, so experiments whose declared dependencies
 //! don't include a sampled field collapse to a handful of distinct
 //! fingerprints — often one — and the runner answers thousands of samples
 //! from a single model run.
+//!
+//! A per-run plan, built before sample 0, keeps that constant work out of
+//! the sample loop: each binding resolves to its canonical field row, and
+//! each part's deps are expanded once. A part that reads no bound field
+//! gets one fixed fingerprint, taken from the base scenario; the others
+//! keep their expanded rows and are hashed per sample. Every sample still
+//! looks each part up in the resident cache, so hits, misses and run
+//! counts are exactly those of hashing every part at every sample.
 
-use crate::{tracked_metrics, Engine, EngineError, RunCounts, Tally};
+use crate::{tracked_metrics, Engine, EngineError, PartFingerprints, RunCounts, Tally};
 use cc_analysis::stats::StreamingStats;
-use cc_core::experiments::Entry;
+use cc_core::experiments::{Entry, Part};
+use cc_report::scenario::deps::{expand, fingerprint_fields, resolve, FieldInfo};
 use cc_report::{
-    ExperimentOutput, McComparison, MonteCarloMatrix, RunContext, Scalar, ScenarioPoint,
+    ExperimentOutput, McComparison, MonteCarloMatrix, RunContext, Scalar, ScenarioOverlay,
+    ScenarioPoint,
 };
 use std::ops::Deref;
 
@@ -62,6 +76,64 @@ impl Deref for McResult {
     }
 }
 
+/// How a Monte-Carlo run fingerprints one part, fixed before sample 0.
+enum PartKey {
+    /// The part reads no bound field, so every sample fingerprints it like
+    /// the base scenario: the fingerprint, taken once.
+    Fixed(u64),
+    /// The part reads a bound field: its expanded deps, hashed per sample.
+    Sampled(Vec<&'static FieldInfo>),
+}
+
+/// The run plan: one [`PartKey`] per part of each selected entry.
+///
+/// A fixed fingerprint is exact because only distribution-eligible `f64`
+/// rows can be bound, and setting one changes no other field (the only
+/// set hook belongs to the label `grid.source`): a sampled point agrees
+/// with the base on every field it does not bind.
+fn plan(entries: &[&'static Entry], matrix: &MonteCarloMatrix) -> Vec<Vec<PartKey>> {
+    let bound: Vec<&str> = matrix
+        .bindings()
+        .iter()
+        .map(|b| resolve(&b.path).expect("a matrix binds table rows").path)
+        .collect();
+    let key = |part: &Part| {
+        let fields = expand(part.deps);
+        if fields.iter().any(|f| bound.contains(&f.path)) {
+            PartKey::Sampled(fields)
+        } else {
+            PartKey::Fixed(fingerprint_fields(matrix.base(), &fields))
+        }
+    };
+    entries
+        .iter()
+        .map(|entry| entry.parts().iter().map(key).collect())
+        .collect()
+}
+
+/// One entry's part fingerprints at one sampled point, as the plan gives
+/// them.
+struct SampleFingerprints<'a> {
+    keys: &'a [PartKey],
+    overlay: &'a ScenarioOverlay,
+}
+
+impl PartFingerprints for SampleFingerprints<'_> {
+    fn fingerprint(&self, index: usize, _part: &'static Part) -> u64 {
+        match &self.keys[index] {
+            PartKey::Fixed(fingerprint) => *fingerprint,
+            PartKey::Sampled(fields) => fingerprint_fields(self.overlay, fields),
+        }
+    }
+}
+
+/// Consecutive samples one worker claims at a time: about eight blocks
+/// per thread keep the threads balanced, and up to 64 samples share one
+/// claim and one reorder-buffer handoff.
+fn block_len(samples: usize, jobs: usize) -> usize {
+    (samples / jobs.max(1).saturating_mul(8)).clamp(1, 64)
+}
+
 impl Engine {
     /// Pumps every sampled point of `matrix` through the selected
     /// experiments on up to `config.jobs` worker threads, digesting each
@@ -70,7 +142,7 @@ impl Engine {
     /// Sample 0 doubles as the probe that fixes each experiment's tracked
     /// metrics (the same rule as [`crate::grid::build_comparisons`]); the
     /// remaining samples stream through the fingerprint cache and the
-    /// ordered worker loop.
+    /// ordered worker loop in blocks of consecutive samples.
     ///
     /// # Errors
     ///
@@ -87,6 +159,7 @@ impl Engine {
         // (`Engine::obtain`), so disk caches and resident daemons warm
         // Monte-Carlo runs too.
         let tally = Tally::new(entries.len());
+        let plan = plan(entries, matrix);
 
         // One sample end to end: draw the point, then run (or fetch) every
         // experiment and hand its output to `each`, in entry order.
@@ -98,10 +171,19 @@ impl Engine {
                 .map_err(|e| EngineError::Sample(e.to_string()))?;
             let context = RunContext::try_from_overlay(point.overlay.clone())
                 .map_err(|e| EngineError::Sample(format!("sample {index}: {e}")))?;
-            for (entry_idx, entry) in entries.iter().enumerate() {
-                let overlay = &point.overlay;
-                let output =
-                    self.obtain(entry_idx, entry, overlay, &context, config.no_cache, &tally);
+            for (entry_idx, (entry, keys)) in entries.iter().zip(&plan).enumerate() {
+                let fingerprints = SampleFingerprints {
+                    keys,
+                    overlay: &point.overlay,
+                };
+                let output = self.obtain(
+                    entry_idx,
+                    entry,
+                    &fingerprints,
+                    &context,
+                    config.no_cache,
+                    &tally,
+                );
                 each(entry_idx, &point, &output)?;
             }
             Ok(())
@@ -119,39 +201,57 @@ impl Engine {
             Ok(())
         })?;
         let mut stats = vec![StreamingStats::new(); metrics.iter().map(Vec::len).sum()];
-        let mut accumulate = |values: Vec<f64>| {
-            for (slot, value) in stats.iter_mut().zip(values) {
-                slot.push(value);
+        // One sample's values, in flat (entry-major, metric-minor) order.
+        let width = stats.len().max(1);
+        let mut accumulate = |values: &[f64]| {
+            for sample in values.chunks(width) {
+                for (slot, &value) in stats.iter_mut().zip(sample) {
+                    slot.push(value);
+                }
             }
         };
-        accumulate(metrics.iter().flatten().map(|m| m.value).collect());
+        accumulate(
+            &metrics
+                .iter()
+                .flatten()
+                .map(|m| m.value)
+                .collect::<Vec<_>>(),
+        );
 
-        // Every later sample's tracked metric values, in flat (entry-major,
-        // metric-minor) order.
+        // The later samples in blocks of consecutive indices: a worker
+        // runs its block in sample order and emits the block's values
+        // flat, so the accumulators still see every sample in order, and
+        // the lowest failing block's first failure is the lowest failing
+        // sample.
+        let samples = matrix.len();
+        let block = block_len(samples, config.jobs);
         crate::ordered(
-            1..matrix.len(),
+            0..(samples - 1).div_ceil(block),
             config.jobs,
-            |index, emit: &dyn Fn(usize, Vec<f64>)| {
+            |unit, emit: &dyn Fn(usize, Vec<f64>)| {
+                let start = 1 + unit * block;
                 let mut values = Vec::new();
-                sample(index, &mut |entry_idx, point, output| {
-                    for metric in &metrics[entry_idx] {
-                        let scalar = output
-                            .scalars
-                            .iter()
-                            .find(|s| s.name == metric.name)
-                            .ok_or_else(|| EngineError::MissingScalarAtPoint {
-                                key: entries[entry_idx].key,
-                                metric: metric.name.clone(),
-                                point: point.display_label().to_string(),
-                            })?;
-                        values.push(scalar.value);
-                    }
-                    Ok(())
-                })?;
-                emit(index, values);
+                for index in start..(start + block).min(samples) {
+                    sample(index, &mut |entry_idx, point, output| {
+                        for metric in &metrics[entry_idx] {
+                            let scalar = output
+                                .scalars
+                                .iter()
+                                .find(|s| s.name == metric.name)
+                                .ok_or_else(|| EngineError::MissingScalarAtPoint {
+                                    key: entries[entry_idx].key,
+                                    metric: metric.name.clone(),
+                                    point: point.display_label().to_string(),
+                                })?;
+                            values.push(scalar.value);
+                        }
+                        Ok(())
+                    })?;
+                }
+                emit(unit, values);
                 Ok(())
             },
-            accumulate,
+            |values| accumulate(&values),
         )?;
 
         let mut stats = stats.into_iter();
@@ -180,6 +280,7 @@ mod tests {
     use super::*;
     use crate::EngineError as McError;
     use cc_core::experiments;
+    use cc_report::scenario::deps::FIELDS;
     use cc_report::{DistBinding, Scenario};
 
     fn matrix(bindings: &[&str], samples: usize, seed: u64) -> MonteCarloMatrix {
@@ -293,6 +394,60 @@ mod tests {
             .expect_err("most normal(3,40) mass is out of range");
         assert!(matches!(err, McError::Sample(_)), "{err:?}");
         assert!(err.to_string().contains("sample"), "{err}");
+    }
+
+    fn config(jobs: usize, no_cache: bool) -> McConfig {
+        McConfig { jobs, no_cache }
+    }
+
+    #[test]
+    fn plan_fingerprints_match_uncached_runs_for_every_eligible_field() {
+        // A part whose fixed fingerprint were wrong would replay sample 0's
+        // output at every sample and digest differently from a run that
+        // recomputes everything. ext-mc's inner propagation is kept small;
+        // 64 samples make blocks of 8 at one job and of 2 at four.
+        let entries: Vec<&'static Entry> = experiments::entries().iter().collect();
+        let mut base = Scenario::paper_defaults();
+        base.set("mc.samples", "500").unwrap();
+        for field in FIELDS.iter().filter(|f| f.distribution_eligible()) {
+            let default: f64 = base.field_value(field.path).unwrap().parse().unwrap();
+            // Through an alias where the row has one: the plan must match
+            // the bound field by its canonical row.
+            let path = field.aliases.last().unwrap_or(&field.path);
+            let binding = format!("{path} ~ uniform({default},{})", default * 1.1 + 0.05);
+            let binding = DistBinding::parse(&binding).unwrap();
+            let mc = MonteCarloMatrix::new(base.clone(), vec![binding], 64, 7).unwrap();
+            let uncached = Engine::new()
+                .run_mc(&entries, &mc, &config(1, true))
+                .expect("uncached run");
+            for jobs in [1, 4] {
+                let cached = Engine::new()
+                    .run_mc(&entries, &mc, &config(jobs, false))
+                    .expect("cached run");
+                assert_eq!(
+                    cached.comparisons, uncached.comparisons,
+                    "{} jobs {jobs}",
+                    field.path
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_failing_run_reports_the_lowest_failing_sample_at_any_job_count() {
+        // Rare failures, the first one past the first block of samples.
+        let entries = entry("ext-facility");
+        let mc = matrix(&["fab.node_nm ~ normal(30,12)"], 2000, 7);
+        let (lowest, expected) = (0..mc.len())
+            .find_map(|i| mc.point(i).err().map(|e| (i, e.to_string())))
+            .expect("some draw lands below zero");
+        assert!(lowest > 2 * block_len(mc.len(), 4), "sample {lowest}");
+        for jobs in [1, 4] {
+            let err = Engine::new()
+                .run_mc(&entries, &mc, &config(jobs, false))
+                .expect_err("a draw is out of range");
+            assert_eq!(err, McError::Sample(expected.clone()), "jobs {jobs}");
+        }
     }
 
     #[test]

@@ -953,6 +953,13 @@ mod tests {
             bad[0].get("error").and_then(JsonValue::as_str),
             Some("invalid-scenario")
         );
+        assert_eq!(
+            bad[0].get("message").and_then(JsonValue::as_str),
+            Some(
+                "Monte-Carlo sample 1 of `fab.node_nm ~ normal(3,40)` drew -20.7626882153: \
+                 invalid scenario: fab.node_nm must be finite and positive"
+            )
+        );
 
         request(&mut reader, &mut stream, r#"{"op":"shutdown"}"#);
         daemon.join().expect("join").expect("clean exit");

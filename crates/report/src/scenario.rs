@@ -32,6 +32,7 @@ use cc_data::energy_sources::EnergySource;
 use cc_units::{CarbonIntensity, TimeSpan};
 use deps::{FieldSource, ReadTracker, ScenarioView};
 use fields::{FieldType, SectionsMut};
+use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 /// Carbon intensity assumed for renewable power purchases when blending
@@ -268,6 +269,19 @@ impl Scenario {
         Self::from_toml_keys(text).map(|(scenario, _)| scenario)
     }
 
+    /// Like [`Self::from_toml`] for the text of a scenario file in `dir`:
+    /// a relative `.csv` path in a `grid.region.<name>.trace` line resolves
+    /// against `dir`, so the file loads the same from any working
+    /// directory. (`--set` trace paths stay relative to the working
+    /// directory.)
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Self::from_toml`].
+    pub fn from_toml_in(text: &str, dir: &Path) -> Result<Self, ScenarioError> {
+        Self::parse_toml(text, Some(dir)).map(|(scenario, _)| scenario)
+    }
+
     /// Like [`Self::from_toml`], additionally returning the dotted paths the
     /// file explicitly set — callers resolving defaults (e.g. the CLI turning
     /// `grid.source` into an intensity) need to know whether the file pinned
@@ -277,6 +291,12 @@ impl Scenario {
     ///
     /// Same conditions as [`Self::from_toml`].
     pub fn from_toml_keys(text: &str) -> Result<(Self, Vec<String>), ScenarioError> {
+        Self::parse_toml(text, None)
+    }
+
+    /// The TOML reader behind [`Self::from_toml_keys`] and
+    /// [`Self::from_toml_in`]; `dir` rebases relative trace file paths.
+    fn parse_toml(text: &str, dir: Option<&Path>) -> Result<(Self, Vec<String>), ScenarioError> {
         let mut scenario = Self::paper_defaults();
         let mut keys = Vec::new();
         let mut values = Vec::new();
@@ -308,7 +328,10 @@ impl Scenario {
             } else {
                 format!("{section}.{}", key.trim())
             };
-            scenario.set(&path, value.trim())?;
+            let trace_file = dir
+                .filter(|_| path.starts_with("grid.region.") && path.ends_with(".trace"))
+                .and_then(|dir| trace::rebase_trace_file(value.trim(), dir));
+            scenario.set(&path, trace_file.as_deref().unwrap_or(value.trim()))?;
             keys.push(path);
             values.push(value.trim().to_string());
         }

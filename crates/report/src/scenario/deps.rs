@@ -135,7 +135,11 @@ impl fmt::Write for FnvWriter {
 
 /// Hashes the pre-expanded `fields` of `source`: each row's canonical path
 /// and value text, written straight into the hash by the row itself.
-fn fingerprint_fields<S: FieldSource>(source: &S, fields: &[&FieldInfo]) -> u64 {
+/// Equal to [`dependency_fingerprint`] over deps whose [`expand`] is
+/// `fields`, so callers fingerprinting one dependency set many times can
+/// expand it once.
+#[must_use]
+pub fn fingerprint_fields<S: FieldSource>(source: &S, fields: &[&FieldInfo]) -> u64 {
     let view = source.view();
     let mut writer = FnvWriter::new();
     for field in fields {

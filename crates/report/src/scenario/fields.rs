@@ -719,10 +719,12 @@ scenario_fields! {
     /// Operational-energy parameters.
     grid: GridParams {
         // The cap is over 10x the dirtiest Table II source. Without it,
-        // values near f64::MAX overflow ext-mc's triangular sampling.
+        // values near f64::MAX overflow ext-mc's triangular sampling. The
+        // floor sits below the cleanest (wind, 11); near-zero values drove
+        // fig10's break-even days and ext-mc's band to `inf`.
         intensity_g_per_kwh: f64 = 380.0 => "grid.intensity" ["grid.intensity_g_per_kwh"]
             semantic "Operational grid carbon intensity in g CO2e/kWh",
-            Rule::Check("grid.intensity must lie in (0, 10000] g/kWh", |v| *v > 0.0 && *v <= 10_000.0),
+            Rule::Check("grid.intensity must lie in [1, 10000] g/kWh", |v| (1.0..=10_000.0).contains(v)),
             builder grid_intensity(f64);
         source: Option<String> = None => "grid.source" []
             label "Energy-source label; setting it resolves grid.intensity to the Table II value",

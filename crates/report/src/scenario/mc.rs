@@ -196,7 +196,7 @@ impl MonteCarloMatrix {
     ///
     /// # Errors
     ///
-    /// [`SweepError::Malformed`] naming the sample and drawn value when a
+    /// [`SweepError::Sample`] naming the sample and drawn value when a
     /// draw lands outside the field's physical range (possible for
     /// unbounded `normal` tails — tighten `sigma` or switch to a bounded
     /// family).
@@ -225,14 +225,14 @@ impl MonteCarloMatrix {
             // the fingerprint and the artifact metadata all see, so a
             // sample is reproducible from its assignments alone.
             let value = format_value(drawn);
-            let sample_error = |e: &dyn core::fmt::Display| SweepError::Malformed {
-                spec: binding.display(),
-                message: format!("sample {index} drew {value}: {e}"),
+            let sample_error = |error| SweepError::Sample {
+                index,
+                binding: binding.display(),
+                value: value.clone(),
+                error,
             };
-            overlay
-                .set(&binding.path, &value)
-                .map_err(|e| sample_error(&e))?;
-            overlay.validate().map_err(|e| sample_error(&e))?;
+            overlay.set(&binding.path, &value).map_err(sample_error)?;
+            overlay.validate().map_err(sample_error)?;
             if !label.is_empty() {
                 label.push(',');
             }

@@ -690,6 +690,18 @@ pub enum SweepError {
         /// The grid-size cap that was exceeded.
         max: usize,
     },
+    /// A Monte-Carlo draw failed to apply to, or validate in, its sampled
+    /// point ([`super::mc::MonteCarloMatrix::point`]).
+    Sample {
+        /// The sample's index.
+        index: usize,
+        /// The binding that drew the value, as `path ~ spec`.
+        binding: String,
+        /// The drawn value's canonical text.
+        value: String,
+        /// Why the point rejected it.
+        error: ScenarioError,
+    },
 }
 
 impl core::fmt::Display for SweepError {
@@ -705,6 +717,15 @@ impl core::fmt::Display for SweepError {
             Self::TooLarge { max } => {
                 write!(f, "invalid sweep: grid exceeds {max} points")
             }
+            Self::Sample {
+                index,
+                binding,
+                value,
+                error,
+            } => write!(
+                f,
+                "Monte-Carlo sample {index} of `{binding}` drew {value}: {error}"
+            ),
         }
     }
 }

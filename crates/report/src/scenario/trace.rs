@@ -13,6 +13,7 @@
 
 use super::ScenarioError;
 use cc_units::IntensityTrace;
+use std::path::Path;
 
 /// Builtin region names accepted by `fleet.sites` without a matching
 /// `grid.region.<name>.trace` entry, with their trace shapes:
@@ -52,7 +53,8 @@ pub fn builtin_region_trace(name: &str) -> Option<IntensityTrace> {
 /// * `solar(night,noon)` — the parametric solar-day generator;
 /// * `flat(v)` — a constant trace;
 /// * a path ending in `.csv` — loaded from disk (relative to the working
-///   directory) and resampled;
+///   directory, or to a scenario file's directory when the file names it:
+///   [`super::Scenario::from_toml_in`]) and resampled;
 /// * otherwise an inline comma-separated sample list, resampled.
 ///
 /// # Errors
@@ -114,6 +116,15 @@ fn two_args(key: &str, value: &str, args: &str) -> Result<[f64; 2], ScenarioErro
         a.trim().parse().map_err(|_| invalid())?,
         b.trim().parse().map_err(|_| invalid())?,
     ])
+}
+
+/// A trace spec naming a relative `.csv` file, joined onto `dir`; `None`
+/// for every other spec, which needs no rebasing.
+pub(super) fn rebase_trace_file(value: &str, dir: &Path) -> Option<String> {
+    let text = super::unquote(value);
+    let text = text.trim();
+    (text.ends_with(".csv") && Path::new(text).is_relative())
+        .then(|| dir.join(text).to_string_lossy().into_owned())
 }
 
 /// Loads trace samples from a CSV file: one sample per data line, either a

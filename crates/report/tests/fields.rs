@@ -62,6 +62,33 @@ fn setting_a_fields_own_value_text_is_the_identity() {
 }
 
 #[test]
+fn setting_a_distribution_eligible_field_moves_no_other_field() {
+    // The premise of a Monte-Carlo run's fixed fingerprints: a part that
+    // reads no bound field fingerprints the same at every sample.
+    let defaults = Scenario::paper_defaults();
+    let moved = moved();
+    for field in FIELDS.iter().filter(|f| f.distribution_eligible()) {
+        for (base, other) in [(&defaults, &moved), (&moved, &defaults)] {
+            let value = other.field_value(field.path).unwrap();
+            for path in std::iter::once(&field.path).chain(field.aliases) {
+                let mut overlay = ScenarioOverlay::new(Arc::new(base.clone()));
+                overlay.set(path, &value).unwrap();
+                let set = overlay.materialize();
+                assert_eq!(set.field_value(field.path), Some(value.clone()), "{path}");
+                for row in FIELDS.iter().filter(|r| r.semantic && r.path != field.path) {
+                    assert_eq!(
+                        set.field_value(row.path),
+                        base.field_value(row.path),
+                        "setting {path} moved {}",
+                        row.path
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn every_alias_resolves_to_its_row() {
     for field in &FIELDS {
         for path in std::iter::once(&field.path).chain(field.aliases) {

@@ -97,8 +97,9 @@ const REGISTRY: [(&str, &[&str]); 26] = [
 
 /// Out-of-range values (one or more) per validated scalar or composite field other
 /// than `fab.node_nm`.
-const BAD: [(&str, &str); 24] = [
+const BAD: [(&str, &str); 25] = [
     ("grid.intensity", "0"),
+    ("grid.intensity", "1e-300"),
     ("grid.renewable_fraction", "1.5"),
     ("device.lifetime", "0"),
     ("device.soc_budget_share", "0"),
@@ -251,8 +252,9 @@ const MOVED_FINGERPRINTS: [(&str, u64); 26] = [
 ];
 
 /// The single-field validation messages, byte for byte.
-const BAD_MESSAGES: [(&str, &str, &str); 24] = [
-    ("grid.intensity", "0", "invalid scenario: grid.intensity must lie in (0, 10000] g/kWh"),
+const BAD_MESSAGES: [(&str, &str, &str); 25] = [
+    ("grid.intensity", "0", "invalid scenario: grid.intensity must lie in [1, 10000] g/kWh"),
+    ("grid.intensity", "1e-300", "invalid scenario: grid.intensity must lie in [1, 10000] g/kWh"),
     ("grid.renewable_fraction", "1.5", "invalid scenario: grid.renewable_fraction must lie in [0, 1]"),
     ("device.lifetime", "0", "invalid scenario: device.lifetime_years must be finite and positive"),
     ("device.soc_budget_share", "0", "invalid scenario: device.soc_budget_share must lie in (0, 1]"),
