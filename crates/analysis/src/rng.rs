@@ -31,6 +31,9 @@ pub struct SplitMix64 {
     state: u64,
 }
 
+/// splitmix64's state increment (the golden-ratio constant γ).
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
 impl SplitMix64 {
     /// Creates a generator from a seed (API-compatible with
     /// `rand::SeedableRng::seed_from_u64`).
@@ -38,11 +41,19 @@ impl SplitMix64 {
     pub fn seed_from_u64(seed: u64) -> Self {
         Self { state: seed }
     }
+
+    /// Skips the next `draws` outputs in O(1). The state only ever moves by
+    /// γ per output, so output `p` of a generator seeded with `s` is the
+    /// mix of `s + (p + 1)·γ`: jumping there and calling
+    /// [`Rng::next_u64`] returns bit for bit what walking would.
+    pub fn jump(&mut self, draws: u64) {
+        self.state = self.state.wrapping_add(GAMMA.wrapping_mul(draws));
+    }
 }
 
 impl Rng for SplitMix64 {
     fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -64,6 +75,19 @@ mod tests {
         let zs: Vec<u64> = (0..8).map(|_| c.next_u64()).collect();
         assert_eq!(xs, ys);
         assert_ne!(xs, zs);
+    }
+
+    #[test]
+    fn jump_matches_walking() {
+        for seed in [0, 7, u64::MAX] {
+            let mut walked = SplitMix64::seed_from_u64(seed);
+            let outputs: Vec<u64> = (0..40).map(|_| walked.next_u64()).collect();
+            for (p, &expected) in outputs.iter().enumerate() {
+                let mut jumped = SplitMix64::seed_from_u64(seed);
+                jumped.jump(p as u64);
+                assert_eq!(jumped.next_u64(), expected, "seed {seed}, output {p}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! break-even reads the grid and the device, while the Fig 11 ratio and the
 //! Fig 14 reduction read only `mc.*`. The engine caches each part under its
 //! own dependency fingerprint, so an outer Monte-Carlo run over a grid field
-//! reruns only the Fig 10 propagation per sample.
+//! reruns only the Fig 10 propagation per sample. Within it, `propagate`'s
+//! column memo serves the unchanged SoC-budget and energy-per-image draws,
+//! so each sample draws only its grid column afresh.
 
 use cc_analysis::uncertainty::{propagate, Triangular};
 use cc_report::{table::num, Experiment, ExperimentId, ExperimentOutput, RunContext, Table};

@@ -424,31 +424,39 @@ fn validate_sku(view: ScenarioView<'_>) -> Result<(), ScenarioError> {
 /// every server in the world.
 const MAX_PROJECTED_SERVERS: f64 = 1e9;
 
-/// The `fleet.growth` rule's text; its two clauses are also the messages
+/// The `fleet.growth` rule's text; its three clauses are also the messages
 /// a failing value is rejected with.
 pub(super) const GROWTH_RULE: &str = "fleet.growth must be finite and positive; \
      fleet.initial_servers * max(1, fleet.growth)^(fleet.horizon_years - 1) \
-     must be finite and at most 1e9 servers";
+     must be finite and at most 1e9 servers; \
+     fleet.initial_servers * min(1, fleet.growth)^(fleet.horizon_years - 1) \
+     must be at least 1 server";
 
 /// The `fleet.growth` rule: a finite, positive factor whose projected
-/// peak fleet stays finite and within [`MAX_PROJECTED_SERVERS`]. A bound
-/// on growth alone would not do: a modest factor over a long horizon from
-/// a large start still saturates the facility's server count.
+/// fleet stays finite and within [`MAX_PROJECTED_SERVERS`] at its peak and
+/// keeps at least one server at its trough. A bound on growth alone would
+/// not do: a modest factor over a long horizon from a large start still
+/// saturates the facility's server count, and a shrinking one over a long
+/// horizon empties it.
 fn validate_growth(view: ScenarioView<'_>) -> Result<(), ScenarioError> {
-    let (positive, projection) = GROWTH_RULE.split_once("; ").expect("two clauses");
+    let mut clauses = GROWTH_RULE.split("; ");
+    let mut clause = || clauses.next().expect("three clauses");
+    let (positive, ceiling, floor) = (clause(), clause(), clause());
     let fleet = view.fleet;
     if !(fleet.growth.is_finite() && fleet.growth > 0.0) {
         return Err(ScenarioError::Invalid(positive.to_string()));
     }
     let years = f64::from(fleet.horizon_years.saturating_sub(1));
-    let peak = fleet.initial_servers as f64 * fleet.growth.max(1.0).powf(years);
-    if peak.is_finite() && peak <= MAX_PROJECTED_SERVERS {
-        Ok(())
-    } else {
-        Err(ScenarioError::Invalid(format!(
-            "{projection}, got {peak:.3e}"
-        )))
+    let projected = |factor: f64| fleet.initial_servers as f64 * factor.powf(years);
+    let peak = projected(fleet.growth.max(1.0));
+    if !(peak.is_finite() && peak <= MAX_PROJECTED_SERVERS) {
+        return Err(ScenarioError::Invalid(format!("{ceiling}, got {peak:.3e}")));
     }
+    let trough = projected(fleet.growth.min(1.0));
+    if trough < 1.0 {
+        return Err(ScenarioError::Invalid(format!("{floor}, got {trough:.3e}")));
+    }
+    Ok(())
 }
 
 /// The `fleet.mix` rule: known SKU names only, no duplicates, finite
@@ -1350,7 +1358,8 @@ mod tests {
         // The new scalar fields have range checks too.
         for (key, value, needle) in [
             ("fleet.deferrable", "1.5", "[0, 1]"),
-            ("fleet.building_amortization_years", "0", "positive"),
+            ("fleet.building_amortization_years", "0", "at least 1"),
+            ("fleet.building_amortization_years", "1e-300", "at least 1"),
             ("fleet.start_year", "1492", "1900..=2100"),
         ] {
             let mut bad = Scenario::paper_defaults();

@@ -840,7 +840,10 @@ scenario_fields! {
         building_amortization_years: f64 = 20.0
             => "fleet.building_amortization_years" ["fleet.building_amortization"]
             semantic "Building-amortization window in years over which construction carbon is spread",
-            Rule::Check("fleet.building_amortization_years must be finite and positive", finite_positive),
+            Rule::Check(
+                "fleet.building_amortization_years must be finite and at least 1",
+                |v| v.is_finite() && *v >= 1.0,
+            ),
             builder fleet_building_amortization_years(f64);
         start_year: u16 = 2013 => "fleet.start_year" []
             semantic "Calendar year the facility enters service (shifts the year axis)",

@@ -97,7 +97,7 @@ const REGISTRY: [(&str, &[&str]); 26] = [
 
 /// Out-of-range values (one or more) per validated scalar or composite field other
 /// than `fab.node_nm`.
-const BAD: [(&str, &str); 25] = [
+const BAD: [(&str, &str); 27] = [
     ("grid.intensity", "0"),
     ("grid.intensity", "1e-300"),
     ("grid.renewable_fraction", "1.5"),
@@ -116,12 +116,14 @@ const BAD: [(&str, &str); 25] = [
     ("fleet.growth", "0"),
     ("fleet.growth", "1e10"),
     ("fleet.growth", "1000"),
+    ("fleet.growth", "0.1"),
     ("fleet.pue", "0.9"),
     ("fleet.pue", "1e300"),
     ("fleet.renewable_ramp", "0.5,1.5"),
     ("fleet.construction_kt", "-1"),
     ("fleet.construction_kt", "1e300"),
     ("fleet.building_amortization_years", "0"),
+    ("fleet.building_amortization_years", "1e-300"),
     ("fleet.start_year", "1492"),
 ];
 
@@ -252,7 +254,7 @@ const MOVED_FINGERPRINTS: [(&str, u64); 26] = [
 ];
 
 /// The single-field validation messages, byte for byte.
-const BAD_MESSAGES: [(&str, &str, &str); 25] = [
+const BAD_MESSAGES: [(&str, &str, &str); 27] = [
     ("grid.intensity", "0", "invalid scenario: grid.intensity must lie in [1, 10000] g/kWh"),
     ("grid.intensity", "1e-300", "invalid scenario: grid.intensity must lie in [1, 10000] g/kWh"),
     ("grid.renewable_fraction", "1.5", "invalid scenario: grid.renewable_fraction must lie in [0, 1]"),
@@ -271,12 +273,14 @@ const BAD_MESSAGES: [(&str, &str, &str); 25] = [
     ("fleet.growth", "0", "invalid scenario: fleet.growth must be finite and positive"),
     ("fleet.growth", "1e10", "invalid scenario: fleet.initial_servers * max(1, fleet.growth)^(fleet.horizon_years - 1) must be finite and at most 1e9 servers, got 6.000e64"),
     ("fleet.growth", "1000", "invalid scenario: fleet.initial_servers * max(1, fleet.growth)^(fleet.horizon_years - 1) must be finite and at most 1e9 servers, got 6.000e22"),
+    ("fleet.growth", "0.1", "invalid scenario: fleet.initial_servers * min(1, fleet.growth)^(fleet.horizon_years - 1) must be at least 1 server, got 6.000e-2"),
     ("fleet.pue", "0.9", "invalid scenario: fleet.pue must lie in [1, 10]"),
     ("fleet.pue", "1e300", "invalid scenario: fleet.pue must lie in [1, 10]"),
     ("fleet.renewable_ramp", "0.5,1.5", "invalid scenario: fleet.renewable_ramp must be non-empty with every value in [0, 1]"),
     ("fleet.construction_kt", "-1", "invalid scenario: fleet.construction_kt must lie in [0, 1000000] kt CO2e"),
     ("fleet.construction_kt", "1e300", "invalid scenario: fleet.construction_kt must lie in [0, 1000000] kt CO2e"),
-    ("fleet.building_amortization_years", "0", "invalid scenario: fleet.building_amortization_years must be finite and positive"),
+    ("fleet.building_amortization_years", "0", "invalid scenario: fleet.building_amortization_years must be finite and at least 1"),
+    ("fleet.building_amortization_years", "1e-300", "invalid scenario: fleet.building_amortization_years must be finite and at least 1"),
     ("fleet.start_year", "1492", "invalid scenario: fleet.start_year must lie in 1900..=2100"),
 ];
 

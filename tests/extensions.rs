@@ -119,3 +119,29 @@ fn extension_experiments_run_from_registry() {
         assert!(!out.tables.is_empty(), "{key} produced no tables");
     }
 }
+
+/// `ext-mc`'s Fig 10 break-even median at three grid intensities, pinned to
+/// the bits the sequential (pre-memo) propagation produced. An outer
+/// Monte-Carlo run's cached and uncached passes both read the column memo,
+/// so only a pin can catch a memo that changes the draws.
+#[test]
+fn ext_mc_breakeven_median_is_pinned_across_grid_intensities() {
+    for (grid, bits) in [
+        ("50", 0x4222_a95d_dddb_d8a5_u64),
+        ("380", 0x41f3_a4ce_98b1_85ba),
+        ("700", 0x41e5_53d8_fd8d_89e0),
+    ] {
+        let mut scenario = Scenario::paper_defaults();
+        scenario.set("grid.intensity", grid).unwrap();
+        let out = chasing_carbon::core::experiments::find("ext-mc")
+            .unwrap()
+            .run(&RunContext::new(scenario));
+        let median = out.find_scalar("fig10-breakeven-median").unwrap().value;
+        assert_eq!(
+            median.to_bits(),
+            bits,
+            "grid {grid}: {median:e} vs {:e}",
+            f64::from_bits(bits)
+        );
+    }
+}

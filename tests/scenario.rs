@@ -152,6 +152,12 @@ fn fleet_validation_rejects_unphysical_facilities_at_the_context_boundary() {
             ("fleet.horizon_years", "100"),
             ("fleet.initial_servers", "1000000"),
         ],
+        // A shrinking fleet would underflow to no servers and leave fig11
+        // a null summary scalar: the projected trough is bounded too.
+        &[("fleet.growth", "0.001"), ("fleet.horizon_years", "120")],
+        &[("fleet.growth", "1e-300"), ("fleet.horizon_years", "3")],
+        // ext-facility and fig11 would print `inf`/`NaN` cells.
+        &[("fleet.building_amortization_years", "1e-300")],
     ];
     for sets in cases {
         let mut s = Scenario::paper_defaults();
