@@ -48,7 +48,7 @@
 //! sharded fingerprint→artifact cache.
 
 use cc_core::experiments::{self, Entry, Tag};
-use cc_engine::artifact::{artifact_file_name, render_artifact};
+use cc_engine::artifact::artifact_file_name;
 use cc_engine::grid::{disk_footer_lines, explain_lines, footer_lines};
 use cc_engine::protocol::RunRequest;
 use cc_engine::{DiskCache, Engine, Format, GridConfig, GridJob, RunCounts, Server};
@@ -93,7 +93,7 @@ fn print_usage() {
     eprintln!("  --out <dir>          write one artifact file per experiment (and per");
     eprintln!("                       sweep point) into <dir>, streamed as they finish");
     eprintln!("  --jobs <n>           run the (point x experiment) grid on n worker");
-    eprintln!("                       threads (default 1)");
+    eprintln!("                       threads (default 1; capped at 64)");
     eprintln!("  --no-cache           run every (experiment x point) job even when the");
     eprintln!("                       experiment's declared scenario dependencies say");
     eprintln!("                       the output is identical across points");
@@ -575,18 +575,11 @@ fn one_shot_main(cli: Cli) {
     // returned lines reach stdout in grid order via the engine's reorder
     // buffer.
     let render = |job: &GridJob<'_>| {
-        let point = job.sweeping.then_some(job.point);
-        let artifact = render_artifact(
-            job.entry,
-            job.experiment,
-            job.output,
-            job.context,
-            point,
-            job.format,
-        );
+        let artifact = job.artifact();
         match &cli.out_dir {
             None => vec![artifact],
             Some(dir) => {
+                let point = job.sweeping.then_some(job.point);
                 let name = artifact_file_name(job.entry.key, point, job.format);
                 vec![write_file(&dir.join(name), &artifact)]
             }

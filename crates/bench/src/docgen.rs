@@ -158,7 +158,7 @@ pub fn scenario_reference() -> String {
          | `--sweep <path>=<spec>` | sweep one field over many values (repeatable; specs multiply into a matrix) |\n\
          | `--markdown` / `--csv` / `--json` | output format (default: text) |\n\
          | `--out <dir>` | write one artifact file per (experiment × point), streamed as they finish |\n\
-         | `--jobs <n>` | run the grid on `n` worker threads (default 1) |\n\
+         | `--jobs <n>` | run the grid on `n` worker threads (default 1; capped at 64) |\n\
          | `--no-cache` | disable dependency-based result reuse (one model run per grid cell) |\n\
          | `--explain` | print the dependency/dedup plan without running anything |\n\
          | `--samples <n>` | Monte-Carlo sample count (requires at least one distribution binding) |\n\

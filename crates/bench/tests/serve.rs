@@ -270,12 +270,15 @@ fn served_artifacts_byte_match_the_one_shot_cli() {
     let dir = std::env::temp_dir().join(format!("cc-serve-diff-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
-    // Each run shape — a sweep, a single point, a Monte-Carlo run —
-    // through the daemon (via `repro client --out`) and through the
-    // one-shot CLI (`--json --out`). The single point is spelled with a
-    // positional key, as the client shares the one-shot parser; the
-    // Monte-Carlo seed pins the sample stream, so its banded digests must
-    // agree byte for byte.
+    // Each run shape — a sweep, a single point, a Monte-Carlo run, a
+    // multi-entry sweep — through the daemon (via `repro client --out`)
+    // and through the one-shot CLI (`--json --out`). The single point is
+    // spelled with a positional key, as the client shares the one-shot
+    // parser; the Monte-Carlo seed pins the sample stream, so its banded
+    // digests must agree byte for byte. fig10 sweeps each point in its own
+    // work group, while under a `fleet.growth` sweep most figures share
+    // one output across both points, so the last run splices one rendered
+    // output into several artifacts.
     let sweep = [
         "--experiment",
         "fig10",
@@ -293,8 +296,9 @@ fn served_artifacts_byte_match_the_one_shot_cli() {
         "--seed",
         "7",
     ];
+    let shared = ["--tag", "figure", "--sweep", "fleet.growth=1.1,1.3"];
     let mut trees = Vec::new();
-    for (i, run) in [&sweep[..], &positional[..], &mc[..]]
+    for (i, run) in [&sweep[..], &positional[..], &mc[..], &shared[..]]
         .into_iter()
         .enumerate()
     {
@@ -329,6 +333,12 @@ fn served_artifacts_byte_match_the_one_shot_cli() {
         assert!(cli.status.success());
         trees.push(assert_same_tree(&served_dir, &cli_dir));
     }
+    let mut figures: Vec<String> = (1..=15)
+        .flat_map(|n| ["1.1", "1.3"].map(|g| format!("fig{n:02}@fleet.growth-{g}.json")))
+        .chain(["comparison.json".to_string()])
+        .collect();
+    figures.sort();
+    assert_eq!(trees.pop(), Some(figures));
     assert_eq!(
         trees,
         [

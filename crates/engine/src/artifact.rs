@@ -3,17 +3,32 @@
 //! Both front-ends must emit byte-identical artifacts for the same
 //! (experiment × scenario-point) job — the serve-smoke CI job diffs daemon
 //! output against a one-shot `repro --sweep` run file-for-file — so the
-//! rendering lives here, once. The JSON form is built as a [`JsonValue`]
-//! first ([`artifact_json`]) so the server can embed the same value inside
-//! its response envelope: `JsonValue::render` is deterministic and
+//! artifact layout lives here, once.
+//!
+//! A JSON artifact is one object in three pieces, each fixed by fewer
+//! inputs than the whole: the *head* (`key`, `title`, `description`,
+//! `tags`) by the experiment, the *point* piece (`point` when sweeping,
+//! then `scenario`) by the sweep point, and the *body* (`output`) by the
+//! experiment's output. The other formats never show the point, so their
+//! body is the whole artifact. [`crate::Engine::run_grid`] renders each
+//! shared piece once — a work group's body once for all its members, a
+//! point's piece once for every experiment — and splices the pieces into
+//! every artifact ([`crate::GridJob::artifact`]); the daemon writes that
+//! same text into its `artifact` envelope. [`artifact_json`] and
+//! [`render_artifact`] build the whole artifact from the same field lists
+//! in one go: they are the reference form the spliced text is tested
+//! against byte for byte. `JsonValue::render` is deterministic and
 //! round-trip stable, which is what makes the client's re-rendered files
 //! match the CLI's bytes exactly.
 
+use crate::grid::GridJob;
 use cc_core::experiments::Entry;
 use cc_report::{
     Comparison, Experiment, ExperimentOutput, JsonValue, McComparison, MonteCarloMatrix,
     RunContext, ScenarioMatrix, ScenarioPoint,
 };
+use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 /// Output format for artifacts and comparison reports.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -41,6 +56,31 @@ impl Format {
     }
 }
 
+/// The members that identify the experiment: `key`, `title`,
+/// `description` and `tags`.
+fn head_fields(entry: &Entry, experiment: &dyn Experiment) -> Vec<(&'static str, JsonValue)> {
+    vec![
+        ("key", JsonValue::from(entry.key)),
+        ("title", JsonValue::from(experiment.id().to_string())),
+        ("description", JsonValue::from(experiment.description())),
+        (
+            "tags",
+            JsonValue::array(entry.tags.iter().map(|t| JsonValue::from(t.name()))),
+        ),
+    ]
+}
+
+/// The members that describe the point: the sweep-point metadata when
+/// sweeping, then the full scenario.
+fn point_fields(ctx: &RunContext, point: Option<&ScenarioPoint>) -> Vec<(&'static str, JsonValue)> {
+    let mut fields = Vec::with_capacity(2);
+    if let Some(point) = point {
+        fields.push(("point", point.to_json()));
+    }
+    fields.push(("scenario", ctx.scenario().to_json()));
+    fields
+}
+
 /// The JSON artifact for one (experiment × scenario-point) job, as a value:
 /// experiment identity and tags, the sweep-point metadata when sweeping,
 /// the full scenario, and the experiment output.
@@ -52,27 +92,15 @@ pub fn artifact_json(
     ctx: &RunContext,
     point: Option<&ScenarioPoint>,
 ) -> JsonValue {
-    let mut fields = vec![
-        ("key", JsonValue::from(entry.key)),
-        ("title", JsonValue::from(experiment.id().to_string())),
-        ("description", JsonValue::from(experiment.description())),
-        (
-            "tags",
-            JsonValue::array(entry.tags.iter().map(|t| JsonValue::from(t.name()))),
-        ),
-    ];
-    if let Some(point) = point {
-        fields.push(("point", point.to_json()));
-    }
-    fields.push(("scenario", ctx.scenario().to_json()));
+    let mut fields = head_fields(entry, experiment);
+    fields.extend(point_fields(ctx, point));
     fields.push(("output", output.to_json()));
     JsonValue::object(fields)
 }
 
 /// Renders one (experiment × scenario-point) artifact from an
-/// already-computed output. Kept separate from the model run so the cache
-/// can render a shared [`ExperimentOutput`] once per point, with each
-/// point's own scenario/point metadata.
+/// already-computed output, whole: the reference form of the text
+/// [`crate::GridJob::artifact`] assembles from shared pieces.
 #[must_use]
 pub fn render_artifact(
     entry: &Entry,
@@ -83,29 +111,98 @@ pub fn render_artifact(
     format: Format,
 ) -> String {
     match format {
-        Format::Text => format!(
+        Format::Json => artifact_json(entry, experiment, output, ctx, point).render(),
+        _ => {
+            let mut text = String::new();
+            write_body(&mut text, experiment, output, format);
+            text
+        }
+    }
+}
+
+/// Where [`write_artifact`] takes the pieces a grid job shares with other
+/// jobs from. A piece with a memo is rendered into it once, by whichever
+/// job gets there first, and copied into every sharer's artifact; a piece
+/// without one belongs to this job alone and is written in place.
+#[derive(Clone, Copy)]
+pub(crate) struct Shared<'a> {
+    /// The head, shared by every point of the experiment.
+    pub(crate) head: Option<&'a OnceLock<String>>,
+    /// The point piece, shared by every experiment at the point.
+    pub(crate) point: Option<&'a OnceLock<String>>,
+    /// The body, shared by the members of a work group.
+    pub(crate) body: Option<&'a OnceLock<String>>,
+}
+
+/// Appends a grid job's artifact to `out`: for JSON the head
+/// (`{"key":…,"tags":[…]`), the point piece (`,"point":…,"scenario":…`),
+/// then `,"output":` and the body (the rendered output) and the closing
+/// brace; for the other formats, which never show the point or scenario,
+/// the body alone — the whole artifact. Byte-identical to
+/// [`render_artifact`] on the job's fields.
+pub(crate) fn write_artifact(out: &mut String, job: &GridJob<'_>) {
+    let shared = job.shared;
+    let body = |out: &mut String| write_body(out, job.experiment, job.output, job.format);
+    if job.format != Format::Json {
+        return piece(out, shared.body, body);
+    }
+    piece(out, shared.head, |out| {
+        JsonValue::object(head_fields(job.entry, job.experiment)).write(out);
+        out.pop();
+    });
+    piece(out, shared.point, |out| {
+        let start = out.len();
+        JsonValue::object(point_fields(job.context, job.sweeping.then_some(job.point))).write(out);
+        out.pop();
+        out.replace_range(start..=start, ",");
+    });
+    out.push_str(",\"output\":");
+    piece(out, shared.body, body);
+    out.push('}');
+}
+
+/// Appends one piece to `out`: from its memo when it has one (rendering
+/// it there first if no sharer has yet), written in place otherwise.
+fn piece(out: &mut String, memo: Option<&OnceLock<String>>, write: impl FnOnce(&mut String)) {
+    match memo {
+        Some(memo) => out.push_str(memo.get_or_init(|| {
+            let mut text = String::new();
+            write(&mut text);
+            text
+        })),
+        None => write(out),
+    }
+}
+
+/// Appends the piece only the experiment and its output fix: the rendered
+/// `output` object for JSON, and the whole artifact for the other formats.
+fn write_body(
+    out: &mut String,
+    experiment: &dyn Experiment,
+    output: &ExperimentOutput,
+    format: Format,
+) {
+    let (id, description) = (experiment.id(), experiment.description());
+    let _ = match format {
+        Format::Text => write!(
+            out,
             "==============================================================\n\
-             {} — {}\n\
+             {id} — {description}\n\
              ==============================================================\n\
              {}",
-            experiment.id(),
-            experiment.description(),
             output.render()
         ),
-        Format::Markdown => format!(
-            "## {} — {}\n\n{}",
-            experiment.id(),
-            experiment.description(),
+        Format::Markdown => write!(
+            out,
+            "## {id} — {description}\n\n{}",
             output.render_markdown()
         ),
-        Format::Csv => format!(
-            "# {} — {}\n{}",
-            experiment.id(),
-            experiment.description(),
-            output.render_csv()
-        ),
-        Format::Json => artifact_json(entry, experiment, output, ctx, point).render(),
-    }
+        Format::Csv => write!(out, "# {id} — {description}\n{}", output.render_csv()),
+        Format::Json => {
+            output.to_json().write(out);
+            Ok(())
+        }
+    };
 }
 
 /// The cross-scenario comparison report, as a JSON value: the sweep specs,

@@ -5,16 +5,26 @@
 //! ordered worker loop, the one [`crate::mc`] runs on too: up to `jobs`
 //! threads pull groups off a shared atomic cursor. Each group runs its
 //! models at most once (and, through the engine's shared cache, possibly
-//! zero times); every member point's artifact is rendered from the shared
-//! output with that point's own metadata, and the loop's reorder buffer
+//! zero times); every member point's artifact is the shared output
+//! wrapped in that point's own metadata, and the loop's reorder buffer
 //! delivers it to the caller's sink in grid order.
+//!
+//! Rendering is memoized per run along the artifact's pieces
+//! ([`crate::artifact`]): a group with several members renders its
+//! output body once for all of them, each point of a multi-experiment run
+//! renders its `point`/`scenario` piece once for every experiment (a
+//! per-point `OnceLock`), each experiment of a sweep renders its head
+//! once, and [`GridJob::artifact`] splices the job's pieces together. A
+//! piece only one job uses is written straight into that job's artifact,
+//! and nothing renders until a renderer asks, so a renderer that builds
+//! its own text pays for none of it.
 //!
 //! The renderer runs *on the worker threads* (rendering large tables is
 //! real work worth parallelizing); the sink runs under the reorder
 //! buffer's lock, strictly in job order — exactly the contract the
 //! historical CLI had, so its stdout stays byte-identical.
 
-use crate::artifact::Format;
+use crate::artifact::{write_artifact, Format, Shared};
 use crate::{tracked_metrics, Engine, EngineError, RunCounts, Tally};
 use cc_core::experiments::Entry;
 use cc_report::{
@@ -23,6 +33,7 @@ use cc_report::{
 };
 use std::convert::Infallible;
 use std::ops::Deref;
+use std::sync::OnceLock;
 
 /// Knobs for one grid run.
 #[derive(Clone, Copy, Debug)]
@@ -101,6 +112,22 @@ pub struct GridJob<'a> {
     pub sweeping: bool,
     /// Output format from the [`GridConfig`].
     pub format: Format,
+    /// The pieces of the artifact other jobs share.
+    pub(crate) shared: Shared<'a>,
+}
+
+impl GridJob<'_> {
+    /// The job's artifact in its [`Format`]: the pieces it shares with
+    /// other jobs (a work group's output, a point's scenario) rendered once
+    /// per run, the rest in place; byte-identical to
+    /// [`render_artifact`](crate::artifact::render_artifact) on the job's
+    /// fields.
+    #[must_use]
+    pub fn artifact(&self) -> String {
+        let mut text = String::new();
+        write_artifact(&mut text, self);
+        text
+    }
 }
 
 /// What one grid run produced, beyond the streamed artifacts. Derefs to
@@ -152,10 +179,20 @@ impl Engine {
         }
         let tally = Tally::new(entries.len());
         let mut scalars = Vec::with_capacity(entries.len() * npoints);
+        // A piece gets a memo only when several artifacts share it: an
+        // entry's head when the grid has several points, a point's piece
+        // when it has several experiments, and (below) a work group's body
+        // when the group has several members.
+        let memos = |shared: bool, n: usize| -> Vec<OnceLock<String>> {
+            let n = if shared { n } else { 0 };
+            (0..n).map(|_| OnceLock::new()).collect()
+        };
+        let heads = memos(sweeping, entries.len());
+        let point_pieces = memos(entries.len() > 1, npoints);
 
         // One group per work unit: obtain its output (cache or fresh run),
-        // then render every member point's artifact (each with its own
-        // point/scenario metadata) and emit its lines and scalars under
+        // then render every member point's artifact (the group's shared
+        // pieces plus the point's own) and emit its lines and scalars under
         // the job's grid index.
         let Ok(()) = crate::ordered(
             0..groups.len(),
@@ -173,6 +210,7 @@ impl Engine {
                     config.no_cache,
                     &tally,
                 );
+                let body = (group.point_idxs.len() > 1).then(OnceLock::new);
                 for &point_idx in &group.point_idxs {
                     let job = GridJob {
                         entry,
@@ -184,6 +222,11 @@ impl Engine {
                         output: &output,
                         sweeping,
                         format: config.format,
+                        shared: Shared {
+                            head: heads.get(group.entry_idx),
+                            point: point_pieces.get(point_idx),
+                            body: body.as_ref(),
+                        },
                     };
                     let lines = render(&job);
                     emit(
@@ -403,8 +446,10 @@ pub fn build_comparisons(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::render_artifact;
     use cc_core::experiments;
     use cc_report::ScenarioMatrix;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
     fn grid(
@@ -506,6 +551,100 @@ mod tests {
             .flat_map(|e| (0..4).map(move |p| format!("{e}:{p}")))
             .collect();
         assert_eq!(order, expected, "reorder buffer preserves grid order");
+    }
+
+    #[test]
+    fn spliced_artifacts_match_the_reference_for_every_entry_and_format() {
+        let all: Vec<&str> = experiments::entries().iter().map(|e| e.key).collect();
+        assert_eq!(all.len(), 26);
+        let engine = Engine::new();
+        // Paper defaults (no `point` member) and a sweep (`point` members).
+        // Under the sweep the full registry shares each point's piece and
+        // most outputs; fig10 alone shares its output but no point piece,
+        // and fig02 alone (one group per point) shares nothing.
+        let selections = [&all[..], &["fig10"][..], &["fig02"][..]];
+        for (sweeps, keys) in [&[][..], &["fleet.growth=1.0,1.3"][..]]
+            .into_iter()
+            .flat_map(|sweeps| selections.map(|keys| (sweeps, keys)))
+        {
+            let (entries, _matrix, points, contexts) = grid(keys, sweeps);
+            for format in [Format::Text, Format::Markdown, Format::Csv, Format::Json] {
+                let config = GridConfig {
+                    jobs: 2,
+                    no_cache: false,
+                    format,
+                };
+                let checked = AtomicUsize::new(0);
+                engine.run_grid(
+                    &entries,
+                    &points,
+                    &contexts,
+                    &config,
+                    |job| {
+                        let point = job.sweeping.then_some(job.point);
+                        let whole = render_artifact(
+                            job.entry,
+                            job.experiment,
+                            job.output,
+                            job.context,
+                            point,
+                            job.format,
+                        );
+                        assert!(job.artifact() == whole, "{} {format:?}", job.entry.key);
+                        checked.fetch_add(1, Ordering::Relaxed);
+                        Vec::new()
+                    },
+                    |_| {},
+                );
+                assert_eq!(checked.into_inner(), keys.len() * points.len());
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_suite_sweep_sinks_the_per_job_reference_lines() {
+        let keys: Vec<&str> = experiments::entries().iter().map(|e| e.key).collect();
+        let sweeps = ["fleet.growth=1.0,1.25,1.5"];
+        // The reference: every job run on its own and rendered whole.
+        let (entries, _matrix, points, contexts) = grid(&keys, &sweeps);
+        let reference: Vec<String> = entries
+            .iter()
+            .flat_map(|entry| {
+                let experiment = entry.build();
+                points.iter().zip(&contexts).map(move |(point, context)| {
+                    let output = experiment.run(context);
+                    render_artifact(
+                        entry,
+                        experiment.as_ref(),
+                        &output,
+                        context,
+                        Some(point),
+                        Format::Json,
+                    )
+                })
+            })
+            .collect();
+        for no_cache in [false, true] {
+            for jobs in [1, 4] {
+                let config = GridConfig {
+                    jobs,
+                    no_cache,
+                    format: Format::Json,
+                };
+                let engine = Engine::new();
+                let sunk = Mutex::new(Vec::new());
+                engine.run_grid(
+                    &entries,
+                    &points,
+                    &contexts,
+                    &config,
+                    |job| vec![job.artifact()],
+                    |line| sunk.lock().unwrap().push(line),
+                );
+                let sunk = sunk.into_inner().unwrap();
+                assert!(sunk == reference, "jobs {jobs}, no_cache {no_cache}");
+            }
+        }
     }
 
     #[test]

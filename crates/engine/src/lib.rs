@@ -85,6 +85,18 @@ use std::sync::{Arc, Mutex};
 /// long-lived daemon sweeping many axes cannot grow without limit.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
+/// The most worker threads one run starts, whatever its `jobs` asks for.
+/// Outputs are byte-identical at any `jobs`, so the cap changes no output;
+/// it keeps a huge `--jobs` from asking the OS for that many threads.
+pub const MAX_JOBS: usize = 64;
+
+/// The worker threads a run's `jobs` stands for: at least one, at most
+/// [`MAX_JOBS`]. Both drivers size their work by it — the grid's worker
+/// loop and the Monte-Carlo block length.
+pub(crate) fn workers(jobs: usize) -> usize {
+    jobs.clamp(1, MAX_JOBS)
+}
+
 /// The resident execution engine: the sharded artifact cache plus
 /// engine-level counters. One `Engine` is shared (via `Arc`) by every
 /// connection of a `repro serve` daemon; the CLI builds a throwaway one per
@@ -339,7 +351,8 @@ impl<T, D: FnMut(T)> ReorderBuffer<T, D> {
 }
 
 /// The ordered worker loop both drivers share. At most `jobs` scoped
-/// threads (the calling thread alone at one job) pull the work units in
+/// threads — never more than [`MAX_JOBS`] or the number of units, and
+/// the calling thread alone at one — pull the work units in
 /// `units` off one atomic cursor and call `work(unit, emit)`; each call
 /// may `emit(key, item)` any number of items, and `deliver` receives them
 /// strictly in key order, counting up from `units.start`.
@@ -384,12 +397,12 @@ where
             }
         }
     };
-    let workers = jobs.clamp(1, units.len().max(1));
-    if workers == 1 {
+    let threads = workers(jobs).min(units.len().max(1));
+    if threads == 1 {
         worker();
     } else {
         std::thread::scope(|scope| {
-            for _ in 0..workers {
+            for _ in 0..threads {
                 scope.spawn(worker);
             }
         });
@@ -634,6 +647,15 @@ mod tests {
             s.set(key, value).unwrap();
         }
         s
+    }
+
+    #[test]
+    fn worker_threads_are_capped() {
+        assert_eq!(workers(0), 1);
+        assert_eq!(workers(4), 4);
+        assert_eq!(workers(MAX_JOBS), MAX_JOBS);
+        assert_eq!(workers(100_000), MAX_JOBS);
+        assert_eq!(workers(usize::MAX), MAX_JOBS);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! order and emit one flat value vector for it, and the loop's reorder
 //! buffer feeds the blocks to the accumulators strictly in order. The
 //! block length is a fixed rule of the sample count and `jobs`
-//! (`samples / (8·jobs)`, clamped to 1..=64), so the claim and the
+//! (`samples / (8·jobs)`, clamped to 1..=64, with `jobs` capped at
+//! [`crate::MAX_JOBS`] as the worker loop caps it), so the claim and the
 //! buffer's lock are paid once per block, not once per sample. The
 //! result: byte-identical statistics for the same seed across any
 //! `--jobs` value, and across one-shot versus served runs.
@@ -129,9 +130,10 @@ impl PartFingerprints for SampleFingerprints<'_> {
 
 /// Consecutive samples one worker claims at a time: about eight blocks
 /// per thread keep the threads balanced, and up to 64 samples share one
-/// claim and one reorder-buffer handoff.
+/// claim and one reorder-buffer handoff. Threads are counted as the worker
+/// loop counts them, capped at [`crate::MAX_JOBS`].
 fn block_len(samples: usize, jobs: usize) -> usize {
-    (samples / jobs.max(1).saturating_mul(8)).clamp(1, 64)
+    (samples / (crate::workers(jobs) * 8)).clamp(1, 64)
 }
 
 impl Engine {
@@ -294,6 +296,20 @@ mod tests {
 
     fn entry(key: &str) -> Vec<&'static Entry> {
         vec![experiments::find_entry(key).expect("known key")]
+    }
+
+    #[test]
+    fn block_length_counts_capped_worker_threads() {
+        assert_eq!(block_len(100_000, 1), 64);
+        assert_eq!(block_len(1_000, 4), 31);
+        assert_eq!(block_len(10, 4), 1);
+        // A huge `jobs` sizes blocks for the capped thread count, not for
+        // threads the loop never starts.
+        assert_eq!(
+            block_len(10_000, 100_000),
+            block_len(10_000, crate::MAX_JOBS)
+        );
+        assert_eq!(block_len(10_000, crate::MAX_JOBS), 19);
     }
 
     #[test]

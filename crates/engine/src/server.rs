@@ -30,7 +30,7 @@
 //! flag and drain. Work already admitted to a queue still completes and
 //! its responses are still delivered.
 
-use crate::artifact::{artifact_file_name, artifact_json, Format};
+use crate::artifact::{artifact_file_name, write_artifact, Format};
 use crate::grid::{GridConfig, GridJob};
 use crate::protocol::{
     parse_frame, ProtocolError, Request, RequestId, ResolvedRun, RunRequest, OPS, PROTOCOL_VERSION,
@@ -198,6 +198,26 @@ impl Route<'_> {
         line
     }
 
+    /// The `artifact` response line for one grid job: the experiment key,
+    /// the file name the CLI would have written, and the job's artifact
+    /// written in as is — the bytes one-shot `repro --json` prints.
+    fn artifact(&self, job: &GridJob<'_>) -> String {
+        let point = job.sweeping.then_some(job.point);
+        let name = artifact_file_name(job.entry.key, point, Format::Json);
+        let mut line = self.line(
+            "artifact",
+            vec![
+                ("key", JsonValue::from(job.entry.key)),
+                ("name", JsonValue::from(name)),
+            ],
+        );
+        line.pop();
+        line.push_str(",\"artifact\":");
+        write_artifact(&mut line, job);
+        line.push('}');
+        line
+    }
+
     fn error(&self, error: &ProtocolError) -> String {
         self.line(
             "error",
@@ -294,12 +314,13 @@ impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:7878`, or port `0` to let the OS
     /// pick) and wires the shared engine behind it. `max_jobs` caps the
     /// per-request `jobs` field so one client cannot oversubscribe the
-    /// host.
+    /// host; it is itself clamped to 1..=[`crate::MAX_JOBS`], the most
+    /// worker threads a run starts, so `hello` reports the real cap.
     pub fn bind(addr: &str, engine: Arc<Engine>, max_jobs: usize) -> std::io::Result<Self> {
         Ok(Self {
             listener: TcpListener::bind(addr)?,
             engine,
-            max_jobs: max_jobs.max(1),
+            max_jobs: crate::workers(max_jobs),
             queue_depth: DEFAULT_QUEUE_DEPTH,
             log: None,
             shutdown: Arc::new(AtomicBool::new(false)),
@@ -726,31 +747,6 @@ fn handle_batch(connection: &Connection<'_>, runs: &[RunRequest], id: Option<&Re
         .send(&Route { id, run: None }.line("done", rest));
 }
 
-/// The payload fields of one `artifact` response line: the experiment
-/// key, the file name the CLI would have written, and the full artifact
-/// envelope.
-fn artifact_fields(job: &GridJob<'_>) -> Vec<(&'static str, JsonValue)> {
-    let artifact = artifact_json(
-        job.entry,
-        job.experiment,
-        job.output,
-        job.context,
-        job.sweeping.then_some(job.point),
-    );
-    vec![
-        ("key", JsonValue::from(job.entry.key)),
-        (
-            "name",
-            JsonValue::from(artifact_file_name(
-                job.entry.key,
-                job.sweeping.then_some(job.point),
-                Format::Json,
-            )),
-        ),
-        ("artifact", artifact),
-    ]
-}
-
 /// Runs one resolved run through [`Engine::execute`], rendering its
 /// artifacts and report as response lines on `route`. Returns the run's
 /// counts for the caller's `done` line, or the error for its terminal
@@ -768,18 +764,18 @@ fn stream(
     };
     let render = |job: &GridJob<'_>| {
         // A non-sweep artifact is a pure function of the interned payload
-        // and the entry, so its rendered text is cached on the interned
+        // and the entry, so its rendered line is cached on the interned
         // scenario and only the per-request routing tag is spliced in —
-        // replayed payloads skip the dominant JSON build + render cost.
-        // Sweep artifacts embed per-point data and `no_cache` promises a
-        // fresh pipeline, so both render from scratch.
+        // replayed payloads skip rendering altogether. Sweep artifacts
+        // embed per-point data and `no_cache` promises a fresh pipeline,
+        // so both take the run's spliced artifact text.
         if !job.sweeping && !request.no_cache {
-            let untagged = resolved.base.rendered_artifact(job.entry.key, || {
-                Route::default().line("artifact", artifact_fields(job))
-            });
+            let untagged = resolved
+                .base
+                .rendered_artifact(job.entry.key, || Route::default().artifact(job));
             return vec![route.artifact_line(&untagged)];
         }
-        vec![route.line("artifact", artifact_fields(job))]
+        vec![route.artifact(job)]
     };
     let writer = connection.writer;
     let execution = connection
@@ -1042,6 +1038,15 @@ mod tests {
 
         request(&mut reader, &mut stream, r#"{"op":"shutdown"}"#);
         daemon.join().expect("join").expect("clean exit");
+    }
+
+    #[test]
+    fn the_jobs_cap_is_clamped_to_the_worker_limit() {
+        let engine = Arc::new(Engine::with_capacity(32));
+        for (asked, cap) in [(0, 1), (4, 4), (100_000, crate::MAX_JOBS)] {
+            let server = Server::bind("127.0.0.1:0", Arc::clone(&engine), asked).expect("bind");
+            assert_eq!(server.max_jobs, cap, "--jobs {asked}");
+        }
     }
 
     #[test]

@@ -52,7 +52,8 @@ impl JsonValue {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact JSON text [`Self::render`] returns to `out`.
+    pub fn write(&self, out: &mut String) {
         match self {
             Self::Null => out.push_str("null"),
             Self::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
