@@ -48,9 +48,9 @@
 //! sharded fingerprint→artifact cache.
 
 use cc_core::experiments::{self, Entry, Tag};
-use cc_engine::artifact::artifact_file_name;
+use cc_engine::artifact::{artifact_file_name, head_fields};
 use cc_engine::grid::{disk_footer_lines, explain_lines, footer_lines};
-use cc_engine::protocol::RunRequest;
+use cc_engine::protocol::{RunRequest, ERROR_CATEGORIES};
 use cc_engine::{DiskCache, Engine, Format, GridConfig, GridJob, RunCounts, Server};
 use cc_report::{JsonValue, Scenario};
 use std::io::{BufRead, Write as _};
@@ -120,11 +120,16 @@ fn print_usage() {
     eprintln!("  `--addr` (`--hello`, `--stats` or `--shutdown` send that op instead)");
     eprintln!("  and writes the streamed artifacts to `--out`, byte-identical to");
     eprintln!("  one-shot `--json --out` files, or prints them. exit code 0 on");
-    eprintln!("  success; a server rejection maps the error");
-    eprintln!("  category to a stable exit code (malformed-request=10,");
-    eprintln!("  unknown-experiment=11, unknown-tag=12, unknown-field=13,");
-    eprintln!("  invalid-value=14, invalid-scenario=15, invalid-sweep=16,");
-    eprintln!("  overloaded=17); other client failures exit 2.");
+    eprintln!("  success; a server rejection maps the error category to a stable");
+    eprintln!("  exit code:");
+    for row in ERROR_CATEGORIES.chunks(3) {
+        let codes: Vec<String> = row
+            .iter()
+            .map(|category| format!("{category}={}", category_exit_code(category)))
+            .collect();
+        eprintln!("    {}", codes.join(", "));
+    }
+    eprintln!("  other client failures exit 2.");
     eprintln!();
     let tags: Vec<&str> = Tag::ALL.iter().map(|t| t.name()).collect();
     eprintln!("tags: {}", tags.join(", "));
@@ -379,22 +384,15 @@ fn serve_main(mut args: impl Iterator<Item = String>) {
         .unwrap_or_else(|e| fail(&format!("serve failed: {e}")));
 }
 
-/// Maps a server error category onto a stable exit code, so scripted
-/// callers (and the stress suite) can tell `overloaded` from
-/// `invalid-sweep` without parsing stderr. Unknown categories fall back to
-/// the generic failure code 2.
+/// Maps a server error category onto a stable exit code — 10 plus its
+/// index in [`ERROR_CATEGORIES`] — so scripted callers (and the stress
+/// suite) can tell `overloaded` from `invalid-sweep` without parsing
+/// stderr. Unknown categories fall back to the generic failure code 2.
 fn category_exit_code(category: &str) -> i32 {
-    match category {
-        "malformed-request" => 10,
-        "unknown-experiment" => 11,
-        "unknown-tag" => 12,
-        "unknown-field" => 13,
-        "invalid-value" => 14,
-        "invalid-scenario" => 15,
-        "invalid-sweep" => 16,
-        "overloaded" => 17,
-        _ => 2,
-    }
+    ERROR_CATEGORIES
+        .iter()
+        .position(|&known| known == category)
+        .map_or(2, |index| 10 + index as i32)
 }
 
 /// `repro client`: send the command line's [`RunRequest`] (or its
@@ -525,18 +523,9 @@ fn one_shot_main(cli: Cli) {
             _ => resolve(base).entries,
         };
         if cli.format == Format::Json {
-            let index = JsonValue::array(selected.iter().map(|e| {
-                JsonValue::object([
-                    ("key", JsonValue::from(e.key)),
-                    ("title", JsonValue::from(e.title())),
-                    ("description", JsonValue::from(e.description())),
-                    (
-                        "tags",
-                        JsonValue::array(e.tags.iter().map(|t| JsonValue::from(t.name()))),
-                    ),
-                ])
-            }));
-            emit(index);
+            emit(JsonValue::array(selected.iter().map(|e| {
+                JsonValue::object(head_fields(e, e.build().as_ref()))
+            })));
         } else {
             for entry in selected {
                 emit(entry.key);

@@ -93,6 +93,23 @@ fn list_json_is_a_metadata_index() {
 }
 
 #[test]
+fn list_json_entries_are_the_artifact_heads() {
+    use cc_report::JsonValue;
+    let list = stdout_of(repro().args(["--list", "--json"]).output().unwrap());
+    let list = JsonValue::parse(list.trim_end()).expect("the index is JSON");
+    let list = list.as_array().expect("an array");
+    let artifacts = stdout_of(repro().args(["--json", "--jobs", "2"]).output().unwrap());
+    let artifacts: Vec<&str> = artifacts.lines().collect();
+    assert_eq!(list.len(), experiment_count());
+    assert_eq!(artifacts.len(), experiment_count());
+    for (entry, artifact) in list.iter().zip(artifacts) {
+        let artifact = JsonValue::parse(artifact).expect("artifacts are JSON");
+        let head = &artifact.as_object().expect("an object")[..4];
+        assert_eq!(entry, &JsonValue::Object(head.to_vec()));
+    }
+}
+
+#[test]
 fn scenario_file_and_overrides_change_fig10() {
     let dir = std::env::temp_dir().join(format!("cc-repro-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

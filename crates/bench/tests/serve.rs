@@ -358,6 +358,52 @@ fn served_artifacts_byte_match_the_one_shot_cli() {
 }
 
 #[test]
+fn memoized_artifacts_byte_match_the_one_shot_cli_under_either_routing() {
+    let daemon = Daemon::start();
+    let (mut reader, mut stream) = daemon.connect();
+    // One payload per routing, each sent twice: the first request misses
+    // the payload's artifact memo and the second replays its text. Every
+    // served payload must be one-shot `--json`'s bytes, spliced in raw
+    // right after the routing fields.
+    for (id, intensity) in [(None, "50"), (Some("memo"), "700")] {
+        let set = format!("grid.intensity={intensity}");
+        let one_shot = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["fig05", "fig10", "--set", &set, "--json"])
+            .output()
+            .expect("run one-shot repro");
+        assert!(one_shot.status.success());
+        let one_shot = String::from_utf8(one_shot.stdout).unwrap();
+        let route = id.map_or(String::new(), |id| format!(r#","id":"{id}""#));
+        let request = format!(
+            r#"{{"op":"run"{route},"experiments":["fig05","fig10"],"set":{{"grid.intensity":{intensity}}}}}"#
+        );
+        for _ in 0..2 {
+            writeln!(stream, "{request}").expect("send request");
+            for (key, expected) in ["fig05", "fig10"].into_iter().zip(one_shot.lines()) {
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("read artifact line");
+                let head = format!(
+                    r#"{{"type":"artifact"{route},"key":"{key}","name":"{key}.json","artifact":"#
+                );
+                let payload = line
+                    .trim_end()
+                    .strip_prefix(&head)
+                    .and_then(|rest| rest.strip_suffix('}'))
+                    .unwrap_or_else(|| panic!("unexpected artifact line {line}"));
+                assert!(payload == expected, "{key} at {set}, id {id:?}");
+            }
+            let mut done = String::new();
+            reader.read_line(&mut done).expect("read done line");
+            assert!(
+                done.starts_with(&format!(r#"{{"type":"done"{route},"#)),
+                "{done}"
+            );
+        }
+    }
+    daemon.shutdown();
+}
+
+#[test]
 fn client_surfaces_server_rejections() {
     let daemon = Daemon::start();
     // The error category maps to a stable exit code (unknown-experiment=11)

@@ -14,7 +14,8 @@
 //! shared piece once — a work group's body once for all its members, a
 //! point's piece once for every experiment — and splices the pieces into
 //! every artifact ([`crate::GridJob::artifact`]); the daemon writes that
-//! same text into its `artifact` envelope. [`artifact_json`] and
+//! same text into its `artifact` response line, from the interned
+//! payload's memo when it holds it. [`artifact_json`] and
 //! [`render_artifact`] build the whole artifact from the same field lists
 //! in one go: they are the reference form the spliced text is tested
 //! against byte for byte. `JsonValue::render` is deterministic and
@@ -56,9 +57,11 @@ impl Format {
     }
 }
 
-/// The members that identify the experiment: `key`, `title`,
-/// `description` and `tags`.
-fn head_fields(entry: &Entry, experiment: &dyn Experiment) -> Vec<(&'static str, JsonValue)> {
+/// The members that identify the experiment, which every JSON artifact
+/// opens with: `key`, `title`, `description` and `tags`. `repro --list
+/// --json` lists them as one object per entry.
+#[must_use]
+pub fn head_fields(entry: &Entry, experiment: &dyn Experiment) -> Vec<(&'static str, JsonValue)> {
     vec![
         ("key", JsonValue::from(entry.key)),
         ("title", JsonValue::from(experiment.id().to_string())),

@@ -31,7 +31,6 @@ use cc_report::{
     dedup_groups, Comparison, Experiment, ExperimentOutput, RunContext, Scalar, ScenarioMatrix,
     ScenarioOverlay, ScenarioPoint,
 };
-use std::convert::Infallible;
 use std::ops::Deref;
 use std::sync::OnceLock;
 
@@ -138,6 +137,9 @@ pub struct GridResult {
     pub scalars: Vec<Vec<Scalar>>,
     /// The run's counts; `run_counts` is the per-entry work-group plan.
     pub counts: RunCounts,
+    /// Whether the engine was stopped ([`Engine::stop`]) before every
+    /// group ran: the sink and `scalars` then end at the first skipped job.
+    pub cancelled: bool,
 }
 
 impl Deref for GridResult {
@@ -156,7 +158,9 @@ impl Engine {
     ///
     /// `render` turns each job into output lines *on the worker thread*;
     /// `sink` receives those lines strictly in grid order
-    /// (`entry_idx * npoints + point_idx`).
+    /// (`entry_idx * npoints + point_idx`). A stopped engine
+    /// ([`Engine::stop`]) starts no further group and reports the run
+    /// [`GridResult::cancelled`].
     pub fn run_grid<R, S>(
         &self,
         entries: &[&'static Entry],
@@ -194,7 +198,9 @@ impl Engine {
         // then render every member point's artifact (the group's shared
         // pieces plus the point's own) and emit its lines and scalars under
         // the job's grid index.
-        let Ok(()) = crate::ordered(
+        // No group fails, so the loop errs only when the engine was stopped.
+        let outcome = crate::ordered(
+            &self.stopped,
             0..groups.len(),
             config.jobs,
             |unit, emit: &dyn Fn(usize, (Vec<String>, Vec<Scalar>))| {
@@ -234,7 +240,7 @@ impl Engine {
                         (lines, output.scalars.clone()),
                     );
                 }
-                Ok::<(), Infallible>(())
+                Ok(())
             },
             |(lines, job_scalars)| {
                 for line in lines {
@@ -250,6 +256,7 @@ impl Engine {
                 run_counts: plan,
                 ..tally.finish()
             },
+            cancelled: outcome.is_err(),
         }
     }
 }

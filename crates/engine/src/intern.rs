@@ -43,24 +43,12 @@ pub struct InternedScenario {
     pub scenario: Scenario,
     /// The parsed `dists` bindings, in request order.
     pub bindings: Vec<DistBinding>,
-    /// Rendered non-sweep artifact lines, keyed by experiment registry
-    /// key. A non-sweep artifact is a pure function of the validated
-    /// payload and the experiment, so its (large) rendered JSON is
-    /// interned right next to the validation it already shares. Bounded
-    /// by the registry size, and evicted with the payload itself.
+    /// Non-sweep artifact texts, keyed by experiment registry key. A
+    /// non-sweep artifact is a pure function of the validated payload and
+    /// the experiment, so its (large) JSON text is interned right next to
+    /// the validation it already shares. Bounded by the registry size,
+    /// and evicted with the payload itself.
     rendered: Mutex<HashMap<&'static str, Arc<str>>>,
-}
-
-impl Clone for InternedScenario {
-    fn clone(&self) -> Self {
-        // The rendered cache stays behind: a clone is a new identity, and
-        // sharing rendered text across identities is the Arc's job.
-        Self {
-            scenario: self.scenario.clone(),
-            bindings: self.bindings.clone(),
-            rendered: Mutex::new(HashMap::new()),
-        }
-    }
 }
 
 impl InternedScenario {
@@ -90,11 +78,10 @@ impl InternedScenario {
         })
     }
 
-    /// The rendered response line for experiment `key` against this
-    /// payload, built (and cached) on first sight. Concurrent first
-    /// sightings may both run `build`; the bytes are identical by purity,
-    /// so whichever publishes first wins and the racer's copy is used
-    /// once and dropped.
+    /// The artifact text for experiment `key` against this payload, built
+    /// (and cached) on first sight. Concurrent first sightings may both
+    /// run `build`; the bytes are identical by purity, so whichever
+    /// publishes first wins and the racer's copy is used once and dropped.
     pub fn rendered_artifact(&self, key: &'static str, build: impl FnOnce() -> String) -> Arc<str> {
         if let Some(hit) = self.rendered.lock().expect("no panics under lock").get(key) {
             return Arc::clone(hit);

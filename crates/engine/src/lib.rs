@@ -35,7 +35,8 @@
 //! Monte-Carlo run's is a block of consecutive samples, so the cursor
 //! and the buffer's lock are paid once per block. That makes stdout and
 //! the Monte-Carlo digests byte-reproducible across any `--jobs` value
-//! and across one-shot versus served runs.
+//! and across one-shot versus served runs. [`Engine::stop`] ends every
+//! run's loop between units, so a stopped daemon cancels its runs.
 //!
 //! Both drivers look every part up through one read-through path,
 //! `Engine::obtain`, which takes each part's dependency fingerprint from
@@ -106,6 +107,7 @@ pub struct Engine {
     disk: Option<DiskCache>,
     intern: ScenarioInterner,
     requests: AtomicU64,
+    stopped: AtomicBool,
 }
 
 impl Engine {
@@ -123,6 +125,7 @@ impl Engine {
             disk: None,
             intern: ScenarioInterner::new(intern::DEFAULT_INTERN_CAPACITY),
             requests: AtomicU64::new(0),
+            stopped: AtomicBool::new(false),
         }
     }
 
@@ -155,6 +158,15 @@ impl Engine {
         &self.intern
     }
 
+    /// Stops every run on this engine, now and from now on: each run's
+    /// worker loop starts no further work unit, and a run that skipped
+    /// units returns [`EngineError::Cancelled`]. A unit already running
+    /// finishes, so nothing partial is cached or written to disk. The
+    /// daemon stops its engine on `shutdown`.
+    pub fn stop(&self) {
+        self.stopped.store(true, Ordering::Relaxed);
+    }
+
     /// Counts one served request (a CLI invocation or one protocol `run`).
     pub fn count_request(&self) {
         self.requests.fetch_add(1, Ordering::Relaxed);
@@ -171,7 +183,8 @@ impl Engine {
     /// # Errors
     ///
     /// [`EngineError::Sample`] when a drawn value fails validation; the
-    /// missing-scalar errors when an experiment's scalar coverage breaks.
+    /// missing-scalar errors when an experiment's scalar coverage breaks;
+    /// [`EngineError::Cancelled`] when the engine was stopped mid-run.
     /// Artifacts already streamed stay streamed.
     pub fn execute<'run, R, S>(
         &self,
@@ -204,6 +217,9 @@ impl Engine {
             render,
             sink,
         );
+        if result.cancelled {
+            return Err(EngineError::Cancelled);
+        }
         let report = if run.matrix.is_sweep() {
             let comparisons =
                 build_comparisons(&run.entries, &run.points, &result.scalars, &run.matrix)?;
@@ -360,12 +376,20 @@ impl<T, D: FnMut(T)> ReorderBuffer<T, D> {
 /// The first failing unit stops the cursor and the loop drains. Units are
 /// handed out in increasing order, so every unit below a failed one has
 /// run: the error returned is that of the lowest failing unit, however
-/// the threads interleave.
-fn ordered<T, E, W, D>(units: Range<usize>, jobs: usize, work: W, deliver: D) -> Result<(), E>
+/// the threads interleave. The engine's `stopped` flag ([`Engine::stop`])
+/// ends the loop the same way between units; a loop that skipped units
+/// then returns [`EngineError::Cancelled`], and one that ran them all
+/// reports as before.
+fn ordered<T, W, D>(
+    stopped: &AtomicBool,
+    units: Range<usize>,
+    jobs: usize,
+    work: W,
+    deliver: D,
+) -> Result<(), EngineError>
 where
     T: Send,
-    E: Send,
-    W: Fn(usize, &dyn Fn(usize, T)) -> Result<(), E> + Sync,
+    W: Fn(usize, &dyn Fn(usize, T)) -> Result<(), EngineError> + Sync,
     D: FnMut(T) + Send,
 {
     let buffer = Mutex::new(ReorderBuffer {
@@ -381,9 +405,9 @@ where
     };
     let cursor = AtomicUsize::new(units.start);
     let stop = AtomicBool::new(false);
-    let failure: Mutex<Option<(usize, E)>> = Mutex::new(None);
+    let failure: Mutex<Option<(usize, EngineError)>> = Mutex::new(None);
     let worker = || {
-        while !stop.load(Ordering::Relaxed) {
+        while !stop.load(Ordering::Relaxed) && !stopped.load(Ordering::Relaxed) {
             let unit = cursor.fetch_add(1, Ordering::Relaxed);
             if unit >= units.end {
                 break;
@@ -409,6 +433,7 @@ where
     }
     match failure.into_inner().expect("no panics under lock") {
         Some((_, e)) => Err(e),
+        None if cursor.into_inner() < units.end => Err(EngineError::Cancelled),
         None => Ok(()),
     }
 }
@@ -587,6 +612,8 @@ pub enum EngineError {
     /// A Monte-Carlo sample failed to apply or validate — typically an
     /// unbounded `normal` tail drawing outside the field's physical range.
     Sample(String),
+    /// The engine was stopped ([`Engine::stop`]) before the run finished.
+    Cancelled,
 }
 
 impl std::fmt::Display for EngineError {
@@ -602,6 +629,7 @@ impl std::fmt::Display for EngineError {
                 "experiment `{key}` produced no `{metric}` scalar at point `{point}`"
             ),
             Self::Sample(message) => f.write_str(message),
+            Self::Cancelled => f.write_str("the engine stopped before the run finished"),
         }
     }
 }
@@ -663,19 +691,45 @@ mod tests {
         for jobs in [1, 4] {
             let mut delivered = Vec::new();
             let result = ordered(
+                &AtomicBool::new(false),
                 0..200,
                 jobs,
                 |unit, emit: &dyn Fn(usize, usize)| {
                     if unit % 50 == 49 {
-                        return Err(unit);
+                        return Err(EngineError::Sample(unit.to_string()));
                     }
                     emit(unit, unit);
                     Ok(())
                 },
                 |item| delivered.push(item),
             );
-            assert_eq!(result, Err(49), "jobs {jobs}");
+            assert_eq!(result, Err(EngineError::Sample("49".into())), "jobs {jobs}");
             assert_eq!(delivered, (0..49).collect::<Vec<_>>(), "jobs {jobs}");
+        }
+    }
+
+    #[test]
+    fn ordered_stops_between_units_and_cancels_only_a_short_run() {
+        // The flag rises during unit `at`: that unit finishes, the loop
+        // starts no other, and only a loop with units left is cancelled.
+        for (at, expected) in [(10, Err(EngineError::Cancelled)), (199, Ok(()))] {
+            let stopped = AtomicBool::new(false);
+            let mut delivered = Vec::new();
+            let result = ordered(
+                &stopped,
+                0..200,
+                1,
+                |unit, emit: &dyn Fn(usize, usize)| {
+                    if unit == at {
+                        stopped.store(true, Ordering::Relaxed);
+                    }
+                    emit(unit, unit);
+                    Ok(())
+                },
+                |item| delivered.push(item),
+            );
+            assert_eq!(result, expected, "stopped at {at}");
+            assert_eq!(delivered, (0..=at).collect::<Vec<_>>(), "stopped at {at}");
         }
     }
 

@@ -228,6 +228,7 @@ impl Engine {
         let samples = matrix.len();
         let block = block_len(samples, config.jobs);
         crate::ordered(
+            &self.stopped,
             0..(samples - 1).div_ceil(block),
             config.jobs,
             |unit, emit: &dyn Fn(usize, Vec<f64>)| {

@@ -79,7 +79,7 @@ pub const RESPONSE_KINDS: [&str; 7] = [
 ];
 
 /// Every error category, exactly as `docs/PROTOCOL.md` enumerates them.
-pub const ERROR_CATEGORIES: [&str; 8] = [
+pub const ERROR_CATEGORIES: [&str; 9] = [
     "malformed-request",
     "unknown-experiment",
     "unknown-tag",
@@ -88,6 +88,7 @@ pub const ERROR_CATEGORIES: [&str; 8] = [
     "invalid-scenario",
     "invalid-sweep",
     "overloaded",
+    "cancelled",
 ];
 
 /// A structured protocol error: a stable machine-readable category plus a
@@ -98,8 +99,8 @@ pub const ERROR_CATEGORIES: [&str; 8] = [
 pub struct ProtocolError {
     /// Stable category, one of [`ERROR_CATEGORIES`]: `malformed-request`,
     /// `unknown-experiment`, `unknown-tag`, `unknown-field`,
-    /// `invalid-value`, `invalid-scenario`, `invalid-sweep` or
-    /// `overloaded`.
+    /// `invalid-value`, `invalid-scenario`, `invalid-sweep`, `overloaded`
+    /// or `cancelled`.
     pub category: &'static str,
     /// What went wrong, for humans.
     pub message: String,
@@ -256,9 +257,9 @@ pub struct ResolvedRun {
     pub mc: Option<MonteCarloMatrix>,
     /// The validated payload this run resolved from — shared with every
     /// other in-flight request carrying the identical `set`/`dists`
-    /// payload when an interner resolved it. The server hangs rendered
-    /// non-sweep artifact text off it via
-    /// [`InternedScenario::rendered_artifact`].
+    /// payload when an interner resolved it. The server keeps each
+    /// non-sweep artifact's text in its memo
+    /// ([`InternedScenario::rendered_artifact`]).
     pub base: Arc<InternedScenario>,
 }
 

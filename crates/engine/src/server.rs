@@ -25,17 +25,18 @@
 //! client learns in one round trip instead of stalling.
 //!
 //! Shutdown is cooperative: a `shutdown` request is acknowledged with
-//! `{"type":"bye"}`, the accept loop's stop flag is raised, and a loopback
-//! self-connect unblocks `accept` so the listener thread can observe the
-//! flag and drain. Work already admitted to a queue still completes and
-//! its responses are still delivered.
+//! `{"type":"bye"}`, the accept loop's stop flag is raised, the engine is
+//! stopped ([`Engine::stop`]), and a loopback self-connect unblocks
+//! `accept` so the listener thread can observe the flag and drain. Every
+//! run in flight or still queued ends at its next work unit with one
+//! `cancelled` error, so a long run cannot hold the daemon open.
 
 use crate::artifact::{artifact_file_name, write_artifact, Format};
 use crate::grid::{GridConfig, GridJob};
 use crate::protocol::{
     parse_frame, ProtocolError, Request, RequestId, ResolvedRun, RunRequest, OPS, PROTOCOL_VERSION,
 };
-use crate::{Engine, RunCounts};
+use crate::{Engine, EngineError, RunCounts};
 use cc_report::JsonValue;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -151,7 +152,7 @@ impl LineWriter {
 }
 
 /// Routing tag for response lines: the request's echoed id, plus the
-/// sub-run index inside a `batch`. Rendered immediately after `"type"` so
+/// sub-run index inside a `batch`. Written immediately after `"type"` so
 /// v1-style (untagged) responses stay byte-identical to protocol v1.
 #[derive(Clone, Copy, Default)]
 struct Route<'a> {
@@ -160,60 +161,53 @@ struct Route<'a> {
 }
 
 impl Route<'_> {
-    /// Builds a response line: `type`, the routing fields, then `rest`.
-    fn line(&self, kind: &str, rest: Vec<(&str, JsonValue)>) -> String {
-        let mut fields: Vec<(&str, JsonValue)> = vec![("type", JsonValue::from(kind))];
+    /// Writes a response line straight into a `String`: `{"type":KIND`,
+    /// then `id` and `run` when present, then `fields`, every value
+    /// through [`JsonValue::write`]. The closing brace is left off.
+    fn open(&self, kind: &str, fields: &[(&str, JsonValue)]) -> String {
+        let mut line = format!("{{\"type\":\"{kind}\"");
+        let mut field = |name: &str, value: &JsonValue| {
+            line.push_str(",\"");
+            line.push_str(name);
+            line.push_str("\":");
+            value.write(&mut line);
+        };
         if let Some(id) = self.id {
-            fields.push(("id", id.to_json()));
+            field("id", &id.to_json());
         }
         if let Some(run) = self.run {
-            fields.push(("run", JsonValue::Integer(run)));
+            field("run", &JsonValue::Integer(run));
         }
-        fields.extend(rest);
-        JsonValue::object(fields).render()
+        for (name, value) in fields {
+            field(name, value);
+        }
+        line
     }
 
-    /// Splices this route into a cached *untagged* `artifact` line,
-    /// producing exactly the bytes [`Self::line`] would have rendered:
-    /// `type`, `id`, `run`, then the cached remainder. Lets the server
-    /// reuse one rendered artifact across requests that differ only in
-    /// their routing tag.
-    fn artifact_line(&self, untagged: &str) -> String {
-        const PREFIX: &str = "{\"type\":\"artifact\"";
-        debug_assert!(untagged.starts_with(PREFIX));
-        if self.id.is_none() && self.run.is_none() {
-            return untagged.to_string();
-        }
-        let mut line = String::with_capacity(untagged.len() + 32);
-        line.push_str(&untagged[..PREFIX.len()]);
-        if let Some(id) = self.id {
-            line.push_str(",\"id\":");
-            line.push_str(&id.to_json().render());
-        }
-        if let Some(run) = self.run {
-            line.push_str(",\"run\":");
-            line.push_str(&JsonValue::Integer(run).render());
-        }
-        line.push_str(&untagged[PREFIX.len()..]);
+    /// A whole response line: [`Self::open`], closed.
+    fn line(&self, kind: &str, fields: &[(&str, JsonValue)]) -> String {
+        let mut line = self.open(kind, fields);
+        line.push('}');
         line
     }
 
     /// The `artifact` response line for one grid job: the experiment key,
-    /// the file name the CLI would have written, and the job's artifact
-    /// written in as is — the bytes one-shot `repro --json` prints.
-    fn artifact(&self, job: &GridJob<'_>) -> String {
+    /// the file name the CLI would have written, and the job's artifact —
+    /// the bytes one-shot `repro --json` prints — copied from `memo` when
+    /// the payload's memo holds it, written in place otherwise.
+    fn artifact(&self, job: &GridJob<'_>, memo: Option<&str>) -> String {
         let point = job.sweeping.then_some(job.point);
         let name = artifact_file_name(job.entry.key, point, Format::Json);
-        let mut line = self.line(
-            "artifact",
-            vec![
-                ("key", JsonValue::from(job.entry.key)),
-                ("name", JsonValue::from(name)),
-            ],
-        );
-        line.pop();
+        let fields = [
+            ("key", JsonValue::from(job.entry.key)),
+            ("name", JsonValue::from(name)),
+        ];
+        let mut line = self.open("artifact", &fields);
         line.push_str(",\"artifact\":");
-        write_artifact(&mut line, job);
+        match memo {
+            Some(artifact) => line.push_str(artifact),
+            None => write_artifact(&mut line, job),
+        }
         line.push('}');
         line
     }
@@ -221,7 +215,7 @@ impl Route<'_> {
     fn error(&self, error: &ProtocolError) -> String {
         self.line(
             "error",
-            vec![
+            &[
                 ("error", JsonValue::from(error.category)),
                 ("message", JsonValue::from(error.message.as_str())),
             ],
@@ -545,18 +539,18 @@ fn read_loop(
         match frame.request {
             Request::Hello => writer.send(&hello_line(connection, &route)),
             Request::Stats => {
-                let line = route.line(
-                    "stats",
-                    vec![("stats", connection.engine.stats().to_json())],
-                );
+                let line = route.line("stats", &[("stats", connection.engine.stats().to_json())]);
                 writer.send(&line);
             }
             Request::Shutdown => {
-                writer.send(&route.line("bye", Vec::new()));
+                writer.send(&route.line("bye", &[]));
                 if let Some(log) = connection.log {
                     log.event("shutdown requested");
                 }
                 shutdown.store(true, Ordering::SeqCst);
+                // In-flight runs on every connection end with `cancelled`
+                // instead of holding the daemon open until they finish.
+                connection.engine.stop();
                 // Unblock the accept loop so it can observe the flag.
                 let _ = TcpStream::connect(addr);
                 return;
@@ -604,7 +598,7 @@ fn submit(connection: &Connection<'_>, queue: &WorkQueue, job: Job) {
         };
         let line = route.line(
             "error",
-            vec![
+            &[
                 ("error", JsonValue::from("overloaded")),
                 (
                     "message",
@@ -642,7 +636,7 @@ fn execute_job(connection: &Connection<'_>, job: &Job) {
 fn hello_line(connection: &Connection<'_>, route: &Route<'_>) -> String {
     route.line(
         "hello",
-        vec![
+        &[
             ("version", JsonValue::Integer(PROTOCOL_VERSION)),
             ("max_jobs", JsonValue::Integer(connection.max_jobs as u64)),
             (
@@ -703,7 +697,7 @@ fn handle_run(connection: &Connection<'_>, request: &RunRequest, route: Route<'_
                 rest.push(("points", JsonValue::Integer(resolved.points.len() as u64)));
             }
             rest.extend(counted(&[counts]));
-            connection.writer.send(&route.line("done", rest));
+            connection.writer.send(&route.line("done", &rest));
         }
     }
 }
@@ -744,7 +738,7 @@ fn handle_batch(connection: &Connection<'_>, runs: &[RunRequest], id: Option<&Re
     rest.extend(counted(&counts));
     connection
         .writer
-        .send(&Route { id, run: None }.line("done", rest));
+        .send(&Route { id, run: None }.line("done", &rest));
 }
 
 /// Runs one resolved run through [`Engine::execute`], rendering its
@@ -762,32 +756,35 @@ fn stream(
         no_cache: request.no_cache,
         format: Format::Json,
     };
+    // A non-sweep artifact is a pure function of the interned payload and
+    // the entry, so its text is kept in the payload's memo and replayed
+    // payloads skip rendering it. Sweep artifacts embed per-point data and
+    // `no_cache` promises a fresh pipeline, so both are written in place.
     let render = |job: &GridJob<'_>| {
-        // A non-sweep artifact is a pure function of the interned payload
-        // and the entry, so its rendered line is cached on the interned
-        // scenario and only the per-request routing tag is spliced in —
-        // replayed payloads skip rendering altogether. Sweep artifacts
-        // embed per-point data and `no_cache` promises a fresh pipeline,
-        // so both take the run's spliced artifact text.
-        if !job.sweeping && !request.no_cache {
-            let untagged = resolved
+        let memo = (!job.sweeping && !request.no_cache).then(|| {
+            resolved
                 .base
-                .rendered_artifact(job.entry.key, || Route::default().artifact(job));
-            return vec![route.artifact_line(&untagged)];
-        }
-        vec![route.artifact(job)]
+                .rendered_artifact(job.entry.key, || job.artifact())
+        });
+        vec![route.artifact(job, memo.as_deref())]
     };
     let writer = connection.writer;
     let execution = connection
         .engine
         .execute(resolved, &config, render, |line| writer.send(&line))
-        .map_err(|error| ProtocolError::new("invalid-scenario", error.to_string()))?;
+        .map_err(|error| {
+            let category = match error {
+                EngineError::Cancelled => "cancelled",
+                _ => "invalid-scenario",
+            };
+            ProtocolError::new(category, error.to_string())
+        })?;
     // A Monte-Carlo report is the run's only output line: a
     // million-sample run must not stream a million envelopes.
     if let Some(report) = &execution.report {
         let line = route.line(
             "comparison",
-            vec![
+            &[
                 ("name", JsonValue::from(report.file_name(Format::Json))),
                 ("comparison", report.to_json()),
             ],
@@ -1136,6 +1133,55 @@ mod tests {
 
         request(&mut reader, &mut stream, r#"{"op":"shutdown"}"#);
         daemon.join().expect("join").expect("clean exit");
+    }
+
+    #[test]
+    fn shutdown_cancels_in_flight_runs_and_returns_promptly() {
+        let engine = Arc::new(Engine::new());
+        let server = Server::bind("127.0.0.1:0", Arc::clone(&engine), 2).expect("bind");
+        let addr = server.local_addr().expect("local addr");
+        let (done, returned) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(server.run()));
+
+        // Two runs far too long to finish: an untagged one on a client
+        // that stays connected (executed inline by its reader) and a
+        // tagged one on a client that disconnects (executed by its pool).
+        let long = r#""experiments":["ext-mc"],"dists":["grid.intensity ~ uniform(100,700)"],"samples":100000"#;
+        let (mut reader, mut stream) = connect(addr);
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .expect("set timeout");
+        writeln!(stream, r#"{{"op":"run",{long}}}"#).expect("send");
+        let (_, mut abandoned) = connect(addr);
+        writeln!(abandoned, r#"{{"op":"run","id":"gone",{long}}}"#).expect("send");
+        while engine.stats().requests < 2 {
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        drop(abandoned);
+
+        let (mut control, mut control_stream) = connect(addr);
+        let bye = request(&mut control, &mut control_stream, r#"{"op":"shutdown"}"#);
+        assert_eq!(bye[0].get("type").and_then(JsonValue::as_str), Some("bye"));
+
+        // The connected client gets exactly one line, `cancelled`, then
+        // the daemon closes the connection.
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read the cancellation");
+        let cancelled = JsonValue::parse(line.trim_end()).expect("valid JSON");
+        assert_eq!(
+            cancelled.get("error").and_then(JsonValue::as_str),
+            Some("cancelled"),
+            "{line}"
+        );
+        assert_eq!(cancelled.get("id"), None, "an untagged run stays untagged");
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).expect("read EOF"), 0, "{line}");
+
+        returned
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("Server::run returns within 10 s of shutdown")
+            .expect("daemon exits cleanly");
+        assert_eq!(engine.stats().requests, 2);
     }
 
     #[test]

@@ -102,37 +102,13 @@ impl FleetParams {
     /// the only SKU's weight below 1), which would leave the weights unable
     /// to sum to 1.
     pub fn set_mix_weight(&mut self, sku: &str, weight: f64) -> Result<(), ScenarioError> {
-        if !weight.is_finite() || !(0.0..=1.0).contains(&weight) {
-            // Rejecting here names the assignment the user actually made;
-            // rescaling first would surface as a negative weight on some
-            // *other* SKU at validation time.
-            return Err(ScenarioError::Invalid(format!(
-                "fleet.mix[{sku}] weight must lie in [0, 1], got {weight}"
-            )));
-        }
-        let mut mix = self.composition();
-        if !mix.iter().any(|(name, _)| name == sku) {
-            mix.push((sku.to_string(), 0.0));
-        }
-        let others: f64 = mix
-            .iter()
-            .filter(|(name, _)| name != sku)
-            .map(|(_, w)| w)
-            .sum();
-        if others == 0.0 && weight != 1.0 {
-            return Err(ScenarioError::Invalid(format!(
-                "fleet.mix[{sku}] = {weight} leaves no other SKU weight to rescale \
-                 (the mix must keep summing to 1)"
-            )));
-        }
-        for (name, w) in &mut mix {
-            if name == sku {
-                *w = weight;
-            } else if others > 0.0 {
-                *w *= (1.0 - weight) / others;
-            }
-        }
-        self.mix = mix;
+        self.mix = set_weight(
+            ("fleet.mix", "SKU"),
+            self.composition(),
+            |(name, w)| (name.as_str(), w),
+            (sku, weight),
+            || (sku.to_string(), 0.0),
+        )?;
         Ok(())
     }
 
@@ -164,38 +140,17 @@ impl FleetParams {
     /// [`ScenarioError::Invalid`] when `weight` lies outside `[0, 1]`, or
     /// when the remaining sites carry no weight to rescale.
     pub fn set_site_weight(&mut self, site: &str, weight: f64) -> Result<(), ScenarioError> {
-        if !weight.is_finite() || !(0.0..=1.0).contains(&weight) {
-            return Err(ScenarioError::Invalid(format!(
-                "fleet.sites[{site}] weight must lie in [0, 1], got {weight}"
-            )));
-        }
-        let mut sites = self.site_composition();
-        if !sites.iter().any(|s| s.name == site) {
-            sites.push(SiteParams {
+        self.sites = set_weight(
+            ("fleet.sites", "site"),
+            self.site_composition(),
+            |s| (s.name.as_str(), &mut s.weight),
+            (site, weight),
+            || SiteParams {
                 name: site.to_string(),
                 region: site.to_string(),
                 weight: 0.0,
-            });
-        }
-        let others: f64 = sites
-            .iter()
-            .filter(|s| s.name != site)
-            .map(|s| s.weight)
-            .sum();
-        if others == 0.0 && weight != 1.0 {
-            return Err(ScenarioError::Invalid(format!(
-                "fleet.sites[{site}] = {weight} leaves no other site weight to rescale \
-                 (the sites must keep summing to 1)"
-            )));
-        }
-        for s in &mut sites {
-            if s.name == site {
-                s.weight = weight;
-            } else if others > 0.0 {
-                s.weight *= (1.0 - weight) / others;
-            }
-        }
-        self.sites = sites;
+            },
+        )?;
         Ok(())
     }
 
@@ -402,22 +357,20 @@ fn validate_source(view: ScenarioView<'_>) -> Result<(), ScenarioError> {
     }
 }
 
-/// The error for a fleet field naming a SKU outside [`KNOWN_SKUS`].
-fn unknown_sku(field: &str, name: &str) -> ScenarioError {
-    ScenarioError::Invalid(format!(
+/// Checks that the SKU a fleet `field` names is one of [`KNOWN_SKUS`].
+fn known_sku(field: &str, name: &str) -> Result<(), ScenarioError> {
+    if KNOWN_SKUS.contains(&name) {
+        return Ok(());
+    }
+    Err(ScenarioError::Invalid(format!(
         "{field} names unknown server SKU `{name}` (known: {})",
         KNOWN_SKUS.join(", ")
-    ))
+    )))
 }
 
 /// The `fleet.sku` rule: one of [`KNOWN_SKUS`].
 fn validate_sku(view: ScenarioView<'_>) -> Result<(), ScenarioError> {
-    let sku = &view.fleet.sku;
-    if KNOWN_SKUS.contains(&sku.as_str()) {
-        Ok(())
-    } else {
-        Err(unknown_sku("fleet.sku", sku))
-    }
+    known_sku("fleet.sku", &view.fleet.sku)
 }
 
 /// The largest fleet a facility projection may reach: about ten times
@@ -459,33 +412,100 @@ fn validate_growth(view: ScenarioView<'_>) -> Result<(), ScenarioError> {
     Ok(())
 }
 
-/// The `fleet.mix` rule: known SKU names only, no duplicates, finite
-/// non-negative weights summing to 1 within [`MIX_WEIGHT_TOLERANCE`].
-fn validate_mix(view: ScenarioView<'_>) -> Result<(), ScenarioError> {
-    let mix = &view.fleet.mix;
+/// Sets member `name`'s weight in the composition `members` (a member it
+/// lacks joins at weight 0, built by `add`), rescaling every other member
+/// proportionally so the weights keep summing to 1. `member` reads a
+/// member's name and weight; `path` (`fleet.mix`, `fleet.sites`) and
+/// `noun` (`SKU`, `site`) name the list in errors.
+fn set_weight<T>(
+    (path, noun): (&str, &str),
+    mut members: Vec<T>,
+    member: impl Fn(&mut T) -> (&str, &mut f64),
+    (name, weight): (&str, f64),
+    add: impl FnOnce() -> T,
+) -> Result<Vec<T>, ScenarioError> {
+    if !weight.is_finite() || !(0.0..=1.0).contains(&weight) {
+        // Rejecting here names the assignment the user actually made;
+        // rescaling first would surface as a negative weight on some
+        // *other* member at validation time.
+        return Err(ScenarioError::Invalid(format!(
+            "{path}[{name}] weight must lie in [0, 1], got {weight}"
+        )));
+    }
+    if !members.iter_mut().any(|m| member(m).0 == name) {
+        members.push(add());
+    }
+    let others: f64 = members
+        .iter_mut()
+        .map(&member)
+        .filter(|(other, _)| *other != name)
+        .map(|(_, w)| *w)
+        .sum();
+    if others == 0.0 && weight != 1.0 {
+        let list = path.trim_start_matches("fleet.");
+        return Err(ScenarioError::Invalid(format!(
+            "{path}[{name}] = {weight} leaves no other {noun} weight to rescale \
+             (the {list} must keep summing to 1)"
+        )));
+    }
+    for (other, w) in members.iter_mut().map(&member) {
+        if other == name {
+            *w = weight;
+        } else if others > 0.0 {
+            *w *= (1.0 - weight) / others;
+        }
+    }
+    Ok(members)
+}
+
+/// The rule every weighted composition shares: each member named once,
+/// with a finite non-negative weight, and the weights summing to 1 within
+/// [`MIX_WEIGHT_TOLERANCE`]. `member` reads a member's name and weight;
+/// `first` and `last` are the list's own checks on a member, run before
+/// and after the shared ones; `path` and `noun` name the list in errors.
+/// An empty list passes untouched.
+fn validate_weights<T>(
+    (path, noun): (&str, &str),
+    members: &[T],
+    member: impl Fn(&T) -> (&str, f64),
+    first: impl Fn(&T) -> Result<(), ScenarioError>,
+    last: impl Fn(&T) -> Result<(), ScenarioError>,
+) -> Result<(), ScenarioError> {
     let mut sum = 0.0;
-    for (i, (name, weight)) in mix.iter().enumerate() {
-        if !KNOWN_SKUS.contains(&name.as_str()) {
-            return Err(unknown_sku("fleet.mix", name));
-        }
-        if mix[..i].iter().any(|(prior, _)| prior == name) {
+    for (i, item) in members.iter().enumerate() {
+        first(item)?;
+        let (name, weight) = member(item);
+        if members[..i].iter().any(|prior| member(prior).0 == name) {
             return Err(ScenarioError::Invalid(format!(
-                "fleet.mix lists SKU `{name}` more than once"
+                "{path} lists {noun} `{name}` more than once"
             )));
         }
-        if !weight.is_finite() || *weight < 0.0 {
+        if !weight.is_finite() || weight < 0.0 {
             return Err(ScenarioError::Invalid(format!(
-                "fleet.mix weight for `{name}` must be finite and non-negative, got {weight}"
+                "{path} weight for `{name}` must be finite and non-negative, got {weight}"
             )));
         }
+        last(item)?;
         sum += weight;
     }
-    if !mix.is_empty() && (sum - 1.0).abs() > MIX_WEIGHT_TOLERANCE {
+    if !members.is_empty() && (sum - 1.0).abs() > MIX_WEIGHT_TOLERANCE {
         return Err(ScenarioError::Invalid(format!(
-            "fleet.mix weights must sum to 1, got {sum}"
+            "{path} weights must sum to 1, got {sum}"
         )));
     }
     Ok(())
+}
+
+/// The `fleet.mix` rule: known SKU names only, no duplicates, finite
+/// non-negative weights summing to 1 within [`MIX_WEIGHT_TOLERANCE`].
+fn validate_mix(view: ScenarioView<'_>) -> Result<(), ScenarioError> {
+    validate_weights(
+        ("fleet.mix", "SKU"),
+        &view.fleet.mix,
+        |(name, weight)| (name.as_str(), *weight),
+        |(name, _)| known_sku("fleet.mix", name),
+        |_| Ok(()),
+    )
 }
 
 /// The `grid.regions` rule: every configured region carries a physical
@@ -526,26 +546,15 @@ fn validate_grid_regions(view: ScenarioView<'_>) -> Result<(), ScenarioError> {
 /// every referenced region either configured in `grid.regions` or a
 /// [`trace::BUILTIN_REGIONS`] name.
 fn validate_sites(view: ScenarioView<'_>) -> Result<(), ScenarioError> {
-    let sites = &view.fleet.sites;
-    let mut sum = 0.0;
-    for (i, site) in sites.iter().enumerate() {
+    let named = |site: &SiteParams| {
         if site.name.is_empty() {
             return Err(ScenarioError::Invalid(
                 "fleet.sites lists a site with an empty name".to_string(),
             ));
         }
-        if sites[..i].iter().any(|s| s.name == site.name) {
-            return Err(ScenarioError::Invalid(format!(
-                "fleet.sites lists site `{}` more than once",
-                site.name
-            )));
-        }
-        if !site.weight.is_finite() || site.weight < 0.0 {
-            return Err(ScenarioError::Invalid(format!(
-                "fleet.sites weight for `{}` must be finite and non-negative, got {}",
-                site.name, site.weight
-            )));
-        }
+        Ok(())
+    };
+    let region = |site: &SiteParams| {
         let configured = view.grid.regions.iter().any(|r| r.name == site.region);
         if !configured && trace::builtin_region_trace(&site.region).is_none() {
             return Err(ScenarioError::Invalid(format!(
@@ -557,14 +566,15 @@ fn validate_sites(view: ScenarioView<'_>) -> Result<(), ScenarioError> {
                 trace::BUILTIN_REGIONS.join(", ")
             )));
         }
-        sum += site.weight;
-    }
-    if !sites.is_empty() && (sum - 1.0).abs() > MIX_WEIGHT_TOLERANCE {
-        return Err(ScenarioError::Invalid(format!(
-            "fleet.sites weights must sum to 1, got {sum}"
-        )));
-    }
-    Ok(())
+        Ok(())
+    };
+    validate_weights(
+        ("fleet.sites", "site"),
+        &view.fleet.sites,
+        |site| (site.name.as_str(), site.weight),
+        named,
+        region,
+    )
 }
 
 /// Sets one element of a list field through its bracket path:

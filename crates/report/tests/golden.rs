@@ -372,3 +372,53 @@ fn single_field_validation_messages_are_pinned() {
         );
     }
 }
+
+/// The weighted-composition messages (`fleet.mix`, `fleet.sites`), byte
+/// for byte: the bracket setters' (rejected by `set`) and the list
+/// validators' (rejected by `validate`), including which check wins when a
+/// member breaks two.
+const COMPOSITION_MESSAGES: [(&str, &str, &str); 22] = [
+    ("fleet.mix[web]", "1.5", "invalid scenario: fleet.mix[web] weight must lie in [0, 1], got 1.5"),
+    ("fleet.mix[web]", "-0.1", "invalid scenario: fleet.mix[web] weight must lie in [0, 1], got -0.1"),
+    ("fleet.mix[web]", "nan", "invalid scenario: fleet.mix[web] weight must lie in [0, 1], got NaN"),
+    ("fleet.mix[web]", "0.5", "invalid scenario: fleet.mix[web] = 0.5 leaves no other SKU weight to rescale (the mix must keep summing to 1)"),
+    ("fleet.mix[web]", "0", "invalid scenario: fleet.mix[web] = 0 leaves no other SKU weight to rescale (the mix must keep summing to 1)"),
+    ("fleet.sites[hydro]", "1.5", "invalid scenario: fleet.sites[hydro] weight must lie in [0, 1], got 1.5"),
+    ("fleet.sites[hydro]", "inf", "invalid scenario: fleet.sites[hydro] weight must lie in [0, 1], got inf"),
+    ("fleet.sites[main]", "0.5", "invalid scenario: fleet.sites[main] = 0.5 leaves no other site weight to rescale (the sites must keep summing to 1)"),
+    ("fleet.sites[main].weight", "0", "invalid scenario: fleet.sites[main] = 0 leaves no other site weight to rescale (the sites must keep summing to 1)"),
+    ("fleet.mix", "mainframe:1", "invalid scenario: fleet.mix names unknown server SKU `mainframe` (known: web, storage, ai-training)"),
+    ("fleet.mix", "mainframe:-1", "invalid scenario: fleet.mix names unknown server SKU `mainframe` (known: web, storage, ai-training)"),
+    ("fleet.mix", "web:0.5,web:0.5", "invalid scenario: fleet.mix lists SKU `web` more than once"),
+    ("fleet.mix", "web:0.5,web:-0.5", "invalid scenario: fleet.mix lists SKU `web` more than once"),
+    ("fleet.mix", "web:1.5,ai-training:-0.5", "invalid scenario: fleet.mix weight for `ai-training` must be finite and non-negative, got -0.5"),
+    ("fleet.mix", "web:nan", "invalid scenario: fleet.mix weight for `web` must be finite and non-negative, got NaN"),
+    ("fleet.mix", "web:0.5,ai-training:0.4", "invalid scenario: fleet.mix weights must sum to 1, got 0.9"),
+    ("fleet.sites", "a@default:0.5,a@solar:0.5", "invalid scenario: fleet.sites lists site `a` more than once"),
+    ("fleet.sites", "a@default:1.5,b@solar:-0.5", "invalid scenario: fleet.sites weight for `b` must be finite and non-negative, got -0.5"),
+    ("fleet.sites", "a@mars:-1", "invalid scenario: fleet.sites weight for `a` must be finite and non-negative, got -1"),
+    ("fleet.sites", "a@mars:1", "invalid scenario: fleet.sites[a] names region `mars` with no grid.region.mars.trace entry (builtin regions: default, solar, hydro, wind, nuclear, coal, gas)"),
+    ("fleet.sites", "a@mars:0.5,a@default:0.5", "invalid scenario: fleet.sites[a] names region `mars` with no grid.region.mars.trace entry (builtin regions: default, solar, hydro, wind, nuclear, coal, gas)"),
+    ("fleet.sites", "a@default:0.5,b@solar:0.4", "invalid scenario: fleet.sites weights must sum to 1, got 0.9"),
+];
+
+#[test]
+fn composition_messages_are_pinned() {
+    for (key, value, message) in COMPOSITION_MESSAGES {
+        let mut s = Scenario::paper_defaults();
+        let error = s.set(key, value).and_then(|()| s.validate()).unwrap_err();
+        assert_eq!(error.to_string(), message, "{key}={value}");
+    }
+    // No `--set` value spells an empty site name; build one directly. The
+    // empty name is reported before the member's weight.
+    let mut s = Scenario::paper_defaults();
+    s.fleet.sites = vec![cc_report::scenario::SiteParams {
+        name: String::new(),
+        region: "default".to_string(),
+        weight: -1.0,
+    }];
+    assert_eq!(
+        s.validate().unwrap_err().to_string(),
+        "invalid scenario: fleet.sites lists a site with an empty name"
+    );
+}
