@@ -14,8 +14,8 @@
 //!   "crosses 2017 at fleet.growth ≈ 1.47" lines;
 //! * [`pareto`] — Pareto-frontier extraction for the Fig 8 efficiency
 //!   analyses;
-//! * [`projections`] — compound-growth series for the Fig 1 ICT outlook;
-//! * [`series`] — time-series helpers;
+//! * [`series`] — the year-indexed series behind the Fig 11 generational
+//!   trend;
 //! * [`uncertainty`] / [`rng`] — triangular-distribution Monte-Carlo
 //!   propagation on a deterministic splitmix64 generator (seeded from the
 //!   scenario, so `ext-mc` is reproducible).
@@ -26,7 +26,6 @@
 pub mod crossover;
 pub mod dist;
 pub mod pareto;
-pub mod projections;
 pub mod rng;
 pub mod series;
 pub mod stats;

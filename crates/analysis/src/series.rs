@@ -1,9 +1,7 @@
 //! Year-indexed time series.
 //!
 //! Every longitudinal chart in the paper (Figs 1, 2, 7, 11) is a series of
-//! (year, value) samples. [`YearSeries`] provides construction, lookup,
-//! linear interpolation between samples, element-wise combination and growth
-//! statistics.
+//! (year, value) samples. [`YearSeries`] keeps them sorted by year.
 
 /// A time series sampled at (not necessarily contiguous) integer years.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -12,12 +10,6 @@ pub struct YearSeries {
 }
 
 impl YearSeries {
-    /// Creates an empty series.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Creates a series from (year, value) pairs; the pairs are sorted by
     /// year and duplicate years keep the last value.
     #[must_use]
@@ -36,23 +28,6 @@ impl YearSeries {
         }
     }
 
-    /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the series has no samples.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The sampled years, ascending.
-    pub fn years(&self) -> impl Iterator<Item = u16> + '_ {
-        self.samples.iter().map(|&(y, _)| y)
-    }
-
     /// The sampled values, in year order.
     pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
         self.samples.iter().map(|&(_, v)| v)
@@ -61,104 +36,6 @@ impl YearSeries {
     /// Iterates over (year, value) pairs.
     pub fn iter(&self) -> impl Iterator<Item = (u16, f64)> + '_ {
         self.samples.iter().copied()
-    }
-
-    /// Exact lookup.
-    #[must_use]
-    pub fn get(&self, year: u16) -> Option<f64> {
-        self.samples
-            .binary_search_by_key(&year, |&(y, _)| y)
-            .ok()
-            .map(|i| self.samples[i].1)
-    }
-
-    /// Value at `year`, linearly interpolating between samples. Years outside
-    /// the sampled range clamp to the nearest endpoint.
-    ///
-    /// Returns `None` for an empty series.
-    #[must_use]
-    pub fn interpolate(&self, year: f64) -> Option<f64> {
-        let (first, last) = (self.samples.first()?, self.samples.last()?);
-        if year <= f64::from(first.0) {
-            return Some(first.1);
-        }
-        if year >= f64::from(last.0) {
-            return Some(last.1);
-        }
-        let idx = self.samples.partition_point(|&(y, _)| f64::from(y) <= year);
-        let (y0, v0) = self.samples[idx - 1];
-        let (y1, v1) = self.samples[idx];
-        let t = (year - f64::from(y0)) / (f64::from(y1) - f64::from(y0));
-        Some(v0 + (v1 - v0) * t)
-    }
-
-    /// Element-wise combination with another series over the years both
-    /// sample.
-    #[must_use]
-    pub fn zip_with(&self, other: &Self, f: impl Fn(f64, f64) -> f64) -> Self {
-        let samples = self
-            .samples
-            .iter()
-            .filter_map(|&(y, v)| other.get(y).map(|w| (y, f(v, w))))
-            .collect();
-        Self { samples }
-    }
-
-    /// Map over values, preserving years.
-    #[must_use]
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Self {
-        Self {
-            samples: self.samples.iter().map(|&(y, v)| (y, f(v))).collect(),
-        }
-    }
-
-    /// Total growth factor from the first to the last sample.
-    ///
-    /// Returns `None` with fewer than two samples or a zero first sample.
-    #[must_use]
-    pub fn total_growth(&self) -> Option<f64> {
-        let first = self.samples.first()?.1;
-        let last = self.samples.last()?.1;
-        if self.samples.len() < 2 || first == 0.0 {
-            None
-        } else {
-            Some(last / first)
-        }
-    }
-
-    /// Compound annual growth rate between the first and last samples.
-    #[must_use]
-    pub fn cagr(&self) -> Option<f64> {
-        let (y0, v0) = *self.samples.first()?;
-        let (y1, v1) = *self.samples.last()?;
-        if y1 == y0 || v0 <= 0.0 || v1 <= 0.0 {
-            return None;
-        }
-        Some((v1 / v0).powf(1.0 / f64::from(y1 - y0)) - 1.0)
-    }
-
-    /// Whether values never decrease year over year.
-    #[must_use]
-    pub fn is_monotone_nondecreasing(&self) -> bool {
-        self.samples.windows(2).all(|w| w[1].1 >= w[0].1)
-    }
-
-    /// Whether values never increase year over year.
-    #[must_use]
-    pub fn is_monotone_nonincreasing(&self) -> bool {
-        self.samples.windows(2).all(|w| w[1].1 <= w[0].1)
-    }
-
-    /// The year of the maximum value (first occurrence).
-    #[must_use]
-    pub fn argmax(&self) -> Option<u16> {
-        self.samples
-            .iter()
-            .fold(None::<(u16, f64)>, |acc, &(y, v)| match acc {
-                Some((_, best)) if best >= v => acc,
-                _ => Some((y, v)),
-            })
-            .map(|(y, _)| y)
     }
 }
 
@@ -187,7 +64,7 @@ mod tests {
     #[test]
     fn construction_sorts_and_dedups() {
         let s = YearSeries::from_pairs([(2019, 5.0), (2013, 1.0), (2013, 1.5), (2015, 3.0)]);
-        let years: Vec<_> = s.years().collect();
+        let years: Vec<_> = s.iter().map(|(y, _)| y).collect();
         assert_eq!(years, vec![2013, 2015, 2019]);
     }
 
@@ -196,57 +73,17 @@ mod tests {
         let mut s = series();
         s.push(2014, 2.0);
         s.push(2015, 3.5);
-        assert_eq!(s.get(2014), Some(2.0));
-        assert_eq!(s.get(2015), Some(3.5));
-        assert_eq!(s.len(), 4);
-    }
-
-    #[test]
-    fn interpolation_and_clamping() {
-        let s = series();
-        assert_eq!(s.interpolate(2014.0), Some(2.0));
-        assert_eq!(s.interpolate(2010.0), Some(1.0));
-        assert_eq!(s.interpolate(2030.0), Some(5.0));
-        assert_eq!(s.interpolate(2017.0), Some(4.0));
-        assert_eq!(YearSeries::new().interpolate(2015.0), None);
-    }
-
-    #[test]
-    fn growth_metrics() {
-        let s = series();
-        assert_eq!(s.total_growth(), Some(5.0));
-        let cagr = s.cagr().unwrap();
-        assert!((cagr - (5.0f64.powf(1.0 / 6.0) - 1.0)).abs() < 1e-12);
-        assert!(YearSeries::from_pairs([(2010, 1.0)])
-            .total_growth()
-            .is_none());
-    }
-
-    #[test]
-    fn monotonicity_and_argmax() {
-        assert!(series().is_monotone_nondecreasing());
-        let peak = YearSeries::from_pairs([(2014, 1.0), (2016, 9.0), (2019, 0.5)]);
-        assert!(!peak.is_monotone_nondecreasing());
-        assert!(!peak.is_monotone_nonincreasing());
-        assert_eq!(peak.argmax(), Some(2016));
-    }
-
-    #[test]
-    fn zip_and_map() {
-        let energy = YearSeries::from_pairs([(2013, 10.0), (2014, 20.0)]);
-        let intensity = YearSeries::from_pairs([(2013, 2.0), (2014, 0.5), (2015, 9.0)]);
-        let carbon = energy.zip_with(&intensity, |e, i| e * i);
-        assert_eq!(carbon.get(2013), Some(20.0));
-        assert_eq!(carbon.get(2014), Some(10.0));
-        assert_eq!(carbon.get(2015), None);
-        assert_eq!(carbon.map(|v| v / 10.0).get(2013), Some(2.0));
+        let samples: Vec<_> = s.iter().collect();
+        assert_eq!(
+            samples,
+            [(2013, 1.0), (2014, 2.0), (2015, 3.5), (2019, 5.0)]
+        );
     }
 
     #[test]
     fn collect_and_extend() {
         let mut s: YearSeries = [(2010, 1.0)].into_iter().collect();
         s.extend([(2011, 2.0)]);
-        assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
+        assert_eq!(s.values().collect::<Vec<_>>(), [1.0, 2.0]);
     }
 }

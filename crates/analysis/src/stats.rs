@@ -264,12 +264,6 @@ impl P2Quantile {
             + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
     }
 
-    /// Number of values folded in so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Current quantile estimate; `None` while empty. Exact below six
     /// observations (interpolated from the sorted buffer), P² after.
     #[must_use]
@@ -359,12 +353,6 @@ impl StreamingStats {
         self.p95.push(value);
     }
 
-    /// Number of values folded in so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.welford.count()
-    }
-
     /// The digest; `None` while empty.
     #[must_use]
     pub fn summary(&self) -> Option<BandedSummary> {
@@ -385,28 +373,6 @@ impl Default for StreamingStats {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Ordinary least-squares fit `y = a + b·x`; returns `(a, b)`.
-///
-/// Returns `None` with fewer than two points or zero x-variance.
-#[must_use]
-pub fn linear_fit(points: &[(f64, f64)]) -> Option<(f64, f64)> {
-    if points.len() < 2 {
-        return None;
-    }
-    let n = points.len() as f64;
-    let sx: f64 = points.iter().map(|p| p.0).sum();
-    let sy: f64 = points.iter().map(|p| p.1).sum();
-    let sxx: f64 = points.iter().map(|p| p.0 * p.0).sum();
-    let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
-    let denom = n * sxx - sx * sx;
-    if denom.abs() < 1e-30 {
-        return None;
-    }
-    let b = (n * sxy - sx * sy) / denom;
-    let a = (sy - b * sx) / n;
-    Some((a, b))
 }
 
 #[cfg(test)]
@@ -528,17 +494,5 @@ mod tests {
         assert_eq!(d.stddev, 0.0);
         assert_eq!(d.ci90_half_width(), 0.0);
         assert_eq!((d.min, d.max), (2014.6, 2014.6));
-    }
-
-    #[test]
-    fn linear_fit_recovers_line() {
-        let pts: Vec<(f64, f64)> = (0..10)
-            .map(|i| (f64::from(i), 3.0 + 2.0 * f64::from(i)))
-            .collect();
-        let (a, b) = linear_fit(&pts).unwrap();
-        assert!((a - 3.0).abs() < 1e-9);
-        assert!((b - 2.0).abs() < 1e-9);
-        assert_eq!(linear_fit(&[(1.0, 1.0)]), None);
-        assert_eq!(linear_fit(&[(1.0, 1.0), (1.0, 2.0)]), None);
     }
 }

@@ -438,6 +438,66 @@ fn client_surfaces_server_rejections() {
     daemon.shutdown();
 }
 
+/// Out of file descriptors, `accept` fails while the connection waits in
+/// the backlog. The accept loop must back off and log once, not spin a
+/// core retrying.
+#[cfg(target_os = "linux")]
+#[test]
+fn accept_failures_back_off_when_file_descriptors_run_out() {
+    let mut daemon = Daemon::start();
+    let pid = daemon.child.id();
+    let held: Vec<_> = (0..4)
+        .map(|_| {
+            let (mut reader, mut stream) = daemon.connect();
+            Daemon::request(&mut reader, &mut stream, r#"{"op":"stats"}"#);
+            (reader, stream)
+        })
+        .collect();
+    // Cap the daemon's descriptors at its lowest free one, so its next
+    // `accept` fails with EMFILE. (A `ulimit` set before start leaves the
+    // fill to a race with descriptors the daemon opens in passing.)
+    let used: std::collections::BTreeSet<usize> = std::fs::read_dir(format!("/proc/{pid}/fd"))
+        .expect("list the daemon's descriptors")
+        .map(|entry| {
+            let name = entry.expect("descriptor entry").file_name();
+            name.to_str().and_then(|n| n.parse().ok()).expect("numeric")
+        })
+        .collect();
+    let limit = (0..).find(|fd| !used.contains(fd)).expect("a free slot");
+    let prlimit = Command::new("prlimit")
+        .args([format!("--pid={pid}"), format!("--nofile={limit}:{limit}")])
+        .status()
+        .expect("run prlimit (util-linux)");
+    assert!(prlimit.success(), "prlimit failed");
+    // These wait in the backlog: every `accept` now fails.
+    let pending: Vec<TcpStream> = (0..4)
+        .map(|_| TcpStream::connect(&daemon.addr).expect("connect"))
+        .collect();
+
+    // utime + stime, in clock ticks (USER_HZ, 100 per second).
+    let cpu_ticks = || -> u64 {
+        let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read stat");
+        let fields: Vec<&str> = stat[stat.rfind(')').expect("comm") + 2..]
+            .split(' ')
+            .collect();
+        fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime")
+    };
+    std::thread::sleep(std::time::Duration::from_millis(500));
+    let before = cpu_ticks();
+    std::thread::sleep(std::time::Duration::from_secs(2));
+    let spent = cpu_ticks() - before;
+    // A core spinning on `accept` spends about 200 ticks in 2 s.
+    assert!(spent < 50, "{spent} CPU ticks in 2 s");
+
+    let mut stderr = daemon.child.stderr.take().expect("piped stderr");
+    daemon.child.kill().expect("kill daemon");
+    daemon.child.wait().expect("reap daemon");
+    drop((held, pending));
+    let mut log = String::new();
+    std::io::Read::read_to_string(&mut stderr, &mut log).expect("read log");
+    assert_eq!(log.matches("accept failed").count(), 1, "{log}");
+}
+
 #[test]
 fn daemon_survives_an_abruptly_dropped_connection() {
     let daemon = Daemon::start();

@@ -67,7 +67,7 @@ pub fn facility_from_context(ctx: &RunContext) -> Facility {
     // A fixed facility name: the scenario *name* is per-sweep-point labeling
     // and never reaches the simulated output, so reading it here would only
     // poison the experiment's dependency set.
-    Facility::builder("scenario-facility", fleet.start_year, ServerConfig::web())
+    Facility::builder(fleet.start_year, ServerConfig::web())
         .mix(fleet_mix_from_context(ctx))
         .initial_servers(initial)
         .server_growth(fleet.growth)

@@ -40,18 +40,6 @@ impl CnnModel {
         Self::MobileNetV3,
     ];
 
-    /// Publication year.
-    #[must_use]
-    pub fn year(self) -> u16 {
-        match self {
-            Self::ResNet50 => 2015,
-            Self::InceptionV3 => 2015,
-            Self::MobileNetV1 => 2017,
-            Self::MobileNetV2 => 2018,
-            Self::MobileNetV3 => 2019,
-        }
-    }
-
     /// Multiply-accumulate operations per 224×224 inference, in billions
     /// (GMACs). One MAC is two FLOPs.
     #[must_use]
@@ -74,19 +62,6 @@ impl CnnModel {
             Self::MobileNetV1 => 4.2,
             Self::MobileNetV2 => 3.4,
             Self::MobileNetV3 => 5.4,
-        }
-    }
-
-    /// Approximate activation traffic per inference, in megabytes (fp32,
-    /// reading and writing each intermediate feature map once).
-    #[must_use]
-    pub fn activation_mbytes(self) -> f64 {
-        match self {
-            Self::ResNet50 => 103.0,
-            Self::InceptionV3 => 89.0,
-            Self::MobileNetV1 => 45.0,
-            Self::MobileNetV2 => 52.0,
-            Self::MobileNetV3 => 35.0,
         }
     }
 
@@ -149,11 +124,6 @@ mod tests {
             assert!(m.depthwise_mac_fraction() > 0.0);
         }
         assert_eq!(CnnModel::ResNet50.depthwise_mac_fraction(), 0.0);
-    }
-
-    #[test]
-    fn years_are_ordered() {
-        assert!(CnnModel::MobileNetV3.year() > CnnModel::InceptionV3.year());
     }
 
     #[test]

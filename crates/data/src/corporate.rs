@@ -161,27 +161,6 @@ pub struct ScopeYear {
     pub scope3_mt: f64,
 }
 
-impl ScopeYear {
-    /// Opex-related emissions per the paper: Scope 1 + market-based Scope 2.
-    #[must_use]
-    pub fn opex(&self) -> CarbonMass {
-        CarbonMass::from_mt(self.scope1_mt + self.scope2_market_mt)
-    }
-
-    /// Capex-related emissions per the paper: Scope 3 (dominated by
-    /// construction and hardware manufacturing).
-    #[must_use]
-    pub fn capex(&self) -> CarbonMass {
-        CarbonMass::from_mt(self.scope3_mt)
-    }
-
-    /// Scope 3 to market-based Scope 2 ratio (the paper's "21×"/"23×").
-    #[must_use]
-    pub fn scope3_to_scope2_market(&self) -> f64 {
-        self.scope3_mt / self.scope2_market_mt
-    }
-}
-
 /// Facebook's inventory, 2014–2019. The 2018 entry reflects the year the
 /// hardware-footprint disclosure practice changed (see Fig 11 annotation);
 /// [`FACEBOOK_2018_SCOPE3_LEGACY_MT`] preserves the pre-change comparable.
@@ -422,10 +401,6 @@ pub const AMD_LIFECYCLE: [LifecycleComponent; 6] = [
     },
 ];
 
-/// Fraction of Intel fab energy that is non-renewable ("only 9.7% of the
-/// energy consumed by Intel fabs comes from nonrenewable sources", §V).
-pub const INTEL_NONRENEWABLE_FAB_ENERGY: f64 = 0.097;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,7 +429,7 @@ mod tests {
     #[test]
     fn google_2018_anchors() {
         let y2018 = year_of(&GOOGLE, 2018).unwrap();
-        let ratio = y2018.scope3_to_scope2_market();
+        let ratio = y2018.scope3_mt / y2018.scope2_market_mt;
         assert!((ratio - 20.5).abs() < 1.0, "paper: 21x, got {ratio}");
         assert_eq!(y2018.scope3_mt, 14.0);
         assert!((y2018.scope2_market_mt - 0.684).abs() < 1e-9);
@@ -466,7 +441,7 @@ mod tests {
     #[test]
     fn facebook_2019_anchors() {
         let y = year_of(&FACEBOOK, 2019).unwrap();
-        let ratio = y.scope3_to_scope2_market();
+        let ratio = y.scope3_mt / y.scope2_market_mt;
         assert!((ratio - 23.0).abs() < 0.5, "paper: 23x, got {ratio}");
         assert_eq!(y.scope3_mt, 5.8);
     }
@@ -546,8 +521,10 @@ mod tests {
     #[test]
     fn opex_capex_accessors() {
         let y = year_of(&FACEBOOK, 2019).unwrap();
-        assert!((y.opex().as_mt() - 0.298).abs() < 1e-9);
-        assert_eq!(y.capex().as_mt(), 5.8);
+        // Opex per the paper is Scope 1 + market-based Scope 2; capex is
+        // Scope 3.
+        assert!((y.scope1_mt + y.scope2_market_mt - 0.298).abs() < 1e-9);
+        assert_eq!(y.scope3_mt, 5.8);
         assert!(year_of(&FACEBOOK, 1999).is_none());
     }
 }

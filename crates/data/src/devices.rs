@@ -21,7 +21,7 @@
 //!   assistants ≈ 40% manufacturing; desktops ≈ 50% (Takeaway 2).
 //! * Device lifetimes average "three to four years".
 
-use cc_units::{CarbonMass, Ratio, TimeSpan};
+use cc_units::{CarbonMass, Ratio};
 
 /// Device vendor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -201,29 +201,6 @@ impl ProductLca {
     #[must_use]
     pub fn capex_share(&self) -> Ratio {
         Ratio::from_fraction(self.production_share + self.transport_share + self.eol_share)
-    }
-
-    /// Opex-related share: the use phase.
-    #[must_use]
-    pub fn opex_share(&self) -> Ratio {
-        Ratio::from_fraction(self.use_share)
-    }
-
-    /// Assumed lifetime.
-    #[must_use]
-    pub fn lifetime(&self) -> TimeSpan {
-        TimeSpan::from_years(self.lifetime_years)
-    }
-
-    /// Returns `true` when the phase shares sum to 1 within `1e-9`.
-    #[must_use]
-    pub fn shares_are_consistent(&self) -> bool {
-        let sum = self.production_share + self.transport_share + self.use_share + self.eol_share;
-        (sum - 1.0).abs() < 1e-9
-            && self.production_share >= 0.0
-            && self.transport_share >= 0.0
-            && self.use_share >= 0.0
-            && self.eol_share >= 0.0
     }
 }
 
@@ -965,12 +942,6 @@ pub fn in_category(category: Category) -> impl Iterator<Item = &'static ProductL
     iter().filter(move |d| d.category == category)
 }
 
-/// All devices released in or before `year` (used for the Fig 8 Pareto
-/// frontier cohorts).
-pub fn released_by(year: u16) -> impl Iterator<Item = &'static ProductLca> {
-    iter().filter(move |d| d.year <= year)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -978,9 +949,20 @@ mod tests {
     #[test]
     fn all_shares_sum_to_one() {
         for d in iter() {
+            let shares = [
+                d.production_share,
+                d.transport_share,
+                d.use_share,
+                d.eol_share,
+            ];
             assert!(
-                d.shares_are_consistent(),
+                (shares.iter().sum::<f64>() - 1.0).abs() < 1e-9,
                 "{} shares do not sum to 1",
+                d.name
+            );
+            assert!(
+                shares.iter().all(|&s| s >= 0.0),
+                "{} has a negative share",
                 d.name
             );
         }
@@ -1009,10 +991,10 @@ mod tests {
         // Fig 2 / Contribution 1: capex share 49% -> 86%.
         let iphone3gs = find("iPhone 3GS").unwrap();
         assert!((iphone3gs.capex_share().as_percent() - 49.0).abs() < 0.5);
-        assert!((iphone3gs.opex_share().as_percent() - 51.0).abs() < 0.5);
+        assert!((iphone3gs.use_share * 100.0 - 51.0).abs() < 0.5);
         let iphone11 = find("iPhone 11").unwrap();
         assert!((iphone11.capex_share().as_percent() - 86.0).abs() < 0.5);
-        assert!((iphone11.opex_share().as_percent() - 14.0).abs() < 0.5);
+        assert!((iphone11.use_share * 100.0 - 14.0).abs() < 0.5);
     }
 
     #[test]
@@ -1104,8 +1086,6 @@ mod tests {
     fn lookup_and_filters() {
         assert!(find("Nokia 3310").is_none());
         assert!(in_category(Category::Phone).count() >= 10);
-        assert!(released_by(2017).count() < iter().count());
-        assert!(released_by(2009).count() >= 1);
     }
 
     #[test]

@@ -77,14 +77,6 @@ impl EnergySource {
         TimeSpan::from_months(months)
     }
 
-    /// Whether the paper treats the source as renewable/"green" (solar, wind,
-    /// nuclear, hydropower, geothermal, biomass) as opposed to "brown"
-    /// (coal, gas).
-    #[must_use]
-    pub fn is_green(self) -> bool {
-        !matches!(self, Self::Coal | Self::Gas)
-    }
-
     /// Human-readable name, matching the Table II row label.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -135,15 +127,6 @@ mod tests {
         // gas vs solar is roughly one order of magnitude.
         let gas = EnergySource::Gas.carbon_intensity();
         assert!(gas / solar > 10.0);
-    }
-
-    #[test]
-    fn green_classification() {
-        assert!(!EnergySource::Coal.is_green());
-        assert!(!EnergySource::Gas.is_green());
-        assert!(EnergySource::Solar.is_green());
-        assert!(EnergySource::Wind.is_green());
-        assert!(EnergySource::Nuclear.is_green());
     }
 
     #[test]

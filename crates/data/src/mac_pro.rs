@@ -5,7 +5,7 @@
 //! configuration has 4×/8×/16× the GPU flops / memory bandwidth / capacity
 //! and ≈ 2.7× the manufacturing CO₂.
 
-use cc_units::{CarbonMass, Power};
+use cc_units::CarbonMass;
 
 /// One Mac Pro configuration (Table IV column).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,12 +35,6 @@ impl MacProConfig {
     #[must_use]
     pub fn manufacturing(&self) -> CarbonMass {
         CarbonMass::from_kg(self.manufacturing_kg)
-    }
-
-    /// System TDP.
-    #[must_use]
-    pub fn tdp(&self) -> Power {
-        Power::from_watts(self.tdp_watts)
     }
 }
 
@@ -94,7 +88,7 @@ mod tests {
 
     #[test]
     fn tdp_values() {
-        assert_eq!(MAC_PRO_1.tdp().as_watts(), 310.0);
-        assert_eq!(MAC_PRO_2.tdp().as_watts(), 730.0);
+        assert_eq!(MAC_PRO_1.tdp_watts, 310.0);
+        assert_eq!(MAC_PRO_2.tdp_watts, 730.0);
     }
 }

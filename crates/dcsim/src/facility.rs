@@ -2,6 +2,7 @@
 
 use crate::fleet::FleetMix;
 use crate::server::ServerConfig;
+use cc_data::energy_sources::EnergySource;
 use cc_ghg::{CorporateInventory, PpaPortfolio};
 use cc_units::{CarbonMass, Energy, Power, TimeSpan};
 
@@ -65,7 +66,7 @@ impl FacilityYear {
 /// use cc_dcsim::{Facility, ServerConfig};
 /// use cc_units::CarbonMass;
 ///
-/// let mut facility = Facility::builder("example", 2013, ServerConfig::web())
+/// let mut facility = Facility::builder(2013, ServerConfig::web())
 ///     .initial_servers(20_000)
 ///     .server_growth(1.35)
 ///     .pue(1.12)
@@ -76,7 +77,6 @@ impl FacilityYear {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Facility {
-    name: String,
     start_year: u16,
     mix: FleetMix,
     initial_servers: u64,
@@ -87,17 +87,15 @@ pub struct Facility {
     grid: cc_units::CarbonIntensity,
     /// Renewable coverage fraction per simulated year index.
     renewable_ramp: Vec<f64>,
-    renewable_source: cc_data::energy_sources::EnergySource,
 }
 
 impl Facility {
     /// Starts a builder deploying a pure fleet of `sku`; use
     /// [`FacilityBuilder::mix`] for a weighted multi-SKU composition.
     #[must_use]
-    pub fn builder(name: impl Into<String>, start_year: u16, sku: ServerConfig) -> FacilityBuilder {
+    pub fn builder(start_year: u16, sku: ServerConfig) -> FacilityBuilder {
         FacilityBuilder {
             facility: Facility {
-                name: name.into(),
                 start_year,
                 mix: FleetMix::pure(sku),
                 initial_servers: 10_000,
@@ -107,15 +105,8 @@ impl Facility {
                 construction_amortization_years: 20.0,
                 grid: cc_data::us_grid_intensity(),
                 renewable_ramp: Vec::new(),
-                renewable_source: cc_data::energy_sources::EnergySource::Wind,
             },
         }
-    }
-
-    /// Facility name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Renewable coverage for simulated year index `i` (clamped to the last
@@ -164,7 +155,7 @@ impl Facility {
 
             let mut portfolio = PpaPortfolio::new(self.grid);
             let coverage = self.coverage(i);
-            portfolio.contract(self.renewable_source, energy * coverage);
+            portfolio.contract(EnergySource::Wind, energy * coverage);
             let location = portfolio.location_carbon(energy);
             let market = portfolio.market_carbon(energy);
 
@@ -288,12 +279,6 @@ impl FacilityBuilder {
         self
     }
 
-    /// Sets the contracted renewable source (default wind).
-    pub fn renewable_source(&mut self, source: cc_data::energy_sources::EnergySource) -> &mut Self {
-        self.facility.renewable_source = source;
-        self
-    }
-
     /// Finishes the build.
     #[must_use]
     pub fn build(&self) -> Facility {
@@ -306,7 +291,7 @@ mod tests {
     use super::*;
 
     fn facility() -> Facility {
-        Facility::builder("test", 2013, ServerConfig::web())
+        Facility::builder(2013, ServerConfig::web())
             .initial_servers(20_000)
             .server_growth(1.3)
             .renewable_ramp(vec![0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
@@ -355,12 +340,12 @@ mod tests {
 
     #[test]
     fn amortization_window_scales_the_construction_term() {
-        let short = Facility::builder("short", 2013, ServerConfig::web())
+        let short = Facility::builder(2013, ServerConfig::web())
             .initial_servers(20_000)
             .construction_amortization_years(10.0)
             .build()
             .simulate(1);
-        let default = Facility::builder("default", 2013, ServerConfig::web())
+        let default = Facility::builder(2013, ServerConfig::web())
             .initial_servers(20_000)
             .build()
             .simulate(1);
@@ -373,8 +358,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive number of years")]
     fn zero_amortization_window_is_rejected() {
-        let _ = Facility::builder("bad", 2013, ServerConfig::web())
-            .construction_amortization_years(0.0);
+        let _ = Facility::builder(2013, ServerConfig::web()).construction_amortization_years(0.0);
     }
 
     #[test]
@@ -390,7 +374,7 @@ mod tests {
 
     #[test]
     fn no_ramp_means_grid_carbon() {
-        let mut f = Facility::builder("brown", 2013, ServerConfig::web()).build();
+        let mut f = Facility::builder(2013, ServerConfig::web()).build();
         let years = f.simulate(2);
         assert_eq!(years[0].location_carbon, years[0].market_carbon);
     }
@@ -398,7 +382,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "PUE")]
     fn rejects_sub_unity_pue() {
-        Facility::builder("bad", 2013, ServerConfig::web()).pue(0.9);
+        Facility::builder(2013, ServerConfig::web()).pue(0.9);
     }
 
     #[test]
@@ -419,7 +403,7 @@ mod tests {
             (ServerConfig::web(), 0.7),
             (ServerConfig::ai_training(), 0.3),
         ]);
-        let mut f = Facility::builder("mixed", 2013, ServerConfig::web())
+        let mut f = Facility::builder(2013, ServerConfig::web())
             .initial_servers(10_000)
             .mix(mix)
             .build();
@@ -442,7 +426,7 @@ mod tests {
             "embodied breakdown must reconcile with capex"
         );
         // A mixed fleet is strictly heavier than the pure web fleet.
-        let mut pure = Facility::builder("pure", 2013, ServerConfig::web())
+        let mut pure = Facility::builder(2013, ServerConfig::web())
             .initial_servers(10_000)
             .build();
         let pure_years = pure.simulate(2);

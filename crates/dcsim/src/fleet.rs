@@ -6,12 +6,11 @@
 //! the opex/capex balance per server. A [`FleetMix`] is a weighted set of
 //! [`ServerConfig`]s (weights summing to 1) that the [`crate::Facility`]
 //! model deploys in proportion every simulated year, reusing the
-//! [`SkuCapability`]/[`FleetSlice`] types the heterogeneity model provisions
-//! with. A pure mix reproduces the single-SKU arithmetic exactly, so the
-//! paper-default web fleet replays the disclosed Prineville trajectory bit
-//! for bit.
+//! [`SkuCapability`] type the heterogeneity model provisions with. A pure
+//! mix reproduces the single-SKU arithmetic exactly, so the paper-default
+//! web fleet replays the disclosed Prineville trajectory bit for bit.
 
-use crate::heterogeneity::{FleetSlice, SkuCapability};
+use crate::heterogeneity::SkuCapability;
 use crate::server::ServerConfig;
 use cc_units::{CarbonMass, Power};
 
@@ -26,7 +25,7 @@ use cc_units::{CarbonMass, Power};
 /// ]);
 /// let pure = FleetMix::pure(ServerConfig::web());
 /// assert!(mix.average_power() > pure.average_power());
-/// assert!(mix.is_mixed() && !pure.is_mixed());
+/// assert_eq!((mix.slices().len(), pure.slices().len()), (2, 1));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetMix {
@@ -77,12 +76,6 @@ impl FleetMix {
         &self.slices
     }
 
-    /// Whether the composition holds more than one SKU.
-    #[must_use]
-    pub fn is_mixed(&self) -> bool {
-        self.slices.len() > 1
-    }
-
     /// Composition-weighted average IT power per server.
     #[must_use]
     pub fn average_power(&self) -> Power {
@@ -98,20 +91,6 @@ impl FleetMix {
             acc + cap.sku.embodied() * *w
         })
     }
-
-    /// Splits `total_servers` into per-SKU [`FleetSlice`]s by weight — the
-    /// same slice type the heterogeneity model provisions, so per-slice
-    /// energy/carbon math is shared.
-    #[must_use]
-    pub fn provision(&self, total_servers: f64) -> Vec<FleetSlice> {
-        self.slices
-            .iter()
-            .map(|(cap, w)| FleetSlice {
-                capability: cap.clone(),
-                servers: total_servers * w,
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -126,7 +105,7 @@ mod tests {
         // single-SKU arithmetic the Prineville replay depends on.
         assert_eq!(mix.average_power(), web.average_power());
         assert_eq!(mix.embodied_per_server(), web.embodied());
-        assert!(!mix.is_mixed());
+        assert_eq!(mix.slices().len(), 1);
     }
 
     #[test]
@@ -142,27 +121,15 @@ mod tests {
     }
 
     #[test]
-    fn provisioning_splits_servers_by_weight() {
-        let mix = FleetMix::weighted(vec![
-            (ServerConfig::web(), 0.75),
-            (ServerConfig::storage(), 0.25),
-        ]);
-        let slices = mix.provision(10_000.0);
-        assert_eq!(slices.len(), 2);
-        assert_eq!(slices[0].servers, 7_500.0);
-        assert_eq!(slices[1].servers, 2_500.0);
-        assert_eq!(slices[1].capability.sku.name, "storage");
-    }
-
-    #[test]
     fn zero_weight_entries_are_inert() {
         let mix = FleetMix::weighted(vec![
             (ServerConfig::web(), 1.0),
             (ServerConfig::ai_training(), 0.0),
         ]);
         assert_eq!(mix.average_power(), ServerConfig::web().average_power());
-        assert!(
-            mix.is_mixed(),
+        assert_eq!(
+            mix.slices().len(),
+            2,
             "a zero-weight slice still appears in breakdowns"
         );
     }

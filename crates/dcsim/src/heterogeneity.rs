@@ -121,25 +121,24 @@ pub fn provision(
     (slice, carbon)
 }
 
-/// Compares a general-purpose fleet against an accelerator fleet for the same
-/// demand; returns `(general, specialized)` yearly carbon.
-#[must_use]
-pub fn specialization_comparison(
-    demand_units: f64,
-    grid: CarbonIntensity,
-    pue: f64,
-) -> (FleetCarbon, FleetCarbon) {
-    let (_, general) = provision(&SkuCapability::general_purpose(), demand_units, grid, pue);
-    let (_, special) = provision(&SkuCapability::accelerator(), demand_units, grid, pue);
-    (general, special)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn us() -> CarbonIntensity {
         CarbonIntensity::from_g_per_kwh(380.0)
+    }
+
+    /// A general-purpose fleet against an accelerator fleet for the same
+    /// demand: `(general, specialized)` yearly carbon.
+    fn specialization_comparison(
+        demand_units: f64,
+        grid: CarbonIntensity,
+        pue: f64,
+    ) -> (FleetCarbon, FleetCarbon) {
+        let (_, general) = provision(&SkuCapability::general_purpose(), demand_units, grid, pue);
+        let (_, special) = provision(&SkuCapability::accelerator(), demand_units, grid, pue);
+        (general, special)
     }
 
     #[test]

@@ -14,7 +14,7 @@ use cc_units::CarbonMass;
 /// a renewable ramp that reaches 100% coverage in 2019.
 #[must_use]
 pub fn facility() -> Facility {
-    Facility::builder("Prineville", 2013, ServerConfig::web())
+    Facility::builder(2013, ServerConfig::web())
         .initial_servers(60_000)
         .server_growth(1.28)
         .pue(1.10) // Facebook's Prineville is a flagship-efficiency site.

@@ -61,12 +61,6 @@ impl SitePlan {
         }
     }
 
-    /// Carbon from the site's base load alone.
-    #[must_use]
-    pub fn base_carbon(&self) -> CarbonMass {
-        (0..24).map(|h| self.base_load[h] * self.trace.at(h)).sum()
-    }
-
     /// Spare capacity at hour `h` (never negative).
     #[must_use]
     pub fn headroom(&self, h: usize) -> Energy {
@@ -333,7 +327,9 @@ mod tests {
         let sites = [site()];
         let sched = MultiSiteScheduler::default();
         // Base carbon is the same term in both schedules by construction.
-        let base = sites[0].base_carbon();
+        let base: CarbonMass = (0..24)
+            .map(|h| sites[0].base_load[h] * sites[0].trace.at(h))
+            .sum();
         for schedule in [sched.static_placement(&sites), sched.carbon_aware(&sites)] {
             let batch = schedule.deferrable_carbon(&sites, sched.migration_overhead);
             assert!(((schedule.total_carbon - batch) / base - 1.0).abs() < 1e-9);

@@ -1,6 +1,6 @@
 //! Server configurations: operational power and embodied carbon.
 
-use cc_units::{CarbonMass, Power, TimeSpan};
+use cc_units::{CarbonMass, Power};
 
 /// A server SKU deployed in the facility.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,12 +78,6 @@ impl ServerConfig {
         CarbonMass::from_kg(self.embodied_kg)
     }
 
-    /// Refresh lifetime.
-    #[must_use]
-    pub fn lifetime(&self) -> TimeSpan {
-        TimeSpan::from_years(self.lifetime_years)
-    }
-
     /// Embodied carbon amortized per year of service.
     #[must_use]
     pub fn embodied_per_year(&self) -> CarbonMass {
@@ -104,7 +98,7 @@ mod tests {
         ] {
             assert!(sku.average_power().as_watts() > 0.0);
             assert!(sku.embodied() > CarbonMass::ZERO);
-            assert!(sku.lifetime().as_years() >= 3.0 && sku.lifetime().as_years() <= 4.0);
+            assert!((3.0..=4.0).contains(&sku.lifetime_years));
         }
     }
 

@@ -32,7 +32,7 @@ proptest! {
         growth in 1.0..1.6f64,
         years in 2usize..12,
     ) {
-        let mut facility = Facility::builder("prop", 2010, ServerConfig::web())
+        let mut facility = Facility::builder(2010, ServerConfig::web())
             .initial_servers(initial)
             .server_growth(growth)
             .build();
@@ -50,7 +50,7 @@ proptest! {
         coverage in proptest::collection::vec(0.0..=1.0f64, 1..8),
         growth in 0.8..1.5f64,
     ) {
-        let mut facility = Facility::builder("prop", 2010, ServerConfig::storage())
+        let mut facility = Facility::builder(2010, ServerConfig::storage())
             .initial_servers(10_000)
             .server_growth(growth)
             .renewable_ramp(coverage.clone())
@@ -65,7 +65,7 @@ proptest! {
     #[test]
     fn pue_scales_operational_terms(pue in 1.0..2.0f64) {
         let run = |p: f64| {
-            Facility::builder("prop", 2010, ServerConfig::web())
+            Facility::builder(2010, ServerConfig::web())
                 .initial_servers(1_000)
                 .pue(p)
                 .build()

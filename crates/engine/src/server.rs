@@ -43,6 +43,7 @@ use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 /// Default bound on queued-plus-executing multiplexed requests per
 /// connection. Beyond it the daemon answers `overloaded` instead of
@@ -54,6 +55,17 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 64;
 /// connection is closed, so a client that never sends a newline cannot
 /// grow the reader's buffer without bound.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// The longest one socket write may block. A client that stops reading
+/// fills the socket buffers; past this the write fails and latches like
+/// any other write error, so the connection's handler thread cannot block
+/// forever and hold the daemon open after `shutdown`.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The pause after a failed `accept` (e.g. out of file descriptors). The
+/// pending connection stays in the backlog, so retrying at once would spin
+/// a core until a descriptor frees up.
+const ACCEPT_RETRY: Duration = Duration::from_millis(100);
 
 /// Worker threads per connection are capped independently of `max_jobs`
 /// (which bounds *within*-request parallelism): the pool exists for
@@ -108,9 +120,9 @@ impl ServeLog {
 }
 
 /// Serialized, flushed-per-line writer half of one connection. Write
-/// failures latch: once the client is gone, the rest of the response
-/// stream is dropped silently (the computation still completes and warms
-/// the shared cache).
+/// failures latch: once the client is gone, or has not read for
+/// [`WRITE_TIMEOUT`], the rest of the response stream is dropped silently
+/// (the computation still completes and warms the shared cache).
 struct LineWriter {
     writer: Mutex<(BufWriter<TcpStream>, bool)>,
 }
@@ -349,11 +361,29 @@ impl Server {
     pub fn run(self) -> std::io::Result<()> {
         let addr = self.local_addr()?;
         std::thread::scope(|scope| {
+            let mut accept_failing = false;
             for stream in self.listener.incoming() {
                 if self.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                let Ok(stream) = stream else { continue };
+                let stream = match stream {
+                    Ok(stream) => stream,
+                    Err(e) => {
+                        // One log line per run of failures, not per retry.
+                        if !accept_failing {
+                            if let Some(log) = self.log.as_deref() {
+                                log.event(&format!(
+                                    "accept failed ({e}); retrying every {} ms",
+                                    ACCEPT_RETRY.as_millis()
+                                ));
+                            }
+                        }
+                        accept_failing = true;
+                        std::thread::sleep(ACCEPT_RETRY);
+                        continue;
+                    }
+                };
+                accept_failing = false;
                 let engine = Arc::clone(&self.engine);
                 let shutdown = Arc::clone(&self.shutdown);
                 let log = self.log.clone();
@@ -419,7 +449,8 @@ fn handle_connection(
     // Responses flush line by line; without TCP_NODELAY, Nagle holds every
     // line after the first until the client ACKs, adding ~40 ms per line.
     let _ = stream.set_nodelay(true);
-    let _ = reader.set_read_timeout(Some(std::time::Duration::from_millis(200)));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    let _ = reader.set_read_timeout(Some(Duration::from_millis(200)));
     let writer = LineWriter::new(stream);
     let connection = Connection {
         engine,
@@ -1182,6 +1213,91 @@ mod tests {
             .expect("Server::run returns within 10 s of shutdown")
             .expect("daemon exits cleanly");
         assert_eq!(engine.stats().requests, 2);
+    }
+
+    #[test]
+    fn a_half_closed_client_still_gets_every_line_through_done() {
+        let engine = Arc::new(Engine::new());
+        let server = Server::bind("127.0.0.1:0", Arc::clone(&engine), 2).expect("bind");
+        let addr = server.local_addr().expect("local addr");
+        let daemon = std::thread::spawn(move || server.run());
+
+        // A tagged sweep and a tagged MC run (both on the pool), then an
+        // untagged MC run (inline on the reader), then the write side is
+        // shut: EOF reaches the reader before the tagged runs finish.
+        let mc = r#""experiments":["ext-facility"],"dists":["fleet.growth ~ uniform(1.2,1.4)"],"seed":7"#;
+        let (reader, mut stream) = connect(addr);
+        writeln!(
+            stream,
+            r#"{{"op":"run","id":"s","experiments":["fig10"],"sweep":["grid.intensity=100,300"]}}"#
+        )
+        .expect("send sweep");
+        writeln!(stream, r#"{{"op":"run","id":"m",{mc},"samples":2000}}"#).expect("send mc");
+        writeln!(stream, r#"{{"op":"run",{mc},"samples":200}}"#).expect("send mc");
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+
+        let mut done = Vec::new();
+        for line in reader.lines() {
+            let line = line.expect("read to EOF");
+            let value = JsonValue::parse(&line).expect("valid JSON");
+            let kind = value.get("type").and_then(JsonValue::as_str);
+            assert_ne!(kind, Some("error"), "{line}");
+            if kind == Some("done") {
+                let id = value.get("id").and_then(JsonValue::as_str);
+                done.push(id.map(str::to_string));
+            }
+        }
+        done.sort();
+        assert_eq!(done, [None, Some("m".into()), Some("s".into())]);
+
+        let (mut control, mut control_stream) = connect(addr);
+        request(&mut control, &mut control_stream, r#"{"op":"shutdown"}"#);
+        daemon.join().expect("join").expect("clean exit");
+    }
+
+    #[test]
+    fn a_client_that_stops_reading_cannot_hold_the_daemon_open() {
+        let engine = Arc::new(Engine::new());
+        let server = Server::bind("127.0.0.1:0", Arc::clone(&engine), 2).expect("bind");
+        let addr = server.local_addr().expect("local addr");
+        let (done, returned) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(server.run()));
+
+        // Untagged full-suite sweeps, about 1.25 MB of responses each, on
+        // a connection that never reads: far more than the socket buffers
+        // hold, so the daemon's writes block.
+        const RUNS: u64 = 12;
+        let (_unread, mut stream) = connect(addr);
+        for _ in 0..RUNS {
+            writeln!(
+                stream,
+                r#"{{"op":"run","sweep":["fleet.growth=1.0..2.0/0.05"]}}"#
+            )
+            .expect("send");
+        }
+        // The reader runs untagged requests one at a time; once its count
+        // stops moving short of RUNS, it is stuck in a write.
+        let mut last = (0, std::time::Instant::now());
+        loop {
+            let requests = engine.stats().requests;
+            assert!(requests < RUNS, "every response fit in the socket buffers");
+            if requests != last.0 {
+                last = (requests, std::time::Instant::now());
+            } else if requests > 1 && last.1.elapsed() > Duration::from_secs(1) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+
+        let (mut control, mut control_stream) = connect(addr);
+        let bye = request(&mut control, &mut control_stream, r#"{"op":"shutdown"}"#);
+        assert_eq!(bye[0].get("type").and_then(JsonValue::as_str), Some("bye"));
+        returned
+            .recv_timeout(WRITE_TIMEOUT + Duration::from_secs(10))
+            .expect("Server::run returns within the write timeout of shutdown")
+            .expect("daemon exits cleanly");
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! component of a [`WaferFootprint`].
 
 use crate::wafer::WaferFootprint;
-use cc_units::CarbonMass;
 
 /// Applies PFC abatement with the given destruction efficiency (fraction of
 /// PFC-and-diffusive carbon removed) to a wafer footprint.
@@ -51,12 +50,6 @@ pub fn decarbonize(
     )
 }
 
-/// Carbon removed by a decarbonization recipe relative to the baseline.
-#[must_use]
-pub fn savings(wafer: &WaferFootprint, renewable_factor: f64, pfc_destruction: f64) -> CarbonMass {
-    wafer.total() - decarbonize(wafer, renewable_factor, pfc_destruction).total()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,16 +80,6 @@ mod tests {
         assert!(both < abatement_only);
         // Combined recipe exceeds the paper's 2.7x electricity-only bound.
         assert!(wafer.total() / both > 3.5);
-    }
-
-    #[test]
-    fn savings_accounting() {
-        let wafer = WaferFootprint::tsmc_300mm();
-        let s = savings(&wafer, 64.0, 0.9);
-        assert!(
-            (s + decarbonize(&wafer, 64.0, 0.9).total() - wafer.total()).abs()
-                < CarbonMass::from_grams(1e-6)
-        );
     }
 
     #[test]

@@ -24,7 +24,6 @@ const WAFER_AREA_MM2: f64 = 70_000.0;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DieModel {
-    node: ProcessNode,
     die_area_mm2: f64,
     defect_density_per_cm2: f64,
     wafer: WaferFootprint,
@@ -46,7 +45,6 @@ impl DieModel {
             return Err(DieModelError::InvalidArea { die_area_mm2 });
         }
         Ok(Self {
-            node,
             die_area_mm2,
             defect_density_per_cm2: 0.1,
             wafer: WaferFootprint::for_node(node),
@@ -122,18 +120,6 @@ impl DieModel {
     #[must_use]
     pub fn embodied_carbon(&self) -> CarbonMass {
         self.wafer_footprint().total() / self.good_dies_per_wafer()
-    }
-
-    /// Die area in mm².
-    #[must_use]
-    pub fn die_area_mm2(&self) -> f64 {
-        self.die_area_mm2
-    }
-
-    /// The process node.
-    #[must_use]
-    pub fn node(&self) -> ProcessNode {
-        self.node
     }
 }
 
@@ -250,8 +236,6 @@ mod tests {
     #[test]
     fn accessors() {
         let m = DieModel::new(ProcessNode::N10, 94.0).unwrap();
-        assert_eq!(m.node(), ProcessNode::N10);
-        assert_eq!(m.die_area_mm2(), 94.0);
         assert!(m.dies_per_wafer() > 700.0);
         assert!(m.good_dies_per_wafer() < m.dies_per_wafer());
     }

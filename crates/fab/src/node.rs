@@ -66,20 +66,6 @@ impl ProcessNode {
         Energy::from_kwh(kwh)
     }
 
-    /// Logic density improvement relative to 28 nm (approximate industry
-    /// scaling; used to translate a transistor budget into die area).
-    #[must_use]
-    pub fn density_vs_28nm(self) -> f64 {
-        match self {
-            Self::N28 => 1.0,
-            Self::N14 => 2.2,
-            Self::N10 => 3.4,
-            Self::N7 => 6.0,
-            Self::N5 => 10.0,
-            Self::N3 => 16.0,
-        }
-    }
-
     /// Wafer starts per year a 7.7 TWh/yr fab could sustain at this node.
     #[must_use]
     pub fn wafers_per_year_at(self, annual_energy: Energy) -> f64 {
@@ -101,7 +87,6 @@ mod tests {
     fn energy_rises_monotonically_with_node_advance() {
         for pair in ProcessNode::ALL.windows(2) {
             assert!(pair[1].energy_per_wafer() > pair[0].energy_per_wafer());
-            assert!(pair[1].density_vs_28nm() > pair[0].density_vs_28nm());
             assert!(pair[1].nanometres() < pair[0].nanometres());
         }
     }

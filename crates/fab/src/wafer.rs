@@ -126,17 +126,6 @@ impl WaferFootprint {
                 .collect(),
         }
     }
-
-    /// The Fig 14 sweep: total footprint (normalized to the baseline) at each
-    /// scaling factor.
-    #[must_use]
-    pub fn renewable_sweep(&self, factors: &[f64]) -> Vec<(f64, f64)> {
-        let base = self.total();
-        factors
-            .iter()
-            .map(|&f| (f, self.with_renewable_scaling(f).total() / base))
-            .collect()
-    }
 }
 
 impl Default for WaferFootprint {
@@ -183,21 +172,24 @@ mod tests {
     #[test]
     fn sweep_is_monotone_decreasing_with_floor() {
         let wafer = WaferFootprint::tsmc_300mm();
-        let sweep = wafer.renewable_sweep(&FIG14_FACTORS);
-        assert_eq!(sweep.len(), 7);
-        assert_eq!(sweep[0].1, 1.0);
+        // Fig 14: the footprint, normalized to the baseline, at each factor.
+        let sweep: Vec<f64> = FIG14_FACTORS
+            .iter()
+            .map(|&f| wafer.with_renewable_scaling(f).total() / wafer.total())
+            .collect();
+        assert_eq!(sweep[0], 1.0);
         for pair in sweep.windows(2) {
-            assert!(pair[1].1 < pair[0].1);
+            assert!(pair[1] < pair[0]);
         }
         // Floor: process emissions bound the reduction.
         let floor = wafer.process_carbon() / wafer.total();
-        assert!(sweep.last().unwrap().1 > floor);
+        assert!(sweep[sweep.len() - 1] > floor);
     }
 
     #[test]
     fn headline_2_7x_at_64x() {
         let wafer = WaferFootprint::tsmc_300mm();
-        let reduction = 1.0 / wafer.renewable_sweep(&[64.0])[0].1;
+        let reduction = wafer.total() / wafer.with_renewable_scaling(64.0).total();
         assert!((reduction - 2.7).abs() < 0.1, "got {reduction}");
     }
 

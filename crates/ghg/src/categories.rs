@@ -73,28 +73,6 @@ impl Scope3Cat {
         )
     }
 
-    /// The paper's capex classification: hardware, infrastructure,
-    /// construction and logistics are capex-related; use of sold products is
-    /// opex-related; people-related categories are neither hardware capex nor
-    /// operational energy (grouped as "other" in Fig 12).
-    #[must_use]
-    pub fn is_capex_related(self) -> bool {
-        matches!(
-            self,
-            Self::PurchasedGoods
-                | Self::CapitalGoods
-                | Self::UpstreamTransport
-                | Self::DownstreamTransport
-                | Self::EndOfLife
-        )
-    }
-
-    /// Protocol category number (1-based).
-    #[must_use]
-    pub fn number(self) -> u8 {
-        Self::ALL.iter().position(|&c| c == self).unwrap() as u8 + 1
-    }
-
     /// Human-readable label.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -131,23 +109,15 @@ mod tests {
     #[test]
     fn fifteen_categories_numbered_in_order() {
         assert_eq!(Scope3Cat::ALL.len(), 15);
-        for (i, c) in Scope3Cat::ALL.iter().enumerate() {
-            assert_eq!(c.number() as usize, i + 1);
-        }
+        assert_eq!(Scope3Cat::ALL[0], Scope3Cat::PurchasedGoods);
+        assert_eq!(Scope3Cat::ALL[1], Scope3Cat::CapitalGoods);
+        assert_eq!(Scope3Cat::ALL[14], Scope3Cat::Investments);
     }
 
     #[test]
     fn upstream_split_is_eight_seven() {
         let upstream = Scope3Cat::ALL.iter().filter(|c| c.is_upstream()).count();
         assert_eq!(upstream, 8);
-    }
-
-    #[test]
-    fn capital_goods_is_capex_use_is_not() {
-        assert!(Scope3Cat::CapitalGoods.is_capex_related());
-        assert!(Scope3Cat::PurchasedGoods.is_capex_related());
-        assert!(!Scope3Cat::UseOfSoldProducts.is_capex_related());
-        assert!(!Scope3Cat::BusinessTravel.is_capex_related());
     }
 
     #[test]

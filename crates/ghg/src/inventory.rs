@@ -1,7 +1,6 @@
 //! Corporate GHG inventories: per-scope totals with location- and
 //! market-based Scope 2, and the paper's opex/capex roll-up.
 
-use crate::scope::Scope;
 use cc_units::{CarbonMass, Ratio};
 
 /// Which Scope 2 accounting method to read.
@@ -23,7 +22,6 @@ pub enum Scope2Method {
 ///
 /// // Facebook 2019 (Fig 11).
 /// let fb = CorporateInventory::builder()
-///     .scope1(CarbonMass::from_mt(0.046))
 ///     .scope2_location(CarbonMass::from_mt(2.2))
 ///     .scope2_market(CarbonMass::from_mt(0.252))
 ///     .scope3(CarbonMass::from_mt(5.8))
@@ -78,16 +76,6 @@ impl CorporateInventory {
         self.scope3
     }
 
-    /// Emissions for a scope (Scope 2 under the given method).
-    #[must_use]
-    pub fn scope(&self, scope: Scope, method: Scope2Method) -> CarbonMass {
-        match scope {
-            Scope::Scope1 => self.scope1,
-            Scope::Scope2 => self.scope2(method),
-            Scope::Scope3 => self.scope3,
-        }
-    }
-
     /// Total reported footprint under the given Scope 2 method.
     #[must_use]
     pub fn total(&self, method: Scope2Method) -> CarbonMass {
@@ -113,13 +101,6 @@ impl CorporateInventory {
     pub fn capex_share(&self, method: Scope2Method) -> Ratio {
         Ratio::from_fraction(self.capex() / self.total(method))
     }
-
-    /// Avoided Scope 2 emissions from renewable procurement: location-based
-    /// minus market-based.
-    #[must_use]
-    pub fn renewable_savings(&self) -> CarbonMass {
-        self.scope2_location - self.scope2_market
-    }
 }
 
 impl core::fmt::Display for CorporateInventory {
@@ -139,12 +120,6 @@ pub struct CorporateInventoryBuilder {
 }
 
 impl CorporateInventoryBuilder {
-    /// Sets Scope 1 emissions.
-    pub fn scope1(&mut self, carbon: CarbonMass) -> &mut Self {
-        self.inventory.scope1 = carbon;
-        self
-    }
-
     /// Sets location-based Scope 2 emissions.
     pub fn scope2_location(&mut self, carbon: CarbonMass) -> &mut Self {
         self.inventory.scope2_location = carbon;
@@ -183,7 +158,7 @@ mod tests {
     #[test]
     fn scope_accessors() {
         let inv = fb2019();
-        assert!((inv.scope(Scope::Scope3, Scope2Method::MarketBased).as_mt() - 5.8).abs() < 1e-12);
+        assert!((inv.scope3().as_mt() - 5.8).abs() < 1e-12);
         assert!(inv.scope2(Scope2Method::LocationBased) > inv.scope2(Scope2Method::MarketBased));
     }
 
@@ -204,14 +179,16 @@ mod tests {
     #[test]
     fn renewable_savings_positive_for_green_buyers() {
         let inv = fb2019();
-        assert!(inv.renewable_savings() > CarbonMass::ZERO);
-        assert!((inv.renewable_savings().as_mt() - (2.2 - 0.252)).abs() < 1e-9);
+        // Avoided Scope 2 from renewable procurement: location - market.
+        let savings =
+            inv.scope2(Scope2Method::LocationBased) - inv.scope2(Scope2Method::MarketBased);
+        assert!(savings > CarbonMass::ZERO);
+        assert!((savings.as_mt() - (2.2 - 0.252)).abs() < 1e-9);
     }
 
     #[test]
     fn builder_round_trip() {
         let inv = CorporateInventory::builder()
-            .scope1(CarbonMass::from_mt(0.08))
             .scope2_location(CarbonMass::from_mt(5.0))
             .scope2_market(CarbonMass::from_mt(0.684))
             .scope3(CarbonMass::from_mt(14.0))

@@ -30,7 +30,8 @@ pub struct Ppa {
 /// portfolio.contract(EnergySource::Solar, Energy::from_gwh(100.0));
 ///
 /// // A 500 GWh/year facility: 400 GWh covered, 100 GWh residual grid.
-/// let intensity = portfolio.market_intensity(Energy::from_gwh(500.0));
+/// let demand = Energy::from_gwh(500.0);
+/// let intensity = portfolio.market_carbon(demand) / demand;
 /// assert!(intensity.as_g_per_kwh() < 100.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -56,12 +57,6 @@ impl PpaPortfolio {
             annual_energy,
         });
         self
-    }
-
-    /// The contracts held.
-    #[must_use]
-    pub fn contracts(&self) -> &[Ppa] {
-        &self.contracts
     }
 
     /// Total contracted annual energy.
@@ -108,15 +103,6 @@ impl PpaPortfolio {
     pub fn location_carbon(&self, demand: Energy) -> CarbonMass {
         demand.max(Energy::ZERO) * self.grid
     }
-
-    /// Effective market-based intensity for `demand`.
-    #[must_use]
-    pub fn market_intensity(&self, demand: Energy) -> CarbonIntensity {
-        if demand <= Energy::ZERO {
-            return CarbonIntensity::ZERO;
-        }
-        self.market_carbon(demand) / demand
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +118,7 @@ mod tests {
         let p = us_portfolio();
         let demand = Energy::from_gwh(100.0);
         assert_eq!(p.market_carbon(demand), p.location_carbon(demand));
-        assert_eq!(p.market_intensity(demand).as_g_per_kwh(), 380.0);
+        assert_eq!((p.market_carbon(demand) / demand).as_g_per_kwh(), 380.0);
         assert_eq!(p.coverage(demand), 0.0);
     }
 
@@ -142,7 +128,7 @@ mod tests {
         p.contract(EnergySource::Wind, Energy::from_gwh(100.0));
         let demand = Energy::from_gwh(100.0);
         assert_eq!(p.coverage(demand), 1.0);
-        assert!((p.market_intensity(demand).as_g_per_kwh() - 11.0).abs() < 1e-9);
+        assert!(((p.market_carbon(demand) / demand).as_g_per_kwh() - 11.0).abs() < 1e-9);
         // Location-based is unchanged: the gap is the Fig 11 green-vs-red gap.
         assert!(p.location_carbon(demand) / p.market_carbon(demand) > 30.0);
     }
@@ -153,7 +139,7 @@ mod tests {
         p.contract(EnergySource::Solar, Energy::from_gwh(50.0));
         let demand = Energy::from_gwh(100.0);
         // 50% at 41, 50% at 380 => 210.5.
-        assert!((p.market_intensity(demand).as_g_per_kwh() - 210.5).abs() < 1e-9);
+        assert!(((p.market_carbon(demand) / demand).as_g_per_kwh() - 210.5).abs() < 1e-9);
         assert_eq!(p.coverage(demand), 0.5);
     }
 
@@ -163,7 +149,7 @@ mod tests {
         p.contract(EnergySource::Wind, Energy::from_gwh(500.0));
         let demand = Energy::from_gwh(100.0);
         assert_eq!(p.coverage(demand), 1.0);
-        assert!((p.market_intensity(demand).as_g_per_kwh() - 11.0).abs() < 1e-9);
+        assert!(((p.market_carbon(demand) / demand).as_g_per_kwh() - 11.0).abs() < 1e-9);
         assert!(p.market_carbon(demand) >= CarbonMass::ZERO);
     }
 
@@ -174,15 +160,14 @@ mod tests {
         p.contract(EnergySource::Solar, Energy::from_gwh(100.0));
         let demand = Energy::from_gwh(400.0);
         // (300*11 + 100*41) / 400 = 18.5 g/kWh.
-        assert!((p.market_intensity(demand).as_g_per_kwh() - 18.5).abs() < 1e-9);
-        assert_eq!(p.contracts().len(), 2);
+        assert!(((p.market_carbon(demand) / demand).as_g_per_kwh() - 18.5).abs() < 1e-9);
+        assert_eq!(p.contracted_energy(), Energy::from_gwh(400.0));
     }
 
     #[test]
     fn zero_demand_is_harmless() {
         let p = us_portfolio();
         assert_eq!(p.market_carbon(Energy::ZERO), CarbonMass::ZERO);
-        assert_eq!(p.market_intensity(Energy::ZERO), CarbonIntensity::ZERO);
         assert_eq!(p.coverage(Energy::ZERO), 1.0);
     }
 }

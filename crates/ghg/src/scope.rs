@@ -15,9 +15,6 @@ pub enum Scope {
 }
 
 impl Scope {
-    /// All scopes.
-    pub const ALL: [Self; 3] = [Self::Scope1, Self::Scope2, Self::Scope3];
-
     /// Human-readable label.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -72,14 +69,6 @@ impl CompanyKind {
         }
     }
 
-    /// Whether Scope 1 is a large share of the archetype's operational
-    /// footprint ("it accounts for over half the operational carbon output
-    /// from Global Foundries, Intel, and TSMC").
-    #[must_use]
-    pub fn scope1_dominates_operations(self) -> bool {
-        matches!(self, Self::ChipManufacturer)
-    }
-
     /// Human-readable label, matching Table I.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -104,7 +93,7 @@ mod tests {
     #[test]
     fn table_i_is_fully_populated() {
         for kind in CompanyKind::ALL {
-            for scope in Scope::ALL {
+            for scope in [Scope::Scope1, Scope::Scope2, Scope::Scope3] {
                 assert!(!kind.salient_emissions(scope).is_empty());
             }
         }
@@ -115,8 +104,6 @@ mod tests {
         assert!(CompanyKind::ChipManufacturer
             .salient_emissions(Scope::Scope1)
             .contains("PFCs"));
-        assert!(CompanyKind::ChipManufacturer.scope1_dominates_operations());
-        assert!(!CompanyKind::MobileVendor.scope1_dominates_operations());
     }
 
     #[test]

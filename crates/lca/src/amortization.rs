@@ -93,12 +93,6 @@ impl AmortizationAnalysis {
             days,
         })
     }
-
-    /// Opex-to-capex ratio after `ops` operations at `energy_per_op`.
-    #[must_use]
-    pub fn opex_capex_ratio(&self, energy_per_op: Energy, ops: f64) -> f64 {
-        (self.carbon_per_operation(energy_per_op) * ops) / self.manufacturing
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +165,8 @@ mod tests {
         let a = pixel3_soc();
         let e = Energy::from_joules(0.047);
         let be = a.breakeven(e, TimeSpan::from_millis(6.0)).unwrap();
-        let ratio = a.opex_capex_ratio(e, be.operations);
+        // Opex after the break-even count of operations equals the capex.
+        let ratio = (a.carbon_per_operation(e) * be.operations) / a.manufacturing();
         assert!((ratio - 1.0).abs() < 1e-9);
     }
 }

@@ -76,12 +76,6 @@ impl Footprint {
         }
     }
 
-    /// Production (manufacturing) carbon.
-    #[must_use]
-    pub fn production(&self) -> CarbonMass {
-        self.production
-    }
-
     /// Transport carbon.
     #[must_use]
     pub fn transport(&self) -> CarbonMass {
@@ -92,12 +86,6 @@ impl Footprint {
     #[must_use]
     pub fn use_phase(&self) -> CarbonMass {
         self.use_phase
-    }
-
-    /// End-of-life carbon (may be negative for recycling credits).
-    #[must_use]
-    pub fn end_of_life(&self) -> CarbonMass {
-        self.end_of_life
     }
 
     /// Total life-cycle carbon.
@@ -138,13 +126,6 @@ impl Footprint {
     #[must_use]
     pub fn opex_share(&self) -> Ratio {
         Ratio::from_fraction(self.opex() / self.total())
-    }
-
-    /// Production share of the total (the Fig 7 "manufacturing" fraction,
-    /// which excludes transport and end-of-life).
-    #[must_use]
-    pub fn production_share(&self) -> Ratio {
-        Ratio::from_fraction(self.production / self.total())
     }
 
     /// Returns a footprint with the use phase replaced (e.g. after re-running
@@ -224,17 +205,6 @@ impl FootprintBuilder {
         self
     }
 
-    /// Adds carbon to a phase (accumulating component contributions).
-    pub fn add(&mut self, phase: LifecyclePhase, carbon: CarbonMass) -> &mut Self {
-        match phase {
-            LifecyclePhase::Production => self.footprint.production += carbon,
-            LifecyclePhase::Transport => self.footprint.transport += carbon,
-            LifecyclePhase::Use => self.footprint.use_phase += carbon,
-            LifecyclePhase::EndOfLife => self.footprint.end_of_life += carbon,
-        }
-        self
-    }
-
     /// Finishes the build.
     #[must_use]
     pub fn build(&self) -> Footprint {
@@ -263,14 +233,15 @@ mod tests {
         assert_eq!(fp.capex(), CarbonMass::from_kg(64.5));
         assert!((fp.capex_share().as_percent() - 86.0).abs() < 1e-9);
         assert!((fp.opex_share().as_percent() - 14.0).abs() < 1e-9);
-        assert!((fp.production_share().as_percent() - 79.0).abs() < 1e-9);
+        // The Fig 7 "manufacturing" fraction excludes transport and EOL.
+        let production = fp.phase(LifecyclePhase::Production) / fp.total();
+        assert!((production * 100.0 - 79.0).abs() < 1e-9);
     }
 
     #[test]
     fn builder_accumulates() {
         let mut b = Footprint::builder();
-        b.add(LifecyclePhase::Production, CarbonMass::from_kg(30.0));
-        b.add(LifecyclePhase::Production, CarbonMass::from_kg(29.25));
+        b.production(CarbonMass::from_kg(59.25));
         b.transport(CarbonMass::from_kg(3.75));
         b.use_phase(CarbonMass::from_kg(10.5));
         b.end_of_life(CarbonMass::from_kg(1.5));
@@ -297,7 +268,8 @@ mod tests {
     fn with_use_phase_swaps_grid() {
         let greened = iphone11ish().with_use_phase(CarbonMass::from_kg(0.5));
         assert!(greened.capex_share().as_percent() > 98.0);
-        assert_eq!(greened.production(), iphone11ish().production());
+        let production = |fp: Footprint| fp.phase(LifecyclePhase::Production);
+        assert_eq!(production(greened), production(iphone11ish()));
     }
 
     #[test]

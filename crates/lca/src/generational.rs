@@ -89,39 +89,23 @@ impl Family {
             .map(|d| (d.year, d.production_share))
             .collect()
     }
-
-    /// Absolute totals per generation year (Fig 7 bottom panel, ● marker).
-    #[must_use]
-    pub fn total_series(&self) -> YearSeries {
-        self.records()
-            .iter()
-            .map(|d| (d.year, d.total_kg))
-            .collect()
-    }
-
-    /// Absolute manufacturing carbon per generation year (● manufacturing
-    /// marker).
-    #[must_use]
-    pub fn manufacturing_series(&self) -> YearSeries {
-        self.records()
-            .iter()
-            .map(|d| (d.year, d.production().as_kg()))
-            .collect()
-    }
-
-    /// Absolute use-phase carbon per generation year (✕ marker).
-    #[must_use]
-    pub fn use_series(&self) -> YearSeries {
-        self.records()
-            .iter()
-            .map(|d| (d.year, d.use_phase().as_kg()))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Last-over-first growth of `value` across a family's generations
+    /// (the Fig 7 bottom-panel markers).
+    fn growth(family: &Family, value: impl Fn(&ProductLca) -> f64) -> f64 {
+        let series: YearSeries = family
+            .records()
+            .iter()
+            .map(|d| (d.year, value(d)))
+            .collect();
+        let values: Vec<f64> = series.values().collect();
+        values[values.len() - 1] / values[0]
+    }
 
     #[test]
     fn all_families_resolve_fully() {
@@ -141,10 +125,9 @@ mod tests {
         // individual generations may dip slightly (the LCD iPhone XR sits
         // below the OLED iPhone X), so only small reversals are tolerated.
         for family in Family::fig7_families() {
-            let series = family.manufacturing_share_series();
-            let growth = series.total_growth().unwrap();
+            let values: Vec<f64> = family.manufacturing_share_series().values().collect();
+            let growth = values[values.len() - 1] / values[0];
             assert!(growth > 1.2, "{}: growth {growth}", family.name);
-            let values: Vec<f64> = series.values().collect();
             for pair in values.windows(2) {
                 assert!(
                     pair[1] >= pair[0] - 0.06,
@@ -170,12 +153,10 @@ mod tests {
     fn ipad_totals_fall_while_iphone_totals_rise() {
         // Fig 7 bottom: "The absolute carbon output for iPads decreased over
         // time, while for iPhones and Watches it increased."
-        let ipad = Family::ipad().total_series();
-        assert!(ipad.total_growth().unwrap() < 1.0);
-        let iphone = Family::iphone().total_series();
-        assert!(iphone.total_growth().unwrap() > 1.0);
-        let watch = Family::apple_watch().total_series();
-        assert!(watch.total_growth().unwrap() > 1.0);
+        let total = |d: &ProductLca| d.total_kg;
+        assert!(growth(&Family::ipad(), total) < 1.0);
+        assert!(growth(&Family::iphone(), total) > 1.0);
+        assert!(growth(&Family::apple_watch(), total) > 1.0);
     }
 
     #[test]
@@ -183,8 +164,8 @@ mod tests {
         // "as carbon from operational use decreased, the manufacturing
         // contribution increased".
         let family = Family::iphone();
-        let use_growth = family.use_series().total_growth().unwrap();
-        let mfg_growth = family.manufacturing_series().total_growth().unwrap();
+        let use_growth = growth(&family, |d| d.use_phase().as_kg());
+        let mfg_growth = growth(&family, |d| d.production().as_kg());
         assert!(use_growth < 1.0, "use growth {use_growth}");
         assert!(mfg_growth > 2.0, "mfg growth {mfg_growth}");
     }

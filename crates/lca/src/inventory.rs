@@ -1,6 +1,5 @@
 //! Category-level aggregation across device fleets (Fig 6).
 
-use crate::footprint::Footprint;
 use cc_analysis::stats;
 use cc_data::devices::{self, Category, ProductLca};
 use cc_units::CarbonMass;
@@ -74,12 +73,6 @@ pub fn all_categories() -> Vec<CategorySummary> {
     Category::ALL.iter().filter_map(|&c| summarize(c)).collect()
 }
 
-/// Total footprint of an entire fleet of devices (LCAs summed).
-#[must_use]
-pub fn fleet_footprint<'a>(items: impl Iterator<Item = &'a ProductLca>) -> Footprint {
-    items.map(Footprint::from_product_lca).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,7 +127,9 @@ mod tests {
 
     #[test]
     fn fleet_footprint_sums() {
-        let fleet = fleet_footprint(devices::in_category(Category::Wearable));
+        let fleet: crate::Footprint = devices::in_category(Category::Wearable)
+            .map(crate::Footprint::from_product_lca)
+            .sum();
         let manual: f64 = devices::in_category(Category::Wearable)
             .map(|d| d.total_kg)
             .sum();

@@ -10,7 +10,6 @@
 #![warn(missing_docs)]
 
 pub mod amortization;
-pub mod eol;
 pub mod footprint;
 pub mod generational;
 pub mod inventory;

@@ -57,46 +57,6 @@ pub fn annualize(
     }
 }
 
-/// Carbon saved per year of service by extending a device's life from
-/// `from` to `to` years instead of replacing it on the shorter cadence.
-///
-/// Positive values mean the extension wins (it always does when opex is
-/// unchanged, but the magnitude is the decision-relevant number).
-#[must_use]
-pub fn extension_savings_per_year(
-    footprint: &Footprint,
-    assessed_lifetime: TimeSpan,
-    from: TimeSpan,
-    to: TimeSpan,
-) -> CarbonMass {
-    let short = annualize(footprint, assessed_lifetime, from);
-    let long = annualize(footprint, assessed_lifetime, to);
-    short.total_per_year() - long.total_per_year()
-}
-
-/// The break-even efficiency improvement a *replacement* device must deliver
-/// to beat keeping the old one for `extension` more years: the fraction by
-/// which the new device's yearly opex must undercut the old one so that the
-/// avoided opex pays for the new device's embodied carbon over its lifetime.
-///
-/// Returns `None` when the old device has no use-phase carbon (nothing for a
-/// more efficient replacement to save — e.g. already on zero-carbon energy).
-#[must_use]
-pub fn required_replacement_efficiency(
-    old: &Footprint,
-    old_assessed_lifetime: TimeSpan,
-    new_capex: CarbonMass,
-    new_lifetime: TimeSpan,
-) -> Option<f64> {
-    let old_opex_rate = old.use_phase() / old_assessed_lifetime.as_years();
-    if old_opex_rate.as_grams() <= 0.0 {
-        return None;
-    }
-    let new_capex_rate = new_capex / new_lifetime.as_years();
-    // Required yearly opex saving fraction s: s * old_opex_rate >= new_capex_rate.
-    Some(new_capex_rate / old_opex_rate)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,60 +83,10 @@ mod tests {
         // capex*(1/3 - 1/5)/total_rate ~= 33%.
         let fp = iphone11();
         let assessed = TimeSpan::from_years(3.0);
-        let saved = extension_savings_per_year(
-            &fp,
-            assessed,
-            TimeSpan::from_years(3.0),
-            TimeSpan::from_years(5.0),
-        );
         let base = annualize(&fp, assessed, assessed).total_per_year();
+        let saved = base - annualize(&fp, assessed, TimeSpan::from_years(5.0)).total_per_year();
         let frac = saved / base;
         assert!(frac > 0.30 && frac < 0.40, "saved fraction {frac}");
-    }
-
-    #[test]
-    fn replacement_bar_is_high_for_capex_dominated_devices() {
-        // A new phone with ~60 kg embodied over 3 years must cut the old
-        // phone's ~3.5 kg/yr opex by far more than 100% — i.e. a replacement
-        // can never pay for itself on carbon alone.
-        let old = iphone11();
-        let required = required_replacement_efficiency(
-            &old,
-            TimeSpan::from_years(3.0),
-            CarbonMass::from_kg(60.0),
-            TimeSpan::from_years(3.0),
-        )
-        .unwrap();
-        assert!(required > 1.0, "required saving fraction {required}");
-    }
-
-    #[test]
-    fn replacement_can_pay_off_for_opex_dominated_devices() {
-        // An always-connected console (64% opex): an efficient replacement
-        // with modest embodied carbon can clear the bar.
-        let console = Footprint::from_product_lca(cc_data::devices::find("Xbox One X").unwrap());
-        let required = required_replacement_efficiency(
-            &console,
-            TimeSpan::from_years(5.0),
-            CarbonMass::from_kg(100.0),
-            TimeSpan::from_years(5.0),
-        )
-        .unwrap();
-        assert!(required < 0.25, "required saving fraction {required}");
-    }
-
-    #[test]
-    fn zero_opex_device_returns_none() {
-        let fp = Footprint::builder()
-            .production(CarbonMass::from_kg(10.0))
-            .build();
-        assert!(required_replacement_efficiency(
-            &fp,
-            TimeSpan::from_years(3.0),
-            CarbonMass::from_kg(1.0),
-            TimeSpan::from_years(3.0)
-        )
-        .is_none());
     }
 
     #[test]

@@ -23,9 +23,6 @@ pub enum FreightMode {
 }
 
 impl FreightMode {
-    /// All modes.
-    pub const ALL: [Self; 4] = [Self::Air, Self::Sea, Self::Rail, Self::Road];
-
     /// Mode intensity in g CO₂e per tonne-kilometre.
     #[must_use]
     pub fn g_per_tonne_km(self) -> f64 {
@@ -106,18 +103,6 @@ impl ShippingRoute {
         self
     }
 
-    /// The legs.
-    #[must_use]
-    pub fn legs(&self) -> &[RouteLeg] {
-        &self.legs
-    }
-
-    /// Total distance across legs, km.
-    #[must_use]
-    pub fn total_distance_km(&self) -> f64 {
-        self.legs.iter().map(|l| l.distance_km).sum()
-    }
-
     /// Transport carbon for one unit.
     #[must_use]
     pub fn carbon(&self) -> CarbonMass {
@@ -128,12 +113,6 @@ impl ShippingRoute {
             .map(|l| tonnes * l.distance_km * l.mode.g_per_tonne_km())
             .sum();
         CarbonMass::from_grams(grams)
-    }
-
-    /// Transport carbon for a production run of `units`.
-    #[must_use]
-    pub fn carbon_for_units(&self, units: f64) -> CarbonMass {
-        self.carbon() * units
     }
 }
 
@@ -148,8 +127,6 @@ mod tests {
             .leg(FreightMode::Road, 800.0);
         let air_only = ShippingRoute::new(0.4).leg(FreightMode::Air, 11_000.0);
         assert!(air_only.carbon() / route.carbon() > 0.95);
-        assert_eq!(route.legs().len(), 2);
-        assert_eq!(route.total_distance_km(), 11_800.0);
     }
 
     #[test]
@@ -173,7 +150,6 @@ mod tests {
     #[test]
     fn scales_linearly_with_units_and_mass() {
         let route = ShippingRoute::new(1.0).leg(FreightMode::Rail, 1_000.0);
-        assert!((route.carbon_for_units(1_000.0) / route.carbon() - 1_000.0).abs() < 1e-9);
         let heavy = ShippingRoute::new(2.0).leg(FreightMode::Rail, 1_000.0);
         assert!((heavy.carbon() / route.carbon() - 2.0).abs() < 1e-9);
     }

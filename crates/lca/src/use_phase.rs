@@ -1,78 +1,60 @@
 //! Use-phase model: operational energy → operational carbon.
 //!
-//! Covers the knobs Fig 4 lists for the use phase: utilization, hardware
-//! lifetime, PUE overhead (data centers) and battery/charger efficiency
-//! (mobile).
+//! Covers the use-phase knobs the experiments turn: power, utilization,
+//! hardware lifetime and the grid.
 
 use cc_units::{CarbonIntensity, CarbonMass, Energy, Power, Ratio, TimeSpan};
 
 /// A use-phase model for one device.
 ///
-/// Energy over the lifetime is
-/// `(active_power · utilization + idle_power · (1 − utilization)) · lifetime`,
-/// inflated by the overhead factor (PUE for data-center equipment, charger
-/// and battery losses for mobile), then converted to carbon with the grid
-/// intensity.
+/// Energy over the lifetime is `active_power · utilization · lifetime`,
+/// converted to carbon with the grid intensity.
 ///
 /// ```
 /// use cc_lca::UsePhase;
 /// use cc_units::{Power, TimeSpan, CarbonIntensity, Ratio};
 ///
 /// let server = UsePhase::builder(Power::from_watts(300.0))
-///     .idle_power(Power::from_watts(120.0))
 ///     .utilization(Ratio::from_percent(40.0))
-///     .overhead(1.11) // PUE of an efficient warehouse-scale facility
 ///     .lifetime(TimeSpan::from_years(4.0))
 ///     .grid(CarbonIntensity::from_g_per_kwh(380.0))
 ///     .build();
 /// let carbon = server.lifetime_carbon();
-/// assert!(carbon.as_tonnes() > 2.0 && carbon.as_tonnes() < 4.0);
+/// assert!(carbon.as_tonnes() > 1.5 && carbon.as_tonnes() < 1.7);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UsePhase {
     active_power: Power,
-    idle_power: Power,
     utilization: Ratio,
-    overhead: f64,
     lifetime: TimeSpan,
     grid: CarbonIntensity,
 }
 
 impl UsePhase {
     /// Starts a builder with the given active power; other knobs default to
-    /// fully utilized, no idle draw, no overhead, 3-year lifetime, US grid.
+    /// fully utilized, 3-year lifetime, US grid.
     #[must_use]
     pub fn builder(active_power: Power) -> UsePhaseBuilder {
         UsePhaseBuilder {
             model: UsePhase {
                 active_power,
-                idle_power: Power::ZERO,
                 utilization: Ratio::ONE,
-                overhead: 1.0,
                 lifetime: TimeSpan::from_years(3.0),
                 grid: cc_data::us_grid_intensity(),
             },
         }
     }
 
-    /// Average wall power including idle blending and overhead.
+    /// Average wall power: active power scaled by utilization.
     #[must_use]
     pub fn average_power(&self) -> Power {
-        let blended = self.active_power * self.utilization.as_fraction()
-            + self.idle_power * self.utilization.complement().as_fraction();
-        blended * self.overhead
+        self.active_power * self.utilization.as_fraction()
     }
 
     /// Energy consumed over `span`.
     #[must_use]
     pub fn energy_over(&self, span: TimeSpan) -> Energy {
         self.average_power() * span
-    }
-
-    /// Energy consumed over the configured lifetime.
-    #[must_use]
-    pub fn lifetime_energy(&self) -> Energy {
-        self.energy_over(self.lifetime)
     }
 
     /// Carbon emitted over `span` on the configured grid.
@@ -85,25 +67,6 @@ impl UsePhase {
     #[must_use]
     pub fn lifetime_carbon(&self) -> CarbonMass {
         self.carbon_over(self.lifetime)
-    }
-
-    /// Carbon emission rate (per unit time) — the slope the Fig 10 break-even
-    /// analysis divides into the manufacturing budget.
-    #[must_use]
-    pub fn carbon_rate_per_day(&self) -> CarbonMass {
-        self.carbon_over(TimeSpan::from_days(1.0))
-    }
-
-    /// The configured lifetime.
-    #[must_use]
-    pub fn lifetime(&self) -> TimeSpan {
-        self.lifetime
-    }
-
-    /// The configured grid intensity.
-    #[must_use]
-    pub fn grid(&self) -> CarbonIntensity {
-        self.grid
     }
 
     /// A copy of this model on a different grid (the Fig 13 sweep).
@@ -121,12 +84,6 @@ pub struct UsePhaseBuilder {
 }
 
 impl UsePhaseBuilder {
-    /// Sets idle power (default 0).
-    pub fn idle_power(&mut self, power: Power) -> &mut Self {
-        self.model.idle_power = power;
-        self
-    }
-
     /// Sets utilization, the fraction of time at active power (default 100%).
     ///
     /// # Panics
@@ -135,18 +92,6 @@ impl UsePhaseBuilder {
     pub fn utilization(&mut self, utilization: Ratio) -> &mut Self {
         assert!(utilization.is_share(), "utilization must be within [0, 1]");
         self.model.utilization = utilization;
-        self
-    }
-
-    /// Sets the multiplicative overhead factor: PUE for data-center
-    /// equipment, charger/battery losses for mobile (default 1.0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `overhead < 1.0`.
-    pub fn overhead(&mut self, overhead: f64) -> &mut Self {
-        assert!(overhead >= 1.0, "overhead is a multiplier >= 1");
-        self.model.overhead = overhead;
         self
     }
 
@@ -177,35 +122,17 @@ mod tests {
     fn defaults_are_always_on_us_grid() {
         let m = UsePhase::builder(Power::from_watts(100.0)).build();
         assert_eq!(m.average_power(), Power::from_watts(100.0));
-        assert_eq!(m.grid().as_g_per_kwh(), 380.0);
-        assert!((m.lifetime().as_years() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn idle_blending() {
-        let m = UsePhase::builder(Power::from_watts(300.0))
-            .idle_power(Power::from_watts(100.0))
-            .utilization(Ratio::from_percent(25.0))
-            .build();
-        // 0.25*300 + 0.75*100 = 150 W.
-        assert!((m.average_power().as_watts() - 150.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pue_scales_energy_not_shares() {
-        let base = UsePhase::builder(Power::from_watts(200.0)).build();
-        let mut b = UsePhase::builder(Power::from_watts(200.0));
-        b.overhead(1.5);
-        let with_pue = b.build();
-        let ratio = with_pue.lifetime_energy() / base.lifetime_energy();
-        assert!((ratio - 1.5).abs() < 1e-12);
+        // 100 W for 3 years at 380 g/kWh.
+        let expected = 0.1 * 24.0 * 365.25 * 3.0 * 0.380;
+        assert!((m.lifetime_carbon().as_kg() / expected - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn greener_grid_cuts_carbon_not_energy() {
         let us = UsePhase::builder(Power::from_watts(100.0)).build();
         let wind = us.on_grid(CarbonIntensity::from_g_per_kwh(11.0));
-        assert_eq!(us.lifetime_energy(), wind.lifetime_energy());
+        let lifetime = TimeSpan::from_years(3.0);
+        assert_eq!(us.energy_over(lifetime), wind.energy_over(lifetime));
         let cut = us.lifetime_carbon() / wind.lifetime_carbon();
         assert!((cut - 380.0 / 11.0).abs() < 1e-9);
     }
@@ -213,9 +140,9 @@ mod tests {
     #[test]
     fn carbon_rate_integrates_to_total() {
         let m = UsePhase::builder(Power::from_watts(50.0))
-            .lifetime(TimeSpan::from_days(100.0))
+            .lifetime(TimeSpan::from_hours(100.0 * 24.0))
             .build();
-        let from_rate = m.carbon_rate_per_day() * 100.0;
+        let from_rate = m.carbon_over(TimeSpan::from_hours(24.0)) * 100.0;
         assert!((from_rate / m.lifetime_carbon() - 1.0).abs() < 1e-12);
     }
 
@@ -223,11 +150,5 @@ mod tests {
     #[should_panic(expected = "utilization")]
     fn rejects_bad_utilization() {
         UsePhase::builder(Power::from_watts(1.0)).utilization(Ratio::from_fraction(1.5));
-    }
-
-    #[test]
-    #[should_panic(expected = "overhead")]
-    fn rejects_sub_unity_overhead() {
-        UsePhase::builder(Power::from_watts(1.0)).overhead(0.9);
     }
 }

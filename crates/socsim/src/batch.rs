@@ -37,13 +37,6 @@ impl BatchReport {
     pub fn energy_per_image(&self) -> Energy {
         self.batch_energy / f64::from(self.batch)
     }
-
-    /// Per-image latency (batch latency divided by batch; *not* the
-    /// interactive latency, which is the whole batch).
-    #[must_use]
-    pub fn amortized_latency(&self) -> TimeSpan {
-        self.batch_latency / f64::from(self.batch)
-    }
 }
 
 /// Runs a batched inference on `unit`.
@@ -133,7 +126,8 @@ mod tests {
         let b1 = run_batch(&model(), &net, UnitKind::Cpu, 1).unwrap();
         let b8 = run_batch(&model(), &net, UnitKind::Cpu, 8).unwrap();
         assert!(b8.batch_latency > b1.batch_latency * 6.0);
-        assert!(b8.amortized_latency() <= b1.batch_latency);
+        // Per image, the batch still amortizes below one interactive run.
+        assert!(b8.batch_latency / 8.0 <= b1.batch_latency);
     }
 
     #[test]

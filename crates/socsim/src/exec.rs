@@ -50,12 +50,6 @@ impl InferenceReport {
     pub fn average_power(&self) -> Power {
         self.energy / self.latency
     }
-
-    /// Energy efficiency, inferences per joule.
-    #[must_use]
-    pub fn inferences_per_joule(&self) -> f64 {
-        1.0 / self.energy.as_joules()
-    }
 }
 
 /// The execution model: an SoC plus dispatch logic.
@@ -257,7 +251,6 @@ mod tests {
     fn throughput_and_power_accessors() {
         let r = run(CnnModel::MobileNetV1, UnitKind::Dsp);
         assert!((r.throughput_ips() - 1.0 / r.latency.as_seconds()).abs() < 1e-9);
-        assert!(r.inferences_per_joule() > 0.0);
     }
 
     #[test]

@@ -21,30 +21,6 @@ pub struct PowerTrace {
 }
 
 impl PowerTrace {
-    /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.samples_w.len()
-    }
-
-    /// Whether the trace is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.samples_w.is_empty()
-    }
-
-    /// The sampling period.
-    #[must_use]
-    pub fn sample_period(&self) -> TimeSpan {
-        self.sample_period
-    }
-
-    /// Raw samples in watts.
-    #[must_use]
-    pub fn samples_w(&self) -> &[f64] {
-        &self.samples_w
-    }
-
     /// Integrates the trace to energy (rectangle rule, like the instrument).
     #[must_use]
     pub fn energy(&self) -> Energy {
@@ -54,21 +30,6 @@ impl PowerTrace {
             .map(|w| w * self.sample_period.as_seconds())
             .sum();
         Energy::from_joules(joules)
-    }
-
-    /// Mean sampled power.
-    #[must_use]
-    pub fn mean_power(&self) -> Power {
-        if self.samples_w.is_empty() {
-            return Power::ZERO;
-        }
-        Power::from_watts(self.samples_w.iter().sum::<f64>() / self.samples_w.len() as f64)
-    }
-
-    /// Peak sampled power.
-    #[must_use]
-    pub fn peak_power(&self) -> Power {
-        Power::from_watts(self.samples_w.iter().copied().fold(0.0, f64::max))
     }
 }
 
@@ -88,23 +49,6 @@ impl PowerMonitor {
             sample_rate_hz: 5_000.0,
             noise_sigma_w: 0.05,
             seed: 0x6d6f6e736f6f6e,
-        }
-    }
-
-    /// Custom instrument.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the sample rate is not strictly positive or the noise is
-    /// negative.
-    #[must_use]
-    pub fn new(sample_rate_hz: f64, noise_sigma_w: f64, seed: u64) -> Self {
-        assert!(sample_rate_hz > 0.0, "sample rate must be positive");
-        assert!(noise_sigma_w >= 0.0, "noise must be non-negative");
-        Self {
-            sample_rate_hz,
-            noise_sigma_w,
-            seed,
         }
     }
 
@@ -202,7 +146,11 @@ mod tests {
     #[test]
     fn noiseless_monitor_is_nearly_exact() {
         let (report, static_power) = cpu_report();
-        let monitor = PowerMonitor::new(1_000_000.0, 0.0, 7);
+        let monitor = PowerMonitor {
+            sample_rate_hz: 1_000_000.0,
+            noise_sigma_w: 0.0,
+            seed: 7,
+        };
         let measured = monitor.measure_energy(&report, static_power, 10);
         let rel = (measured / report.energy - 1.0).abs();
         assert!(rel < 0.005, "rel err {rel}");
@@ -212,24 +160,20 @@ mod tests {
     fn trace_statistics_are_sane() {
         let (report, static_power) = cpu_report();
         let trace = PowerMonitor::monsoon().sample(&report, static_power, 100);
-        assert!(!trace.is_empty());
-        assert!(trace.peak_power() >= trace.mean_power());
-        assert!(trace.mean_power().as_watts() > static_power.as_watts());
-        assert!((trace.sample_period().as_seconds() - 0.0002).abs() < 1e-12);
-        assert_eq!(trace.samples_w().len(), trace.len());
+        let samples = &trace.samples_w;
+        assert!(!samples.is_empty());
+        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+        let peak = samples.iter().copied().fold(0.0, f64::max);
+        assert!(peak >= mean);
+        assert!(mean > static_power.as_watts());
+        assert!((trace.sample_period.as_seconds() - 0.0002).abs() < 1e-12);
     }
 
     #[test]
     fn deterministic_given_seed() {
         let (report, static_power) = cpu_report();
-        let a = PowerMonitor::new(5_000.0, 0.05, 42).sample(&report, static_power, 50);
-        let b = PowerMonitor::new(5_000.0, 0.05, 42).sample(&report, static_power, 50);
+        let a = PowerMonitor::monsoon().sample(&report, static_power, 50);
+        let b = PowerMonitor::monsoon().sample(&report, static_power, 50);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "sample rate")]
-    fn rejects_zero_rate() {
-        let _ = PowerMonitor::new(0.0, 0.0, 0);
     }
 }

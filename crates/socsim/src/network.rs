@@ -154,12 +154,6 @@ impl Network {
         Self { model, layers }
     }
 
-    /// All five paper networks.
-    #[must_use]
-    pub fn all() -> Vec<Self> {
-        CnnModel::ALL.iter().map(|&m| Self::build(m)).collect()
-    }
-
     /// The layers.
     #[must_use]
     pub fn layers(&self) -> &[Layer] {
@@ -182,24 +176,6 @@ impl Network {
     pub fn total_weight_melems(&self) -> f64 {
         self.layers.iter().map(|l| l.weight_melems).sum()
     }
-
-    /// Total activation elements moved, millions.
-    #[must_use]
-    pub fn total_act_melems(&self) -> f64 {
-        self.layers.iter().map(|l| l.act_melems).sum()
-    }
-
-    /// Fraction of MACs in depthwise layers.
-    #[must_use]
-    pub fn depthwise_mac_fraction(&self) -> f64 {
-        let dw: f64 = self
-            .layers
-            .iter()
-            .filter(|l| l.kind.is_depthwise())
-            .map(|l| l.gmacs)
-            .sum();
-        dw / self.total_gmacs()
-    }
 }
 
 impl core::fmt::Display for Network {
@@ -221,7 +197,7 @@ mod tests {
 
     #[test]
     fn gmacs_match_published_figures() {
-        for net in Network::all() {
+        for net in CnnModel::ALL.map(Network::build) {
             let published = net.model.gmacs();
             let built = net.total_gmacs();
             let err = (built - published).abs() / published;
@@ -235,7 +211,7 @@ mod tests {
 
     #[test]
     fn params_match_published_figures() {
-        for net in Network::all() {
+        for net in CnnModel::ALL.map(Network::build) {
             let published = net.model.params_millions();
             let built = net.total_weight_melems();
             let err = (built - published).abs() / published;
@@ -249,9 +225,11 @@ mod tests {
 
     #[test]
     fn depthwise_fractions_match_descriptors() {
-        for net in Network::all() {
+        for net in CnnModel::ALL.map(Network::build) {
             let expected = net.model.depthwise_mac_fraction();
-            let built = net.depthwise_mac_fraction();
+            let depthwise = |l: &&Layer| l.kind.is_depthwise();
+            let dw: f64 = net.layers().iter().filter(depthwise).map(|l| l.gmacs).sum();
+            let built = dw / net.total_gmacs();
             assert!(
                 (built - expected).abs() < 0.02,
                 "{}: built {built} vs expected {expected}",
@@ -270,7 +248,7 @@ mod tests {
 
     #[test]
     fn every_network_ends_in_a_classifier() {
-        for net in Network::all() {
+        for net in CnnModel::ALL.map(Network::build) {
             assert_eq!(net.layers().last().unwrap().kind, LayerKind::Dense);
         }
     }

@@ -169,12 +169,6 @@ impl Soc {
     pub fn unit(&self, kind: UnitKind) -> Option<&ComputeUnit> {
         self.units.iter().find(|u| u.kind == kind)
     }
-
-    /// All units.
-    #[must_use]
-    pub fn units(&self) -> &[ComputeUnit] {
-        &self.units
-    }
 }
 
 #[cfg(test)]
@@ -187,7 +181,7 @@ mod tests {
         for kind in UnitKind::ALL {
             assert!(soc.unit(kind).is_some(), "{kind} missing");
         }
-        assert_eq!(soc.units().len(), 3);
+        assert_eq!(soc.units.len(), 3);
     }
 
     #[test]
@@ -201,7 +195,7 @@ mod tests {
 
     #[test]
     fn depthwise_utilization_is_lower() {
-        for unit in Soc::snapdragon_845().units() {
+        for unit in &Soc::snapdragon_845().units {
             assert!(unit.depthwise_utilization < unit.dense_utilization);
             assert!(unit.effective_gmacs(true) < unit.effective_gmacs(false));
         }

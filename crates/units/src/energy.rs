@@ -14,7 +14,7 @@ quantity! {
     ///
     /// let e = Energy::from_kwh(1.0);
     /// assert_eq!(e.as_joules(), 3.6e6);
-    /// assert_eq!(Energy::from_twh(1.0).as_gwh(), 1_000.0);
+    /// assert_eq!(Energy::from_gwh(1_000.0).as_twh(), 1.0);
     /// ```
     Energy, joules, "Energy"
 }
@@ -27,14 +27,6 @@ impl Energy {
     #[must_use]
     pub fn from_joules(joules: f64) -> Self {
         Self { joules }
-    }
-
-    /// Creates an energy from watt-hours.
-    #[must_use]
-    pub fn from_wh(wh: f64) -> Self {
-        Self {
-            joules: wh * 3_600.0,
-        }
     }
 
     /// Creates an energy from kilowatt-hours.
@@ -57,23 +49,10 @@ impl Energy {
         Self::from_kwh(gwh * 1e6)
     }
 
-    /// Creates an energy from terawatt-hours (the unit of Fig 1's global
-    /// ICT-demand projections).
-    #[must_use]
-    pub fn from_twh(twh: f64) -> Self {
-        Self::from_kwh(twh * 1e9)
-    }
-
     /// Energy in joules.
     #[must_use]
     pub fn as_joules(self) -> f64 {
         self.joules
-    }
-
-    /// Energy in watt-hours.
-    #[must_use]
-    pub fn as_wh(self) -> f64 {
-        self.joules / 3_600.0
     }
 
     /// Energy in kilowatt-hours.
@@ -154,8 +133,6 @@ mod tests {
     fn unit_conversions_round_trip() {
         let e = Energy::from_kwh(7.7e9); // 3 nm fab annual demand (paper §II)
         assert!((e.as_twh() - 7.7).abs() < 1e-9);
-        assert!((Energy::from_twh(7.7).as_kwh() - 7.7e9).abs() < 1.0);
-        assert_eq!(Energy::from_wh(1_000.0), Energy::from_kwh(1.0));
         assert_eq!(Energy::from_mwh(1.0), Energy::from_kwh(1_000.0));
         assert_eq!(Energy::from_gwh(1.0), Energy::from_mwh(1_000.0));
     }
@@ -188,7 +165,7 @@ mod tests {
 
     #[test]
     fn display_scales() {
-        assert_eq!(Energy::from_twh(1.5).to_string(), "1.500 TWh");
+        assert_eq!(Energy::from_gwh(1_500.0).to_string(), "1.500 TWh");
         assert_eq!(Energy::from_gwh(2.0).to_string(), "2.000 GWh");
         assert_eq!(Energy::from_mwh(3.0).to_string(), "3.000 MWh");
         assert_eq!(Energy::from_kwh(4.0).to_string(), "4.000 kWh");

@@ -26,24 +26,9 @@ impl CarbonIntensity {
         Self { g_per_kwh }
     }
 
-    /// Creates an intensity from kilograms of CO₂e per megawatt-hour
-    /// (numerically identical to g/kWh).
-    #[must_use]
-    pub fn from_kg_per_mwh(kg_per_mwh: f64) -> Self {
-        Self {
-            g_per_kwh: kg_per_mwh,
-        }
-    }
-
     /// Intensity in grams of CO₂e per kilowatt-hour.
     #[must_use]
     pub fn as_g_per_kwh(self) -> f64 {
-        self.g_per_kwh
-    }
-
-    /// Intensity in metric tons of CO₂e per gigawatt-hour.
-    #[must_use]
-    pub fn as_t_per_gwh(self) -> f64 {
         self.g_per_kwh
     }
 
@@ -103,14 +88,6 @@ mod tests {
         // Degenerate blends return the endpoints.
         assert_eq!(wind.blend(gas, 1.0), wind);
         assert_eq!(wind.blend(gas, 0.0), gas);
-    }
-
-    #[test]
-    fn kg_per_mwh_alias() {
-        assert_eq!(
-            CarbonIntensity::from_kg_per_mwh(380.0),
-            CarbonIntensity::from_g_per_kwh(380.0)
-        );
     }
 
     #[test]

@@ -71,12 +71,6 @@ macro_rules! quantity {
                 Self { $canonical: self.$canonical.max(other.$canonical) }
             }
 
-            /// Returns `true` when the underlying value is finite.
-            #[must_use]
-            pub fn is_finite(self) -> bool {
-                self.$canonical.is_finite()
-            }
-
             /// Returns `true` when the quantity is exactly zero.
             #[must_use]
             pub fn is_zero(self) -> bool {

@@ -31,14 +31,6 @@ impl CarbonMass {
         Self { grams: kg * 1e3 }
     }
 
-    /// Creates a carbon mass from metric tons of CO₂e.
-    #[must_use]
-    pub fn from_tonnes(tonnes: f64) -> Self {
-        Self {
-            grams: tonnes * 1e6,
-        }
-    }
-
     /// Creates a carbon mass from kilotonnes (thousand metric tons) of CO₂e.
     #[must_use]
     pub fn from_kt(kt: f64) -> Self {
@@ -127,7 +119,7 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(CarbonMass::from_kg(1.0).as_grams(), 1e3);
-        assert_eq!(CarbonMass::from_tonnes(1.0).as_kg(), 1e3);
+        assert_eq!(CarbonMass::from_kg(1e3).as_tonnes(), 1.0);
         assert_eq!(CarbonMass::from_kt(1.0).as_tonnes(), 1e3);
         assert_eq!(CarbonMass::from_mt(1.0).as_kt(), 1e3);
     }
@@ -156,7 +148,7 @@ mod tests {
     fn display_scales() {
         assert_eq!(CarbonMass::from_mt(25.0).to_string(), "25.000 Mt CO2e");
         assert_eq!(CarbonMass::from_kt(684.0).to_string(), "684.000 kt CO2e");
-        assert_eq!(CarbonMass::from_tonnes(1.9).to_string(), "1.900 t CO2e");
+        assert_eq!(CarbonMass::from_kg(1_900.0).to_string(), "1.900 t CO2e");
         assert_eq!(CarbonMass::from_kg(66.0).to_string(), "66.000 kg CO2e");
         assert_eq!(CarbonMass::from_grams(0.5).to_string(), "0.500 g CO2e");
     }

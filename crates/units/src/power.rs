@@ -21,24 +21,6 @@ impl Power {
         Self { watts }
     }
 
-    /// Creates a power from milliwatts.
-    #[must_use]
-    pub fn from_milliwatts(mw: f64) -> Self {
-        Self { watts: mw / 1e3 }
-    }
-
-    /// Creates a power from kilowatts.
-    #[must_use]
-    pub fn from_kilowatts(kw: f64) -> Self {
-        Self { watts: kw * 1e3 }
-    }
-
-    /// Creates a power from megawatts (data-center scale).
-    #[must_use]
-    pub fn from_megawatts(mw: f64) -> Self {
-        Self { watts: mw * 1e6 }
-    }
-
     /// Power in watts.
     #[must_use]
     pub fn as_watts(self) -> f64 {
@@ -104,9 +86,7 @@ mod tests {
 
     #[test]
     fn conversions() {
-        assert_eq!(Power::from_kilowatts(1.0).as_watts(), 1_000.0);
-        assert_eq!(Power::from_megawatts(1.0).as_kilowatts(), 1_000.0);
-        assert_eq!(Power::from_milliwatts(1_500.0).as_watts(), 1.5);
+        assert_eq!(Power::from_watts(1_500.0).as_kilowatts(), 1.5);
     }
 
     #[test]
@@ -119,9 +99,9 @@ mod tests {
 
     #[test]
     fn display_scales() {
-        assert_eq!(Power::from_megawatts(30.0).to_string(), "30.000 MW");
-        assert_eq!(Power::from_kilowatts(1.2).to_string(), "1.200 kW");
+        assert_eq!(Power::from_watts(30e6).to_string(), "30.000 MW");
+        assert_eq!(Power::from_watts(1_200.0).to_string(), "1.200 kW");
         assert_eq!(Power::from_watts(4.5).to_string(), "4.500 W");
-        assert_eq!(Power::from_milliwatts(250.0).to_string(), "250.000 mW");
+        assert_eq!(Power::from_watts(0.25).to_string(), "250.000 mW");
     }
 }

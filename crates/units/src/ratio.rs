@@ -56,14 +56,6 @@ impl Ratio {
         }
     }
 
-    /// Clamps the ratio into `[0, 1]`.
-    #[must_use]
-    pub fn clamp_unit(self) -> Self {
-        Self {
-            fraction: self.fraction.clamp(0.0, 1.0),
-        }
-    }
-
     /// Returns `true` when the ratio lies within `[0, 1]`.
     #[must_use]
     pub fn is_share(self) -> bool {
@@ -131,8 +123,6 @@ mod tests {
     fn share_validation() {
         assert!(Ratio::from_percent(48.0).is_share());
         assert!(!Ratio::from_fraction(1.2).is_share());
-        assert_eq!(Ratio::from_fraction(1.2).clamp_unit(), Ratio::ONE);
-        assert_eq!(Ratio::from_fraction(-0.1).clamp_unit(), Ratio::ZERO);
     }
 
     #[test]

@@ -29,25 +29,11 @@ impl TimeSpan {
         Self { seconds: ms / 1e3 }
     }
 
-    /// Creates a span from microseconds.
-    #[must_use]
-    pub fn from_micros(us: f64) -> Self {
-        Self { seconds: us / 1e6 }
-    }
-
     /// Creates a span from hours.
     #[must_use]
     pub fn from_hours(hours: f64) -> Self {
         Self {
             seconds: hours * 3_600.0,
-        }
-    }
-
-    /// Creates a span from days.
-    #[must_use]
-    pub fn from_days(days: f64) -> Self {
-        Self {
-            seconds: days * 86_400.0,
         }
     }
 
@@ -128,17 +114,15 @@ mod tests {
 
     #[test]
     fn conversions_round_trip() {
-        assert!((TimeSpan::from_days(1_100.0).as_years() - 3.011_6).abs() < 1e-3);
-        assert_eq!(TimeSpan::from_hours(24.0), TimeSpan::from_days(1.0));
+        assert!((TimeSpan::from_hours(1_100.0 * 24.0).as_years() - 3.011_6).abs() < 1e-3);
         assert_eq!(TimeSpan::from_months(12.0), TimeSpan::from_years(1.0));
         assert!((TimeSpan::from_millis(6.0).as_seconds() - 0.006).abs() < 1e-15);
-        assert!((TimeSpan::from_micros(500.0).as_millis() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn display_scales() {
         assert_eq!(TimeSpan::from_years(3.0).to_string(), "3.00 yr");
-        assert_eq!(TimeSpan::from_days(350.0).to_string(), "350.0 d");
+        assert_eq!(TimeSpan::from_hours(350.0 * 24.0).to_string(), "350.0 d");
         assert_eq!(TimeSpan::from_hours(5.0).to_string(), "5.00 h");
         assert_eq!(TimeSpan::from_seconds(2.0).to_string(), "2.000 s");
         assert_eq!(TimeSpan::from_millis(6.0).to_string(), "6.000 ms");
@@ -146,7 +130,7 @@ mod tests {
 
     #[test]
     fn ordering() {
-        assert!(TimeSpan::from_days(1_200.0) > TimeSpan::from_years(3.0));
-        assert!(TimeSpan::from_days(1_000.0) < TimeSpan::from_years(3.0));
+        assert!(TimeSpan::from_hours(1_200.0 * 24.0) > TimeSpan::from_years(3.0));
+        assert!(TimeSpan::from_hours(1_000.0 * 24.0) < TimeSpan::from_years(3.0));
     }
 }

@@ -25,15 +25,6 @@ pub struct IntensityTrace {
 }
 
 impl IntensityTrace {
-    /// Number of slots in the canonical grid.
-    pub const HOURS: usize = 24;
-
-    /// Builds a trace from raw hourly values (g CO₂e/kWh).
-    #[must_use]
-    pub fn from_raw(hours: [f64; 24]) -> Self {
-        Self { hours }
-    }
-
     /// A constant trace: every hour at `g_per_kwh`.
     #[must_use]
     pub fn flat(g_per_kwh: f64) -> Self {
@@ -116,13 +107,6 @@ impl IntensityTrace {
     pub fn daily_mean(&self) -> f64 {
         self.hours.iter().sum::<f64>() / 24.0
     }
-
-    /// `true` when every hour is finite and non-negative — the validity
-    /// requirement scenario validation enforces for region traces.
-    #[must_use]
-    pub fn is_physical(&self) -> bool {
-        self.hours.iter().all(|v| v.is_finite() && *v >= 0.0)
-    }
 }
 
 #[cfg(test)]
@@ -134,7 +118,7 @@ mod tests {
         let t = IntensityTrace::flat(42.0);
         assert_eq!(t.hours(), &[42.0; 24]);
         assert_eq!(t.daily_mean(), 42.0);
-        assert_eq!(IntensityTrace::from_raw([42.0; 24]), t);
+        assert_eq!(IntensityTrace::from_hourly(&[42.0; 24]), Some(t));
         assert_eq!(t.at(3).as_g_per_kwh(), 42.0);
         // Hour indexing wraps.
         assert_eq!(t.g_per_kwh(27), t.g_per_kwh(3));
@@ -183,12 +167,5 @@ mod tests {
         assert_eq!(fine.hours(), &[55.0; 24]);
 
         assert!(IntensityTrace::from_hourly(&[]).is_none());
-    }
-
-    #[test]
-    fn physicality_check() {
-        assert!(IntensityTrace::flat(0.0).is_physical());
-        assert!(!IntensityTrace::flat(-1.0).is_physical());
-        assert!(!IntensityTrace::flat(f64::NAN).is_physical());
     }
 }

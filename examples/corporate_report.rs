@@ -2,6 +2,9 @@
 //! year, roll it into a GHG Protocol disclosure, and propagate input
 //! uncertainty into the headline ratio.
 //!
+//! This example is the only caller of `cc_ghg::reporting` (and, through it,
+//! of `CorporateInventory::scope1`); no registry experiment uses them.
+//!
 //! Run with `cargo run --example corporate_report`.
 
 use chasing_carbon::analysis::uncertainty::{propagate, Triangular};
@@ -11,7 +14,7 @@ use chasing_carbon::prelude::*;
 
 fn main() {
     // Simulate the operator's fleet for five years.
-    let mut facility = Facility::builder("example-corp", 2022, ServerConfig::storage())
+    let mut facility = Facility::builder(2022, ServerConfig::storage())
         .initial_servers(50_000)
         .server_growth(1.2)
         .pue(1.12)

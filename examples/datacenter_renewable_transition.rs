@@ -2,6 +2,10 @@
 //! the footprint shift from opex to capex — then claw back more carbon with
 //! carbon-aware scheduling.
 //!
+//! This example is the only caller of `CorporateInventory::capex_share`
+//! (with `CorporateInventory::total`) and `FleetSchedule::deferrable_carbon`;
+//! no registry experiment uses them.
+//!
 //! Run with `cargo run --example datacenter_renewable_transition`.
 
 use chasing_carbon::dcsim::{Facility, FleetSchedule, MultiSiteScheduler, ServerConfig, SitePlan};
@@ -11,7 +15,7 @@ use chasing_carbon::prelude::*;
 fn main() {
     // A hyperscale facility: web + AI fleets, US grid, wind PPAs ramping to
     // 100% coverage over six years.
-    let mut facility = Facility::builder("example-dc", 2019, ServerConfig::ai_training())
+    let mut facility = Facility::builder(2019, ServerConfig::ai_training())
         .initial_servers(8_000)
         .server_growth(1.5) // the paper: AI fleets grew 4x in <2 years
         .pue(1.11)

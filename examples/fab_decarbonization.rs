@@ -2,6 +2,9 @@
 //! abatement decarbonizes a wafer, and what a chip's embodied carbon looks
 //! like per die.
 //!
+//! This example is the only caller of `cc_fab::abatement`; no registry
+//! experiment uses it.
+//!
 //! Run with `cargo run --example fab_decarbonization`.
 
 use chasing_carbon::fab::{abatement, DieModel, ProcessNode, WaferFootprint};

@@ -2,6 +2,9 @@
 //! measure its energy with the simulated power monitor, and ask how long the
 //! SoC's manufacturing carbon takes to amortize.
 //!
+//! This example is the only caller of `AmortizationAnalysis::breakeven_energy`;
+//! no registry experiment uses it.
+//!
 //! Run with `cargo run --example mobile_inference_amortization`.
 
 use chasing_carbon::data::ai_models::CnnModel;

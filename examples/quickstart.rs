@@ -1,5 +1,8 @@
 //! Quickstart: compute and decompose the carbon footprint of a device.
 //!
+//! This example is the only caller of `UsePhase::on_grid`; no registry
+//! experiment uses it.
+//!
 //! Run with `cargo run --example quickstart`.
 
 use chasing_carbon::core::CarbonDecomposition;

@@ -9,7 +9,7 @@
 //!
 //! * [`units`] — typed physical quantities (energy, power, carbon, intensity)
 //! * [`data`] — curated industry datasets digitized from the paper
-//! * [`analysis`] — Pareto frontiers, projections, crossover analysis
+//! * [`analysis`] — Pareto frontiers, crossover analysis, streaming statistics
 //! * [`lca`] — life-cycle assessment with opex/capex decomposition
 //! * [`ghg`] — GHG Protocol Scope 1/2/3 corporate accounting
 //! * [`fab`] — wafer manufacturing and die-level embodied carbon
