@@ -6,9 +6,9 @@
 //! cargo run --release -p cc-bench --bin gen-docs -- --check # fail on drift
 //! ```
 //!
-//! CI runs the generator and fails when `git diff` reports the checked-in
-//! file changed; the `--check` mode offers the same verdict without
-//! touching the working tree.
+//! The `docs_fresh` test (`crates/bench/tests/docs_fresh.rs`) fails when
+//! the checked-in file differs from the generator's output; the `--check`
+//! mode offers the same verdict without touching the working tree.
 
 use std::path::PathBuf;
 

@@ -6,8 +6,8 @@
 //! path with its type, aliases, paper default, validation rule and the
 //! experiments whose output it affects, plus the experiment table and the
 //! `repro` CLI surface. The `gen-docs` binary writes the file; a freshness
-//! test (and a CI step) regenerates it and fails on drift, so the checked-in
-//! document can never disagree with the code.
+//! test (`crates/bench/tests/docs_fresh.rs`) regenerates it and fails on
+//! drift, so the checked-in document can never disagree with the code.
 
 use cc_core::experiments;
 use cc_report::scenario::deps::{FieldInfo, FIELDS};
@@ -59,8 +59,8 @@ pub fn scenario_reference() -> String {
          > `cargo run --release -p cc-bench --bin gen-docs`. The content is\n\
          > derived from the canonical field registry\n\
          > (`cc_report::scenario::deps::FIELDS`) and the experiment registry\n\
-         > (`cc_core::experiments::entries`); a freshness test and a CI step\n\
-         > fail when this file drifts from the code.\n\
+         > (`cc_core::experiments::entries`); a freshness test fails when\n\
+         > this file drifts from the code.\n\
          \n\
          ## Scenario fields\n\
          \n\

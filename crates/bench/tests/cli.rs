@@ -1,7 +1,11 @@
-//! Integration smoke tests for the `repro` binary: list/JSON modes, scenario
-//! files, per-key overrides, tag filtering, artifact output and the parallel
-//! runner.
+//! Integration tests for the `repro` binary: list/JSON modes, scenario
+//! files, per-key overrides, tag filtering, artifact output, the parallel
+//! runner, the caches and Monte-Carlo runs, with digest pins of two
+//! artifact trees.
 
+mod common;
+use common::{same_trees, scratch};
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn repro() -> Command {
@@ -37,6 +41,44 @@ fn streams_of(output: std::process::Output) -> Streams {
         stdout: String::from_utf8(output.stdout).expect("utf-8 stdout"),
         stderr: String::from_utf8(output.stderr).expect("utf-8 stderr"),
     }
+}
+
+/// Runs `repro` with `args` and `--out dir`, which must succeed.
+fn write_tree(args: &[&str], dir: &Path) -> Streams {
+    streams_of(repro().args(args).arg("--out").arg(dir).output().unwrap())
+}
+
+/// Runs `args` twice, cached on four workers and uncached on one, and
+/// asserts the two trees match byte for byte; returns the cached run's
+/// streams and files.
+fn cached_matches_uncached(name: &str, args: &[&str]) -> (Streams, Vec<(String, Vec<u8>)>) {
+    let dir = scratch(name);
+    let cached = [args, &["--jobs", "4", "--json"]].concat();
+    let uncached = [args, &["--jobs", "1", "--no-cache", "--json"]].concat();
+    let cached = write_tree(&cached, &dir.join("cached"));
+    write_tree(&uncached, &dir.join("uncached"));
+    let files = same_trees(&[&dir.join("cached"), &dir.join("uncached")]);
+    std::fs::remove_dir_all(&dir).ok();
+    (cached, files)
+}
+
+/// FNV-1a (64-bit) over `bytes`, continuing from `hash`.
+fn fnv(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// One FNV-1a digest of a flat directory's `files`, sorted by name: each
+/// file's name and bytes, each preceded by its length.
+fn tree_digest(files: &[(String, Vec<u8>)]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for (name, bytes) in files {
+        for part in [name.as_bytes(), bytes] {
+            hash = fnv(fnv(hash, &(part.len() as u64).to_le_bytes()), part);
+        }
+    }
+    hash
 }
 
 #[test]
@@ -111,7 +153,7 @@ fn list_json_entries_are_the_artifact_heads() {
 
 #[test]
 fn scenario_file_and_overrides_change_fig10() {
-    let dir = std::env::temp_dir().join(format!("cc-repro-test-{}", std::process::id()));
+    let dir = scratch("repro-test");
     std::fs::create_dir_all(&dir).unwrap();
     let scenario_path = dir.join("green.toml");
     std::fs::write(
@@ -161,8 +203,7 @@ fn scenario_file_and_overrides_change_fig10() {
 
 #[test]
 fn parallel_run_writes_one_artifact_per_experiment() {
-    let dir = std::env::temp_dir().join(format!("cc-repro-out-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = scratch("repro-out");
     let out = stdout_of(
         repro()
             .args(["--jobs", "8", "--json", "--out", dir.to_str().unwrap()])
@@ -204,13 +245,14 @@ fn energy_source_names_resolve_to_intensities() {
 
 #[test]
 fn sweep_writes_labeled_artifacts_plus_comparison() {
-    let dir = std::env::temp_dir().join(format!("cc-repro-sweep-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = scratch("repro-sweep");
     let out = streams_of(
         repro()
             .args([
                 "--experiment",
                 "fig10",
+                "--experiment",
+                "ext-die",
                 "--sweep",
                 "grid.intensity=50,380,700",
                 "--jobs",
@@ -222,18 +264,19 @@ fn sweep_writes_labeled_artifacts_plus_comparison() {
             .output()
             .unwrap(),
     );
-    // One `wrote …` line per grid point then the comparison report, in grid
-    // order (the reorder buffer keeps stdout deterministic). The cache
-    // footer (fig10 depends on the swept grid axis, so every point runs)
-    // goes to stderr in every JSON mode, `--out` or not.
+    // One `wrote …` line per experiment and grid point, then the
+    // comparison report, in grid order (the reorder buffer keeps stdout
+    // deterministic). The cache footer (fig10 reads the swept axis, ext-die
+    // does not) goes to stderr in every JSON mode, `--out` or not.
     let lines: Vec<&str> = out.stdout.lines().collect();
-    assert_eq!(lines.len(), 4, "{}", out.stdout);
+    assert_eq!(lines.len(), 7, "{}", out.stdout);
     assert!(lines[0].ends_with("fig10@grid.intensity-50.json"));
     assert!(lines[1].ends_with("fig10@grid.intensity-380.json"));
     assert!(lines[2].ends_with("fig10@grid.intensity-700.json"));
-    assert!(lines[3].ends_with("comparison.json"));
+    assert!(lines[5].ends_with("ext-die@grid.intensity-700.json"));
+    assert!(lines[6].ends_with("comparison.json"));
     assert!(out.stderr.contains("cache: fig10: 3 runs, 0 reuses"));
-    assert!(out.stderr.contains("cache: total: 3 runs, 0 reuses"));
+    assert!(out.stderr.contains("cache: total: 4 runs, 2 reuses"));
 
     // Each artifact is labeled with its point and carries the point's
     // scenario.
@@ -389,12 +432,16 @@ fn facility_sweep_comparison_locates_the_growth_crossover() {
             .args([
                 "--sweep",
                 "fleet.growth=1.0..1.5/0.1",
+                "--jobs",
+                "2",
                 "--json",
                 "ext-facility",
             ])
             .output()
             .unwrap(),
     );
+    // 6 grid points + the comparison report.
+    assert_eq!(out.lines().count(), 7);
     let comparison = out.lines().last().unwrap();
     assert!(
         comparison.contains(r#""crossings":[{"at":"#),
@@ -407,13 +454,14 @@ fn facility_sweep_comparison_locates_the_growth_crossover() {
 fn full_suite_sweep_has_no_scalar_gaps() {
     // Every experiment must contribute a summary scalar to a full-suite
     // sweep: no `(no summary scalar)` metric and no null row values.
-    let out = stdout_of(
-        repro()
-            .args(["--sweep", "grid.intensity=380,50", "--json"])
-            .output()
-            .unwrap(),
-    );
-    let comparison = out.lines().last().unwrap();
+    let dir = scratch("repro-gaps");
+    let sweep = ["--sweep", "grid.intensity=380,50", "--jobs", "4", "--json"];
+    let out = write_tree(&sweep, &dir);
+    // Grid-independent experiments run once across the two points.
+    assert!(out.stderr.contains("cache: fig05: 1 run, 1 reuse\n"));
+    assert!(out.stderr.contains("cache: fig10: 2 runs, 0 reuses"));
+    let comparison = std::fs::read_to_string(dir.join("comparison.json")).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
     assert!(comparison.contains(r#""comparisons":["#));
     assert!(!comparison.contains("(no summary scalar)"));
     assert!(!comparison.contains(r#""value":null"#));
@@ -436,12 +484,16 @@ fn mixed_fleet_sweep_prints_the_cumulative_payback_crossover() {
             .args([
                 "--sweep",
                 "fleet.mix[ai-training]=0..0.4/0.1",
+                "--jobs",
+                "2",
                 "--json",
                 "ext-facility",
             ])
             .output()
             .unwrap(),
     );
+    // 5 grid points + the comparison report.
+    assert_eq!(out.lines().count(), 6);
     let comparison = out.lines().last().unwrap();
     // Both break-even metrics are compared: the annual summary scalar and
     // the thresholded cumulative one.
@@ -458,6 +510,62 @@ fn mixed_fleet_sweep_prints_the_cumulative_payback_crossover() {
     // still carries the composition (web at weight 1, AI at 0).
     assert!(out.contains(r#""name":"facility-operational-carbon-ai-training""#));
     assert!(out.contains(r#""mix":{"web":1.0,"ai-training":0.0}"#));
+}
+
+#[test]
+fn deferrable_share_sweep_locates_the_clean_placement_crossover() {
+    // A two-site fleet (30% on a hydro grid): with nothing deferrable the
+    // scheduler avoids nothing; as the share grows, batch energy migrates
+    // into the clean region and avoided carbon crosses its threshold.
+    let dir = scratch("repro-carbon");
+    let sweep = [
+        "--set",
+        "fleet.sites[hydro].weight=0.3",
+        "--sweep",
+        "fleet.deferrable=0..0.5",
+    ];
+    for jobs in ["4", "1"] {
+        let args = [&sweep[..], &["--json", "--jobs", jobs, "ext-scheduler"]].concat();
+        write_tree(&args, &dir.join(jobs));
+    }
+    // The placement is deterministic: one worker writes the same bytes.
+    let files = same_trees(&[&dir.join("4"), &dir.join("1")]);
+    std::fs::remove_dir_all(&dir).ok();
+    // 5 sweep points + the comparison report.
+    assert_eq!(files.len(), 6);
+    let text =
+        |name: &str| String::from_utf8(files.iter().find(|f| f.0 == name).unwrap().1.clone());
+    let point = text("ext-scheduler@fleet.deferrable-0.25.json").unwrap();
+    assert!(point.contains(r#""name":"avoided-carbon""#));
+    let comparison = text("comparison.json").unwrap();
+    assert!(comparison.contains(r#""crossings":[{"at":"#));
+    let crossing = "avoided-carbon crosses 5 t CO2e/day (clean-region placement pays off)";
+    assert!(comparison.contains(crossing), "{comparison}");
+}
+
+#[test]
+fn full_suite_sweep_trees_match_across_jobs_and_caching() {
+    // Most entries share one output across both points, so each rendered
+    // output is spliced into two artifacts; every format must match a
+    // serial run and an uncached one file for file (no flag is text).
+    let dir = scratch("repro-formats");
+    let sweep = ["--sweep", "fleet.growth=1.0,1.5", "--set", "mc.samples=500"];
+    for format in [&[][..], &["--markdown"], &["--csv"], &["--json"]] {
+        let runs = [&["--jobs", "1"][..], &["--jobs", "4"], &["--no-cache"]].map(|run| {
+            let out = dir.join([format, run].concat().join(""));
+            write_tree(&[&sweep[..], format, run].concat(), &out);
+            out
+        });
+        let files = same_trees(&runs.each_ref().map(PathBuf::as_path));
+        if format == ["--json"] {
+            // 26 experiments x 2 points + the comparison report, pinned as
+            // written by the build that rendered every artifact whole (its
+            // sha256 listing digest is f3d7a3d7…5535a).
+            assert_eq!(files.len(), 53);
+            assert_eq!(tree_digest(&files), 0x07fe_36cf_3dc3_0a0c);
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -532,10 +640,9 @@ fn growth_sweep_runs_scenario_independent_experiments_once() {
     // every point — and the comparison artifact must be byte-identical to a
     // `--no-cache` run, because dedup only merges jobs whose declared
     // dependency fields agree.
-    let dir = std::env::temp_dir().join(format!("cc-repro-cache-{}", std::process::id()));
+    let dir = scratch("repro-cache");
     let cached_dir = dir.join("cached");
     let uncached_dir = dir.join("uncached");
-    std::fs::remove_dir_all(&dir).ok();
     let sweep = |out_dir: &std::path::Path, extra: &[&str]| {
         let mut args = vec![
             "--sweep",
@@ -599,8 +706,7 @@ fn warm_cache_dir_rerun_recomputes_nothing_and_matches_no_cache() {
     // against a warm `--cache-dir` performs zero experiment recomputes
     // (verified via the disk footer) and writes artifacts byte-identical
     // to a `--no-cache` run of the same sweep.
-    let dir = std::env::temp_dir().join(format!("cc-repro-disk-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = scratch("repro-disk");
     let cache_dir = dir.join("cache");
     let sweep = |out_dir: &std::path::Path, extra: &[&str]| {
         let mut args = vec![
@@ -641,6 +747,23 @@ fn warm_cache_dir_rerun_recomputes_nothing_and_matches_no_cache() {
         "the disk footer must stay off JSON-mode stdout"
     );
 
+    // One field changed: only the 8 experiments whose declared
+    // dependencies cover grid.intensity recompute (the three fleet+grid
+    // ones at both points); everything else replays, ext-scheduler too,
+    // which reads regions, not the scalar intensity.
+    let changed = sweep(
+        &dir.join("changed"),
+        &[&cache[..], &["--set", "grid.intensity=100"]].concat(),
+    );
+    for footer in [
+        "disk: fig05: 0 recomputes, 1 disk hit",
+        "disk: fig13: 1 recompute, 0 disk hits",
+        "disk: ext-facility: 2 recomputes, 0 disk hits",
+        "disk: total: 11 recomputes, 19 disk hits",
+    ] {
+        assert!(changed.stderr.contains(footer), "{}", changed.stderr);
+    }
+
     // Warm: a fresh process finds every group on disk — zero recomputes.
     let warm_dir = dir.join("warm");
     let warm = sweep(&warm_dir, &cache);
@@ -666,23 +789,12 @@ fn warm_cache_dir_rerun_recomputes_nothing_and_matches_no_cache() {
     // Replayed artifacts must be byte-identical to an uncached run.
     let uncached_dir = dir.join("uncached");
     sweep(&uncached_dir, &["--no-cache"]);
-    let mut names: Vec<String> = std::fs::read_dir(&uncached_dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .collect();
-    names.sort();
+    let files = same_trees(&[&uncached_dir, &warm_dir]);
     assert_eq!(
-        names.len(),
+        files.len(),
         experiment_count() * 2 + 1,
         "every experiment x 2 points + comparison"
     );
-    for name in &names {
-        assert_eq!(
-            std::fs::read(warm_dir.join(name)).unwrap(),
-            std::fs::read(uncached_dir.join(name)).unwrap(),
-            "disk-cache replay must be invisible in {name}"
-        );
-    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -692,8 +804,7 @@ fn concurrent_processes_share_one_cache_dir_safely() {
     // produce artifacts byte-identical to a `--no-cache` run: atomic
     // temp-file + rename publication means a reader never observes a
     // partial entry, whichever process wins each write.
-    let dir = std::env::temp_dir().join(format!("cc-repro-race-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = scratch("repro-race");
     let cache_dir = dir.join("cache");
     std::fs::create_dir_all(&cache_dir).unwrap();
     let out_a = dir.join("a");
@@ -729,29 +840,12 @@ fn concurrent_processes_share_one_cache_dir_safely() {
         .unwrap()
         .success());
 
-    let mut names: Vec<String> = std::fs::read_dir(&uncached_dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .collect();
-    names.sort();
+    let files = same_trees(&[&uncached_dir, &out_a, &out_b]);
     assert_eq!(
-        names.len(),
+        files.len(),
         experiment_count() * 3 + 1,
         "every experiment x 3 points + comparison"
     );
-    for name in &names {
-        let reference = std::fs::read(uncached_dir.join(name)).unwrap();
-        assert_eq!(
-            std::fs::read(out_a.join(name)).unwrap(),
-            reference,
-            "process A diverged in {name}"
-        );
-        assert_eq!(
-            std::fs::read(out_b.join(name)).unwrap(),
-            reference,
-            "process B diverged in {name}"
-        );
-    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -777,8 +871,7 @@ fn every_json_mode_keeps_stdout_machine_parseable() {
     // The full audit of `--json` × `--out` combinations: whatever lands on
     // stdout must parse as JSON, line by line (`--out` modes print
     // `wrote …` paths, which are exempt — they are not a JSON stream).
-    let dir = std::env::temp_dir().join(format!("cc-repro-parse-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = scratch("repro-parse");
     let sweep = ["--sweep", "fleet.growth=1.0,1.5", "--json", "ext-facility"];
 
     // Pure-JSON stdout: every line must round-trip through the parser.
@@ -890,7 +983,7 @@ fn scenario_trace_files_resolve_against_the_scenario_file() {
     // is the same from the repository root and from an unrelated directory.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let scenario = root.join("scenarios/follow-the-sun.toml");
-    let elsewhere = std::env::temp_dir().join(format!("cc-repro-cwd-{}", std::process::id()));
+    let elsewhere = scratch("repro-cwd");
     std::fs::create_dir_all(&elsewhere).unwrap();
     let run = |cwd: &std::path::Path| {
         stdout_of(
@@ -932,8 +1025,7 @@ fn mc_draw_errors_name_the_sample_and_its_binding() {
 
 #[test]
 fn mc_runs_are_byte_identical_per_seed_across_job_counts() {
-    let dir = std::env::temp_dir().join(format!("cc-repro-mc-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = scratch("repro-mc");
     let run = |jobs: &str, seed: &str, sub: &str| {
         let out_dir = dir.join(sub);
         let streams = streams_of(
@@ -944,7 +1036,7 @@ fn mc_runs_are_byte_identical_per_seed_across_job_counts() {
                     "--set",
                     "fleet.growth ~ uniform(1.2,1.4)",
                     "--samples",
-                    "400",
+                    "2000",
                     "--seed",
                     seed,
                     "--jobs",
@@ -991,6 +1083,10 @@ fn mc_runs_are_byte_identical_per_seed_across_job_counts() {
             })
             .collect::<Vec<_>>()
     };
+    // A sampled dependency gives a real band.
+    let json = std::str::from_utf8(&sequential).unwrap();
+    assert!(json.contains(r#""ci90_half_width":"#), "{json}");
+    assert!(!json.contains(r#""ci90_half_width":0.0}"#), "{json}");
     let (a, b) = (band(&sequential), band(&reseeded));
     assert_eq!(a.len(), b.len());
     assert!(!a.is_empty());
@@ -1002,6 +1098,70 @@ fn mc_runs_are_byte_identical_per_seed_across_job_counts() {
     }
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn mc_over_an_unread_field_collapses_onto_one_run() {
+    // ext-facility does not read fab.node_nm: the fingerprint cache
+    // collapses every sample onto one model run, and the text report
+    // carries a banded break-even headline.
+    let out = stdout_of(
+        repro()
+            .args(["--experiment", "ext-facility"])
+            .args(["--set", "fab.node_nm ~ triangular(5,7,10)"])
+            .args(["--samples", "10000", "--seed", "7"])
+            .output()
+            .unwrap(),
+    );
+    for line in [
+        "Monte-Carlo comparison — 10000 samples, seed 7",
+        "90% CI ±",
+        "n=10000",
+        "cache: ext-facility: 1 run, 9999 reuses",
+    ] {
+        assert!(out.contains(line), "{line}: {out}");
+    }
+}
+
+/// The grid-intensity binding both ext-mc runs below sample.
+const GRID_MC: &str = "grid.intensity ~ uniform(50,700)";
+
+#[test]
+fn ext_mc_part_caching_matches_an_uncached_run() {
+    // ext-mc's Fig 11 and Fig 14 parts read only mc.*, so the cached run
+    // computes them once; the footer still counts one ext-mc run per
+    // sample.
+    let mc = ["--set", GRID_MC, "--samples", "200", "--seed", "7"];
+    let ext_mc = [&["--experiment", "ext-mc"][..], &mc].concat();
+    let (cached, files) = cached_matches_uncached("repro-ext-mc", &ext_mc);
+    assert!(cached.stderr.contains("cache: ext-mc: 200 runs, 0 reuses"));
+    // Both runs read propagate's column memo, so they cannot catch a memo
+    // that changes the draws; this digest was taken from the sequential
+    // propagation the memo replaced (the file's sha256 is 26be40df…2b9b6).
+    assert_eq!(files.len(), 1);
+    assert_eq!(tree_digest(&files), 0xebbe_75f6_78ba_c4d3);
+}
+
+#[test]
+fn full_suite_grid_mc_matches_an_uncached_run() {
+    // ext-mc's Fig 10 part reuses its memoized draw columns across samples
+    // and threads, and must digest like one thread recomputing every part
+    // at every sample.
+    let mc = ["--set", GRID_MC, "--samples", "200", "--seed", "7"];
+    cached_matches_uncached("repro-mc-model", &mc);
+}
+
+#[test]
+fn mc_run_plan_matches_an_uncached_run() {
+    // A part that reads no sampled field keeps the one fingerprint the run
+    // plan took from the base scenario, and workers claim samples in
+    // blocks; both must digest like one thread recomputing every part.
+    let renewable = ["--set", "fab.renewable_share ~ uniform(0,1)", "--seed", "7"];
+    let figures = [&renewable[..], &["--tag", "figure", "--samples", "2000"]].concat();
+    let (cached, _) = cached_matches_uncached("repro-plan-fig", &figures);
+    assert!(cached.stderr.contains("cache: fig01: 1 run, 1999 reuses"));
+    let all = [&renewable[..], &["--samples", "300"]].concat();
+    cached_matches_uncached("repro-plan-all", &all);
 }
 
 #[test]

@@ -2,7 +2,9 @@
 //! protocol error handling, cross-request caching, and byte-identity of
 //! served artifacts against the one-shot CLI.
 
+mod common;
 use cc_report::JsonValue;
+use common::{same_trees, scratch};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
@@ -243,32 +245,10 @@ fn repeated_sweeps_hit_the_resident_cache() {
     daemon.shutdown();
 }
 
-/// The sorted file names under `dir`, asserting each matches the file of
-/// the same name under `reference` byte for byte.
-fn assert_same_tree(dir: &std::path::Path, reference: &std::path::Path) -> Vec<String> {
-    let names = |dir: &std::path::Path| {
-        let mut names: Vec<String> = std::fs::read_dir(dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        names.sort();
-        names
-    };
-    let served = names(dir);
-    assert_eq!(served, names(reference), "same file set");
-    for name in &served {
-        let bytes = std::fs::read(dir.join(name)).unwrap();
-        let one_shot = std::fs::read(reference.join(name)).unwrap();
-        assert_eq!(bytes, one_shot, "`{name}` must be byte-identical");
-    }
-    served
-}
-
 #[test]
 fn served_artifacts_byte_match_the_one_shot_cli() {
     let daemon = Daemon::start();
-    let dir = std::env::temp_dir().join(format!("cc-serve-diff-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = scratch("serve-diff");
 
     // Each run shape — a sweep, a single point, a Monte-Carlo run, a
     // multi-entry sweep — through the daemon (via `repro client --out`)
@@ -331,7 +311,8 @@ fn served_artifacts_byte_match_the_one_shot_cli() {
             .output()
             .expect("run one-shot repro");
         assert!(cli.status.success());
-        trees.push(assert_same_tree(&served_dir, &cli_dir));
+        let files = same_trees(&[&served_dir, &cli_dir]);
+        trees.push(files.into_iter().map(|(name, _)| name).collect::<Vec<_>>());
     }
     let mut figures: Vec<String> = (1..=15)
         .flat_map(|n| ["1.1", "1.3"].map(|g| format!("fig{n:02}@fleet.growth-{g}.json")))
@@ -355,6 +336,91 @@ fn served_artifacts_byte_match_the_one_shot_cli() {
 
     std::fs::remove_dir_all(&dir).ok();
     daemon.shutdown();
+}
+
+#[test]
+fn racing_clients_compute_each_sweep_point_once() {
+    let daemon = Daemon::start();
+    let dir = scratch("serve-race");
+    let sweep = [
+        "--experiment",
+        "fig10",
+        "--sweep",
+        "grid.intensity=50,380,700",
+    ];
+    let served = |name: &str| {
+        Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["client", "--addr", &daemon.addr])
+            .args(sweep)
+            .args(["--jobs", "2", "--out"])
+            .arg(dir.join(name))
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn repro client")
+    };
+    // Two clients race on a cold cache, then a third replays the sweep
+    // entirely from the resident cache.
+    for client in [served("a"), served("b")] {
+        assert!(client.wait_with_output().unwrap().status.success());
+    }
+    let replay = served("c").wait_with_output().unwrap();
+    assert!(replay.status.success());
+    let done = String::from_utf8(replay.stdout).unwrap();
+    let all_hits = r#""cache":{"hits":3,"misses":0,"inflight_dedups":0}"#;
+    assert!(done.contains(all_hits), "{done}");
+    // Across the racers and the replay: one compute per sweep point.
+    let stats = String::from_utf8(client(&daemon.addr, &["--stats"]).stdout).unwrap();
+    assert!(stats.contains(r#""misses":3,"#), "{stats}");
+
+    let one_shot = dir.join("one-shot");
+    let cli = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(sweep)
+        .args(["--jobs", "2", "--json", "--out", one_shot.to_str().unwrap()])
+        .output()
+        .expect("run one-shot repro");
+    assert!(cli.status.success());
+    for name in ["a", "b", "c"] {
+        same_trees(&[&dir.join(name), &one_shot]);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    daemon.shutdown();
+}
+
+#[test]
+fn shutdown_ends_a_long_client_run_with_the_cancelled_exit_code() {
+    let mut daemon = Daemon::start();
+    // A Monte-Carlo run of many minutes, still in flight at `--shutdown`.
+    let long = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["client", "--addr", &daemon.addr, "ext-mc"])
+        .args(["--set", "grid.intensity ~ uniform(100,700)"])
+        .args(["--samples", "200000"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn repro client");
+    let (mut reader, mut stream) = daemon.connect();
+    while Daemon::request(&mut reader, &mut stream, r#"{"op":"stats"}"#)[0]
+        .get("stats")
+        .and_then(|s| s.get("requests"))
+        .and_then(JsonValue::as_u64)
+        == Some(0)
+    {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    assert!(client(&daemon.addr, &["--shutdown"]).status.success());
+    // The daemon exits within 2 s of `bye`.
+    let bye = std::time::Instant::now();
+    while daemon.child.try_wait().expect("poll daemon").is_none() {
+        let late = bye.elapsed() > std::time::Duration::from_secs(2);
+        assert!(!late, "daemon still running 2 s after shutdown");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    assert!(daemon.child.wait().expect("reap daemon").success());
+    // The run's client exits with `cancelled`'s code: 10 + its index.
+    let long = long.wait_with_output().expect("reap client");
+    let stderr = String::from_utf8_lossy(&long.stderr);
+    assert_eq!(long.status.code(), Some(18), "{stderr}");
+    assert!(stderr.contains("cancelled"), "{stderr}");
 }
 
 #[test]
@@ -438,6 +504,26 @@ fn client_surfaces_server_rejections() {
     daemon.shutdown();
 }
 
+/// Caps the daemon's descriptors `spare` above its lowest free one. (A
+/// `ulimit` set before start leaves the fill to a race with descriptors
+/// the daemon opens in passing.)
+#[cfg(target_os = "linux")]
+fn cap_descriptors(pid: u32, spare: usize) {
+    let used: std::collections::BTreeSet<usize> = std::fs::read_dir(format!("/proc/{pid}/fd"))
+        .expect("list the daemon's descriptors")
+        .map(|entry| {
+            let name = entry.expect("descriptor entry").file_name();
+            name.to_str().and_then(|n| n.parse().ok()).expect("numeric")
+        })
+        .collect();
+    let limit = (0..).find(|fd| !used.contains(fd)).expect("a free slot") + spare;
+    let prlimit = Command::new("prlimit")
+        .args([format!("--pid={pid}"), format!("--nofile={limit}:{limit}")])
+        .status()
+        .expect("run prlimit (util-linux)");
+    assert!(prlimit.success(), "prlimit failed");
+}
+
 /// Out of file descriptors, `accept` fails while the connection waits in
 /// the backlog. The accept loop must back off and log once, not spin a
 /// core retrying.
@@ -453,22 +539,8 @@ fn accept_failures_back_off_when_file_descriptors_run_out() {
             (reader, stream)
         })
         .collect();
-    // Cap the daemon's descriptors at its lowest free one, so its next
-    // `accept` fails with EMFILE. (A `ulimit` set before start leaves the
-    // fill to a race with descriptors the daemon opens in passing.)
-    let used: std::collections::BTreeSet<usize> = std::fs::read_dir(format!("/proc/{pid}/fd"))
-        .expect("list the daemon's descriptors")
-        .map(|entry| {
-            let name = entry.expect("descriptor entry").file_name();
-            name.to_str().and_then(|n| n.parse().ok()).expect("numeric")
-        })
-        .collect();
-    let limit = (0..).find(|fd| !used.contains(fd)).expect("a free slot");
-    let prlimit = Command::new("prlimit")
-        .args([format!("--pid={pid}"), format!("--nofile={limit}:{limit}")])
-        .status()
-        .expect("run prlimit (util-linux)");
-    assert!(prlimit.success(), "prlimit failed");
+    // No free descriptor: the daemon's next `accept` fails with EMFILE.
+    cap_descriptors(pid, 0);
     // These wait in the backlog: every `accept` now fails.
     let pending: Vec<TcpStream> = (0..4)
         .map(|_| TcpStream::connect(&daemon.addr).expect("connect"))
@@ -496,6 +568,37 @@ fn accept_failures_back_off_when_file_descriptors_run_out() {
     let mut log = String::new();
     std::io::Read::read_to_string(&mut stderr, &mut log).expect("read log");
     assert_eq!(log.matches("accept failed").count(), 1, "{log}");
+}
+
+/// With one descriptor left, `accept` takes it and cloning the socket
+/// for the connection's reader fails: the daemon closes the connection
+/// and logs one event naming the peer and the OS error.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_failed_socket_clone_is_logged_with_its_peer() {
+    let mut daemon = Daemon::start();
+    let (mut reader, mut stream) = daemon.connect();
+    Daemon::request(&mut reader, &mut stream, r#"{"op":"stats"}"#);
+    cap_descriptors(daemon.child.id(), 1);
+    let dropped = TcpStream::connect(&daemon.addr).expect("connect");
+    let peer = dropped.local_addr().expect("local address");
+    dropped
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("set read timeout");
+    let mut line = String::new();
+    let read = BufReader::new(&dropped).read_line(&mut line);
+    assert_eq!(read.expect("read EOF"), 0, "no response line: {line}");
+
+    let mut stderr = daemon.child.stderr.take().expect("piped stderr");
+    daemon.child.kill().expect("kill daemon");
+    daemon.child.wait().expect("reap daemon");
+    drop((reader, stream));
+    let mut log = String::new();
+    std::io::Read::read_to_string(&mut stderr, &mut log).expect("read log");
+    let event = format!("serve: connection from {peer} dropped: cannot clone its socket (");
+    let events: Vec<&str> = log.lines().filter(|l| l.starts_with(&event)).collect();
+    assert_eq!(events.len(), 1, "{log}");
+    assert!(events[0].ends_with("(os error 24))"), "EMFILE: {log}");
 }
 
 #[test]
@@ -581,8 +684,7 @@ fn daemon_and_one_shot_cli_share_the_disk_cache_format() {
     // An artifact computed inside the daemon must be replayable by the
     // one-shot CLI from the same `--cache-dir` (and vice versa): both sides
     // speak one on-disk entry format, keyed the same way.
-    let dir = std::env::temp_dir().join(format!("cc-serve-disk-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = scratch("serve-disk");
     let cache_dir = dir.join("cache");
     std::fs::create_dir_all(&cache_dir).unwrap();
 
@@ -648,8 +750,7 @@ fn serve_requires_an_addr_and_rejects_unknown_flags() {
 #[test]
 fn served_mc_comparison_byte_matches_the_one_shot_cli() {
     let daemon = Daemon::start();
-    let dir = std::env::temp_dir().join(format!("cc-serve-mc-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = scratch("serve-mc");
     let served_dir = dir.join("served");
     let cli_dir = dir.join("cli");
 
@@ -665,7 +766,7 @@ fn served_mc_comparison_byte_matches_the_one_shot_cli() {
             "--set",
             binding,
             "--samples",
-            "300",
+            "200",
             "--seed",
             "7",
             "--jobs",
@@ -681,7 +782,7 @@ fn served_mc_comparison_byte_matches_the_one_shot_cli() {
     );
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(
-        stdout.contains(r#""samples":300"#),
+        stdout.contains(r#""samples":200"#),
         "the done line confirms the server ran a Monte-Carlo request: {stdout}"
     );
 
@@ -692,7 +793,7 @@ fn served_mc_comparison_byte_matches_the_one_shot_cli() {
             "--set",
             binding,
             "--samples",
-            "300",
+            "200",
             "--seed",
             "7",
             "--jobs",

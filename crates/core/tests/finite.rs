@@ -4,27 +4,36 @@
 //! Each numeric row is set, one row at a time, to every value of a fixed
 //! ladder spanning zero, the subnormal edge, fractions, unity and the
 //! largest magnitudes. Every value the validator accepts runs each
-//! experiment whose declared dependencies cover the row, and no scalar,
-//! series point or table cell of the output may be infinite or NaN.
+//! experiment whose declared dependencies cover the row; no scalar or
+//! series point may be infinite or NaN, nor may the printed text (table
+//! titles and cells, scalars, notes) show one. Every experiment also runs
+//! at the paper defaults, which is what one that does not read the row
+//! prints, so a whole-suite run at each ladder value is covered.
 
 use cc_core::experiments::entries;
 use cc_report::scenario::deps::FIELDS;
 use cc_report::{ExperimentOutput, RunContext, Scenario};
 
-const LADDER: [&str; 8] = ["0", "1e-300", "1e-9", "0.5", "1", "2", "1e6", "1e300"];
+const LADDER: [&str; 10] = [
+    "0", "1e-300", "1e-9", "0.3", "0.5", "1", "2", "100", "1e6", "1e300",
+];
 
 /// The field types whose values are numbers.
 const NUMERIC: [&str; 4] = ["f64", "u16", "u32", "u64"];
 
-/// Whether a rendered cell shows a non-finite number: `NaN` anywhere
-/// (`NaN%` included), or an `inf` token, possibly signed or suffixed with
-/// a unit mark (`inf%`, `-infx`) — but not a word such as `inference`.
-fn shows_non_finite(cell: &str) -> bool {
-    cell.contains("NaN")
-        || cell
-            .split(|c: char| c.is_whitespace() || "(),/=:%".contains(c))
-            .map(|token| token.trim_start_matches(['-', '+']))
-            .any(|token| token == "inf" || token == "infx")
+/// Whether rendered text shows a non-finite number: `NaN` anywhere
+/// (`NaN%`, `NaNx` included), or an `inf` or `nan` word in any case, also
+/// with the `x` unit mark (`-infx`), but not a word such as `inference`.
+/// It flags every line `grep -wiE 'NaN|inf'` does.
+fn shows_non_finite(text: &str) -> bool {
+    text.contains("NaN")
+        || text
+            .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .any(|word| {
+                ["inf", "infx", "nan"]
+                    .iter()
+                    .any(|bad| word.eq_ignore_ascii_case(bad))
+            })
 }
 
 /// Every non-finite number in `output`, described.
@@ -45,12 +54,12 @@ fn non_finite(output: &ExperimentOutput) -> Vec<String> {
             }
         }
     }
-    for (title, table) in &output.tables {
-        for row in std::iter::once(table.header()).chain(table.rows().iter().map(Vec::as_slice)) {
-            for cell in row.iter().filter(|cell| shows_non_finite(cell)) {
-                found.push(format!("table `{title}` cell `{cell}`"));
-            }
-        }
+    for line in output
+        .render()
+        .lines()
+        .filter(|line| shows_non_finite(line))
+    {
+        found.push(format!("printed line `{line}`"));
     }
     found
 }
@@ -60,12 +69,18 @@ fn the_cell_check_tells_numbers_from_words() {
     for cell in ["inf", "-inf", "NaN%", "inf%", "2.0x (infx)", "a / inf"] {
         assert!(shows_non_finite(cell), "{cell}");
     }
+    // Any case, next to any punctuation, as `grep -wi` matches.
+    for cell in ["inf..Inf", "nan;"] {
+        assert!(shows_non_finite(cell), "{cell}");
+    }
     for cell in [
         "inference",
         "Simulated Pixel 3 inference",
         "1.5x",
         "-3.2%",
         "info",
+        "infinite",
+        "nano",
     ] {
         assert!(!shows_non_finite(cell), "{cell}");
     }
@@ -75,6 +90,13 @@ fn the_cell_check_tells_numbers_from_words() {
 fn every_accepted_numeric_field_value_yields_finite_outputs() {
     let mut runs = 0;
     let mut failures = Vec::new();
+    let defaults = RunContext::new(Scenario::paper_defaults());
+    for entry in entries() {
+        runs += 1;
+        for what in non_finite(&entry.build().run(&defaults)) {
+            failures.push(format!("paper defaults: {}: {what}", entry.key));
+        }
+    }
     for field in FIELDS.iter().filter(|f| NUMERIC.contains(&f.ty)) {
         let covering: Vec<_> = entries()
             .iter()

@@ -1,9 +1,10 @@
 //! Artifact rendering shared by the CLI and the server.
 //!
 //! Both front-ends must emit byte-identical artifacts for the same
-//! (experiment × scenario-point) job — the serve-smoke CI job diffs daemon
-//! output against a one-shot `repro --sweep` run file-for-file — so the
-//! artifact layout lives here, once.
+//! (experiment × scenario-point) job — `served_artifacts_byte_match_the_one_shot_cli`
+//! and `racing_clients_compute_each_sweep_point_once` in
+//! `crates/bench/tests/serve.rs` diff daemon output against one-shot
+//! `repro` runs file for file — so the artifact layout lives here, once.
 //!
 //! A JSON artifact is one object in three pieces, each fixed by fewer
 //! inputs than the whole: the *head* (`key`, `title`, `description`,

@@ -1,7 +1,8 @@
 //! The sharded, content-addressed fingerprint→artifact cache.
 //!
 //! Every experiment part's output is a pure function of its declared
-//! scenario fields (`Part::deps`, verified by the read-tracking CI test), so
+//! scenario fields (`Part::deps`, verified by the read-tracking test
+//! `declared_deps_match_actual_reads` in `cc_core::experiments`), so
 //! a `(part key, dependency_fingerprint)` pair addresses the output
 //! *content* — not the request that produced it. The cache exploits that
 //! purity in three ways:

@@ -77,6 +77,8 @@ pub struct Server {
     listener: TcpListener,
     engine: Arc<Engine>,
     max_jobs: usize,
+    /// Worker threads per connection with a non-zero queue depth.
+    pool_threads: usize,
     queue_depth: usize,
     log: Option<Arc<ServeLog>>,
     shutdown: Arc<AtomicBool>,
@@ -119,7 +121,8 @@ impl ServeLog {
     }
 }
 
-/// Serialized, flushed-per-line writer half of one connection. Write
+/// Serialized, buffered writer half of one connection: lines reach the
+/// socket when the connection goes idle ([`LineWriter::flush`]). Write
 /// failures latch: once the client is gone, or has not read for
 /// [`WRITE_TIMEOUT`], the rest of the response stream is dropped silently
 /// (the computation still completes and warms the shared cache).
@@ -323,10 +326,18 @@ impl Server {
     /// host; it is itself clamped to 1..=[`crate::MAX_JOBS`], the most
     /// worker threads a run starts, so `hello` reports the real cap.
     pub fn bind(addr: &str, engine: Arc<Engine>, max_jobs: usize) -> std::io::Result<Self> {
+        let max_jobs = crate::workers(max_jobs);
+        // Workers beyond the hardware parallelism only add wakeups and
+        // context switches, so clamp by it too — with a floor of two, so a
+        // long-running job can never head-of-line-block a short one even on
+        // a single-core host.
+        let hardware =
+            std::thread::available_parallelism().map_or(usize::MAX, std::num::NonZeroUsize::get);
         Ok(Self {
             listener: TcpListener::bind(addr)?,
             engine,
-            max_jobs: crate::workers(max_jobs),
+            max_jobs,
+            pool_threads: max_jobs.min(MAX_POOL_THREADS).min(hardware.max(2)).max(1),
             queue_depth: DEFAULT_QUEUE_DEPTH,
             log: None,
             shutdown: Arc::new(AtomicBool::new(false)),
@@ -384,26 +395,15 @@ impl Server {
                     }
                 };
                 accept_failing = false;
-                let engine = Arc::clone(&self.engine);
-                let shutdown = Arc::clone(&self.shutdown);
-                let log = self.log.clone();
-                let max_jobs = self.max_jobs;
-                let queue_depth = self.queue_depth;
+                let server = &self;
                 scope.spawn(move || {
+                    let log = server.log.as_deref();
                     let peer = stream.peer_addr().ok();
-                    if let (Some(log), Some(peer)) = (log.as_deref(), peer) {
+                    if let (Some(log), Some(peer)) = (log, peer) {
                         log.event(&format!("connection from {peer}"));
                     }
-                    handle_connection(
-                        &engine,
-                        stream,
-                        max_jobs,
-                        queue_depth,
-                        &shutdown,
-                        addr,
-                        log.as_deref(),
-                    );
-                    if let (Some(log), Some(peer)) = (log.as_deref(), peer) {
+                    handle_connection(server, stream, addr);
+                    if let (Some(log), Some(peer)) = (log, peer) {
                         log.event(&format!("connection closed ({peer})"));
                     }
                 });
@@ -434,44 +434,44 @@ struct Connection<'a> {
 /// thread, and a client that holds its connection open across a shutdown
 /// must not pin the daemon alive. Partial lines survive a timeout tick —
 /// `read_line` appends to the same buffer on the next attempt.
-fn handle_connection(
-    engine: &Engine,
-    stream: TcpStream,
-    max_jobs: usize,
-    queue_depth: usize,
-    shutdown: &AtomicBool,
-    addr: SocketAddr,
-    log: Option<&ServeLog>,
-) {
-    let Ok(reader) = stream.try_clone() else {
-        return;
+fn handle_connection(server: &Server, stream: TcpStream, addr: SocketAddr) {
+    let log = server.log.as_deref();
+    let reader = match stream.try_clone() {
+        Ok(reader) => reader,
+        Err(e) => {
+            if let Some(log) = log {
+                let peer = stream
+                    .peer_addr()
+                    .map_or_else(|_| "an unknown peer".to_string(), |p| p.to_string());
+                log.event(&format!(
+                    "connection from {peer} dropped: cannot clone its socket ({e})"
+                ));
+            }
+            return;
+        }
     };
-    // Responses flush line by line; without TCP_NODELAY, Nagle holds every
-    // line after the first until the client ACKs, adding ~40 ms per line.
+    // Responses reach the socket as small writes, one per idle point;
+    // without TCP_NODELAY, Nagle holds every write after the first until
+    // the client ACKs, adding ~40 ms per write.
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = reader.set_read_timeout(Some(Duration::from_millis(200)));
     let writer = LineWriter::new(stream);
+    let queue_depth = server.queue_depth;
     let connection = Connection {
-        engine,
+        engine: &server.engine,
         writer: &writer,
-        max_jobs,
+        max_jobs: server.max_jobs,
         queue_depth,
         log,
     };
     let queue = WorkQueue::new(queue_depth);
     // No queue, no pool: a zero-depth connection rejects all multiplexed
-    // work in the reader, so workers would never see a job. Workers
-    // beyond the hardware parallelism only add wakeups and context
-    // switches, so clamp by it too — with a floor of two, so a
-    // long-running job can never head-of-line-block a short one even on
-    // a single-core host.
-    let hardware =
-        std::thread::available_parallelism().map_or(usize::MAX, std::num::NonZeroUsize::get);
+    // work in the reader, so workers would never see a job.
     let pool = if queue_depth == 0 {
         0
     } else {
-        max_jobs.min(MAX_POOL_THREADS).min(hardware.max(2)).max(1)
+        server.pool_threads
     };
     std::thread::scope(|scope| {
         for _ in 0..pool {
@@ -484,7 +484,7 @@ fn handle_connection(
                 }
             });
         }
-        read_loop(&connection, reader, &queue, shutdown, addr);
+        read_loop(&connection, reader, &queue, &server.shutdown, addr);
         // EOF or shutdown: release anything the reader buffered (the
         // terminal `bye` in particular), stop admitting, let the pool
         // drain what was already accepted, then the scope joins the

@@ -856,7 +856,8 @@ impl ScenarioOverlay {
 /// for the quantities the models consume.
 ///
 /// A context built by [`Self::tracking`] additionally records every
-/// canonical scenario field the typed accessors touch, which is how CI
+/// canonical scenario field the typed accessors touch, which is how the
+/// `declared_deps_match_actual_reads` test in `cc_core::experiments`
 /// verifies each experiment's declared dependency set
 /// ([`deps::ScenarioPath`]) against its actual reads. Raw scenario access
 /// ([`Self::scenario`], [`Self::is_paper`]) counts as reading *every*
@@ -958,8 +959,9 @@ impl RunContext {
 
     /// A context that records every canonical scenario field the typed
     /// accessors read, returned alongside its [`ReadTracker`]. This is the
-    /// instrument behind the dependency-declaration CI check: run an
-    /// experiment under a tracking context and compare
+    /// instrument behind the dependency-declaration test
+    /// (`declared_deps_match_actual_reads` in `cc_core::experiments`): run
+    /// an experiment under a tracking context and compare
     /// [`ReadTracker::reads`] with the expansion of its declared paths.
     ///
     /// # Errors

@@ -18,7 +18,8 @@
 //!   axes the experiment ignores ([`dedup_groups`]);
 //! * a **[`ReadTracker`]** attached to a tracking
 //!   [`RunContext`](crate::RunContext) records the fields an experiment
-//!   *actually* read, so CI can fail any declaration that disagrees with the
+//!   *actually* read, so a test (`declared_deps_match_actual_reads` in
+//!   `cc_core::experiments`) fails any declaration that disagrees with the
 //!   code.
 //!
 //! The honesty contract: an experiment's output must be a pure function of

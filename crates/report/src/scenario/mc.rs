@@ -433,7 +433,9 @@ mod tests {
             let bound = binding(&format!("{path} ~ uniform(0.1,0.3)"));
             let err = MonteCarloMatrix::new(base(), vec![bound], 20, 7).unwrap_err();
             assert!(
-                err.to_string().contains("accepts no distribution"),
+                err.to_string().contains(
+                    "accepts no distribution: only `f64`-typed semantic fields accept a binding"
+                ),
                 "{path}: {err}"
             );
         }

@@ -95,14 +95,15 @@ const REGISTRY: [(&str, &[&str]); 26] = [
     ("ext-scheduler", &["fleet.*", "grid.regions"]),
 ];
 
-/// Out-of-range values (one or more) per validated scalar or composite field other
-/// than `fab.node_nm`.
-const BAD: [(&str, &str); 27] = [
+/// Out-of-range values (one or more) per validated scalar or composite field.
+const BAD: [(&str, &str); 30] = [
     ("grid.intensity", "0"),
     ("grid.intensity", "1e-300"),
+    ("grid.intensity", "1e308"),
     ("grid.renewable_fraction", "1.5"),
     ("device.lifetime", "0"),
     ("device.soc_budget_share", "0"),
+    ("fab.node_nm", "inf"),
     ("fab.yield_factor", "inf"),
     ("fab.yield_factor", "1e6"),
     ("fab.renewable_share", "-0.1"),
@@ -125,6 +126,7 @@ const BAD: [(&str, &str); 27] = [
     ("fleet.building_amortization_years", "0"),
     ("fleet.building_amortization_years", "1e-300"),
     ("fleet.start_year", "1492"),
+    ("mc.samples", "4294967295"),
 ];
 
 fn deps(list: &[&'static str]) -> Vec<ScenarioPath> {
@@ -254,12 +256,14 @@ const MOVED_FINGERPRINTS: [(&str, u64); 26] = [
 ];
 
 /// The single-field validation messages, byte for byte.
-const BAD_MESSAGES: [(&str, &str, &str); 27] = [
+const BAD_MESSAGES: [(&str, &str, &str); 30] = [
     ("grid.intensity", "0", "invalid scenario: grid.intensity must lie in [1, 10000] g/kWh"),
     ("grid.intensity", "1e-300", "invalid scenario: grid.intensity must lie in [1, 10000] g/kWh"),
+    ("grid.intensity", "1e308", "invalid scenario: grid.intensity must lie in [1, 10000] g/kWh"),
     ("grid.renewable_fraction", "1.5", "invalid scenario: grid.renewable_fraction must lie in [0, 1]"),
     ("device.lifetime", "0", "invalid scenario: device.lifetime_years must be finite and positive"),
     ("device.soc_budget_share", "0", "invalid scenario: device.soc_budget_share must lie in (0, 1]"),
+    ("fab.node_nm", "inf", "invalid scenario: fab.node_nm must be finite and positive"),
     ("fab.yield_factor", "inf", "invalid scenario: fab.yield_factor must lie in (0, 100]"),
     ("fab.yield_factor", "1e6", "invalid scenario: fab.yield_factor must lie in (0, 100]"),
     ("fab.renewable_share", "-0.1", "invalid scenario: fab.renewable_share must lie in [0, 1]"),
@@ -282,6 +286,7 @@ const BAD_MESSAGES: [(&str, &str, &str); 27] = [
     ("fleet.building_amortization_years", "0", "invalid scenario: fleet.building_amortization_years must be finite and at least 1"),
     ("fleet.building_amortization_years", "1e-300", "invalid scenario: fleet.building_amortization_years must be finite and at least 1"),
     ("fleet.start_year", "1492", "invalid scenario: fleet.start_year must lie in 1900..=2100"),
+    ("mc.samples", "4294967295", "invalid scenario: mc.samples must lie in 1..=1000000"),
 ];
 
 fn moved() -> Scenario {
@@ -370,6 +375,26 @@ fn single_field_validation_messages_are_pinned() {
             message,
             "{key}={value}"
         );
+    }
+}
+
+/// The projected-fleet messages, rules over several fields at once (the
+/// peak and the trough of `fleet.initial_servers *
+/// fleet.growth^(fleet.horizon_years - 1)`), byte for byte.
+const PROJECTION_MESSAGES: [(&str, &str); 3] = [
+    ("fleet.growth=10 fleet.horizon_years=100 fleet.initial_servers=1000000", "invalid scenario: fleet.initial_servers * max(1, fleet.growth)^(fleet.horizon_years - 1) must be finite and at most 1e9 servers, got 1.000e105"),
+    ("fleet.growth=0.001 fleet.horizon_years=120", "invalid scenario: fleet.initial_servers * min(1, fleet.growth)^(fleet.horizon_years - 1) must be at least 1 server, got 0.000e0"),
+    ("fleet.growth=1e-300 fleet.horizon_years=3", "invalid scenario: fleet.initial_servers * min(1, fleet.growth)^(fleet.horizon_years - 1) must be at least 1 server, got 0.000e0"),
+];
+
+#[test]
+fn projection_messages_are_pinned() {
+    for (sets, message) in PROJECTION_MESSAGES {
+        let mut s = Scenario::paper_defaults();
+        for (key, value) in sets.split(' ').filter_map(|set| set.split_once('=')) {
+            s.set(key, value).unwrap();
+        }
+        assert_eq!(s.validate().unwrap_err().to_string(), message, "{sets}");
     }
 }
 
