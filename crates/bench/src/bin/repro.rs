@@ -55,6 +55,7 @@ use cc_engine::{DiskCache, Engine, Format, GridConfig, GridJob, RunCounts, Serve
 use cc_report::{JsonValue, Scenario};
 use std::io::{BufRead, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 fn print_usage() {
@@ -107,11 +108,12 @@ fn print_usage() {
     eprintln!();
     eprintln!("serve mode: a resident daemon speaking newline-delimited JSON over TCP");
     eprintln!("  (protocol v2: request ids multiplex many in-flight requests per");
-    eprintln!("  connection; `batch` submits a whole sweep in one frame; a full work");
-    eprintln!("  queue answers a structured `overloaded` error).");
-    eprintln!("  every connection shares one engine, so artifacts computed for one");
-    eprintln!("  client are cache hits for every other. `--jobs` caps per-request");
-    eprintln!("  parallelism, `--queue-depth` caps in-flight multiplexed requests per");
+    eprintln!("  connection; `batch` submits a whole sweep in one frame; a request");
+    eprintln!("  past the queue depth, or a connection past 64, is answered with a");
+    eprintln!("  structured `overloaded` error). every connection shares one engine,");
+    eprintln!("  so artifacts computed for one client are cache hits for every other,");
+    eprintln!("  and one worker pool. `--jobs` caps per-request parallelism and the");
+    eprintln!("  pool's size, `--queue-depth` caps in-flight multiplexed requests per");
     eprintln!("  connection; bind port 0 to let the OS pick (the chosen address is");
     eprintln!("  printed as `listening on <addr>`). the operational log goes to stderr");
     eprintln!("  by default, or to `--log <file>` — never into the working directory.");
@@ -575,7 +577,7 @@ fn one_shot_main(cli: Cli) {
         }
     };
     let execution = engine
-        .execute(&run, &config, render, emit)
+        .execute(&run, &config, &AtomicBool::new(false), render, emit)
         .unwrap_or_else(|e| fail(&e.to_string()));
 
     // A sweep's comparison or a Monte-Carlo run's banded digests, on

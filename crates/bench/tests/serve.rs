@@ -50,7 +50,7 @@ impl Daemon {
     }
 
     /// Sends one request line and collects responses through the terminal
-    /// line (`done`/`error`/`stats`/`bye`).
+    /// line (`done`/`error`/`stats`/`bye`/`hello`).
     fn request(
         reader: &mut BufReader<TcpStream>,
         stream: &mut TcpStream,
@@ -70,7 +70,7 @@ impl Daemon {
                 .expect("every response carries a type")
                 .to_string();
             responses.push(value);
-            if matches!(kind.as_str(), "done" | "error" | "stats" | "bye") {
+            if matches!(kind.as_str(), "done" | "error" | "stats" | "bye" | "hello") {
                 return responses;
             }
         }
@@ -524,6 +524,23 @@ fn cap_descriptors(pid: u32, spare: usize) {
     assert!(prlimit.success(), "prlimit failed");
 }
 
+/// The CPU time process `pid` spends in the 2 s that start 0.5 s from
+/// now: utime + stime, in clock ticks (USER_HZ, 100 per second).
+#[cfg(target_os = "linux")]
+fn cpu_ticks_from_half_a_second_on(pid: u32) -> u64 {
+    let cpu_ticks = || -> u64 {
+        let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read stat");
+        let fields: Vec<&str> = stat[stat.rfind(')').expect("comm") + 2..]
+            .split(' ')
+            .collect();
+        fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime")
+    };
+    std::thread::sleep(std::time::Duration::from_millis(500));
+    let before = cpu_ticks();
+    std::thread::sleep(std::time::Duration::from_secs(2));
+    cpu_ticks() - before
+}
+
 /// Out of file descriptors, `accept` fails while the connection waits in
 /// the backlog. The accept loop must back off and log once, not spin a
 /// core retrying.
@@ -546,19 +563,8 @@ fn accept_failures_back_off_when_file_descriptors_run_out() {
         .map(|_| TcpStream::connect(&daemon.addr).expect("connect"))
         .collect();
 
-    // utime + stime, in clock ticks (USER_HZ, 100 per second).
-    let cpu_ticks = || -> u64 {
-        let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read stat");
-        let fields: Vec<&str> = stat[stat.rfind(')').expect("comm") + 2..]
-            .split(' ')
-            .collect();
-        fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime")
-    };
-    std::thread::sleep(std::time::Duration::from_millis(500));
-    let before = cpu_ticks();
-    std::thread::sleep(std::time::Duration::from_secs(2));
-    let spent = cpu_ticks() - before;
     // A core spinning on `accept` spends about 200 ticks in 2 s.
+    let spent = cpu_ticks_from_half_a_second_on(pid);
     assert!(spent < 50, "{spent} CPU ticks in 2 s");
 
     let mut stderr = daemon.child.stderr.take().expect("piped stderr");
@@ -568,6 +574,54 @@ fn accept_failures_back_off_when_file_descriptors_run_out() {
     let mut log = String::new();
     std::io::Read::read_to_string(&mut stderr, &mut log).expect("read log");
     assert_eq!(log.matches("accept failed").count(), 1, "{log}");
+}
+
+/// Idle connections cost the daemon one reader thread each: sixteen of
+/// them leave it the accept loop, sixteen readers and its pool of at most
+/// eight workers.
+#[cfg(target_os = "linux")]
+#[test]
+fn idle_connections_hold_one_thread_each() {
+    let daemon = Daemon::start_with(&["--jobs", "2"]);
+    let held: Vec<_> = (0..16)
+        .map(|_| {
+            let (mut reader, mut stream) = daemon.connect();
+            Daemon::request(&mut reader, &mut stream, r#"{"op":"hello"}"#);
+            (reader, stream)
+        })
+        .collect();
+    let status = std::fs::read_to_string(format!("/proc/{}/status", daemon.child.id()))
+        .expect("read the daemon's status");
+    let threads: usize = status
+        .lines()
+        .find_map(|line| line.strip_prefix("Threads:"))
+        .and_then(|n| n.trim().parse().ok())
+        .expect("a Threads: line");
+    assert!(threads <= 1 + 16 + 8, "{threads} threads");
+    drop(held);
+    daemon.shutdown();
+}
+
+/// A client that closes its socket mid-sweep cancels the sweep: the
+/// daemon's next write fails, and the run stops at its next work unit,
+/// tagged or untagged.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_sweep_stops_once_its_client_has_closed() {
+    use std::io::Read as _;
+    let daemon = Daemon::start_with(&["--jobs", "2"]);
+    let sweep = r#""sweep":["fleet.growth=1.0..5.0/0.001"],"no_cache":true"#;
+    for id in ["", r#""id":"t","#] {
+        let (mut reader, mut stream) = daemon.connect();
+        writeln!(stream, r#"{{"op":"run",{id}{sweep}}}"#).expect("send");
+        let mut head = vec![0; 64 << 10];
+        reader.read_exact(&mut head).expect("read the first 64 KiB");
+        drop((reader, stream));
+        let spent = cpu_ticks_from_half_a_second_on(daemon.child.id());
+        // A core still computing the sweep spends about 200 ticks in 2 s.
+        assert!(spent < 20, "{id}: {spent} CPU ticks in 2 s");
+    }
+    daemon.shutdown();
 }
 
 /// With one descriptor left, `accept` takes it and cloning the socket

@@ -32,6 +32,7 @@ use cc_report::{
     ScenarioOverlay, ScenarioPoint,
 };
 use std::ops::Deref;
+use std::sync::atomic::AtomicBool;
 use std::sync::OnceLock;
 
 /// Knobs for one grid run.
@@ -174,6 +175,34 @@ impl Engine {
         R: Fn(&GridJob<'_>) -> Vec<String> + Sync,
         S: Fn(String) + Sync,
     {
+        self.grid(
+            &[&self.stopped],
+            entries,
+            points,
+            contexts,
+            config,
+            render,
+            sink,
+        )
+    }
+
+    /// [`Self::run_grid`], ended between groups by any of the `halt`
+    /// flags.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn grid<R, S>(
+        &self,
+        halt: &[&AtomicBool],
+        entries: &[&'static Entry],
+        points: &[ScenarioPoint],
+        contexts: &[RunContext],
+        config: &GridConfig,
+        render: R,
+        sink: S,
+    ) -> GridResult
+    where
+        R: Fn(&GridJob<'_>) -> Vec<String> + Sync,
+        S: Fn(String) + Sync,
+    {
         let npoints = points.len();
         let sweeping = npoints > 1;
         let groups = build_groups(entries, points, config.no_cache);
@@ -198,9 +227,9 @@ impl Engine {
         // then render every member point's artifact (the group's shared
         // pieces plus the point's own) and emit its lines and scalars under
         // the job's grid index.
-        // No group fails, so the loop errs only when the engine was stopped.
+        // No group fails, so the loop errs only when a halt flag rose.
         let outcome = crate::ordered(
-            &self.stopped,
+            halt,
             0..groups.len(),
             config.jobs,
             |unit, emit: &dyn Fn(usize, (Vec<String>, Vec<Scalar>))| {

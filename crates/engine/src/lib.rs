@@ -36,7 +36,8 @@
 //! and the buffer's lock are paid once per block. That makes stdout and
 //! the Monte-Carlo digests byte-reproducible across any `--jobs` value
 //! and across one-shot versus served runs. [`Engine::stop`] ends every
-//! run's loop between units, so a stopped daemon cancels its runs.
+//! run's loop between units, so a stopped daemon cancels its runs, and a
+//! run's own cancel flag ([`Engine::execute`]) ends just that run's.
 //!
 //! Both drivers look every part up through one read-through path,
 //! `Engine::obtain`, which takes each part's dependency fingerprint from
@@ -178,18 +179,21 @@ impl Engine {
     /// driver otherwise, building a sweep's comparisons from the grid's
     /// scalars. `config` carries the run's `jobs` and `no_cache`; `render`
     /// and `sink` stream the grid's artifacts as in [`Self::run_grid`]
-    /// (a Monte-Carlo run streams none).
+    /// (a Monte-Carlo run streams none). Raising `cancel` ends the run
+    /// between work units as [`Self::stop`] does, but only this run: the
+    /// daemon raises it once the run's client is gone.
     ///
     /// # Errors
     ///
     /// [`EngineError::Sample`] when a drawn value fails validation; the
     /// missing-scalar errors when an experiment's scalar coverage breaks;
-    /// [`EngineError::Cancelled`] when the engine was stopped mid-run.
-    /// Artifacts already streamed stay streamed.
+    /// [`EngineError::Cancelled`] when the engine was stopped or `cancel`
+    /// raised mid-run. Artifacts already streamed stay streamed.
     pub fn execute<'run, R, S>(
         &self,
         run: &'run ResolvedRun,
         config: &GridConfig,
+        cancel: &AtomicBool,
         render: R,
         sink: S,
     ) -> Result<Execution<'run>, EngineError>
@@ -198,18 +202,20 @@ impl Engine {
         S: Fn(String) + Sync,
     {
         self.count_request();
+        let halt = [&self.stopped, cancel];
         if let Some(matrix) = &run.mc {
             let config = McConfig {
                 jobs: config.jobs,
                 no_cache: config.no_cache,
             };
-            let result = self.run_mc(&run.entries, matrix, &config)?;
+            let result = self.mc(&halt, &run.entries, matrix, &config)?;
             return Ok(Execution {
                 report: Some(Report::Mc(matrix, result.comparisons)),
                 counts: result.counts,
             });
         }
-        let result = self.run_grid(
+        let result = self.grid(
+            &halt,
             &run.entries,
             &run.points,
             &run.contexts,
@@ -376,12 +382,13 @@ impl<T, D: FnMut(T)> ReorderBuffer<T, D> {
 /// The first failing unit stops the cursor and the loop drains. Units are
 /// handed out in increasing order, so every unit below a failed one has
 /// run: the error returned is that of the lowest failing unit, however
-/// the threads interleave. The engine's `stopped` flag ([`Engine::stop`])
-/// ends the loop the same way between units; a loop that skipped units
-/// then returns [`EngineError::Cancelled`], and one that ran them all
-/// reports as before.
+/// the threads interleave. Any of the `halt` flags (the engine's
+/// [`Engine::stop`] flag, and a served run's cancel flag) ends the loop
+/// the same way between units; a loop that skipped units then returns
+/// [`EngineError::Cancelled`], and one that ran them all reports as
+/// before.
 fn ordered<T, W, D>(
-    stopped: &AtomicBool,
+    halt: &[&AtomicBool],
     units: Range<usize>,
     jobs: usize,
     work: W,
@@ -407,7 +414,7 @@ where
     let stop = AtomicBool::new(false);
     let failure: Mutex<Option<(usize, EngineError)>> = Mutex::new(None);
     let worker = || {
-        while !stop.load(Ordering::Relaxed) && !stopped.load(Ordering::Relaxed) {
+        while !stop.load(Ordering::Relaxed) && !halt.iter().any(|f| f.load(Ordering::Relaxed)) {
             let unit = cursor.fetch_add(1, Ordering::Relaxed);
             if unit >= units.end {
                 break;
@@ -691,7 +698,7 @@ mod tests {
         for jobs in [1, 4] {
             let mut delivered = Vec::new();
             let result = ordered(
-                &AtomicBool::new(false),
+                &[],
                 0..200,
                 jobs,
                 |unit, emit: &dyn Fn(usize, usize)| {
@@ -716,7 +723,7 @@ mod tests {
             let stopped = AtomicBool::new(false);
             let mut delivered = Vec::new();
             let result = ordered(
-                &stopped,
+                &[&stopped],
                 0..200,
                 1,
                 |unit, emit: &dyn Fn(usize, usize)| {

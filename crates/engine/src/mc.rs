@@ -45,6 +45,7 @@ use cc_report::{
     ScenarioPoint,
 };
 use std::ops::Deref;
+use std::sync::atomic::AtomicBool;
 
 /// Knobs for one Monte-Carlo run.
 #[derive(Clone, Copy, Debug)]
@@ -149,10 +150,23 @@ impl Engine {
     /// # Errors
     ///
     /// [`EngineError::Sample`] when a drawn value fails scenario
-    /// validation (the lowest failing sample's), and the missing-scalar
-    /// errors when an experiment's scalar coverage breaks.
+    /// validation (the lowest failing sample's), the missing-scalar
+    /// errors when an experiment's scalar coverage breaks, and
+    /// [`EngineError::Cancelled`] when the engine was stopped mid-run.
     pub fn run_mc(
         &self,
+        entries: &[&'static Entry],
+        matrix: &MonteCarloMatrix,
+        config: &McConfig,
+    ) -> Result<McResult, EngineError> {
+        self.mc(&[&self.stopped], entries, matrix, config)
+    }
+
+    /// [`Self::run_mc`], ended between blocks by any of the `halt` flags
+    /// ([`EngineError::Cancelled`]).
+    pub(crate) fn mc(
+        &self,
+        halt: &[&AtomicBool],
         entries: &[&'static Entry],
         matrix: &MonteCarloMatrix,
         config: &McConfig,
@@ -228,7 +242,7 @@ impl Engine {
         let samples = matrix.len();
         let block = block_len(samples, config.jobs);
         crate::ordered(
-            &self.stopped,
+            halt,
             0..(samples - 1).div_ceil(block),
             config.jobs,
             |unit, emit: &dyn Fn(usize, Vec<f64>)| {
