@@ -56,18 +56,26 @@ impl Triangular {
         Self::new(mode - half, mode, mode + half)
     }
 
+    /// The inverse CDF: the value below which a share `u` (in `[0, 1]`) of
+    /// the mass lies. Needs `low < high`. Every triangular draw, here and in
+    /// [`crate::dist::DistSpec::sample`], maps its uniform through this.
+    #[must_use]
+    pub fn quantile(&self, u: f64) -> f64 {
+        let Self { low, mode, high } = *self;
+        let fc = (mode - low) / (high - low);
+        if u < fc {
+            low + (u * (high - low) * (mode - low)).sqrt()
+        } else {
+            high - ((1.0 - u) * (high - low) * (high - mode)).sqrt()
+        }
+    }
+
     /// Draws one sample by inverse-CDF.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
         if self.high == self.low {
             return self.mode;
         }
-        let u: f64 = rng.gen_range(0.0..1.0);
-        let fc = (self.mode - self.low) / (self.high - self.low);
-        if u < fc {
-            self.low + (u * (self.high - self.low) * (self.mode - self.low)).sqrt()
-        } else {
-            self.high - ((1.0 - u) * (self.high - self.low) * (self.high - self.mode)).sqrt()
-        }
+        self.quantile(rng.gen_range(0.0..1.0))
     }
 }
 
@@ -314,8 +322,8 @@ fn column(dist: &Triangular, key: ColumnKey) -> Column {
 /// of the walked stream: the same operations in the same order, with the
 /// constants hoisted and the branch taken by bit masks, since the side of
 /// the mode a draw falls on is a coin flip no predictor learns (`a - s` is
-/// exactly `a + -s`). `sample` keeps its own plain form as the reference
-/// the property tests hold this one to.
+/// exactly `a + -s`). `sample` keeps the plain form ([`Triangular::quantile`])
+/// as the reference the property tests hold this one to.
 fn draw_column(dist: &Triangular, key: &ColumnKey) -> Column {
     let Triangular { low, mode, high } = *dist;
     let (width, rise, fall) = (high - low, mode - low, high - mode);
@@ -353,6 +361,29 @@ mod tests {
         );
         assert!(summary.p05 >= 10.0 && summary.p95 <= 40.0);
         assert!(summary.p05 < summary.p50 && summary.p50 < summary.p95);
+    }
+
+    #[test]
+    fn quantile_maps_the_unit_interval_onto_the_support() {
+        let dist = Triangular::new(10.0, 20.0, 40.0);
+        assert_eq!(dist.quantile(0.0), 10.0);
+        assert_eq!(dist.quantile(1.0), 40.0);
+        // A third of the mass lies below the mode.
+        assert_eq!(dist.quantile(1.0 / 3.0), 20.0);
+        assert!(dist.quantile(0.2) < dist.quantile(0.3));
+        // Seeded draws are pinned bit for bit: seeded experiment output
+        // depends on them.
+        let mut rng = SplitMix64::seed_from_u64(9);
+        let bits: Vec<u64> = (0..4).map(|_| dist.sample(&mut rng).to_bits()).collect();
+        assert_eq!(
+            bits,
+            [
+                0x403a_31e1_3b92_81ce,
+                0x403b_c503_7cc1_0cbd,
+                0x4032_ebf4_8933_2bf0,
+                0x403c_a323_b09e_3c0e
+            ]
+        );
     }
 
     #[test]

@@ -52,7 +52,7 @@ use cc_engine::artifact::{artifact_file_name, head_fields};
 use cc_engine::grid::{disk_footer_lines, explain_lines, footer_lines};
 use cc_engine::protocol::{RunRequest, ERROR_CATEGORIES};
 use cc_engine::{DiskCache, Engine, Format, GridConfig, GridJob, RunCounts, Server};
-use cc_report::{JsonValue, Scenario};
+use cc_report::{Experiment, JsonValue, Scenario};
 use std::io::{BufRead, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
@@ -138,7 +138,7 @@ fn print_usage() {
     eprintln!();
     eprintln!("keys:");
     for e in experiments::entries() {
-        eprintln!("  {:10}  {} — {}", e.key, e.title(), e.description());
+        eprintln!("  {:10}  {} — {}", e.key, e.id(), e.description());
     }
 }
 
@@ -525,9 +525,9 @@ fn one_shot_main(cli: Cli) {
             _ => resolve(base).entries,
         };
         if cli.format == Format::Json {
-            emit(JsonValue::array(selected.iter().map(|e| {
-                JsonValue::object(head_fields(e, e.build().as_ref()))
-            })));
+            emit(JsonValue::array(
+                selected.iter().map(|e| JsonValue::object(head_fields(e))),
+            ));
         } else {
             for entry in selected {
                 emit(entry.key);

@@ -11,7 +11,7 @@
 
 use cc_core::experiments;
 use cc_report::scenario::deps::{FieldInfo, FIELDS};
-use cc_report::Scenario;
+use cc_report::{Experiment, Scenario};
 
 /// The paper-default value of `field`, formatted for the reference table.
 fn default_of(defaults: &Scenario, field: &FieldInfo) -> String {
@@ -136,7 +136,7 @@ pub fn scenario_reference() -> String {
         out.push_str(&format!(
             "| `{}` | {} | {} | {} | {} |\n",
             entry.key,
-            entry.title(),
+            entry.id(),
             tags,
             deps,
             entry.description(),

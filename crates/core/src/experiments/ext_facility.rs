@@ -11,9 +11,7 @@
 //! simulated facility is exactly the Prineville configuration.
 
 use cc_dcsim::{Facility, FacilityYear, FleetMix, ServerConfig};
-use cc_report::{
-    table::num, Experiment, ExperimentId, ExperimentOutput, RunContext, Series, Table,
-};
+use cc_report::{table::num, ExperimentOutput, RunContext, Series, Table};
 use cc_units::CarbonMass;
 
 /// The paper-default first simulated calendar year — Prineville's 2013.
@@ -142,152 +140,139 @@ pub fn cumulative_payback_year(years: &[FacilityYear]) -> f64 {
 }
 
 /// Scenario-driven facility capacity planning.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExtFacility;
+#[must_use]
+pub fn run(ctx: &RunContext) -> ExperimentOutput {
+    let mut out = ExperimentOutput::new();
+    let years = simulate_from_context(ctx);
 
-impl Experiment for ExtFacility {
-    fn id(&self) -> ExperimentId {
-        ExperimentId::Extension("facility")
+    let mut t = Table::new([
+        "Year",
+        "Servers",
+        "Energy (GWh)",
+        "Operational (kt, market)",
+        "Capex (kt)",
+        "Capex share",
+    ]);
+    let mut operational = Series::new("facility-operational-carbon", "year", "kt CO2e");
+    let mut capex = Series::new("facility-capex-carbon", "year", "kt CO2e");
+    let mut cumulative_opex = CarbonMass::ZERO;
+    let mut cumulative_capex = CarbonMass::ZERO;
+    for y in &years {
+        let total = y.capex_carbon + y.market_carbon;
+        t.row([
+            y.year.to_string(),
+            y.servers.to_string(),
+            num(y.energy.as_gwh(), 0),
+            num(y.market_carbon.as_kt(), 1),
+            num(y.capex_carbon.as_kt(), 1),
+            format!("{:.0}%", 100.0 * (y.capex_carbon / total)),
+        ]);
+        operational.push(f64::from(y.year), y.market_carbon.as_kt());
+        capex.push(f64::from(y.year), y.capex_carbon.as_kt());
+        cumulative_opex += y.market_carbon;
+        cumulative_capex += y.capex_carbon;
     }
+    out.table("Facility horizon: operational vs embodied carbon", t);
+    out.series(operational).series(capex);
 
-    fn description(&self) -> &'static str {
-        "Scenario facility over the planning horizon: operational vs embodied carbon, break-even year"
-    }
-
-    fn run(&self, ctx: &RunContext) -> ExperimentOutput {
-        let mut out = ExperimentOutput::new();
-        let years = simulate_from_context(ctx);
-
-        let mut t = Table::new([
+    // Composition breakdown: per-SKU opex/capex series (and a table)
+    // whenever the fleet actually mixes SKUs. A pure fleet's breakdown
+    // would only duplicate the totals above, row for row.
+    if years.first().is_some_and(|y| y.per_sku.len() > 1) {
+        let mut sku_table = Table::new([
             "Year",
+            "SKU",
             "Servers",
             "Energy (GWh)",
             "Operational (kt, market)",
-            "Capex (kt)",
-            "Capex share",
+            "Embodied (kt)",
         ]);
-        let mut operational = Series::new("facility-operational-carbon", "year", "kt CO2e");
-        let mut capex = Series::new("facility-capex-carbon", "year", "kt CO2e");
-        let mut cumulative_opex = CarbonMass::ZERO;
-        let mut cumulative_capex = CarbonMass::ZERO;
-        for y in &years {
-            let total = y.capex_carbon + y.market_carbon;
-            t.row([
-                y.year.to_string(),
-                y.servers.to_string(),
-                num(y.energy.as_gwh(), 0),
-                num(y.market_carbon.as_kt(), 1),
-                num(y.capex_carbon.as_kt(), 1),
-                format!("{:.0}%", 100.0 * (y.capex_carbon / total)),
-            ]);
-            operational.push(f64::from(y.year), y.market_carbon.as_kt());
-            capex.push(f64::from(y.year), y.capex_carbon.as_kt());
-            cumulative_opex += y.market_carbon;
-            cumulative_capex += y.capex_carbon;
-        }
-        out.table("Facility horizon: operational vs embodied carbon", t);
-        out.series(operational).series(capex);
-
-        // Composition breakdown: per-SKU opex/capex series (and a table)
-        // whenever the fleet actually mixes SKUs. A pure fleet's breakdown
-        // would only duplicate the totals above, row for row.
-        if years.first().is_some_and(|y| y.per_sku.len() > 1) {
-            let mut sku_table = Table::new([
-                "Year",
-                "SKU",
-                "Servers",
-                "Energy (GWh)",
-                "Operational (kt, market)",
-                "Embodied (kt)",
-            ]);
-            let sku_names: Vec<String> = years[0].per_sku.iter().map(|s| s.sku.clone()).collect();
-            for name in &sku_names {
-                let mut opex = Series::new(
-                    format!("facility-operational-carbon-{name}"),
-                    "year",
-                    "kt CO2e",
-                );
-                let mut capex =
-                    Series::new(format!("facility-capex-carbon-{name}"), "year", "kt CO2e");
-                for y in &years {
-                    let slice = y
-                        .per_sku
-                        .iter()
-                        .find(|s| &s.sku == name)
-                        .expect("every year carries every composition slice");
-                    opex.push(f64::from(y.year), slice.market_carbon.as_kt());
-                    capex.push(f64::from(y.year), slice.embodied_carbon.as_kt());
-                }
-                out.series(opex).series(capex);
-            }
+        let sku_names: Vec<String> = years[0].per_sku.iter().map(|s| s.sku.clone()).collect();
+        for name in &sku_names {
+            let mut opex = Series::new(
+                format!("facility-operational-carbon-{name}"),
+                "year",
+                "kt CO2e",
+            );
+            let mut capex = Series::new(format!("facility-capex-carbon-{name}"), "year", "kt CO2e");
             for y in &years {
-                for slice in &y.per_sku {
-                    sku_table.row([
-                        y.year.to_string(),
-                        slice.sku.clone(),
-                        num(slice.servers, 0),
-                        num(slice.energy.as_gwh(), 0),
-                        num(slice.market_carbon.as_kt(), 1),
-                        num(slice.embodied_carbon.as_kt(), 1),
-                    ]);
-                }
+                let slice = y
+                    .per_sku
+                    .iter()
+                    .find(|s| &s.sku == name)
+                    .expect("every year carries every composition slice");
+                opex.push(f64::from(y.year), slice.market_carbon.as_kt());
+                capex.push(f64::from(y.year), slice.embodied_carbon.as_kt());
             }
-            out.table("Per-SKU fleet breakdown", sku_table);
+            out.series(opex).series(capex);
         }
-
-        let breakeven = capex_overtake_year(&years);
-        let horizon_end = f64::from(years.last().expect("horizon >= 1").year);
-        out.scalar_with_threshold(
-            "opex-capex-breakeven-year",
-            "year",
-            breakeven,
-            PAPER_CROSSOVER_YEAR,
-            "construction overtakes operations",
-        );
-        let payback = cumulative_payback_year(&years);
-        out.scalar_with_threshold(
-            "cumulative-carbon-breakeven-year",
-            "year",
-            payback,
-            PAPER_CUMULATIVE_PAYBACK_YEAR,
-            "embodied pays back within a year",
-        );
-        let capex_share = 100.0 * (cumulative_capex / (cumulative_capex + cumulative_opex));
-        out.scalar("capex-share-cumulative", "%", capex_share);
-
-        if breakeven > horizon_end {
-            out.note(format!(
-                "capex never overtakes operational carbon within the horizon \
-                 (break-even clamped to {breakeven})"
-            ));
-        } else {
-            out.note(format!(
-                "annual capex carbon overtakes market-based operational carbon at ~{breakeven:.1} \
-                 (paper: Prineville crosses around {PAPER_CROSSOVER_YEAR:.0})"
-            ));
+        for y in &years {
+            for slice in &y.per_sku {
+                sku_table.row([
+                    y.year.to_string(),
+                    slice.sku.clone(),
+                    num(slice.servers, 0),
+                    num(slice.energy.as_gwh(), 0),
+                    num(slice.market_carbon.as_kt(), 1),
+                    num(slice.embodied_carbon.as_kt(), 1),
+                ]);
+            }
         }
-        // A genuine crossing interpolated inside the final year lands in
-        // (horizon_end, horizon_end + 1); only the exact clamp value means
-        // "never paid back within the horizon".
-        if payback >= horizon_end + 1.0 {
-            out.note(format!(
-                "cumulative operational carbon never overtakes the embodied investment within \
-                 the horizon (cumulative break-even clamped to {payback})"
-            ));
-        } else {
-            out.note(format!(
-                "total operational carbon to date overtakes total embodied carbon to date at \
-                 ~{payback:.1} — the embodied investment is paid back in operational terms"
-            ));
-        }
-        out.note(format!(
-            "over the {}-year horizon, embodied+construction carbon is {:.0}% of the total — \
-             the paper's capex-dominance claim as a capacity-planning output",
-            years.len(),
-            capex_share
-        ));
-        out
+        out.table("Per-SKU fleet breakdown", sku_table);
     }
+
+    let breakeven = capex_overtake_year(&years);
+    let horizon_end = f64::from(years.last().expect("horizon >= 1").year);
+    out.scalar_with_threshold(
+        "opex-capex-breakeven-year",
+        "year",
+        breakeven,
+        PAPER_CROSSOVER_YEAR,
+        "construction overtakes operations",
+    );
+    let payback = cumulative_payback_year(&years);
+    out.scalar_with_threshold(
+        "cumulative-carbon-breakeven-year",
+        "year",
+        payback,
+        PAPER_CUMULATIVE_PAYBACK_YEAR,
+        "embodied pays back within a year",
+    );
+    let capex_share = 100.0 * (cumulative_capex / (cumulative_capex + cumulative_opex));
+    out.scalar("capex-share-cumulative", "%", capex_share);
+
+    if breakeven > horizon_end {
+        out.note(format!(
+            "capex never overtakes operational carbon within the horizon \
+             (break-even clamped to {breakeven})"
+        ));
+    } else {
+        out.note(format!(
+            "annual capex carbon overtakes market-based operational carbon at ~{breakeven:.1} \
+             (paper: Prineville crosses around {PAPER_CROSSOVER_YEAR:.0})"
+        ));
+    }
+    // A genuine crossing interpolated inside the final year lands in
+    // (horizon_end, horizon_end + 1); only the exact clamp value means
+    // "never paid back within the horizon".
+    if payback >= horizon_end + 1.0 {
+        out.note(format!(
+            "cumulative operational carbon never overtakes the embodied investment within \
+             the horizon (cumulative break-even clamped to {payback})"
+        ));
+    } else {
+        out.note(format!(
+            "total operational carbon to date overtakes total embodied carbon to date at \
+             ~{payback:.1} — the embodied investment is paid back in operational terms"
+        ));
+    }
+    out.note(format!(
+        "over the {}-year horizon, embodied+construction carbon is {:.0}% of the total — \
+         the paper's capex-dominance claim as a capacity-planning output",
+        years.len(),
+        capex_share
+    ));
+    out
 }
 
 #[cfg(test)]
@@ -303,7 +288,7 @@ mod tests {
 
     #[test]
     fn paper_breakeven_lands_near_the_disclosed_crossover() {
-        let out = ExtFacility.run(&RunContext::paper());
+        let out = run(&RunContext::paper());
         let be = out.summary_scalar().unwrap();
         assert_eq!(be.name, "opex-capex-breakeven-year");
         assert!(
@@ -321,8 +306,7 @@ mod tests {
         // crossover line.
         let be_at = |growth: f64| {
             let scenario = Scenario::builder().fleet_growth(growth).build();
-            ExtFacility
-                .run(&RunContext::new(scenario))
+            run(&RunContext::new(scenario))
                 .summary_scalar()
                 .unwrap()
                 .value
@@ -344,11 +328,7 @@ mod tests {
         let be_with_ramp = |ramp: &str| {
             let mut s = Scenario::paper_defaults();
             s.set("fleet.renewable_ramp", ramp).unwrap();
-            ExtFacility
-                .run(&RunContext::new(s))
-                .summary_scalar()
-                .unwrap()
-                .value
+            run(&RunContext::new(s)).summary_scalar().unwrap().value
         };
         // A steeper ramp zeroes operational carbon sooner: earlier break-even.
         let steep = be_with_ramp("0.2,0.6,1.0");
@@ -363,7 +343,7 @@ mod tests {
         let mut s = Scenario::paper_defaults();
         s.set("fleet.renewable_ramp", "0").unwrap();
         s.set("fleet.growth", "1.0").unwrap();
-        let out = ExtFacility.run(&RunContext::new(s));
+        let out = run(&RunContext::new(s));
         let be = out.summary_scalar().unwrap().value;
         assert!(be > f64::from(START_YEAR) + 6.0, "break-even {be}");
         assert!(out.notes[0].contains("never overtakes"));
@@ -414,7 +394,7 @@ mod tests {
 
     #[test]
     fn paper_cumulative_payback_lands_in_the_second_year() {
-        let out = ExtFacility.run(&RunContext::paper());
+        let out = run(&RunContext::paper());
         let payback = out.find_scalar("cumulative-carbon-breakeven-year").unwrap();
         assert!(
             (2014.0..2015.0).contains(&payback.value),
@@ -442,8 +422,7 @@ mod tests {
         let payback_at = |weight: &str| {
             let mut s = Scenario::paper_defaults();
             s.set("fleet.mix[ai-training]", weight).unwrap();
-            ExtFacility
-                .run(&RunContext::new(s))
+            run(&RunContext::new(s))
                 .find_scalar("cumulative-carbon-breakeven-year")
                 .unwrap()
                 .value
@@ -459,7 +438,7 @@ mod tests {
             "sweep endpoints must bracket {PAPER_CUMULATIVE_PAYBACK_YEAR}: got {heavy}..{pure}"
         );
         // The zero-weight point is numerically the pure web fleet.
-        let paper = ExtFacility.run(&RunContext::paper());
+        let paper = run(&RunContext::paper());
         assert_eq!(
             payback_at("0"),
             paper
@@ -473,7 +452,7 @@ mod tests {
     fn mixed_fleets_emit_per_sku_series_and_table() {
         let mut s = Scenario::paper_defaults();
         s.set("fleet.mix", "web:0.7,ai-training:0.3").unwrap();
-        let out = ExtFacility.run(&RunContext::new(s));
+        let out = run(&RunContext::new(s));
         for name in [
             "facility-operational-carbon-web",
             "facility-capex-carbon-web",
@@ -491,7 +470,7 @@ mod tests {
         assert_eq!(table.len(), 7 * 2);
 
         // A pure fleet keeps the original artifact shape: no breakdown.
-        let paper = ExtFacility.run(&RunContext::paper());
+        let paper = run(&RunContext::paper());
         assert!(paper
             .find_series("facility-operational-carbon-web")
             .is_none());
@@ -502,8 +481,8 @@ mod tests {
     fn storage_sku_fleet_runs_heavier_than_web() {
         let mut s = Scenario::paper_defaults();
         s.set("fleet.sku", "storage").unwrap();
-        let storage = ExtFacility.run(&RunContext::new(s));
-        let paper = ExtFacility.run(&RunContext::paper());
+        let storage = run(&RunContext::new(s));
+        let paper = run(&RunContext::paper());
         let last = |out: &cc_report::ExperimentOutput, name: &str| {
             out.find_series(name).unwrap().points.last().unwrap().y
         };
@@ -523,7 +502,7 @@ mod tests {
         // a two-year horizon: a genuine crossing, not a clamp — the note
         // must say so even though the value exceeds the last simulated year.
         let ctx = RunContext::new(Scenario::builder().fleet_horizon_years(2).build());
-        let out = ExtFacility.run(&ctx);
+        let out = run(&ctx);
         let payback = out
             .find_scalar("cumulative-carbon-breakeven-year")
             .unwrap()
@@ -547,7 +526,7 @@ mod tests {
         // amortizes its embodied carbon: the scalar clamps past the horizon.
         let mut s = Scenario::paper_defaults();
         s.set("fleet.renewable_ramp", "1.0").unwrap();
-        let out = ExtFacility.run(&RunContext::new(s));
+        let out = run(&RunContext::new(s));
         let payback = out
             .find_scalar("cumulative-carbon-breakeven-year")
             .unwrap()
@@ -562,7 +541,7 @@ mod tests {
     #[test]
     fn horizon_controls_the_series_length() {
         let ctx = RunContext::new(Scenario::builder().fleet_horizon_years(12).build());
-        let out = ExtFacility.run(&ctx);
+        let out = run(&ctx);
         assert_eq!(out.tables[0].1.len(), 12);
         assert_eq!(out.find_series("facility-capex-carbon").unwrap().len(), 12);
     }

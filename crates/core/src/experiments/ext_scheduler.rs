@@ -15,8 +15,7 @@
 
 use cc_dcsim::{FleetSchedule, MultiSiteScheduler, SitePlan};
 use cc_report::{
-    builtin_region_trace, table::num, Experiment, ExperimentId, ExperimentOutput, RunContext,
-    Series, SiteParams, Table,
+    builtin_region_trace, table::num, ExperimentOutput, RunContext, Series, SiteParams, Table,
 };
 use cc_units::{Energy, IntensityTrace, TimeSpan};
 
@@ -78,92 +77,80 @@ pub fn site_plans_from_context(ctx: &RunContext) -> Vec<SitePlan> {
 }
 
 /// Carbon-aware placement of deferrable load across hours and sites.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExtScheduler;
+#[must_use]
+pub fn run(ctx: &RunContext) -> ExperimentOutput {
+    let mut out = ExperimentOutput::new();
+    let sites = site_plans_from_context(ctx);
+    let sched = MultiSiteScheduler::default();
+    let baseline = sched.static_placement(&sites);
+    let aware = sched.carbon_aware(&sites);
+    let avoided = baseline.total_carbon - aware.total_carbon;
 
-impl Experiment for ExtScheduler {
-    fn id(&self) -> ExperimentId {
-        ExperimentId::Extension("scheduler")
-    }
-
-    fn description(&self) -> &'static str {
-        "Multi-site carbon-aware placement: defer and migrate batch load across regions vs static"
-    }
-
-    fn run(&self, ctx: &RunContext) -> ExperimentOutput {
-        let mut out = ExperimentOutput::new();
-        let sites = site_plans_from_context(ctx);
-        let sched = MultiSiteScheduler::default();
-        let baseline = sched.static_placement(&sites);
-        let aware = sched.carbon_aware(&sites);
-        let avoided = baseline.total_carbon - aware.total_carbon;
-
-        let mut t = Table::new([
-            "Site",
-            "Mean intensity (g/kWh)",
-            "Base (MWh/day)",
-            "Deferrable (MWh/day)",
-            "Static batch (MWh)",
-            "Aware batch (MWh)",
-            "Imported (MWh)",
+    let mut t = Table::new([
+        "Site",
+        "Mean intensity (g/kWh)",
+        "Base (MWh/day)",
+        "Deferrable (MWh/day)",
+        "Static batch (MWh)",
+        "Aware batch (MWh)",
+        "Imported (MWh)",
+    ]);
+    for (s, site) in sites.iter().enumerate() {
+        let base_day: Energy = site.base_load.iter().copied().sum();
+        let imported: Energy = aware.imported[s].iter().copied().sum();
+        t.row([
+            site.name.clone(),
+            num(site.trace.daily_mean(), 0),
+            num(base_day.as_mwh(), 1),
+            num(site.deferrable.as_mwh(), 1),
+            num(baseline.placed_at(s).as_mwh(), 1),
+            num(aware.placed_at(s).as_mwh(), 1),
+            num(imported.as_mwh(), 1),
         ]);
-        for (s, site) in sites.iter().enumerate() {
-            let base_day: Energy = site.base_load.iter().copied().sum();
-            let imported: Energy = aware.imported[s].iter().copied().sum();
-            t.row([
-                site.name.clone(),
-                num(site.trace.daily_mean(), 0),
-                num(base_day.as_mwh(), 1),
-                num(site.deferrable.as_mwh(), 1),
-                num(baseline.placed_at(s).as_mwh(), 1),
-                num(aware.placed_at(s).as_mwh(), 1),
-                num(imported.as_mwh(), 1),
-            ]);
-        }
-        out.table("Fleet placement: static vs carbon-aware", t);
-
-        // Per-site hourly artifacts: where the aware plan actually put the
-        // batch energy, against each region's intensity shape.
-        for (s, site) in sites.iter().enumerate() {
-            let mut placement =
-                Series::new(format!("scheduler-placement-{}", site.name), "hour", "MWh");
-            let mut intensity = Series::new(
-                format!("scheduler-intensity-{}", site.name),
-                "hour",
-                "g CO2e/kWh",
-            );
-            for h in 0..24 {
-                placement.push(h as f64, aware.placement[s][h].as_mwh());
-                intensity.push(h as f64, site.trace.g_per_kwh(h));
-            }
-            out.series(placement).series(intensity);
-        }
-
-        out.scalar_with_threshold(
-            "avoided-carbon",
-            "t CO2e/day",
-            avoided.as_tonnes(),
-            AVOIDED_CARBON_THRESHOLD_T,
-            "clean-region placement pays off",
-        );
-        let share = if baseline.total_carbon.as_kg() > 0.0 {
-            100.0 * (avoided / baseline.total_carbon)
-        } else {
-            0.0
-        };
-        out.scalar("avoided-carbon-share", "%", share);
-        out.scalar("migrated-energy", "MWh/day", aware.migrated_energy.as_mwh());
-
-        out.note(format!(
-            "carbon-aware placement emits {:.1} t CO2e/day vs {:.1} static — {:.1} t avoided \
-             ({share:.1}% of the fleet's daily operational carbon)",
-            aware.total_carbon.as_tonnes(),
-            baseline.total_carbon.as_tonnes(),
-            avoided.as_tonnes(),
-        ));
-        out.note(describe_migration(&sites, &aware));
-        out
     }
+    out.table("Fleet placement: static vs carbon-aware", t);
+
+    // Per-site hourly artifacts: where the aware plan actually put the
+    // batch energy, against each region's intensity shape.
+    for (s, site) in sites.iter().enumerate() {
+        let mut placement =
+            Series::new(format!("scheduler-placement-{}", site.name), "hour", "MWh");
+        let mut intensity = Series::new(
+            format!("scheduler-intensity-{}", site.name),
+            "hour",
+            "g CO2e/kWh",
+        );
+        for h in 0..24 {
+            placement.push(h as f64, aware.placement[s][h].as_mwh());
+            intensity.push(h as f64, site.trace.g_per_kwh(h));
+        }
+        out.series(placement).series(intensity);
+    }
+
+    out.scalar_with_threshold(
+        "avoided-carbon",
+        "t CO2e/day",
+        avoided.as_tonnes(),
+        AVOIDED_CARBON_THRESHOLD_T,
+        "clean-region placement pays off",
+    );
+    let share = if baseline.total_carbon.as_kg() > 0.0 {
+        100.0 * (avoided / baseline.total_carbon)
+    } else {
+        0.0
+    };
+    out.scalar("avoided-carbon-share", "%", share);
+    out.scalar("migrated-energy", "MWh/day", aware.migrated_energy.as_mwh());
+
+    out.note(format!(
+        "carbon-aware placement emits {:.1} t CO2e/day vs {:.1} static — {:.1} t avoided \
+         ({share:.1}% of the fleet's daily operational carbon)",
+        aware.total_carbon.as_tonnes(),
+        baseline.total_carbon.as_tonnes(),
+        avoided.as_tonnes(),
+    ));
+    out.note(describe_migration(&sites, &aware));
+    out
 }
 
 /// One-line description of how much batch energy ran away from home.
@@ -197,13 +184,13 @@ mod tests {
         for (k, v) in sets {
             s.set(k, v).unwrap();
         }
-        ExtScheduler.run(&RunContext::new(s))
+        run(&RunContext::new(s))
     }
 
     #[test]
     fn default_single_site_fleet_avoids_nothing() {
         // One site on the flat default grid: deferral has nothing to chase.
-        let out = ExtScheduler.run(&RunContext::paper());
+        let out = run(&RunContext::paper());
         let avoided = out.summary_scalar().unwrap();
         assert_eq!(avoided.name, "avoided-carbon");
         assert_eq!(avoided.value, 0.0);

@@ -3,130 +3,116 @@
 //! renewables).
 
 use crate::decomposition::CarbonDecomposition;
-use cc_report::{
-    table::num, Experiment, ExperimentId, ExperimentOutput, RunContext, Series, Table,
-};
+use cc_report::{table::num, ExperimentOutput, RunContext, Series, Table};
 use cc_units::CarbonMass;
 
 /// Reproduces Fig 2.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Fig02EnergyVsCarbon;
+#[must_use]
+pub fn run(ctx: &RunContext) -> ExperimentOutput {
+    let mut out = ExperimentOutput::new();
 
-impl Experiment for Fig02EnergyVsCarbon {
-    fn id(&self) -> ExperimentId {
-        ExperimentId::Figure(2)
+    // Left panel: the facility model under the scenario's fleet. The
+    // paper-default fleet *is* the Prineville configuration, so the
+    // default scenario reproduces the disclosed trajectory exactly; any
+    // other fleet replays the figure for a hypothetical facility.
+    let mut t = Table::new(["Year", "Energy (GWh)", "Operational CO2e (kt, market)"]);
+    let years = super::ext_facility::simulate_from_context(ctx);
+    for y in &years {
+        t.row([
+            y.year.to_string(),
+            num(y.energy.as_gwh(), 0),
+            num(y.market_carbon.as_kt(), 1),
+        ]);
     }
-
-    fn description(&self) -> &'static str {
-        "Prineville energy vs operational carbon; opex/capex pies for iPhones and Facebook"
-    }
-
-    fn run(&self, ctx: &RunContext) -> ExperimentOutput {
-        let mut out = ExperimentOutput::new();
-
-        // Left panel: the facility model under the scenario's fleet. The
-        // paper-default fleet *is* the Prineville configuration, so the
-        // default scenario reproduces the disclosed trajectory exactly; any
-        // other fleet replays the figure for a hypothetical facility.
-        let mut t = Table::new(["Year", "Energy (GWh)", "Operational CO2e (kt, market)"]);
-        let years = super::ext_facility::simulate_from_context(ctx);
-        for y in &years {
-            t.row([
-                y.year.to_string(),
-                num(y.energy.as_gwh(), 0),
-                num(y.market_carbon.as_kt(), 1),
-            ]);
-        }
-        // The title claims "Prineville" only when the inputs the facility
-        // model consumes (fleet block + raw grid intensity) are the paper's.
-        // Checking those fields — not the whole scenario — keeps this output
-        // a pure function of its declared dependency set, so a sweep along
-        // any other axis can reuse it.
-        let prineville = ctx.fleet_is_paper() && ctx.grid_intensity_is_paper();
-        out.table(
-            if prineville {
-                "Prineville data center: energy vs purchased-energy carbon"
-            } else {
-                "Scenario facility: energy vs purchased-energy carbon"
-            },
-            t,
-        );
-        out.series(Series::from_pairs(
-            "prineville-market-carbon",
-            "year",
-            "kt CO2e",
-            years
-                .iter()
-                .map(|y| (f64::from(y.year), y.market_carbon.as_kt())),
-        ));
-        out.series(Series::from_pairs(
-            "prineville-energy",
-            "year",
-            "GWh",
-            years.iter().map(|y| (f64::from(y.year), y.energy.as_gwh())),
-        ));
-        let peak = years
+    // The title claims "Prineville" only when the inputs the facility
+    // model consumes (fleet block + raw grid intensity) are the paper's.
+    // Checking those fields — not the whole scenario — keeps this output
+    // a pure function of its declared dependency set, so a sweep along
+    // any other axis can reuse it.
+    let prineville = ctx.fleet_is_paper() && ctx.grid_intensity_is_paper();
+    out.table(
+        if prineville {
+            "Prineville data center: energy vs purchased-energy carbon"
+        } else {
+            "Scenario facility: energy vs purchased-energy carbon"
+        },
+        t,
+    );
+    out.series(Series::from_pairs(
+        "prineville-market-carbon",
+        "year",
+        "kt CO2e",
+        years
             .iter()
-            .max_by(|a, b| a.market_carbon.partial_cmp(&b.market_carbon).unwrap())
-            .unwrap();
-        let last = years.last().unwrap();
-        // The figure's headline as a sweep-comparable scalar: how far the
-        // renewable ramp pushed final-year operational carbon below its peak.
-        out.scalar(
-            "final-opex-vs-peak",
-            "%",
-            100.0 * (last.market_carbon / peak.market_carbon),
-        );
-        out.note(format!(
-            "paper: carbon starts decreasing in 2017 and is near zero by 2019; \
-             measured peak {} with {} at {:.0}% of peak",
-            peak.year,
-            last.year,
-            100.0 * (last.market_carbon / peak.market_carbon)
-        ));
+            .map(|y| (f64::from(y.year), y.market_carbon.as_kt())),
+    ));
+    out.series(Series::from_pairs(
+        "prineville-energy",
+        "year",
+        "GWh",
+        years.iter().map(|y| (f64::from(y.year), y.energy.as_gwh())),
+    ));
+    let peak = years
+        .iter()
+        .max_by(|a, b| a.market_carbon.partial_cmp(&b.market_carbon).unwrap())
+        .unwrap();
+    let last = years.last().unwrap();
+    // The figure's headline as a sweep-comparable scalar: how far the
+    // renewable ramp pushed final-year operational carbon below its peak.
+    out.scalar(
+        "final-opex-vs-peak",
+        "%",
+        100.0 * (last.market_carbon / peak.market_carbon),
+    );
+    out.note(format!(
+        "paper: carbon starts decreasing in 2017 and is near zero by 2019; \
+         measured peak {} with {} at {:.0}% of peak",
+        peak.year,
+        last.year,
+        100.0 * (last.market_carbon / peak.market_carbon)
+    ));
 
-        // Right panels: the four pies.
-        let mut pies = Table::new(["System", "Opex share", "Capex share"]);
-        for name in ["iPhone 3GS", "iPhone 11"] {
-            let lca = cc_data::devices::find(name).expect("device dataset");
-            let d = CarbonDecomposition::from_footprint(&cc_lca::Footprint::from_product_lca(lca));
-            pies.row([
-                name.to_string(),
-                d.opex_share().to_string(),
-                d.capex_share().to_string(),
-            ]);
-        }
-        let fb2018 = cc_data::corporate::year_of(&cc_data::corporate::FACEBOOK, 2018).unwrap();
-        // With renewables: market-based Scope 2 against full Scope 3.
-        let with = CarbonDecomposition::new(
-            CarbonMass::from_mt(fb2018.scope1_mt + fb2018.scope2_market_mt),
-            CarbonMass::from_mt(fb2018.scope3_mt),
-        );
+    // Right panels: the four pies.
+    let mut pies = Table::new(["System", "Opex share", "Capex share"]);
+    for name in ["iPhone 3GS", "iPhone 11"] {
+        let lca = cc_data::devices::find(name).expect("device dataset");
+        let d = CarbonDecomposition::from_footprint(&cc_lca::Footprint::from_product_lca(lca));
         pies.row([
-            "Facebook 2018 (with renewables)".to_string(),
-            with.opex_share().to_string(),
-            with.capex_share().to_string(),
+            name.to_string(),
+            d.opex_share().to_string(),
+            d.capex_share().to_string(),
         ]);
-        // Without renewables: location-based Scope 2 against the
-        // pre-disclosure-change Scope 3 comparable.
-        let without = CarbonDecomposition::new(
-            CarbonMass::from_mt(fb2018.scope1_mt + fb2018.scope2_location_mt),
-            CarbonMass::from_mt(cc_data::corporate::FACEBOOK_2018_SCOPE3_LEGACY_MT),
-        );
-        pies.row([
-            "Facebook 2018 (without renewables)".to_string(),
-            without.opex_share().to_string(),
-            without.capex_share().to_string(),
-        ]);
-        out.table("Opex/capex breakdown pies", pies);
-        out.note("paper: iPhone 3GS 51%/49% opex/capex; iPhone 11 14%/86%".to_string());
-        out.note(format!(
-            "paper: Facebook capex 82% with renewables / 35% without; measured {} / {}",
-            with.capex_share(),
-            without.capex_share()
-        ));
-        out
     }
+    let fb2018 = cc_data::corporate::year_of(&cc_data::corporate::FACEBOOK, 2018).unwrap();
+    // With renewables: market-based Scope 2 against full Scope 3.
+    let with = CarbonDecomposition::new(
+        CarbonMass::from_mt(fb2018.scope1_mt + fb2018.scope2_market_mt),
+        CarbonMass::from_mt(fb2018.scope3_mt),
+    );
+    pies.row([
+        "Facebook 2018 (with renewables)".to_string(),
+        with.opex_share().to_string(),
+        with.capex_share().to_string(),
+    ]);
+    // Without renewables: location-based Scope 2 against the
+    // pre-disclosure-change Scope 3 comparable.
+    let without = CarbonDecomposition::new(
+        CarbonMass::from_mt(fb2018.scope1_mt + fb2018.scope2_location_mt),
+        CarbonMass::from_mt(cc_data::corporate::FACEBOOK_2018_SCOPE3_LEGACY_MT),
+    );
+    pies.row([
+        "Facebook 2018 (without renewables)".to_string(),
+        without.opex_share().to_string(),
+        without.capex_share().to_string(),
+    ]);
+    out.table("Opex/capex breakdown pies", pies);
+    out.note("paper: iPhone 3GS 51%/49% opex/capex; iPhone 11 14%/86%".to_string());
+    out.note(format!(
+        "paper: Facebook capex 82% with renewables / 35% without; measured {} / {}",
+        with.capex_share(),
+        without.capex_share()
+    ));
+    out
 }
 
 #[cfg(test)]
@@ -135,7 +121,7 @@ mod tests {
 
     #[test]
     fn pies_match_paper() {
-        let out = Fig02EnergyVsCarbon.run(&RunContext::paper());
+        let out = run(&RunContext::paper());
         let pies = &out.tables[1].1;
         assert_eq!(pies.len(), 4);
         // iPhone 11 capex 86%.
@@ -150,7 +136,7 @@ mod tests {
 
     #[test]
     fn prineville_table_spans_2013_to_2019() {
-        let out = Fig02EnergyVsCarbon.run(&RunContext::paper());
+        let out = run(&RunContext::paper());
         let t = &out.tables[0].1;
         assert_eq!(t.rows().first().unwrap()[0], "2013");
         assert_eq!(t.rows().last().unwrap()[0], "2019");
@@ -160,7 +146,7 @@ mod tests {
     fn paper_defaults_replay_disclosed_prineville_rows() {
         // The facility path must not perturb the disclosed replay: every
         // rendered cell matches a direct Prineville simulation bit-for-bit.
-        let out = Fig02EnergyVsCarbon.run(&RunContext::paper());
+        let out = run(&RunContext::paper());
         let t = &out.tables[0].1;
         let direct = cc_dcsim::prineville::simulate();
         assert_eq!(t.len(), direct.len());
@@ -182,7 +168,7 @@ mod tests {
             s.set("fleet.renewable_ramp", "0").unwrap();
             s
         };
-        let out = Fig02EnergyVsCarbon.run(&RunContext::new(brown));
+        let out = run(&RunContext::new(brown));
         assert!(out.tables[0].0.starts_with("Scenario facility"));
         // Without the ramp, operational carbon never collapses.
         assert!(out.summary_scalar().unwrap().value > 90.0);

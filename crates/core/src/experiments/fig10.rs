@@ -12,18 +12,12 @@
 
 use cc_data::ai_models::CnnModel;
 use cc_lca::AmortizationAnalysis;
-use cc_report::{
-    table::num, Experiment, ExperimentId, ExperimentOutput, RunContext, Series, Table,
-};
+use cc_report::{table::num, ExperimentOutput, RunContext, Series, Table};
 use cc_socsim::UnitKind;
 #[cfg(test)]
 use cc_socsim::{ExecutionModel, Network};
 #[cfg(test)]
 use cc_units::TimeSpan;
-
-/// Reproduces Fig 10.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Fig10Breakeven;
 
 /// The Pixel 3 SoC manufacturing budget: `share` of the device's production
 /// carbon (the paper used one half).
@@ -33,108 +27,100 @@ pub fn pixel3_soc_budget(share: f64) -> cc_units::CarbonMass {
     pixel3.production() * share
 }
 
-impl Experiment for Fig10Breakeven {
-    fn id(&self) -> ExperimentId {
-        ExperimentId::Figure(10)
-    }
+/// Reproduces Fig 10.
+#[must_use]
+pub fn run(ctx: &RunContext) -> ExperimentOutput {
+    let mut out = ExperimentOutput::new();
+    // The execution model and built networks are scenario-independent, so
+    // a sweep shares one cached copy across all grid points and threads.
+    let inputs = super::inputs::shared();
+    let model = inputs.pixel3();
+    let analysis = AmortizationAnalysis::new(
+        pixel3_soc_budget(ctx.soc_budget_share()),
+        ctx.effective_grid_intensity(),
+    );
+    let lifetime = ctx.device_lifetime();
 
-    fn description(&self) -> &'static str {
-        "Inferences (top) and days (bottom) until operational carbon equals SoC manufacturing"
-    }
-
-    fn run(&self, ctx: &RunContext) -> ExperimentOutput {
-        let mut out = ExperimentOutput::new();
-        // The execution model and built networks are scenario-independent, so
-        // a sweep shares one cached copy across all grid points and threads.
-        let inputs = super::inputs::shared();
-        let model = inputs.pixel3();
-        let analysis = AmortizationAnalysis::new(
-            pixel3_soc_budget(ctx.soc_budget_share()),
-            ctx.effective_grid_intensity(),
-        );
-        let lifetime = ctx.device_lifetime();
-
-        let mut t = Table::new([
-            "Network".to_string(),
-            "Unit".to_string(),
-            "Breakeven images".to_string(),
-            "Breakeven days (continuous)".to_string(),
-            format!("Beyond {}-yr lifetime?", lifetime.as_years()),
-        ]);
-        let mut days_series = Series::new("breakeven-days", "network x unit index", "days");
-        let mut mnv3 = Vec::new();
-        for &(cnn, ref network) in inputs.networks() {
-            for report in model.run_all_units(network) {
-                let be = analysis
-                    .breakeven(report.energy, report.latency)
-                    .expect("positive per-inference energy");
-                if cnn == CnnModel::MobileNetV3 {
-                    mnv3.push((report.unit, be));
-                }
-                days_series.push_labeled(
-                    days_series.len() as f64,
-                    format!("{cnn}/{}", report.unit),
-                    be.days,
-                );
-                t.row([
-                    cnn.to_string(),
-                    report.unit.to_string(),
-                    format!("{:.2e}", be.operations),
-                    num(be.days, 0),
-                    if be.exceeds(lifetime) { "yes" } else { "no" }.to_string(),
-                ]);
+    let mut t = Table::new([
+        "Network".to_string(),
+        "Unit".to_string(),
+        "Breakeven images".to_string(),
+        "Breakeven days (continuous)".to_string(),
+        format!("Beyond {}-yr lifetime?", lifetime.as_years()),
+    ]);
+    let mut days_series = Series::new("breakeven-days", "network x unit index", "days");
+    let mut mnv3 = Vec::new();
+    for &(cnn, ref network) in inputs.networks() {
+        for report in model.run_all_units(network) {
+            let be = analysis
+                .breakeven(report.energy, report.latency)
+                .expect("positive per-inference energy");
+            if cnn == CnnModel::MobileNetV3 {
+                mnv3.push((report.unit, be));
             }
+            days_series.push_labeled(
+                days_series.len() as f64,
+                format!("{cnn}/{}", report.unit),
+                be.days,
+            );
+            t.row([
+                cnn.to_string(),
+                report.unit.to_string(),
+                format!("{:.2e}", be.operations),
+                num(be.days, 0),
+                if be.exceeds(lifetime) { "yes" } else { "no" }.to_string(),
+            ]);
         }
-        // The title states the two knobs that shape the table; it must not
-        // embed the scenario *name* (per-sweep-point labels would defeat the
-        // cache without changing any number).
-        out.table(
-            format!(
-                "Break-even on Pixel 3 (SoC budget {}, grid {})",
-                analysis.manufacturing(),
-                ctx.effective_grid_intensity()
-            ),
-            t,
-        );
-        out.series(days_series);
-
-        let cpu = mnv3.iter().find(|(u, _)| *u == UnitKind::Cpu).unwrap().1;
-        let dsp = mnv3.iter().find(|(u, _)| *u == UnitKind::Dsp).unwrap().1;
-        // The figure's headline, as sweep-comparable scalars: how long the
-        // efficient-network/CPU case takes to amortize the SoC's embodied
-        // carbon, and the images it implies.
-        out.scalar_with_threshold(
-            "mobilenet-v3-cpu-breakeven",
-            "days",
-            cpu.days,
-            365.0,
-            "one-year amortization",
-        );
-        out.scalar(
-            "mobilenet-v3-cpu-breakeven-images",
-            "images",
-            cpu.operations,
-        );
-        out.scalar("mobilenet-v3-dsp-breakeven", "days", dsp.days);
-        out.note(format!(
-            "paper: MobileNet v3 CPU ~5e9 images / ~350 days; measured {:.1e} images / {:.0} days",
-            cpu.operations, cpu.days
-        ));
-        out.note(format!(
-            "paper: MobileNet v3 DSP ~1e10 images / ~1200 days (beyond the ~1100-day lifetime); \
-             measured {:.1e} images / {:.0} days",
-            dsp.operations, dsp.days
-        ));
-        out.note(
-            "known paper inconsistency: the stated 1.5x/2.2x DSP improvements cannot yield both \
-             10e9 images and 1200 days; this reproduction preserves the days-based headline",
-        );
-        out.note(format!(
-            "scale: the ImageNet training set is {} images",
-            cc_data::ai_models::IMAGENET_TRAIN_IMAGES
-        ));
-        out
     }
+    // The title states the two knobs that shape the table; it must not
+    // embed the scenario *name* (per-sweep-point labels would defeat the
+    // cache without changing any number).
+    out.table(
+        format!(
+            "Break-even on Pixel 3 (SoC budget {}, grid {})",
+            analysis.manufacturing(),
+            ctx.effective_grid_intensity()
+        ),
+        t,
+    );
+    out.series(days_series);
+
+    let cpu = mnv3.iter().find(|(u, _)| *u == UnitKind::Cpu).unwrap().1;
+    let dsp = mnv3.iter().find(|(u, _)| *u == UnitKind::Dsp).unwrap().1;
+    // The figure's headline, as sweep-comparable scalars: how long the
+    // efficient-network/CPU case takes to amortize the SoC's embodied
+    // carbon, and the images it implies.
+    out.scalar_with_threshold(
+        "mobilenet-v3-cpu-breakeven",
+        "days",
+        cpu.days,
+        365.0,
+        "one-year amortization",
+    );
+    out.scalar(
+        "mobilenet-v3-cpu-breakeven-images",
+        "images",
+        cpu.operations,
+    );
+    out.scalar("mobilenet-v3-dsp-breakeven", "days", dsp.days);
+    out.note(format!(
+        "paper: MobileNet v3 CPU ~5e9 images / ~350 days; measured {:.1e} images / {:.0} days",
+        cpu.operations, cpu.days
+    ));
+    out.note(format!(
+        "paper: MobileNet v3 DSP ~1e10 images / ~1200 days (beyond the ~1100-day lifetime); \
+         measured {:.1e} images / {:.0} days",
+        dsp.operations, dsp.days
+    ));
+    out.note(
+        "known paper inconsistency: the stated 1.5x/2.2x DSP improvements cannot yield both \
+         10e9 images and 1200 days; this reproduction preserves the days-based headline",
+    );
+    out.note(format!(
+        "scale: the ImageNet training set is {} images",
+        cc_data::ai_models::IMAGENET_TRAIN_IMAGES
+    ));
+    out
 }
 
 #[cfg(test)]
@@ -197,8 +183,8 @@ mod tests {
     #[test]
     fn greener_grid_lengthens_breakeven() {
         use cc_report::Scenario;
-        let paper = Fig10Breakeven.run(&RunContext::paper());
-        let wind = Fig10Breakeven.run(&RunContext::new(
+        let paper = run(&RunContext::paper());
+        let wind = run(&RunContext::new(
             Scenario::builder()
                 .name("wind")
                 .grid_intensity(11.0)

@@ -10,11 +10,7 @@
 use cc_data::corporate::LifecycleComponent;
 use cc_data::energy_sources::EnergySource;
 use cc_data::grids::Region;
-use cc_report::{Experiment, ExperimentId, ExperimentOutput, RunContext, Series, Table};
-
-/// Reproduces Fig 13.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Fig13EnergySourceSweep;
+use cc_report::{ExperimentOutput, RunContext, Series, Table};
 
 /// The x-axis of Fig 13: "increasingly green" energy sources.
 #[must_use]
@@ -112,65 +108,57 @@ fn vendor_table(
     (t, hw_use, hw_use_baseline, hw_use_wind)
 }
 
-impl Experiment for Fig13EnergySourceSweep {
-    fn id(&self) -> ExperimentId {
-        ExperimentId::Figure(13)
-    }
-
-    fn description(&self) -> &'static str {
-        "Intel/AMD life-cycle breakdown as hardware use shifts to greener energy"
-    }
-
-    fn run(&self, ctx: &RunContext) -> ExperimentOutput {
-        let mut out = ExperimentOutput::new();
-        // Scenarios with a non-paper *grid* contribute their own grid as an
-        // extra sweep point, so the figure answers "where does *my* grid
-        // land?". Only the grid fields decide — the figure ignores the rest
-        // of the scenario, and declaring that keeps it cacheable across
-        // non-grid sweep axes.
-        let extra: Vec<(&'static str, f64)> = if ctx.grid_is_paper() {
-            Vec::new()
-        } else {
-            vec![(
-                "Scenario grid",
-                ctx.effective_grid_intensity().as_g_per_kwh(),
-            )]
-        };
-        let (intel, mut intel_series, intel_base, intel_wind) =
-            vendor_table(&cc_data::corporate::INTEL_LIFECYCLE, &extra);
-        out.table("Intel life-cycle breakdown by energy source", intel);
-        intel_series.name = "intel-hw-use-share".to_string();
-        out.series(intel_series);
-        let (amd, mut amd_series, amd_base, amd_wind) =
-            vendor_table(&cc_data::corporate::AMD_LIFECYCLE, &extra);
-        out.table("AMD life-cycle breakdown by energy source", amd);
-        amd_series.name = "amd-hw-use-share".to_string();
-        out.series(amd_series);
-
-        // The headline scalar tracks the scenario: the HW-use share of
-        // Intel's life cycle on the *effective* scenario grid.
-        let intel_scenario_use = rescaled_shares(
-            &cc_data::corporate::INTEL_LIFECYCLE,
+/// Reproduces Fig 13.
+#[must_use]
+pub fn run(ctx: &RunContext) -> ExperimentOutput {
+    let mut out = ExperimentOutput::new();
+    // Scenarios with a non-paper *grid* contribute their own grid as an
+    // extra sweep point, so the figure answers "where does *my* grid
+    // land?". Only the grid fields decide — the figure ignores the rest
+    // of the scenario, and declaring that keeps it cacheable across
+    // non-grid sweep axes.
+    let extra: Vec<(&'static str, f64)> = if ctx.grid_is_paper() {
+        Vec::new()
+    } else {
+        vec![(
+            "Scenario grid",
             ctx.effective_grid_intensity().as_g_per_kwh(),
-        )
-        .iter()
-        .find(|(l, _)| *l == "HW use")
-        .map_or(0.0, |(_, v)| *v);
-        out.scalar("intel-hw-use-share", "%", intel_scenario_use * 100.0);
-        out.note(format!(
-            "paper: ~60% of Intel's and ~45% of AMD's life-cycle emissions are hardware use on \
-             the US grid; measured {:.0}% / {:.0}%",
-            intel_base * 100.0,
-            amd_base * 100.0
-        ));
-        out.note(format!(
-            "paper: with solar/wind, over 80% of emissions come from manufacturing; measured \
-             manufacturing-side shares {:.0}% (Intel) / {:.0}% (AMD) on wind",
-            (1.0 - intel_wind) * 100.0,
-            (1.0 - amd_wind) * 100.0
-        ));
-        out
-    }
+        )]
+    };
+    let (intel, mut intel_series, intel_base, intel_wind) =
+        vendor_table(&cc_data::corporate::INTEL_LIFECYCLE, &extra);
+    out.table("Intel life-cycle breakdown by energy source", intel);
+    intel_series.name = "intel-hw-use-share".to_string();
+    out.series(intel_series);
+    let (amd, mut amd_series, amd_base, amd_wind) =
+        vendor_table(&cc_data::corporate::AMD_LIFECYCLE, &extra);
+    out.table("AMD life-cycle breakdown by energy source", amd);
+    amd_series.name = "amd-hw-use-share".to_string();
+    out.series(amd_series);
+
+    // The headline scalar tracks the scenario: the HW-use share of
+    // Intel's life cycle on the *effective* scenario grid.
+    let intel_scenario_use = rescaled_shares(
+        &cc_data::corporate::INTEL_LIFECYCLE,
+        ctx.effective_grid_intensity().as_g_per_kwh(),
+    )
+    .iter()
+    .find(|(l, _)| *l == "HW use")
+    .map_or(0.0, |(_, v)| *v);
+    out.scalar("intel-hw-use-share", "%", intel_scenario_use * 100.0);
+    out.note(format!(
+        "paper: ~60% of Intel's and ~45% of AMD's life-cycle emissions are hardware use on \
+         the US grid; measured {:.0}% / {:.0}%",
+        intel_base * 100.0,
+        amd_base * 100.0
+    ));
+    out.note(format!(
+        "paper: with solar/wind, over 80% of emissions come from manufacturing; measured \
+         manufacturing-side shares {:.0}% (Intel) / {:.0}% (AMD) on wind",
+        (1.0 - intel_wind) * 100.0,
+        (1.0 - amd_wind) * 100.0
+    ));
+    out
 }
 
 #[cfg(test)]
@@ -208,7 +196,7 @@ mod tests {
     #[test]
     fn sweep_has_ten_points() {
         assert_eq!(sweep_points().len(), 10);
-        let out = Fig13EnergySourceSweep.run(&RunContext::paper());
+        let out = run(&RunContext::paper());
         assert_eq!(out.tables[0].1.len(), 10);
         assert_eq!(out.tables[1].1.len(), 10);
     }

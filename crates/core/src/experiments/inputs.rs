@@ -3,7 +3,7 @@
 //! A sweep runs the same experiment at every grid point, and several
 //! experiments start from the same expensive inputs: the Pixel-3 execution
 //! model and the built CNN networks. Rebuilding them per (point × experiment)
-//! job wastes most of a sweep's wall-clock, so the registry exposes one
+//! job wastes most of a sweep's wall-clock, so experiments share one
 //! process-wide [`SharedInputs`] handle — each input is built once, on first
 //! use, and shared (immutably) across every worker thread and grid point.
 
@@ -12,8 +12,7 @@ use cc_socsim::{ExecutionModel, Network};
 use std::sync::OnceLock;
 
 /// Lazily-built inputs shared by every experiment instance and worker
-/// thread. Obtain the process-wide handle via [`shared`] (or
-/// [`super::Entry::inputs`]).
+/// thread. Obtain the process-wide handle via [`shared`].
 #[derive(Debug)]
 pub struct SharedInputs {
     pixel3: OnceLock<ExecutionModel>,

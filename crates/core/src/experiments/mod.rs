@@ -1,22 +1,24 @@
 //! One experiment per paper figure/table, plus extensions.
 //!
-//! Every module implements [`cc_report::Experiment`]; the [`entries`]
-//! registry — metadata-carrying entries with stable keys, topic tags and
-//! declared scenario-dependency sets — drives the `repro` binary, the sweep
-//! cache and the generated scenario reference. Each experiment's `run`
-//! executes the *models* under a [`cc_report::RunContext`] (not hard-coded
-//! answers): e.g. Fig 10 runs the SoC simulator and the amortization solver
-//! end to end against the context's grid and lifetime. Dependency
-//! declarations ([`Entry::deps`]) are verified against the fields each
-//! experiment actually reads by the read-tracking test in this module, so a
-//! sweep runner may safely reuse output across grid points whose declared
-//! fields agree.
+//! The [`entries`] registry is the only definition of an experiment: one
+//! [`Entry`] row per experiment holds its stable key, its title and caption,
+//! its topic tags, its declared scenario-dependency set and the function(s)
+//! computing it, and the row itself is the [`cc_report::Experiment`]. The
+//! registry drives the `repro` binary, the sweep cache and the generated
+//! scenario reference. Each module holds only model code: a
+//! `pub fn run(&RunContext) -> ExperimentOutput` that executes the *models*
+//! under the context (not hard-coded answers): e.g. Fig 10 runs the SoC
+//! simulator and the amortization solver end to end against the context's
+//! grid and lifetime. Dependency declarations ([`Entry::deps`]) are verified
+//! against the fields each experiment actually reads by the read-tracking
+//! test in this module, so a sweep runner may safely reuse output across
+//! grid points whose declared fields agree.
 //!
 //! An entry's output is assembled from one or more [`Part`]s, each with its
 //! own dependency list and cache key. Almost every entry is one part keyed
-//! by the entry itself; an experiment whose panels read disjoint fields
-//! (`ext-mc`) splits into parts so a cache recomputes only the panels whose
-//! fields moved.
+//! by the entry itself, computed by its module's `run`; an experiment whose
+//! panels read disjoint fields (`ext-mc`) splits into parts so a cache
+//! recomputes only the panels whose fields moved.
 
 pub mod ext_die;
 pub mod ext_dvfs;
@@ -46,35 +48,7 @@ pub mod table2;
 pub mod table3;
 pub mod table4;
 
-pub use ext_die::ExtDieCarbon;
-pub use ext_dvfs::ExtDvfs;
-pub use ext_fab::ExtFabDecarbonization;
-pub use ext_facility::ExtFacility;
-pub use ext_hetero::ExtHeterogeneity;
-pub use ext_mc::ExtMonteCarlo;
-pub use ext_scheduler::ExtScheduler;
-pub use fig01::Fig01IctProjections;
-pub use fig02::Fig02EnergyVsCarbon;
-pub use fig03::Fig03GhgScopes;
-pub use fig04::Fig04Lifecycle;
-pub use fig05::Fig05AppleBreakdown;
-pub use fig06::Fig06DeviceBreakdown;
-pub use fig07::Fig07Generations;
-pub use fig08::Fig08Pareto;
-pub use fig09::Fig09InferencePerf;
-pub use fig10::Fig10Breakeven;
-pub use fig11::Fig11CorporateFootprints;
-pub use fig12::Fig12Scope3Breakdown;
-pub use fig13::Fig13EnergySourceSweep;
-pub use fig14::Fig14WaferSweep;
-pub use fig15::Fig15ResearchDirections;
-pub use inputs::SharedInputs;
-pub use table1::Table1Scopes;
-pub use table2::Table2EnergySources;
-pub use table3::Table3Grids;
-pub use table4::Table4MacPro;
-
-use cc_report::{Experiment, ExperimentOutput, RunContext, ScenarioPath};
+use cc_report::{Experiment, ExperimentId, ExperimentOutput, RunContext, ScenarioPath};
 
 /// Topic tags for registry filtering (`repro --tag mobile`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -143,9 +117,10 @@ impl core::fmt::Display for Tag {
 }
 
 /// One independently cached piece of an entry's output: its cache key, the
-/// scenario fields it reads, and the function computing it. Running an
-/// entry's parts in order and joining them with [`ExperimentOutput::append`]
-/// gives exactly the output of running the whole experiment.
+/// scenario fields it reads, and the function computing it. An entry's
+/// [`Experiment::run`] runs its parts in order and joins them with
+/// [`ExperimentOutput::append`]; the engine does the same with each part
+/// taken from its cache.
 #[derive(Debug)]
 pub struct Part {
     /// Cache key, unique across the registry. A one-part entry's part is
@@ -165,18 +140,20 @@ impl Part {
     }
 }
 
-/// A registry entry: the experiment's stable key, its topic tags, its
-/// declared scenario-dependency set, its parts, and a constructor. Entries
-/// are `'static`, cheap to scan, and each worker thread of a parallel run
-/// builds its own experiment instance from the constructor.
+/// A registry entry, and the experiment itself: its stable key, its title
+/// and caption, its topic tags, its declared scenario-dependency set and its
+/// parts. Entries are `'static` and `Copy`, cheap to scan and to share
+/// across the worker threads of a parallel run.
+#[derive(Debug, Clone, Copy)]
 pub struct Entry {
     /// Stable command-line key (`fig10`, `table2`, `ext-mc`).
     pub key: &'static str,
     /// Topic tags for filtering.
     pub tags: &'static [Tag],
+    title: ExperimentId,
+    caption: &'static str,
     deps: &'static [ScenarioPath],
     parts: &'static [Part],
-    ctor: fn() -> Box<dyn Experiment>,
 }
 
 impl Entry {
@@ -212,22 +189,11 @@ impl Entry {
         self.parts
     }
 
-    /// Instantiates the experiment.
+    /// The entry as a boxed experiment. It stays for the benchmark harness's
+    /// replay (`perfbench/`) until ROADMAP direction 4 deletes it.
     #[must_use]
     pub fn build(&self) -> Box<dyn Experiment> {
-        (self.ctor)()
-    }
-
-    /// The presentation title, e.g. `Figure 10`.
-    #[must_use]
-    pub fn title(&self) -> String {
-        self.build().id().to_string()
-    }
-
-    /// The one-line description.
-    #[must_use]
-    pub fn description(&self) -> &'static str {
-        self.build().description()
+        Box::new(*self)
     }
 
     /// Whether the entry carries `tag`.
@@ -235,45 +201,61 @@ impl Entry {
     pub fn has_tag(&self, tag: Tag) -> bool {
         self.tags.contains(&tag)
     }
+}
 
-    /// The shared cached-inputs handle: lazily-built models and dataset
-    /// tables built once and reused across every grid point of a sweep
-    /// (and every worker thread of a parallel run).
-    #[must_use]
-    pub fn inputs(&self) -> &'static SharedInputs {
-        inputs::shared()
+impl Experiment for Entry {
+    fn id(&self) -> ExperimentId {
+        self.title
+    }
+
+    fn description(&self) -> &'static str {
+        self.caption
+    }
+
+    /// Runs the parts in order and joins them with
+    /// [`ExperimentOutput::append`].
+    fn run(&self, ctx: &RunContext) -> ExperimentOutput {
+        let (first, rest) = self.parts.split_first().expect("every entry has a part");
+        let mut out = (first.run)(ctx);
+        for part in rest {
+            out.append(&(part.run)(ctx));
+        }
+        out
     }
 }
 
-impl core::fmt::Debug for Entry {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Entry")
-            .field("key", &self.key)
-            .field("tags", &self.tags)
-            .finish_non_exhaustive()
-    }
-}
-
+/// One registry row. An entry computed whole names its module's `run`; an
+/// entry split into parts lists each part's key, function and deps instead.
 macro_rules! entry {
-    ($key:literal, $ty:ty, [$($tag:ident),+ $(,)?], deps: [$($dep:literal),* $(,)?]) => {
-        entry!($key, $ty, [$($tag),+], deps: [$($dep),*], parts: [
-            ($key, |ctx| <$ty>::default().run(ctx), [$($dep),*]),
-        ])
+    (
+        key: $key:literal, title: $kind:ident($n:literal), run: $run:path,
+        caption: $caption:literal,
+        tags: [$($tag:ident),+], deps: [$($dep:literal),*],
+    ) => {
+        entry! {
+            key: $key, title: $kind($n),
+            caption: $caption,
+            tags: [$($tag),+], deps: [$($dep),*],
+            parts: [($key, $run, [$($dep),*])],
+        }
     };
     (
-        $key:literal, $ty:ty, [$($tag:ident),+ $(,)?], deps: [$($dep:literal),* $(,)?],
-        parts: [$(($part:literal, $run:expr, [$($part_dep:literal),* $(,)?])),+ $(,)?]
+        key: $key:literal, title: $kind:ident($n:literal),
+        caption: $caption:literal,
+        tags: [$($tag:ident),+], deps: [$($dep:literal),*],
+        parts: [$(($part:literal, $run:path, [$($part_dep:literal),*])),+ $(,)?],
     ) => {
         Entry {
             key: $key,
             tags: &[$(Tag::$tag),+],
+            title: ExperimentId::$kind($n),
+            caption: $caption,
             deps: &[$(ScenarioPath::of($dep)),*],
             parts: &[$(Part {
                 key: $part,
                 deps: &[$(ScenarioPath::of($part_dep)),*],
                 run: $run,
             }),+],
-            ctor: || Box::new(<$ty>::default()),
         }
     };
 }
@@ -285,73 +267,127 @@ macro_rules! entry {
 // part under a read-tracking context and fails on any disagreement, in
 // either direction.
 static ENTRIES: [Entry; 26] = [
-    entry!("fig01", Fig01IctProjections, [Figure, Energy], deps: []),
-    entry!(
-        "fig02",
-        Fig02EnergyVsCarbon,
-        [Figure, Datacenter, Corporate],
-        deps: ["fleet.*", "grid.intensity"]
-    ),
-    entry!("fig03", Fig03GhgScopes, [Figure, Corporate], deps: []),
-    entry!("fig04", Fig04Lifecycle, [Figure, Device], deps: []),
-    entry!("fig05", Fig05AppleBreakdown, [Figure, Corporate], deps: []),
-    entry!("fig06", Fig06DeviceBreakdown, [Figure, Device], deps: []),
-    entry!("fig07", Fig07Generations, [Figure, Device], deps: []),
-    entry!("fig08", Fig08Pareto, [Figure, Mobile, Device], deps: []),
-    entry!("fig09", Fig09InferencePerf, [Figure, Mobile], deps: []),
-    entry!(
-        "fig10",
-        Fig10Breakeven,
-        [Figure, Mobile],
-        deps: ["device.*", "grid.intensity", "grid.renewable_fraction"]
-    ),
-    entry!(
-        "fig11",
-        Fig11CorporateFootprints,
-        [Figure, Corporate, Datacenter],
-        deps: ["fleet.*", "grid.intensity"]
-    ),
-    entry!("fig12", Fig12Scope3Breakdown, [Figure, Corporate], deps: []),
-    entry!(
-        "fig13",
-        Fig13EnergySourceSweep,
-        [Figure, Energy, Corporate],
-        deps: ["grid.intensity", "grid.renewable_fraction"]
-    ),
-    entry!("fig14", Fig14WaferSweep, [Figure, Fab], deps: []),
-    entry!("fig15", Fig15ResearchDirections, [Figure], deps: []),
-    entry!("table1", Table1Scopes, [Table, Corporate], deps: []),
-    entry!("table2", Table2EnergySources, [Table, Energy], deps: []),
-    entry!("table3", Table3Grids, [Table, Energy], deps: []),
-    entry!("table4", Table4MacPro, [Table, Device], deps: []),
-    entry!(
-        "ext-die",
-        ExtDieCarbon,
-        [Extension, Fab],
-        deps: ["fab.node_nm", "fab.yield_factor"]
-    ),
-    entry!(
-        "ext-dvfs",
-        ExtDvfs,
-        [Extension, Mobile],
-        deps: ["device.soc_budget_share", "grid.intensity", "grid.renewable_fraction"]
-    ),
-    entry!(
-        "ext-hetero",
-        ExtHeterogeneity,
-        [Extension, Datacenter],
-        deps: ["fleet.scale", "grid.intensity", "grid.renewable_fraction"]
-    ),
-    entry!(
-        "ext-fab",
-        ExtFabDecarbonization,
-        [Extension, Fab],
-        deps: ["fab.renewable_share"]
-    ),
-    entry!(
-        "ext-mc",
-        ExtMonteCarlo,
-        [Extension],
+    entry! {
+        key: "fig01", title: Figure(1), run: fig01::run,
+        caption: "Projected global ICT energy consumption 2010-2030, optimistic vs expected",
+        tags: [Figure, Energy], deps: [],
+    },
+    entry! {
+        key: "fig02", title: Figure(2), run: fig02::run,
+        caption: "Prineville energy vs operational carbon; opex/capex pies for iPhones and Facebook",
+        tags: [Figure, Datacenter, Corporate], deps: ["fleet.*", "grid.intensity"],
+    },
+    entry! {
+        key: "fig03", title: Figure(3), run: fig03::run,
+        caption: "GHG Protocol taxonomy: Scope 1 (direct), Scope 2 (purchased energy), Scope 3 (supply chain)",
+        tags: [Figure, Corporate], deps: [],
+    },
+    entry! {
+        key: "fig04", title: Figure(4), run: fig04::run,
+        caption: "Hardware life cycle: production, transport, use, end-of-life -> capex/opex",
+        tags: [Figure, Device], deps: [],
+    },
+    entry! {
+        key: "fig05", title: Figure(5), run: fig05::run,
+        caption: "Apple FY2019 footprint: manufacturing 74%, product use 19%, ICs 33% of total",
+        tags: [Figure, Corporate], deps: [],
+    },
+    entry! {
+        key: "fig06", title: Figure(6), run: fig06::run,
+        caption: "Capex/opex breakdown (top) and absolute footprint (bottom) by device category",
+        tags: [Figure, Device], deps: [],
+    },
+    entry! {
+        key: "fig07", title: Figure(7), run: fig07::run,
+        caption: "Generational trends: manufacturing share rises across iPhones, Watches, iPads",
+        tags: [Figure, Device], deps: [],
+    },
+    entry! {
+        key: "fig08", title: Figure(8), run: fig08::run,
+        caption: "MobileNet v1 throughput vs manufacturing CO2e; Pareto frontiers 2017 vs 2019",
+        tags: [Figure, Mobile, Device], deps: [],
+    },
+    entry! {
+        key: "fig09", title: Figure(9), run: fig09::run,
+        caption: "Inference latency (top) and energy (bottom) per CNN and compute unit on Pixel 3",
+        tags: [Figure, Mobile], deps: [],
+    },
+    entry! {
+        key: "fig10", title: Figure(10), run: fig10::run,
+        caption: "Inferences (top) and days (bottom) until operational carbon equals SoC manufacturing",
+        tags: [Figure, Mobile], deps: ["device.*", "grid.intensity", "grid.renewable_fraction"],
+    },
+    entry! {
+        key: "fig11", title: Figure(11), run: fig11::run,
+        caption: "Facebook (2014-2019) and Google (2013-2018) footprints by scope",
+        tags: [Figure, Corporate, Datacenter], deps: ["fleet.*", "grid.intensity"],
+    },
+    entry! {
+        key: "fig12", title: Figure(12), run: fig12::run,
+        caption: "Facebook 2019 Scope 3: capital goods 48%, purchased goods 39%, travel 10%, other 3%",
+        tags: [Figure, Corporate], deps: [],
+    },
+    entry! {
+        key: "fig13", title: Figure(13), run: fig13::run,
+        caption: "Intel/AMD life-cycle breakdown as hardware use shifts to greener energy",
+        tags: [Figure, Energy, Corporate], deps: ["grid.intensity", "grid.renewable_fraction"],
+    },
+    entry! {
+        key: "fig14", title: Figure(14), run: fig14::run,
+        caption: "TSMC wafer footprint under 1x-64x greener electricity; ~2.7x overall reduction",
+        tags: [Figure, Fab], deps: [],
+    },
+    entry! {
+        key: "fig15", title: Figure(15), run: fig15::run,
+        caption: "Cross-layer optimization opportunities across the computing stack",
+        tags: [Figure], deps: [],
+    },
+    entry! {
+        key: "table1", title: Table(1), run: table1::run,
+        caption: "Salient Scope 1/2/3 emissions for chip manufacturers, mobile vendors, DC operators",
+        tags: [Table, Corporate], deps: [],
+    },
+    entry! {
+        key: "table2", title: Table(2), run: table2::run,
+        caption: "Carbon intensity and energy-payback time per generation source",
+        tags: [Table, Energy], deps: [],
+    },
+    entry! {
+        key: "table3", title: Table(3), run: table3::run,
+        caption: "Average grid carbon intensity by geography with dominant source",
+        tags: [Table, Energy], deps: [],
+    },
+    entry! {
+        key: "table4", title: Table(4), run: table4::run,
+        caption: "Mac Pro base vs scaled-up configuration: 2.7x manufacturing CO2",
+        tags: [Table, Device], deps: [],
+    },
+    entry! {
+        key: "ext-die", title: Extension("die"), run: ext_die::run,
+        caption: "Die-level embodied carbon by process node and die area (yield-aware)",
+        tags: [Extension, Fab], deps: ["fab.node_nm", "fab.yield_factor"],
+    },
+    entry! {
+        key: "ext-dvfs", title: Extension("dvfs"), run: ext_dvfs::run,
+        caption: "DVFS sweep on the Pixel 3 CPU: latency vs energy vs amortization time",
+        tags: [Extension, Mobile],
+        deps: ["device.soc_budget_share", "grid.intensity", "grid.renewable_fraction"],
+    },
+    entry! {
+        key: "ext-hetero", title: Extension("hetero"), run: ext_hetero::run,
+        caption: "Specialized accelerators vs general-purpose fleets: yearly opex+capex carbon",
+        tags: [Extension, Datacenter],
+        deps: ["fleet.scale", "grid.intensity", "grid.renewable_fraction"],
+    },
+    entry! {
+        key: "ext-fab", title: Extension("fab"), run: ext_fab::run,
+        caption: "A 7.7 TWh/yr 3nm fab under rising renewable coverage: Scope 1 vs Scope 2",
+        tags: [Extension, Fab], deps: ["fab.renewable_share"],
+    },
+    entry! {
+        key: "ext-mc", title: Extension("mc"),
+        caption: "Monte-Carlo robustness of the headline claims under input uncertainty",
+        tags: [Extension],
         deps: ["device.soc_budget_share", "grid.intensity", "grid.renewable_fraction", "mc.*"],
         parts: [
             (
@@ -361,20 +397,18 @@ static ENTRIES: [Entry; 26] = [
             ),
             ("ext-mc.fig11", ext_mc::fig11_capex_opex, ["mc.*"]),
             ("ext-mc.fig14", ext_mc::fig14_wafer_reduction, ["mc.*"]),
-        ]
-    ),
-    entry!(
-        "ext-facility",
-        ExtFacility,
-        [Extension, Datacenter],
-        deps: ["fleet.*", "grid.intensity"]
-    ),
-    entry!(
-        "ext-scheduler",
-        ExtScheduler,
-        [Extension, Datacenter, Energy],
-        deps: ["fleet.*", "grid.regions"]
-    ),
+        ],
+    },
+    entry! {
+        key: "ext-facility", title: Extension("facility"), run: ext_facility::run,
+        caption: "Scenario facility over the planning horizon: operational vs embodied carbon, break-even year",
+        tags: [Extension, Datacenter], deps: ["fleet.*", "grid.intensity"],
+    },
+    entry! {
+        key: "ext-scheduler", title: Extension("scheduler"), run: ext_scheduler::run,
+        caption: "Multi-site carbon-aware placement: defer and migrate batch load across regions vs static",
+        tags: [Extension, Datacenter, Energy], deps: ["fleet.*", "grid.regions"],
+    },
 ];
 
 /// Every registry entry, in presentation order: figures 1–15, tables I–IV,
@@ -384,7 +418,8 @@ pub fn entries() -> &'static [Entry] {
     &ENTRIES
 }
 
-/// Finds a registry entry by its command-line key.
+/// Finds a registry entry by its command-line key (`fig10`, `table2`,
+/// `ext-mc`).
 #[must_use]
 pub fn find_entry(key: &str) -> Option<&'static Entry> {
     ENTRIES.iter().find(|e| e.key == key)
@@ -399,56 +434,77 @@ pub fn with_tags(tags: &[Tag]) -> Vec<&'static Entry> {
         .collect()
 }
 
-/// Every experiment instantiated, in presentation order.
-#[must_use]
-pub fn all() -> Vec<Box<dyn Experiment>> {
-    ENTRIES.iter().map(Entry::build).collect()
-}
-
-/// Finds and instantiates an experiment by its command-line key (`fig10`,
-/// `table2`, `ext-mc`).
-#[must_use]
-pub fn find(key: &str) -> Option<Box<dyn Experiment>> {
-    find_entry(key).map(Entry::build)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cc_report::{RunContext, Scenario};
 
+    /// The key a title implies: `Figure 14` is `fig14`, `Table II` is
+    /// `table2`, ``Extension `mc` `` is `ext-mc`.
+    fn key_of(title: ExperimentId) -> String {
+        match title {
+            ExperimentId::Figure(n) => format!("fig{n:02}"),
+            ExperimentId::Table(n) => format!("table{n}"),
+            ExperimentId::Extension(name) => format!("ext-{name}"),
+        }
+    }
+
     #[test]
     fn registry_is_complete() {
-        let experiments = all();
-        assert_eq!(experiments.len(), 26);
+        assert_eq!(entries().len(), 26);
         // 15 figures, 4 tables, 7 extensions.
-        let figs = experiments
+        let figs = entries()
             .iter()
-            .filter(|e| matches!(e.id(), cc_report::ExperimentId::Figure(_)))
+            .filter(|e| matches!(e.id(), ExperimentId::Figure(_)))
             .count();
         assert_eq!(figs, 15);
+        for entry in entries() {
+            let kind = match entry.id() {
+                ExperimentId::Figure(_) => Tag::Figure,
+                ExperimentId::Table(_) => Tag::Table,
+                ExperimentId::Extension(_) => Tag::Extension,
+            };
+            assert!(
+                entry.has_tag(kind),
+                "`{}` lacks its title's kind tag",
+                entry.key
+            );
+        }
     }
 
     #[test]
     fn keys_are_unique_and_resolvable() {
-        let mut keys: Vec<String> = all().iter().map(|e| e.id().key()).collect();
-        keys.sort();
-        let n = keys.len();
+        let mut keys: Vec<&str> = entries().iter().map(|e| e.key).collect();
+        keys.sort_unstable();
         keys.dedup();
-        assert_eq!(n, keys.len());
-        for key in keys {
-            assert!(find(&key).is_some(), "key {key} not resolvable");
+        assert_eq!(keys.len(), 26, "keys must be unique");
+        for entry in entries() {
+            assert_eq!(find_entry(entry.key).map(|e| e.key), Some(entry.key));
         }
-        assert!(find("fig99").is_none());
+        assert!(find_entry("fig99").is_none());
     }
 
     #[test]
     fn entry_keys_match_experiment_ids() {
         for entry in entries() {
-            let built = entry.build();
-            assert_eq!(entry.key, built.id().key(), "stale key for {}", entry.key);
-            assert!(!entry.title().is_empty());
-            assert!(!entry.description().is_empty());
+            assert_eq!(
+                entry.key,
+                key_of(entry.id()),
+                "`{}`: key and title disagree",
+                entry.key
+            );
+            assert!(
+                !entry.description().is_empty(),
+                "`{}` has no caption",
+                entry.key
+            );
+        }
+        for (key, title) in [
+            ("fig14", "Figure 14"),
+            ("table2", "Table II"),
+            ("ext-mc", "Extension `mc`"),
+        ] {
+            assert_eq!(find_entry(key).unwrap().id().to_string(), title);
         }
     }
 
@@ -489,14 +545,13 @@ mod tests {
     #[test]
     fn every_experiment_produces_output() {
         let ctx = RunContext::paper();
-        for e in all() {
+        for e in entries() {
             let out = e.run(&ctx);
             assert!(
                 !out.tables.is_empty() || !out.notes.is_empty(),
                 "{} produced nothing",
                 e.id()
             );
-            assert!(!e.description().is_empty());
         }
     }
 
@@ -558,7 +613,7 @@ mod tests {
         for scenario in [Scenario::paper_defaults(), perturbed_scenario()] {
             for entry in entries() {
                 let (ctx, tracker) = RunContext::tracking(scenario.clone()).unwrap();
-                entry.build().run(&ctx);
+                entry.run(&ctx);
                 assert_eq!(
                     tracker.reads(),
                     declared(entry.deps()),
@@ -668,20 +723,13 @@ mod tests {
     }
 
     #[test]
-    fn entries_share_one_cached_inputs_handle() {
-        let a: *const SharedInputs = find_entry("fig10").unwrap().inputs();
-        let b: *const SharedInputs = find_entry("fig09").unwrap().inputs();
-        assert_eq!(a, b, "all entries must share the same cache");
-    }
-
-    #[test]
     fn every_experiment_exposes_a_summary_scalar() {
         // Full-suite sweeps are only diffable when every experiment carries
         // a headline scalar — comparison reports must never render a
         // `(no summary scalar)` row.
         let ctx = RunContext::paper();
         for entry in entries() {
-            let out = entry.build().run(&ctx);
+            let out = entry.run(&ctx);
             let scalar = out
                 .summary_scalar()
                 .unwrap_or_else(|| panic!("{} must expose a summary scalar", entry.key));

@@ -1,44 +1,32 @@
 //! Table I: salient Scope 1/2/3 emissions by company archetype.
 
 use cc_ghg::scope::{CompanyKind, Scope};
-use cc_report::{Experiment, ExperimentId, ExperimentOutput, RunContext, Table};
+use cc_report::{ExperimentOutput, RunContext, Table};
 
 /// Reproduces Table I.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Table1Scopes;
-
-impl Experiment for Table1Scopes {
-    fn id(&self) -> ExperimentId {
-        ExperimentId::Table(1)
+#[must_use]
+pub fn run(_ctx: &RunContext) -> ExperimentOutput {
+    let mut out = ExperimentOutput::new();
+    let mut t = Table::new(["Technology company", "Scope 1", "Scope 2", "Scope 3"]);
+    for kind in CompanyKind::ALL {
+        t.row([
+            kind.to_string(),
+            kind.salient_emissions(Scope::Scope1).to_string(),
+            kind.salient_emissions(Scope::Scope2).to_string(),
+            kind.salient_emissions(Scope::Scope3).to_string(),
+        ]);
     }
-
-    fn description(&self) -> &'static str {
-        "Salient Scope 1/2/3 emissions for chip manufacturers, mobile vendors, DC operators"
-    }
-
-    fn run(&self, _ctx: &RunContext) -> ExperimentOutput {
-        let mut out = ExperimentOutput::new();
-        let mut t = Table::new(["Technology company", "Scope 1", "Scope 2", "Scope 3"]);
-        for kind in CompanyKind::ALL {
-            t.row([
-                kind.to_string(),
-                kind.salient_emissions(Scope::Scope1).to_string(),
-                kind.salient_emissions(Scope::Scope2).to_string(),
-                kind.salient_emissions(Scope::Scope3).to_string(),
-            ]);
-        }
-        out.table("Table I: GHG Protocol scopes by company type", t);
-        out.scalar(
-            "company-archetypes",
-            "archetypes",
-            CompanyKind::ALL.len() as f64,
-        );
-        out.note(
-            "Scope 1 dominates operational output only for chip manufacturers \
-             (PFCs, chemicals, gases)",
-        );
-        out
-    }
+    out.table("Table I: GHG Protocol scopes by company type", t);
+    out.scalar(
+        "company-archetypes",
+        "archetypes",
+        CompanyKind::ALL.len() as f64,
+    );
+    out.note(
+        "Scope 1 dominates operational output only for chip manufacturers \
+         (PFCs, chemicals, gases)",
+    );
+    out
 }
 
 #[cfg(test)]
@@ -47,7 +35,7 @@ mod tests {
 
     #[test]
     fn three_archetypes() {
-        let out = Table1Scopes.run(&RunContext::paper());
+        let out = run(&RunContext::paper());
         let t = &out.tables[0].1;
         assert_eq!(t.len(), 3);
         assert!(t.rows()[0][1].contains("PFCs"));

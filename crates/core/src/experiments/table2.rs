@@ -1,43 +1,31 @@
 //! Table II: carbon efficiency of energy sources.
 
 use cc_data::energy_sources::EnergySource;
-use cc_report::{table::num, Experiment, ExperimentId, ExperimentOutput, RunContext, Table};
+use cc_report::{table::num, ExperimentOutput, RunContext, Table};
 
 /// Reproduces Table II.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Table2EnergySources;
-
-impl Experiment for Table2EnergySources {
-    fn id(&self) -> ExperimentId {
-        ExperimentId::Table(2)
-    }
-
-    fn description(&self) -> &'static str {
-        "Carbon intensity and energy-payback time per generation source"
-    }
-
-    fn run(&self, _ctx: &RunContext) -> ExperimentOutput {
-        let mut out = ExperimentOutput::new();
-        let mut t = Table::new([
-            "Source",
-            "Carbon intensity (g CO2e/kWh)",
-            "Energy payback (months)",
+#[must_use]
+pub fn run(_ctx: &RunContext) -> ExperimentOutput {
+    let mut out = ExperimentOutput::new();
+    let mut t = Table::new([
+        "Source",
+        "Carbon intensity (g CO2e/kWh)",
+        "Energy payback (months)",
+    ]);
+    for source in EnergySource::ALL {
+        t.row([
+            source.to_string(),
+            num(source.carbon_intensity().as_g_per_kwh(), 0),
+            num(source.energy_payback().as_months(), 0),
         ]);
-        for source in EnergySource::ALL {
-            t.row([
-                source.to_string(),
-                num(source.carbon_intensity().as_g_per_kwh(), 0),
-                num(source.energy_payback().as_months(), 0),
-            ]);
-        }
-        out.table("Table II: carbon efficiency of energy sources", t);
-        let spread = EnergySource::Coal.carbon_intensity() / EnergySource::Wind.carbon_intensity();
-        out.scalar("coal-to-wind-spread", "x", spread);
-        out.note(format!(
-            "coal-to-wind intensity spread {spread:.0}x (the paper's 'up to 70x improvement' bound)"
-        ));
-        out
     }
+    out.table("Table II: carbon efficiency of energy sources", t);
+    let spread = EnergySource::Coal.carbon_intensity() / EnergySource::Wind.carbon_intensity();
+    out.scalar("coal-to-wind-spread", "x", spread);
+    out.note(format!(
+        "coal-to-wind intensity spread {spread:.0}x (the paper's 'up to 70x improvement' bound)"
+    ));
+    out
 }
 
 #[cfg(test)]
@@ -46,7 +34,7 @@ mod tests {
 
     #[test]
     fn eight_sources_ordered() {
-        let out = Table2EnergySources.run(&RunContext::paper());
+        let out = run(&RunContext::paper());
         let t = &out.tables[0].1;
         assert_eq!(t.len(), 8);
         assert_eq!(t.rows()[0][0], "Coal");

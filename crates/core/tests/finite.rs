@@ -12,7 +12,7 @@
 
 use cc_core::experiments::entries;
 use cc_report::scenario::deps::FIELDS;
-use cc_report::{ExperimentOutput, RunContext, Scenario};
+use cc_report::{Experiment, ExperimentOutput, RunContext, Scenario};
 
 const LADDER: [&str; 10] = [
     "0", "1e-300", "1e-9", "0.3", "0.5", "1", "2", "100", "1e6", "1e300",
@@ -93,7 +93,7 @@ fn every_accepted_numeric_field_value_yields_finite_outputs() {
     let defaults = RunContext::new(Scenario::paper_defaults());
     for entry in entries() {
         runs += 1;
-        for what in non_finite(&entry.build().run(&defaults)) {
+        for what in non_finite(&entry.run(&defaults)) {
             failures.push(format!("paper defaults: {}: {what}", entry.key));
         }
     }
@@ -112,7 +112,7 @@ fn every_accepted_numeric_field_value_yields_finite_outputs() {
             };
             for entry in &covering {
                 runs += 1;
-                let output = entry.build().run(&context);
+                let output = entry.run(&context);
                 failures.extend(
                     non_finite(&output)
                         .into_iter()

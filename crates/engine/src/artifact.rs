@@ -62,11 +62,11 @@ impl Format {
 /// opens with: `key`, `title`, `description` and `tags`. `repro --list
 /// --json` lists them as one object per entry.
 #[must_use]
-pub fn head_fields(entry: &Entry, experiment: &dyn Experiment) -> Vec<(&'static str, JsonValue)> {
+pub fn head_fields(entry: &Entry) -> Vec<(&'static str, JsonValue)> {
     vec![
         ("key", JsonValue::from(entry.key)),
-        ("title", JsonValue::from(experiment.id().to_string())),
-        ("description", JsonValue::from(experiment.description())),
+        ("title", JsonValue::from(entry.id().to_string())),
+        ("description", JsonValue::from(entry.description())),
         (
             "tags",
             JsonValue::array(entry.tags.iter().map(|t| JsonValue::from(t.name()))),
@@ -88,15 +88,19 @@ fn point_fields(ctx: &RunContext, point: Option<&ScenarioPoint>) -> Vec<(&'stati
 /// The JSON artifact for one (experiment × scenario-point) job, as a value:
 /// experiment identity and tags, the sweep-point metadata when sweeping,
 /// the full scenario, and the experiment output.
+///
+/// The entry is the experiment, so `_experiment` is not read. The parameter
+/// stays for the benchmark harness's replay (`perfbench/`) until ROADMAP
+/// direction 4 deletes it.
 #[must_use]
 pub fn artifact_json(
     entry: &Entry,
-    experiment: &dyn Experiment,
+    _experiment: &dyn Experiment,
     output: &ExperimentOutput,
     ctx: &RunContext,
     point: Option<&ScenarioPoint>,
 ) -> JsonValue {
-    let mut fields = head_fields(entry, experiment);
+    let mut fields = head_fields(entry);
     fields.extend(point_fields(ctx, point));
     fields.push(("output", output.to_json()));
     JsonValue::object(fields)
@@ -105,6 +109,10 @@ pub fn artifact_json(
 /// Renders one (experiment × scenario-point) artifact from an
 /// already-computed output, whole: the reference form of the text
 /// [`crate::GridJob::artifact`] assembles from shared pieces.
+///
+/// Like [`artifact_json`], it reads the experiment's identity from `entry`
+/// and keeps `experiment` only for the benchmark harness's replay until
+/// ROADMAP direction 4 deletes it.
 #[must_use]
 pub fn render_artifact(
     entry: &Entry,
@@ -118,7 +126,7 @@ pub fn render_artifact(
         Format::Json => artifact_json(entry, experiment, output, ctx, point).render(),
         _ => {
             let mut text = String::new();
-            write_body(&mut text, experiment, output, format);
+            write_body(&mut text, entry, output, format);
             text
         }
     }
@@ -146,12 +154,12 @@ pub(crate) struct Shared<'a> {
 /// [`render_artifact`] on the job's fields.
 pub(crate) fn write_artifact(out: &mut String, job: &GridJob<'_>) {
     let shared = job.shared;
-    let body = |out: &mut String| write_body(out, job.experiment, job.output, job.format);
+    let body = |out: &mut String| write_body(out, job.entry, job.output, job.format);
     if job.format != Format::Json {
         return piece(out, shared.body, body);
     }
     piece(out, shared.head, |out| {
-        JsonValue::object(head_fields(job.entry, job.experiment)).write(out);
+        JsonValue::object(head_fields(job.entry)).write(out);
         out.pop();
     });
     piece(out, shared.point, |out| {
@@ -180,13 +188,8 @@ fn piece(out: &mut String, memo: Option<&OnceLock<String>>, write: impl FnOnce(&
 
 /// Appends the piece only the experiment and its output fix: the rendered
 /// `output` object for JSON, and the whole artifact for the other formats.
-fn write_body(
-    out: &mut String,
-    experiment: &dyn Experiment,
-    output: &ExperimentOutput,
-    format: Format,
-) {
-    let (id, description) = (experiment.id(), experiment.description());
+fn write_body(out: &mut String, entry: &Entry, output: &ExperimentOutput, format: Format) {
+    let (id, description) = (entry.id(), entry.description());
     let _ = match format {
         Format::Text => write!(
             out,

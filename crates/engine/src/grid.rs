@@ -103,7 +103,9 @@ pub struct GridJob<'a> {
     pub point: &'a ScenarioPoint,
     /// The point's run context (scenario included).
     pub context: &'a RunContext,
-    /// The built experiment (identity/description only — already run).
+    /// The entry again, as a trait object. The engine reads `entry`; this
+    /// stays for the benchmark harness's replay (`perfbench/`) until
+    /// ROADMAP direction 4 deletes it.
     pub experiment: &'a dyn Experiment,
     /// The computed (possibly cache-shared) output.
     pub output: &'a ExperimentOutput,
@@ -235,7 +237,6 @@ impl Engine {
             |unit, emit: &dyn Fn(usize, (Vec<String>, Vec<Scalar>))| {
                 let group = &groups[unit];
                 let entry = entries[group.entry_idx];
-                let experiment = entry.build();
                 let representative = group.point_idxs[0];
                 let output = self.obtain(
                     group.entry_idx,
@@ -253,7 +254,7 @@ impl Engine {
                         point_idx,
                         point: &points[point_idx],
                         context: &contexts[point_idx],
-                        experiment: experiment.as_ref(),
+                        experiment: entry,
                         output: &output,
                         sweeping,
                         format: config.format,
@@ -645,18 +646,10 @@ mod tests {
         let (entries, _matrix, points, contexts) = grid(&keys, &sweeps);
         let reference: Vec<String> = entries
             .iter()
-            .flat_map(|entry| {
-                let experiment = entry.build();
+            .flat_map(|&entry| {
                 points.iter().zip(&contexts).map(move |(point, context)| {
-                    let output = experiment.run(context);
-                    render_artifact(
-                        entry,
-                        experiment.as_ref(),
-                        &output,
-                        context,
-                        Some(point),
-                        Format::Json,
-                    )
+                    let output = entry.run(context);
+                    render_artifact(entry, entry, &output, context, Some(point), Format::Json)
                 })
             })
             .collect();

@@ -73,7 +73,7 @@ pub use persist::DiskCache;
 pub use server::{ServeLog, Server};
 
 use cc_core::experiments::{Entry, Part};
-use cc_report::{ExperimentOutput, JsonValue, RunContext, Scalar, ScenarioOverlay};
+use cc_report::{Experiment, ExperimentOutput, JsonValue, RunContext, Scalar, ScenarioOverlay};
 use grid::build_comparisons;
 use protocol::ResolvedRun;
 use std::collections::BTreeMap;
@@ -498,7 +498,7 @@ impl Engine {
     ) -> Arc<ExperimentOutput> {
         if no_cache {
             tally.runs[entry_idx].fetch_add(1, Ordering::Relaxed);
-            return Arc::new(entry.build().run(context));
+            return Arc::new(entry.run(context));
         }
         let mut parts = entry.parts().iter().enumerate().map(|(index, part)| {
             let fingerprint = fingerprints.fingerprint(index, part);
@@ -756,7 +756,7 @@ mod tests {
             let reloaded = Engine::new().with_disk(DiskCache::open(&dir).unwrap());
             let tally = Tally::new(entries.len());
             for (idx, entry) in entries.iter().enumerate() {
-                let whole = entry.build().run(&context).render_json();
+                let whole = entry.run(&context).render_json();
                 // Cold (computed), warm (resident), then a fresh engine
                 // reading every part back from disk.
                 for engine in [&engine, &engine, &reloaded] {

@@ -18,18 +18,6 @@ pub enum ExperimentId {
     Extension(&'static str),
 }
 
-impl ExperimentId {
-    /// Canonical command-line key: `fig05`, `table2`, `ext-mc`.
-    #[must_use]
-    pub fn key(&self) -> String {
-        match self {
-            Self::Figure(n) => format!("fig{n:02}"),
-            Self::Table(n) => format!("table{n}"),
-            Self::Extension(name) => format!("ext-{name}"),
-        }
-    }
-}
-
 /// Formats `n` as a roman numeral (any `u8`; `0` stays `"0"` since roman
 /// numerals have no zero).
 fn roman(n: u8) -> String {

@@ -56,7 +56,7 @@ fn main() {
         .grid_intensity(24.0)
         .lifetime_years(5.0)
         .build();
-    let fig10 = chasing_carbon::core::experiments::find("fig10").expect("registry");
+    let fig10 = chasing_carbon::core::experiments::find_entry("fig10").expect("registry");
     let out = fig10.run(&RunContext::new(hydro));
     println!("\nFig 10 under `hydro-5yr`:");
     for note in &out.notes {

@@ -113,7 +113,7 @@ fn extension_experiments_run_from_registry() {
         "ext-fab",
         "ext-mc",
     ] {
-        let e = chasing_carbon::core::experiments::find(key)
+        let e = chasing_carbon::core::experiments::find_entry(key)
             .unwrap_or_else(|| panic!("{key} missing from registry"));
         let out = e.run(&RunContext::paper());
         assert!(!out.tables.is_empty(), "{key} produced no tables");
@@ -133,7 +133,7 @@ fn ext_mc_breakeven_median_is_pinned_across_grid_intensities() {
     ] {
         let mut scenario = Scenario::paper_defaults();
         scenario.set("grid.intensity", grid).unwrap();
-        let out = chasing_carbon::core::experiments::find("ext-mc")
+        let out = chasing_carbon::core::experiments::find_entry("ext-mc")
             .unwrap()
             .run(&RunContext::new(scenario));
         let median = out.find_scalar("fig10-breakeven-median").unwrap().value;

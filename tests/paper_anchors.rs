@@ -5,7 +5,7 @@ use chasing_carbon::core::experiments;
 use chasing_carbon::core::CarbonDecomposition;
 use chasing_carbon::ghg::Scope2Method;
 use chasing_carbon::lca::Footprint;
-use chasing_carbon::prelude::RunContext;
+use chasing_carbon::prelude::{Experiment, RunContext};
 
 #[test]
 fn contribution_1_iphone_manufacturing_share_49_to_86() {
@@ -134,7 +134,7 @@ fn takeaway_10_fab_renewables_bounded_by_process_emissions() {
 #[test]
 fn all_experiments_render_nonempty_reports() {
     let ctx = RunContext::paper();
-    for e in experiments::all() {
+    for e in experiments::entries() {
         let out = e.run(&ctx);
         let text = out.render();
         assert!(text.len() > 40, "{} rendered almost nothing", e.id());
@@ -166,7 +166,7 @@ fn paper_default_scenario_reproduces_fig10_anchors() {
 
     let ctx = RunContext::new(defaults);
     assert!(ctx.is_paper());
-    let out = chasing_carbon::core::experiments::find("fig10")
+    let out = chasing_carbon::core::experiments::find_entry("fig10")
         .unwrap()
         .run(&ctx);
     // Paper: MobileNet v3 CPU ~350 days, DSP ~1200 days (beyond lifetime).
@@ -183,7 +183,7 @@ fn paper_default_scenario_reproduces_fig10_anchors() {
 fn custom_scenario_changes_fig10_breakeven() {
     use chasing_carbon::prelude::Scenario;
 
-    let paper = chasing_carbon::core::experiments::find("fig10")
+    let paper = chasing_carbon::core::experiments::find_entry("fig10")
         .unwrap()
         .run(&RunContext::paper());
     let hydro = Scenario::builder()
@@ -191,7 +191,7 @@ fn custom_scenario_changes_fig10_breakeven() {
         .grid_intensity(24.0)
         .lifetime_years(5.0)
         .build();
-    let custom = chasing_carbon::core::experiments::find("fig10")
+    let custom = chasing_carbon::core::experiments::find_entry("fig10")
         .unwrap()
         .run(&RunContext::new(hydro));
     let p = paper.find_series("breakeven-days").unwrap();

@@ -111,7 +111,7 @@ fn end_to_end_magnitudes_are_sane() {
 #[test]
 fn experiment_tables_are_rectangular() {
     let ctx = chasing_carbon::prelude::RunContext::paper();
-    for e in chasing_carbon::core::experiments::all() {
+    for e in chasing_carbon::core::experiments::entries() {
         let out = e.run(&ctx);
         for (title, table) in &out.tables {
             let cols = table.header().len();

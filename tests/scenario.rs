@@ -41,7 +41,7 @@ fn context_scenario_reaches_the_models() {
     // ext-hetero scales its demand tiers with fleet.scale; the absolute
     // demands in the table must scale accordingly.
     let run = |scenario: Scenario| {
-        chasing_carbon::core::experiments::find("ext-hetero")
+        chasing_carbon::core::experiments::find_entry("ext-hetero")
             .unwrap()
             .run(&RunContext::new(scenario))
     };
@@ -58,7 +58,7 @@ fn fleet_params_drive_the_facility_experiment_through_the_facade() {
     // Paper defaults replay Prineville; a steeper growth factor pulls the
     // opex/capex break-even earlier.
     let run = |growth: f64| {
-        chasing_carbon::core::experiments::find("ext-facility")
+        chasing_carbon::core::experiments::find_entry("ext-facility")
             .unwrap()
             .run(&RunContext::new(
                 Scenario::builder().fleet_growth(growth).build(),
@@ -80,7 +80,7 @@ fn fleet_mix_drives_the_facility_and_round_trips_through_the_facade() {
     };
     assert_eq!(Scenario::from_toml(&mixed.to_toml()).unwrap(), mixed);
     let run = |s: Scenario| {
-        chasing_carbon::core::experiments::find("ext-facility")
+        chasing_carbon::core::experiments::find_entry("ext-facility")
             .unwrap()
             .run(&RunContext::new(s))
     };
@@ -186,7 +186,7 @@ fn small_accepted_fleet_scales_run_the_whole_suite() {
         s.set("fleet.scale", scale).unwrap();
         let ctx = RunContext::try_new(s).expect("accepted scale");
         for entry in chasing_carbon::core::experiments::entries() {
-            let out = entry.build().run(&ctx);
+            let out = entry.run(&ctx);
             for scalar in &out.scalars {
                 assert!(
                     scalar.value.is_finite(),
@@ -214,7 +214,7 @@ fn small_accepted_fleet_scales_run_the_whole_suite() {
 #[test]
 fn mc_seed_changes_the_monte_carlo_run_but_defaults_are_stable() {
     let run = |seed: u64| {
-        chasing_carbon::core::experiments::find("ext-mc")
+        chasing_carbon::core::experiments::find_entry("ext-mc")
             .unwrap()
             .run(&RunContext::new(
                 Scenario::builder().mc_seed(seed).mc_samples(2_000).build(),
@@ -231,8 +231,8 @@ fn mc_seed_changes_the_monte_carlo_run_but_defaults_are_stable() {
 fn every_experiment_is_deterministic_under_a_fixed_context() {
     let ctx = RunContext::new(Scenario::builder().name("determinism").build());
     for entry in chasing_carbon::core::experiments::entries() {
-        let first = entry.build().run(&ctx);
-        let second = entry.build().run(&ctx);
+        let first = entry.run(&ctx);
+        let second = entry.run(&ctx);
         assert_eq!(first, second, "{} is not deterministic", entry.key);
     }
 }

@@ -3,7 +3,9 @@
 
 A line counts when it is not blank, does not start with `//` (after its
 indentation; this drops `//!` and `///` doc lines too), and comes before
-the file's first `#[cfg(test)]`. Files are grouped by crate: the directory
+the file's first `#[cfg(test)]` that gates more than a one-line `use`: a
+`#[cfg(test)]` followed by a one-line `use` drops only that `use`, and
+counting goes on after it. Files are grouped by crate: the directory
 under `crates/`, or the first path component for anything else.
 
     python3 tools/loc.py                          # every crates/*/src file
@@ -20,12 +22,22 @@ import sys
 from collections import defaultdict
 
 
+def is_one_line_use(line):
+    stripped = line.strip()
+    return stripped.startswith(("use ", "pub use ")) and stripped.endswith(";")
+
+
 def count_lines(text):
-    """Non-blank, non-`//` lines before the first `#[cfg(test)]`."""
+    """Non-blank, non-`//` lines before the first `#[cfg(test)]` that does
+    not gate a one-line `use`; a gated one-line `use` does not count."""
     n = 0
-    for line in text.splitlines():
+    lines = iter(text.splitlines())
+    for line in lines:
         stripped = line.strip()
         if stripped.startswith("#[cfg(test)]"):
+            following = next(lines, "")
+            if is_one_line_use(following):
+                continue
             break
         if stripped and not stripped.startswith("//"):
             n += 1

@@ -31,6 +31,15 @@ class CountLines(unittest.TestCase):
     def test_an_indented_cfg_test_also_stops_counting(self):
         self.assertEqual(count_lines("fn f() {}\n    #[cfg(test)]\nfn g() {}\n"), 1)
 
+    def test_a_cfg_test_use_drops_only_that_use(self):
+        text = ("use a::b;\n#[cfg(test)]\nuse c::{d, e};\n#[cfg(test)]\nuse f::g;\n"
+                "fn f() {}\n#[cfg(test)]\nmod tests {\n    use super::*;\n}\n")
+        self.assertEqual(count_lines(text), 2)
+
+    def test_a_cfg_test_before_a_multi_line_use_still_stops_counting(self):
+        text = "fn f() {}\n#[cfg(test)]\nuse c::{\n    d,\n};\nfn g() {}\n"
+        self.assertEqual(count_lines(text), 1)
+
     def test_per_crate_groups_by_the_directory_under_crates(self):
         files = {
             os.path.join("crates", "lca", "src", "lib.rs"): 3,
