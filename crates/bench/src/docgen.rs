@@ -25,6 +25,12 @@ fn default_of(defaults: &Scenario, field: &FieldInfo) -> String {
     }
 }
 
+/// `items` as a comma-separated list of code spans.
+fn code_list(items: &[impl std::fmt::Display]) -> String {
+    let spans: Vec<String> = items.iter().map(|item| format!("`{item}`")).collect();
+    spans.join(", ")
+}
+
 /// The experiments whose declared dependency set covers `field` — the
 /// "what re-runs when I sweep this?" column.
 fn affected_by(field: &FieldInfo) -> String {
@@ -82,12 +88,7 @@ pub fn scenario_reference() -> String {
         let aliases = if field.aliases.is_empty() {
             "—".to_string()
         } else {
-            field
-                .aliases
-                .iter()
-                .map(|a| format!("`{a}`"))
-                .collect::<Vec<_>>()
-                .join(", ")
+            code_list(field.aliases)
         };
         out.push_str(&format!(
             "| `{}` | {} | {} | {} | {} | {} | {} |\n",
@@ -126,12 +127,7 @@ pub fn scenario_reference() -> String {
         let deps = if entry.is_scenario_independent() {
             "scenario-independent".to_string()
         } else {
-            entry
-                .deps()
-                .iter()
-                .map(|d| format!("`{d}`"))
-                .collect::<Vec<_>>()
-                .join(", ")
+            code_list(entry.deps())
         };
         out.push_str(&format!(
             "| `{}` | {} | {} | {} | {} |\n",
@@ -160,6 +156,7 @@ pub fn scenario_reference() -> String {
          | `--out <dir>` | write one artifact file per (experiment × point), streamed as they finish |\n\
          | `--jobs <n>` | run the grid on `n` worker threads (default 1; capped at 64) |\n\
          | `--no-cache` | disable dependency-based result reuse (one model run per grid cell) |\n\
+         | `--cache-dir <dir>` | persist artifacts under `<dir>`, keyed on code and dependency fingerprints; a later run recomputes only the groups whose declared fields changed |\n\
          | `--explain` | print the dependency/dedup plan without running anything |\n\
          | `--samples <n>` | Monte-Carlo sample count (requires at least one distribution binding) |\n\
          | `--seed <s>` | PRNG seed for Monte-Carlo sampling (default 0; same seed → byte-identical output) |\n\
@@ -253,7 +250,7 @@ mod tests {
         assert!(text.contains("fig02, fig11, ext-facility"));
         assert!(text.contains("scenario-independent"));
         // CLI flags documented.
-        for flag in ["--sweep", "--no-cache", "--explain", "--set"] {
+        for flag in ["--sweep", "--no-cache", "--cache-dir", "--explain", "--set"] {
             assert!(text.contains(flag), "missing {flag}");
         }
     }

@@ -386,6 +386,42 @@ fn invalid_sweeps_exit_nonzero_with_diagnostics() {
 }
 
 #[test]
+fn sweep_values_are_checked_over_the_run_base() {
+    // Each sweep is invalid over the paper defaults but valid over its
+    // `--set` base; its swept point must match the `--set` one-shot run.
+    use cc_report::JsonValue;
+    let output = |json: &str| JsonValue::parse(json).unwrap().get("output").cloned();
+    for (base, sweep, point, file) in [
+        (
+            "fleet.mix=web:0.5,storage:0.5",
+            "fleet.mix[web]=0.3,0.7",
+            "fleet.mix[web]=0.3",
+            "ext-facility@fleet.mix-web--0.3.json",
+        ),
+        (
+            "fleet.horizon_years=2",
+            "fleet.growth=30,40",
+            "fleet.growth=40",
+            "ext-facility@fleet.growth-40.json",
+        ),
+    ] {
+        let dir = scratch("sweep-over-base");
+        let args = ["--set", base, "--sweep", sweep, "--json", "ext-facility"];
+        write_tree(&args, &dir);
+        let swept = std::fs::read_to_string(dir.join(file)).unwrap();
+        let one_shot = stdout_of(
+            repro()
+                .args(["--set", base, "--set", point, "--json", "ext-facility"])
+                .output()
+                .unwrap(),
+        );
+        assert!(output(&swept).is_some(), "{file}");
+        assert_eq!(output(&swept), output(one_shot.trim_end()), "{sweep}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
 fn facility_growth_sweep_is_deterministic_and_prints_a_crossover() {
     // The capacity-planning workload end to end: sweep the fleet growth
     // factor over the facility model, in parallel, and check the comparison

@@ -250,8 +250,9 @@ fn served_artifacts_byte_match_the_one_shot_cli() {
     let daemon = Daemon::start();
     let dir = scratch("serve-diff");
 
-    // Each run shape — a sweep, a single point, a Monte-Carlo run, a
-    // multi-entry sweep — through the daemon (via `repro client --out`)
+    // Each run shape — a sweep, a single point, a Monte-Carlo run, a sweep
+    // valid only over its `--set` base, a multi-entry sweep — through the
+    // daemon (via `repro client --out`)
     // and through the one-shot CLI (`--json --out`). The single point is
     // spelled with a positional key, as the client shares the one-shot
     // parser; the Monte-Carlo seed pins the sample stream, so its banded
@@ -276,9 +277,19 @@ fn served_artifacts_byte_match_the_one_shot_cli() {
         "--seed",
         "7",
     ];
+    // Over the paper's pure web fleet `fleet.mix[web]=0.3` has no other SKU
+    // to rescale; over this base it does.
+    let mix = [
+        "--experiment",
+        "ext-facility",
+        "--set",
+        "fleet.mix=web:0.5,storage:0.5",
+        "--sweep",
+        "fleet.mix[web]=0.3,0.7",
+    ];
     let shared = ["--tag", "figure", "--sweep", "fleet.growth=1.1,1.3"];
     let mut trees = Vec::new();
-    for (i, run) in [&sweep[..], &positional[..], &mc[..], &shared[..]]
+    for (i, run) in [&sweep[..], &positional[..], &mc[..], &mix[..], &shared[..]]
         .into_iter()
         .enumerate()
     {
@@ -331,6 +342,11 @@ fn served_artifacts_byte_match_the_one_shot_cli() {
             ][..],
             &["fig05.json"][..],
             &["mc-comparison.json"][..],
+            &[
+                "comparison.json",
+                "ext-facility@fleet.mix-web--0.3.json",
+                "ext-facility@fleet.mix-web--0.7.json",
+            ][..],
         ]
     );
 

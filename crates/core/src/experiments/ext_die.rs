@@ -106,16 +106,17 @@ mod tests {
     #[test]
     fn node_sweep_moves_the_per_die_scalar() {
         use cc_report::Scenario;
-        let scalar_at = |node_nm: f64| {
-            let ctx = RunContext::new(Scenario::builder().fab_node_nm(node_nm).build());
-            run(&ctx)
+        let scalar_at = |node_nm: &str| {
+            let mut s = Scenario::paper_defaults();
+            s.set("fab.node_nm", node_nm).unwrap();
+            run(&RunContext::new(s))
                 .find_scalar("featured-node-per-die-carbon")
                 .expect("ext-die exposes a summary scalar")
                 .value
         };
         // fab.node_nm is load-bearing: advancing the featured node raises
         // per-die carbon through the node's per-wafer electricity.
-        assert!(scalar_at(3.0) > scalar_at(7.0));
-        assert!(scalar_at(7.0) > scalar_at(28.0));
+        assert!(scalar_at("3") > scalar_at("7"));
+        assert!(scalar_at("7") > scalar_at("28"));
     }
 }

@@ -280,6 +280,13 @@ mod tests {
     use super::*;
     use cc_report::Scenario;
 
+    /// A context over the paper defaults with one field set.
+    fn ctx_with(key: &str, value: &str) -> RunContext {
+        let mut s = Scenario::paper_defaults();
+        s.set(key, value).unwrap();
+        RunContext::new(s)
+    }
+
     #[test]
     fn paper_defaults_reproduce_the_prineville_facility() {
         let years = simulate_from_context(&RunContext::paper());
@@ -304,15 +311,14 @@ mod tests {
         // The acceptance-criterion sweep: fleet.growth=1.0..1.5 must move
         // the break-even year across 2017 so the comparison report prints a
         // crossover line.
-        let be_at = |growth: f64| {
-            let scenario = Scenario::builder().fleet_growth(growth).build();
-            run(&RunContext::new(scenario))
+        let be_at = |growth: &str| {
+            run(&ctx_with("fleet.growth", growth))
                 .summary_scalar()
                 .unwrap()
                 .value
         };
-        let slow = be_at(1.0);
-        let fast = be_at(1.5);
+        let slow = be_at("1.0");
+        let fast = be_at("1.5");
         assert!(
             slow > fast,
             "faster fleet growth must pull break-even earlier"
@@ -326,9 +332,10 @@ mod tests {
     #[test]
     fn renewable_ramp_slope_moves_the_breakeven() {
         let be_with_ramp = |ramp: &str| {
-            let mut s = Scenario::paper_defaults();
-            s.set("fleet.renewable_ramp", ramp).unwrap();
-            run(&RunContext::new(s)).summary_scalar().unwrap().value
+            run(&ctx_with("fleet.renewable_ramp", ramp))
+                .summary_scalar()
+                .unwrap()
+                .value
         };
         // A steeper ramp zeroes operational carbon sooner: earlier break-even.
         let steep = be_with_ramp("0.2,0.6,1.0");
@@ -352,9 +359,7 @@ mod tests {
     #[test]
     fn start_year_shifts_the_time_axis_only() {
         let paper = simulate_from_context(&RunContext::paper());
-        let shifted = simulate_from_context(&RunContext::new(
-            Scenario::builder().fleet_start_year(2021).build(),
-        ));
+        let shifted = simulate_from_context(&ctx_with("fleet.start_year", "2021"));
         assert_eq!(shifted[0].year, 2021);
         for (p, s) in paper.iter().zip(&shifted) {
             assert_eq!(s.year, p.year + 8);
@@ -368,15 +373,11 @@ mod tests {
     fn building_amortization_window_scales_annual_construction_carbon() {
         // Halving the window doubles the per-year construction charge, which
         // pulls the capex-overtake year earlier.
-        let run = |years: f64| {
-            simulate_from_context(&RunContext::new(
-                Scenario::builder()
-                    .fleet_building_amortization_years(years)
-                    .build(),
-            ))
+        let run = |years: &str| {
+            simulate_from_context(&ctx_with("fleet.building_amortization_years", years))
         };
-        let fast = run(10.0);
-        let paper = run(20.0);
+        let fast = run("10");
+        let paper = run("20");
         assert!(fast[0].capex_carbon > paper[0].capex_carbon);
         assert!(capex_overtake_year(&fast) <= capex_overtake_year(&paper));
         // The paper default is bit-identical to the unparameterized model.
@@ -386,9 +387,7 @@ mod tests {
     #[test]
     fn scale_multiplies_the_initial_fleet() {
         let paper = simulate_from_context(&RunContext::paper());
-        let scaled = simulate_from_context(&RunContext::new(
-            Scenario::builder().fleet_scale(2.0).build(),
-        ));
+        let scaled = simulate_from_context(&ctx_with("fleet.scale", "2"));
         assert_eq!(scaled[0].servers, paper[0].servers * 2);
     }
 
@@ -420,9 +419,7 @@ mod tests {
         // the one-year-payback threshold so the comparison report prints an
         // "embodied pays back" crossover line.
         let payback_at = |weight: &str| {
-            let mut s = Scenario::paper_defaults();
-            s.set("fleet.mix[ai-training]", weight).unwrap();
-            run(&RunContext::new(s))
+            run(&ctx_with("fleet.mix[ai-training]", weight))
                 .find_scalar("cumulative-carbon-breakeven-year")
                 .unwrap()
                 .value
@@ -450,9 +447,7 @@ mod tests {
 
     #[test]
     fn mixed_fleets_emit_per_sku_series_and_table() {
-        let mut s = Scenario::paper_defaults();
-        s.set("fleet.mix", "web:0.7,ai-training:0.3").unwrap();
-        let out = run(&RunContext::new(s));
+        let out = run(&ctx_with("fleet.mix", "web:0.7,ai-training:0.3"));
         for name in [
             "facility-operational-carbon-web",
             "facility-capex-carbon-web",
@@ -479,9 +474,7 @@ mod tests {
 
     #[test]
     fn storage_sku_fleet_runs_heavier_than_web() {
-        let mut s = Scenario::paper_defaults();
-        s.set("fleet.sku", "storage").unwrap();
-        let storage = run(&RunContext::new(s));
+        let storage = run(&ctx_with("fleet.sku", "storage"));
         let paper = run(&RunContext::paper());
         let last = |out: &cc_report::ExperimentOutput, name: &str| {
             out.find_series(name).unwrap().points.last().unwrap().y
@@ -501,7 +494,7 @@ mod tests {
         // The paper-default payback (~2014.6) lands inside the final year of
         // a two-year horizon: a genuine crossing, not a clamp — the note
         // must say so even though the value exceeds the last simulated year.
-        let ctx = RunContext::new(Scenario::builder().fleet_horizon_years(2).build());
+        let ctx = ctx_with("fleet.horizon_years", "2");
         let out = run(&ctx);
         let payback = out
             .find_scalar("cumulative-carbon-breakeven-year")
@@ -524,9 +517,7 @@ mod tests {
     fn cumulative_payback_clamps_when_operations_never_catch_up() {
         // A fleet that keeps growing on fully-renewable operations never
         // amortizes its embodied carbon: the scalar clamps past the horizon.
-        let mut s = Scenario::paper_defaults();
-        s.set("fleet.renewable_ramp", "1.0").unwrap();
-        let out = run(&RunContext::new(s));
+        let out = run(&ctx_with("fleet.renewable_ramp", "1.0"));
         let payback = out
             .find_scalar("cumulative-carbon-breakeven-year")
             .unwrap()
@@ -540,7 +531,7 @@ mod tests {
 
     #[test]
     fn horizon_controls_the_series_length() {
-        let ctx = RunContext::new(Scenario::builder().fleet_horizon_years(12).build());
+        let ctx = ctx_with("fleet.horizon_years", "12");
         let out = run(&ctx);
         assert_eq!(out.tables[0].1.len(), 12);
         assert_eq!(out.find_series("facility-capex-carbon").unwrap().len(), 12);

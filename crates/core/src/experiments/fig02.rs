@@ -164,7 +164,8 @@ mod tests {
     #[test]
     fn fleet_scenario_redraws_the_left_panel() {
         let brown = {
-            let mut s = cc_report::Scenario::builder().name("brown").build();
+            let mut s = cc_report::Scenario::paper_defaults();
+            s.set("name", "brown").unwrap();
             s.set("fleet.renewable_ramp", "0").unwrap();
             s
         };

@@ -184,12 +184,10 @@ mod tests {
     fn greener_grid_lengthens_breakeven() {
         use cc_report::Scenario;
         let paper = run(&RunContext::paper());
-        let wind = run(&RunContext::new(
-            Scenario::builder()
-                .name("wind")
-                .grid_intensity(11.0)
-                .build(),
-        ));
+        let mut wind = Scenario::paper_defaults();
+        wind.set("name", "wind").unwrap();
+        wind.set("grid.intensity", "11").unwrap();
+        let wind = run(&RunContext::new(wind));
         let p = paper.find_series("breakeven-days").unwrap();
         let w = wind.find_series("breakeven-days").unwrap();
         // On an 11 g/kWh grid every break-even horizon stretches ~35x.

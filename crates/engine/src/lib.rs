@@ -756,12 +756,12 @@ mod tests {
             let reloaded = Engine::new().with_disk(DiskCache::open(&dir).unwrap());
             let tally = Tally::new(entries.len());
             for (idx, entry) in entries.iter().enumerate() {
-                let whole = entry.run(&context).render_json();
+                let whole = entry.run(&context).to_json().render();
                 // Cold (computed), warm (resident), then a fresh engine
                 // reading every part back from disk.
                 for engine in [&engine, &engine, &reloaded] {
                     let output = engine.obtain(idx, entry, &overlay, &context, false, &tally);
-                    assert_eq!(output.render_json(), whole, "{}", entry.key);
+                    assert_eq!(output.to_json().render(), whole, "{}", entry.key);
                 }
             }
             assert_eq!(counts(tally.runs), vec![2; entries.len()]);

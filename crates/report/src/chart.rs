@@ -35,29 +35,6 @@ pub fn bars(data: &[(&str, f64)], width: usize) -> String {
     out
 }
 
-/// Renders a stacked-share bar (e.g. a pie chart flattened to one line):
-/// each `(label, share)` gets a proportional segment of `width` characters.
-#[must_use]
-pub fn stacked(data: &[(&str, f64)], width: usize) -> String {
-    let total: f64 = data.iter().map(|&(_, v)| v.max(0.0)).sum();
-    if total <= 0.0 || width == 0 {
-        return String::new();
-    }
-    let glyphs = ['#', '=', '+', '-', '.', '*', 'o', '~'];
-    let mut bar = String::new();
-    let mut legend = String::new();
-    for (i, &(label, value)) in data.iter().enumerate() {
-        let glyph = glyphs[i % glyphs.len()];
-        let n = ((value.max(0.0) / total) * width as f64).round() as usize;
-        bar.push_str(&glyph.to_string().repeat(n));
-        legend.push_str(&format!(
-            "  {glyph} {label} ({:.1}%)\n",
-            100.0 * value.max(0.0) / total
-        ));
-    }
-    format!("[{bar}]\n{legend}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,20 +54,5 @@ mod tests {
         assert!(zero.contains('a'));
         let neg = bars(&[("a", -5.0), ("b", 10.0)], 10);
         assert!(neg.lines().next().unwrap().matches('#').count() == 0);
-    }
-
-    #[test]
-    fn stacked_sums_to_width() {
-        let chart = stacked(&[("capex", 86.0), ("opex", 14.0)], 50);
-        let bar_line = chart.lines().next().unwrap();
-        // Within rounding of the requested width (+2 brackets).
-        assert!((bar_line.len() as i64 - 52).abs() <= 1);
-        assert!(chart.contains("86.0%"));
-    }
-
-    #[test]
-    fn stacked_empty() {
-        assert_eq!(stacked(&[], 10), "");
-        assert_eq!(stacked(&[("a", 0.0)], 10), "");
     }
 }

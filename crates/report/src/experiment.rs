@@ -384,12 +384,6 @@ impl ExperimentOutput {
         Some(output)
     }
 
-    /// Renders the output as a compact JSON string.
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        self.to_json().render()
-    }
-
     /// Renders everything to text.
     #[must_use]
     pub fn render(&self) -> String {
@@ -508,7 +502,7 @@ mod tests {
         assert!(out
             .render_csv()
             .contains("# scalar: breakeven-days,350,days"));
-        assert!(out.render_json().contains(
+        assert!(out.to_json().render().contains(
             r#""scalars":[{"name":"breakeven-days","unit":"days","value":350.0,"threshold":null}"#
         ));
     }
@@ -527,7 +521,8 @@ mod tests {
         let threshold = scalar.threshold.as_ref().unwrap();
         assert_eq!(threshold.value, 365.0);
         assert!(out
-            .render_json()
+            .to_json()
+            .render()
             .contains(r#""threshold":{"value":365.0,"label":"one-year amortization"}"#));
     }
 
@@ -546,7 +541,7 @@ mod tests {
         let round_tripped = ExperimentOutput::from_json(&out.to_json()).unwrap();
         assert_eq!(round_tripped, out);
         // And the re-rendered JSON is byte-identical (floats via `{:?}`).
-        assert_eq!(round_tripped.render_json(), out.render_json());
+        assert_eq!(round_tripped.to_json().render(), out.to_json().render());
     }
 
     #[test]
@@ -567,7 +562,7 @@ mod tests {
 
         first.append(&second);
         assert_eq!(first, whole);
-        assert_eq!(first.render_json(), whole.render_json());
+        assert_eq!(first.to_json().render(), whole.to_json().render());
         // A new title becomes a new table after the existing ones.
         let mut other = ExperimentOutput::new();
         other.table("Other", Table::new(["k"]));
@@ -599,7 +594,7 @@ mod tests {
         let mut s = Series::new("trend", "year", "kg");
         s.push(2020.0, 5.0);
         out.table("T", t).series(s).note("anchor");
-        let json = out.render_json();
+        let json = out.to_json().render();
         assert!(json.contains(r#""title":"T""#));
         assert!(json.contains(r#""name":"trend""#));
         assert!(json.contains(r#""notes":["anchor"]"#));

@@ -36,8 +36,7 @@ pub use scenario::sweep::{
 };
 pub use scenario::trace::{builtin_region_trace, BUILTIN_REGIONS};
 pub use scenario::{
-    FleetParams, RegionParams, RunContext, Scenario, ScenarioBuilder, ScenarioError,
-    ScenarioOverlay, SiteParams,
+    FleetParams, RegionParams, RunContext, Scenario, ScenarioError, ScenarioOverlay, SiteParams,
 };
 pub use series::{Series, SeriesPoint};
 pub use table::Table;

@@ -10,8 +10,8 @@
 //! the default context regenerates the paper verbatim while any other
 //! scenario answers a "what if?".
 //!
-//! Scenarios round-trip through a small TOML subset (tables, `key = value`
-//! pairs with number/string/bool values, `#` comments) so they can live in
+//! Scenarios load from a small TOML subset (tables, `key = value` pairs
+//! with number/string/bool values, `#` comments) so they can live in
 //! version-controlled files, and every field is addressable by a dotted path
 //! (`grid.intensity`) for one-off command-line overrides. Every field is
 //! one row of the table in `scenario/fields.rs`, which defines the section
@@ -33,7 +33,7 @@ use cc_units::{CarbonIntensity, TimeSpan};
 use deps::{FieldSource, ReadTracker, ScenarioView};
 use fields::{FieldType, SectionsMut};
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Carbon intensity assumed for renewable power purchases when blending
 /// `grid.renewable_fraction` into the effective operational intensity
@@ -177,28 +177,22 @@ impl Default for Scenario {
     }
 }
 
-/// Building, setting, parsing and validating a scenario:
+/// Setting, parsing and validating a scenario:
 ///
 /// ```
 /// use cc_report::Scenario;
 ///
-/// let wind = Scenario::builder()
-///     .name("wind-grid")
-///     .grid_intensity(11.0)
-///     .lifetime_years(4.0)
-///     .build();
-/// let toml = wind.to_toml();
-/// assert_eq!(Scenario::from_toml(&toml).unwrap(), wind);
+/// let mut wind = Scenario::paper_defaults();
+/// wind.set("name", "wind-grid").unwrap();
+/// wind.set("grid.intensity", "11").unwrap();
+/// wind.set("device.lifetime", "4").unwrap();
+/// wind.validate().unwrap();
+/// let toml = "name = \"wind-grid\"\n\
+///             [grid]\nintensity_g_per_kwh = 11\n\
+///             [device]\nlifetime_years = 4\n";
+/// assert_eq!(Scenario::from_toml(toml).unwrap(), wind);
 /// ```
 impl Scenario {
-    /// Starts a builder seeded with the paper defaults.
-    #[must_use]
-    pub fn builder() -> ScenarioBuilder {
-        ScenarioBuilder {
-            scenario: Self::paper_defaults(),
-        }
-    }
-
     /// Sets one field by its dotted path, parsing `value` as the field's
     /// type. This backs both the TOML reader and `--set key=value` command
     /// line overrides.
@@ -211,17 +205,18 @@ impl Scenario {
         fields::set(self, key, value)
     }
 
-    /// Parses a scenario from the TOML subset written by [`Self::to_toml`]:
+    /// Parses a scenario from the TOML subset of scenario files:
     /// `[section]` tables, `key = value` pairs, `#` comments. Unlisted fields
     /// keep their paper-default values; unknown keys are rejected so typos
-    /// cannot silently run the wrong scenario.
+    /// cannot silently run the wrong scenario. Within a file, an explicitly
+    /// written intensity wins over `grid.source` in either line order.
     ///
     /// # Errors
     ///
     /// [`ScenarioError::Parse`] for malformed lines, plus the [`Self::set`]
     /// errors for unknown keys or unparsable values.
     pub fn from_toml(text: &str) -> Result<Self, ScenarioError> {
-        Self::from_toml_keys(text).map(|(scenario, _)| scenario)
+        Self::parse_toml(text, None)
     }
 
     /// Like [`Self::from_toml`] for the text of a scenario file in `dir`:
@@ -234,27 +229,15 @@ impl Scenario {
     ///
     /// Same conditions as [`Self::from_toml`].
     pub fn from_toml_in(text: &str, dir: &Path) -> Result<Self, ScenarioError> {
-        Self::parse_toml(text, Some(dir)).map(|(scenario, _)| scenario)
+        Self::parse_toml(text, Some(dir))
     }
 
-    /// Like [`Self::from_toml`], additionally returning the dotted paths the
-    /// file explicitly set — callers resolving defaults (e.g. the CLI turning
-    /// `grid.source` into an intensity) need to know whether the file pinned
-    /// `grid.intensity` itself.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::from_toml`].
-    pub fn from_toml_keys(text: &str) -> Result<(Self, Vec<String>), ScenarioError> {
-        Self::parse_toml(text, None)
-    }
-
-    /// The TOML reader behind [`Self::from_toml_keys`] and
+    /// The TOML reader behind [`Self::from_toml`] and
     /// [`Self::from_toml_in`]; `dir` rebases relative trace file paths.
-    fn parse_toml(text: &str, dir: Option<&Path>) -> Result<(Self, Vec<String>), ScenarioError> {
+    fn parse_toml(text: &str, dir: Option<&Path>) -> Result<Self, ScenarioError> {
         let mut scenario = Self::paper_defaults();
-        let mut keys = Vec::new();
-        let mut values = Vec::new();
+        // Every `(path, value)` line in file order.
+        let mut lines: Vec<(String, String)> = Vec::new();
         let mut section = String::new();
         for (idx, raw) in text.lines().enumerate() {
             let line_no = idx + 1;
@@ -287,38 +270,22 @@ impl Scenario {
                 .filter(|_| path.starts_with("grid.region.") && path.ends_with(".trace"))
                 .and_then(|dir| trace::rebase_trace_file(value.trim(), dir));
             scenario.set(&path, trace_file.as_deref().unwrap_or(value.trim()))?;
-            keys.push(path);
-            values.push(value.trim().to_string());
+            lines.push((path, value.trim().to_string()));
         }
         // Within a file, an explicitly written intensity wins over the
         // source's Table II value regardless of line order (a file is a
         // declaration, not a sequence of overrides); the source then stays
         // an informational label.
-        if keys.iter().any(|k| k == "grid.source") {
-            if let Some(last_pinned) = keys
+        if lines.iter().any(|(k, _)| k == "grid.source") {
+            if let Some((key, value)) = lines
                 .iter()
-                .zip(&values)
                 .rev()
                 .find(|(k, _)| deps::resolve(k).is_some_and(|f| f.path == "grid.intensity"))
             {
-                scenario.set(last_pinned.0, last_pinned.1)?;
+                scenario.set(key, value)?;
             }
         }
-        Ok((scenario, keys))
-    }
-
-    /// Overwrites `grid.intensity_g_per_kwh` with the Table II intensity of
-    /// the named `grid.source` (case-insensitive). A no-op when no source is
-    /// set. [`Self::set`] calls this automatically; it is public so code
-    /// mutating the fields directly can opt into the same resolution the CLI
-    /// performs.
-    ///
-    /// # Errors
-    ///
-    /// [`ScenarioError::UnknownSource`] when the name matches no Table II
-    /// row.
-    pub fn resolve_energy_source(&mut self) -> Result<(), ScenarioError> {
-        resolve_energy_source_in(&mut self.grid)
+        Ok(scenario)
     }
 
     /// Checks every parameter is physically sensible.
@@ -627,45 +594,6 @@ fn set_bracket(target: &mut dyn SectionsMut, key: &str, value: &str) -> Result<(
     }
 }
 
-/// Fluent construction of a [`Scenario`], starting from the paper defaults.
-/// Every field with a builder column in the field table has a typed setter.
-#[derive(Debug, Clone)]
-pub struct ScenarioBuilder {
-    scenario: Scenario,
-}
-
-impl ScenarioBuilder {
-    /// Labels the operational energy source. A recognized Table II name also
-    /// resolves to its intensity (a later [`Self::grid_intensity`] call still
-    /// wins); an unrecognized name is kept and rejected by
-    /// [`Scenario::validate`].
-    #[must_use]
-    pub fn energy_source(mut self, source: impl Into<String>) -> Self {
-        self.scenario.grid.source = Some(source.into());
-        let _ = self.scenario.resolve_energy_source();
-        self
-    }
-
-    /// Adds (or replaces) a named grid region with 24 hourly intensities
-    /// (g CO₂e/kWh).
-    #[must_use]
-    pub fn grid_region(mut self, name: impl Into<String>, hours: Vec<f64>) -> Self {
-        let name = name.into();
-        let regions = &mut self.scenario.grid.regions;
-        match regions.iter_mut().find(|r| r.name == name) {
-            Some(r) => r.hours = hours,
-            None => regions.push(RegionParams { name, hours }),
-        }
-        self
-    }
-
-    /// Finishes the builder.
-    #[must_use]
-    pub fn build(self) -> Scenario {
-        self.scenario
-    }
-}
-
 /// Errors from scenario parsing, overrides and validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScenarioError {
@@ -717,9 +645,15 @@ impl core::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-/// [`Scenario::resolve_energy_source`] over a bare grid section — the
-/// `grid.source` row's set hook, so copy-on-write overlays resolve a
-/// `grid.source` assignment without a full scenario in hand.
+/// Overwrites `grid.intensity_g_per_kwh` with the Table II intensity of the
+/// named `grid.source` (case-insensitive); a no-op when no source is set.
+/// This is the `grid.source` row's set hook, so it takes a bare grid
+/// section and copy-on-write overlays resolve a `grid.source` assignment
+/// without a full scenario in hand.
+///
+/// # Errors
+///
+/// [`ScenarioError::UnknownSource`] when the name matches no Table II row.
 fn resolve_energy_source_in(grid: &mut GridParams) -> Result<(), ScenarioError> {
     let Some(source) = &grid.source else {
         return Ok(());
@@ -738,27 +672,9 @@ fn lookup_energy_source(name: &str) -> Option<EnergySource> {
         .find(|s| s.name().to_lowercase() == wanted)
 }
 
-/// Quotes a TOML basic string, escaping backslashes and double quotes (the
-/// only escapes [`Scenario`] fields can need).
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Inverse of [`quote`]: strips one layer of surrounding double quotes and
-/// unescapes `\"` and `\\`. Unquoted input is returned verbatim.
+/// Strips one layer of surrounding double quotes from a TOML basic string
+/// and unescapes `\"`, `\\`, `\n`, `\r` and `\t`. Unquoted input is
+/// returned verbatim.
 fn unquote(value: &str) -> String {
     let value = value.trim();
     let Some(inner) = value
@@ -819,12 +735,6 @@ impl PartialEq for ScenarioOverlay {
 }
 
 impl ScenarioOverlay {
-    /// The shared base scenario the overlay resolves against.
-    #[must_use]
-    pub fn base(&self) -> &Arc<Scenario> {
-        &self.base
-    }
-
     /// Renames the point (labeling only — the name is never fingerprinted).
     pub fn set_name(&mut self, name: impl Into<String>) {
         self.name = Some(name.into());
@@ -852,36 +762,22 @@ impl ScenarioOverlay {
     }
 }
 
-/// The context every experiment runs in: one scenario plus typed accessors
-/// for the quantities the models consume.
+/// The context every experiment runs in: one scenario, held as a
+/// copy-on-write [`ScenarioOverlay`], plus typed accessors for the
+/// quantities the models consume.
 ///
 /// A context built by [`Self::tracking`] additionally records every
 /// canonical scenario field the typed accessors touch, which is how the
 /// `declared_deps_match_actual_reads` test in `cc_core::experiments`
 /// verifies each experiment's declared dependency set
-/// ([`deps::ScenarioPath`]) against its actual reads. Raw scenario access
-/// ([`Self::scenario`], [`Self::is_paper`]) counts as reading *every*
-/// semantic field — an experiment wanting a small dependency set must stay
-/// on the typed accessors.
-#[derive(Debug)]
+/// ([`deps::ScenarioPath`]) against its actual reads. Whole-scenario access
+/// through [`Self::scenario`] counts as reading *every* semantic field — an
+/// experiment wanting a small dependency set must stay on the typed
+/// accessors.
+#[derive(Debug, Clone)]
 pub struct RunContext {
     overlay: ScenarioOverlay,
-    /// Lazily materialized owned scenario backing the `&Scenario` return of
-    /// [`Self::scenario`]. Typed accessors never pay for it; a context whose
-    /// overlay is pristine never pays for it either (raw access borrows the
-    /// shared base directly).
-    materialized: OnceLock<Scenario>,
     tracker: Option<Arc<ReadTracker>>,
-}
-
-impl Clone for RunContext {
-    fn clone(&self) -> Self {
-        Self {
-            overlay: self.overlay.clone(),
-            materialized: OnceLock::new(),
-            tracker: self.tracker.clone(),
-        }
-    }
 }
 
 impl Default for RunContext {
@@ -906,7 +802,7 @@ impl RunContext {
         }
     }
 
-    /// Records a read of every semantic field (raw scenario access).
+    /// Records a read of every semantic field (whole-scenario access).
     fn record_all(&self) {
         if let Some(tracker) = &self.tracker {
             for field in deps::FIELDS.iter().filter(|f| f.semantic) {
@@ -936,7 +832,6 @@ impl RunContext {
         scenario.validate()?;
         Ok(Self {
             overlay: ScenarioOverlay::new(Arc::new(scenario)),
-            materialized: OnceLock::new(),
             tracker: None,
         })
     }
@@ -952,7 +847,6 @@ impl RunContext {
         overlay.validate()?;
         Ok(Self {
             overlay,
-            materialized: OnceLock::new(),
             tracker: None,
         })
     }
@@ -980,29 +874,13 @@ impl RunContext {
         Self::new(Scenario::paper_defaults())
     }
 
-    /// The underlying scenario. Counts as reading every semantic field when
-    /// tracking: raw access gives no visibility into which fields the caller
-    /// consumed. For a sweep-point context this materializes (once, lazily)
-    /// an owned scenario from the overlay; typed accessors never do.
+    /// The whole scenario, as the overlay's borrowed view. Counts as reading
+    /// every semantic field when tracking: whole-scenario access gives no
+    /// visibility into which fields the caller consumed.
     #[must_use]
-    pub fn scenario(&self) -> &Scenario {
+    pub fn scenario(&self) -> ScenarioView<'_> {
         self.record_all();
-        if self.overlay.is_pristine() {
-            self.overlay.base().as_ref()
-        } else {
-            self.materialized.get_or_init(|| self.overlay.materialize())
-        }
-    }
-
-    /// Whether this context runs the unmodified paper scenario (used to
-    /// label artifacts and keep paper-anchor notes honest). Compares — and
-    /// therefore reads — every field; experiments with narrow dependency
-    /// sets should use [`Self::grid_is_paper`] / [`Self::fleet_is_paper`]
-    /// instead.
-    #[must_use]
-    pub fn is_paper(&self) -> bool {
-        self.record_all();
-        self.overlay.view() == Scenario::paper_defaults().view()
+        self.overlay.view()
     }
 
     /// Whether the operational-grid parameters (intensity and renewable
@@ -1147,29 +1025,75 @@ impl RunContext {
 mod tests {
     use super::*;
 
+    /// The paper defaults with `sets` applied in order through
+    /// [`Scenario::set`].
+    fn with(sets: &[(&str, &str)]) -> Scenario {
+        let mut s = Scenario::paper_defaults();
+        for (key, value) in sets {
+            s.set(key, value).unwrap();
+        }
+        s
+    }
+
     #[test]
     fn toml_round_trips_paper_defaults() {
-        let s = Scenario::paper_defaults();
-        let parsed = Scenario::from_toml(&s.to_toml()).unwrap();
-        assert_eq!(parsed, s);
-        // A second emit is byte-identical: canonical form.
-        assert_eq!(parsed.to_toml(), s.to_toml());
+        // An empty file and a file restating paper values both load as the
+        // paper defaults.
+        assert_eq!(Scenario::from_toml("").unwrap(), Scenario::paper_defaults());
+        let restated = r#"
+            name = "paper"
+
+            [grid]
+            intensity_g_per_kwh = 380.0
+            renewable_fraction = 0.0
+
+            [device]
+            lifetime_years = 3.0
+
+            [fleet]
+            sku = "web"
+            renewable_ramp = "0.05,0.1,0.2,0.35,0.6,0.85,1.0"
+            initial_servers = 60000
+
+            [mc]
+            seed = 10
+        "#;
+        assert_eq!(
+            Scenario::from_toml(restated).unwrap(),
+            Scenario::paper_defaults()
+        );
     }
 
     #[test]
     fn toml_round_trips_custom_scenario() {
-        let s = Scenario::builder()
-            .name("green-fab")
-            .grid_intensity(50.0)
-            .energy_source("hydropower")
-            .renewable_fraction(0.5)
-            .lifetime_years(4.5)
-            .fab_renewable_share(0.9)
-            .fleet_scale(10.0)
-            .mc_seed(99)
-            .mc_samples(5_000)
-            .build();
-        assert_eq!(Scenario::from_toml(&s.to_toml()).unwrap(), s);
+        let text = r#"
+            name = "green-fab"
+            [grid]
+            intensity_g_per_kwh = 50.0
+            source = "hydropower"
+            renewable_fraction = 0.5
+            [device]
+            lifetime_years = 4.5
+            [fab]
+            renewable_share = 0.9
+            [fleet]
+            scale = 10.0
+            [mc]
+            seed = 99
+            samples = 5000
+        "#;
+        let s = with(&[
+            ("name", "green-fab"),
+            ("grid.source", "hydropower"),
+            ("grid.intensity", "50"),
+            ("grid.renewable_fraction", "0.5"),
+            ("device.lifetime", "4.5"),
+            ("fab.renewable_share", "0.9"),
+            ("fleet.scale", "10"),
+            ("mc.seed", "99"),
+            ("mc.samples", "5000"),
+        ]);
+        assert_eq!(Scenario::from_toml(text).unwrap(), s);
     }
 
     #[test]
@@ -1258,9 +1182,18 @@ mod tests {
         assert_eq!(s.grid.regions.len(), 2);
         assert_eq!(s.grid.regions[0].hours, vec![24.0; 24]);
         assert_eq!(s.fleet.sites[1].region, "pnw");
-        let back = Scenario::from_toml(&s.to_toml()).unwrap();
+        // A file sets the same regions by list or per region table.
+        let back = Scenario::from_toml(
+            r#"
+            [grid]
+            regions = "pnw:flat(24)"
+            region.sunny.trace = "solar(380,120)"
+            [fleet]
+            sites = "main@default:0.6,pnw@pnw:0.4"
+        "#,
+        )
+        .unwrap();
         assert_eq!(back, s);
-        assert_eq!(back.to_toml(), s.to_toml());
         // Re-assigning an existing region replaces its trace in place.
         s.set("grid.region.pnw.trace", "flat(30)").unwrap();
         assert_eq!(s.grid.regions.len(), 2);
@@ -1429,18 +1362,31 @@ mod tests {
 
     #[test]
     fn fleet_params_round_trip_and_reject_unphysical_values() {
-        // The ramp serializes as a quoted list and round-trips through TOML.
-        let s = Scenario::builder()
-            .name("capacity")
-            .fleet_initial_servers(5_000)
-            .fleet_growth(1.18)
-            .fleet_pue(1.4)
-            .fleet_renewable_ramp(vec![0.0, 0.25, 0.5, 1.0])
-            .fleet_construction_kt(42.5)
-            .fleet_horizon_years(12)
-            .build();
+        // The ramp loads from a quoted list.
+        let s = with(&[
+            ("name", "capacity"),
+            ("fleet.initial_servers", "5000"),
+            ("fleet.growth", "1.18"),
+            ("fleet.pue", "1.4"),
+            ("fleet.renewable_ramp", "0,0.25,0.5,1"),
+            ("fleet.construction_kt", "42.5"),
+            ("fleet.horizon_years", "12"),
+        ]);
         s.validate().unwrap();
-        let back = Scenario::from_toml(&s.to_toml()).unwrap();
+        assert_eq!(s.fleet.renewable_ramp, vec![0.0, 0.25, 0.5, 1.0]);
+        let back = Scenario::from_toml(
+            r#"
+            name = "capacity"
+            [fleet]
+            initial_servers = 5000
+            growth = 1.18
+            pue = 1.4
+            renewable_ramp = "0.0,0.25,0.5,1.0"
+            construction_kt = 42.5
+            horizon_years = 12
+        "#,
+        )
+        .unwrap();
         assert_eq!(back, s);
 
         // PUE below 1 is unphysical (cooling cannot generate energy).
@@ -1484,22 +1430,23 @@ mod tests {
 
     #[test]
     fn fleet_mix_round_trips_through_toml_and_set() {
-        let s = Scenario::builder()
-            .name("ai-buildout")
-            .fleet_mix(vec![
-                ("web".to_string(), 0.7),
-                ("ai-training".to_string(), 0.3),
-            ])
-            .build();
+        let s = Scenario::from_toml(
+            "name = \"ai-buildout\"\n[fleet]\nmix = \"web:0.7,ai-training:0.3\"\n",
+        )
+        .unwrap();
         s.validate().unwrap();
-        let back = Scenario::from_toml(&s.to_toml()).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(back.to_toml(), s.to_toml());
+        assert_eq!(s.name, "ai-buildout");
+        assert_eq!(
+            s.fleet.mix,
+            vec![("web".to_string(), 0.7), ("ai-training".to_string(), 0.3)]
+        );
 
         // --set style: the whole composition in one assignment.
-        let mut by_set = Scenario::paper_defaults();
-        by_set.set("fleet.mix", "web:0.7,ai-training:0.3").unwrap();
-        assert_eq!(by_set.fleet.mix, s.fleet.mix);
+        let by_set = with(&[
+            ("name", "ai-buildout"),
+            ("fleet.mix", "web:0.7,ai-training:0.3"),
+        ]);
+        assert_eq!(by_set, s);
         by_set.validate().unwrap();
 
         // A quoted value (the TOML form) parses identically.
@@ -1509,15 +1456,11 @@ mod tests {
             .unwrap();
         assert_eq!(quoted.fleet.mix, s.fleet.mix);
 
-        // fleet.sku round-trips and defaults to the paper's web SKU.
+        // fleet.sku loads from a file and defaults to the paper's web SKU.
         assert_eq!(Scenario::paper_defaults().fleet.sku, "web");
-        let mut storage = Scenario::paper_defaults();
-        storage.set("fleet.sku", "storage").unwrap();
+        let storage = Scenario::from_toml("[fleet]\nsku = \"storage\"\n").unwrap();
         storage.validate().unwrap();
-        assert_eq!(
-            Scenario::from_toml(&storage.to_toml()).unwrap().fleet.sku,
-            "storage"
-        );
+        assert_eq!(storage, with(&[("fleet.sku", "storage")]));
     }
 
     #[test]
@@ -1650,40 +1593,46 @@ mod tests {
 
     #[test]
     fn context_accessors_blend_and_convert() {
+        let paper = Scenario::paper_defaults();
         let ctx = RunContext::paper();
-        assert!(ctx.is_paper());
+        assert_eq!(ctx.scenario(), paper.view());
         assert_eq!(ctx.grid_intensity().as_g_per_kwh(), 380.0);
         assert_eq!(ctx.effective_grid_intensity(), ctx.grid_intensity());
         assert_eq!(ctx.device_lifetime().as_days().round(), 1096.0);
 
-        let half_green = RunContext::new(Scenario::builder().renewable_fraction(0.5).build());
-        assert!(!half_green.is_paper());
+        let half_green = RunContext::new(with(&[("grid.renewable_fraction", "0.5")]));
+        assert_ne!(half_green.scenario(), paper.view());
         let blended = half_green.effective_grid_intensity().as_g_per_kwh();
         assert!((blended - (0.5 * 380.0 + 0.5 * 11.0)).abs() < 1e-12);
     }
 
     #[test]
     fn names_with_quotes_and_backslashes_round_trip() {
-        for name in [
-            r#"a "b" c"#,
-            r"back\slash",
-            r#"mix \" end"#,
-            "has # hash",
-            "multi\nline\tname",
+        for (quoted, name) in [
+            (r#""a \"b\" c""#, r#"a "b" c"#),
+            (r#""back\\slash""#, r"back\slash"),
+            (r#""mix \\\" end""#, r#"mix \" end"#),
+            (r##""has # hash" # a comment"##, "has # hash"),
+            (r#""multi\nline\tname""#, "multi\nline\tname"),
         ] {
-            let s = Scenario::builder().name(name).build();
-            let back = Scenario::from_toml(&s.to_toml()).unwrap();
-            assert_eq!(back.name, name, "emitted: {}", s.to_toml());
-            assert_eq!(back, s);
+            let back = Scenario::from_toml(&format!("name = {quoted}\n")).unwrap();
+            assert_eq!(back.name, name, "read: {quoted}");
+            assert_eq!(back, with(&[("name", name)]));
         }
     }
 
     #[test]
     fn large_mc_seeds_serialize_losslessly() {
         let seed = (1u64 << 53) + 1;
-        let s = Scenario::builder().mc_seed(seed).build();
-        assert!(s.to_json().render().contains(&format!("\"seed\":{seed}")));
-        assert_eq!(Scenario::from_toml(&s.to_toml()).unwrap().mc.seed, seed);
+        let s = with(&[("mc.seed", &seed.to_string())]);
+        assert_eq!(s.mc.seed, seed);
+        assert!(s
+            .view()
+            .to_json()
+            .render()
+            .contains(&format!("\"seed\":{seed}")));
+        let text = format!("[mc]\nseed = {seed}\n");
+        assert_eq!(Scenario::from_toml(&text).unwrap().mc.seed, seed);
     }
 
     #[test]
@@ -1700,8 +1649,8 @@ mod tests {
         let err = s.set("grid.source", "unobtainium").unwrap_err();
         assert!(matches!(err, ScenarioError::UnknownSource(_)));
         assert!(err.to_string().contains("wind"));
-        // The builder resolves too.
-        let hydro = Scenario::builder().energy_source("Hydropower").build();
+        // Names match case-insensitively.
+        let hydro = with(&[("grid.source", "Hydropower")]);
         assert_eq!(hydro.grid.intensity_g_per_kwh, 24.0);
         // Directly-poked unknown sources are caught by validate.
         let mut poked = Scenario::paper_defaults();
@@ -1739,7 +1688,7 @@ mod tests {
         );
         let _ = ctx.fleet();
         assert!(tracker.reads().contains(&"fleet.renewable_ramp"));
-        // Raw scenario access reads everything semantic.
+        // Whole-scenario access reads everything semantic.
         let _ = ctx.scenario();
         assert_eq!(
             tracker.reads().len(),
@@ -1770,7 +1719,7 @@ mod tests {
         let ctx = RunContext::new(s);
         assert!(ctx.grid_is_paper());
         assert!(!ctx.fleet_is_paper());
-        let windy = RunContext::new(Scenario::builder().grid_intensity(11.0).build());
+        let windy = RunContext::new(with(&[("grid.intensity", "11")]));
         assert!(!windy.grid_is_paper());
         assert!(windy.fleet_is_paper());
     }

@@ -23,10 +23,10 @@
 //!   code.
 //!
 //! The honesty contract: an experiment's output must be a pure function of
-//! the fields its declared paths match. Tracked accessors enforce it — raw
-//! [`Scenario`](crate::Scenario) access (`RunContext::scenario`,
-//! `RunContext::is_paper`) counts as reading *every* field, so experiments
-//! that want a small dependency set must go through the typed accessors.
+//! the fields its declared paths match. Tracked accessors enforce it —
+//! whole-scenario access (`RunContext::scenario`, which returns a
+//! [`ScenarioView`]) counts as reading *every* field, so experiments that
+//! want a small dependency set must go through the typed accessors.
 
 pub use super::fields::{resolve, FieldInfo, ScenarioView, FIELDS};
 use core::fmt::{self, Write as _};

@@ -5,9 +5,9 @@
 //! [`Scenario`] itself, the paper defaults, the [`FIELDS`] registry, the
 //! dotted-path setter shared by [`Scenario::set`] and
 //! [`ScenarioOverlay::set`], the canonical value text behind fingerprints
-//! and [`Scenario::field_value`], the TOML and JSON forms, the per-field
-//! validation checks and the typed [`ScenarioBuilder`] setters.
-//! Per-type text, TOML and JSON formats live behind [`FieldType`].
+//! and [`Scenario::field_value`], the JSON form of a [`ScenarioView`] and
+//! the per-field validation checks. Per-type text and JSON formats live
+//! behind [`FieldType`].
 //!
 //! Hand-written code hangs off the rows where a field needs more than its
 //! type: `grid.source` resolution (a row hook), the bracket paths
@@ -15,22 +15,19 @@
 //! the composite validators of the list fields.
 
 use super::{
-    quote, resolve_energy_source_in, trace, unquote, validate_grid_regions, validate_growth,
-    validate_mix, validate_sites, validate_sku, validate_source, RegionParams, ScenarioBuilder,
-    ScenarioError, SiteParams, GROWTH_RULE,
+    resolve_energy_source_in, trace, unquote, validate_grid_regions, validate_growth, validate_mix,
+    validate_sites, validate_sku, validate_source, RegionParams, ScenarioError, SiteParams,
+    GROWTH_RULE,
 };
 use crate::json::JsonValue;
 use core::fmt;
 use std::sync::Arc;
 
 /// How one field type parses its `--set`/TOML text, writes its canonical
-/// value text (the bytes fingerprints hash) and serializes to TOML and
-/// JSON.
+/// value text (the bytes fingerprints hash) and serializes to JSON.
 pub(crate) trait FieldType: Sized {
     /// The type name the scenario reference documents.
     const NAME: &'static str;
-    /// Whether the TOML form quotes the value text.
-    const QUOTED: bool = true;
 
     /// Parses a `--set`/TOML value, naming `key` on failure.
     fn parse(key: &str, value: &str) -> Result<Self, ScenarioError>;
@@ -40,11 +37,6 @@ pub(crate) trait FieldType: Sized {
 
     /// The value as JSON.
     fn json(&self) -> JsonValue;
-
-    /// Whether the value is unset, in which case TOML omits its line.
-    fn unset(&self) -> bool {
-        false
-    }
 }
 
 /// The `InvalidValue` error for `value` at `key`.
@@ -57,7 +49,6 @@ fn invalid(key: &str, value: &str) -> ScenarioError {
 
 impl FieldType for f64 {
     const NAME: &'static str = "f64";
-    const QUOTED: bool = false;
 
     fn parse(key: &str, value: &str) -> Result<Self, ScenarioError> {
         value.trim().parse().map_err(|_| invalid(key, value))
@@ -78,7 +69,6 @@ macro_rules! integer_field_type {
     ($($t:ty),*) => {$(
         impl FieldType for $t {
             const NAME: &'static str = stringify!($t);
-            const QUOTED: bool = false;
 
             fn parse(key: &str, value: &str) -> Result<Self, ScenarioError> {
                 let wide: Option<u64> = value.trim().parse().ok();
@@ -130,10 +120,6 @@ impl FieldType for Option<String> {
 
     fn json(&self) -> JsonValue {
         self.as_deref().map_or(JsonValue::Null, JsonValue::from)
-    }
-
-    fn unset(&self) -> bool {
-        self.is_none()
     }
 }
 
@@ -215,10 +201,6 @@ impl FieldType for Vec<(String, f64)> {
                 .map(|(name, w)| (name.clone(), JsonValue::from(*w))),
         )
     }
-
-    fn unset(&self) -> bool {
-        self.is_empty()
-    }
 }
 
 /// Grid regions: semicolon-separated `name:trace-spec` entries, each spec
@@ -255,10 +237,6 @@ impl FieldType for Vec<RegionParams> {
                 ("hours", r.hours.json()),
             ])
         }))
-    }
-
-    fn unset(&self) -> bool {
-        self.is_empty()
     }
 }
 
@@ -301,26 +279,6 @@ impl FieldType for Vec<SiteParams> {
             ])
         }))
     }
-
-    fn unset(&self) -> bool {
-        self.is_empty()
-    }
-}
-
-/// Appends the `key = value` TOML line of one field, unless it is unset.
-fn toml_line<T: FieldType>(key: &str, value: &T, out: &mut String) {
-    if value.unset() {
-        return;
-    }
-    let mut text = String::new();
-    value
-        .write_value(&mut text)
-        .expect("writing to a String cannot fail");
-    let text = if T::QUOTED { quote(&text) } else { text };
-    out.push_str(key);
-    out.push_str(" = ");
-    out.push_str(&text);
-    out.push('\n');
 }
 
 /// A field's validation rule. Its text is what the scenario reference
@@ -448,24 +406,23 @@ pub(super) fn set(
 ///
 /// ```text
 /// field: Type = default => "canonical.path" ["alias", …] kind "doc",
-///     rule[, builder setter(Arg)][, then hook];
+///     rule[, then hook];
 /// ```
 ///
 /// * `field: Type` — the Rust field in the section struct; `Type` must
-///   implement [`FieldType`], which fixes the parse, value-text, TOML and
-///   JSON forms and the documented type name.
+///   implement [`FieldType`], which fixes the parse, value-text and JSON
+///   forms and the documented type name.
 /// * `default` — the paper's value, used by [`Scenario::paper_defaults`].
 /// * `"canonical.path"` — the dotted path of `--set`, sweeps,
 ///   fingerprints and the reference; the aliases are extra `--set` paths.
 ///   The TOML and JSON key is the Rust field name, and `section.field`
-///   must be the path or an alias so TOML round-trips.
+///   must be the path or an alias so a scenario file can set the field
+///   under its JSON key.
 /// * `kind` — `semantic` for fields the models read (they enter dependency
 ///   fingerprints), `label` for fields that cannot move a number.
 /// * `"doc"` — the field's rustdoc and [`FieldInfo::doc`].
 /// * `rule` — a [`Rule`]: its text is the documented validation and, for a
 ///   `Rule::Check`, the error message.
-/// * `builder setter(Arg)` — optional [`ScenarioBuilder`] method taking
-///   `Arg` (converted with `Into`).
 /// * `then hook` — optional `fn(&mut Section) -> Result<(), ScenarioError>`
 ///   run after every set of the field.
 macro_rules! scenario_fields {
@@ -478,7 +435,6 @@ macro_rules! scenario_fields {
                     $field:ident: $ty:ty = $default:expr => $path:literal [$($alias:literal),*]
                         $kind:ident $doc:literal,
                         $rule:expr
-                        $(, builder $builder:ident($arg:ty))?
                         $(, then $hook:path)?;
                 )*
             }
@@ -545,13 +501,6 @@ macro_rules! scenario_fields {
                 Self { base, name: None, $($sec: None,)* }
             }
 
-            /// Whether the overlay carries no delta at all, so every read —
-            /// and a [`Self::materialize`] — is exactly the base.
-            #[must_use]
-            pub fn is_pristine(&self) -> bool {
-                self.name.is_none() $(&& self.$sec.is_none())*
-            }
-
             /// The resolved scenario name.
             #[must_use]
             pub fn name(&self) -> &str {
@@ -565,12 +514,6 @@ macro_rules! scenario_fields {
                     self.$sec.as_ref().unwrap_or(&self.base.$sec)
                 }
             )*
-
-            /// Clones the resolved view out into an owned [`Scenario`].
-            #[must_use]
-            pub fn materialize(&self) -> Scenario {
-                Scenario { name: self.name().to_string(), $($sec: self.$sec().clone(),)* }
-            }
         }
 
         impl super::deps::FieldSource for Scenario {
@@ -622,49 +565,20 @@ macro_rules! scenario_fields {
                     $($sec: $Sec { $($field: $default,)* },)*
                 }
             }
+        }
 
-            /// Serializes the scenario to canonical TOML (parseable by
-            /// [`Self::from_toml`]).
-            #[must_use]
-            pub fn to_toml(&self) -> String {
-                let mut out = String::new();
-                toml_line("name", &self.name, &mut out);
-                $(
-                    out.push_str(concat!("\n[", stringify!($sec), "]\n"));
-                    $(toml_line(stringify!($field), &self.$sec.$field, &mut out);)*
-                )*
-                out
-            }
-
+        impl ScenarioView<'_> {
             /// The scenario as a JSON object (for `--json` artifacts).
             #[must_use]
             pub fn to_json(&self) -> JsonValue {
                 JsonValue::object([
-                    ("name", self.name.json()),
+                    ("name", JsonValue::from(self.name)),
                     $((
                         stringify!($sec),
                         JsonValue::object([$((stringify!($field), self.$sec.$field.json()),)*]),
                     ),)*
                 ])
             }
-        }
-
-        impl ScenarioBuilder {
-            /// Sets the scenario name.
-            #[must_use]
-            pub fn name(mut self, name: impl Into<String>) -> Self {
-                self.scenario.name = name.into();
-                self
-            }
-
-            $($($(
-                #[doc = concat!("Sets `", $path, "`: ", $doc, ".")]
-                #[must_use]
-                pub fn $builder(mut self, value: $arg) -> Self {
-                    self.scenario.$sec.$field = value.into();
-                    self
-                }
-            )?)*)*
         }
 
         /// Every settable scenario field, in canonical (TOML) order. The
@@ -724,16 +638,14 @@ scenario_fields! {
         // fig10's break-even days and ext-mc's band to `inf`.
         intensity_g_per_kwh: f64 = 380.0 => "grid.intensity" ["grid.intensity_g_per_kwh"]
             semantic "Operational grid carbon intensity in g CO2e/kWh",
-            Rule::Check("grid.intensity must lie in [1, 10000] g/kWh", |v| (1.0..=10_000.0).contains(v)),
-            builder grid_intensity(f64);
+            Rule::Check("grid.intensity must lie in [1, 10000] g/kWh", |v| (1.0..=10_000.0).contains(v));
         source: Option<String> = None => "grid.source" []
             label "Energy-source label; setting it resolves grid.intensity to the Table II value",
             Rule::With("must name a Table II energy source (case-insensitive)", validate_source),
             then resolve_energy_source_in;
         renewable_fraction: f64 = 0.0 => "grid.renewable_fraction" []
             semantic "Fraction of operational energy covered by renewable purchases",
-            Rule::Check("grid.renewable_fraction must lie in [0, 1]", unit_interval),
-            builder renewable_fraction(f64);
+            Rule::Check("grid.renewable_fraction must lie in [0, 1]", unit_interval);
         regions: Vec<RegionParams> = Vec::new() => "grid.regions" []
             semantic "Named grid regions with 24-hour intensity traces; per-region specs \
                       (`solar(night,noon)`, `flat(v)`, inline list, `*.csv`) are settable via \
@@ -748,28 +660,23 @@ scenario_fields! {
     device: DeviceParams {
         lifetime_years: f64 = 3.0 => "device.lifetime" ["device.lifetime_years"]
             semantic "Assumed device lifetime in years",
-            Rule::Check("device.lifetime_years must be finite and positive", finite_positive),
-            builder lifetime_years(f64);
+            Rule::Check("device.lifetime_years must be finite and positive", finite_positive);
         soc_budget_share: f64 = 0.5 => "device.soc_budget_share" []
             semantic "Share of a device's production carbon attributed to its SoC",
-            Rule::Check("device.soc_budget_share must lie in (0, 1]", |v| *v > 0.0 && *v <= 1.0),
-            builder soc_budget_share(f64);
+            Rule::Check("device.soc_budget_share must lie in (0, 1]", |v| *v > 0.0 && *v <= 1.0);
     }
 
     /// Fab parameters for the manufacturing-side experiments.
     fab: FabParams {
         node_nm: f64 = 3.0 => "fab.node_nm" ["fab.node"]
             semantic "Featured process node in nanometres",
-            Rule::Check("fab.node_nm must be finite and positive", finite_positive),
-            builder fab_node_nm(f64);
+            Rule::Check("fab.node_nm must be finite and positive", finite_positive);
         yield_factor: f64 = 1.0 => "fab.yield_factor" []
             semantic "Multiplier on the baseline defect density (1.0 = 0.1 /cm2)",
-            Rule::Check("fab.yield_factor must lie in (0, 100]", |v| *v > 0.0 && *v <= 100.0),
-            builder fab_yield_factor(f64);
+            Rule::Check("fab.yield_factor must lie in (0, 100]", |v| *v > 0.0 && *v <= 100.0);
         renewable_share: f64 = 0.2 => "fab.renewable_share" []
             semantic "Share of fab electricity from renewables",
-            Rule::Check("fab.renewable_share must lie in [0, 1]", unit_interval),
-            builder fab_renewable_share(f64);
+            Rule::Check("fab.renewable_share must lie in [0, 1]", unit_interval);
     }
 
     /// Datacenter-fleet parameters: everything `cc_dcsim::Facility` needs to
@@ -781,20 +688,17 @@ scenario_fields! {
     fleet: FleetParams {
         scale: f64 = 1.0 => "fleet.scale" []
             semantic "Demand multiplier applied to fleet-sizing experiments",
-            Rule::Check("fleet.scale must lie in (0, 1000000]", |v| *v > 0.0 && *v <= 1e6),
-            builder fleet_scale(f64);
+            Rule::Check("fleet.scale must lie in (0, 1000000]", |v| *v > 0.0 && *v <= 1e6);
         sku: String = "web".to_string() => "fleet.sku" []
             semantic "Server SKU of a pure (single-SKU) fleet; a non-empty fleet.mix overrides it",
-            Rule::With("one of: web, storage, ai-training", validate_sku),
-            builder fleet_sku(impl Into<String>);
+            Rule::With("one of: web, storage, ai-training", validate_sku);
         mix: Vec<(String, f64)> = Vec::new() => "fleet.mix" []
             semantic "Weighted fleet composition (`web:0.7,ai-training:0.3`); one SKU's weight is \
                       sweepable via `fleet.mix[<sku>]`, which renormalizes the rest",
             Rule::With(
                 "known SKUs, no duplicates, weights >= 0 summing to 1; empty = pure fleet.sku",
                 validate_mix,
-            ),
-            builder fleet_mix(Vec<(String, f64)>);
+            );
         sites: Vec<SiteParams> = Vec::new() => "fleet.sites" []
             semantic "Multi-site fleet composition (`main@default:0.7,pnw@hydro:0.3`); one site's \
                       share is sweepable via `fleet.sites[<site>].weight` (renormalizing the rest) \
@@ -803,69 +707,57 @@ scenario_fields! {
                 "unique names, weights >= 0 summing to 1, regions configured or builtin; \
                  empty = one `main` site in the `default` region",
                 validate_sites,
-            ),
-            builder fleet_sites(Vec<SiteParams>);
+            );
         deferrable: f64 = 0.2 => "fleet.deferrable" []
             semantic "Fraction of fleet IT energy that is deferrable batch work the carbon-aware \
                       scheduler may move across hours and sites",
-            Rule::Check("fleet.deferrable must lie in [0, 1]", unit_interval),
-            builder fleet_deferrable(f64);
+            Rule::Check("fleet.deferrable must lie in [0, 1]", unit_interval);
         initial_servers: u64 = 60_000 => "fleet.initial_servers" []
             semantic "Servers in service in the facility's first simulated year",
-            Rule::Check("fleet.initial_servers must be at least 1", |v| *v >= 1),
-            builder fleet_initial_servers(u64);
+            Rule::Check("fleet.initial_servers must be at least 1", |v| *v >= 1);
         growth: f64 = 1.28 => "fleet.growth" []
             semantic "Annual server-fleet growth factor (1.0 = flat fleet)",
-            Rule::With(GROWTH_RULE, validate_growth),
-            builder fleet_growth(f64);
+            Rule::With(GROWTH_RULE, validate_growth);
         pue: f64 = 1.10 => "fleet.pue" []
             semantic "Power usage effectiveness of the facility",
-            Rule::Check("fleet.pue must lie in [1, 10]", |v| (1.0..=10.0).contains(v)),
-            builder fleet_pue(f64);
+            Rule::Check("fleet.pue must lie in [1, 10]", |v| (1.0..=10.0).contains(v));
         renewable_ramp: Vec<f64> = vec![0.05, 0.10, 0.20, 0.35, 0.60, 0.85, 1.0]
             => "fleet.renewable_ramp" ["fleet.ramp"]
             semantic "Renewable (PPA) coverage fraction per simulated year; last value holds",
             Rule::Check(
                 "fleet.renewable_ramp must be non-empty with every value in [0, 1]",
                 |v| !v.is_empty() && v.iter().all(unit_interval),
-            ),
-            builder fleet_renewable_ramp(Vec<f64>);
+            );
         construction_kt: f64 = 150.0 => "fleet.construction_kt" ["fleet.construction"]
             semantic "Total construction embodied carbon in kt CO2e",
             Rule::Check(
                 "fleet.construction_kt must lie in [0, 1000000] kt CO2e",
                 |v| (0.0..=1e6).contains(v),
-            ),
-            builder fleet_construction_kt(f64);
+            );
         building_amortization_years: f64 = 20.0
             => "fleet.building_amortization_years" ["fleet.building_amortization"]
             semantic "Building-amortization window in years over which construction carbon is spread",
             Rule::Check(
                 "fleet.building_amortization_years must be finite and at least 1",
                 |v| v.is_finite() && *v >= 1.0,
-            ),
-            builder fleet_building_amortization_years(f64);
+            );
         start_year: u16 = 2013 => "fleet.start_year" []
             semantic "Calendar year the facility enters service (shifts the year axis)",
-            Rule::Check("fleet.start_year must lie in 1900..=2100", |v| (1900..=2100).contains(v)),
-            builder fleet_start_year(u16);
+            Rule::Check("fleet.start_year must lie in 1900..=2100", |v| (1900..=2100).contains(v));
         horizon_years: u32 = 7 => "fleet.horizon_years" ["fleet.horizon"]
             semantic "Simulated planning horizon in years",
-            Rule::Check("fleet.horizon_years must lie in 1..=200", |v| (1..=200).contains(v)),
-            builder fleet_horizon_years(u32);
+            Rule::Check("fleet.horizon_years must lie in 1..=200", |v| (1..=200).contains(v));
     }
 
     /// Monte-Carlo parameters for `ext-mc`.
     mc: McParams {
         seed: u64 = 10 => "mc.seed" []
             semantic "Base RNG seed for the Monte-Carlo experiment",
-            Rule::Any("any"),
-            builder mc_seed(u64);
+            Rule::Any("any");
         samples: u32 = 20_000 => "mc.samples" []
             semantic "Monte-Carlo trials per propagated headline",
             Rule::Check("mc.samples must lie in 1..=1000000", |v| {
                 (1..=super::mc::MonteCarloMatrix::MAX_SAMPLES).contains(&(*v as usize))
-            }),
-            builder mc_samples(u32);
+            });
     }
 }

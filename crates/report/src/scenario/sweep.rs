@@ -40,15 +40,18 @@ use std::sync::Arc;
 pub struct SweepSpec {
     /// The dotted scenario path being swept (`grid.intensity`).
     pub path: String,
-    /// The values the path takes, as strings [`Scenario::set`] accepts.
+    /// The values the path takes, as text for [`Scenario::set`];
+    /// [`ScenarioMatrix::new`] applies and validates each over the run's
+    /// base.
     pub values: Vec<String>,
 }
 
 impl SweepSpec {
-    /// Parses a `path=values` sweep specification and pre-validates every
-    /// value against the paper-default scenario, so a typo'd path or a value
-    /// of the wrong type fails here with a precise message rather than deep
-    /// inside a run.
+    /// Parses a `path=values` sweep specification into its value list. The
+    /// values are not applied here: a value valid over one base may be
+    /// invalid over another, so [`ScenarioMatrix::new`] sets and validates
+    /// each over the run's own base, where an unknown path or a wrongly
+    /// typed value is reported.
     ///
     /// # Errors
     ///
@@ -160,14 +163,6 @@ impl SweepSpec {
             }
             values
         };
-
-        // Every value must apply cleanly to a scenario — this is where an
-        // unknown path or a wrongly-typed value is reported.
-        let mut probe = Scenario::paper_defaults();
-        for value in &values {
-            probe.set(&path, value).map_err(SweepError::Scenario)?;
-            probe.validate().map_err(SweepError::Scenario)?;
-        }
         Ok(Self { path, values })
     }
 }
@@ -735,6 +730,7 @@ impl std::error::Error for SweepError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::deps::FieldSource;
 
     #[test]
     fn range_form_expands_inclusively() {
@@ -786,13 +782,8 @@ mod tests {
         assert!(err("grid.intensity=10..800/0").contains("must be positive"));
         assert!(err("grid.intensity=10..xyz").contains("not a finite number"));
         assert!(err("grid.intensity=1,,3").contains("empty element"));
-        assert!(err("grid.nope=1,2").contains("unknown scenario key"));
-        assert!(err("grid.intensity=dirty,clean").contains("invalid value"));
         assert!(err("device.lifetime=@sources").contains("only applies"));
         assert!(err("grid.source=@nope").contains("known: @sources"));
-        // Values out of physical range are caught at parse time too.
-        assert!(err("grid.renewable_fraction=0.5,2").contains("renewable_fraction"));
-        assert!(err("grid.source=wind,unobtainium").contains("unknown energy source"));
     }
 
     #[test]
@@ -831,12 +822,12 @@ mod tests {
             // to the shared base.
             assert_eq!(p.overlay.fleet(), &matrix.base().fleet);
         }
-        // Materializing reproduces exactly what clone-then-set used to build.
+        // The point resolves to exactly what clone-then-set builds.
         let mut by_hand = matrix.base().clone();
         by_hand.set("grid.intensity", "200").unwrap();
         by_hand.set("device.lifetime", "4").unwrap();
         by_hand.name = "paper[grid.intensity=200,device.lifetime=4]".to_string();
-        assert_eq!(points[4].overlay.materialize(), by_hand);
+        assert_eq!(points[4].overlay.view(), by_hand.view());
     }
 
     #[test]
@@ -847,8 +838,7 @@ mod tests {
         let p = matrix.point(0);
         assert!(p.label.is_empty());
         assert_eq!(p.display_label(), "paper");
-        assert!(p.overlay.is_pristine());
-        assert_eq!(p.overlay.materialize(), Scenario::paper_defaults());
+        assert_eq!(p.overlay.view(), Scenario::paper_defaults().view());
         assert!(p.to_json().render().contains(r#""label":"paper""#));
     }
 
@@ -866,6 +856,37 @@ mod tests {
             values: Vec::new(),
         }];
         assert!(ScenarioMatrix::new(Scenario::paper_defaults(), empty).is_err());
+        // An unknown path, a wrongly typed value and an out-of-range value
+        // are all reported by the matrix, not by `SweepSpec::parse`.
+        let err = |text: &str| {
+            let spec = SweepSpec::parse(text).unwrap();
+            ScenarioMatrix::new(Scenario::paper_defaults(), vec![spec])
+                .unwrap_err()
+                .to_string()
+        };
+        assert!(err("grid.nope=1,2").contains("unknown scenario key"));
+        assert!(err("grid.intensity=dirty,clean").contains("invalid value"));
+        assert!(err("grid.renewable_fraction=0.5,2").contains("renewable_fraction"));
+        assert!(err("grid.source=wind,unobtainium").contains("unknown energy source"));
+    }
+
+    #[test]
+    fn matrix_accepts_values_valid_over_its_own_base() {
+        // Each sweep fails over the paper defaults but holds over its base.
+        for (set, sweep) in [
+            (
+                ("fleet.mix", "web:0.5,storage:0.5"),
+                "fleet.mix[web]=0.3,0.7",
+            ),
+            (("fleet.horizon_years", "2"), "fleet.growth=30,40"),
+        ] {
+            let spec = || vec![SweepSpec::parse(sweep).unwrap()];
+            assert!(ScenarioMatrix::new(Scenario::paper_defaults(), spec()).is_err());
+            let mut base = Scenario::paper_defaults();
+            base.set(set.0, set.1).unwrap();
+            let matrix = ScenarioMatrix::new(base, spec()).unwrap();
+            assert_eq!(matrix.len(), 2, "{sweep}");
+        }
     }
 
     #[test]

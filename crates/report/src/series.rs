@@ -116,18 +116,6 @@ impl Series {
             .map(|p| p.y)
     }
 
-    /// Smallest y value (`None` when empty).
-    #[must_use]
-    pub fn min_y(&self) -> Option<f64> {
-        self.points.iter().map(|p| p.y).reduce(f64::min)
-    }
-
-    /// Largest y value (`None` when empty).
-    #[must_use]
-    pub fn max_y(&self) -> Option<f64> {
-        self.points.iter().map(|p| p.y).reduce(f64::max)
-    }
-
     /// The series as a JSON object.
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
@@ -166,8 +154,6 @@ mod tests {
         assert_eq!(s.y_at(3.0), None);
         assert_eq!(s.y_for("dsp"), Some(20.0));
         assert_eq!(s.y_for("cpu"), None);
-        assert_eq!(s.min_y(), Some(10.0));
-        assert_eq!(s.max_y(), Some(20.0));
     }
 
     #[test]
@@ -185,12 +171,5 @@ mod tests {
         assert!(json.contains(r#""name":"be""#));
         assert!(json.contains(r#""label":"cpu""#));
         assert!(json.contains(r#""y":350.0"#));
-    }
-
-    #[test]
-    fn empty_series_extrema_are_none() {
-        let s = Series::new("s", "x", "y");
-        assert_eq!(s.min_y(), None);
-        assert_eq!(s.max_y(), None);
     }
 }

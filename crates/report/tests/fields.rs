@@ -3,7 +3,7 @@
 //! so a new row is tested the moment it is added.
 
 use cc_report::scenario::deps::{resolve, FIELDS};
-use cc_report::{JsonValue, Scenario, ScenarioOverlay};
+use cc_report::{FieldSource, JsonValue, Scenario, ScenarioOverlay};
 use std::sync::Arc;
 
 /// A valid scenario whose every field differs from the paper default.
@@ -53,8 +53,8 @@ fn setting_a_fields_own_value_text_is_the_identity() {
             let mut overlay = ScenarioOverlay::new(Arc::new(defaults.clone()));
             overlay.set(path, &value).unwrap();
             assert_eq!(
-                overlay.materialize(),
-                defaults,
+                overlay.view(),
+                defaults.view(),
                 "overlay {path} = {value:?}"
             );
         }
@@ -73,7 +73,9 @@ fn setting_a_distribution_eligible_field_moves_no_other_field() {
             for path in std::iter::once(&field.path).chain(field.aliases) {
                 let mut overlay = ScenarioOverlay::new(Arc::new(base.clone()));
                 overlay.set(path, &value).unwrap();
-                let set = overlay.materialize();
+                let mut set = base.clone();
+                set.set(path, &value).unwrap();
+                assert_eq!(overlay.view(), set.view(), "{path}");
                 assert_eq!(set.field_value(field.path), Some(value.clone()), "{path}");
                 for row in FIELDS.iter().filter(|r| r.semantic && r.path != field.path) {
                     assert_eq!(
@@ -118,14 +120,17 @@ fn each_moved_field_round_trips_through_toml_and_json() {
         let mut one = Scenario::paper_defaults();
         one.set(field.path, &value).unwrap();
         one.validate().unwrap();
+        // A scenario-file line with the value text (quoted unless numeric)
+        // loads the same scenario.
+        let numeric = field.ty == "f64" || field.ty.starts_with('u');
+        let text = if numeric {
+            format!("{} = {value}\n", field.path)
+        } else {
+            format!("{} = {value:?}\n", field.path)
+        };
+        assert_eq!(Scenario::from_toml(&text).unwrap(), one, "{text}");
         assert_eq!(one.field_value(field.path), Some(value), "{}", field.path);
-        assert_eq!(
-            Scenario::from_toml(&one.to_toml()).unwrap(),
-            one,
-            "{}",
-            field.path
-        );
-        let json = one.to_json();
+        let json = one.view().to_json();
         assert_eq!(
             JsonValue::parse(&json.render()).unwrap(),
             json,

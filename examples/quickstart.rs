@@ -51,11 +51,17 @@ fn main() {
 
     // 5. Re-run a whole paper experiment under your own scenario: Fig 10's
     //    break-even analysis on a hydro grid with a 5-year lifetime.
-    let hydro = Scenario::builder()
-        .name("hydro-5yr")
-        .grid_intensity(24.0)
-        .lifetime_years(5.0)
-        .build();
+    //    Every field is set by its dotted path, as `repro --set` does.
+    let mut hydro = Scenario::paper_defaults();
+    for (key, value) in [
+        ("name", "hydro-5yr"),
+        ("grid.intensity", "24"),
+        ("device.lifetime", "5"),
+    ] {
+        hydro
+            .set(key, value)
+            .expect("a known field and a valid value");
+    }
     let fig10 = chasing_carbon::core::experiments::find_entry("fig10").expect("registry");
     let out = fig10.run(&RunContext::new(hydro));
     println!("\nFig 10 under `hydro-5yr`:");

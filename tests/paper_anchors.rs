@@ -157,6 +157,7 @@ fn footprints_from_dataset_are_internally_consistent() {
 #[test]
 fn paper_default_scenario_reproduces_fig10_anchors() {
     use chasing_carbon::prelude::Scenario;
+    use chasing_carbon::report::FieldSource;
 
     let defaults = Scenario::paper_defaults();
     assert_eq!(defaults.grid.intensity_g_per_kwh, 380.0); // Table III US average
@@ -165,7 +166,7 @@ fn paper_default_scenario_reproduces_fig10_anchors() {
     defaults.validate().unwrap();
 
     let ctx = RunContext::new(defaults);
-    assert!(ctx.is_paper());
+    assert_eq!(ctx.scenario(), Scenario::paper_defaults().view());
     let out = chasing_carbon::core::experiments::find_entry("fig10")
         .unwrap()
         .run(&ctx);
@@ -186,11 +187,10 @@ fn custom_scenario_changes_fig10_breakeven() {
     let paper = chasing_carbon::core::experiments::find_entry("fig10")
         .unwrap()
         .run(&RunContext::paper());
-    let hydro = Scenario::builder()
-        .name("hydro-5yr")
-        .grid_intensity(24.0)
-        .lifetime_years(5.0)
-        .build();
+    let mut hydro = Scenario::paper_defaults();
+    hydro.set("name", "hydro-5yr").unwrap();
+    hydro.set("grid.intensity", "24").unwrap();
+    hydro.set("device.lifetime", "5").unwrap();
     let custom = chasing_carbon::core::experiments::find_entry("fig10")
         .unwrap()
         .run(&RunContext::new(hydro));

@@ -1,29 +1,60 @@
 //! Integration tests for the scenario API through the facade: TOML
-//! round-trips, dotted-path overrides, and context-driven experiment runs.
+//! scenario files, dotted-path overrides, and context-driven experiment
+//! runs.
 
 use chasing_carbon::prelude::*;
 
+/// The paper defaults with `sets` applied in order through `Scenario::set`.
+fn with(sets: &[(&str, &str)]) -> Scenario {
+    let mut s = Scenario::paper_defaults();
+    for (key, value) in sets {
+        s.set(key, value).unwrap();
+    }
+    s
+}
+
 #[test]
 fn toml_round_trip_through_the_facade() {
-    let scenario = Scenario::builder()
-        .name("integration")
-        .grid_intensity(99.5)
-        .energy_source("solar")
-        .renewable_fraction(0.25)
-        .lifetime_years(4.0)
-        .soc_budget_share(0.4)
-        .fab_node_nm(5.0)
-        .fab_yield_factor(1.5)
-        .fab_renewable_share(0.6)
-        .fleet_scale(2.0)
-        .mc_seed(1234)
-        .mc_samples(2_000)
-        .build();
+    let scenario = with(&[
+        ("name", "integration"),
+        ("grid.source", "solar"),
+        ("grid.intensity", "99.5"),
+        ("grid.renewable_fraction", "0.25"),
+        ("device.lifetime", "4"),
+        ("device.soc_budget_share", "0.4"),
+        ("fab.node_nm", "5"),
+        ("fab.yield_factor", "1.5"),
+        ("fab.renewable_share", "0.6"),
+        ("fleet.scale", "2"),
+        ("mc.seed", "1234"),
+        ("mc.samples", "2000"),
+    ]);
     scenario.validate().unwrap();
-    let toml = scenario.to_toml();
-    let back = Scenario::from_toml(&toml).unwrap();
-    assert_eq!(back, scenario);
-    assert_eq!(back.to_toml(), toml);
+    let toml = r#"
+        name = "integration"
+
+        [grid]
+        intensity_g_per_kwh = 99.5
+        source = "solar"
+        renewable_fraction = 0.25
+
+        [device]
+        lifetime_years = 4.0
+        soc_budget_share = 0.4
+
+        [fab]
+        node_nm = 5.0
+        yield_factor = 1.5
+        renewable_share = 0.6
+
+        [fleet]
+        scale = 2.0
+
+        [mc]
+        seed = 1234
+        samples = 2000
+    "#;
+    assert_eq!(Scenario::from_toml(toml).unwrap(), scenario);
 }
 
 #[test]
@@ -46,7 +77,7 @@ fn context_scenario_reaches_the_models() {
             .run(&RunContext::new(scenario))
     };
     let paper = run(Scenario::paper_defaults());
-    let scaled = run(Scenario::builder().fleet_scale(10.0).build());
+    let scaled = run(with(&[("fleet.scale", "10")]));
     let first_demand = |out: &cc_report::ExperimentOutput| -> f64 {
         out.tables[0].1.rows()[0][1].parse().unwrap()
     };
@@ -57,28 +88,23 @@ fn context_scenario_reaches_the_models() {
 fn fleet_params_drive_the_facility_experiment_through_the_facade() {
     // Paper defaults replay Prineville; a steeper growth factor pulls the
     // opex/capex break-even earlier.
-    let run = |growth: f64| {
+    let run = |growth: &str| {
         chasing_carbon::core::experiments::find_entry("ext-facility")
             .unwrap()
-            .run(&RunContext::new(
-                Scenario::builder().fleet_growth(growth).build(),
-            ))
+            .run(&RunContext::new(with(&[("fleet.growth", growth)])))
     };
-    let slow = run(1.05).summary_scalar().unwrap().value;
-    let fast = run(1.45).summary_scalar().unwrap().value;
+    let slow = run("1.05").summary_scalar().unwrap().value;
+    let fast = run("1.45").summary_scalar().unwrap().value;
     assert!(fast < slow, "growth 1.45 break-even {fast} vs 1.05 {slow}");
 }
 
 #[test]
 fn fleet_mix_drives_the_facility_and_round_trips_through_the_facade() {
-    // A mixed fleet must change the facility numbers, and the composition
-    // must survive a TOML round-trip.
-    let mixed = {
-        let mut s = Scenario::paper_defaults();
-        s.set("fleet.mix", "web:0.6,ai-training:0.4").unwrap();
-        s
-    };
-    assert_eq!(Scenario::from_toml(&mixed.to_toml()).unwrap(), mixed);
+    // A mixed fleet must change the facility numbers, and a scenario file
+    // must load the same composition.
+    let mixed = with(&[("fleet.mix", "web:0.6,ai-training:0.4")]);
+    let file = "[fleet]\nmix = \"web:0.6,ai-training:0.4\"\n";
+    assert_eq!(Scenario::from_toml(file).unwrap(), mixed);
     let run = |s: Scenario| {
         chasing_carbon::core::experiments::find_entry("ext-facility")
             .unwrap()
@@ -213,23 +239,24 @@ fn small_accepted_fleet_scales_run_the_whole_suite() {
 
 #[test]
 fn mc_seed_changes_the_monte_carlo_run_but_defaults_are_stable() {
-    let run = |seed: u64| {
+    let run = |seed: &str| {
         chasing_carbon::core::experiments::find_entry("ext-mc")
             .unwrap()
-            .run(&RunContext::new(
-                Scenario::builder().mc_seed(seed).mc_samples(2_000).build(),
-            ))
+            .run(&RunContext::new(with(&[
+                ("mc.seed", seed),
+                ("mc.samples", "2000"),
+            ])))
     };
-    let a = run(1);
-    let b = run(1);
-    let c = run(2);
+    let a = run("1");
+    let b = run("1");
+    let c = run("2");
     assert_eq!(a, b, "same seed must reproduce identical output");
     assert_ne!(a, c, "different seeds must draw different samples");
 }
 
 #[test]
 fn every_experiment_is_deterministic_under_a_fixed_context() {
-    let ctx = RunContext::new(Scenario::builder().name("determinism").build());
+    let ctx = RunContext::new(with(&[("name", "determinism")]));
     for entry in chasing_carbon::core::experiments::entries() {
         let first = entry.run(&ctx);
         let second = entry.run(&ctx);
