@@ -840,6 +840,91 @@ fn warm_cache_dir_rerun_recomputes_nothing_and_matches_no_cache() {
 }
 
 #[test]
+fn a_json_filled_cache_dir_replays_every_format_and_a_flipped_body_byte_recomputes() {
+    // Disk hits keep their stored `output` JSON as text: a JSON run splices
+    // it, and the other formats parse it. Both must match `--no-cache`,
+    // and a stored body edited in place (length kept) must fail its digest
+    // and recompute rather than reach an artifact.
+    let dir = scratch("repro-disk-formats");
+    let cache_dir = dir.join("cache");
+    let run = |out_dir: &Path, extra: &[&str]| {
+        let mut args = vec![
+            "--sweep",
+            "fleet.growth=1.0,1.5",
+            "--set",
+            "mc.samples=500",
+            "--jobs",
+            "2",
+        ];
+        args.extend_from_slice(extra);
+        write_tree(&args, out_dir)
+    };
+    let cache = ["--cache-dir", cache_dir.to_str().unwrap()];
+    let fill = run(&dir.join("fill"), &[&cache[..], &["--json"]].concat());
+    assert!(fill
+        .stderr
+        .contains("disk: total: 30 recomputes, 0 disk hits"));
+    for (name, flag) in [
+        ("text", None),
+        ("markdown", Some("--markdown")),
+        ("csv", Some("--csv")),
+    ] {
+        let flag: Vec<&str> = flag.into_iter().collect();
+        let warm_dir = dir.join(format!("warm-{name}"));
+        let warm = run(&warm_dir, &[&cache[..], &flag].concat());
+        assert!(
+            warm.stdout
+                .contains("disk: total: 0 recomputes, 30 disk hits"),
+            "{name}: {}",
+            warm.stdout
+        );
+        let uncached_dir = dir.join(format!("uncached-{name}"));
+        run(&uncached_dir, &[&["--no-cache"][..], &flag].concat());
+        let files = same_trees(&[&uncached_dir, &warm_dir]);
+        assert_eq!(files.len(), experiment_count() * 2 + 1, "{name}");
+    }
+
+    // Flip one digit of fig05's stored body (fig05 ignores fleet.growth:
+    // one entry, one group).
+    let entry = std::fs::read_dir(&cache_dir)
+        .unwrap()
+        .flat_map(|code_dir| std::fs::read_dir(code_dir.unwrap().path()).unwrap())
+        .map(|e| e.unwrap().path())
+        .find(|p| {
+            p.file_name()
+                .unwrap()
+                .to_string_lossy()
+                .starts_with("fig05-")
+        })
+        .expect("a stored fig05 entry");
+    let mut bytes = std::fs::read(&entry).unwrap();
+    let body_start = bytes[..bytes.len() - 1]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .unwrap()
+        + 1;
+    let digit = body_start
+        + bytes[body_start..]
+            .iter()
+            .position(u8::is_ascii_digit)
+            .expect("a digit in the body");
+    bytes[digit] = if bytes[digit] == b'1' { b'2' } else { b'1' };
+    std::fs::write(&entry, &bytes).unwrap();
+    let flipped_dir = dir.join("flipped");
+    let flipped = run(&flipped_dir, &[&cache[..], &["--json"]].concat());
+    for footer in [
+        "disk: fig05: 1 recompute, 0 disk hits",
+        "disk: total: 1 recompute, 29 disk hits",
+    ] {
+        assert!(flipped.stderr.contains(footer), "{}", flipped.stderr);
+    }
+    let uncached_dir = dir.join("uncached-json");
+    run(&uncached_dir, &["--no-cache", "--json"]);
+    same_trees(&[&uncached_dir, &flipped_dir, &dir.join("fill")]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn concurrent_processes_share_one_cache_dir_safely() {
     // Two processes racing on one `--cache-dir` must both succeed and both
     // produce artifacts byte-identical to a `--no-cache` run: atomic

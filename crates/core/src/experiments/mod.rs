@@ -190,7 +190,7 @@ impl Entry {
     }
 
     /// The entry as a boxed experiment. It stays for the benchmark harness's
-    /// replay (`perfbench/`) until ROADMAP direction 4 deletes it.
+    /// replay (`perfbench/`) until ROADMAP direction 5 deletes it.
     #[must_use]
     pub fn build(&self) -> Box<dyn Experiment> {
         Box::new(*self)

@@ -12,9 +12,11 @@
 //! then `scenario`) by the sweep point, and the *body* (`output`) by the
 //! experiment's output. The other formats never show the point, so their
 //! body is the whole artifact. [`crate::Engine::run_grid`] renders each
-//! shared piece once — a work group's body once for all its members, a
-//! point's piece once for every experiment — and splices the pieces into
-//! every artifact ([`crate::GridJob::artifact`]); the daemon writes that
+//! shared piece once — a JSON body once per cached output, which a disk
+//! hit holds already as stored text ([`crate::CachedOutput`]), another
+//! format's body once per work group, a point's piece once for every
+//! experiment — and splices the pieces into every artifact
+//! ([`crate::GridJob::artifact`]); the daemon writes that
 //! same text into its `artifact` response line, from the interned
 //! payload's memo when it holds it. [`artifact_json`] and
 //! [`render_artifact`] build the whole artifact from the same field lists
@@ -91,7 +93,7 @@ fn point_fields(ctx: &RunContext, point: Option<&ScenarioPoint>) -> Vec<(&'stati
 ///
 /// The entry is the experiment, so `_experiment` is not read. The parameter
 /// stays for the benchmark harness's replay (`perfbench/`) until ROADMAP
-/// direction 4 deletes it.
+/// direction 5 deletes it.
 #[must_use]
 pub fn artifact_json(
     entry: &Entry,
@@ -112,7 +114,7 @@ pub fn artifact_json(
 ///
 /// Like [`artifact_json`], it reads the experiment's identity from `entry`
 /// and keeps `experiment` only for the benchmark harness's replay until
-/// ROADMAP direction 4 deletes it.
+/// ROADMAP direction 5 deletes it.
 #[must_use]
 pub fn render_artifact(
     entry: &Entry,
@@ -135,27 +137,34 @@ pub fn render_artifact(
 /// Where [`write_artifact`] takes the pieces a grid job shares with other
 /// jobs from. A piece with a memo is rendered into it once, by whichever
 /// job gets there first, and copied into every sharer's artifact; a piece
-/// without one belongs to this job alone and is written in place.
+/// without one belongs to this job alone and is written in place. A JSON
+/// body's memo is the job's cached output itself
+/// ([`crate::CachedOutput::json`]).
 #[derive(Clone, Copy)]
 pub(crate) struct Shared<'a> {
     /// The head, shared by every point of the experiment.
     pub(crate) head: Option<&'a OnceLock<String>>,
     /// The point piece, shared by every experiment at the point.
     pub(crate) point: Option<&'a OnceLock<String>>,
-    /// The body, shared by the members of a work group.
+    /// A non-JSON body, shared by the members of a work group.
     pub(crate) body: Option<&'a OnceLock<String>>,
+    /// Whether the body is shared by the members of a work group. A
+    /// shared JSON body is kept with the job's cached output, for them and
+    /// for later runs that hit the entry; one a single job uses is written
+    /// in place unless the output already holds it.
+    pub(crate) keep_json: bool,
 }
 
 /// Appends a grid job's artifact to `out`: for JSON the head
 /// (`{"key":…,"tags":[…]`), the point piece (`,"point":…,"scenario":…`),
-/// then `,"output":` and the body (the rendered output) and the closing
-/// brace; for the other formats, which never show the point or scenario,
-/// the body alone — the whole artifact. Byte-identical to
-/// [`render_artifact`] on the job's fields.
+/// then `,"output":` and the body (the output's JSON, copied when the
+/// output already holds it) and the closing brace; for the other formats,
+/// which never show the point or scenario, the body alone — the whole
+/// artifact. Byte-identical to [`render_artifact`] on the job's fields.
 pub(crate) fn write_artifact(out: &mut String, job: &GridJob<'_>) {
     let shared = job.shared;
-    let body = |out: &mut String| write_body(out, job.entry, job.output, job.format);
     if job.format != Format::Json {
+        let body = |out: &mut String| write_body(out, job.entry, job.output, job.format);
         return piece(out, shared.body, body);
     }
     piece(out, shared.head, |out| {
@@ -169,7 +178,7 @@ pub(crate) fn write_artifact(out: &mut String, job: &GridJob<'_>) {
         out.replace_range(start..=start, ",");
     });
     out.push_str(",\"output\":");
-    piece(out, shared.body, body);
+    job.output.write_json(out, shared.keep_json);
     out.push('}');
 }
 

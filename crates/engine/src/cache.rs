@@ -20,11 +20,15 @@
 //! A computation that panics never poisons the cache: a completion guard
 //! removes the pending slot on unwind and wakes every waiter, which then
 //! retries from scratch.
+//!
+//! An entry is a [`CachedOutput`]: a computed output, or a disk hit kept as
+//! its stored scalars and rendered JSON text, parsed only on demand.
 
-use cc_report::ExperimentOutput;
+use cc_report::{ExperimentOutput, JsonValue, Scalar};
 use std::collections::{HashMap, VecDeque};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Number of independent cache shards. A power of two so the shard index is
 /// a cheap mask of the key hash.
@@ -36,6 +40,110 @@ pub const SHARDS: usize = 16;
 /// enough — two parts declaring the same dependency set fingerprint
 /// identically but produce different output.
 pub type CacheKey = (&'static str, u64);
+
+/// One part's output as the cache holds it. A computed output is held as
+/// is. A disk hit ([`crate::DiskCache`]) holds the stored scalars and the
+/// stored `output` JSON text, and parses the text only when something
+/// reads more than the scalars — a non-JSON format, or ext-mc's join of
+/// its parts; a JSON artifact splices the text as its body
+/// ([`Self::json`]). Derefs to the output, parsing it on first use.
+pub struct CachedOutput {
+    /// The output; for a disk hit, parsed from `json` on first use.
+    output: OnceLock<ExperimentOutput>,
+    /// The rendered `output` JSON: set at load for a disk hit, and on
+    /// first [`Self::json`] for a computed output.
+    json: OnceLock<String>,
+    /// A disk hit's scalars, parsed at load. `None` for a computed output,
+    /// which reads its own.
+    stored_scalars: Option<Vec<Scalar>>,
+}
+
+impl CachedOutput {
+    /// A disk hit: the stored scalars and `output` JSON text, unparsed.
+    pub(crate) fn stored(scalars: Vec<Scalar>, json: String) -> Self {
+        Self {
+            output: OnceLock::new(),
+            json: OnceLock::from(json),
+            stored_scalars: Some(scalars),
+        }
+    }
+
+    /// The output's scalars, without parsing a disk hit's body.
+    #[must_use]
+    pub fn scalars(&self) -> &[Scalar] {
+        match &self.stored_scalars {
+            Some(scalars) => scalars,
+            None => &self.output().scalars,
+        }
+    }
+
+    /// The output, parsed from a disk hit's body on first use.
+    ///
+    /// # Panics
+    ///
+    /// When a disk hit's body is not an output. The disk cache only hands
+    /// out bodies whose digest matches what its store wrote, and the
+    /// engine's drivers parse a body they will read when they load it,
+    /// taking one that does not parse as a miss, so they never panic here.
+    #[must_use]
+    pub fn output(&self) -> &ExperimentOutput {
+        self.parse()
+            .expect("a stored body whose digest matches parses")
+    }
+
+    /// The output, parsed from a disk hit's body on first use; `None` when
+    /// that body is not an output.
+    pub(crate) fn parse(&self) -> Option<&ExperimentOutput> {
+        if let Some(output) = self.output.get() {
+            return Some(output);
+        }
+        let text = self.json.get()?;
+        let parsed = ExperimentOutput::from_json(&JsonValue::parse(text).ok()?)?;
+        Some(self.output.get_or_init(|| parsed))
+    }
+
+    /// The output, parsed from a disk hit's body if need be; `None` when
+    /// that body is not an output.
+    pub(crate) fn into_output(self) -> Option<ExperimentOutput> {
+        self.parse()?;
+        self.output.into_inner()
+    }
+
+    /// The output rendered as JSON: a disk hit's stored text, or the
+    /// computed output's rendering, made once and kept.
+    #[must_use]
+    pub fn json(&self) -> &str {
+        self.json.get_or_init(|| self.output().to_json().render())
+    }
+
+    /// Appends the output's JSON to `out`: the kept text when there is
+    /// one; otherwise rendered, and kept for later readers when `keep`.
+    pub(crate) fn write_json(&self, out: &mut String, keep: bool) {
+        match self.json.get() {
+            Some(text) => out.push_str(text),
+            None if keep => out.push_str(self.json()),
+            None => self.output().to_json().write(out),
+        }
+    }
+}
+
+impl From<ExperimentOutput> for CachedOutput {
+    fn from(output: ExperimentOutput) -> Self {
+        Self {
+            output: OnceLock::from(output),
+            json: OnceLock::new(),
+            stored_scalars: None,
+        }
+    }
+}
+
+impl Deref for CachedOutput {
+    type Target = ExperimentOutput;
+
+    fn deref(&self) -> &ExperimentOutput {
+        self.output()
+    }
+}
 
 /// How a [`ShardedCache::get_or_compute`] call was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +159,7 @@ pub enum Outcome {
 /// State of one cached computation: finished, or in flight with waiters
 /// parked on the condvar.
 enum Slot {
-    Ready(Arc<ExperimentOutput>),
+    Ready(Arc<CachedOutput>),
     Pending(Arc<Inflight>),
 }
 
@@ -66,7 +174,7 @@ struct Inflight {
 enum PendingState {
     #[default]
     Waiting,
-    Done(Arc<ExperimentOutput>),
+    Done(Arc<CachedOutput>),
     /// The computing thread unwound; waiters must retry.
     Abandoned,
 }
@@ -145,11 +253,11 @@ impl ShardedCache {
     /// Concurrent callers with the same key run `compute` exactly once; the
     /// rest block until the result lands and report
     /// [`Outcome::InflightDedup`].
-    pub fn get_or_compute(
+    pub fn get_or_compute<T: Into<CachedOutput>>(
         &self,
         key: CacheKey,
-        compute: impl FnOnce() -> ExperimentOutput,
-    ) -> (Arc<ExperimentOutput>, Outcome) {
+        compute: impl FnOnce() -> T,
+    ) -> (Arc<CachedOutput>, Outcome) {
         loop {
             let inflight = {
                 let mut shard = self.shard(key);
@@ -188,19 +296,19 @@ impl ShardedCache {
 
     /// Runs `compute` for a freshly inserted pending slot, publishes the
     /// result and wakes waiters.
-    fn compute_pending(
+    fn compute_pending<T: Into<CachedOutput>>(
         &self,
         key: CacheKey,
         inflight: Arc<Inflight>,
-        compute: impl FnOnce() -> ExperimentOutput,
-    ) -> (Arc<ExperimentOutput>, Outcome) {
+        compute: impl FnOnce() -> T,
+    ) -> (Arc<CachedOutput>, Outcome) {
         let mut guard = PendingGuard {
             cache: self,
             key,
             inflight,
             completed: false,
         };
-        let output = Arc::new(compute());
+        let output = Arc::new(compute().into());
         {
             let mut shard = self.shard(key);
             shard.map.insert(key, Slot::Ready(Arc::clone(&output)));
@@ -263,6 +371,14 @@ impl ShardedCache {
             self.inflight_dedups.load(Ordering::Relaxed),
             self.evictions.load(Ordering::Relaxed),
         )
+    }
+}
+
+#[cfg(test)]
+impl CachedOutput {
+    /// Whether the output has been parsed (a computed output always has).
+    pub(crate) fn is_parsed(&self) -> bool {
+        self.output.get().is_some()
     }
 }
 
@@ -363,7 +479,11 @@ mod tests {
         let cache = ShardedCache::new(64);
         let result = std::thread::scope(|scope| {
             scope
-                .spawn(|| cache.get_or_compute(("fig09", 1), || panic!("model exploded")))
+                .spawn(|| {
+                    cache.get_or_compute(("fig09", 1), || -> ExperimentOutput {
+                        panic!("model exploded")
+                    })
+                })
                 .join()
         });
         assert!(

@@ -9,15 +9,18 @@
 //! wrapped in that point's own metadata, and the loop's reorder buffer
 //! delivers it to the caller's sink in grid order.
 //!
-//! Rendering is memoized per run along the artifact's pieces
+//! Rendering is memoized along the artifact's pieces
 //! ([`crate::artifact`]): a group with several members renders its
-//! output body once for all of them, each point of a multi-experiment run
-//! renders its `point`/`scenario` piece once for every experiment (a
-//! per-point `OnceLock`), each experiment of a sweep renders its head
-//! once, and [`GridJob::artifact`] splices the job's pieces together. A
-//! piece only one job uses is written straight into that job's artifact,
-//! and nothing renders until a renderer asks, so a renderer that builds
-//! its own text pays for none of it.
+//! output body once for all of them — a JSON body into the cached output
+//! itself ([`CachedOutput::json`]), where later runs that hit the entry
+//! find it too, and a disk hit arrives holding its stored text, so a warm
+//! pass copies bodies instead of rendering them; each point of a
+//! multi-experiment run renders its `point`/`scenario` piece once for
+//! every experiment (a per-point `OnceLock`), each experiment of a sweep
+//! renders its head once, and [`GridJob::artifact`] splices the job's
+//! pieces together. A piece only one job uses is written straight into
+//! that job's artifact, and nothing renders until a renderer asks, so a
+//! renderer that builds its own text pays for none of it.
 //!
 //! The renderer runs *on the worker threads* (rendering large tables is
 //! real work worth parallelizing); the sink runs under the reorder
@@ -25,11 +28,11 @@
 //! historical CLI had, so its stdout stays byte-identical.
 
 use crate::artifact::{write_artifact, Format, Shared};
-use crate::{tracked_metrics, Engine, EngineError, RunCounts, Tally};
+use crate::{tracked_metrics, CachedOutput, Engine, EngineError, RunCounts, Tally};
 use cc_core::experiments::Entry;
 use cc_report::{
-    dedup_groups, Comparison, Experiment, ExperimentOutput, RunContext, Scalar, ScenarioMatrix,
-    ScenarioOverlay, ScenarioPoint,
+    dedup_groups, Comparison, Experiment, RunContext, Scalar, ScenarioMatrix, ScenarioOverlay,
+    ScenarioPoint,
 };
 use std::ops::Deref;
 use std::sync::atomic::AtomicBool;
@@ -105,10 +108,11 @@ pub struct GridJob<'a> {
     pub context: &'a RunContext,
     /// The entry again, as a trait object. The engine reads `entry`; this
     /// stays for the benchmark harness's replay (`perfbench/`) until
-    /// ROADMAP direction 4 deletes it.
+    /// ROADMAP direction 5 deletes it.
     pub experiment: &'a dyn Experiment,
-    /// The computed (possibly cache-shared) output.
-    pub output: &'a ExperimentOutput,
+    /// The computed or loaded (possibly cache-shared) output. It derefs to
+    /// the [`cc_report::ExperimentOutput`], which parses a disk hit's body.
+    pub output: &'a CachedOutput,
     /// Whether the grid has more than one point (artifacts carry point
     /// metadata only when sweeping).
     pub sweeping: bool,
@@ -217,7 +221,7 @@ impl Engine {
         // A piece gets a memo only when several artifacts share it: an
         // entry's head when the grid has several points, a point's piece
         // when it has several experiments, and (below) a work group's body
-        // when the group has several members.
+        // when the group has several members — for JSON, the cached output.
         let memos = |shared: bool, n: usize| -> Vec<OnceLock<String>> {
             let n = if shared { n } else { 0 };
             (0..n).map(|_| OnceLock::new()).collect()
@@ -244,9 +248,11 @@ impl Engine {
                     &points[representative].overlay,
                     &contexts[representative],
                     config.no_cache,
+                    config.format != Format::Json,
                     &tally,
                 );
-                let body = (group.point_idxs.len() > 1).then(OnceLock::new);
+                let shared = group.point_idxs.len() > 1;
+                let body = (shared && config.format != Format::Json).then(OnceLock::new);
                 for &point_idx in &group.point_idxs {
                     let job = GridJob {
                         entry,
@@ -262,12 +268,13 @@ impl Engine {
                             head: heads.get(group.entry_idx),
                             point: point_pieces.get(point_idx),
                             body: body.as_ref(),
+                            keep_json: shared,
                         },
                     };
                     let lines = render(&job);
                     emit(
                         group.entry_idx * npoints + point_idx,
-                        (lines, output.scalars.clone()),
+                        (lines, output.scalars().to_vec()),
                     );
                 }
                 Ok(())

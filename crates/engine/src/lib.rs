@@ -8,7 +8,7 @@
 //! * a **sharded, content-addressed fingerprint→artifact cache**
 //!   ([`cache::ShardedCache`]) keyed on `(part key,
 //!   dependency_fingerprint)` per experiment part — repeated and
-//!   overlapping requests are answered from resident [`ExperimentOutput`]s,
+//!   overlapping requests are answered from resident [`CachedOutput`]s,
 //!   and concurrent requests racing on the same fingerprint compute it
 //!   exactly once;
 //! * monotonic counters surfaced as an [`EngineStats`] snapshot.
@@ -65,7 +65,7 @@ pub mod protocol;
 pub mod server;
 
 pub use artifact::{Format, Report};
-pub use cache::{Outcome, ShardedCache};
+pub use cache::{CachedOutput, Outcome, ShardedCache};
 pub use grid::{GridConfig, GridJob, GridResult};
 pub use intern::{InternedScenario, ScenarioInterner};
 pub use mc::{McConfig, McResult};
@@ -82,9 +82,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Default total cache capacity (entries across all shards). Each entry is
-/// one `ExperimentOutput` — tables and series for one experiment at one
-/// fingerprint — so even a few thousand stay cheap; the bound exists so a
-/// long-lived daemon sweeping many axes cannot grow without limit.
+/// one part's output at one fingerprint — tables and series, and for a
+/// disk hit or a shared body their JSON text — so even a few thousand stay
+/// cheap; the bound exists so a long-lived daemon sweeping many axes
+/// cannot grow without limit.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
 /// The most worker threads one run starts, whatever its `jobs` asks for.
@@ -477,9 +478,13 @@ impl Engine {
     /// every driver shares. Each of the entry's parts is looked up in the
     /// resident cache under the fingerprint `fingerprints` gives it; a miss
     /// consults the disk cache (file `{part key}-{fp}.json`) before
-    /// computing, and writes back what it computed. The parts are then
-    /// joined in order with [`ExperimentOutput::append`]; a one-part
-    /// entry's cached `Arc` is returned as is.
+    /// computing, and writes back what it computed. A one-part entry's
+    /// cached `Arc` is returned as is; the parts of a larger entry are
+    /// joined in order with [`ExperimentOutput::append`].
+    ///
+    /// A disk hit keeps its body as text unless `parse` says the caller
+    /// reads the whole output (a non-JSON format) or the entry joins
+    /// parts; then a body that does not parse is a miss.
     ///
     /// Counting: `hits`, `misses` and `dedups` count part lookups. The
     /// per-entry counts count this call once: in `runs` when any part
@@ -487,6 +492,7 @@ impl Engine {
     /// computed, and in `disk_hits` when every part that missed loaded
     /// from disk. With `no_cache` the whole experiment runs, counted in
     /// `runs` only, and no fingerprint is taken.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn obtain<F: PartFingerprints + ?Sized>(
         &self,
         entry_idx: usize,
@@ -494,21 +500,27 @@ impl Engine {
         fingerprints: &F,
         context: &RunContext,
         no_cache: bool,
+        parse: bool,
         tally: &Tally,
-    ) -> Arc<ExperimentOutput> {
+    ) -> Arc<CachedOutput> {
         if no_cache {
             tally.runs[entry_idx].fetch_add(1, Ordering::Relaxed);
-            return Arc::new(entry.run(context));
+            return Arc::new(entry.run(context).into());
         }
+        let parse = parse || entry.parts().len() > 1;
         let mut parts = entry.parts().iter().enumerate().map(|(index, part)| {
             let fingerprint = fingerprints.fingerprint(index, part);
-            self.lookup(part, fingerprint, context, tally)
+            self.lookup(part, fingerprint, context, parse, tally)
         });
-        let (mut output, mut source) = parts.next().expect("every entry has at least one part");
+        let (first, mut source) = parts.next().expect("every entry has at least one part");
+        let mut joined: Option<ExperimentOutput> = None;
         for (next, next_source) in parts {
-            Arc::make_mut(&mut output).append(&next);
+            joined
+                .get_or_insert_with(|| first.output().clone())
+                .append(next.output());
             source = source.max(next_source);
         }
+        let output = joined.map_or(first, |joined| Arc::new(joined.into()));
         let per_entry = match source {
             Source::Resident => return output,
             Source::Disk => &tally.disk_hits,
@@ -520,23 +532,25 @@ impl Engine {
     }
 
     /// One part under its `fingerprint` through the resident cache, then
-    /// the disk cache, then its model.
+    /// the disk cache (parsing the body when `parse`), then its model.
     fn lookup(
         &self,
         part: &'static Part,
         fingerprint: u64,
         context: &RunContext,
+        parse: bool,
         tally: &Tally,
-    ) -> (Arc<ExperimentOutput>, Source) {
+    ) -> (Arc<CachedOutput>, Source) {
         let mut source = Source::Resident;
         let (output, outcome) = self.cache.get_or_compute((part.key, fingerprint), || {
-            if let Some(stored) = self.disk().and_then(|d| d.load(part.key, fingerprint)) {
+            let disk = self.disk();
+            if let Some(stored) = disk.and_then(|d| d.load_entry(part.key, fingerprint, parse)) {
                 source = Source::Disk;
                 return stored;
             }
-            let fresh = (part.run)(context);
-            if let Some(disk) = self.disk() {
-                disk.store(part.key, fingerprint, &fresh);
+            let fresh = CachedOutput::from((part.run)(context));
+            if let Some(disk) = disk {
+                disk.store_entry(part.key, fingerprint, &fresh);
             }
             source = Source::Computed;
             fresh
@@ -760,7 +774,9 @@ mod tests {
                 // Cold (computed), warm (resident), then a fresh engine
                 // reading every part back from disk.
                 for engine in [&engine, &engine, &reloaded] {
-                    let output = engine.obtain(idx, entry, &overlay, &context, false, &tally);
+                    let output =
+                        engine.obtain(idx, entry, &overlay, &context, false, false, &tally);
+                    assert_eq!(output.json(), whole, "{}", entry.key);
                     assert_eq!(output.to_json().render(), whole, "{}", entry.key);
                 }
             }

@@ -41,8 +41,7 @@ use cc_analysis::stats::StreamingStats;
 use cc_core::experiments::{Entry, Part};
 use cc_report::scenario::deps::{expand, fingerprint_fields, resolve, FieldInfo};
 use cc_report::{
-    ExperimentOutput, McComparison, MonteCarloMatrix, RunContext, Scalar, ScenarioOverlay,
-    ScenarioPoint,
+    McComparison, MonteCarloMatrix, RunContext, Scalar, ScenarioOverlay, ScenarioPoint,
 };
 use std::ops::Deref;
 use std::sync::atomic::AtomicBool;
@@ -178,9 +177,8 @@ impl Engine {
         let plan = plan(entries, matrix);
 
         // One sample end to end: draw the point, then run (or fetch) every
-        // experiment and hand its output to `each`, in entry order.
-        type Each<'a> =
-            dyn FnMut(usize, &ScenarioPoint, &ExperimentOutput) -> Result<(), EngineError> + 'a;
+        // experiment and hand its scalars to `each`, in entry order.
+        type Each<'a> = dyn FnMut(usize, &ScenarioPoint, &[Scalar]) -> Result<(), EngineError> + 'a;
         let sample = |index: usize, each: &mut Each<'_>| {
             let point = matrix
                 .point(index)
@@ -198,9 +196,10 @@ impl Engine {
                     &fingerprints,
                     &context,
                     config.no_cache,
+                    false,
                     &tally,
                 );
-                each(entry_idx, &point, &output)?;
+                each(entry_idx, &point, output.scalars())?;
             }
             Ok(())
         };
@@ -208,12 +207,12 @@ impl Engine {
         // Probe with sample 0: fix each experiment's tracked metrics (their
         // values are sample 0's).
         let mut metrics: Vec<Vec<Scalar>> = Vec::with_capacity(entries.len());
-        sample(0, &mut |entry_idx, _, output| {
-            if output.scalars.is_empty() {
+        sample(0, &mut |entry_idx, _, scalars| {
+            if scalars.is_empty() {
                 let key = entries[entry_idx].key;
                 return Err(EngineError::MissingSummaryScalar { key });
             }
-            metrics.push(tracked_metrics(&output.scalars).cloned().collect());
+            metrics.push(tracked_metrics(scalars).cloned().collect());
             Ok(())
         })?;
         let mut stats = vec![StreamingStats::new(); metrics.iter().map(Vec::len).sum()];
@@ -249,10 +248,9 @@ impl Engine {
                 let start = 1 + unit * block;
                 let mut values = Vec::new();
                 for index in start..(start + block).min(samples) {
-                    sample(index, &mut |entry_idx, point, output| {
+                    sample(index, &mut |entry_idx, point, scalars| {
                         for metric in &metrics[entry_idx] {
-                            let scalar = output
-                                .scalars
+                            let scalar = scalars
                                 .iter()
                                 .find(|s| s.name == metric.name)
                                 .ok_or_else(|| EngineError::MissingScalarAtPoint {
