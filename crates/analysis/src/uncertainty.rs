@@ -69,14 +69,6 @@ impl Triangular {
             high - ((1.0 - u) * (high - low) * (high - mode)).sqrt()
         }
     }
-
-    /// Draws one sample by inverse-CDF.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
-        if self.high == self.low {
-            return self.mode;
-        }
-        self.quantile(rng.gen_range(0.0..1.0))
-    }
 }
 
 /// Summary of a Monte-Carlo output sample.
@@ -318,12 +310,12 @@ fn column(dist: &Triangular, key: ColumnKey) -> Column {
 }
 
 /// Draws `dist`'s column by jumping over the other inputs' draws. Each
-/// value is bit for bit what [`Triangular::sample`] returns at that point
-/// of the walked stream: the same operations in the same order, with the
-/// constants hoisted and the branch taken by bit masks, since the side of
-/// the mode a draw falls on is a coin flip no predictor learns (`a - s` is
-/// exactly `a + -s`). `sample` keeps the plain form ([`Triangular::quantile`])
-/// as the reference the property tests hold this one to.
+/// value is bit for bit what [`Triangular::quantile`] returns for the
+/// uniform drawn at that point of the walked stream: the same operations in
+/// the same order, with the constants hoisted and the branch taken by bit
+/// masks, since the side of the mode a draw falls on is a coin flip no
+/// predictor learns (`a - s` is exactly `a + -s`). `quantile` keeps the
+/// plain form as the reference the property tests hold this one to.
 fn draw_column(dist: &Triangular, key: &ColumnKey) -> Column {
     let Triangular { low, mode, high } = *dist;
     let (width, rise, fall) = (high - low, mode - low, high - mode);
@@ -374,7 +366,9 @@ mod tests {
         // Seeded draws are pinned bit for bit: seeded experiment output
         // depends on them.
         let mut rng = SplitMix64::seed_from_u64(9);
-        let bits: Vec<u64> = (0..4).map(|_| dist.sample(&mut rng).to_bits()).collect();
+        let bits: Vec<u64> = (0..4)
+            .map(|_| dist.quantile(rng.gen_range(0.0..1.0)).to_bits())
+            .collect();
         assert_eq!(
             bits,
             [

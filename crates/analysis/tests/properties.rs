@@ -10,7 +10,7 @@
 //! the random stream trial by trial, whatever the column memo holds.
 
 use cc_analysis::dist::DistSpec;
-use cc_analysis::rng::SplitMix64;
+use cc_analysis::rng::{Rng, SplitMix64};
 use cc_analysis::uncertainty::{propagate, McSummary, Triangular};
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -68,8 +68,9 @@ fn check_against_sorted_reference(inputs: &[Triangular], trials: u32, seed: u64,
 }
 
 /// `propagate` without its column memo: one generator walked trial by
-/// trial and input by input through [`Triangular::sample`], the outputs
-/// summed in order and sorted for the nearest-rank percentiles.
+/// trial and input by input through [`Triangular::quantile`] (a degenerate
+/// input draws nothing and is its mode), the outputs summed in order and
+/// sorted for the nearest-rank percentiles.
 fn sequential_reference(
     inputs: &[Triangular],
     trials: u32,
@@ -81,7 +82,11 @@ fn sequential_reference(
     let mut draws = vec![0.0; inputs.len()];
     for _ in 0..trials {
         for (d, dist) in draws.iter_mut().zip(inputs) {
-            *d = dist.sample(&mut rng);
+            *d = if dist.high == dist.low {
+                dist.mode
+            } else {
+                dist.quantile(rng.gen_range(0.0..1.0))
+            };
         }
         outputs.push(model(&draws));
     }

@@ -54,7 +54,7 @@ use cc_engine::protocol::{RunRequest, ERROR_CATEGORIES};
 use cc_engine::{DiskCache, Engine, Format, GridConfig, GridJob, RunCounts, Server};
 use cc_report::{Experiment, JsonValue, Scenario};
 use std::io::{BufRead, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
@@ -439,6 +439,15 @@ fn client_main(cli: Cli) {
                             .get("name")
                             .and_then(JsonValue::as_str)
                             .unwrap_or_else(|| fail("response is missing its artifact name"));
+                        // The name comes off the wire: only one plain file
+                        // name may land in `--out`, never a path out of it.
+                        let mut parts = Path::new(name).components();
+                        let first = parts.next();
+                        let plain = matches!(first, Some(Component::Normal(part)) if part == name)
+                            && parts.next().is_none();
+                        if !plain {
+                            fail(&format!("server sent an unsafe artifact name `{name}`"));
+                        }
                         emit(write_file(&dir.join(name), &payload.render()));
                     }
                     None => emit(payload.render()),

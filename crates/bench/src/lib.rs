@@ -27,5 +27,3 @@
 #![warn(missing_docs)]
 
 pub mod docgen;
-
-pub use cc_core::experiments;

@@ -383,6 +383,27 @@ fn invalid_sweeps_exit_nonzero_with_diagnostics() {
         .output()
         .unwrap();
     assert_eq!(bad_value.status.code(), Some(2), "0 g/kWh is unphysical");
+
+    // A repeated value would write one artifact file twice and count its
+    // point twice in the comparison.
+    let out = scratch("repeated-sweep-values");
+    for spec in ["grid.intensity=50,50", "grid.source=wind,wind"] {
+        let repeated = repro()
+            .args([
+                "--sweep",
+                spec,
+                "--json",
+                "--out",
+                out.to_str().unwrap(),
+                "fig10",
+            ])
+            .output()
+            .unwrap();
+        assert_eq!(repeated.status.code(), Some(2), "{spec}");
+        let stderr = String::from_utf8_lossy(&repeated.stderr);
+        assert!(stderr.contains("is listed more than once"), "{stderr}");
+        assert!(!out.exists(), "{spec}: nothing is written");
+    }
 }
 
 #[test]

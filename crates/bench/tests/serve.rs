@@ -501,6 +501,15 @@ fn client_surfaces_server_rejections() {
         &["--experiment", "fig10", "--sweep", "grid.intensity=10.."],
     );
     assert_eq!(out.status.code(), Some(16), "invalid-sweep exit code");
+    // A sweep that repeats a value would write one artifact file twice.
+    let out = client(
+        &daemon.addr,
+        &["--experiment", "fig10", "--sweep", "grid.intensity=50,50"],
+    );
+    assert_eq!(out.status.code(), Some(16), "repeated sweep value");
+    assert!(String::from_utf8(out.stderr)
+        .unwrap()
+        .contains("listed more than once"));
 
     // Stats round-trips through the client too.
     let out = client(&daemon.addr, &["--stats"]);
@@ -518,6 +527,48 @@ fn client_surfaces_server_rejections() {
     assert_eq!(hello.get("version").and_then(JsonValue::as_u64), Some(2));
 
     daemon.shutdown();
+}
+
+#[test]
+fn client_refuses_artifact_names_that_leave_the_out_dir() {
+    let root = scratch("client-unsafe-names");
+    let out_dir = root.join("out");
+    let absolute = root.join("absolute.json").to_string_lossy().into_owned();
+    for name in ["../escape.json", &absolute, "sub/escape.json", "..", ""] {
+        let shown = format!("{name:?}");
+        let name = name.to_string();
+        // A one-response fake server: it reads the request line and answers
+        // with one artifact under `name`.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake server");
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept client");
+            let mut request = String::new();
+            BufReader::new(&stream).read_line(&mut request).unwrap();
+            let artifact = JsonValue::object([
+                ("type", JsonValue::from("artifact")),
+                ("name", JsonValue::from(name.as_str())),
+                (
+                    "artifact",
+                    JsonValue::object([("escaped", JsonValue::from(true))]),
+                ),
+            ]);
+            writeln!(&stream, "{artifact}").unwrap();
+        });
+        let out = client(&addr, &["fig10", "--out", out_dir.to_str().unwrap()]);
+        server.join().unwrap();
+        assert_eq!(out.status.code(), Some(2), "name {shown}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("unsafe artifact name"), "{stderr}");
+        assert_eq!(
+            std::fs::read_dir(&out_dir).unwrap().count(),
+            0,
+            "name {shown}"
+        );
+        assert!(!root.join("escape.json").exists(), "name {shown}");
+        assert!(!root.join("absolute.json").exists(), "name {shown}");
+    }
+    std::fs::remove_dir_all(&root).ok();
 }
 
 /// Caps the daemon's descriptors `spare` above its lowest free one. (A

@@ -12,7 +12,7 @@ use cc_units::{CarbonMass, Ratio};
 /// opex-related activities at Facebook."
 ///
 /// ```
-/// use cc_core::CarbonDecomposition;
+/// use cc_core::decomposition::CarbonDecomposition;
 /// use cc_units::CarbonMass;
 ///
 /// let iphone11 = CarbonDecomposition::new(
@@ -43,27 +43,6 @@ impl CarbonDecomposition {
         }
     }
 
-    /// From a corporate inventory (market-based Scope 2).
-    #[must_use]
-    pub fn from_inventory(inv: &cc_ghg::CorporateInventory, method: cc_ghg::Scope2Method) -> Self {
-        Self {
-            opex: inv.opex(method),
-            capex: inv.capex(),
-        }
-    }
-
-    /// Opex carbon.
-    #[must_use]
-    pub fn opex(&self) -> CarbonMass {
-        self.opex
-    }
-
-    /// Capex carbon.
-    #[must_use]
-    pub fn capex(&self) -> CarbonMass {
-        self.capex
-    }
-
     /// Total carbon.
     #[must_use]
     pub fn total(&self) -> CarbonMass {
@@ -80,18 +59,6 @@ impl CarbonDecomposition {
     #[must_use]
     pub fn opex_share(&self) -> Ratio {
         Ratio::from_fraction(self.opex / self.total())
-    }
-
-    /// Capex-to-opex ratio (the paper's "23×").
-    #[must_use]
-    pub fn capex_to_opex(&self) -> f64 {
-        self.capex / self.opex
-    }
-
-    /// Whether capex dominates (> 50% of the total).
-    #[must_use]
-    pub fn is_capex_dominated(&self) -> bool {
-        self.capex > self.opex
     }
 
     /// Sum of two decompositions (aggregate systems).
@@ -138,8 +105,9 @@ mod tests {
     #[test]
     fn shares_and_ratio() {
         let d = CarbonDecomposition::new(CarbonMass::from_mt(0.25), CarbonMass::from_mt(5.75));
-        assert!((d.capex_to_opex() - 23.0).abs() < 1e-9);
-        assert!(d.is_capex_dominated());
+        // The paper's "23×": capex over opex.
+        assert!((d.capex_share() / d.opex_share() - 23.0).abs() < 1e-9);
+        assert!(d.capex_share().as_fraction() > 0.5);
         assert!((d.capex_share().as_fraction() + d.opex_share().as_fraction() - 1.0).abs() < 1e-12);
     }
 
@@ -148,13 +116,13 @@ mod tests {
         let lca = cc_data::devices::find("iPhone 3GS").unwrap();
         let d = CarbonDecomposition::from_footprint(&cc_lca::Footprint::from_product_lca(lca));
         assert!((d.capex_share().as_percent() - 49.0).abs() < 0.5);
-        assert!(!d.is_capex_dominated());
+        assert!(d.capex_share().as_fraction() < 0.5);
 
-        let fb = cc_ghg::CorporateInventory::from_scope_year(
-            cc_data::corporate::year_of(&cc_data::corporate::FACEBOOK, 2019).unwrap(),
-        );
-        let d = CarbonDecomposition::from_inventory(&fb, cc_ghg::Scope2Method::MarketBased);
-        assert!((d.capex_to_opex() - 19.46).abs() < 0.1);
+        // Opex is Scope 1 + market-based Scope 2; capex is Scope 3.
+        let fb = cc_data::corporate::year_of(&cc_data::corporate::FACEBOOK, 2019).unwrap();
+        let opex = CarbonMass::from_mt(fb.scope1_mt + fb.scope2_market_mt);
+        let d = CarbonDecomposition::new(opex, CarbonMass::from_mt(fb.scope3_mt));
+        assert!((d.capex_share() / d.opex_share() - 19.46).abs() < 0.1);
     }
 
     #[test]

@@ -96,7 +96,7 @@ mod tests {
     fn sixteen_rows_with_superlinear_area_cost() {
         let out = run(&RunContext::paper());
         let t = &out.tables[0].1;
-        assert_eq!(t.len(), 16);
+        assert_eq!(t.rows().len(), 16);
         // Within one node, 8x area must cost more than 8x carbon.
         let small: f64 = t.rows()[0][4].parse().unwrap();
         let large: f64 = t.rows()[3][4].parse().unwrap();
@@ -110,7 +110,9 @@ mod tests {
             let mut s = Scenario::paper_defaults();
             s.set("fab.node_nm", node_nm).unwrap();
             run(&RunContext::new(s))
-                .find_scalar("featured-node-per-die-carbon")
+                .scalars
+                .iter()
+                .find(|sc| sc.name == "featured-node-per-die-carbon")
                 .expect("ext-die exposes a summary scalar")
                 .value
         };

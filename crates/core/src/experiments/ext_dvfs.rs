@@ -72,7 +72,7 @@ mod tests {
     #[test]
     fn six_sweep_rows() {
         let out = run(&RunContext::paper());
-        assert_eq!(out.tables[0].1.len(), 6);
+        assert_eq!(out.tables[0].1.rows().len(), 6);
     }
 
     #[test]

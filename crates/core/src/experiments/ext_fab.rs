@@ -1,6 +1,6 @@
 //! Extension: annual fab decarbonization (Section VI, devices &
-//! manufacturing) — the 3 nm fab under renewable-share and PFC-abatement
-//! recipes.
+//! manufacturing) — the 3 nm fab across renewable-electricity shares, down
+//! to its Scope 1 process floor.
 
 use cc_fab::FabModel;
 use cc_report::{table::num, ExperimentOutput, RunContext, Series, Table};
@@ -72,7 +72,7 @@ mod tests {
     fn scope1_is_constant_across_rows() {
         let out = run(&RunContext::paper());
         let t = &out.tables[0].1;
-        assert_eq!(t.len(), 5);
+        assert_eq!(t.rows().len(), 5);
         let s1: Vec<&String> = t.rows().iter().map(|r| &r[1]).collect();
         assert!(s1.windows(2).all(|w| w[0] == w[1]), "{s1:?}");
     }

@@ -276,9 +276,26 @@ pub fn run(ctx: &RunContext) -> ExperimentOutput {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cc_report::Scenario;
+
+    /// The disclosed Prineville facility, 2013–2019, built directly: a
+    /// growing fleet on the US grid with a renewable ramp that reaches 100%
+    /// coverage in 2019. The paper-default scenario must reproduce it bit
+    /// for bit.
+    pub(crate) fn prineville() -> Vec<FacilityYear> {
+        Facility::builder(2013, ServerConfig::web())
+            .initial_servers(60_000)
+            .server_growth(1.28)
+            .pue(1.10) // Facebook's Prineville is a flagship-efficiency site.
+            .construction(CarbonMass::from_kt(150.0))
+            // Renewable coverage per year 2013..2019: procurement starts
+            // around 2013, accelerates after 2016, reaches ~100% by 2019.
+            .renewable_ramp(vec![0.05, 0.10, 0.20, 0.35, 0.60, 0.85, 1.0])
+            .build()
+            .simulate(7)
+    }
 
     /// A context over the paper defaults with one field set.
     fn ctx_with(key: &str, value: &str) -> RunContext {
@@ -290,13 +307,13 @@ mod tests {
     #[test]
     fn paper_defaults_reproduce_the_prineville_facility() {
         let years = simulate_from_context(&RunContext::paper());
-        assert_eq!(years, cc_dcsim::prineville::simulate());
+        assert_eq!(years, prineville());
     }
 
     #[test]
     fn paper_breakeven_lands_near_the_disclosed_crossover() {
         let out = run(&RunContext::paper());
-        let be = out.summary_scalar().unwrap();
+        let be = out.scalars.first().unwrap();
         assert_eq!(be.name, "opex-capex-breakeven-year");
         assert!(
             (2016.0..=2018.5).contains(&be.value),
@@ -313,7 +330,8 @@ mod tests {
         // crossover line.
         let be_at = |growth: &str| {
             run(&ctx_with("fleet.growth", growth))
-                .summary_scalar()
+                .scalars
+                .first()
                 .unwrap()
                 .value
         };
@@ -333,7 +351,8 @@ mod tests {
     fn renewable_ramp_slope_moves_the_breakeven() {
         let be_with_ramp = |ramp: &str| {
             run(&ctx_with("fleet.renewable_ramp", ramp))
-                .summary_scalar()
+                .scalars
+                .first()
                 .unwrap()
                 .value
         };
@@ -351,7 +370,7 @@ mod tests {
         s.set("fleet.renewable_ramp", "0").unwrap();
         s.set("fleet.growth", "1.0").unwrap();
         let out = run(&RunContext::new(s));
-        let be = out.summary_scalar().unwrap().value;
+        let be = out.scalars.first().unwrap().value;
         assert!(be > f64::from(START_YEAR) + 6.0, "break-even {be}");
         assert!(out.notes[0].contains("never overtakes"));
     }
@@ -381,7 +400,7 @@ mod tests {
         assert!(fast[0].capex_carbon > paper[0].capex_carbon);
         assert!(capex_overtake_year(&fast) <= capex_overtake_year(&paper));
         // The paper default is bit-identical to the unparameterized model.
-        assert_eq!(paper, cc_dcsim::prineville::simulate());
+        assert_eq!(paper, prineville());
     }
 
     #[test]
@@ -394,7 +413,11 @@ mod tests {
     #[test]
     fn paper_cumulative_payback_lands_in_the_second_year() {
         let out = run(&RunContext::paper());
-        let payback = out.find_scalar("cumulative-carbon-breakeven-year").unwrap();
+        let payback = out
+            .scalars
+            .iter()
+            .find(|sc| sc.name == "cumulative-carbon-breakeven-year")
+            .unwrap();
         assert!(
             (2014.0..2015.0).contains(&payback.value),
             "paper cumulative break-even {} should land in 2014",
@@ -407,7 +430,7 @@ mod tests {
         // The annual scalar stays the summary (sweep comparisons diff it
         // first); the cumulative one rides alongside.
         assert_eq!(
-            out.summary_scalar().unwrap().name,
+            out.scalars.first().unwrap().name,
             "opex-capex-breakeven-year"
         );
     }
@@ -420,7 +443,9 @@ mod tests {
         // "embodied pays back" crossover line.
         let payback_at = |weight: &str| {
             run(&ctx_with("fleet.mix[ai-training]", weight))
-                .find_scalar("cumulative-carbon-breakeven-year")
+                .scalars
+                .iter()
+                .find(|sc| sc.name == "cumulative-carbon-breakeven-year")
                 .unwrap()
                 .value
         };
@@ -439,7 +464,9 @@ mod tests {
         assert_eq!(
             payback_at("0"),
             paper
-                .find_scalar("cumulative-carbon-breakeven-year")
+                .scalars
+                .iter()
+                .find(|sc| sc.name == "cumulative-carbon-breakeven-year")
                 .unwrap()
                 .value
         );
@@ -455,19 +482,24 @@ mod tests {
             "facility-capex-carbon-ai-training",
         ] {
             assert_eq!(
-                out.find_series(name).map(cc_report::Series::len),
+                out.series
+                    .iter()
+                    .find(|se| se.name == name)
+                    .map(|se| se.points.len()),
                 Some(7),
                 "missing per-SKU series {name}"
             );
         }
         let (title, table) = &out.tables[1];
         assert_eq!(title, "Per-SKU fleet breakdown");
-        assert_eq!(table.len(), 7 * 2);
+        assert_eq!(table.rows().len(), 7 * 2);
 
         // A pure fleet keeps the original artifact shape: no breakdown.
         let paper = run(&RunContext::paper());
         assert!(paper
-            .find_series("facility-operational-carbon-web")
+            .series
+            .iter()
+            .find(|se| se.name == "facility-operational-carbon-web")
             .is_none());
         assert_eq!(paper.tables.len(), 1);
     }
@@ -477,7 +509,14 @@ mod tests {
         let storage = run(&ctx_with("fleet.sku", "storage"));
         let paper = run(&RunContext::paper());
         let last = |out: &cc_report::ExperimentOutput, name: &str| {
-            out.find_series(name).unwrap().points.last().unwrap().y
+            out.series
+                .iter()
+                .find(|se| se.name == name)
+                .unwrap()
+                .points
+                .last()
+                .unwrap()
+                .y
         };
         assert!(
             last(&storage, "facility-capex-carbon") > last(&paper, "facility-capex-carbon"),
@@ -497,7 +536,9 @@ mod tests {
         let ctx = ctx_with("fleet.horizon_years", "2");
         let out = run(&ctx);
         let payback = out
-            .find_scalar("cumulative-carbon-breakeven-year")
+            .scalars
+            .iter()
+            .find(|sc| sc.name == "cumulative-carbon-breakeven-year")
             .unwrap()
             .value;
         assert!(
@@ -519,7 +560,9 @@ mod tests {
         // amortizes its embodied carbon: the scalar clamps past the horizon.
         let out = run(&ctx_with("fleet.renewable_ramp", "1.0"));
         let payback = out
-            .find_scalar("cumulative-carbon-breakeven-year")
+            .scalars
+            .iter()
+            .find(|sc| sc.name == "cumulative-carbon-breakeven-year")
             .unwrap()
             .value;
         assert_eq!(payback, 2020.0, "clamped to horizon end + 1");
@@ -533,7 +576,15 @@ mod tests {
     fn horizon_controls_the_series_length() {
         let ctx = ctx_with("fleet.horizon_years", "12");
         let out = run(&ctx);
-        assert_eq!(out.tables[0].1.len(), 12);
-        assert_eq!(out.find_series("facility-capex-carbon").unwrap().len(), 12);
+        assert_eq!(out.tables[0].1.rows().len(), 12);
+        assert_eq!(
+            out.series
+                .iter()
+                .find(|se| se.name == "facility-capex-carbon")
+                .unwrap()
+                .points
+                .len(),
+            12
+        );
     }
 }

@@ -71,7 +71,7 @@ mod tests {
     fn six_rows_all_with_advantage_above_one() {
         let out = run(&RunContext::paper());
         let t = &out.tables[0].1;
-        assert_eq!(t.len(), 6);
+        assert_eq!(t.rows().len(), 6);
         for row in t.rows() {
             let adv: f64 = row[4].trim_end_matches('x').parse().unwrap();
             assert!(adv > 1.0, "{row:?}");

@@ -151,7 +151,7 @@ mod tests {
     fn all_claims_survive() {
         let out = ext_mc(&RunContext::paper());
         let t = &out.tables[0].1;
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.rows().len(), 3);
         for row in t.rows() {
             assert_eq!(row[3], "yes", "{row:?}");
         }

@@ -191,15 +191,22 @@ mod tests {
     fn default_single_site_fleet_avoids_nothing() {
         // One site on the flat default grid: deferral has nothing to chase.
         let out = run(&RunContext::paper());
-        let avoided = out.summary_scalar().unwrap();
+        let avoided = out.scalars.first().unwrap();
         assert_eq!(avoided.name, "avoided-carbon");
         assert_eq!(avoided.value, 0.0);
         assert_eq!(
             avoided.threshold.as_ref().unwrap().value,
             AVOIDED_CARBON_THRESHOLD_T
         );
-        assert_eq!(out.find_scalar("migrated-energy").unwrap().value, 0.0);
-        assert_eq!(out.tables[0].1.len(), 1);
+        assert_eq!(
+            out.scalars
+                .iter()
+                .find(|sc| sc.name == "migrated-energy")
+                .unwrap()
+                .value,
+            0.0
+        );
+        assert_eq!(out.tables[0].1.rows().len(), 1);
     }
 
     #[test]
@@ -209,7 +216,8 @@ mod tests {
         // crossover line.
         let avoided_at = |w: &str| {
             run_with(&[("fleet.sites[hydro].weight", w)])
-                .summary_scalar()
+                .scalars
+                .first()
                 .unwrap()
                 .value
         };
@@ -229,7 +237,8 @@ mod tests {
                 ("fleet.sites[hydro].weight", "0.3"),
                 ("fleet.deferrable", d),
             ])
-            .summary_scalar()
+            .scalars
+            .first()
             .unwrap()
             .value
         };
@@ -246,15 +255,26 @@ mod tests {
     #[test]
     fn follow_the_sun_migrates_into_the_solar_window() {
         let out = run_with(&[("fleet.sites", "east@default:0.5,west@solar:0.5")]);
-        let placement = out.find_series("scheduler-placement-west").unwrap();
+        let placement = out
+            .series
+            .iter()
+            .find(|se| se.name == "scheduler-placement-west")
+            .unwrap();
         let noon: f64 = placement.points[10..16].iter().map(|p| p.y).sum();
         let night: f64 = placement.points[0..6].iter().map(|p| p.y).sum();
         assert!(
             noon > night,
             "solar-site batch should cluster at midday: noon {noon} vs night {night}"
         );
-        assert!(out.summary_scalar().unwrap().value > 0.0);
-        assert!(out.find_scalar("migrated-energy").unwrap().value > 0.0);
+        assert!(out.scalars.first().unwrap().value > 0.0);
+        assert!(
+            out.scalars
+                .iter()
+                .find(|sc| sc.name == "migrated-energy")
+                .unwrap()
+                .value
+                > 0.0
+        );
     }
 
     #[test]
@@ -265,32 +285,44 @@ mod tests {
             ("grid.region.hydro.trace", "flat(800)"),
             ("fleet.sites[hydro].weight", "0.3"),
         ]);
-        let placement = out.find_series("scheduler-placement-hydro").unwrap();
+        let placement = out
+            .series
+            .iter()
+            .find(|se| se.name == "scheduler-placement-hydro")
+            .unwrap();
         let hosted: f64 = placement.points.iter().map(|p| p.y).sum();
         let deferrable_total = 0.3 * 0.2 * 16.5 * 24.0; // weight x share x MW x h
         assert!(
             hosted < deferrable_total + 1e-6,
             "a dirty region must not attract extra batch work, hosted {hosted}"
         );
-        let intensity = out.find_series("scheduler-intensity-hydro").unwrap();
+        let intensity = out
+            .series
+            .iter()
+            .find(|se| se.name == "scheduler-intensity-hydro")
+            .unwrap();
         assert_eq!(intensity.points[0].y, 800.0);
     }
 
     #[test]
     fn artifacts_cover_every_site_and_hour() {
         let out = run_with(&[("fleet.sites", "a@default:0.4,b@hydro:0.3,c@solar:0.3")]);
-        assert_eq!(out.tables[0].1.len(), 3);
+        assert_eq!(out.tables[0].1.rows().len(), 3);
         for site in ["a", "b", "c"] {
             let s = out
-                .find_series(&format!("scheduler-placement-{site}"))
+                .series
+                .iter()
+                .find(|se| se.name == format!("scheduler-placement-{site}"))
                 .unwrap();
-            assert_eq!(s.len(), 24);
+            assert_eq!(s.points.len(), 24);
         }
         // Placement conserves the fleet's deferrable budget.
         let placed: f64 = ["a", "b", "c"]
             .iter()
             .flat_map(|site| {
-                out.find_series(&format!("scheduler-placement-{site}"))
+                out.series
+                    .iter()
+                    .find(|se| se.name == format!("scheduler-placement-{site}"))
                     .unwrap()
                     .points
                     .iter()

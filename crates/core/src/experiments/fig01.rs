@@ -65,7 +65,7 @@ mod tests {
         let out = run(&RunContext::paper());
         assert_eq!(out.tables.len(), 2);
         for (_, table) in &out.tables {
-            assert_eq!(table.len(), 5);
+            assert_eq!(table.rows().len(), 5);
         }
         assert_eq!(out.notes.len(), 2);
     }

@@ -123,7 +123,7 @@ mod tests {
     fn pies_match_paper() {
         let out = run(&RunContext::paper());
         let pies = &out.tables[1].1;
-        assert_eq!(pies.len(), 4);
+        assert_eq!(pies.rows().len(), 4);
         // iPhone 11 capex 86%.
         assert!(pies.rows()[1][2].starts_with("86"));
         // iPhone 3GS capex 49%.
@@ -148,17 +148,54 @@ mod tests {
         // rendered cell matches a direct Prineville simulation bit-for-bit.
         let out = run(&RunContext::paper());
         let t = &out.tables[0].1;
-        let direct = cc_dcsim::prineville::simulate();
-        assert_eq!(t.len(), direct.len());
+        let direct = super::super::ext_facility::tests::prineville();
+        assert_eq!(t.rows().len(), direct.len());
         for (row, y) in t.rows().iter().zip(&direct) {
             assert_eq!(row[0], y.year.to_string());
             assert_eq!(row[1], num(y.energy.as_gwh(), 0));
             assert_eq!(row[2], num(y.market_carbon.as_kt(), 1));
         }
         assert!(
-            out.summary_scalar().unwrap().value < 10.0,
+            out.scalars.first().unwrap().value < 10.0,
             "near zero by 2019"
         );
+    }
+
+    #[test]
+    fn energy_rises_monotonically() {
+        let out = run(&RunContext::paper());
+        let energy = &out.series[1];
+        assert_eq!(energy.name, "prineville-energy");
+        assert_eq!(energy.points.first().unwrap().x, 2013.0);
+        assert_eq!(energy.points.last().unwrap().x, 2019.0);
+        for pair in energy.points.windows(2) {
+            assert!(pair[1].y > pair[0].y);
+        }
+    }
+
+    #[test]
+    fn operational_carbon_peaks_then_falls_to_near_zero() {
+        let out = run(&RunContext::paper());
+        let carbon = &out.series[0];
+        assert_eq!(carbon.name, "prineville-market-carbon");
+        let peak = carbon
+            .points
+            .iter()
+            .max_by(|a, b| a.y.partial_cmp(&b.y).unwrap())
+            .unwrap();
+        assert!((2015.0..=2017.0).contains(&peak.x), "peak at {}", peak.x);
+        // 2019 operational carbon is "nearly zero": <10% of the peak.
+        let last = carbon.points.last().unwrap();
+        assert!(last.y / peak.y < 0.10, "2019 carbon should be near zero");
+    }
+
+    #[test]
+    fn capex_dominates_by_2019() {
+        let last = super::super::ext_facility::simulate_from_context(&RunContext::paper())
+            .pop()
+            .unwrap();
+        let capex_share = last.capex_carbon / (last.capex_carbon + last.market_carbon);
+        assert!(capex_share > 0.75, "capex share {capex_share}");
     }
 
     #[test]
@@ -172,6 +209,6 @@ mod tests {
         let out = run(&RunContext::new(brown));
         assert!(out.tables[0].0.starts_with("Scenario facility"));
         // Without the ramp, operational carbon never collapses.
-        assert!(out.summary_scalar().unwrap().value > 90.0);
+        assert!(out.scalars.first().unwrap().value > 90.0);
     }
 }

@@ -42,7 +42,7 @@ mod tests {
     fn covers_all_scope3_categories() {
         let out = run(&RunContext::paper());
         let t = &out.tables[0].1;
-        assert_eq!(t.len(), 2 + 15);
+        assert_eq!(t.rows().len(), 2 + 15);
         let upstream = t.rows().iter().filter(|r| r[1] == "upstream").count();
         assert_eq!(upstream, 8);
     }

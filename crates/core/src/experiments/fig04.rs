@@ -50,7 +50,7 @@ mod tests {
     fn four_phases_one_opex() {
         let out = run(&RunContext::paper());
         let t = &out.tables[0].1;
-        assert_eq!(t.len(), 4);
+        assert_eq!(t.rows().len(), 4);
         let opex_rows = t.rows().iter().filter(|r| r[1] == "Opex").count();
         assert_eq!(opex_rows, 1);
     }

@@ -44,7 +44,7 @@ mod tests {
     #[test]
     fn sixteen_slices_and_anchor_notes() {
         let out = run(&RunContext::paper());
-        assert_eq!(out.tables[0].1.len(), 16);
+        assert_eq!(out.tables[0].1.rows().len(), 16);
         assert!(out.notes[1].contains('>'));
     }
 }

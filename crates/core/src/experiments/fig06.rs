@@ -81,8 +81,8 @@ mod tests {
     #[test]
     fn eight_categories_in_both_panels() {
         let out = run(&RunContext::paper());
-        assert_eq!(out.tables[0].1.len(), 8);
-        assert_eq!(out.tables[1].1.len(), 8);
+        assert_eq!(out.tables[0].1.rows().len(), 8);
+        assert_eq!(out.tables[1].1.rows().len(), 8);
     }
 
     #[test]

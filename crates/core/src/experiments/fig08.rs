@@ -78,7 +78,7 @@ mod tests {
     fn output_has_points_and_two_frontiers() {
         let out = run(&RunContext::paper());
         assert_eq!(out.tables.len(), 3);
-        assert_eq!(out.tables[0].1.len(), phone_perf::ALL.len());
+        assert_eq!(out.tables[0].1.rows().len(), phone_perf::ALL.len());
     }
 
     #[test]

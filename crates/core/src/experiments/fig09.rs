@@ -72,7 +72,7 @@ mod tests {
     #[test]
     fn twelve_rows_four_notes() {
         let out = run(&RunContext::paper());
-        assert_eq!(out.tables[0].1.len(), 12);
+        assert_eq!(out.tables[0].1.rows().len(), 12);
         assert_eq!(out.notes.len(), 4);
     }
 

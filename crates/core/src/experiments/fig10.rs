@@ -59,7 +59,7 @@ pub fn run(ctx: &RunContext) -> ExperimentOutput {
                 mnv3.push((report.unit, be));
             }
             days_series.push_labeled(
-                days_series.len() as f64,
+                days_series.points.len() as f64,
                 format!("{cnn}/{}", report.unit),
                 be.days,
             );
@@ -188,8 +188,16 @@ mod tests {
         wind.set("name", "wind").unwrap();
         wind.set("grid.intensity", "11").unwrap();
         let wind = run(&RunContext::new(wind));
-        let p = paper.find_series("breakeven-days").unwrap();
-        let w = wind.find_series("breakeven-days").unwrap();
+        let p = paper
+            .series
+            .iter()
+            .find(|se| se.name == "breakeven-days")
+            .unwrap();
+        let w = wind
+            .series
+            .iter()
+            .find(|se| se.name == "breakeven-days")
+            .unwrap();
         // On an 11 g/kWh grid every break-even horizon stretches ~35x.
         for (pp, wp) in p.points.iter().zip(&w.points) {
             assert!(wp.y > pp.y * 20.0, "{:?} {:?}", pp, wp);

@@ -111,16 +111,16 @@ mod tests {
     fn disclosed_tables_plus_modeled_inventory() {
         let out = run(&RunContext::paper());
         assert_eq!(out.tables.len(), 3);
-        assert_eq!(out.tables[0].1.len(), 6);
-        assert_eq!(out.tables[1].1.len(), 6);
+        assert_eq!(out.tables[0].1.rows().len(), 6);
+        assert_eq!(out.tables[1].1.rows().len(), 6);
         // The modeled panel spans the paper-default 7-year horizon.
-        assert_eq!(out.tables[2].1.len(), 7);
+        assert_eq!(out.tables[2].1.rows().len(), 7);
     }
 
     #[test]
     fn modeled_ratio_is_capex_dominated_and_scenario_sensitive() {
         let paper = run(&RunContext::paper());
-        let ratio = paper.summary_scalar().unwrap();
+        let ratio = paper.scalars.first().unwrap();
         assert_eq!(ratio.name, "modeled-scope3-vs-scope2-market");
         assert!(ratio.value > 10.0, "modeled ratio {}", ratio.value);
 
@@ -129,7 +129,7 @@ mod tests {
         let mut brown = cc_report::Scenario::paper_defaults();
         brown.set("fleet.renewable_ramp", "0").unwrap();
         let out = run(&RunContext::new(brown));
-        assert!(out.summary_scalar().unwrap().value < ratio.value / 5.0);
+        assert!(out.scalars.first().unwrap().value < ratio.value / 5.0);
     }
 
     #[test]

@@ -43,7 +43,7 @@ mod tests {
     fn four_categories_with_capital_goods_at_48() {
         let out = run(&RunContext::paper());
         let t = &out.tables[0].1;
-        assert_eq!(t.len(), 4);
+        assert_eq!(t.rows().len(), 4);
         assert_eq!(t.rows()[0][0], "Capital goods");
         assert_eq!(t.rows()[0][1], "48%");
     }

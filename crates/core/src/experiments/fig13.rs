@@ -197,7 +197,7 @@ mod tests {
     fn sweep_has_ten_points() {
         assert_eq!(sweep_points().len(), 10);
         let out = run(&RunContext::paper());
-        assert_eq!(out.tables[0].1.len(), 10);
-        assert_eq!(out.tables[1].1.len(), 10);
+        assert_eq!(out.tables[0].1.rows().len(), 10);
+        assert_eq!(out.tables[1].1.rows().len(), 10);
     }
 }

@@ -56,7 +56,7 @@ mod tests {
     #[test]
     fn seven_sweep_rows() {
         let out = run(&RunContext::paper());
-        assert_eq!(out.tables[0].1.len(), 7);
+        assert_eq!(out.tables[0].1.rows().len(), 7);
     }
 
     #[test]

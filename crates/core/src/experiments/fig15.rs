@@ -61,6 +61,6 @@ mod tests {
     #[test]
     fn covers_all_seven_stack_layers() {
         let out = run(&RunContext::paper());
-        assert_eq!(out.tables[0].1.len(), 7);
+        assert_eq!(out.tables[0].1.rows().len(), 7);
     }
 }

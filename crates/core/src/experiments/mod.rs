@@ -731,7 +731,8 @@ mod tests {
         for entry in entries() {
             let out = entry.run(&ctx);
             let scalar = out
-                .summary_scalar()
+                .scalars
+                .first()
                 .unwrap_or_else(|| panic!("{} must expose a summary scalar", entry.key));
             assert!(
                 scalar.value.is_finite(),

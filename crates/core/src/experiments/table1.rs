@@ -37,7 +37,7 @@ mod tests {
     fn three_archetypes() {
         let out = run(&RunContext::paper());
         let t = &out.tables[0].1;
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.rows().len(), 3);
         assert!(t.rows()[0][1].contains("PFCs"));
     }
 }

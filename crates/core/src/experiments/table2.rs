@@ -36,7 +36,7 @@ mod tests {
     fn eight_sources_ordered() {
         let out = run(&RunContext::paper());
         let t = &out.tables[0].1;
-        assert_eq!(t.len(), 8);
+        assert_eq!(t.rows().len(), 8);
         assert_eq!(t.rows()[0][0], "Coal");
         assert_eq!(t.rows()[7][0], "Wind");
     }

@@ -40,7 +40,7 @@ mod tests {
     fn nine_regions_with_us_at_380() {
         let out = run(&RunContext::paper());
         let t = &out.tables[0].1;
-        assert_eq!(t.len(), 9);
+        assert_eq!(t.rows().len(), 9);
         let us = t.rows().iter().find(|r| r[0] == "United States").unwrap();
         assert_eq!(us[1], "380");
     }

@@ -64,7 +64,7 @@ mod tests {
     #[test]
     fn seven_parameters() {
         let out = run(&RunContext::paper());
-        assert_eq!(out.tables[0].1.len(), 7);
+        assert_eq!(out.tables[0].1.rows().len(), 7);
         assert!(out.notes[0].contains("2.7"));
     }
 }

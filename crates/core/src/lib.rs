@@ -9,5 +9,3 @@
 
 pub mod decomposition;
 pub mod experiments;
-
-pub use decomposition::CarbonDecomposition;

@@ -21,7 +21,7 @@
 //!   assistants ≈ 40% manufacturing; desktops ≈ 50% (Takeaway 2).
 //! * Device lifetimes average "three to four years".
 
-use cc_units::{CarbonMass, Ratio};
+use cc_units::CarbonMass;
 
 /// Device vendor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -192,15 +192,6 @@ impl ProductLca {
     #[must_use]
     pub fn end_of_life(&self) -> CarbonMass {
         self.total() * self.eol_share
-    }
-
-    /// Capex-related share: production + transport + end-of-life, per the
-    /// paper's definition ("capex-related emissions results are from
-    /// aggregating production/manufacturing, transport, and end-of-life
-    /// processing", Fig 4).
-    #[must_use]
-    pub fn capex_share(&self) -> Ratio {
-        Ratio::from_fraction(self.production_share + self.transport_share + self.eol_share)
     }
 }
 
@@ -930,7 +921,7 @@ pub fn iter() -> impl Iterator<Item = &'static ProductLca> {
 ///
 /// ```
 /// let phone = cc_data::devices::find("iPhone 11").unwrap();
-/// assert!((phone.capex_share().as_percent() - 86.0).abs() < 0.5);
+/// assert!((phone.use_share * 100.0 - 14.0).abs() < 0.5);
 /// ```
 #[must_use]
 pub fn find(name: &str) -> Option<&'static ProductLca> {
@@ -988,12 +979,14 @@ mod tests {
 
     #[test]
     fn iphone_pie_anchors() {
-        // Fig 2 / Contribution 1: capex share 49% -> 86%.
+        // Fig 2 / Contribution 1: capex share 49% -> 86%. Capex is
+        // production + transport + end-of-life (Fig 4).
+        let capex = |d: &ProductLca| 100.0 * (d.production_share + d.transport_share + d.eol_share);
         let iphone3gs = find("iPhone 3GS").unwrap();
-        assert!((iphone3gs.capex_share().as_percent() - 49.0).abs() < 0.5);
+        assert!((capex(iphone3gs) - 49.0).abs() < 0.5);
         assert!((iphone3gs.use_share * 100.0 - 51.0).abs() < 0.5);
         let iphone11 = find("iPhone 11").unwrap();
-        assert!((iphone11.capex_share().as_percent() - 86.0).abs() < 0.5);
+        assert!((capex(iphone11) - 86.0).abs() < 0.5);
         assert!((iphone11.use_share * 100.0 - 14.0).abs() < 0.5);
     }
 

@@ -2,9 +2,9 @@
 //!
 //! A warehouse-scale data-center simulator: server fleets with PUE overhead,
 //! year-by-year energy demand, renewable (PPA) procurement, construction and
-//! hardware embodied carbon, the Prineville-like scenario behind Fig 2
-//! (left), and a carbon-aware batch scheduler implementing the Section VI
-//! research direction.
+//! hardware embodied carbon, and a carbon-aware batch scheduler implementing
+//! the Section VI research direction. The paper-default fleet is the
+//! Prineville-like facility behind Fig 2 (left).
 //!
 //! * [`facility`] — the scenario-driven facility model: simulate any fleet
 //!   description over a planning horizon ([`Facility`] / [`FacilityYear`],
@@ -13,8 +13,6 @@
 //! * [`fleet`] — mixed-SKU fleet composition ([`FleetMix`]): weighted
 //!   server SKUs deployed in proportion, sharing the heterogeneity slice
 //!   math.
-//! * [`prineville`] — the disclosed Prineville trajectory the paper charts;
-//!   the paper-default scenario reproduces it bit for bit.
 //! * [`server`] — per-SKU power/embodied-carbon descriptions and the SKU
 //!   catalog.
 //! * [`scheduler`] — carbon-aware placement of deferrable load across hours
@@ -28,7 +26,6 @@
 pub mod facility;
 pub mod fleet;
 pub mod heterogeneity;
-pub mod prineville;
 pub mod scheduler;
 pub mod server;
 

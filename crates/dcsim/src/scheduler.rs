@@ -43,24 +43,6 @@ pub struct SitePlan {
 }
 
 impl SitePlan {
-    /// A site with a flat base load, in MWh units.
-    #[must_use]
-    pub fn flat(
-        name: impl Into<String>,
-        trace: IntensityTrace,
-        base_mwh_per_hour: f64,
-        deferrable_mwh: f64,
-        capacity_mwh_per_hour: f64,
-    ) -> Self {
-        Self {
-            name: name.into(),
-            trace,
-            base_load: [Energy::from_mwh(base_mwh_per_hour); 24],
-            hourly_capacity: Energy::from_mwh(capacity_mwh_per_hour),
-            deferrable: Energy::from_mwh(deferrable_mwh),
-        }
-    }
-
     /// Spare capacity at hour `h` (never negative).
     #[must_use]
     pub fn headroom(&self, h: usize) -> Energy {
@@ -88,20 +70,6 @@ impl FleetSchedule {
     pub fn placed_at(&self, site: usize) -> Energy {
         self.placement[site].iter().copied().sum()
     }
-
-    /// Carbon attributable to deferrable placement alone (including
-    /// migration overhead), given the plans the schedule was built from.
-    #[must_use]
-    pub fn deferrable_carbon(&self, sites: &[SitePlan], migration_overhead: f64) -> CarbonMass {
-        let mut total = CarbonMass::ZERO;
-        for (s, site) in sites.iter().enumerate() {
-            for h in 0..24 {
-                total += self.placement[s][h] * site.trace.at(h);
-                total += self.imported[s][h] * site.trace.at(h) * migration_overhead;
-            }
-        }
-        total
-    }
 }
 
 /// The fleet-level carbon-aware scheduler.
@@ -121,12 +89,6 @@ impl Default for MultiSiteScheduler {
 }
 
 impl MultiSiteScheduler {
-    /// A scheduler with an explicit migration overhead.
-    #[must_use]
-    pub fn with_overhead(migration_overhead: f64) -> Self {
-        Self { migration_overhead }
-    }
-
     /// Baseline: every site runs its own deferrable budget at home, spread
     /// uniformly across the day (what a throughput scheduler with no carbon
     /// signal does). No energy migrates.
@@ -230,17 +192,6 @@ impl MultiSiteScheduler {
         aware
     }
 
-    /// Carbon avoided by carbon-aware placement vs the static baseline.
-    /// Never negative (see [`Self::carbon_aware`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the static baseline is infeasible.
-    #[must_use]
-    pub fn avoided_carbon(&self, sites: &[SitePlan]) -> CarbonMass {
-        self.static_placement(sites).total_carbon - self.carbon_aware(sites).total_carbon
-    }
-
     fn finish(
         &self,
         sites: &[SitePlan],
@@ -272,10 +223,43 @@ impl MultiSiteScheduler {
 mod tests {
     use super::*;
 
+    /// A site with a flat base load, in MWh units.
+    fn flat(name: &str, trace: IntensityTrace, base: f64, deferrable: f64, cap: f64) -> SitePlan {
+        SitePlan {
+            name: name.to_string(),
+            trace,
+            base_load: [Energy::from_kwh(base * 1e3); 24],
+            hourly_capacity: Energy::from_kwh(cap * 1e3),
+            deferrable: Energy::from_kwh(deferrable * 1e3),
+        }
+    }
+
+    /// Carbon avoided by carbon-aware placement vs the static baseline.
+    fn avoided(sched: MultiSiteScheduler, sites: &[SitePlan]) -> CarbonMass {
+        sched.static_placement(sites).total_carbon - sched.carbon_aware(sites).total_carbon
+    }
+
+    /// Carbon attributable to deferrable placement alone (including
+    /// migration overhead).
+    fn deferrable_carbon(
+        schedule: &FleetSchedule,
+        sites: &[SitePlan],
+        overhead: f64,
+    ) -> CarbonMass {
+        let mut total = CarbonMass::ZERO;
+        for (s, site) in sites.iter().enumerate() {
+            for h in 0..24 {
+                total += schedule.placement[s][h] * site.trace.at(h);
+                total += schedule.imported[s][h] * site.trace.at(h) * overhead;
+            }
+        }
+        total
+    }
+
     /// One facility on a solar-shaped day: clean mid-day, dirty at night.
     fn solar_site(base_mwh: f64, batch_mwh: f64, capacity_mwh: f64) -> SitePlan {
         let trace = IntensityTrace::solar_day(380.0, 120.0);
-        SitePlan::flat("solar", trace, base_mwh, batch_mwh, capacity_mwh)
+        flat("solar", trace, base_mwh, batch_mwh, capacity_mwh)
     }
 
     fn site() -> SitePlan {
@@ -312,14 +296,9 @@ mod tests {
         assert!(aware.total_carbon < uniform.total_carbon);
         // Batch-attributable carbon drops by >30% on a solar-shaped grid.
         let cut = 1.0
-            - aware.deferrable_carbon(&sites, sched.migration_overhead)
-                / uniform.deferrable_carbon(&sites, sched.migration_overhead);
+            - deferrable_carbon(&aware, &sites, sched.migration_overhead)
+                / deferrable_carbon(&uniform, &sites, sched.migration_overhead);
         assert!(cut > 0.30, "cut {cut}");
-        assert!(
-            (sched.avoided_carbon(&sites) / (uniform.total_carbon - aware.total_carbon) - 1.0)
-                .abs()
-                < 1e-9
-        );
     }
 
     #[test]
@@ -331,7 +310,7 @@ mod tests {
             .map(|h| sites[0].base_load[h] * sites[0].trace.at(h))
             .sum();
         for schedule in [sched.static_placement(&sites), sched.carbon_aware(&sites)] {
-            let batch = schedule.deferrable_carbon(&sites, sched.migration_overhead);
+            let batch = deferrable_carbon(&schedule, &sites, sched.migration_overhead);
             assert!(((schedule.total_carbon - batch) / base - 1.0).abs() < 1e-9);
         }
     }
@@ -344,14 +323,14 @@ mod tests {
 
     fn two_sites() -> Vec<SitePlan> {
         vec![
-            SitePlan::flat(
+            flat(
                 "solar",
                 IntensityTrace::solar_day(380.0, 120.0),
                 5.0,
                 60.0,
                 15.0,
             ),
-            SitePlan::flat("hydro", IntensityTrace::flat(24.0), 5.0, 20.0, 15.0),
+            flat("hydro", IntensityTrace::flat(24.0), 5.0, 20.0, 15.0),
         ]
     }
 
@@ -369,14 +348,15 @@ mod tests {
         let budget: Energy = sites.iter().map(|s| s.deferrable).sum();
         assert!((placed / budget - 1.0).abs() < 1e-9);
         // And the move pays: avoided carbon is strictly positive.
-        assert!(sched.avoided_carbon(&sites) > CarbonMass::ZERO);
+        assert!(avoided(sched, &sites) > CarbonMass::ZERO);
     }
 
     #[test]
     fn migration_overhead_is_charged_at_the_destination() {
         let sites = two_sites();
-        let free = MultiSiteScheduler::with_overhead(0.0).carbon_aware(&sites);
-        let costly = MultiSiteScheduler::with_overhead(0.5).carbon_aware(&sites);
+        let with_overhead = |migration_overhead| MultiSiteScheduler { migration_overhead };
+        let free = with_overhead(0.0).carbon_aware(&sites);
+        let costly = with_overhead(0.5).carbon_aware(&sites);
         // A 50% overhead can never beat free migration.
         assert!(costly.total_carbon >= free.total_carbon);
         // With overhead 0.5, importing into hydro (24 g/kWh → 36 effective)
@@ -389,14 +369,16 @@ mod tests {
         let sites = two_sites();
         // 10000% overhead: migrating into hydro costs 24*101 = 2424 g/kWh,
         // worse than any local hour; everything runs at home.
-        let sched = MultiSiteScheduler::with_overhead(100.0);
+        let sched = MultiSiteScheduler {
+            migration_overhead: 100.0,
+        };
         let aware = sched.carbon_aware(&sites);
         assert_eq!(aware.migrated_energy, Energy::ZERO);
         for (s, site) in sites.iter().enumerate() {
             assert!((aware.placed_at(s) / site.deferrable - 1.0).abs() < 1e-9);
         }
         // Local-only carbon-aware still beats static (time shifting alone).
-        assert!(sched.avoided_carbon(&sites) > CarbonMass::ZERO);
+        assert!(avoided(sched, &sites) > CarbonMass::ZERO);
     }
 
     #[test]
@@ -409,19 +391,13 @@ mod tests {
         let aware = sched.carbon_aware(&sites);
         let baseline = sched.static_placement(&sites);
         assert_eq!(aware, baseline);
-        assert_eq!(sched.avoided_carbon(&sites), CarbonMass::ZERO);
+        assert_eq!(avoided(sched, &sites), CarbonMass::ZERO);
     }
 
     #[test]
     #[should_panic(expected = "static placement violates hourly capacity")]
     fn infeasible_static_baseline_panics() {
-        let sites = vec![SitePlan::flat(
-            "tiny",
-            IntensityTrace::flat(100.0),
-            14.0,
-            100.0,
-            15.0,
-        )];
+        let sites = vec![flat("tiny", IntensityTrace::flat(100.0), 14.0, 100.0, 15.0)];
         let _ = MultiSiteScheduler::default().static_placement(&sites);
     }
 }

@@ -100,8 +100,6 @@ pub struct GridJob<'a> {
     pub entry: &'static Entry,
     /// Index of `entry` in the selected slice.
     pub entry_idx: usize,
-    /// Index of `point` in the grid.
-    pub point_idx: usize,
     /// The sweep point this artifact belongs to.
     pub point: &'a ScenarioPoint,
     /// The point's run context (scenario included).
@@ -257,7 +255,6 @@ impl Engine {
                     let job = GridJob {
                         entry,
                         entry_idx: group.entry_idx,
-                        point_idx,
                         point: &points[point_idx],
                         context: &contexts[point_idx],
                         experiment: entry,
@@ -533,7 +530,7 @@ mod tests {
             no_cache: false,
             format: Format::Json,
         };
-        let render = |job: &GridJob<'_>| vec![format!("{}#{}", job.entry.key, job.point_idx)];
+        let render = |job: &GridJob<'_>| vec![format!("{}#{}", job.entry.key, job.point.index)];
         let sink = |_line: String| {};
         let first = engine.run_grid(&entries, &points, &contexts, &config, render, sink);
         assert_eq!(first.misses, 3);
@@ -587,7 +584,7 @@ mod tests {
             &points,
             &contexts,
             &config,
-            |job| vec![format!("{}:{}", job.entry_idx, job.point_idx)],
+            |job| vec![format!("{}:{}", job.entry_idx, job.point.index)],
             |line| order.lock().unwrap().push(line),
         );
         let order = order.into_inner().unwrap();

@@ -194,17 +194,16 @@ impl ScenarioInterner {
             self.misses.load(Ordering::Relaxed),
         )
     }
-
-    /// Payloads currently interned.
-    #[must_use]
-    pub fn entries(&self) -> u64 {
-        self.state.lock().expect("no panics under lock").map.len() as u64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Payloads currently interned.
+    fn entries(interner: &ScenarioInterner) -> usize {
+        interner.state.lock().unwrap().map.len()
+    }
 
     fn sets(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
         pairs
@@ -222,7 +221,7 @@ mod tests {
         let second = interner.resolve(&payload, &dists).expect("valid payload");
         assert!(Arc::ptr_eq(&first, &second), "hit shares the allocation");
         assert_eq!(interner.counters(), (1, 1));
-        assert_eq!(interner.entries(), 1);
+        assert_eq!(entries(&interner), 1);
     }
 
     #[test]
@@ -261,7 +260,7 @@ mod tests {
             interner.resolve(&bad, &[]).expect_err("rejected").category,
             "unknown-field"
         );
-        assert_eq!(interner.entries(), 0);
+        assert_eq!(entries(&interner), 0);
         assert_eq!(interner.counters(), (0, 0));
     }
 
@@ -273,7 +272,7 @@ mod tests {
                 .resolve(&sets(&[("grid.intensity", value)]), &[])
                 .expect("valid");
         }
-        assert_eq!(interner.entries(), 2);
+        assert_eq!(entries(&interner), 2);
         // The newest payload is still interned.
         interner
             .resolve(&sets(&[("grid.intensity", "400")]), &[])

@@ -67,7 +67,7 @@ pub mod server;
 pub use artifact::{Format, Report};
 pub use cache::{CachedOutput, Outcome, ShardedCache};
 pub use grid::{GridConfig, GridJob, GridResult};
-pub use intern::{InternedScenario, ScenarioInterner};
+pub use intern::ScenarioInterner;
 pub use mc::{McConfig, McResult};
 pub use persist::DiskCache;
 pub use server::{ServeLog, Server};

@@ -51,8 +51,9 @@ pub const CACHE_FORMAT_VERSION: u32 = 2;
 /// The FNV-1a offset basis: the hash of no bytes.
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// FNV-1a over `bytes`, continuing from `hash`.
-fn fnv(hash: u64, bytes: &[u8]) -> u64 {
+/// FNV-1a over `bytes`, continuing from `hash`. Also the sharded cache's
+/// shard hash.
+pub(crate) fn fnv(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
@@ -123,12 +124,6 @@ impl DiskCache {
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
         })
-    }
-
-    /// The directory holding this binary's entries.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The entry file for one `(part key, dependency fingerprint)`.
@@ -298,7 +293,7 @@ mod tests {
         let dir = temp_dir("corrupt");
         let cache = DiskCache::open(&dir).unwrap();
         cache.store("fig13", 3, &output(9.0));
-        let path = cache.dir().join(format!("fig13-{:016x}.json", 3));
+        let path = cache.entry_path("fig13", 3);
         // Truncate mid-JSON: header intact, body cut short.
         let text = fs::read_to_string(&path).unwrap();
         fs::write(&path, &text[..text.len() - text.len() / 2]).unwrap();
@@ -318,7 +313,7 @@ mod tests {
         let dir = temp_dir("header");
         let cache = DiskCache::open(&dir).unwrap();
         cache.store("fig02", 11, &output(4.0));
-        let path = cache.dir().join(format!("fig02-{:016x}.json", 11));
+        let path = cache.entry_path("fig02", 11);
         let body = fs::read_to_string(&path)
             .unwrap()
             .split_once('\n')
@@ -344,7 +339,7 @@ mod tests {
     fn store_overwrites_bad_entries() {
         let dir = temp_dir("overwrite");
         let cache = DiskCache::open(&dir).unwrap();
-        let path = cache.dir().join(format!("ext-mc-{:016x}.json", 5));
+        let path = cache.entry_path("ext-mc", 5);
         fs::write(&path, "garbage").unwrap();
         assert_eq!(cache.load("ext-mc", 5), None);
         cache.store("ext-mc", 5, &output(7.0));

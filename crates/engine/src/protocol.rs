@@ -40,10 +40,10 @@
 //!
 //! The full wire contract — operations, response kinds, error categories
 //! and the sampling fields — is specified normatively in
-//! `docs/PROTOCOL.md`. The [`OPS`], [`RESPONSE_KINDS`] and
-//! [`ERROR_CATEGORIES`] constants are the canonical in-code enumeration;
-//! the conformance suite cross-checks them against the document so the
-//! two cannot drift.
+//! `docs/PROTOCOL.md`. The [`OPS`] and [`ERROR_CATEGORIES`] constants are
+//! the canonical in-code enumeration; the conformance suite cross-checks
+//! them against the document so the two cannot drift, and checks that the
+//! golden transcripts pin every response kind the document lists.
 //!
 //! Request parsing is deliberately strict about shape — unknown `op`
 //! values, non-string experiment keys, or a non-object `set` are
@@ -65,18 +65,6 @@ pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Every operation, exactly as `docs/PROTOCOL.md` enumerates them.
 pub const OPS: [&str; 5] = ["hello", "run", "batch", "stats", "shutdown"];
-
-/// Every response kind (`"type"` value), exactly as `docs/PROTOCOL.md`
-/// enumerates them.
-pub const RESPONSE_KINDS: [&str; 7] = [
-    "hello",
-    "artifact",
-    "comparison",
-    "done",
-    "error",
-    "stats",
-    "bye",
-];
 
 /// Every error category, exactly as `docs/PROTOCOL.md` enumerates them.
 pub const ERROR_CATEGORIES: [&str; 9] = [
@@ -909,7 +897,7 @@ mod tests {
 
     #[test]
     fn canonical_enumerations_are_distinct() {
-        for list in [&OPS[..], &RESPONSE_KINDS[..], &ERROR_CATEGORIES[..]] {
+        for list in [&OPS[..], &ERROR_CATEGORIES[..]] {
             let unique: std::collections::BTreeSet<_> = list.iter().collect();
             assert_eq!(unique.len(), list.len());
         }

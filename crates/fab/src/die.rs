@@ -7,7 +7,7 @@
 
 use crate::node::ProcessNode;
 use crate::wafer::WaferFootprint;
-use cc_units::{CarbonIntensity, CarbonMass};
+use cc_units::CarbonMass;
 
 /// Usable area of a 300 mm wafer in mm² (πr² with edge exclusion).
 const WAFER_AREA_MM2: f64 = 70_000.0;
@@ -27,7 +27,6 @@ pub struct DieModel {
     die_area_mm2: f64,
     defect_density_per_cm2: f64,
     wafer: WaferFootprint,
-    fab_grid_scaling: f64,
 }
 
 impl DieModel {
@@ -48,7 +47,6 @@ impl DieModel {
             die_area_mm2,
             defect_density_per_cm2: 0.1,
             wafer: WaferFootprint::for_node(node),
-            fab_grid_scaling: 1.0,
         })
     }
 
@@ -63,18 +61,6 @@ impl DieModel {
         }
         self.defect_density_per_cm2 = d0;
         Ok(self)
-    }
-
-    /// Powers the fab with greener electricity: scales the wafer's
-    /// electricity carbon down by `baseline / target` intensity.
-    #[must_use]
-    pub fn with_fab_grid(mut self, baseline: CarbonIntensity, target: CarbonIntensity) -> Self {
-        self.fab_grid_scaling = if target.as_g_per_kwh() > 0.0 {
-            baseline.as_g_per_kwh() / target.as_g_per_kwh()
-        } else {
-            f64::INFINITY
-        };
-        self
     }
 
     /// Poisson yield model: `Y = exp(−A·D0)`.
@@ -97,29 +83,10 @@ impl DieModel {
         self.dies_per_wafer() * self.yield_fraction()
     }
 
-    /// The (possibly grid-scaled) wafer footprint used by this model.
-    #[must_use]
-    pub fn wafer_footprint(&self) -> WaferFootprint {
-        if self.fab_grid_scaling.is_infinite() {
-            // Zero-carbon electricity: keep process emissions only.
-            let mut fp = WaferFootprint::new();
-            for (label, carbon, is_energy) in self.wafer.components() {
-                fp.add_component(
-                    label,
-                    if is_energy { CarbonMass::ZERO } else { carbon },
-                    is_energy,
-                );
-            }
-            fp
-        } else {
-            self.wafer.with_renewable_scaling(self.fab_grid_scaling)
-        }
-    }
-
     /// Embodied carbon per good die.
     #[must_use]
     pub fn embodied_carbon(&self) -> CarbonMass {
-        self.wafer_footprint().total() / self.good_dies_per_wafer()
+        self.wafer.total() / self.good_dies_per_wafer()
     }
 }
 
@@ -179,11 +146,12 @@ mod tests {
 
     #[test]
     fn greener_fab_floors_at_process_emissions() {
-        let base = DieModel::new(ProcessNode::N5, 100.0).unwrap();
+        // Per-die carbon is the wafer's over the same yielded die count, so
+        // the die-level reduction is the wafer-level one.
+        let wafer = WaferFootprint::for_node(ProcessNode::N5);
         let taiwan = cc_data::grids::Region::Taiwan.carbon_intensity();
         let wind = cc_data::energy_sources::EnergySource::Wind.carbon_intensity();
-        let green = base.clone().with_fab_grid(taiwan, wind);
-        let reduction = base.embodied_carbon() / green.embodied_carbon();
+        let reduction = wafer.total() / wafer.with_renewable_scaling(taiwan / wind).total();
         // 583/11 = 53x greener electricity. At 5 nm the electricity share is
         // larger than the 10 nm baseline's 64% (2600 vs 1450 kWh/wafer), so
         // the overall reduction lands near 4x rather than Fig 14's 2.7x.
@@ -222,14 +190,10 @@ mod tests {
 
     #[test]
     fn zero_carbon_electricity_keeps_process_floor() {
-        let m = DieModel::new(ProcessNode::N5, 100.0)
-            .unwrap()
-            .with_fab_grid(
-                CarbonIntensity::from_g_per_kwh(583.0),
-                CarbonIntensity::from_g_per_kwh(0.0),
-            );
-        let fp = m.wafer_footprint();
-        assert_eq!(fp.energy_carbon(), CarbonMass::ZERO);
+        let wafer = WaferFootprint::for_node(ProcessNode::N5);
+        let fp = wafer.with_renewable_scaling(1e12);
+        assert!(fp.energy_carbon().as_kg() < 1e-9);
+        assert!((fp.process_carbon() / wafer.process_carbon() - 1.0).abs() < 1e-9);
         assert!(fp.process_carbon() > CarbonMass::ZERO);
     }
 

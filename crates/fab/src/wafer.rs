@@ -16,7 +16,7 @@ pub const BASELINE_NODE: ProcessNode = ProcessNode::N10;
 /// chemicals and gases, raw wafers, bulk gases) do not.
 ///
 /// ```
-/// use cc_fab::WaferFootprint;
+/// use cc_fab::wafer::WaferFootprint;
 ///
 /// let wafer = WaferFootprint::tsmc_300mm();
 /// let greened = wafer.with_renewable_scaling(64.0);

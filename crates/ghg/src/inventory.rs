@@ -1,7 +1,8 @@
 //! Corporate GHG inventories: per-scope totals with location- and
-//! market-based Scope 2, and the paper's opex/capex roll-up.
+//! market-based Scope 2. In the paper's terms, Scope 1 + Scope 2 is opex
+//! and Scope 3 capex.
 
-use cc_units::{CarbonMass, Ratio};
+use cc_units::CarbonMass;
 
 /// Which Scope 2 accounting method to read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,12 +56,6 @@ impl CorporateInventory {
         }
     }
 
-    /// Scope 1 emissions.
-    #[must_use]
-    pub fn scope1(&self) -> CarbonMass {
-        self.scope1
-    }
-
     /// Scope 2 emissions under the requested method.
     #[must_use]
     pub fn scope2(&self, method: Scope2Method) -> CarbonMass {
@@ -74,32 +69,6 @@ impl CorporateInventory {
     #[must_use]
     pub fn scope3(&self) -> CarbonMass {
         self.scope3
-    }
-
-    /// Total reported footprint under the given Scope 2 method.
-    #[must_use]
-    pub fn total(&self, method: Scope2Method) -> CarbonMass {
-        self.scope1 + self.scope2(method) + self.scope3
-    }
-
-    /// Opex-related emissions per the paper: Scope 1 + Scope 2.
-    #[must_use]
-    pub fn opex(&self, method: Scope2Method) -> CarbonMass {
-        self.scope1 + self.scope2(method)
-    }
-
-    /// Capex-related emissions per the paper: Scope 3 (dominated by
-    /// construction and hardware).
-    #[must_use]
-    pub fn capex(&self) -> CarbonMass {
-        self.scope3
-    }
-
-    /// Capex share of the total under the given Scope 2 method — the Fig 2
-    /// pie slices.
-    #[must_use]
-    pub fn capex_share(&self, method: Scope2Method) -> Ratio {
-        Ratio::from_fraction(self.capex() / self.total(method))
     }
 }
 
@@ -165,15 +134,15 @@ mod tests {
     #[test]
     fn opex_capex_rollup() {
         let inv = fb2019();
-        assert!((inv.opex(Scope2Method::MarketBased).as_mt() - 0.298).abs() < 1e-9);
-        assert_eq!(inv.capex().as_mt(), 5.8);
+        // Opex is Scope 1 + Scope 2; capex is Scope 3.
+        let opex = |m| inv.scope1 + inv.scope2(m);
+        assert!((opex(Scope2Method::MarketBased).as_mt() - 0.298).abs() < 1e-9);
+        assert_eq!(inv.scope3().as_mt(), 5.8);
+        let capex_share = |m| inv.scope3() / (opex(m) + inv.scope3());
         // Capex dominates overwhelmingly under market-based accounting.
-        assert!(inv.capex_share(Scope2Method::MarketBased).as_percent() > 90.0);
+        assert!(capex_share(Scope2Method::MarketBased) > 0.90);
         // And less so under the location-based counterfactual.
-        assert!(
-            inv.capex_share(Scope2Method::LocationBased)
-                < inv.capex_share(Scope2Method::MarketBased)
-        );
+        assert!(capex_share(Scope2Method::LocationBased) < capex_share(Scope2Method::MarketBased));
     }
 
     #[test]

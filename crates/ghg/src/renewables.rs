@@ -26,11 +26,11 @@ pub struct Ppa {
 /// use cc_units::{Energy, CarbonIntensity};
 ///
 /// let mut portfolio = PpaPortfolio::new(CarbonIntensity::from_g_per_kwh(380.0));
-/// portfolio.contract(EnergySource::Wind, Energy::from_gwh(300.0));
-/// portfolio.contract(EnergySource::Solar, Energy::from_gwh(100.0));
+/// portfolio.contract(EnergySource::Wind, Energy::from_kwh(3e8));
+/// portfolio.contract(EnergySource::Solar, Energy::from_kwh(1e8));
 ///
 /// // A 500 GWh/year facility: 400 GWh covered, 100 GWh residual grid.
-/// let demand = Energy::from_gwh(500.0);
+/// let demand = Energy::from_kwh(5e8);
 /// let intensity = portfolio.market_carbon(demand) / demand;
 /// assert!(intensity.as_g_per_kwh() < 100.0);
 /// ```
@@ -63,15 +63,6 @@ impl PpaPortfolio {
     #[must_use]
     pub fn contracted_energy(&self) -> Energy {
         self.contracts.iter().map(|p| p.annual_energy).sum()
-    }
-
-    /// Fraction of `demand` covered by contracts (capped at 1).
-    #[must_use]
-    pub fn coverage(&self, demand: Energy) -> f64 {
-        if demand <= Energy::ZERO {
-            return 1.0;
-        }
-        (self.contracted_energy() / demand).min(1.0)
     }
 
     /// Market-based carbon for an annual `demand`: contracted energy at the
@@ -116,18 +107,17 @@ mod tests {
     #[test]
     fn empty_portfolio_is_location_based() {
         let p = us_portfolio();
-        let demand = Energy::from_gwh(100.0);
+        let demand = Energy::from_kwh(1e8);
         assert_eq!(p.market_carbon(demand), p.location_carbon(demand));
         assert_eq!((p.market_carbon(demand) / demand).as_g_per_kwh(), 380.0);
-        assert_eq!(p.coverage(demand), 0.0);
+        assert_eq!(p.contracted_energy(), Energy::ZERO);
     }
 
     #[test]
     fn full_wind_coverage_approaches_zero() {
         let mut p = us_portfolio();
-        p.contract(EnergySource::Wind, Energy::from_gwh(100.0));
-        let demand = Energy::from_gwh(100.0);
-        assert_eq!(p.coverage(demand), 1.0);
+        p.contract(EnergySource::Wind, Energy::from_kwh(1e8));
+        let demand = Energy::from_kwh(1e8);
         assert!(((p.market_carbon(demand) / demand).as_g_per_kwh() - 11.0).abs() < 1e-9);
         // Location-based is unchanged: the gap is the Fig 11 green-vs-red gap.
         assert!(p.location_carbon(demand) / p.market_carbon(demand) > 30.0);
@@ -136,19 +126,17 @@ mod tests {
     #[test]
     fn partial_coverage_blends() {
         let mut p = us_portfolio();
-        p.contract(EnergySource::Solar, Energy::from_gwh(50.0));
-        let demand = Energy::from_gwh(100.0);
+        p.contract(EnergySource::Solar, Energy::from_kwh(5e7));
+        let demand = Energy::from_kwh(1e8);
         // 50% at 41, 50% at 380 => 210.5.
         assert!(((p.market_carbon(demand) / demand).as_g_per_kwh() - 210.5).abs() < 1e-9);
-        assert_eq!(p.coverage(demand), 0.5);
     }
 
     #[test]
     fn oversubscription_does_not_go_negative() {
         let mut p = us_portfolio();
-        p.contract(EnergySource::Wind, Energy::from_gwh(500.0));
-        let demand = Energy::from_gwh(100.0);
-        assert_eq!(p.coverage(demand), 1.0);
+        p.contract(EnergySource::Wind, Energy::from_kwh(5e8));
+        let demand = Energy::from_kwh(1e8);
         assert!(((p.market_carbon(demand) / demand).as_g_per_kwh() - 11.0).abs() < 1e-9);
         assert!(p.market_carbon(demand) >= CarbonMass::ZERO);
     }
@@ -156,18 +144,17 @@ mod tests {
     #[test]
     fn mixed_portfolio_weights_by_energy() {
         let mut p = us_portfolio();
-        p.contract(EnergySource::Wind, Energy::from_gwh(300.0));
-        p.contract(EnergySource::Solar, Energy::from_gwh(100.0));
-        let demand = Energy::from_gwh(400.0);
+        p.contract(EnergySource::Wind, Energy::from_kwh(3e8));
+        p.contract(EnergySource::Solar, Energy::from_kwh(1e8));
+        let demand = Energy::from_kwh(4e8);
         // (300*11 + 100*41) / 400 = 18.5 g/kWh.
         assert!(((p.market_carbon(demand) / demand).as_g_per_kwh() - 18.5).abs() < 1e-9);
-        assert_eq!(p.contracted_energy(), Energy::from_gwh(400.0));
+        assert_eq!(p.contracted_energy(), Energy::from_kwh(4e8));
     }
 
     #[test]
     fn zero_demand_is_harmless() {
         let p = us_portfolio();
         assert_eq!(p.market_carbon(Energy::ZERO), CarbonMass::ZERO);
-        assert_eq!(p.coverage(Energy::ZERO), 1.0);
     }
 }

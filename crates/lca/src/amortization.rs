@@ -36,7 +36,7 @@ impl Breakeven {
 ///     CarbonIntensity::from_g_per_kwh(380.0),
 /// );
 /// let be = analysis
-///     .breakeven(Energy::from_joules(0.047), TimeSpan::from_millis(6.0))
+///     .breakeven(Energy::from_joules(0.047), TimeSpan::from_seconds(0.006))
 ///     .unwrap();
 /// assert!(be.operations > 4e9 && be.operations < 6e9); // paper: ~5 billion
 /// assert!(be.days > 300.0 && be.days < 400.0);         // paper: ~350 days
@@ -61,12 +61,6 @@ impl AmortizationAnalysis {
     #[must_use]
     pub fn manufacturing(&self) -> CarbonMass {
         self.manufacturing
-    }
-
-    /// Operational energy at which opex equals the manufacturing budget.
-    #[must_use]
-    pub fn breakeven_energy(&self) -> Energy {
-        self.manufacturing / self.grid
     }
 
     /// Carbon emitted per operation.
@@ -108,18 +102,22 @@ mod tests {
 
     #[test]
     fn breakeven_energy_is_budget_over_intensity() {
-        let e = pixel3_soc().breakeven_energy();
-        assert!((e.as_kwh() - 65.789).abs() < 0.01);
+        // The energy the break-even count of operations consumes.
+        let e = Energy::from_joules(0.047);
+        let be = pixel3_soc()
+            .breakeven(e, TimeSpan::from_seconds(0.006))
+            .unwrap();
+        assert!(((e * be.operations).as_kwh() - 65.789).abs() < 0.01);
     }
 
     #[test]
     fn breakeven_counts_scale_inversely_with_energy() {
         let a = pixel3_soc();
         let small = a
-            .breakeven(Energy::from_joules(0.05), TimeSpan::from_millis(5.0))
+            .breakeven(Energy::from_joules(0.05), TimeSpan::from_seconds(0.005))
             .unwrap();
         let large = a
-            .breakeven(Energy::from_joules(0.5), TimeSpan::from_millis(5.0))
+            .breakeven(Energy::from_joules(0.5), TimeSpan::from_seconds(0.005))
             .unwrap();
         assert!((small.operations / large.operations - 10.0).abs() < 1e-6);
     }
@@ -130,10 +128,10 @@ mod tests {
         // amortization time.
         let a = pixel3_soc();
         let cpu = a
-            .breakeven(Energy::from_joules(0.047), TimeSpan::from_millis(6.0))
+            .breakeven(Energy::from_joules(0.047), TimeSpan::from_seconds(0.006))
             .unwrap();
         let dsp = a
-            .breakeven(Energy::from_joules(0.0142), TimeSpan::from_millis(4.0))
+            .breakeven(Energy::from_joules(0.0142), TimeSpan::from_seconds(0.004))
             .unwrap();
         assert!(dsp.operations > cpu.operations);
         assert!(dsp.days > cpu.days);
@@ -156,7 +154,7 @@ mod tests {
             CarbonIntensity::from_g_per_kwh(0.0),
         );
         assert!(a
-            .breakeven(Energy::from_joules(0.05), TimeSpan::from_millis(5.0))
+            .breakeven(Energy::from_joules(0.05), TimeSpan::from_seconds(0.005))
             .is_none());
     }
 
@@ -164,7 +162,7 @@ mod tests {
     fn opex_capex_ratio_is_one_at_breakeven() {
         let a = pixel3_soc();
         let e = Energy::from_joules(0.047);
-        let be = a.breakeven(e, TimeSpan::from_millis(6.0)).unwrap();
+        let be = a.breakeven(e, TimeSpan::from_seconds(0.006)).unwrap();
         // Opex after the break-even count of operations equals the capex.
         let ratio = (a.carbon_per_operation(e) * be.operations) / a.manufacturing();
         assert!((ratio - 1.0).abs() < 1e-9);

@@ -1,26 +1,19 @@
 //! The [`Footprint`] type: a life-cycle carbon footprint split across the
-//! four phases, with opex/capex accessors, plus a builder.
+//! four phases, with opex/capex accessors.
 
 use crate::phase::{ExpenditureClass, LifecyclePhase};
 use cc_units::{CarbonMass, Ratio};
 
 /// A complete life-cycle footprint: carbon per phase.
 ///
-/// Construct with [`Footprint::builder`], from explicit per-phase masses with
-/// [`Footprint::from_phases`], or from a published LCA record with
-/// [`Footprint::from_product_lca`].
+/// Construct from a published LCA record with [`Footprint::from_product_lca`].
 ///
 /// ```
 /// use cc_lca::Footprint;
-/// use cc_units::CarbonMass;
 ///
-/// let fp = Footprint::builder()
-///     .production(CarbonMass::from_kg(59.0))
-///     .transport(CarbonMass::from_kg(4.0))
-///     .use_phase(CarbonMass::from_kg(10.5))
-///     .end_of_life(CarbonMass::from_kg(1.5))
-///     .build();
-/// assert_eq!(fp.total(), CarbonMass::from_kg(75.0));
+/// let iphone11 = cc_data::devices::find("iPhone 11").unwrap();
+/// let fp = Footprint::from_product_lca(iphone11);
+/// assert!((fp.total().as_kg() - 75.0).abs() < 1e-9);
 /// assert!(fp.capex_share().as_percent() > 85.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -32,28 +25,6 @@ pub struct Footprint {
 }
 
 impl Footprint {
-    /// Starts building a footprint; phases default to zero.
-    #[must_use]
-    pub fn builder() -> FootprintBuilder {
-        FootprintBuilder::default()
-    }
-
-    /// Creates a footprint from explicit per-phase masses.
-    #[must_use]
-    pub fn from_phases(
-        production: CarbonMass,
-        transport: CarbonMass,
-        use_phase: CarbonMass,
-        end_of_life: CarbonMass,
-    ) -> Self {
-        Self {
-            production,
-            transport,
-            use_phase,
-            end_of_life,
-        }
-    }
-
     /// Creates a footprint from a published product LCA record.
     #[must_use]
     pub fn from_product_lca(lca: &cc_data::devices::ProductLca) -> Self {
@@ -74,18 +45,6 @@ impl Footprint {
             LifecyclePhase::Use => self.use_phase,
             LifecyclePhase::EndOfLife => self.end_of_life,
         }
-    }
-
-    /// Transport carbon.
-    #[must_use]
-    pub fn transport(&self) -> CarbonMass {
-        self.transport
-    }
-
-    /// Use-phase (operational) carbon.
-    #[must_use]
-    pub fn use_phase(&self) -> CarbonMass {
-        self.use_phase
     }
 
     /// Total life-cycle carbon.
@@ -128,14 +87,6 @@ impl Footprint {
         Ratio::from_fraction(self.opex() / self.total())
     }
 
-    /// Returns a footprint with the use phase replaced (e.g. after re-running
-    /// the use model on a different grid).
-    #[must_use]
-    pub fn with_use_phase(mut self, use_phase: CarbonMass) -> Self {
-        self.use_phase = use_phase;
-        self
-    }
-
     /// Element-wise sum of two footprints (fleet aggregation).
     #[must_use]
     pub fn combined(&self, other: &Self) -> Self {
@@ -174,55 +125,17 @@ impl core::fmt::Display for Footprint {
     }
 }
 
-/// Builder for [`Footprint`] (non-consuming, per C-BUILDER).
-#[derive(Debug, Clone, Default)]
-pub struct FootprintBuilder {
-    footprint: Footprint,
-}
-
-impl FootprintBuilder {
-    /// Sets production carbon.
-    pub fn production(&mut self, carbon: CarbonMass) -> &mut Self {
-        self.footprint.production = carbon;
-        self
-    }
-
-    /// Sets transport carbon.
-    pub fn transport(&mut self, carbon: CarbonMass) -> &mut Self {
-        self.footprint.transport = carbon;
-        self
-    }
-
-    /// Sets use-phase carbon.
-    pub fn use_phase(&mut self, carbon: CarbonMass) -> &mut Self {
-        self.footprint.use_phase = carbon;
-        self
-    }
-
-    /// Sets end-of-life carbon.
-    pub fn end_of_life(&mut self, carbon: CarbonMass) -> &mut Self {
-        self.footprint.end_of_life = carbon;
-        self
-    }
-
-    /// Finishes the build.
-    #[must_use]
-    pub fn build(&self) -> Footprint {
-        self.footprint
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn iphone11ish() -> Footprint {
-        Footprint::from_phases(
-            CarbonMass::from_kg(59.25),
-            CarbonMass::from_kg(3.75),
-            CarbonMass::from_kg(10.5),
-            CarbonMass::from_kg(1.5),
-        )
+        Footprint {
+            production: CarbonMass::from_kg(59.25),
+            transport: CarbonMass::from_kg(3.75),
+            use_phase: CarbonMass::from_kg(10.5),
+            end_of_life: CarbonMass::from_kg(1.5),
+        }
     }
 
     #[test]
@@ -239,21 +152,12 @@ mod tests {
     }
 
     #[test]
-    fn builder_accumulates() {
-        let mut b = Footprint::builder();
-        b.production(CarbonMass::from_kg(59.25));
-        b.transport(CarbonMass::from_kg(3.75));
-        b.use_phase(CarbonMass::from_kg(10.5));
-        b.end_of_life(CarbonMass::from_kg(1.5));
-        assert_eq!(b.build(), iphone11ish());
-    }
-
-    #[test]
     fn from_product_lca_matches_record() {
         let lca = cc_data::devices::find("iPhone 11").unwrap();
         let fp = Footprint::from_product_lca(lca);
         assert!((fp.total() / lca.total() - 1.0).abs() < 1e-12);
-        assert!((fp.capex_share().as_fraction() - lca.capex_share().as_fraction()).abs() < 1e-12);
+        let capex = lca.production_share + lca.transport_share + lca.eol_share;
+        assert!((fp.capex_share().as_fraction() - capex).abs() < 1e-12);
     }
 
     #[test]
@@ -266,7 +170,10 @@ mod tests {
 
     #[test]
     fn with_use_phase_swaps_grid() {
-        let greened = iphone11ish().with_use_phase(CarbonMass::from_kg(0.5));
+        let greened = Footprint {
+            use_phase: CarbonMass::from_kg(0.5),
+            ..iphone11ish()
+        };
         assert!(greened.capex_share().as_percent() > 98.0);
         let production = |fp: Footprint| fp.phase(LifecyclePhase::Production);
         assert_eq!(production(greened), production(iphone11ish()));
@@ -274,14 +181,26 @@ mod tests {
 
     #[test]
     fn negative_eol_credit() {
-        let fp = Footprint::from_phases(
-            CarbonMass::from_kg(50.0),
-            CarbonMass::from_kg(5.0),
-            CarbonMass::from_kg(10.0),
-            CarbonMass::from_kg(-2.0),
-        );
+        let fp = Footprint {
+            production: CarbonMass::from_kg(50.0),
+            transport: CarbonMass::from_kg(5.0),
+            use_phase: CarbonMass::from_kg(10.0),
+            end_of_life: CarbonMass::from_kg(-2.0),
+        };
         assert_eq!(fp.total(), CarbonMass::from_kg(63.0));
         assert_eq!(fp.capex(), CarbonMass::from_kg(53.0));
+    }
+
+    #[test]
+    fn iphone_extension_saves_about_a_third() {
+        // 86% capex device: going 3 -> 5 years amortizes capex over more
+        // years while opex per year stays put, cutting annualized carbon by
+        // capex*(1/3 - 1/5)/total_rate ~= 33%.
+        let fp = Footprint::from_product_lca(cc_data::devices::find("iPhone 11").unwrap());
+        let per_year = |years: f64| fp.capex() / years + fp.opex() / 3.0;
+        let base = per_year(3.0);
+        let frac = (base - per_year(5.0)) / base;
+        assert!(frac > 0.30 && frac < 0.40, "saved fraction {frac}");
     }
 
     #[test]

@@ -212,25 +212,6 @@ impl ExperimentOutput {
         self.notes.extend_from_slice(&part.notes);
     }
 
-    /// Finds an attached series by name.
-    #[must_use]
-    pub fn find_series(&self, name: &str) -> Option<&Series> {
-        self.series.iter().find(|s| s.name == name)
-    }
-
-    /// Finds an attached scalar by name.
-    #[must_use]
-    pub fn find_scalar(&self, name: &str) -> Option<&Scalar> {
-        self.scalars.iter().find(|s| s.name == name)
-    }
-
-    /// The experiment's summary scalar — the first scalar attached — which
-    /// cross-scenario comparison reports diff across sweep points.
-    #[must_use]
-    pub fn summary_scalar(&self) -> Option<&Scalar> {
-        self.scalars.first()
-    }
-
     /// Renders everything as Markdown (tables become GFM tables, notes a
     /// bullet list; series are artifact data and are skipped).
     #[must_use]
@@ -492,9 +473,8 @@ mod tests {
         let mut out = ExperimentOutput::new();
         out.scalar("breakeven-days", "days", 350.0)
             .scalar("breakeven-images", "images", 5e9);
-        assert_eq!(out.summary_scalar().unwrap().name, "breakeven-days");
-        assert_eq!(out.find_scalar("breakeven-images").unwrap().value, 5e9);
-        assert!(out.find_scalar("missing").is_none());
+        assert_eq!(out.scalars.first().unwrap().name, "breakeven-days");
+        assert_eq!(out.scalars[1].value, 5e9);
         assert!(out.render().contains("scalar: breakeven-days = 350 days"));
         assert!(out
             .render_markdown()
@@ -517,7 +497,7 @@ mod tests {
             365.0,
             "one-year amortization",
         );
-        let scalar = out.summary_scalar().unwrap();
+        let scalar = out.scalars.first().unwrap();
         let threshold = scalar.threshold.as_ref().unwrap();
         assert_eq!(threshold.value, 365.0);
         assert!(out
@@ -598,7 +578,6 @@ mod tests {
         assert!(json.contains(r#""title":"T""#));
         assert!(json.contains(r#""name":"trend""#));
         assert!(json.contains(r#""notes":["anchor"]"#));
-        assert_eq!(out.find_series("trend").unwrap().len(), 1);
-        assert!(out.find_series("missing").is_none());
+        assert_eq!(out.series[0].points.len(), 1);
     }
 }

@@ -1,7 +1,7 @@
 //! # cc-report
 //!
 //! Presentation layer for the reproduction: ASCII tables, CSV/JSON emission,
-//! text bar charts, typed series artifacts, scenario parameters and the
+//! typed series artifacts, scenario parameters and the
 //! [`Experiment`] abstraction keyed by the paper's figure/table ids.
 //!
 //! The scenario API is what turns the workspace from a fixed paper replay
@@ -18,7 +18,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chart;
 pub mod experiment;
 pub mod json;
 pub mod scenario;

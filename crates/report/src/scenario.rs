@@ -190,7 +190,8 @@ impl Default for Scenario {
 /// let toml = "name = \"wind-grid\"\n\
 ///             [grid]\nintensity_g_per_kwh = 11\n\
 ///             [device]\nlifetime_years = 4\n";
-/// assert_eq!(Scenario::from_toml(toml).unwrap(), wind);
+/// let dir = std::path::Path::new("");
+/// assert_eq!(Scenario::from_toml_in(toml, dir).unwrap(), wind);
 /// ```
 impl Scenario {
     /// Sets one field by its dotted path, parsing `value` as the field's
@@ -205,36 +206,21 @@ impl Scenario {
         fields::set(self, key, value)
     }
 
-    /// Parses a scenario from the TOML subset of scenario files:
-    /// `[section]` tables, `key = value` pairs, `#` comments. Unlisted fields
-    /// keep their paper-default values; unknown keys are rejected so typos
-    /// cannot silently run the wrong scenario. Within a file, an explicitly
-    /// written intensity wins over `grid.source` in either line order.
+    /// Parses the text of a scenario file in `dir`, in the TOML subset of
+    /// scenario files: `[section]` tables, `key = value` pairs, `#`
+    /// comments. Unlisted fields keep their paper-default values; unknown
+    /// keys are rejected so typos cannot silently run the wrong scenario.
+    /// Within a file, an explicitly written intensity wins over
+    /// `grid.source` in either line order. A relative `.csv` path in a
+    /// `grid.region.<name>.trace` line resolves against `dir`, so the file
+    /// loads the same from any working directory (`--set` trace paths stay
+    /// relative to the working directory; an empty `dir` leaves them so).
     ///
     /// # Errors
     ///
     /// [`ScenarioError::Parse`] for malformed lines, plus the [`Self::set`]
     /// errors for unknown keys or unparsable values.
-    pub fn from_toml(text: &str) -> Result<Self, ScenarioError> {
-        Self::parse_toml(text, None)
-    }
-
-    /// Like [`Self::from_toml`] for the text of a scenario file in `dir`:
-    /// a relative `.csv` path in a `grid.region.<name>.trace` line resolves
-    /// against `dir`, so the file loads the same from any working
-    /// directory. (`--set` trace paths stay relative to the working
-    /// directory.)
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::from_toml`].
     pub fn from_toml_in(text: &str, dir: &Path) -> Result<Self, ScenarioError> {
-        Self::parse_toml(text, Some(dir))
-    }
-
-    /// The TOML reader behind [`Self::from_toml`] and
-    /// [`Self::from_toml_in`]; `dir` rebases relative trace file paths.
-    fn parse_toml(text: &str, dir: Option<&Path>) -> Result<Self, ScenarioError> {
         let mut scenario = Self::paper_defaults();
         // Every `(path, value)` line in file order.
         let mut lines: Vec<(String, String)> = Vec::new();
@@ -266,9 +252,9 @@ impl Scenario {
             } else {
                 format!("{section}.{}", key.trim())
             };
-            let trace_file = dir
-                .filter(|_| path.starts_with("grid.region.") && path.ends_with(".trace"))
-                .and_then(|dir| trace::rebase_trace_file(value.trim(), dir));
+            let trace_file = (path.starts_with("grid.region.") && path.ends_with(".trace"))
+                .then(|| trace::rebase_trace_file(value.trim(), dir))
+                .flatten();
             scenario.set(&path, trace_file.as_deref().unwrap_or(value.trim()))?;
             lines.push((path, value.trim().to_string()));
         }
@@ -863,7 +849,7 @@ impl RunContext {
     /// Returns the [`Scenario::validate`] error for unphysical parameters.
     pub fn tracking(scenario: Scenario) -> Result<(Self, Arc<ReadTracker>), ScenarioError> {
         let mut ctx = Self::try_new(scenario)?;
-        let tracker = Arc::new(ReadTracker::new());
+        let tracker = Arc::new(ReadTracker::default());
         ctx.tracker = Some(Arc::clone(&tracker));
         Ok((ctx, tracker))
     }
@@ -1025,6 +1011,11 @@ impl RunContext {
 mod tests {
     use super::*;
 
+    /// Parses scenario-file text as if the file sat in the working directory.
+    fn from_toml(text: &str) -> Result<Scenario, ScenarioError> {
+        Scenario::from_toml_in(text, Path::new(""))
+    }
+
     /// The paper defaults with `sets` applied in order through
     /// [`Scenario::set`].
     fn with(sets: &[(&str, &str)]) -> Scenario {
@@ -1039,7 +1030,7 @@ mod tests {
     fn toml_round_trips_paper_defaults() {
         // An empty file and a file restating paper values both load as the
         // paper defaults.
-        assert_eq!(Scenario::from_toml("").unwrap(), Scenario::paper_defaults());
+        assert_eq!(from_toml("").unwrap(), Scenario::paper_defaults());
         let restated = r#"
             name = "paper"
 
@@ -1058,10 +1049,7 @@ mod tests {
             [mc]
             seed = 10
         "#;
-        assert_eq!(
-            Scenario::from_toml(restated).unwrap(),
-            Scenario::paper_defaults()
-        );
+        assert_eq!(from_toml(restated).unwrap(), Scenario::paper_defaults());
     }
 
     #[test]
@@ -1093,12 +1081,12 @@ mod tests {
             ("mc.seed", "99"),
             ("mc.samples", "5000"),
         ]);
-        assert_eq!(Scenario::from_toml(text).unwrap(), s);
+        assert_eq!(from_toml(text).unwrap(), s);
     }
 
     #[test]
     fn partial_toml_keeps_paper_defaults() {
-        let s = Scenario::from_toml("[grid]\nintensity_g_per_kwh = 50 # BPA hydro\n").unwrap();
+        let s = from_toml("[grid]\nintensity_g_per_kwh = 50 # BPA hydro\n").unwrap();
         assert_eq!(s.grid.intensity_g_per_kwh, 50.0);
         assert_eq!(s.device.lifetime_years, 3.0);
         assert_eq!(s.mc.samples, 20_000);
@@ -1107,19 +1095,19 @@ mod tests {
     #[test]
     fn unknown_keys_and_bad_values_are_rejected() {
         assert!(matches!(
-            Scenario::from_toml("[grid]\nintesnity = 50\n"),
+            from_toml("[grid]\nintesnity = 50\n"),
             Err(ScenarioError::UnknownKey(_))
         ));
         assert!(matches!(
-            Scenario::from_toml("[grid]\nintensity_g_per_kwh = dirty\n"),
+            from_toml("[grid]\nintensity_g_per_kwh = dirty\n"),
             Err(ScenarioError::InvalidValue { .. })
         ));
         assert!(matches!(
-            Scenario::from_toml("just some words\n"),
+            from_toml("just some words\n"),
             Err(ScenarioError::Parse { line: 1, .. })
         ));
         assert!(matches!(
-            Scenario::from_toml("[grid\nintensity = 1\n"),
+            from_toml("[grid\nintensity = 1\n"),
             Err(ScenarioError::Parse { .. })
         ));
     }
@@ -1183,7 +1171,7 @@ mod tests {
         assert_eq!(s.grid.regions[0].hours, vec![24.0; 24]);
         assert_eq!(s.fleet.sites[1].region, "pnw");
         // A file sets the same regions by list or per region table.
-        let back = Scenario::from_toml(
+        let back = from_toml(
             r#"
             [grid]
             regions = "pnw:flat(24)"
@@ -1374,7 +1362,7 @@ mod tests {
         ]);
         s.validate().unwrap();
         assert_eq!(s.fleet.renewable_ramp, vec![0.0, 0.25, 0.5, 1.0]);
-        let back = Scenario::from_toml(
+        let back = from_toml(
             r#"
             name = "capacity"
             [fleet]
@@ -1430,10 +1418,8 @@ mod tests {
 
     #[test]
     fn fleet_mix_round_trips_through_toml_and_set() {
-        let s = Scenario::from_toml(
-            "name = \"ai-buildout\"\n[fleet]\nmix = \"web:0.7,ai-training:0.3\"\n",
-        )
-        .unwrap();
+        let s = from_toml("name = \"ai-buildout\"\n[fleet]\nmix = \"web:0.7,ai-training:0.3\"\n")
+            .unwrap();
         s.validate().unwrap();
         assert_eq!(s.name, "ai-buildout");
         assert_eq!(
@@ -1458,7 +1444,7 @@ mod tests {
 
         // fleet.sku loads from a file and defaults to the paper's web SKU.
         assert_eq!(Scenario::paper_defaults().fleet.sku, "web");
-        let storage = Scenario::from_toml("[fleet]\nsku = \"storage\"\n").unwrap();
+        let storage = from_toml("[fleet]\nsku = \"storage\"\n").unwrap();
         storage.validate().unwrap();
         assert_eq!(storage, with(&[("fleet.sku", "storage")]));
     }
@@ -1615,7 +1601,7 @@ mod tests {
             (r##""has # hash" # a comment"##, "has # hash"),
             (r#""multi\nline\tname""#, "multi\nline\tname"),
         ] {
-            let back = Scenario::from_toml(&format!("name = {quoted}\n")).unwrap();
+            let back = from_toml(&format!("name = {quoted}\n")).unwrap();
             assert_eq!(back.name, name, "read: {quoted}");
             assert_eq!(back, with(&[("name", name)]));
         }
@@ -1632,7 +1618,7 @@ mod tests {
             .render()
             .contains(&format!("\"seed\":{seed}")));
         let text = format!("[mc]\nseed = {seed}\n");
-        assert_eq!(Scenario::from_toml(&text).unwrap().mc.seed, seed);
+        assert_eq!(from_toml(&text).unwrap().mc.seed, seed);
     }
 
     #[test]
@@ -1665,14 +1651,12 @@ mod tests {
     fn toml_pinned_intensity_beats_source_in_any_order() {
         // Intensity written before the source line still wins: a file is a
         // declaration, not an override sequence.
-        let s =
-            Scenario::from_toml("[grid]\nintensity_g_per_kwh = 200\nsource = \"wind\"\n").unwrap();
+        let s = from_toml("[grid]\nintensity_g_per_kwh = 200\nsource = \"wind\"\n").unwrap();
         assert_eq!(s.grid.intensity_g_per_kwh, 200.0);
-        let s =
-            Scenario::from_toml("[grid]\nsource = \"wind\"\nintensity_g_per_kwh = 200\n").unwrap();
+        let s = from_toml("[grid]\nsource = \"wind\"\nintensity_g_per_kwh = 200\n").unwrap();
         assert_eq!(s.grid.intensity_g_per_kwh, 200.0);
         // Without a pinned intensity the source decides.
-        let s = Scenario::from_toml("[grid]\nsource = \"coal\"\n").unwrap();
+        let s = from_toml("[grid]\nsource = \"coal\"\n").unwrap();
         assert_eq!(s.grid.intensity_g_per_kwh, 820.0);
     }
 

@@ -199,12 +199,6 @@ pub struct ReadTracker {
 }
 
 impl ReadTracker {
-    /// A tracker with no recorded reads.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one canonical field read.
     pub fn record(&self, field: &'static str) {
         self.reads
@@ -433,7 +427,7 @@ mod tests {
 
     #[test]
     fn tracker_records_deduplicated_sorted_reads() {
-        let t = ReadTracker::new();
+        let t = ReadTracker::default();
         t.record("mc.seed");
         t.record("grid.intensity");
         t.record("mc.seed");

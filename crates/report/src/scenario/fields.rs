@@ -344,8 +344,6 @@ pub struct FieldInfo {
     pub aliases: &'static [&'static str],
     /// Human-readable type (`f64`, `u32`, `string`, `list of f64`).
     pub ty: &'static str,
-    /// One-line description.
-    pub doc: &'static str,
     /// The validation rule enforced by [`Scenario::validate`]; for a
     /// single-value check, exactly the message a failing value reports.
     pub validation: &'static str,
@@ -420,7 +418,7 @@ pub(super) fn set(
 ///   under its JSON key.
 /// * `kind` — `semantic` for fields the models read (they enter dependency
 ///   fingerprints), `label` for fields that cannot move a number.
-/// * `"doc"` — the field's rustdoc and [`FieldInfo::doc`].
+/// * `"doc"` — the field's rustdoc.
 /// * `rule` — a [`Rule`]: its text is the documented validation and, for a
 ///   `Rule::Check`, the error message.
 /// * `then hook` — optional `fn(&mut Section) -> Result<(), ScenarioError>`
@@ -590,7 +588,6 @@ macro_rules! scenario_fields {
                 path: "name",
                 aliases: &[],
                 ty: <String as FieldType>::NAME,
-                doc: $name_doc,
                 validation: "any string",
                 semantic: false,
                 set: |target, key, value| {
@@ -604,7 +601,6 @@ macro_rules! scenario_fields {
                     path: $path,
                     aliases: &[$($alias),*],
                     ty: <$ty as FieldType>::NAME,
-                    doc: $doc,
                     validation: Rule::<$ty>::text(&$rule),
                     semantic: scenario_fields!(@semantic $kind),
                     set: |target, key, value| {

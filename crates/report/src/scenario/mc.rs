@@ -576,7 +576,7 @@ mod tests {
              (p05 2013.8, p95 2015.4; n=10000)"
         );
         let t = c.to_table();
-        assert_eq!(t.len(), 9);
+        assert_eq!(t.rows().len(), 9);
         let json = c.to_json().render();
         assert!(json.contains(r#""experiment":"ext-facility""#));
         assert!(json.contains(r#""p95":2015.4"#));

@@ -15,6 +15,7 @@ use crate::json::JsonValue;
 use crate::table::Table;
 use cc_analysis::{crossover, stats};
 use cc_data::energy_sources::EnergySource;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// One swept dimension: a dotted scenario path plus the values it takes.
@@ -55,7 +56,9 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// [`SweepError`] describing exactly which part of the spec is malformed.
+    /// [`SweepError`] describing exactly which part of the spec is malformed,
+    /// including a value list that names one value twice (each point writes
+    /// one artifact named after its value).
     pub fn parse(text: &str) -> Result<Self, SweepError> {
         let malformed = |message: String| SweepError::Malformed {
             spec: text.to_string(),
@@ -163,6 +166,12 @@ impl SweepSpec {
             }
             values
         };
+        let mut seen = HashSet::with_capacity(values.len());
+        if let Some(repeat) = values.iter().find(|v| !seen.insert(v.as_str())) {
+            return Err(malformed(format!(
+                "value `{repeat}` is listed more than once"
+            )));
+        }
         Ok(Self { path, values })
     }
 }
@@ -294,12 +303,6 @@ impl ScenarioMatrix {
             }
         }
         Ok(Self { base, specs })
-    }
-
-    /// The base scenario every point starts from.
-    #[must_use]
-    pub fn base(&self) -> &Scenario {
-        self.base.as_ref()
     }
 
     /// The sweep specs, in nesting order (first varies slowest).
@@ -787,6 +790,18 @@ mod tests {
     }
 
     #[test]
+    fn repeated_values_are_rejected() {
+        let err = |text: &str| SweepSpec::parse(text).unwrap_err().to_string();
+        assert!(err("grid.intensity=50,50").contains("value `50` is listed more than once"));
+        assert!(err("grid.source=wind,coal,wind").contains("`wind` is listed more than once"));
+        // Range points that format to one label repeat too.
+        assert!(err("grid.intensity=1..1.00000000001/0.000000000001").contains("more than once"));
+        // Distinct values, and the named lists, still parse.
+        assert!(SweepSpec::parse("grid.intensity=50,500").is_ok());
+        assert!(SweepSpec::parse("grid.intensity=@sources").is_ok());
+    }
+
+    #[test]
     fn two_spec_matrix_expands_row_major_with_labels() {
         let specs = vec![
             SweepSpec::parse("grid.intensity=100,200").unwrap(),
@@ -820,10 +835,10 @@ mod tests {
             p.overlay.validate().unwrap();
             // The delta carries only the touched sections; the rest resolve
             // to the shared base.
-            assert_eq!(p.overlay.fleet(), &matrix.base().fleet);
+            assert_eq!(p.overlay.fleet(), &Scenario::paper_defaults().fleet);
         }
         // The point resolves to exactly what clone-then-set builds.
-        let mut by_hand = matrix.base().clone();
+        let mut by_hand = Scenario::paper_defaults();
         by_hand.set("grid.intensity", "200").unwrap();
         by_hand.set("device.lifetime", "4").unwrap();
         by_hand.name = "paper[grid.intensity=200,device.lifetime=4]".to_string();
@@ -939,7 +954,7 @@ mod tests {
             .push("grid.intensity=0", None);
         assert_eq!(c.baseline(), Some(350.0));
         let t = c.to_table();
-        assert_eq!(t.len(), 4);
+        assert_eq!(t.rows().len(), 4);
         assert_eq!(t.rows()[1][2], "+2310");
         assert_eq!(t.rows()[1][3], "7.6x");
         assert_eq!(t.rows()[3][1], "n/a");
@@ -1022,7 +1037,7 @@ mod tests {
         let c = Comparison::new("fig10", "m", "u");
         assert_eq!(c.baseline(), None);
         assert_eq!(c.summary(), None);
-        assert!(c.to_table().is_empty());
+        assert!(c.to_table().rows().is_empty());
         assert!(c.to_json().render().contains(r#""stats":null"#));
     }
 

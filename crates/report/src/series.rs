@@ -27,8 +27,8 @@ pub struct SeriesPoint {
 ///
 /// let mut s = Series::new("breakeven", "frequency scale", "days");
 /// s.push(0.4, 812.0).push(1.0, 350.0);
-/// assert_eq!(s.len(), 2);
-/// assert_eq!(s.y_at(1.0), Some(350.0));
+/// assert_eq!(s.points.len(), 2);
+/// assert_eq!(s.points[1].y, 350.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Series {
@@ -89,33 +89,6 @@ impl Series {
         s
     }
 
-    /// Number of points.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series has no points.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The y value at the first point with exactly this x, if any.
-    #[must_use]
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        self.points.iter().find(|p| p.x == x).map(|p| p.y)
-    }
-
-    /// The y value at the first point carrying this label, if any.
-    #[must_use]
-    pub fn y_for(&self, label: &str) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|p| p.label.as_deref() == Some(label))
-            .map(|p| p.y)
-    }
-
     /// The series as a JSON object.
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
@@ -148,12 +121,11 @@ mod tests {
     fn construction_and_lookup() {
         let mut s = Series::new("s", "x", "y");
         s.push(1.0, 10.0).push_labeled(2.0, "dsp", 20.0);
-        assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
-        assert_eq!(s.y_at(2.0), Some(20.0));
-        assert_eq!(s.y_at(3.0), None);
-        assert_eq!(s.y_for("dsp"), Some(20.0));
-        assert_eq!(s.y_for("cpu"), None);
+        assert_eq!(s.points.len(), 2);
+        assert_eq!((s.points[0].x, s.points[0].y), (1.0, 10.0));
+        assert_eq!(s.points[0].label, None);
+        assert_eq!(s.points[1].label.as_deref(), Some("dsp"));
+        assert_eq!(s.points[1].y, 20.0);
     }
 
     #[test]

@@ -45,18 +45,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// The header cells.
     #[must_use]
     pub fn header(&self) -> &[String] {
@@ -188,8 +176,8 @@ mod tests {
         t.row(["1", "2", "3"]);
         assert_eq!(t.rows()[0], vec!["1".to_string(), String::new()]);
         assert_eq!(t.rows()[1].len(), 2);
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows().len(), 2);
+        assert!(!t.rows().is_empty());
     }
 
     #[test]

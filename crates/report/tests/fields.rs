@@ -4,6 +4,7 @@
 
 use cc_report::scenario::deps::{resolve, FIELDS};
 use cc_report::{FieldSource, JsonValue, Scenario, ScenarioOverlay};
+use std::path::Path;
 use std::sync::Arc;
 
 /// A valid scenario whose every field differs from the paper default.
@@ -128,7 +129,11 @@ fn each_moved_field_round_trips_through_toml_and_json() {
         } else {
             format!("{} = {value:?}\n", field.path)
         };
-        assert_eq!(Scenario::from_toml(&text).unwrap(), one, "{text}");
+        assert_eq!(
+            Scenario::from_toml_in(&text, Path::new("")).unwrap(),
+            one,
+            "{text}"
+        );
         assert_eq!(one.field_value(field.path), Some(value), "{}", field.path);
         let json = one.view().to_json();
         assert_eq!(

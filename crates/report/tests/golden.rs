@@ -8,6 +8,7 @@
 
 use cc_report::scenario::deps::FIELDS;
 use cc_report::{dependency_fingerprint, FieldSource, Scenario, ScenarioOverlay, ScenarioPath};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Assignments that move every field off its paper default, through
@@ -305,7 +306,7 @@ fn check(
     values: &[(&str, &str)],
     fingerprints: &[(&str, u64)],
 ) {
-    assert_eq!(&Scenario::from_toml(toml).unwrap(), s);
+    assert_eq!(&Scenario::from_toml_in(toml, Path::new("")).unwrap(), s);
     assert_eq!(s.view().to_json().render(), json);
     let paths: Vec<&str> = FIELDS.iter().map(|f| f.path).collect();
     let pinned: Vec<&str> = values.iter().map(|(path, _)| *path).collect();

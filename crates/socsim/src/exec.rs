@@ -71,12 +71,6 @@ impl ExecutionModel {
         Self::new(Soc::snapdragon_845())
     }
 
-    /// The underlying SoC.
-    #[must_use]
-    pub fn soc(&self) -> &Soc {
-        &self.soc
-    }
-
     /// Simulates one single-image inference of `network` on `unit`.
     ///
     /// # Errors
@@ -85,7 +79,7 @@ impl ExecutionModel {
     pub fn run(&self, network: &Network, unit: UnitKind) -> Result<InferenceReport, ExecError> {
         let hw = self.soc.unit(unit).ok_or(ExecError::UnknownUnit { unit })?;
         let layers: Vec<LayerReport> = network
-            .layers()
+            .layers
             .iter()
             .map(|l| Self::run_layer(hw, l))
             .collect();

@@ -12,10 +12,7 @@
 //! 2. [`network`] — CNN workloads as layer graphs (ResNet-50, Inception v3,
 //!    MobileNet v1/v2/v3) with per-layer MACs, weight and activation traffic.
 //! 3. [`exec`] — a roofline execution model producing per-layer and
-//!    end-to-end latency and energy, and [`monitor`] — a simulated power
-//!    monitor that *samples* the power trace at high frequency with noise and
-//!    integrates it back to energy, exercising the same
-//!    measure-integrate-convert pipeline the authors used.
+//!    end-to-end latency and energy.
 //!
 //! Calibration (unit utilizations and power levels) is chosen so the headline
 //! ratios of Figs 9 and 10 hold; `EXPERIMENTS.md` records paper-vs-measured
@@ -24,14 +21,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod dvfs;
 pub mod exec;
-pub mod monitor;
 pub mod network;
 pub mod soc;
 
 pub use exec::{ExecutionModel, InferenceReport, LayerReport};
-pub use monitor::PowerMonitor;
 pub use network::{Layer, LayerKind, Network};
 pub use soc::{ComputeUnit, Soc, UnitKind};

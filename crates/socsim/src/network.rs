@@ -1,8 +1,8 @@
 //! CNN workloads as layer graphs.
 //!
 //! Each network is a sequence of stage-level [`Layer`]s whose aggregate MACs
-//! and parameter counts match the published figures recorded in
-//! [`cc_data::ai_models`] (validated by tests). Stage-level granularity is
+//! and parameter counts match the standard published figures (the tests
+//! below pin them). Stage-level granularity is
 //! enough for a roofline model: what matters is how much work is dense vs
 //! depthwise and how much weight/activation traffic each stage moves.
 
@@ -69,7 +69,8 @@ impl Layer {
 pub struct Network {
     /// Which published model this graph represents.
     pub model: CnnModel,
-    layers: Vec<Layer>,
+    /// The stage-level layers, in execution order.
+    pub layers: Vec<Layer>,
 }
 
 use LayerKind as K;
@@ -140,31 +141,6 @@ impl Network {
         Self { model, layers }
     }
 
-    /// Builds a custom network from explicit layers — for workloads beyond
-    /// the paper's five (synthetic sweeps, new models). The `model` tag is
-    /// kept for labeling; the layer payload is what the execution model
-    /// consumes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `layers` is empty.
-    #[must_use]
-    pub fn from_layers(model: CnnModel, layers: Vec<Layer>) -> Self {
-        assert!(!layers.is_empty(), "a network needs at least one layer");
-        Self { model, layers }
-    }
-
-    /// The layers.
-    #[must_use]
-    pub fn layers(&self) -> &[Layer] {
-        &self.layers
-    }
-
-    /// Mutable layer access for in-crate transformations (batching).
-    pub(crate) fn layers_mut(&mut self) -> &mut [Layer] {
-        &mut self.layers
-    }
-
     /// Total multiply-accumulates, billions.
     #[must_use]
     pub fn total_gmacs(&self) -> f64 {
@@ -195,10 +171,33 @@ impl core::fmt::Display for Network {
 mod tests {
     use super::*;
 
+    /// The standard published figures per 224×224 inference: GMACs (one MAC
+    /// is two FLOPs), parameters in millions, and the fraction of MACs in
+    /// depthwise convolutions. Fig 9's models plus MobileNet v1 (Fig 8's
+    /// workload), in release order.
+    const PUBLISHED: [(CnnModel, f64, f64, f64); 5] = [
+        (CnnModel::ResNet50, 4.09, 25.6, 0.0),
+        (CnnModel::InceptionV3, 5.70, 23.8, 0.0),
+        (CnnModel::MobileNetV1, 0.569, 4.2, 0.03),
+        (CnnModel::MobileNetV2, 0.300, 3.4, 0.06),
+        (CnnModel::MobileNetV3, 0.219, 5.4, 0.07),
+    ];
+
+    fn published() -> impl Iterator<Item = (Network, f64, f64, f64)> {
+        PUBLISHED
+            .into_iter()
+            .map(|(m, gmacs, params, dw)| (Network::build(m), gmacs, params, dw))
+    }
+
+    fn depthwise_fraction(net: &Network) -> f64 {
+        let depthwise = |l: &&Layer| l.kind.is_depthwise();
+        let dw: f64 = net.layers.iter().filter(depthwise).map(|l| l.gmacs).sum();
+        dw / net.total_gmacs()
+    }
+
     #[test]
     fn gmacs_match_published_figures() {
-        for net in CnnModel::ALL.map(Network::build) {
-            let published = net.model.gmacs();
+        for (net, published, _, _) in published() {
             let built = net.total_gmacs();
             let err = (built - published).abs() / published;
             assert!(
@@ -211,8 +210,7 @@ mod tests {
 
     #[test]
     fn params_match_published_figures() {
-        for net in CnnModel::ALL.map(Network::build) {
-            let published = net.model.params_millions();
+        for (net, _, published, _) in published() {
             let built = net.total_weight_melems();
             let err = (built - published).abs() / published;
             assert!(
@@ -225,11 +223,8 @@ mod tests {
 
     #[test]
     fn depthwise_fractions_match_descriptors() {
-        for net in CnnModel::ALL.map(Network::build) {
-            let expected = net.model.depthwise_mac_fraction();
-            let depthwise = |l: &&Layer| l.kind.is_depthwise();
-            let dw: f64 = net.layers().iter().filter(depthwise).map(|l| l.gmacs).sum();
-            let built = dw / net.total_gmacs();
+        for (net, _, _, expected) in published() {
+            let built = depthwise_fraction(&net);
             assert!(
                 (built - expected).abs() < 0.02,
                 "{}: built {built} vs expected {expected}",
@@ -242,14 +237,38 @@ mod tests {
     fn classic_nets_have_no_depthwise() {
         for model in [CnnModel::ResNet50, CnnModel::InceptionV3] {
             let net = Network::build(model);
-            assert!(net.layers().iter().all(|l| !l.kind.is_depthwise()));
+            assert!(net.layers.iter().all(|l| !l.kind.is_depthwise()));
         }
     }
 
     #[test]
+    fn algorithmic_improvement_exceeds_an_order_of_magnitude() {
+        // Inception v3 -> MobileNet v3 is the paper's "algorithmic
+        // innovation" axis: 5.7 / 0.219 = 26x fewer MACs.
+        let gmacs = |m| Network::build(m).total_gmacs();
+        let ratio = gmacs(CnnModel::InceptionV3) / gmacs(CnnModel::MobileNetV3);
+        assert!(ratio > 20.0 && ratio < 30.0, "ratio {ratio}");
+    }
+
+    #[test]
+    fn mobilenets_are_small() {
+        for m in [
+            CnnModel::MobileNetV1,
+            CnnModel::MobileNetV2,
+            CnnModel::MobileNetV3,
+        ] {
+            let net = Network::build(m);
+            assert!(net.total_gmacs() < 1.0);
+            assert!(net.total_weight_melems() < 6.0);
+            assert!(depthwise_fraction(&net) > 0.0);
+        }
+        assert_eq!(depthwise_fraction(&Network::build(CnnModel::ResNet50)), 0.0);
+    }
+
+    #[test]
     fn every_network_ends_in_a_classifier() {
-        for net in CnnModel::ALL.map(Network::build) {
-            assert_eq!(net.layers().last().unwrap().kind, LayerKind::Dense);
+        for (net, ..) in published() {
+            assert_eq!(net.layers.last().unwrap().kind, LayerKind::Dense);
         }
     }
 

@@ -54,7 +54,10 @@ fn build_network(layers: &[(f64, f64, f64, bool)]) -> Network {
             act_melems: a,
         })
         .collect();
-    Network::from_layers(cc_data::ai_models::CnnModel::MobileNetV1, built)
+    Network {
+        model: cc_data::ai_models::CnnModel::MobileNetV1,
+        layers: built,
+    }
 }
 
 proptest! {
@@ -128,20 +131,5 @@ proptest! {
         let net = build_network(&layers);
         let pts = dvfs::sweep(&unit, &net, &[lo, hi]);
         prop_assert!(pts[0].1 >= pts[1].1 - 1e-12, "lower frequency must not be faster");
-    }
-
-    /// Batch throughput is monotone in batch size.
-    #[test]
-    fn batch_throughput_monotone(
-        unit in unit_strategy(),
-        layers in network_strategy(),
-        b in 2u32..64,
-    ) {
-        let net = build_network(&layers);
-        let model = ExecutionModel::new(Soc::new("prop", vec![unit]));
-        let b1 = cc_socsim::batch::run_batch(&model, &net, UnitKind::Cpu, 1).unwrap();
-        let bn = cc_socsim::batch::run_batch(&model, &net, UnitKind::Cpu, b).unwrap();
-        prop_assert!(bn.throughput_ips() >= b1.throughput_ips() - 1e-9);
-        prop_assert!(bn.energy_per_image() <= b1.energy_per_image() * (1.0 + 1e-9));
     }
 }

@@ -14,7 +14,7 @@ quantity! {
     ///
     /// let e = Energy::from_kwh(1.0);
     /// assert_eq!(e.as_joules(), 3.6e6);
-    /// assert_eq!(Energy::from_gwh(1_000.0).as_twh(), 1.0);
+    /// assert_eq!(Energy::from_kwh(1e9).as_twh(), 1.0);
     /// ```
     Energy, joules, "Energy"
 }
@@ -35,18 +35,6 @@ impl Energy {
         Self {
             joules: kwh * JOULES_PER_KWH,
         }
-    }
-
-    /// Creates an energy from megawatt-hours.
-    #[must_use]
-    pub fn from_mwh(mwh: f64) -> Self {
-        Self::from_kwh(mwh * 1e3)
-    }
-
-    /// Creates an energy from gigawatt-hours.
-    #[must_use]
-    pub fn from_gwh(gwh: f64) -> Self {
-        Self::from_kwh(gwh * 1e6)
     }
 
     /// Energy in joules.
@@ -133,8 +121,6 @@ mod tests {
     fn unit_conversions_round_trip() {
         let e = Energy::from_kwh(7.7e9); // 3 nm fab annual demand (paper §II)
         assert!((e.as_twh() - 7.7).abs() < 1e-9);
-        assert_eq!(Energy::from_mwh(1.0), Energy::from_kwh(1_000.0));
-        assert_eq!(Energy::from_gwh(1.0), Energy::from_mwh(1_000.0));
     }
 
     #[test]
@@ -165,9 +151,9 @@ mod tests {
 
     #[test]
     fn display_scales() {
-        assert_eq!(Energy::from_gwh(1_500.0).to_string(), "1.500 TWh");
-        assert_eq!(Energy::from_gwh(2.0).to_string(), "2.000 GWh");
-        assert_eq!(Energy::from_mwh(3.0).to_string(), "3.000 MWh");
+        assert_eq!(Energy::from_kwh(1.5e9).to_string(), "1.500 TWh");
+        assert_eq!(Energy::from_kwh(2e6).to_string(), "2.000 GWh");
+        assert_eq!(Energy::from_kwh(3_000.0).to_string(), "3.000 MWh");
         assert_eq!(Energy::from_kwh(4.0).to_string(), "4.000 kWh");
         assert_eq!(Energy::from_joules(5.0).to_string(), "5.000 J");
     }
@@ -176,6 +162,6 @@ mod tests {
     fn negative_energy_behaves() {
         let e = -Energy::from_kwh(1.0);
         assert!(e < Energy::ZERO);
-        assert_eq!(e.abs(), Energy::from_kwh(1.0));
+        assert_eq!(-e, Energy::from_kwh(1.0));
     }
 }

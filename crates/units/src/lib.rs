@@ -53,12 +53,6 @@ macro_rules! quantity {
             /// The zero quantity.
             pub const ZERO: Self = Self { $canonical: 0.0 };
 
-            /// Returns the absolute value.
-            #[must_use]
-            pub fn abs(self) -> Self {
-                Self { $canonical: self.$canonical.abs() }
-            }
-
             /// Returns the smaller of `self` and `other`.
             #[must_use]
             pub fn min(self, other: Self) -> Self {
@@ -75,13 +69,6 @@ macro_rules! quantity {
             #[must_use]
             pub fn is_zero(self) -> bool {
                 self.$canonical == 0.0
-            }
-
-            /// Linear interpolation between `self` (at `t = 0`) and `other`
-            /// (at `t = 1`). `t` is not clamped, so this extrapolates too.
-            #[must_use]
-            pub fn lerp(self, other: Self, t: f64) -> Self {
-                Self { $canonical: self.$canonical + (other.$canonical - self.$canonical) * t }
             }
         }
 

@@ -8,7 +8,7 @@ quantity! {
     ///
     /// // The paper's Monsoon measurements are device power over an inference.
     /// let p = Power::from_watts(4.2);
-    /// let e = p * TimeSpan::from_millis(6.0);
+    /// let e = p * TimeSpan::from_seconds(0.006);
     /// assert!((e.as_joules() - 0.0252).abs() < 1e-12);
     /// ```
     Power, watts, "Power"

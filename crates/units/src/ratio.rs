@@ -11,7 +11,7 @@ quantity! {
     /// ```
     /// use cc_units::Ratio;
     ///
-    /// let manufacturing = Ratio::from_percent(74.0);
+    /// let manufacturing = Ratio::from_fraction(0.74);
     /// assert!((manufacturing.as_fraction() - 0.74).abs() < 1e-12);
     /// assert_eq!(manufacturing.to_string(), "74.0%");
     /// ```
@@ -19,21 +19,10 @@ quantity! {
 }
 
 impl Ratio {
-    /// The unit ratio (100%).
-    pub const ONE: Self = Self { fraction: 1.0 };
-
     /// Creates a ratio from a fraction (`0.74` = 74%).
     #[must_use]
     pub fn from_fraction(fraction: f64) -> Self {
         Self { fraction }
-    }
-
-    /// Creates a ratio from a percentage (`74.0` = 74%).
-    #[must_use]
-    pub fn from_percent(percent: f64) -> Self {
-        Self {
-            fraction: percent / 100.0,
-        }
     }
 
     /// The ratio as a fraction.
@@ -46,20 +35,6 @@ impl Ratio {
     #[must_use]
     pub fn as_percent(self) -> f64 {
         self.fraction * 100.0
-    }
-
-    /// The complement `1 − self` (e.g. opex share from capex share).
-    #[must_use]
-    pub fn complement(self) -> Self {
-        Self {
-            fraction: 1.0 - self.fraction,
-        }
-    }
-
-    /// Returns `true` when the ratio lies within `[0, 1]`.
-    #[must_use]
-    pub fn is_share(self) -> bool {
-        (0.0..=1.0).contains(&self.fraction)
     }
 }
 
@@ -113,30 +88,17 @@ mod tests {
     use crate::CarbonMass;
 
     #[test]
-    fn percent_round_trip() {
-        let r = Ratio::from_percent(86.0); // iPhone 11 capex share
-        assert!((r.as_fraction() - 0.86).abs() < 1e-12);
-        assert!((r.complement().as_percent() - 14.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn share_validation() {
-        assert!(Ratio::from_percent(48.0).is_share());
-        assert!(!Ratio::from_fraction(1.2).is_share());
-    }
-
-    #[test]
     fn scales_other_quantities() {
         let total = CarbonMass::from_kg(72.0); // iPhone 11 total LCA
-        let mfg = total * Ratio::from_percent(79.0);
+        let mfg = total * Ratio::from_fraction(0.79);
         assert!((mfg.as_kg() - 56.88).abs() < 1e-9);
-        assert_eq!(Ratio::from_percent(50.0) * total, total * 0.5);
+        assert_eq!(Ratio::from_fraction(0.5) * total, total * 0.5);
     }
 
     #[test]
     fn composition() {
         // half of production, production is 74% of total => 37% of total.
-        let ics = Ratio::from_percent(50.0) * Ratio::from_percent(74.0);
+        let ics = Ratio::from_fraction(0.5) * Ratio::from_fraction(0.74);
         assert!((ics.as_percent() - 37.0).abs() < 1e-9);
     }
 }

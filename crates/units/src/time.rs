@@ -23,12 +23,6 @@ impl TimeSpan {
         Self { seconds }
     }
 
-    /// Creates a span from milliseconds (inference latencies).
-    #[must_use]
-    pub fn from_millis(ms: f64) -> Self {
-        Self { seconds: ms / 1e3 }
-    }
-
     /// Creates a span from hours.
     #[must_use]
     pub fn from_hours(hours: f64) -> Self {
@@ -116,7 +110,6 @@ mod tests {
     fn conversions_round_trip() {
         assert!((TimeSpan::from_hours(1_100.0 * 24.0).as_years() - 3.011_6).abs() < 1e-3);
         assert_eq!(TimeSpan::from_months(12.0), TimeSpan::from_years(1.0));
-        assert!((TimeSpan::from_millis(6.0).as_seconds() - 0.006).abs() < 1e-15);
     }
 
     #[test]
@@ -125,7 +118,7 @@ mod tests {
         assert_eq!(TimeSpan::from_hours(350.0 * 24.0).to_string(), "350.0 d");
         assert_eq!(TimeSpan::from_hours(5.0).to_string(), "5.00 h");
         assert_eq!(TimeSpan::from_seconds(2.0).to_string(), "2.000 s");
-        assert_eq!(TimeSpan::from_millis(6.0).to_string(), "6.000 ms");
+        assert_eq!(TimeSpan::from_seconds(0.006).to_string(), "6.000 ms");
     }
 
     #[test]

@@ -82,21 +82,6 @@ proptest! {
         prop_assert!(lo == x || lo == y);
     }
 
-    #[test]
-    fn lerp_endpoints(a in val(), b in val()) {
-        let (x, y) = (Power::from_watts(a), Power::from_watts(b));
-        prop_assert_eq!(x.lerp(y, 0.0), x);
-        // t = 1 is exact only up to rounding of x + (b - a).
-        let tol = (a.abs() + b.abs()) * 1e-12 + 1e-12;
-        prop_assert!((x.lerp(y, 1.0).as_watts() - b).abs() <= tol);
-    }
-
-    #[test]
-    fn ratio_complement_involutive(p in 0.0..1.0f64) {
-        let r = Ratio::from_fraction(p);
-        prop_assert!((r.complement().complement().as_fraction() - p).abs() < 1e-12);
-        prop_assert!(r.is_share());
-    }
 
     #[test]
     fn blend_is_bounded(lo in 1.0..100.0f64, hi in 100.0..1000.0f64, s in 0.0..1.0f64) {

@@ -2,14 +2,9 @@
 //! the footprint shift from opex to capex — then claw back more carbon with
 //! carbon-aware scheduling.
 //!
-//! This example is the only caller of `CorporateInventory::capex_share`
-//! (with `CorporateInventory::total`) and `FleetSchedule::deferrable_carbon`;
-//! no registry experiment uses them.
-//!
 //! Run with `cargo run --example datacenter_renewable_transition`.
 
-use chasing_carbon::dcsim::{Facility, FleetSchedule, MultiSiteScheduler, ServerConfig, SitePlan};
-use chasing_carbon::ghg::Scope2Method;
+use chasing_carbon::dcsim::{Facility, MultiSiteScheduler, ServerConfig, SitePlan};
 use chasing_carbon::prelude::*;
 
 fn main() {
@@ -25,7 +20,6 @@ fn main() {
 
     println!("year  servers  energy      opex(market)      capex           capex share");
     for year in facility.simulate(6) {
-        let inv = year.inventory();
         println!(
             "{}  {:>7}  {:>10}  {:>16}  {:>14}  {}",
             year.year,
@@ -33,7 +27,7 @@ fn main() {
             format!("{:.0} GWh", year.energy.as_gwh()),
             year.market_carbon.to_string(),
             year.capex_carbon.to_string(),
-            inv.capex_share(Scope2Method::MarketBased)
+            Ratio::from_fraction(year.capex_carbon / (year.capex_carbon + year.market_carbon))
         );
     }
 
@@ -45,17 +39,20 @@ fn main() {
     // Carbon-aware scheduling: shift the nightly training jobs into the
     // solar window (Section VI extension) — a one-site fleet on a solar grid.
     let trace = IntensityTrace::solar_day(380.0, 120.0);
-    let sites = [SitePlan::flat("solar", trace, 40.0, 300.0, 90.0)];
+    let sites = [SitePlan {
+        name: "solar".to_string(),
+        trace,
+        base_load: [Energy::from_kwh(40_000.0); 24],
+        hourly_capacity: Energy::from_kwh(90_000.0),
+        deferrable: Energy::from_kwh(300_000.0),
+    }];
     let scheduler = MultiSiteScheduler::default();
     let uniform = scheduler.static_placement(&sites);
     let aware = scheduler.carbon_aware(&sites);
-    let batch = |s: &FleetSchedule| s.deferrable_carbon(&sites, scheduler.migration_overhead);
-    let cut = 1.0 - batch(&aware) / batch(&uniform);
+    let avoided = uniform.total_carbon - aware.total_carbon;
     println!(
         "\nCarbon-aware batch scheduling on a solar-shaped grid: {} -> {} per day \
-         ({:.0}% cut in batch-attributable carbon)",
-        uniform.total_carbon,
-        aware.total_carbon,
-        cut * 100.0
+         ({avoided} avoided)",
+        uniform.total_carbon, aware.total_carbon,
     );
 }

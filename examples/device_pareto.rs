@@ -6,7 +6,6 @@
 
 use chasing_carbon::analysis::pareto::{benefit_shift, frontier, Point};
 use chasing_carbon::data::phone_perf;
-use chasing_carbon::report::chart;
 
 fn main() {
     // Published devices.
@@ -35,11 +34,12 @@ fn main() {
     let front2019 = frontier(&points);
 
     println!("2019 Pareto frontier (throughput vs manufacturing CO2e):");
-    let bars: Vec<(&str, f64)> = front2019
-        .iter()
-        .map(|p| (p.tag.as_str(), p.benefit))
-        .collect();
-    print!("{}", chart::bars(&bars, 40));
+    for p in &front2019 {
+        println!(
+            "  {:<22} {:>5.0} img/s  {:>5.1} kg CO2e",
+            p.tag, p.benefit, p.cost
+        );
+    }
     println!(
         "\nfrontier shift 2017 -> 2019: {:.1}x more throughput at matched carbon budgets",
         benefit_shift(&front2017, &front2019)

@@ -1,13 +1,10 @@
-//! A fab operator's view: what combination of renewable electricity and PFC
-//! abatement decarbonizes a wafer, and what a chip's embodied carbon looks
-//! like per die.
-//!
-//! This example is the only caller of `cc_fab::abatement`; no registry
-//! experiment uses it.
+//! A fab operator's view: how far renewable electricity decarbonizes a
+//! wafer, and what a chip's embodied carbon looks like per die.
 //!
 //! Run with `cargo run --example fab_decarbonization`.
 
-use chasing_carbon::fab::{abatement, DieModel, ProcessNode, WaferFootprint};
+use chasing_carbon::fab::wafer::WaferFootprint;
+use chasing_carbon::fab::{DieModel, ProcessNode};
 
 fn main() {
     let wafer = WaferFootprint::tsmc_300mm();
@@ -25,16 +22,14 @@ fn main() {
         );
     }
 
-    // Fig 14's sweep plus the PFC-abatement lever the paper points at.
-    println!("\nrenewables x  +PFC abatement 90%  total vs baseline");
+    // Fig 14's sweep: process emissions floor the reduction.
+    println!("\nrenewables x  wafer total       vs baseline");
     for factor in [1.0, 4.0, 16.0, 64.0] {
-        let renewables_only = wafer.with_renewable_scaling(factor);
-        let both = abatement::decarbonize(&wafer, factor, 0.9);
+        let renewables = wafer.with_renewable_scaling(factor);
         println!(
-            "  {factor:>4.0}x        {:>18}  {:.3} -> {:.3}",
-            both.total().to_string(),
-            renewables_only.total() / wafer.total(),
-            both.total() / wafer.total()
+            "  {factor:>4.0}x       {:>14}  {:.3}",
+            renewables.total().to_string(),
+            renewables.total() / wafer.total()
         );
     }
 
@@ -55,15 +50,16 @@ fn main() {
         );
     }
 
-    // And the same SoC from a fab powered by Taiwanese grid vs wind.
+    // And a 7 nm wafer from a fab powered by Taiwanese grid vs wind: the
+    // per-die reduction is the wafer's, since the die count is unchanged.
     let taiwan = chasing_carbon::data::grids::Region::Taiwan.carbon_intensity();
     let wind = chasing_carbon::data::energy_sources::EnergySource::Wind.carbon_intensity();
-    let base = DieModel::new(ProcessNode::N7, 94.0).expect("valid die");
-    let green = base.clone().with_fab_grid(taiwan, wind);
+    let base = WaferFootprint::for_node(ProcessNode::N7);
+    let green = base.with_renewable_scaling(taiwan / wind);
     println!(
-        "\nsame die, fab on wind instead of the Taiwanese grid: {} -> {} ({:.2}x)",
-        base.embodied_carbon(),
-        green.embodied_carbon(),
-        base.embodied_carbon() / green.embodied_carbon()
+        "\n7 nm wafer, fab on wind instead of the Taiwanese grid: {} -> {} ({:.2}x)",
+        base.total(),
+        green.total(),
+        base.total() / green.total()
     );
 }

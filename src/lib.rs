@@ -27,7 +27,8 @@
 //!
 //! // The footprint of an iPhone 11 over its lifetime, from the embedded LCA:
 //! let phone = chasing_carbon::data::devices::find("iPhone 11").unwrap();
-//! assert!(phone.capex_share().as_percent() > 80.0);
+//! let footprint = chasing_carbon::lca::Footprint::from_product_lca(phone);
+//! assert!(footprint.capex_share().as_percent() > 80.0);
 //! ```
 #![forbid(unsafe_code)]
 

@@ -3,6 +3,7 @@
 //! runs.
 
 use chasing_carbon::prelude::*;
+use std::path::Path;
 
 /// The paper defaults with `sets` applied in order through `Scenario::set`.
 fn with(sets: &[(&str, &str)]) -> Scenario {
@@ -54,7 +55,10 @@ fn toml_round_trip_through_the_facade() {
         seed = 1234
         samples = 2000
     "#;
-    assert_eq!(Scenario::from_toml(toml).unwrap(), scenario);
+    assert_eq!(
+        Scenario::from_toml_in(toml, Path::new("")).unwrap(),
+        scenario
+    );
 }
 
 #[test]
@@ -62,8 +66,11 @@ fn overrides_and_files_agree() {
     let mut by_set = Scenario::paper_defaults();
     by_set.set("grid.intensity", "50").unwrap();
     by_set.set("fleet.scale", "4").unwrap();
-    let by_file =
-        Scenario::from_toml("[grid]\nintensity_g_per_kwh = 50.0\n[fleet]\nscale = 4.0\n").unwrap();
+    let by_file = Scenario::from_toml_in(
+        "[grid]\nintensity_g_per_kwh = 50.0\n[fleet]\nscale = 4.0\n",
+        Path::new(""),
+    )
+    .unwrap();
     assert_eq!(by_set, by_file);
 }
 
@@ -93,8 +100,8 @@ fn fleet_params_drive_the_facility_experiment_through_the_facade() {
             .unwrap()
             .run(&RunContext::new(with(&[("fleet.growth", growth)])))
     };
-    let slow = run("1.05").summary_scalar().unwrap().value;
-    let fast = run("1.45").summary_scalar().unwrap().value;
+    let slow = run("1.05").scalars.first().unwrap().value;
+    let fast = run("1.45").scalars.first().unwrap().value;
     assert!(fast < slow, "growth 1.45 break-even {fast} vs 1.05 {slow}");
 }
 
@@ -104,7 +111,7 @@ fn fleet_mix_drives_the_facility_and_round_trips_through_the_facade() {
     // must load the same composition.
     let mixed = with(&[("fleet.mix", "web:0.6,ai-training:0.4")]);
     let file = "[fleet]\nmix = \"web:0.6,ai-training:0.4\"\n";
-    assert_eq!(Scenario::from_toml(file).unwrap(), mixed);
+    assert_eq!(Scenario::from_toml_in(file, Path::new("")).unwrap(), mixed);
     let run = |s: Scenario| {
         chasing_carbon::core::experiments::find_entry("ext-facility")
             .unwrap()
@@ -113,7 +120,9 @@ fn fleet_mix_drives_the_facility_and_round_trips_through_the_facade() {
     let paper = run(Scenario::paper_defaults());
     let ai = run(mixed);
     let payback = |out: &cc_report::ExperimentOutput| {
-        out.find_scalar("cumulative-carbon-breakeven-year")
+        out.scalars
+            .iter()
+            .find(|sc| sc.name == "cumulative-carbon-breakeven-year")
             .unwrap()
             .value
     };
@@ -122,7 +131,9 @@ fn fleet_mix_drives_the_facility_and_round_trips_through_the_facade() {
         "an AI-heavy fleet must pay its embodied investment back sooner"
     );
     assert!(
-        ai.find_series("facility-capex-carbon-ai-training")
+        ai.series
+            .iter()
+            .find(|se| se.name == "facility-capex-carbon-ai-training")
             .is_some(),
         "mixed fleets expose per-SKU series"
     );
