@@ -20,14 +20,6 @@ impl YearSeries {
         Self { samples }
     }
 
-    /// Appends a sample, keeping the series sorted.
-    pub fn push(&mut self, year: u16, value: f64) {
-        match self.samples.binary_search_by_key(&year, |&(y, _)| y) {
-            Ok(i) => self.samples[i].1 = value,
-            Err(i) => self.samples.insert(i, (year, value)),
-        }
-    }
-
     /// The sampled values, in year order.
     pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
         self.samples.iter().map(|&(_, v)| v)
@@ -45,21 +37,9 @@ impl FromIterator<(u16, f64)> for YearSeries {
     }
 }
 
-impl Extend<(u16, f64)> for YearSeries {
-    fn extend<I: IntoIterator<Item = (u16, f64)>>(&mut self, iter: I) {
-        for (y, v) in iter {
-            self.push(y, v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn series() -> YearSeries {
-        YearSeries::from_pairs([(2013, 1.0), (2015, 3.0), (2019, 5.0)])
-    }
 
     #[test]
     fn construction_sorts_and_dedups() {
@@ -69,21 +49,8 @@ mod tests {
     }
 
     #[test]
-    fn push_overwrites_and_inserts() {
-        let mut s = series();
-        s.push(2014, 2.0);
-        s.push(2015, 3.5);
-        let samples: Vec<_> = s.iter().collect();
-        assert_eq!(
-            samples,
-            [(2013, 1.0), (2014, 2.0), (2015, 3.5), (2019, 5.0)]
-        );
-    }
-
-    #[test]
-    fn collect_and_extend() {
-        let mut s: YearSeries = [(2010, 1.0)].into_iter().collect();
-        s.extend([(2011, 2.0)]);
+    fn collects_sorted_pairs() {
+        let s: YearSeries = [(2011, 2.0), (2010, 1.0)].into_iter().collect();
         assert_eq!(s.values().collect::<Vec<_>>(), [1.0, 2.0]);
     }
 }

@@ -52,7 +52,7 @@ use cc_engine::artifact::{artifact_file_name, head_fields};
 use cc_engine::grid::{disk_footer_lines, explain_lines, footer_lines};
 use cc_engine::protocol::{RunRequest, ERROR_CATEGORIES};
 use cc_engine::{DiskCache, Engine, Format, GridConfig, GridJob, RunCounts, Server};
-use cc_report::{Experiment, JsonValue, Scenario};
+use cc_report::{JsonValue, Scenario};
 use std::io::{BufRead, Write as _};
 use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::AtomicBool;

@@ -11,7 +11,7 @@
 
 use cc_core::experiments;
 use cc_report::scenario::deps::{FieldInfo, FIELDS};
-use cc_report::{Experiment, Scenario};
+use cc_report::Scenario;
 
 /// The paper-default value of `field`, formatted for the reference table.
 fn default_of(defaults: &Scenario, field: &FieldInfo) -> String {

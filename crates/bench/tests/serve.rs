@@ -550,7 +550,7 @@ fn client_refuses_artifact_names_that_leave_the_out_dir() {
                 ("name", JsonValue::from(name.as_str())),
                 (
                     "artifact",
-                    JsonValue::object([("escaped", JsonValue::from(true))]),
+                    JsonValue::object([("escaped", JsonValue::Bool(true))]),
                 ),
             ]);
             writeln!(&stream, "{artifact}").unwrap();

@@ -60,42 +60,6 @@ impl CarbonDecomposition {
     pub fn opex_share(&self) -> Ratio {
         Ratio::from_fraction(self.opex / self.total())
     }
-
-    /// Sum of two decompositions (aggregate systems).
-    #[must_use]
-    pub fn combined(&self, other: &Self) -> Self {
-        Self {
-            opex: self.opex + other.opex,
-            capex: self.capex + other.capex,
-        }
-    }
-}
-
-impl core::ops::Add for CarbonDecomposition {
-    type Output = Self;
-
-    fn add(self, rhs: Self) -> Self {
-        self.combined(&rhs)
-    }
-}
-
-impl core::iter::Sum for CarbonDecomposition {
-    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
-        iter.fold(Self::default(), |acc, d| acc + d)
-    }
-}
-
-impl core::fmt::Display for CarbonDecomposition {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "opex {} ({}) / capex {} ({})",
-            self.opex,
-            self.opex_share(),
-            self.capex,
-            self.capex_share()
-        )
-    }
 }
 
 #[cfg(test)]
@@ -123,13 +87,5 @@ mod tests {
         let opex = CarbonMass::from_mt(fb.scope1_mt + fb.scope2_market_mt);
         let d = CarbonDecomposition::new(opex, CarbonMass::from_mt(fb.scope3_mt));
         assert!((d.capex_share() / d.opex_share() - 19.46).abs() < 0.1);
-    }
-
-    #[test]
-    fn aggregation() {
-        let a = CarbonDecomposition::new(CarbonMass::from_kg(1.0), CarbonMass::from_kg(2.0));
-        let total: CarbonDecomposition = [a, a, a].into_iter().sum();
-        assert_eq!(total.total(), CarbonMass::from_kg(9.0));
-        assert!(a.to_string().contains("capex"));
     }
 }

@@ -139,7 +139,7 @@ pub fn fig14_wafer_reduction(ctx: &RunContext) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_report::{Experiment, Scenario};
+    use cc_report::Scenario;
 
     fn ext_mc(ctx: &RunContext) -> ExperimentOutput {
         super::super::find_entry("ext-mc").unwrap().run(ctx)

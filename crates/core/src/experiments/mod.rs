@@ -3,8 +3,8 @@
 //! The [`entries`] registry is the only definition of an experiment: one
 //! [`Entry`] row per experiment holds its stable key, its title and caption,
 //! its topic tags, its declared scenario-dependency set and the function(s)
-//! computing it, and the row itself is the [`cc_report::Experiment`]. The
-//! registry drives the `repro` binary, the sweep cache and the generated
+//! computing it, and the row itself runs the experiment ([`Entry::run`]).
+//! The registry drives the `repro` binary, the sweep cache and the generated
 //! scenario reference. Each module holds only model code: a
 //! `pub fn run(&RunContext) -> ExperimentOutput` that executes the *models*
 //! under the context (not hard-coded answers): e.g. Fig 10 runs the SoC
@@ -48,7 +48,7 @@ pub mod table2;
 pub mod table3;
 pub mod table4;
 
-use cc_report::{Experiment, ExperimentId, ExperimentOutput, RunContext, ScenarioPath};
+use cc_report::{ExperimentId, ExperimentOutput, RunContext, ScenarioPath};
 
 /// Topic tags for registry filtering (`repro --tag mobile`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -118,7 +118,7 @@ impl core::fmt::Display for Tag {
 
 /// One independently cached piece of an entry's output: its cache key, the
 /// scenario fields it reads, and the function computing it. An entry's
-/// [`Experiment::run`] runs its parts in order and joins them with
+/// [`Entry::run`] runs its parts in order and joins them with
 /// [`ExperimentOutput::append`]; the engine does the same with each part
 /// taken from its cache.
 #[derive(Debug)]
@@ -189,10 +189,37 @@ impl Entry {
         self.parts
     }
 
-    /// The entry as a boxed experiment. It stays for the benchmark harness's
-    /// replay (`perfbench/`) until ROADMAP direction 5 deletes it.
+    /// Which figure/table this reproduces.
     #[must_use]
-    pub fn build(&self) -> Box<dyn Experiment> {
+    pub fn id(&self) -> ExperimentId {
+        self.title
+    }
+
+    /// One-line description (the figure caption, abbreviated).
+    #[must_use]
+    pub fn description(&self) -> &'static str {
+        self.caption
+    }
+
+    /// Runs the parts under `ctx`'s scenario, in order, and joins them with
+    /// [`ExperimentOutput::append`]. With [`RunContext::paper`] the output
+    /// reproduces the paper's numbers. The output is a deterministic
+    /// function of the context (`ext-mc` derives its randomness from the
+    /// context's seed).
+    pub fn run(&self, ctx: &RunContext) -> ExperimentOutput {
+        let (first, rest) = self.parts.split_first().expect("every entry has a part");
+        let mut out = (first.run)(ctx);
+        for part in rest {
+            out.append(&(part.run)(ctx));
+        }
+        out
+    }
+
+    /// The entry, boxed. Nothing in the workspace calls it: it stays only
+    /// for the benchmark harness's replay (`perfbench/`), which ROADMAP
+    /// direction 5 deletes.
+    #[must_use]
+    pub fn build(&self) -> Box<Entry> {
         Box::new(*self)
     }
 
@@ -200,27 +227,6 @@ impl Entry {
     #[must_use]
     pub fn has_tag(&self, tag: Tag) -> bool {
         self.tags.contains(&tag)
-    }
-}
-
-impl Experiment for Entry {
-    fn id(&self) -> ExperimentId {
-        self.title
-    }
-
-    fn description(&self) -> &'static str {
-        self.caption
-    }
-
-    /// Runs the parts in order and joins them with
-    /// [`ExperimentOutput::append`].
-    fn run(&self, ctx: &RunContext) -> ExperimentOutput {
-        let (first, rest) = self.parts.split_first().expect("every entry has a part");
-        let mut out = (first.run)(ctx);
-        for part in rest {
-            out.append(&(part.run)(ctx));
-        }
-        out
     }
 }
 

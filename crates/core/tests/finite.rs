@@ -12,7 +12,7 @@
 
 use cc_core::experiments::entries;
 use cc_report::scenario::deps::FIELDS;
-use cc_report::{Experiment, ExperimentOutput, RunContext, Scenario};
+use cc_report::{ExperimentOutput, RunContext, Scenario};
 
 const LADDER: [&str; 10] = [
     "0", "1e-300", "1e-9", "0.3", "0.5", "1", "2", "100", "1e6", "1e300",

@@ -47,23 +47,6 @@ impl Vendor {
             Self::Microsoft => 'M',
         }
     }
-
-    /// Human-readable vendor name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Apple => "Apple",
-            Self::Google => "Google",
-            Self::Huawei => "Huawei",
-            Self::Microsoft => "Microsoft",
-        }
-    }
-}
-
-impl core::fmt::Display for Vendor {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// Device category, following Fig 6's grouping.
@@ -1086,6 +1069,5 @@ mod tests {
         assert_eq!(Vendor::Apple.tag(), 'A');
         assert_eq!(Vendor::Google.tag(), 'G');
         assert_eq!(Vendor::Huawei.tag(), 'H');
-        assert_eq!(Vendor::Microsoft.to_string(), "Microsoft");
     }
 }

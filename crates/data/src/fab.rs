@@ -132,6 +132,6 @@ mod tests {
 
     #[test]
     fn fab_3nm_energy() {
-        assert!((fab_3nm_annual_energy().as_twh() - 7.7).abs() < 1e-9);
+        assert!((fab_3nm_annual_energy().as_gwh() - 7_700.0).abs() < 1e-6);
     }
 }

@@ -25,22 +25,6 @@ pub enum Segment {
 impl Segment {
     /// All segments in Fig 1 legend order.
     pub const ALL: [Self; 3] = [Self::ConsumerDevices, Self::Networking, Self::Datacenter];
-
-    /// Human-readable label.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::ConsumerDevices => "Consumer devices",
-            Self::Networking => "Networking",
-            Self::Datacenter => "Datacenter",
-        }
-    }
-}
-
-impl core::fmt::Display for Segment {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// Projection scenario.
@@ -146,7 +130,7 @@ mod tests {
             let opt = segment_twh(Scenario::Optimistic, segment);
             let exp = segment_twh(Scenario::Expected, segment);
             for (o, e) in opt.iter().zip(exp.iter()) {
-                assert!(e >= o, "{segment}: expected {e} < optimistic {o}");
+                assert!(e >= o, "{segment:?}: expected {e} < optimistic {o}");
             }
         }
     }

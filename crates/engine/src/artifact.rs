@@ -28,8 +28,8 @@
 use crate::grid::GridJob;
 use cc_core::experiments::Entry;
 use cc_report::{
-    Comparison, Experiment, ExperimentOutput, JsonValue, McComparison, MonteCarloMatrix,
-    RunContext, ScenarioMatrix, ScenarioPoint,
+    Comparison, ExperimentOutput, JsonValue, McComparison, MonteCarloMatrix, RunContext,
+    ScenarioMatrix, ScenarioPoint,
 };
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -91,13 +91,13 @@ fn point_fields(ctx: &RunContext, point: Option<&ScenarioPoint>) -> Vec<(&'stati
 /// experiment identity and tags, the sweep-point metadata when sweeping,
 /// the full scenario, and the experiment output.
 ///
-/// The entry is the experiment, so `_experiment` is not read. The parameter
-/// stays for the benchmark harness's replay (`perfbench/`) until ROADMAP
-/// direction 5 deletes it.
+/// `_experiment` is not read: `entry` is the experiment. The parameter
+/// stays only for the benchmark harness's replay (`perfbench/`), which
+/// ROADMAP direction 5 deletes.
 #[must_use]
 pub fn artifact_json(
     entry: &Entry,
-    _experiment: &dyn Experiment,
+    _experiment: &Entry,
     output: &ExperimentOutput,
     ctx: &RunContext,
     point: Option<&ScenarioPoint>,
@@ -112,13 +112,13 @@ pub fn artifact_json(
 /// already-computed output, whole: the reference form of the text
 /// [`crate::GridJob::artifact`] assembles from shared pieces.
 ///
-/// Like [`artifact_json`], it reads the experiment's identity from `entry`
-/// and keeps `experiment` only for the benchmark harness's replay until
-/// ROADMAP direction 5 deletes it.
+/// Like [`artifact_json`], it reads the experiment from `entry`; the
+/// `experiment` parameter stays only for the benchmark harness's replay
+/// (`perfbench/`), which ROADMAP direction 5 deletes.
 #[must_use]
 pub fn render_artifact(
     entry: &Entry,
-    experiment: &dyn Experiment,
+    experiment: &Entry,
     output: &ExperimentOutput,
     ctx: &RunContext,
     point: Option<&ScenarioPoint>,

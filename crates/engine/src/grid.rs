@@ -31,10 +31,8 @@ use crate::artifact::{write_artifact, Format, Shared};
 use crate::{tracked_metrics, CachedOutput, Engine, EngineError, RunCounts, Tally};
 use cc_core::experiments::Entry;
 use cc_report::{
-    dedup_groups, Comparison, Experiment, RunContext, Scalar, ScenarioMatrix, ScenarioOverlay,
-    ScenarioPoint,
+    dedup_groups, Comparison, RunContext, Scalar, ScenarioMatrix, ScenarioOverlay, ScenarioPoint,
 };
-use std::ops::Deref;
 use std::sync::atomic::AtomicBool;
 use std::sync::OnceLock;
 
@@ -104,10 +102,10 @@ pub struct GridJob<'a> {
     pub point: &'a ScenarioPoint,
     /// The point's run context (scenario included).
     pub context: &'a RunContext,
-    /// The entry again, as a trait object. The engine reads `entry`; this
-    /// stays for the benchmark harness's replay (`perfbench/`) until
-    /// ROADMAP direction 5 deletes it.
-    pub experiment: &'a dyn Experiment,
+    /// The entry again. The engine reads `entry`; this stays only for the
+    /// benchmark harness's replay (`perfbench/`), which ROADMAP direction 5
+    /// deletes.
+    pub experiment: &'a Entry,
     /// The computed or loaded (possibly cache-shared) output. It derefs to
     /// the [`cc_report::ExperimentOutput`], which parses a disk hit's body.
     pub output: &'a CachedOutput,
@@ -134,8 +132,7 @@ impl GridJob<'_> {
     }
 }
 
-/// What one grid run produced, beyond the streamed artifacts. Derefs to
-/// its [`RunCounts`].
+/// What one grid run produced, beyond the streamed artifacts.
 pub struct GridResult {
     /// Per-job scalar lists, indexed `entry_idx * npoints + point_idx`; the
     /// first scalar is the experiment's summary.
@@ -145,14 +142,6 @@ pub struct GridResult {
     /// Whether the engine was stopped ([`Engine::stop`]) before every
     /// group ran: the sink and `scalars` then end at the first skipped job.
     pub cancelled: bool,
-}
-
-impl Deref for GridResult {
-    type Target = RunCounts;
-
-    fn deref(&self) -> &RunCounts {
-        &self.counts
-    }
 }
 
 impl Engine {
@@ -533,14 +522,17 @@ mod tests {
         let render = |job: &GridJob<'_>| vec![format!("{}#{}", job.entry.key, job.point.index)];
         let sink = |_line: String| {};
         let first = engine.run_grid(&entries, &points, &contexts, &config, render, sink);
-        assert_eq!(first.misses, 3);
-        assert_eq!(first.hits, 0);
-        assert_eq!(first.run_counts, vec![3]);
+        assert_eq!(first.counts.misses, 3);
+        assert_eq!(first.counts.hits, 0);
+        assert_eq!(first.counts.run_counts, vec![3]);
         let second = engine.run_grid(&entries, &points, &contexts, &config, render, |_l| {});
-        assert_eq!(second.hits, 3, "second identical grid is all cache hits");
-        assert_eq!(second.misses, 0);
+        assert_eq!(
+            second.counts.hits, 3,
+            "second identical grid is all cache hits"
+        );
+        assert_eq!(second.counts.misses, 0);
         // The footer's plan counts are cache-independent by design.
-        assert_eq!(second.run_counts, vec![3]);
+        assert_eq!(second.counts.run_counts, vec![3]);
         assert_eq!(first.scalars, second.scalars);
     }
 
@@ -563,8 +555,11 @@ mod tests {
         );
         // fig05 is scenario-independent: dedup would run it once, no-cache
         // runs it per point, and neither touches the resident cache.
-        assert_eq!(result.run_counts, vec![2]);
-        assert_eq!(result.hits + result.misses + result.inflight_dedups, 0);
+        assert_eq!(result.counts.run_counts, vec![2]);
+        assert_eq!(
+            result.counts.hits + result.counts.misses + result.counts.inflight_dedups,
+            0
+        );
         assert_eq!(engine.stats().entries, 0);
     }
 

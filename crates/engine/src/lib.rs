@@ -73,7 +73,7 @@ pub use persist::DiskCache;
 pub use server::{ServeLog, Server};
 
 use cc_core::experiments::{Entry, Part};
-use cc_report::{Experiment, ExperimentOutput, JsonValue, RunContext, Scalar, ScenarioOverlay};
+use cc_report::{ExperimentOutput, JsonValue, RunContext, Scalar, ScenarioOverlay};
 use grid::build_comparisons;
 use protocol::ResolvedRun;
 use std::collections::BTreeMap;

@@ -43,7 +43,6 @@ use cc_report::scenario::deps::{expand, fingerprint_fields, resolve, FieldInfo};
 use cc_report::{
     McComparison, MonteCarloMatrix, RunContext, Scalar, ScenarioOverlay, ScenarioPoint,
 };
-use std::ops::Deref;
 use std::sync::atomic::AtomicBool;
 
 /// Knobs for one Monte-Carlo run.
@@ -56,7 +55,7 @@ pub struct McConfig {
     pub no_cache: bool,
 }
 
-/// What one Monte-Carlo run produced. Derefs to its [`RunCounts`].
+/// What one Monte-Carlo run produced.
 #[derive(Debug)]
 pub struct McResult {
     /// One banded digest per (experiment, tracked metric): the experiment's
@@ -67,14 +66,6 @@ pub struct McResult {
     /// part missed the resident cache, deterministic for a given engine
     /// state (each distinct part fingerprint is computed exactly once).
     pub counts: RunCounts,
-}
-
-impl Deref for McResult {
-    type Target = RunCounts;
-
-    fn deref(&self) -> &RunCounts {
-        &self.counts
-    }
 }
 
 /// How a Monte-Carlo run fingerprints one part, fixed before sample 0.
@@ -350,8 +341,8 @@ mod tests {
             )
             .expect("parallel run");
         assert_eq!(serial.comparisons, parallel.comparisons);
-        assert_eq!(serial.run_counts, parallel.run_counts);
-        assert_eq!(serial.misses, parallel.misses);
+        assert_eq!(serial.counts.run_counts, parallel.counts.run_counts);
+        assert_eq!(serial.counts.misses, parallel.counts.misses);
         // The sampled axis moves the model: the band has real width.
         let stats = &serial.comparisons[0].stats;
         assert_eq!(stats.n, 200);
@@ -375,9 +366,9 @@ mod tests {
                 },
             )
             .expect("mc run");
-        assert_eq!(result.run_counts, vec![1]);
-        assert_eq!(result.misses, 1);
-        assert_eq!(result.hits + result.inflight_dedups, 49);
+        assert_eq!(result.counts.run_counts, vec![1]);
+        assert_eq!(result.counts.misses, 1);
+        assert_eq!(result.counts.hits + result.counts.inflight_dedups, 49);
         // Constant metric: a zero-width band is the honest answer.
         assert_eq!(result.comparisons[0].stats.ci90_half_width(), 0.0);
     }
@@ -400,11 +391,11 @@ mod tests {
                 },
             )
             .expect("mc run");
-        assert_eq!(result.misses, 52);
-        assert_eq!(result.hits, 98);
-        assert_eq!(result.inflight_dedups, 0);
-        assert_eq!(result.run_counts, vec![50]);
-        assert_eq!(result.disk_runs, vec![50]);
+        assert_eq!(result.counts.misses, 52);
+        assert_eq!(result.counts.hits, 98);
+        assert_eq!(result.counts.inflight_dedups, 0);
+        assert_eq!(result.counts.run_counts, vec![50]);
+        assert_eq!(result.counts.disk_runs, vec![50]);
     }
 
     #[test]
@@ -494,8 +485,11 @@ mod tests {
                 },
             )
             .expect("mc run");
-        assert_eq!(result.run_counts, vec![8]);
-        assert_eq!(result.hits + result.misses + result.inflight_dedups, 0);
+        assert_eq!(result.counts.run_counts, vec![8]);
+        assert_eq!(
+            result.counts.hits + result.counts.misses + result.counts.inflight_dedups,
+            0
+        );
         assert_eq!(engine.stats().entries, 0);
     }
 }

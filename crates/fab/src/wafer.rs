@@ -134,17 +134,6 @@ impl Default for WaferFootprint {
     }
 }
 
-impl core::fmt::Display for WaferFootprint {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "wafer {} ({} energy)",
-            self.total(),
-            self.energy_carbon()
-        )
-    }
-}
-
 /// The scaling factors Fig 14 plots.
 pub const FIG14_FACTORS: [f64; 7] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 
@@ -225,6 +214,5 @@ mod tests {
         assert_eq!(wafer.total(), CarbonMass::from_kg(100.0));
         let halved = wafer.with_renewable_scaling(2.0);
         assert_eq!(halved.total(), CarbonMass::from_kg(65.0));
-        assert!(wafer.to_string().contains("wafer"));
     }
 }

@@ -72,16 +72,6 @@ impl CorporateInventory {
     }
 }
 
-impl core::fmt::Display for CorporateInventory {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "S1 {} | S2 loc {} / mkt {} | S3 {}",
-            self.scope1, self.scope2_location, self.scope2_market, self.scope3
-        )
-    }
-}
-
 /// Builder for [`CorporateInventory`].
 #[derive(Debug, Clone, Default)]
 pub struct CorporateInventoryBuilder {
@@ -164,6 +154,5 @@ mod tests {
             .build();
         let ratio = inv.scope3() / inv.scope2(Scope2Method::MarketBased);
         assert!((ratio - 20.47).abs() < 0.1, "Google 2018: ~21x");
-        assert!(inv.to_string().contains("S3"));
     }
 }

@@ -31,8 +31,8 @@ pub struct Ppa {
 ///
 /// // A 500 GWh/year facility: 400 GWh covered, 100 GWh residual grid.
 /// let demand = Energy::from_kwh(5e8);
-/// let intensity = portfolio.market_carbon(demand) / demand;
-/// assert!(intensity.as_g_per_kwh() < 100.0);
+/// let g_per_kwh = portfolio.market_carbon(demand).as_grams() / demand.as_kwh();
+/// assert!(g_per_kwh < 100.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PpaPortfolio {
@@ -109,7 +109,7 @@ mod tests {
         let p = us_portfolio();
         let demand = Energy::from_kwh(1e8);
         assert_eq!(p.market_carbon(demand), p.location_carbon(demand));
-        assert_eq!((p.market_carbon(demand) / demand).as_g_per_kwh(), 380.0);
+        assert_eq!(p.market_carbon(demand).as_grams() / demand.as_kwh(), 380.0);
         assert_eq!(p.contracted_energy(), Energy::ZERO);
     }
 
@@ -118,7 +118,7 @@ mod tests {
         let mut p = us_portfolio();
         p.contract(EnergySource::Wind, Energy::from_kwh(1e8));
         let demand = Energy::from_kwh(1e8);
-        assert!(((p.market_carbon(demand) / demand).as_g_per_kwh() - 11.0).abs() < 1e-9);
+        assert!((p.market_carbon(demand).as_grams() / demand.as_kwh() - 11.0).abs() < 1e-9);
         // Location-based is unchanged: the gap is the Fig 11 green-vs-red gap.
         assert!(p.location_carbon(demand) / p.market_carbon(demand) > 30.0);
     }
@@ -129,7 +129,7 @@ mod tests {
         p.contract(EnergySource::Solar, Energy::from_kwh(5e7));
         let demand = Energy::from_kwh(1e8);
         // 50% at 41, 50% at 380 => 210.5.
-        assert!(((p.market_carbon(demand) / demand).as_g_per_kwh() - 210.5).abs() < 1e-9);
+        assert!((p.market_carbon(demand).as_grams() / demand.as_kwh() - 210.5).abs() < 1e-9);
     }
 
     #[test]
@@ -137,7 +137,7 @@ mod tests {
         let mut p = us_portfolio();
         p.contract(EnergySource::Wind, Energy::from_kwh(5e8));
         let demand = Energy::from_kwh(1e8);
-        assert!(((p.market_carbon(demand) / demand).as_g_per_kwh() - 11.0).abs() < 1e-9);
+        assert!((p.market_carbon(demand).as_grams() / demand.as_kwh() - 11.0).abs() < 1e-9);
         assert!(p.market_carbon(demand) >= CarbonMass::ZERO);
     }
 
@@ -148,7 +148,7 @@ mod tests {
         p.contract(EnergySource::Solar, Energy::from_kwh(1e8));
         let demand = Energy::from_kwh(4e8);
         // (300*11 + 100*41) / 400 = 18.5 g/kWh.
-        assert!(((p.market_carbon(demand) / demand).as_g_per_kwh() - 18.5).abs() < 1e-9);
+        assert!((p.market_carbon(demand).as_grams() / demand.as_kwh() - 18.5).abs() < 1e-9);
         assert_eq!(p.contracted_energy(), Energy::from_kwh(4e8));
     }
 

@@ -14,24 +14,6 @@ pub enum Scope {
     Scope3,
 }
 
-impl Scope {
-    /// Human-readable label.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Scope1 => "Scope 1",
-            Self::Scope2 => "Scope 2",
-            Self::Scope3 => "Scope 3",
-        }
-    }
-}
-
-impl core::fmt::Display for Scope {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// The three company archetypes of Table I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompanyKind {
@@ -108,7 +90,6 @@ mod tests {
 
     #[test]
     fn labels() {
-        assert_eq!(Scope::Scope3.to_string(), "Scope 3");
         assert_eq!(
             CompanyKind::DatacenterOperator.to_string(),
             "Data-center operator"

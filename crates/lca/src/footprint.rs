@@ -2,7 +2,7 @@
 //! four phases, with opex/capex accessors.
 
 use crate::phase::{ExpenditureClass, LifecyclePhase};
-use cc_units::{CarbonMass, Ratio};
+use cc_units::CarbonMass;
 
 /// A complete life-cycle footprint: carbon per phase.
 ///
@@ -14,7 +14,7 @@ use cc_units::{CarbonMass, Ratio};
 /// let iphone11 = cc_data::devices::find("iPhone 11").unwrap();
 /// let fp = Footprint::from_product_lca(iphone11);
 /// assert!((fp.total().as_kg() - 75.0).abs() < 1e-9);
-/// assert!(fp.capex_share().as_percent() > 85.0);
+/// assert!(fp.capex() / fp.total() > 0.85);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Footprint {
@@ -74,55 +74,6 @@ impl Footprint {
     pub fn capex(&self) -> CarbonMass {
         self.by_class(ExpenditureClass::Capex)
     }
-
-    /// Capex share of the total.
-    #[must_use]
-    pub fn capex_share(&self) -> Ratio {
-        Ratio::from_fraction(self.capex() / self.total())
-    }
-
-    /// Opex share of the total.
-    #[must_use]
-    pub fn opex_share(&self) -> Ratio {
-        Ratio::from_fraction(self.opex() / self.total())
-    }
-
-    /// Element-wise sum of two footprints (fleet aggregation).
-    #[must_use]
-    pub fn combined(&self, other: &Self) -> Self {
-        Self {
-            production: self.production + other.production,
-            transport: self.transport + other.transport,
-            use_phase: self.use_phase + other.use_phase,
-            end_of_life: self.end_of_life + other.end_of_life,
-        }
-    }
-}
-
-impl core::ops::Add for Footprint {
-    type Output = Self;
-
-    fn add(self, rhs: Self) -> Self {
-        self.combined(&rhs)
-    }
-}
-
-impl core::iter::Sum for Footprint {
-    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
-        iter.fold(Self::default(), |acc, f| acc + f)
-    }
-}
-
-impl core::fmt::Display for Footprint {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "total {} (capex {}, opex {})",
-            self.total(),
-            self.capex_share(),
-            self.opex_share()
-        )
-    }
 }
 
 #[cfg(test)]
@@ -144,8 +95,8 @@ mod tests {
         assert_eq!(fp.total(), CarbonMass::from_kg(75.0));
         assert_eq!(fp.opex(), CarbonMass::from_kg(10.5));
         assert_eq!(fp.capex(), CarbonMass::from_kg(64.5));
-        assert!((fp.capex_share().as_percent() - 86.0).abs() < 1e-9);
-        assert!((fp.opex_share().as_percent() - 14.0).abs() < 1e-9);
+        assert!((fp.capex() / fp.total() - 0.86).abs() < 1e-9);
+        assert!((fp.opex() / fp.total() - 0.14).abs() < 1e-9);
         // The Fig 7 "manufacturing" fraction excludes transport and EOL.
         let production = fp.phase(LifecyclePhase::Production) / fp.total();
         assert!((production * 100.0 - 79.0).abs() < 1e-9);
@@ -157,15 +108,7 @@ mod tests {
         let fp = Footprint::from_product_lca(lca);
         assert!((fp.total() / lca.total() - 1.0).abs() < 1e-12);
         let capex = lca.production_share + lca.transport_share + lca.eol_share;
-        assert!((fp.capex_share().as_fraction() - capex).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sum_aggregates_fleets() {
-        let fleet: Footprint = (0..3).map(|_| iphone11ish()).sum();
-        assert_eq!(fleet.total(), CarbonMass::from_kg(225.0));
-        // Shares are scale-invariant.
-        assert!((fleet.capex_share().as_percent() - 86.0).abs() < 1e-9);
+        assert!((fp.capex() / fp.total() - capex).abs() < 1e-12);
     }
 
     #[test]
@@ -174,7 +117,7 @@ mod tests {
             use_phase: CarbonMass::from_kg(0.5),
             ..iphone11ish()
         };
-        assert!(greened.capex_share().as_percent() > 98.0);
+        assert!(greened.capex() / greened.total() > 0.98);
         let production = |fp: Footprint| fp.phase(LifecyclePhase::Production);
         assert_eq!(production(greened), production(iphone11ish()));
     }
@@ -201,11 +144,5 @@ mod tests {
         let base = per_year(3.0);
         let frac = (base - per_year(5.0)) / base;
         assert!(frac > 0.30 && frac < 0.40, "saved fraction {frac}");
-    }
-
-    #[test]
-    fn display() {
-        let s = iphone11ish().to_string();
-        assert!(s.contains("capex"), "{s}");
     }
 }

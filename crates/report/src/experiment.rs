@@ -1,9 +1,8 @@
-//! The experiment abstraction: every paper figure/table is an [`Experiment`]
-//! that consumes a [`RunContext`] and produces tables, typed series and
-//! commentary.
+//! What an experiment produces: every paper figure/table, keyed by an
+//! [`ExperimentId`], yields an [`ExperimentOutput`] of tables, typed series,
+//! summary scalars and commentary.
 
 use crate::json::JsonValue;
-use crate::scenario::RunContext;
 use crate::series::Series;
 use crate::table::Table;
 
@@ -388,24 +387,6 @@ impl ExperimentOutput {
         }
         out
     }
-}
-
-/// A reproducible paper artifact, parameterized by a scenario.
-///
-/// Implementations must be deterministic functions of the context: the same
-/// `ctx` always yields the same output (`ext-mc` derives its randomness from
-/// the context's seed).
-pub trait Experiment {
-    /// Which figure/table this reproduces.
-    fn id(&self) -> ExperimentId;
-
-    /// One-line description (the figure caption, abbreviated).
-    fn description(&self) -> &'static str;
-
-    /// Runs the models under `ctx`'s scenario and produces the artifact's
-    /// rows/series. With [`RunContext::paper`] the output reproduces the
-    /// paper's numbers.
-    fn run(&self, ctx: &RunContext) -> ExperimentOutput;
 }
 
 #[cfg(test)]

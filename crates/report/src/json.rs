@@ -433,12 +433,6 @@ impl From<String> for JsonValue {
     }
 }
 
-impl From<bool> for JsonValue {
-    fn from(b: bool) -> Self {
-        Self::Bool(b)
-    }
-}
-
 impl core::fmt::Display for JsonValue {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str(&self.render())
@@ -470,7 +464,7 @@ mod tests {
         let doc = JsonValue::object([
             ("name", JsonValue::from("fig10")),
             ("count", JsonValue::from(3.0)),
-            ("ok", JsonValue::from(true)),
+            ("ok", JsonValue::Bool(true)),
             (
                 "tags",
                 JsonValue::array([JsonValue::from("a"), JsonValue::Null]),

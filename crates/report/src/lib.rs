@@ -2,7 +2,8 @@
 //!
 //! Presentation layer for the reproduction: ASCII tables, CSV/JSON emission,
 //! typed series artifacts, scenario parameters and the
-//! [`Experiment`] abstraction keyed by the paper's figure/table ids.
+//! [`ExperimentOutput`] every experiment produces, keyed by the paper's
+//! figure/table ids ([`ExperimentId`]).
 //!
 //! The scenario API is what turns the workspace from a fixed paper replay
 //! into a modeling tool: a [`Scenario`] makes every assumption the paper
@@ -24,7 +25,7 @@ pub mod scenario;
 pub mod series;
 pub mod table;
 
-pub use experiment::{Experiment, ExperimentId, ExperimentOutput, Scalar, ScalarThreshold};
+pub use experiment::{ExperimentId, ExperimentOutput, Scalar, ScalarThreshold};
 pub use json::{JsonParseError, JsonValue};
 pub use scenario::deps::{
     dedup_groups, dependency_fingerprint, FieldSource, ReadTracker, ScenarioPath,

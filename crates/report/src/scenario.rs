@@ -5,10 +5,10 @@
 //! handful of scenario parameters: how dirty the operational grid is, how
 //! long hardware lives, how the fab is powered, how large the fleet is. A
 //! [`Scenario`] captures exactly those knobs; a [`RunContext`] carries one
-//! scenario (plus typed accessors) into every [`crate::Experiment::run`]
-//! call. [`Scenario::paper_defaults`] pins the values Gupta et al. used, so
-//! the default context regenerates the paper verbatim while any other
-//! scenario answers a "what if?".
+//! scenario (plus typed accessors) into every experiment run.
+//! [`Scenario::paper_defaults`] pins the values Gupta et al. used, so the
+//! default context regenerates the paper verbatim while any other scenario
+//! answers a "what if?".
 //!
 //! Scenarios load from a small TOML subset (tables, `key = value` pairs
 //! with number/string/bool values, `#` comments) so they can live in
@@ -168,12 +168,6 @@ impl FleetParams {
             }),
         }
         self.sites = sites;
-    }
-}
-
-impl Default for Scenario {
-    fn default() -> Self {
-        Self::paper_defaults()
     }
 }
 
@@ -764,20 +758,6 @@ impl ScenarioOverlay {
 pub struct RunContext {
     overlay: ScenarioOverlay,
     tracker: Option<Arc<ReadTracker>>,
-}
-
-impl Default for RunContext {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
-impl PartialEq for RunContext {
-    /// Contexts compare by (resolved) scenario; whether reads are being
-    /// tracked is an observation concern, not an identity one.
-    fn eq(&self, other: &Self) -> bool {
-        self.overlay == other.overlay
-    }
 }
 
 impl RunContext {
@@ -1678,10 +1658,10 @@ mod tests {
             tracker.reads().len(),
             deps::FIELDS.iter().filter(|f| f.semantic).count()
         );
-        // Untracked contexts record nothing and still compare by scenario.
+        // Untracked contexts record nothing and view the same scenario.
         let plain = RunContext::paper();
         let _ = plain.mc_seed();
-        assert_eq!(plain, ctx);
+        assert!(plain.scenario() == ctx.scenario());
     }
 
     #[test]

@@ -176,18 +176,6 @@ impl SweepSpec {
     }
 }
 
-impl core::fmt::Display for SweepSpec {
-    /// Canonical round-trippable text: the explicit-list form
-    /// `path=v1,v2,…`. Range and named (`@sources`) specs display as the
-    /// list they expanded to, so for any successfully parsed spec
-    /// `SweepSpec::parse(&spec.to_string())` reproduces `spec` exactly —
-    /// parsed values are trimmed, non-empty, and can contain neither `,`
-    /// nor `..`, and a parsed first value never starts with `@`.
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "{}={}", self.path, self.values.join(","))
-    }
-}
-
 /// Formats a range point compactly (`710`, not `710.0000000000`), absorbing
 /// accumulated floating-point noise like `0.30000000000000004`. Also the
 /// canonical text for Monte-Carlo draws (`super::mc`), so sampled
@@ -1047,22 +1035,5 @@ mod tests {
         assert_eq!(format_value(0.1 + 0.2), "0.3");
         assert_eq!(format_value(-2.5), "-2.5");
         assert_eq!(format_value(0.0), "0");
-    }
-
-    #[test]
-    fn display_is_the_canonical_list_form() {
-        // A list spec displays verbatim; ranges and named lists display as
-        // their expansion, and both re-parse to the same spec.
-        let list = SweepSpec::parse("device.lifetime= 2 , 3 ,4").unwrap();
-        assert_eq!(list.to_string(), "device.lifetime=2,3,4");
-        let range = SweepSpec::parse("grid.intensity=10..50/20").unwrap();
-        assert_eq!(range.to_string(), "grid.intensity=10,30,50");
-        for spec in [
-            list,
-            range,
-            SweepSpec::parse("grid.source=@sources").unwrap(),
-        ] {
-            assert_eq!(SweepSpec::parse(&spec.to_string()).unwrap(), spec);
-        }
     }
 }

@@ -140,12 +140,6 @@ impl Table {
     }
 }
 
-impl core::fmt::Display for Table {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(&self.render())
-    }
-}
-
 /// Formats a float with the given number of decimals (helper for table
 /// cells).
 #[must_use]
@@ -202,12 +196,5 @@ mod tests {
     fn num_helper() {
         assert_eq!(num(1.23456, 2), "1.23");
         assert_eq!(num(2.0, 0), "2");
-    }
-
-    #[test]
-    fn display_matches_render() {
-        let mut t = Table::new(["h"]);
-        t.row(["v"]);
-        assert_eq!(t.to_string(), t.render());
     }
 }

@@ -140,31 +140,6 @@ impl Network {
         };
         Self { model, layers }
     }
-
-    /// Total multiply-accumulates, billions.
-    #[must_use]
-    pub fn total_gmacs(&self) -> f64 {
-        self.layers.iter().map(|l| l.gmacs).sum()
-    }
-
-    /// Total weight elements, millions (= parameter count).
-    #[must_use]
-    pub fn total_weight_melems(&self) -> f64 {
-        self.layers.iter().map(|l| l.weight_melems).sum()
-    }
-}
-
-impl core::fmt::Display for Network {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "{} ({:.2} GMACs, {:.1}M params, {} stages)",
-            self.model,
-            self.total_gmacs(),
-            self.total_weight_melems(),
-            self.layers.len()
-        )
-    }
 }
 
 #[cfg(test)]
@@ -189,16 +164,26 @@ mod tests {
             .map(|(m, gmacs, params, dw)| (Network::build(m), gmacs, params, dw))
     }
 
+    /// Total multiply-accumulates, billions.
+    fn total_gmacs(net: &Network) -> f64 {
+        net.layers.iter().map(|l| l.gmacs).sum()
+    }
+
+    /// Total weight elements, millions (= parameter count).
+    fn total_weight_melems(net: &Network) -> f64 {
+        net.layers.iter().map(|l| l.weight_melems).sum()
+    }
+
     fn depthwise_fraction(net: &Network) -> f64 {
         let depthwise = |l: &&Layer| l.kind.is_depthwise();
         let dw: f64 = net.layers.iter().filter(depthwise).map(|l| l.gmacs).sum();
-        dw / net.total_gmacs()
+        dw / total_gmacs(net)
     }
 
     #[test]
     fn gmacs_match_published_figures() {
         for (net, published, _, _) in published() {
-            let built = net.total_gmacs();
+            let built = total_gmacs(&net);
             let err = (built - published).abs() / published;
             assert!(
                 err < 0.02,
@@ -211,7 +196,7 @@ mod tests {
     #[test]
     fn params_match_published_figures() {
         for (net, _, published, _) in published() {
-            let built = net.total_weight_melems();
+            let built = total_weight_melems(&net);
             let err = (built - published).abs() / published;
             assert!(
                 err < 0.05,
@@ -245,7 +230,7 @@ mod tests {
     fn algorithmic_improvement_exceeds_an_order_of_magnitude() {
         // Inception v3 -> MobileNet v3 is the paper's "algorithmic
         // innovation" axis: 5.7 / 0.219 = 26x fewer MACs.
-        let gmacs = |m| Network::build(m).total_gmacs();
+        let gmacs = |m| total_gmacs(&Network::build(m));
         let ratio = gmacs(CnnModel::InceptionV3) / gmacs(CnnModel::MobileNetV3);
         assert!(ratio > 20.0 && ratio < 30.0, "ratio {ratio}");
     }
@@ -258,8 +243,8 @@ mod tests {
             CnnModel::MobileNetV3,
         ] {
             let net = Network::build(m);
-            assert!(net.total_gmacs() < 1.0);
-            assert!(net.total_weight_melems() < 6.0);
+            assert!(total_gmacs(&net) < 1.0);
+            assert!(total_weight_melems(&net) < 6.0);
             assert!(depthwise_fraction(&net) > 0.0);
         }
         assert_eq!(depthwise_fraction(&Network::build(CnnModel::ResNet50)), 0.0);
@@ -270,11 +255,5 @@ mod tests {
         for (net, ..) in published() {
             assert_eq!(net.layers.last().unwrap().kind, LayerKind::Dense);
         }
-    }
-
-    #[test]
-    fn display_summary() {
-        let s = Network::build(CnnModel::MobileNetV2).to_string();
-        assert!(s.contains("MobileNet v2"), "{s}");
     }
 }

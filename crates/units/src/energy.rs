@@ -14,7 +14,7 @@ quantity! {
     ///
     /// let e = Energy::from_kwh(1.0);
     /// assert_eq!(e.as_joules(), 3.6e6);
-    /// assert_eq!(Energy::from_kwh(1e9).as_twh(), 1.0);
+    /// assert_eq!(Energy::from_kwh(1e6).as_gwh(), 1.0);
     /// ```
     Energy, joules, "Energy"
 }
@@ -60,12 +60,6 @@ impl Energy {
     pub fn as_gwh(self) -> f64 {
         self.as_kwh() / 1e6
     }
-
-    /// Energy in terawatt-hours.
-    #[must_use]
-    pub fn as_twh(self) -> f64 {
-        self.as_kwh() / 1e9
-    }
 }
 
 /// `Energy / TimeSpan = Power` (average power over the span).
@@ -74,15 +68,6 @@ impl core::ops::Div<crate::TimeSpan> for Energy {
 
     fn div(self, rhs: crate::TimeSpan) -> crate::Power {
         crate::Power::from_watts(self.joules / rhs.as_seconds())
-    }
-}
-
-/// `Energy / Power = TimeSpan` (how long the power level can be sustained).
-impl core::ops::Div<crate::Power> for Energy {
-    type Output = crate::TimeSpan;
-
-    fn div(self, rhs: crate::Power) -> crate::TimeSpan {
-        crate::TimeSpan::from_seconds(self.joules / rhs.as_watts())
     }
 }
 
@@ -95,23 +80,6 @@ impl core::ops::Mul<crate::CarbonIntensity> for Energy {
     }
 }
 
-impl core::fmt::Display for Energy {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let kwh = self.as_kwh().abs();
-        if kwh >= 1e9 {
-            write!(f, "{:.3} TWh", self.as_twh())
-        } else if kwh >= 1e6 {
-            write!(f, "{:.3} GWh", self.as_gwh())
-        } else if kwh >= 1e3 {
-            write!(f, "{:.3} MWh", self.as_mwh())
-        } else if kwh >= 1.0 {
-            write!(f, "{:.3} kWh", self.as_kwh())
-        } else {
-            write!(f, "{:.3} J", self.as_joules())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,7 +88,7 @@ mod tests {
     #[test]
     fn unit_conversions_round_trip() {
         let e = Energy::from_kwh(7.7e9); // 3 nm fab annual demand (paper §II)
-        assert!((e.as_twh() - 7.7).abs() < 1e-9);
+        assert!((e.as_gwh() - 7_700.0).abs() < 1e-6);
     }
 
     #[test]
@@ -130,7 +98,6 @@ mod tests {
         let e = p * t;
         assert!((e.as_kwh() - 7.3).abs() < 1e-9);
         assert!((e / t).as_watts() - 730.0 < 1e-9);
-        assert!(((e / p).as_hours() - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -147,15 +114,6 @@ mod tests {
         assert_eq!((total * 2.0).as_kwh(), 12.0);
         assert_eq!((total / 2.0).as_kwh(), 3.0);
         assert!((total / Energy::from_kwh(3.0) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn display_scales() {
-        assert_eq!(Energy::from_kwh(1.5e9).to_string(), "1.500 TWh");
-        assert_eq!(Energy::from_kwh(2e6).to_string(), "2.000 GWh");
-        assert_eq!(Energy::from_kwh(3_000.0).to_string(), "3.000 MWh");
-        assert_eq!(Energy::from_kwh(4.0).to_string(), "4.000 kWh");
-        assert_eq!(Energy::from_joules(5.0).to_string(), "5.000 J");
     }
 
     #[test]

@@ -50,15 +50,6 @@ impl CarbonIntensity {
     }
 }
 
-/// `CarbonIntensity * Energy = CarbonMass` (commutes with the `Energy` impl).
-impl core::ops::Mul<crate::Energy> for CarbonIntensity {
-    type Output = crate::CarbonMass;
-
-    fn mul(self, rhs: crate::Energy) -> crate::CarbonMass {
-        rhs * self
-    }
-}
-
 impl core::fmt::Display for CarbonIntensity {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "{:.1} g CO2e/kWh", self.g_per_kwh)
@@ -68,15 +59,6 @@ impl core::fmt::Display for CarbonIntensity {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Energy;
-
-    #[test]
-    fn multiplication_commutes() {
-        let e = Energy::from_kwh(10.0);
-        let i = CarbonIntensity::from_g_per_kwh(41.0); // solar, Table II
-        assert_eq!(e * i, i * e);
-        assert!(((e * i).as_grams() - 410.0).abs() < 1e-9);
-    }
 
     #[test]
     fn blending_energy_mixes() {

@@ -28,7 +28,9 @@
 //! # Design notes
 //!
 //! * Every type is `Copy` and implements the common traits
-//!   (`Debug`/`Clone`/`PartialEq`/`PartialOrd`/`Default`/`Display`).
+//!   (`Debug`/`Clone`/`PartialEq`/`PartialOrd`/`Default`); the types that
+//!   appear in rendered output (`CarbonMass`, `CarbonIntensity`, `Ratio`)
+//!   also implement `Display`.
 //! * Values are plain `f64` and may be negative (end-of-life recycling credits
 //!   are negative carbon). Constructors accept any `f64`; see [`Validate`] for
 //!   checked construction at data boundaries.

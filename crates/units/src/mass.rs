@@ -75,25 +75,6 @@ impl CarbonMass {
     }
 }
 
-/// `CarbonMass / Energy = CarbonIntensity` (back out an effective grid mix).
-impl core::ops::Div<crate::Energy> for CarbonMass {
-    type Output = crate::CarbonIntensity;
-
-    fn div(self, rhs: crate::Energy) -> crate::CarbonIntensity {
-        crate::CarbonIntensity::from_g_per_kwh(self.grams / rhs.as_kwh())
-    }
-}
-
-/// `CarbonMass / CarbonIntensity = Energy` (how much energy a carbon budget
-/// buys on a given grid — the break-even analysis of Fig 10).
-impl core::ops::Div<crate::CarbonIntensity> for CarbonMass {
-    type Output = crate::Energy;
-
-    fn div(self, rhs: crate::CarbonIntensity) -> crate::Energy {
-        crate::Energy::from_kwh(self.grams / rhs.as_g_per_kwh())
-    }
-}
-
 impl core::fmt::Display for CarbonMass {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         let g = self.grams.abs();
@@ -130,18 +111,15 @@ mod tests {
         // 25_000 g / 380 g/kWh ~= 65.8 kWh of operational energy.
         let budget = CarbonMass::from_kg(25.0);
         let grid = CarbonIntensity::from_g_per_kwh(380.0);
-        let energy = budget / grid;
-        assert!((energy.as_kwh() - 65.789).abs() < 0.01);
-        // And the inverse recovers the intensity.
-        let back = budget / energy;
-        assert!((back.as_g_per_kwh() - 380.0).abs() < 1e-9);
+        let emitted = Energy::from_kwh(65.789) * grid;
+        assert!((emitted.as_kg() - budget.as_kg()).abs() < 0.01);
     }
 
     #[test]
     fn effective_intensity_from_totals() {
         let emitted = Energy::from_kwh(100.0) * CarbonIntensity::from_g_per_kwh(41.0);
-        let eff = emitted / Energy::from_kwh(100.0);
-        assert!((eff.as_g_per_kwh() - 41.0).abs() < 1e-9);
+        let g_per_kwh = emitted.as_grams() / Energy::from_kwh(100.0).as_kwh();
+        assert!((g_per_kwh - 41.0).abs() < 1e-9);
     }
 
     #[test]

@@ -38,17 +38,6 @@ impl Ratio {
     }
 }
 
-/// `Ratio * Ratio = Ratio` (compose shares).
-impl core::ops::Mul for Ratio {
-    type Output = Self;
-
-    fn mul(self, rhs: Self) -> Self {
-        Self {
-            fraction: self.fraction * rhs.fraction,
-        }
-    }
-}
-
 impl core::fmt::Display for Ratio {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "{:.1}%", self.as_percent())
@@ -88,17 +77,18 @@ mod tests {
     use crate::CarbonMass;
 
     #[test]
+    fn composition() {
+        // half of production, production is 74% of total => 37% of total.
+        let total = CarbonMass::from_kg(100.0);
+        let ics = total * Ratio::from_fraction(0.74) * Ratio::from_fraction(0.5);
+        assert!((ics.as_kg() - 37.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn scales_other_quantities() {
         let total = CarbonMass::from_kg(72.0); // iPhone 11 total LCA
         let mfg = total * Ratio::from_fraction(0.79);
         assert!((mfg.as_kg() - 56.88).abs() < 1e-9);
         assert_eq!(Ratio::from_fraction(0.5) * total, total * 0.5);
-    }
-
-    #[test]
-    fn composition() {
-        // half of production, production is 74% of total => 37% of total.
-        let ics = Ratio::from_fraction(0.5) * Ratio::from_fraction(0.74);
-        assert!((ics.as_percent() - 37.0).abs() < 1e-9);
     }
 }

@@ -60,12 +60,6 @@ impl TimeSpan {
         self.seconds * 1e3
     }
 
-    /// The span in hours.
-    #[must_use]
-    pub fn as_hours(self) -> f64 {
-        self.seconds / 3_600.0
-    }
-
     /// The span in days.
     #[must_use]
     pub fn as_days(self) -> f64 {
@@ -85,23 +79,6 @@ impl TimeSpan {
     }
 }
 
-impl core::fmt::Display for TimeSpan {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let s = self.seconds.abs();
-        if s >= SECONDS_PER_YEAR {
-            write!(f, "{:.2} yr", self.as_years())
-        } else if s >= 86_400.0 {
-            write!(f, "{:.1} d", self.as_days())
-        } else if s >= 3_600.0 {
-            write!(f, "{:.2} h", self.as_hours())
-        } else if s >= 1.0 {
-            write!(f, "{:.3} s", self.seconds)
-        } else {
-            write!(f, "{:.3} ms", self.as_millis())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,15 +87,6 @@ mod tests {
     fn conversions_round_trip() {
         assert!((TimeSpan::from_hours(1_100.0 * 24.0).as_years() - 3.011_6).abs() < 1e-3);
         assert_eq!(TimeSpan::from_months(12.0), TimeSpan::from_years(1.0));
-    }
-
-    #[test]
-    fn display_scales() {
-        assert_eq!(TimeSpan::from_years(3.0).to_string(), "3.00 yr");
-        assert_eq!(TimeSpan::from_hours(350.0 * 24.0).to_string(), "350.0 d");
-        assert_eq!(TimeSpan::from_hours(5.0).to_string(), "5.00 h");
-        assert_eq!(TimeSpan::from_seconds(2.0).to_string(), "2.000 s");
-        assert_eq!(TimeSpan::from_seconds(0.006).to_string(), "6.000 ms");
     }
 
     #[test]

@@ -8,7 +8,11 @@ use chasing_carbon::fab::{DieModel, ProcessNode};
 
 fn main() {
     let wafer = WaferFootprint::tsmc_300mm();
-    println!("baseline 300 mm wafer: {wafer}");
+    println!(
+        "baseline 300 mm wafer: {} ({} energy)",
+        wafer.total(),
+        wafer.energy_carbon()
+    );
     for (label, carbon, is_energy) in wafer.components() {
         println!(
             "  {:<28} {:>14}  {}",

@@ -18,11 +18,14 @@ fn main() {
     let grid = chasing_carbon::data::us_grid_intensity();
     let analysis = AmortizationAnalysis::new(soc_budget, grid);
     println!("SoC manufacturing budget: {soc_budget} on a {grid} grid");
-    println!("break-even operational energy: {}\n", soc_budget / grid);
+    println!(
+        "break-even operational energy: {:.3} kWh\n",
+        soc_budget.as_grams() / grid.as_g_per_kwh()
+    );
 
     for cnn in CnnModel::FIG9 {
         let network = Network::build(cnn);
-        println!("{network}");
+        println!("{cnn} ({} stages)", network.layers.len());
         for unit in UnitKind::ALL {
             let report = model.run(&network, unit).expect("pixel3 units");
             let be = analysis

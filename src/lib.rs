@@ -15,8 +15,8 @@
 //! * [`fab`] — wafer manufacturing and die-level embodied carbon
 //! * [`socsim`] — mobile SoC inference performance/energy simulator
 //! * [`dcsim`] — warehouse-scale data-center simulator
-//! * [`report`] — tables, series, scenarios and the experiment abstraction
-//! * [`core`] — the opex/capex footprint API and all paper experiments
+//! * [`report`] — tables, series, scenarios and experiment outputs
+//! * [`core`] — the opex/capex footprint API and the experiment registry
 //! * [`engine`] — the resident execution engine: sharded artifact cache,
 //!   grid runner and the `repro serve` protocol/daemon
 //!
@@ -28,7 +28,7 @@
 //! // The footprint of an iPhone 11 over its lifetime, from the embedded LCA:
 //! let phone = chasing_carbon::data::devices::find("iPhone 11").unwrap();
 //! let footprint = chasing_carbon::lca::Footprint::from_product_lca(phone);
-//! assert!(footprint.capex_share().as_percent() > 80.0);
+//! assert!(footprint.capex() / footprint.total() > 0.8);
 //! ```
 #![forbid(unsafe_code)]
 
@@ -46,8 +46,6 @@ pub use cc_units as units;
 
 /// Commonly used items across the workspace.
 pub mod prelude {
-    pub use cc_report::{
-        Comparison, Experiment, RunContext, Scenario, ScenarioMatrix, Series, SweepSpec,
-    };
+    pub use cc_report::{Comparison, RunContext, Scenario, ScenarioMatrix, Series, SweepSpec};
     pub use cc_units::prelude::*;
 }

@@ -5,14 +5,18 @@ use chasing_carbon::core::decomposition::CarbonDecomposition;
 use chasing_carbon::core::experiments;
 use chasing_carbon::ghg::Scope2Method;
 use chasing_carbon::lca::Footprint;
-use chasing_carbon::prelude::{Experiment, RunContext};
+use chasing_carbon::prelude::RunContext;
 use chasing_carbon::units::CarbonMass;
 
 #[test]
 fn contribution_1_iphone_manufacturing_share_49_to_86() {
     let gs = chasing_carbon::data::devices::find("iPhone 3GS").unwrap();
     let i11 = chasing_carbon::data::devices::find("iPhone 11").unwrap();
-    let capex_share = |d| Footprint::from_product_lca(d).capex_share().as_percent();
+    let capex_share = |d| {
+        CarbonDecomposition::from_footprint(&Footprint::from_product_lca(d))
+            .capex_share()
+            .as_percent()
+    };
     assert!((capex_share(gs) - 49.0).abs() < 0.5);
     assert!((capex_share(i11) - 86.0).abs() < 0.5);
 }
@@ -148,7 +152,8 @@ fn footprints_from_dataset_are_internally_consistent() {
     for d in chasing_carbon::data::devices::iter() {
         let fp = Footprint::from_product_lca(d);
         assert!((fp.total() / d.total() - 1.0).abs() < 1e-9, "{}", d.name);
-        let share_sum = fp.capex_share().as_fraction() + fp.opex_share().as_fraction();
+        let split = CarbonDecomposition::from_footprint(&fp);
+        let share_sum = split.capex_share().as_fraction() + split.opex_share().as_fraction();
         assert!((share_sum - 1.0).abs() < 1e-9, "{}", d.name);
     }
 }
