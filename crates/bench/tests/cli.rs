@@ -605,18 +605,15 @@ fn full_suite_sweep_trees_match_across_jobs_and_caching() {
     // Most entries share one output across both points, so each rendered
     // output is spliced into two artifacts; every format must match a
     // serial run and an uncached one file for file (no flag is text). Each
-    // tree is 26 experiments x 2 points + the comparison report, pinned:
-    // the JSON tree as written by the build that rendered every artifact
-    // whole (its sha256 listing digest is f3d7a3d7…5535a), the others as
-    // written before the registry rows took over the titles and captions
-    // their headers show.
+    // tree is 26 experiments x 2 points + the comparison report, pinned as
+    // written once Fig 15's coverage table stopped naming deleted modules.
     let dir = scratch("repro-formats");
     let sweep = ["--sweep", "fleet.growth=1.0,1.5", "--set", "mc.samples=500"];
     for (format, digest) in [
-        (&[][..], 0x29ca_cdfc_9867_ab5a),
-        (&["--markdown"], 0x33cb_d177_b75f_2509),
-        (&["--csv"], 0x6937_c3ff_9ce9_32c0),
-        (&["--json"], 0x07fe_36cf_3dc3_0a0c),
+        (&[][..], 0x4236_a6b5_53f3_30cc),
+        (&["--markdown"], 0xcabe_7220_d748_7451),
+        (&["--csv"], 0xb0ed_23bb_a688_e716),
+        (&["--json"], 0x6a58_b172_0a26_a882),
     ] {
         let runs = [&["--jobs", "1"][..], &["--jobs", "4"], &["--no-cache"]].map(|run| {
             let out = dir.join([format, run].concat().join(""));

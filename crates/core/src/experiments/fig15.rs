@@ -36,12 +36,12 @@ pub fn run(_ctx: &RunContext) -> ExperimentOutput {
     t.row([
         "Circuits",
         "Lower-footprint circuit design; reliability (longer lifetime)",
-        "cc-lca amortization lifetime sensitivity",
+        "cc-lca amortization vs device.lifetime (Fig 10)",
     ]);
     t.row([
         "Devices & Manufacturing",
         "Greener fabs; yield; PFC abatement",
-        "cc-fab: wafer sweep, die model, abatement",
+        "cc-fab: wafer sweep, die model with yield",
     ]);
     let modelled = t
         .rows()
