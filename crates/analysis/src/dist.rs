@@ -63,8 +63,6 @@ impl fmt::Display for DistError {
     }
 }
 
-impl std::error::Error for DistError {}
-
 fn error(spec: &str, message: impl Into<String>) -> DistError {
     DistError {
         spec: spec.to_string(),

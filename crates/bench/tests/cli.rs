@@ -4,6 +4,7 @@
 //! artifact trees.
 
 mod common;
+use cc_report::fnv::{fnv, FNV_BASIS};
 use common::{same_trees, scratch};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -62,17 +63,10 @@ fn cached_matches_uncached(name: &str, args: &[&str]) -> (Streams, Vec<(String, 
     (cached, files)
 }
 
-/// FNV-1a (64-bit) over `bytes`, continuing from `hash`.
-fn fnv(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
-
 /// One FNV-1a digest of a flat directory's `files`, sorted by name: each
 /// file's name and bytes, each preceded by its length.
 fn tree_digest(files: &[(String, Vec<u8>)]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325;
+    let mut hash = FNV_BASIS;
     for (name, bytes) in files {
         for part in [name.as_bytes(), bytes] {
             hash = fnv(fnv(hash, &(part.len() as u64).to_le_bytes()), part);

@@ -6,15 +6,12 @@
 //! `crates/`) and bytes of every file in it. Cargo re-runs this script when
 //! anything under one of those trees changes.
 
+#[path = "../report/src/fnv.rs"]
+mod fnv;
+
+use fnv::{fnv, FNV_BASIS};
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// FNV-1a over `bytes`, continuing from `hash`.
-fn fnv(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
 
 /// Every file under `dir`, recursively.
 fn files_under(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -43,7 +40,7 @@ fn main() {
     }
     files.sort();
 
-    let mut hash = 0xcbf2_9ce4_8422_2325;
+    let mut hash = FNV_BASIS;
     for path in &files {
         let rel = path.strip_prefix(crates).expect("under crates/");
         let rel = rel.to_string_lossy().replace('\\', "/");

@@ -241,7 +241,7 @@ impl ShardedCache {
     /// (`&'static`), so hashing the name bytes plus the fingerprint gives a
     /// stable shard index.
     fn shard(&self, key: CacheKey) -> std::sync::MutexGuard<'_, Shard> {
-        let hash = crate::persist::fnv(key.1 ^ 0x9e37_79b9_7f4a_7c15, key.0.as_bytes());
+        let hash = cc_report::fnv::fnv(key.1 ^ 0x9e37_79b9_7f4a_7c15, key.0.as_bytes());
         let index = (hash as usize) & (SHARDS - 1);
         self.shards[index].lock().expect("no panics under lock")
     }

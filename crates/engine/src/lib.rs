@@ -655,8 +655,6 @@ impl std::fmt::Display for EngineError {
     }
 }
 
-impl std::error::Error for EngineError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -38,6 +38,7 @@
 //!   a miss.
 
 use crate::cache::CachedOutput;
+use cc_report::fnv::{fnv, FNV_BASIS};
 use cc_report::{ExperimentOutput, JsonValue, Scalar};
 use std::fs;
 use std::io::Write as _;
@@ -47,17 +48,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// On-disk entry format version. Bump on any layout or header change: old
 /// entries become unreadable (treated as misses) instead of misparsed.
 pub const CACHE_FORMAT_VERSION: u32 = 2;
-
-/// The FNV-1a offset basis: the hash of no bytes.
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a over `bytes`, continuing from `hash`. Also the sharded cache's
-/// shard hash.
-pub(crate) fn fnv(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
 
 /// The digest line for an entry's `payload`: its FNV-1a digest and length.
 fn digest_line(payload: &str) -> String {

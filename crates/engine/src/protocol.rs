@@ -109,8 +109,6 @@ impl std::fmt::Display for ProtocolError {
     }
 }
 
-impl std::error::Error for ProtocolError {}
-
 /// Maps a scenario-application failure onto a protocol error category:
 /// the category distinguishes "no such field" from "value didn't parse"
 /// from "value out of physical range" so clients can react precisely.

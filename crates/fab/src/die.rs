@@ -118,8 +118,6 @@ impl core::fmt::Display for DieModelError {
     }
 }
 
-impl std::error::Error for DieModelError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;

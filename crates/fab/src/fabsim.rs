@@ -7,6 +7,7 @@
 
 use crate::node::ProcessNode;
 use crate::wafer::WaferFootprint;
+use cc_data::energy_sources::EnergySource;
 use cc_units::{CarbonIntensity, CarbonMass, Energy};
 
 /// A fab operating one process node for a year.
@@ -43,7 +44,7 @@ impl FabModel {
             annual_energy,
             grid,
             renewable_share,
-            renewable_intensity: CarbonIntensity::from_g_per_kwh(11.0),
+            renewable_intensity: EnergySource::Wind.carbon_intensity(),
             wafer: WaferFootprint::tsmc_300mm(),
         }
     }

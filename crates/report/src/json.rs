@@ -109,8 +109,6 @@ impl core::fmt::Display for JsonParseError {
     }
 }
 
-impl std::error::Error for JsonParseError {}
-
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,

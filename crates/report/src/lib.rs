@@ -20,6 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod experiment;
+pub mod fnv;
 pub mod json;
 pub mod scenario;
 pub mod series;

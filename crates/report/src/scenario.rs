@@ -35,11 +35,6 @@ use fields::{FieldType, SectionsMut};
 use std::path::Path;
 use std::sync::Arc;
 
-/// Carbon intensity assumed for renewable power purchases when blending
-/// `grid.renewable_fraction` into the effective operational intensity
-/// (wind, Table II).
-pub const RENEWABLE_PPA_G_PER_KWH: f64 = 11.0;
-
 /// Server SKU names a fleet may be composed of (`fleet.sku` /
 /// `fleet.mix`). These mirror the `cc_dcsim::ServerConfig` catalog — a
 /// cross-crate test in `cc_core` keeps the two lists agreeing — so the
@@ -623,8 +618,6 @@ impl core::fmt::Display for ScenarioError {
     }
 }
 
-impl std::error::Error for ScenarioError {}
-
 /// Overwrites `grid.intensity_g_per_kwh` with the Table II intensity of the
 /// named `grid.source` (case-insensitive); a no-op when no source is set.
 /// This is the `grid.source` row's set hook, so it takes a bare grid
@@ -904,13 +897,13 @@ impl RunContext {
         &self.overlay.grid().regions
     }
 
-    /// The operational intensity after blending the renewable fraction at
-    /// [`RENEWABLE_PPA_G_PER_KWH`].
+    /// The operational intensity after blending the renewable fraction,
+    /// bought as wind power (Table II).
     #[must_use]
     pub fn effective_grid_intensity(&self) -> CarbonIntensity {
         self.record("grid.renewable_fraction");
         self.grid_intensity().blend(
-            CarbonIntensity::from_g_per_kwh(RENEWABLE_PPA_G_PER_KWH),
+            EnergySource::Wind.carbon_intensity(),
             1.0 - self.overlay.grid().renewable_fraction,
         )
     }

@@ -29,6 +29,7 @@
 //! want a small dependency set must go through the typed accessors.
 
 pub use super::fields::{resolve, FieldInfo, ScenarioView, FIELDS};
+use crate::fnv::{fnv, FNV_BASIS};
 use core::fmt::{self, Write as _};
 use std::collections::BTreeSet;
 use std::sync::Mutex;
@@ -94,7 +95,7 @@ pub trait FieldSource {
     fn view(&self) -> ScenarioView<'_>;
 }
 
-/// FNV-1a accumulator behind `fmt::Write`: fingerprinting streams field
+/// [`fnv`] accumulator behind `fmt::Write`: fingerprinting streams field
 /// values straight out of the formatter into the hash, with an explicit
 /// [`Self::separator`] between byte strings so the stream hashes
 /// byte-identically to the historical buffered form (every string was
@@ -104,32 +105,20 @@ struct FnvWriter {
 }
 
 impl FnvWriter {
-    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0100_0000_01b3;
-
     fn new() -> Self {
-        Self {
-            hash: Self::OFFSET_BASIS,
-        }
-    }
-
-    fn step(&mut self, byte: u8) {
-        self.hash ^= u64::from(byte);
-        self.hash = self.hash.wrapping_mul(Self::PRIME);
+        Self { hash: FNV_BASIS }
     }
 
     /// The `0x00` terminator hashed after every byte string, keeping
     /// `("ab", "c")` distinct from `("a", "bc")`.
     fn separator(&mut self) {
-        self.step(0);
+        self.hash = fnv(self.hash, &[0]);
     }
 }
 
 impl fmt::Write for FnvWriter {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        for &b in s.as_bytes() {
-            self.step(b);
-        }
+        self.hash = fnv(self.hash, s.as_bytes());
         Ok(())
     }
 }

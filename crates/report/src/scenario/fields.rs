@@ -632,7 +632,7 @@ scenario_fields! {
         // values near f64::MAX overflow ext-mc's triangular sampling. The
         // floor sits below the cleanest (wind, 11); near-zero values drove
         // fig10's break-even days and ext-mc's band to `inf`.
-        intensity_g_per_kwh: f64 = 380.0 => "grid.intensity" ["grid.intensity_g_per_kwh"]
+        intensity_g_per_kwh: f64 = cc_data::US_GRID_G_PER_KWH => "grid.intensity" ["grid.intensity_g_per_kwh"]
             semantic "Operational grid carbon intensity in g CO2e/kWh",
             Rule::Check("grid.intensity must lie in [1, 10000] g/kWh", |v| (1.0..=10_000.0).contains(v));
         source: Option<String> = None => "grid.source" []

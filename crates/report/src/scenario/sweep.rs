@@ -716,8 +716,6 @@ impl core::fmt::Display for SweepError {
     }
 }
 
-impl std::error::Error for SweepError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,6 +12,8 @@
 //! identically. The full grammar is documented in `docs/GRID-TRACES.md`.
 
 use super::ScenarioError;
+use cc_data::energy_sources::EnergySource;
+use cc_data::US_GRID_G_PER_KWH;
 use cc_units::IntensityTrace;
 use std::path::Path;
 
@@ -34,14 +36,15 @@ pub const BUILTIN_REGIONS: [&str; 7] = [
 /// Table II's 41 g/kWh is the generation intensity of solar power itself.
 #[must_use]
 pub fn builtin_region_trace(name: &str) -> Option<IntensityTrace> {
+    let source = |s: EnergySource| IntensityTrace::flat(s.carbon_intensity().as_g_per_kwh());
     Some(match name {
-        "default" => IntensityTrace::flat(380.0),
-        "solar" => IntensityTrace::solar_day(380.0, 120.0),
-        "hydro" => IntensityTrace::flat(24.0),
-        "wind" => IntensityTrace::flat(11.0),
-        "nuclear" => IntensityTrace::flat(12.0),
-        "coal" => IntensityTrace::flat(820.0),
-        "gas" => IntensityTrace::flat(490.0),
+        "default" => IntensityTrace::flat(US_GRID_G_PER_KWH),
+        "solar" => IntensityTrace::solar_day(US_GRID_G_PER_KWH, 120.0),
+        "hydro" => source(EnergySource::Hydropower),
+        "wind" => source(EnergySource::Wind),
+        "nuclear" => source(EnergySource::Nuclear),
+        "coal" => source(EnergySource::Coal),
+        "gas" => source(EnergySource::Gas),
         _ => return None,
     })
 }

@@ -146,8 +146,6 @@ impl core::fmt::Display for ExecError {
     }
 }
 
-impl std::error::Error for ExecError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;

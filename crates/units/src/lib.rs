@@ -210,8 +210,6 @@ impl core::fmt::Display for NonFiniteError {
     }
 }
 
-impl std::error::Error for NonFiniteError {}
-
 /// Commonly used items, for glob import.
 ///
 /// ```
