@@ -105,19 +105,6 @@ pub enum DieModelError {
     },
 }
 
-impl core::fmt::Display for DieModelError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Self::InvalidArea { die_area_mm2 } => {
-                write!(f, "invalid die area {die_area_mm2} mm^2")
-            }
-            Self::InvalidDefectDensity { d0 } => {
-                write!(f, "invalid defect density {d0} /cm^2")
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,7 +166,7 @@ mod tests {
         assert!(DieModel::new(ProcessNode::N7, 0.0).is_err());
         assert!(DieModel::new(ProcessNode::N7, 1e9).is_err());
         let err = DieModel::new(ProcessNode::N7, -5.0).unwrap_err();
-        assert!(err.to_string().contains("die area"));
+        assert!(matches!(err, DieModelError::InvalidArea { .. }));
         assert!(DieModel::new(ProcessNode::N7, 100.0)
             .unwrap()
             .with_defect_density(-1.0)

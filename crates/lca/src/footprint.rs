@@ -13,8 +13,9 @@ use cc_units::CarbonMass;
 ///
 /// let iphone11 = cc_data::devices::find("iPhone 11").unwrap();
 /// let fp = Footprint::from_product_lca(iphone11);
-/// assert!((fp.total().as_kg() - 75.0).abs() < 1e-9);
-/// assert!(fp.capex() / fp.total() > 0.85);
+/// let total = fp.capex() + fp.opex();
+/// assert!((total.as_kg() - 75.0).abs() < 1e-9);
+/// assert!(fp.capex() / total > 0.85);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Footprint {
@@ -45,12 +46,6 @@ impl Footprint {
             LifecyclePhase::Use => self.use_phase,
             LifecyclePhase::EndOfLife => self.end_of_life,
         }
-    }
-
-    /// Total life-cycle carbon.
-    #[must_use]
-    pub fn total(&self) -> CarbonMass {
-        self.production + self.transport + self.use_phase + self.end_of_life
     }
 
     /// Carbon for one expenditure class (opex = use; capex = the rest).
@@ -92,13 +87,13 @@ mod tests {
     #[test]
     fn totals_and_classes() {
         let fp = iphone11ish();
-        assert_eq!(fp.total(), CarbonMass::from_kg(75.0));
+        assert_eq!((fp.capex() + fp.opex()), CarbonMass::from_kg(75.0));
         assert_eq!(fp.opex(), CarbonMass::from_kg(10.5));
         assert_eq!(fp.capex(), CarbonMass::from_kg(64.5));
-        assert!((fp.capex() / fp.total() - 0.86).abs() < 1e-9);
-        assert!((fp.opex() / fp.total() - 0.14).abs() < 1e-9);
+        assert!((fp.capex() / (fp.capex() + fp.opex()) - 0.86).abs() < 1e-9);
+        assert!((fp.opex() / (fp.capex() + fp.opex()) - 0.14).abs() < 1e-9);
         // The Fig 7 "manufacturing" fraction excludes transport and EOL.
-        let production = fp.phase(LifecyclePhase::Production) / fp.total();
+        let production = fp.phase(LifecyclePhase::Production) / (fp.capex() + fp.opex());
         assert!((production * 100.0 - 79.0).abs() < 1e-9);
     }
 
@@ -106,9 +101,9 @@ mod tests {
     fn from_product_lca_matches_record() {
         let lca = cc_data::devices::find("iPhone 11").unwrap();
         let fp = Footprint::from_product_lca(lca);
-        assert!((fp.total() / lca.total() - 1.0).abs() < 1e-12);
+        assert!(((fp.capex() + fp.opex()) / lca.total() - 1.0).abs() < 1e-12);
         let capex = lca.production_share + lca.transport_share + lca.eol_share;
-        assert!((fp.capex() / fp.total() - capex).abs() < 1e-12);
+        assert!((fp.capex() / (fp.capex() + fp.opex()) - capex).abs() < 1e-12);
     }
 
     #[test]
@@ -117,7 +112,7 @@ mod tests {
             use_phase: CarbonMass::from_kg(0.5),
             ..iphone11ish()
         };
-        assert!(greened.capex() / greened.total() > 0.98);
+        assert!(greened.capex() / (greened.capex() + greened.opex()) > 0.98);
         let production = |fp: Footprint| fp.phase(LifecyclePhase::Production);
         assert_eq!(production(greened), production(iphone11ish()));
     }
@@ -130,7 +125,7 @@ mod tests {
             use_phase: CarbonMass::from_kg(10.0),
             end_of_life: CarbonMass::from_kg(-2.0),
         };
-        assert_eq!(fp.total(), CarbonMass::from_kg(63.0));
+        assert_eq!((fp.capex() + fp.opex()), CarbonMass::from_kg(63.0));
         assert_eq!(fp.capex(), CarbonMass::from_kg(53.0));
     }
 

@@ -128,7 +128,10 @@ mod tests {
     #[test]
     fn fleet_footprint_sums() {
         let fleet: f64 = devices::in_category(Category::Wearable)
-            .map(|d| crate::Footprint::from_product_lca(d).total().as_kg())
+            .map(|d| {
+                let fp = crate::Footprint::from_product_lca(d);
+                (fp.capex() + fp.opex()).as_kg()
+            })
             .sum();
         let manual: f64 = devices::in_category(Category::Wearable)
             .map(|d| d.total_kg)

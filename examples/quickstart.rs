@@ -11,10 +11,9 @@ fn main() {
     // 1. Pull a published product LCA from the embedded dataset.
     let iphone11 = chasing_carbon::data::devices::find("iPhone 11").expect("dataset");
     let footprint = Footprint::from_product_lca(iphone11);
-    println!("iPhone 11 life-cycle footprint: {}", footprint.total());
-
     // 2. The paper's lens: opex vs capex.
     let decomposition = CarbonDecomposition::from_footprint(&footprint);
+    println!("iPhone 11 life-cycle footprint: {}", decomposition.total());
     println!(
         "decomposition: opex {} ({}) / capex {} ({})",
         footprint.opex(),

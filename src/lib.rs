@@ -28,7 +28,7 @@
 //! // The footprint of an iPhone 11 over its lifetime, from the embedded LCA:
 //! let phone = chasing_carbon::data::devices::find("iPhone 11").unwrap();
 //! let footprint = chasing_carbon::lca::Footprint::from_product_lca(phone);
-//! assert!(footprint.capex() / footprint.total() > 0.8);
+//! assert!(footprint.capex() / (footprint.capex() + footprint.opex()) > 0.8);
 //! ```
 #![forbid(unsafe_code)]
 
